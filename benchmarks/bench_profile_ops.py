@@ -16,8 +16,8 @@ experiment measures the rebuilt hot path against the retained
   because the answers are identical.  The workload runs twice: once with
   float (inexact) quantities, where the vectorized numpy kernels carry
   the profile algebra — the headline ``admission`` row — and once with
-  integer (exact) quantities on the Fraction-safe scalar path
-  (``admission_exact``).  The float workload uses dyadic rationals
+  integer (exact) quantities, where the scaled-integer (int64) kernels
+  carry it (``admission_exact``).  The float workload uses dyadic rationals
   (halves over power-of-two durations) so every intermediate sum is
   exact in double precision and the zero-divergence gate is meaningful
   rather than luck.
@@ -193,9 +193,10 @@ def bench_admission(
     speedup *understates* what larger systems gain.
 
     With ``inexact=True`` the capacity and demands are floats, which
-    routes every profile operation through the vectorized numpy kernels
-    (:mod:`repro.resources._vectorized`) instead of the Fraction-safe
-    scalar sweeps — the configuration the >=200x acceptance bar targets.
+    routes every profile operation through the float64 kernels of
+    :mod:`repro.resources._vectorized` — the configuration the >=200x
+    acceptance bar targets.  Otherwise the exact profiles run on the same
+    module's scaled-integer kernels.
     """
     capacity = 60.0 if inexact else 60
     available = ResourceSet.of(term(capacity, cpu("l1"), 0, horizon))
@@ -221,7 +222,7 @@ def bench_admission(
     return {
         "arrivals": count,
         "admitted": sum(fast_decisions),
-        "kernel": "vectorized-float" if inexact else "exact-scalar",
+        "kernel": "vectorized-float" if inexact else "exact-int64",
         "fast_s": fast,
         "reference_s": reference,
         "speedup": reference / fast if fast else float("inf"),
@@ -252,7 +253,7 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
         }
         # Acceptance: 1k+ admitted and zero divergence on both paths;
         # >= 200x for the vectorized float headline, >= 5x for the
-        # Fraction-safe exact path.
+        # exact path.
         assert results["admission"]["admitted"] >= 1000, results["admission"]
         assert results["admission"]["speedup"] >= 200.0, results["admission"]
         assert results["admission_exact"]["admitted"] >= 1000, (

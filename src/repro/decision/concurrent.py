@@ -41,12 +41,14 @@ def _try_order(
 ) -> Optional[ConcurrentSchedule]:
     remaining = available
     schedules: list[Schedule] = []
-    for component in components:
+    last = len(components) - 1
+    for index, component in enumerate(components):
         schedule = find_schedule(remaining, component, align=align)
         if schedule is None:
             return None
         schedules.append(schedule)
-        remaining = remaining - schedule.consumption()
+        if index < last:  # nothing reads what the last component leaves
+            remaining = remaining - schedule.consumption()
     return ConcurrentSchedule(tuple(schedules))
 
 
@@ -71,6 +73,9 @@ def _search_orders(
         if schedule is None:
             continue
         placed.append(schedule)
+        if len(components) == 1:
+            # Leaf: the order is complete; what it leaves is never read.
+            return ConcurrentSchedule(tuple(placed))
         found = _search_orders(
             remaining - schedule.consumption(),
             components[:index] + components[index + 1 :],
@@ -112,7 +117,8 @@ def find_concurrent_schedule(
                 f"{MAX_EXHAUSTIVE_COMPONENTS} components, got {len(components)}"
             )
         return _search_orders(available, tuple(components), [], align)
-    components.sort(key=lambda c: _laxity_key(available, c))
+    if len(components) > 1:  # list.sort calls the key even for one item
+        components.sort(key=lambda c: _laxity_key(available, c))
     return _try_order(available, components, align)
 
 

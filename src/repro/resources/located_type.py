@@ -20,6 +20,7 @@ cases used throughout the paper's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from repro.errors import InvalidTermError
@@ -109,23 +110,31 @@ def _as_node(value: Union[Node, str]) -> Node:
     return value if isinstance(value, Node) else Node(value)
 
 
+@lru_cache(maxsize=None)
+def _interned(kind: str, location: Location) -> LocatedType:
+    """One shared instance per distinct located type: workloads name the
+    same few types in every demand and term, and the value objects are
+    immutable, so sharing them saves an object pair per mention."""
+    return LocatedType(kind, location)
+
+
 def cpu(location: Union[Node, str]) -> LocatedType:
     """``<cpu, l>`` — processor capacity at a location."""
-    return LocatedType("cpu", _as_node(location))
+    return _interned("cpu", _as_node(location))
 
 
 def memory(location: Union[Node, str]) -> LocatedType:
     """``<memory, l>`` — memory capacity at a location."""
-    return LocatedType("memory", _as_node(location))
+    return _interned("memory", _as_node(location))
 
 
 def network(source: Union[Node, str], destination: Union[Node, str]) -> LocatedType:
     """``<network, l1 -> l2>`` — directed communication capacity."""
-    return LocatedType("network", Link(_as_node(source), _as_node(destination)))
+    return _interned("network", Link(_as_node(source), _as_node(destination)))
 
 
 def located(kind: str, location: Union[Node, str, Link]) -> LocatedType:
     """Generic constructor for any resource kind at a node or link."""
     if isinstance(location, Link):
-        return LocatedType(kind, location)
-    return LocatedType(kind, _as_node(location))
+        return _interned(kind, location)
+    return _interned(kind, _as_node(location))

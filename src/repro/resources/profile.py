@@ -24,28 +24,41 @@ breakpoint's rate holds forever (so a profile with finite support ends
 with a rate-0 breakpoint).
 
 Every decision procedure (Theorem 4 admission, schedule search, the
-Figure 1 model checker) bottoms out here, so the point and window queries
-are the system's hot path.  They run against a lazily-built index — the
-breakpoint times plus a cumulative-integral array — giving ``O(log n)``
-``rate_at``/``integral`` lookups and ``O(n + m)`` two-pointer merges for
-the binary algebra, instead of the naive linear/quadratic scans.  The
-naive implementations are retained below as ``_reference_*`` oracles;
-``tests/test_profile_fastpath.py`` asserts exact agreement over
-exhaustive small-integer enumerations, and ``benchmarks/
-bench_profile_ops.py`` tracks the speedup.
+Figure 1 model checker) bottoms out here, so the algebra and the point
+and window queries are the system's hot path.  Two arithmetic regimes
+share that surface, and both run on array kernels in
+:mod:`repro.resources._vectorized`:
 
-Two arithmetic regimes share that surface.  **Exact** profiles (every
-coordinate int/Fraction) stay on the scalar fast path above — the
-correctness oracle chain (`_reference_*` -> scalar fast path) is never
-perturbed by vectorization.  **Inexact** profiles (``is_exact()`` false
-for some coordinate) batch onto numpy float64 vectors in
-:mod:`repro.resources._vectorized` whenever every coordinate is
-losslessly float64-representable; the kernels reproduce the scalar
-float path's IEEE-754 operation order bit-for-bit (differentially
-fuzzed in ``tests/test_profile_differential.py``).  One visible
-canonicalization: vec-built profiles carry float coordinates, so an
-int that rode along in an inexact profile comes back as the equal
-float (``2 -> 2.0``).
+* **Exact** profiles (every coordinate ``int``/``Fraction``) run on
+  scaled-integer kernels: one common denominator per profile, int64
+  numerator arrays for times and rates, and a per-coordinate "is a
+  Fraction" bit, so every result keeps the type the scalar path would
+  give it (``Fraction(2, 1)`` stays a Fraction, ``2`` stays an int).
+  Window integrals and accumulation searches use an exact int64
+  cumulative sum plus a binary search; no EPSILON is involved.
+* **Inexact** profiles (some float coordinate) batch onto float64
+  kernels whenever every coordinate is losslessly float64-representable;
+  they reproduce the scalar float path's IEEE-754 operation order
+  bit-for-bit.  Vec-built float profiles carry float coordinates, so an
+  int that rode along in an inexact profile comes back as the equal
+  float (``2 -> 2.0``).
+
+Kernel results stay in array form; the breakpoint tuples are built only
+on demand (equality, pickling, the scalar fallbacks), and a profile
+never keeps both forms alive.  Exact operations whose operands are all
+still small tuples stay scalar: below
+:data:`EXACT_KERNEL_MIN_BREAKPOINTS` numpy's per-call overhead costs more
+than the work.
+
+The scalar path — a lazily-built bisect index plus a cumulative-integral
+array, ``O(log n)`` point/window lookups and ``O(n + m)`` two-pointer
+merges — is the fallback: without numpy, for exact values that would
+overflow int64 after rescaling, and for ``Rational`` values that are
+neither ``int`` nor ``Fraction``.  The naive implementations are retained
+below as ``_reference_*`` oracles; ``tests/test_profile_fastpath.py`` and
+``tests/test_profile_differential.py`` pin every path to them (values,
+types and exceptions), and ``benchmarks/bench_profile_ops.py`` tracks the
+speedup.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -65,6 +79,16 @@ from repro.resources import _vectorized as _vec
 #: (int, Fraction) never need it.
 EPSILON = 1e-9  # repro-lint: disable=float-literal -- the sanctioned float-tolerance boundary itself (see is_exact below)
 
+#: Breakpoints (all operands together) from which an exact operation on
+#: profiles still in tuple form moves onto the integer kernels, and from
+#: which such a profile switches to array form for good.  Below it the
+#: scalar sweep is faster than numpy's per-call overhead (measured in
+#: EXPERIMENTS.md); profiles already in array form always stay on the
+#: kernels.
+EXACT_KERNEL_MIN_BREAKPOINTS = 16
+
+_EXACT_TYPES = (int, Fraction)
+
 
 def is_exact(value: object) -> bool:
     """Whether ``value`` is an exact numeric type (``int``/``Fraction``).
@@ -73,6 +97,9 @@ def is_exact(value: object) -> bool:
     them can misclassify a genuinely positive residue as zero.  Tolerance
     belongs only where a float has entered the computation.
     """
+    kind = type(value)
+    if kind is int or kind is Fraction:
+        return True
     return isinstance(value, Rational)
 
 
@@ -84,8 +111,6 @@ def exact_div(numerator: Time, denominator: Time) -> Time:
     are returned as ints, non-integer ratios of ints as Fractions.
     """
     if isinstance(numerator, int) and isinstance(denominator, int):
-        from fractions import Fraction
-
         ratio = Fraction(numerator, denominator)
         return int(ratio) if ratio.denominator == 1 else ratio
     return numerator / denominator
@@ -114,11 +139,40 @@ def _normalise(points: Iterable[Tuple[Time, Time]]) -> tuple[Tuple[Time, Time], 
     return tuple(merged)
 
 
+def _exact_views(profiles: Sequence["RateProfile"]):
+    """Integer views of ``profiles`` for an exact kernel, or ``None`` when
+    the operation stays on the float or scalar path."""
+    if not any(p._den for p in profiles):
+        size = 0
+        for p in profiles:
+            if p._pts is None:
+                return None  # float arrays
+            size += len(p._pts)
+        if size < EXACT_KERNEL_MIN_BREAKPOINTS:
+            return None
+    views = []
+    for p in profiles:
+        view = p._int_view()
+        if view is None:
+            return None
+        views.append(view)
+    return views
+
+
 class RateProfile:
-    """An immutable, piecewise-constant, non-negative function of time."""
+    """An immutable, piecewise-constant, non-negative function of time.
+
+    A profile lives in one of three forms: breakpoint tuples (``_pts``),
+    float64 arrays (``_vt``/``_vr`` with ``_vok`` set, inexact only), or
+    the integer form (``_vt``/``_vr`` int64 numerators over ``_den``,
+    Fraction bits ``_ft``/``_fr``, magnitude bound ``_bound``; exact
+    only).  ``_den`` is ``None`` before the integer form was tried and
+    0 when the profile has none.
+    """
 
     __slots__ = (
-        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl"
+        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl",
+        "_den", "_ft", "_fr", "_bound", "_ix",
     )
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
@@ -136,69 +190,125 @@ class RateProfile:
         self._vr = None
         self._vok: Optional[bool] = None
         self._rl: Optional[list] = None
+        self._den: Optional[int] = None
+        self._ft = None
+        self._fr = None
+        self._bound: Optional[int] = None
+        self._ix = None
 
     @property
     def _points(self) -> tuple[Tuple[Time, Time], ...]:
         """Canonical breakpoint tuples.
 
-        Vec-built profiles carry their breakpoints as float64 arrays and
-        materialize the tuples only when something actually needs them
-        (equality, pickling, the scalar fallbacks): the hot admission
-        chains — subtract, cap, integral, accumulation walks — stay on
-        the arrays end to end."""
+        Array-built profiles materialize them only when something
+        actually needs them (equality, hashing, the scalar fallbacks):
+        the hot admission chains — subtract, cap, clamp, integral,
+        accumulation walks — stay on the arrays end to end.  An
+        integer-form profile hands its arrays in for the tuples."""
         pts = self._pts
         if pts is None:
-            pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
+            if self._den:
+                pts = _vec.exact_points(self._exact_view())
+                self._vt = self._vr = self._ft = self._fr = None
+                self._den = self._bound = self._ix = None
+            else:
+                pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
             self._pts = pts
         return pts
 
     def _rates(self) -> list:
-        """Rates by breakpoint position, built lazily (vec-built
+        """Rates by breakpoint position, built lazily (float-vec-built
         profiles read straight off the rate array)."""
         rl = self._rl
         if rl is None:
-            if self._pts is None:
+            if self._pts is None and not self._den:
                 rl = self._vr.tolist()
             else:
-                rl = [r for _, r in self._pts]
+                rl = [r for _, r in self._points]
             self._rl = rl
         return rl
 
+    def _is_exact(self) -> bool:
+        """Whether every coordinate is exact (cumulative differences are
+        then drift-free), computed once."""
+        exact = self._exact
+        if exact is None:
+            exact = self._exact = all(
+                is_exact(t) and is_exact(r) for t, r in self._pts
+            )
+        return exact
+
     def _ensure_index(self) -> None:
-        """Build the lookup index on first use: breakpoint times for
-        bisection, the cumulative integral up to each breakpoint, and
-        whether every coordinate is exact (so cumulative differences are
-        drift-free)."""
+        """Build the breakpoint times for bisection on first use."""
         if self._times is not None:
             return
-        if self._pts is None:
-            # Vec-built: inexact by construction, times off the array;
-            # the cumulative array stays unbuilt (exact path only).
-            self._times = self._vt.tolist()
-            self._exact = False
+        if self._pts is None and not self._den:
+            self._times = self._vt.tolist()  # float-vec-built
             return
-        pts = self._pts
-        times = [t for t, _ in pts]
+        self._times = [t for t, _ in self._points]
+
+    def _ensure_cumulative(self) -> None:
+        """The cumulative integral up to each breakpoint: only the exact
+        scalar ``integral`` reads it."""
+        if self._cum is not None:
+            return
+        self._ensure_index()
+        pts, times = self._points, self._times
         cum: list = [0] * len(pts)
-        exact = True
         for i in range(1, len(pts)):
             t_prev, r_prev = pts[i - 1]
             cum[i] = cum[i - 1] + r_prev * (times[i] - t_prev)
-        for t, r in pts:
-            if not (is_exact(t) and is_exact(r)):
-                exact = False
-                break
-        self._times = times
         self._cum = cum
-        self._exact = exact
+
+    def _exact_view(self):
+        """The integer form as a kernel view (integer-form profiles only)."""
+        return (self._den, self._vt, self._vr, self._ft, self._fr, self._bound)
+
+    def _int_view(self):
+        """The integer form for the exact kernels, or ``None`` when the
+        profile has none (float coordinates, an int64 overflow after
+        rescaling, other ``Rational`` types, no numpy).  A tuple-form
+        profile converts on the fly; one with at least
+        :data:`EXACT_KERNEL_MIN_BREAKPOINTS` breakpoints switches to the
+        integer form for good."""
+        if self._den:
+            return self._exact_view()
+        pts = self._pts
+        if self._den is not None or pts is None or not _vec.HAVE_NUMPY:
+            return None
+        view = _vec.exact_arrays_from_points(pts)
+        if view is None:
+            self._den = 0
+            return None
+        if len(pts) >= EXACT_KERNEL_MIN_BREAKPOINTS:
+            self._den, self._vt, self._vr, self._ft, self._fr, self._bound = view
+            self._pts = self._times = self._cum = self._rl = None
+            self._vok = None
+            self._exact = True
+        return view
+
+    def _exact_index(self):
+        """The exact kernels' query index, or ``None`` (scalar path) for
+        small tuple-form profiles and profiles with no integer form."""
+        if not self._den:
+            pts = self._pts
+            if pts is None or len(pts) < EXACT_KERNEL_MIN_BREAKPOINTS:
+                return None
+            if self._int_view() is None:
+                return None
+        index = self._ix
+        if index is None:
+            index = self._ix = _vec.exact_index(self._exact_view())
+        return index
 
     def _vector_index(self):
         """Float64 ``(times, rates)`` arrays for the vectorized kernels,
         or ``None`` when the profile is not losslessly representable
         (Fraction coordinates, huge ints) or numpy is unavailable."""
         if self._vok is None:
-            if _vec.HAVE_NUMPY and _vec.points_safe(self._points):
-                self._vt, self._vr = _vec.arrays_from_points(self._points)
+            pts = self._points  # an integer-form profile materializes first
+            if _vec.HAVE_NUMPY and _vec.points_safe(pts):
+                self._vt, self._vr = _vec.arrays_from_points(pts)
                 self._vok = True
             else:
                 self._vok = False
@@ -206,14 +316,10 @@ class RateProfile:
 
     def _vector_pair(self, other: "RateProfile"):
         """Operand arrays for a vectorized binary op, or ``None`` when
-        the op must stay scalar.  Vectorization is auto-selected only
-        when the operation is inexact — both operands exact means the
-        scalar fast path (the reference-pinned oracle chain) answers."""
-        if self._exact is None:
-            self._ensure_index()
-        if other._exact is None:
-            other._ensure_index()
-        if self._exact and other._exact:
+        the op must stay scalar.  The float kernels are auto-selected
+        only when the operation is inexact — both operands exact means
+        the integer kernels or the scalar fallback answer."""
+        if self._is_exact() and other._is_exact():
             return None
         va = self._vector_index()
         if va is None:
@@ -229,8 +335,7 @@ class RateProfile:
 
         Vec-kernel results only: the arrays are already sorted, unique
         in time, rate-merged, and validated, so construction skips
-        ``_normalise`` and pre-seeds both the scalar index and the
-        vector index."""
+        ``_normalise`` and pre-seeds the vector index."""
         if len(times) == 0:
             return _ZERO
         profile = cls.__new__(cls)
@@ -242,14 +347,42 @@ class RateProfile:
         profile._vr = rates
         profile._vok = True
         profile._rl = None
+        profile._den = 0
+        profile._ft = profile._fr = profile._bound = profile._ix = None
+        return profile
+
+    @classmethod
+    def _from_exact_arrays(cls, view) -> "RateProfile":
+        """Adopt a normalised integer-form kernel result as a profile."""
+        den, times, rates, ftimes, frates, bound = view
+        if len(times) == 0:
+            return _ZERO
+        profile = cls.__new__(cls)
+        profile._pts = None  # materialized on demand from the arrays
+        profile._times = profile._cum = profile._rl = profile._ix = None
+        profile._exact = True
+        profile._vt = times
+        profile._vr = rates
+        profile._vok = None
+        profile._den = den
+        profile._ft = ftimes
+        profile._fr = frates
+        profile._bound = bound
         return profile
 
     def __reduce__(self):
-        # Serialize the canonical breakpoints only: the lazy scalar and
-        # vector indexes are caches, rebuilt on demand after unpickling
+        # Serialize the canonical breakpoints only: the lazy indexes and
+        # array forms are caches, rebuilt on demand after unpickling
         # (keeps checkpoint payloads small and independent of which
-        # queries happened to run before the snapshot).
-        return (RateProfile, (self._points,))
+        # queries happened to run before the snapshot).  Pickling does
+        # not move an integer-form profile off its arrays.
+        pts = self._pts
+        if pts is None:
+            pts = (
+                _vec.exact_points(self._exact_view()) if self._den
+                else self._points
+            )
+        return (RateProfile, (pts,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -297,6 +430,10 @@ class RateProfile:
             return cls.sum(
                 cls.constant(rate, Interval(start, end)) for start, end, rate in live
             )
+        if _vec.HAVE_NUMPY and 2 * len(live) >= EXACT_KERNEL_MIN_BREAKPOINTS:
+            view = _vec.exact_from_segments(live)
+            if view is not None:
+                return cls._from_exact_arrays(view)
         events: list[Tuple[Time, Time]] = []
         for start, end, rate in live:
             events.append((start, rate))
@@ -328,9 +465,12 @@ class RateProfile:
             return _ZERO
         if len(live) == 1:
             return live[0]
-        for p in live:
-            p._ensure_index()
-        if not all(p._exact for p in live):
+        views = _exact_views(live)
+        if views is not None:
+            view = _vec.exact_sum(views)
+            if view is not None:
+                return cls._from_exact_arrays(view)
+        if not all(p._is_exact() for p in live):
             arrays = [p._vector_index() for p in live]
             if all(a is not None for a in arrays):
                 return cls._from_float_arrays(*_vec.sum_profiles(arrays))
@@ -368,13 +508,15 @@ class RateProfile:
     def is_zero(self) -> bool:
         pts = self._pts
         if pts is None:
-            return False  # vec-built profiles are never empty
+            return False  # array-built profiles are never empty
         return not pts
 
     def rate_at(self, t: Time) -> Time:
         """The rate in effect at time ``t`` (``O(log n)``)."""
         if self.is_zero:
             return 0
+        if self._den and type(t) in _EXACT_TYPES:
+            return _vec.exact_rate_at(self._den, self._exact_index(), t)
         self._ensure_index()
         i = bisect_right(self._times, t) - 1
         return self._rates()[i] if i >= 0 else 0
@@ -423,6 +565,8 @@ class RateProfile:
         pts = self._pts
         if pts is not None:
             return pts[-1][0] if pts else 0
+        if self._den:
+            return _vec.exact_scalar(int(self._vt[-1]), self._den, self._ft[-1])
         return self._vt[-1].item()  # vec-built: never empty
 
     @property
@@ -433,6 +577,7 @@ class RateProfile:
     def _cumulative(self, t: Time) -> Time:
         """Integral from before the first breakpoint up to ``t`` (exact
         profiles only; callers guard)."""
+        self._ensure_cumulative()
         times, cum = self._times, self._cum
         i = bisect_right(times, t) - 1
         if i < 0:
@@ -446,20 +591,25 @@ class RateProfile:
         """Total quantity available during ``window``:
         the paper's ``r x tau`` generalised to step functions.
 
-        Exact profiles answer in ``O(log n)`` from the cumulative-integral
-        array; float profiles fall back to a bisected segment scan that
-        reproduces the reference summation order bit-for-bit.
+        Exact profiles answer in ``O(log n)`` from a cumulative-integral
+        array (int64 numerators on the integer kernels, Fractions on the
+        scalar fallback); float profiles fall back to a bisected segment
+        scan that reproduces the reference summation order bit-for-bit.
         """
         if window.is_empty or self.is_zero:
             return 0
-        self._ensure_index()
         start, end = window.start, window.end
-        if self._exact and is_exact(start) and is_exact(end):
+        if type(start) in _EXACT_TYPES and type(end) in _EXACT_TYPES:
+            index = self._ix or self._exact_index()
+            if index is not None and index[4] is not None:
+                return _vec.exact_integral(self._den, index, start, end)
+        if self._is_exact() and is_exact(start) and is_exact(end):
             return self._cumulative(end) - self._cumulative(start)
         if _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
             va = self._vector_index()
             if va is not None:
                 return _vec.integral(va, start, end)
+        self._ensure_index()
         times = self._times
         rates = self._rates()
         lo = bisect_right(times, start) - 1
@@ -505,14 +655,22 @@ class RateProfile:
 
         Returns ``None`` when the quantity can never be accumulated.  This
         is the primitive behind the greedy breakpoint search of Theorem 2.
-        Bisects to the first segment past ``start`` and walks from there,
-        so the cost is ``O(log n + k)`` for ``k`` segments actually drawn
-        on (the reference walked every segment from the origin).
+        Exact profiles search the integer kernels' prefix integrals;
+        otherwise the walk bisects to the first segment past ``start``
+        and walks from there, so the cost is ``O(log n + k)`` for ``k``
+        segments actually drawn on (the reference walked every segment
+        from the origin).
         """
         if quantity <= 0:
             return start
         if self.is_zero:
             return None
+        if type(start) in _EXACT_TYPES and type(quantity) in _EXACT_TYPES:
+            index = self._exact_index()
+            if index is not None and index[4] is not None:
+                return _vec.exact_accumulation(
+                    self._den, index, start, quantity
+                )
         self._ensure_index()
         times = self._times
         rates = self._rates()
@@ -596,6 +754,11 @@ class RateProfile:
             return other
         if other.is_zero:
             return self
+        views = _exact_views((self, other))
+        if views is not None:
+            view = _vec.exact_add(*views)
+            if view is not None:
+                return RateProfile._from_exact_arrays(view)
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.add(*pair))
@@ -613,6 +776,17 @@ class RateProfile:
         """
         if other.is_zero:
             return self
+        views = _exact_views((self, other))
+        if views is not None:
+            result = _vec.exact_subtract(*views)
+            if result is not None and result[0] == "negative":
+                _, t, ra, rb = result
+                raise UndefinedOperationError(
+                    f"subtraction would make the rate negative at t={t!r} "
+                    f"({ra!r} - {rb!r})"
+                )
+            if result is not None:
+                return RateProfile._from_exact_arrays(result[1])
         # Vectorize only under a sub-unit tolerance: integer-valued
         # differences are exact for the scalar path (they raise however
         # small), and any |diff| >= 1 also exceeds a sub-unit tolerance,
@@ -656,6 +830,11 @@ class RateProfile:
         """
         if other.is_zero:
             return self
+        views = _exact_views((self, other))
+        if views is not None:
+            view = _vec.exact_saturating_sub(*views)
+            if view is not None:
+                return RateProfile._from_exact_arrays(view)
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.saturating_sub(*pair))
@@ -676,6 +855,15 @@ class RateProfile:
         ``U_s^d`` applied to one located type."""
         if window.is_empty or self.is_zero:
             return _ZERO
+        if self._den or (
+            self._pts is not None
+            and len(self._pts) >= EXACT_KERNEL_MIN_BREAKPOINTS
+        ):
+            view = self._int_view()
+            if view is not None:
+                view = _vec.exact_clamp(view, window.start, window.end)
+                if view is not None:
+                    return RateProfile._from_exact_arrays(view)
         self._ensure_index()
         times = self._times
         points: list[Tuple[Time, Time]] = [(window.start, self.rate_at(window.start))]
@@ -694,6 +882,11 @@ class RateProfile:
         """Pointwise minimum with another profile."""
         if self.is_zero or ceiling.is_zero:
             return _ZERO
+        views = _exact_views((self, ceiling))
+        if views is not None:
+            view = _vec.exact_cap(*views)
+            if view is not None:
+                return RateProfile._from_exact_arrays(view)
         pair = self._vector_pair(ceiling)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.cap(*pair))
@@ -705,6 +898,11 @@ class RateProfile:
         """Pointwise ``self >= other`` everywhere."""
         if other.is_zero:
             return True
+        views = _exact_views((self, other))
+        if views is not None:
+            verdict = _vec.exact_dominates(*views)
+            if verdict is not None:
+                return verdict
         pair = self._vector_pair(other)
         if pair is not None:
             return _vec.dominates(*pair)
@@ -719,6 +917,8 @@ class RateProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RateProfile):
             return NotImplemented
+        if self._den and other._den:
+            return _vec.exact_equal(self._exact_view(), other._exact_view())
         return self._points == other._points
 
     def __hash__(self) -> int:

@@ -101,3 +101,86 @@ class TestSoundnessAgainstOracle:
         )
         if fast:
             assert concurrent_feasible(instance.available, instance.requirement)
+
+
+# ----------------------------------------------------------------------
+# The admission orders skip work nobody reads; the witnesses must not move
+# ----------------------------------------------------------------------
+
+def _seed_try_order(available, components):
+    """One-at-a-time admission that subtracts after *every* component."""
+    from repro.decision.schedule import ConcurrentSchedule
+    from repro.decision.sequential import find_schedule
+
+    remaining, schedules = available, []
+    for component in components:
+        schedule = find_schedule(remaining, component)
+        if schedule is None:
+            return None
+        schedules.append(schedule)
+        remaining = remaining - schedule.consumption()
+    return ConcurrentSchedule(tuple(schedules))
+
+
+def _seed_heuristic(available, requirement):
+    from repro.decision.concurrent import _laxity_key
+
+    components = list(requirement.components)
+    components.sort(key=lambda c: _laxity_key(available, c))
+    return _seed_try_order(available, components)
+
+
+def _seed_exhaustive(available, requirement):
+    """Every admission order in lexicographic order, first witness wins."""
+    import itertools
+
+    for order in itertools.permutations(requirement.components):
+        found = _seed_try_order(available, order)
+        if found is not None:
+            return found
+    return None
+
+
+class TestDeadWorkRemoval:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_witnesses_identical_to_full_subtraction(self, seed, cpu1, cpu2):
+        rng = random.Random(1000 + seed)
+        instance = oracle_instance(rng, [cpu1, cpu2], max_actors=3, horizon=8)
+        available, requirement = instance.available, instance.requirement
+        assert find_concurrent_schedule(available, requirement) == (
+            _seed_heuristic(available, requirement)
+        )
+        assert find_concurrent_schedule(
+            available, requirement, exhaustive=True
+        ) == _seed_exhaustive(available, requirement)
+
+    def test_single_component_skips_laxity_and_last_subtraction(
+        self, cpu1, monkeypatch
+    ):
+        from repro.decision import concurrent as module
+        from repro.resources.resource_set import ResourceSet as RS
+
+        calls = {"laxity": 0, "minus": 0}
+        laxity, minus = module._laxity_key, RS.minus
+
+        def counting_laxity(*args):
+            calls["laxity"] += 1
+            return laxity(*args)
+
+        def counting_minus(self, other):
+            calls["minus"] += 1
+            return minus(self, other)
+
+        monkeypatch.setattr(module, "_laxity_key", counting_laxity)
+        monkeypatch.setattr(RS, "minus", counting_minus)
+        pool = ResourceSet.of(term(2, cpu1, 0, 10))
+        one = conc(creq([Demands({cpu1: 4})], 0, 10, "a"))
+        for exhaustive in (False, True):
+            assert find_concurrent_schedule(pool, one, exhaustive=exhaustive)
+        assert calls == {"laxity": 0, "minus": 0}
+        two = conc(
+            creq([Demands({cpu1: 4})], 0, 10, "a"),
+            creq([Demands({cpu1: 4})], 0, 10, "b"),
+        )
+        assert find_concurrent_schedule(pool, two)
+        assert calls == {"laxity": 2, "minus": 1}

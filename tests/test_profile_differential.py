@@ -8,6 +8,14 @@ Fraction) and force the historical trouble spots: coincident
 breakpoints, zero-width segments, window edges landing exactly on
 breakpoints under a different numeric type.
 
+The ``exact`` family drives the scaled-integer kernels (int64 numerators
+over a common denominator) with ints, small-denominator Fractions,
+integral Fractions (``Fraction(k, 1)``) and values that overflow int64
+once rescaled (which must fall back to the scalar path).  There the
+contract is stricter: every coordinate must match in value *and*
+``type()``, because ``Fraction(2, 1)`` and ``2`` serialize differently
+and the pinned gold digests see the difference.
+
 Two real divergences this fuzzer surfaced are pinned as minimized
 regression tests below:
 
@@ -23,6 +31,7 @@ regression tests below:
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import random
 from fractions import Fraction
@@ -36,6 +45,7 @@ from repro.intervals import Interval
 from repro.resources import RateProfile, ResourceSet, cpu, term
 from repro.resources import _vectorized as _vec
 from repro.resources import profile as P
+from repro.serialization import time_to_wire
 
 TRIALS = 2500  # per generator family; seeds make failures reproducible
 
@@ -205,7 +215,8 @@ def test_vector_path_actually_engages():
     assert (a + b)._pts is None
     assert a.cap(b)._pts is None
     assert a.subtract(b)._pts is None
-    # Exact operands must never touch the kernels.
+    # Exact operands never touch the float kernels, and operations on
+    # small tuple-form exact profiles stay on the scalar path.
     c = RateProfile([(0, 1), (2, Fraction(7, 2))])
     d = RateProfile([(1, 1)])
     assert (c + d)._pts is not None
@@ -314,3 +325,285 @@ def test_admission_decisions_identical_with_and_without_numpy(monkeypatch):
     scalar = _decide(arrivals, 200)
     assert vectored == scalar
     assert any(vectored) and not all(vectored)  # workload actually bites
+
+
+def _exact_arrivals(count, horizon, seed=11):
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        start = rng.randrange(0, horizon - 12)
+        amount = rng.choice([1, 2, 3, Fraction(5, 2), Fraction(4, 1)])
+        out.append(
+            ComplexRequirement(
+                [Demands({cpu("l1"): amount})],
+                Interval(start, start + rng.randrange(6, 14)),
+                label=f"job{index}",
+            )
+        )
+    return out
+
+
+def _exact_run(arrivals, horizon):
+    """Decisions plus a typed digest of the final slack and commitments
+    (``time_to_wire`` writes ``Fraction(2, 1)`` as ``"2/1"``, ``2`` as
+    ``2``)."""
+    controller = AdmissionController(
+        ResourceSet.of(term(1, cpu("l1"), 0, horizon))
+    )
+    decisions = [controller.admit(req).admitted for req in arrivals]
+    on_kernels = bool(controller.expiring_slack.profile(cpu("l1"))._den)
+    digest = [
+        [(time_to_wire(t), time_to_wire(r)) for t, r in profile.breakpoints]
+        for resources in (controller.expiring_slack, controller.committed)
+        for profile in resources.profiles().values()
+    ]
+    return decisions, digest, on_kernels
+
+
+def test_exact_admission_digests_identical_with_and_without_numpy(monkeypatch):
+    """The exact workload decided on the integer kernels and re-decided
+    on the scalar Fraction path must agree on every decision and on the
+    typed wire form of the slack and the committed path."""
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; both runs would be scalar")
+    arrivals = _exact_arrivals(80, 200)
+    kernel_decisions, kernel_digest, on_kernels = _exact_run(arrivals, 200)
+    assert on_kernels  # the slack really lived on the integer kernels
+    monkeypatch.setattr(_vec, "HAVE_NUMPY", False)
+    scalar_decisions, scalar_digest, _ = _exact_run(arrivals, 200)
+    assert kernel_decisions == scalar_decisions
+    assert kernel_digest == scalar_digest
+    assert any(kernel_decisions) and not all(kernel_decisions)
+    assert any("/" in str(c) for row in kernel_digest for pt in row for c in pt)
+
+
+# ----------------------------------------------------------------------
+# The exact family: integer kernels, checked for value *and* type
+# ----------------------------------------------------------------------
+
+#: An int64-overflowing coordinate once rescaled onto a small-denominator
+#: partner (forces the scalar fallback mid-algebra).
+_HUGE = 2 ** 61
+
+
+def _exact_coord(rng):
+    c = rng.randint(0, 6)
+    if c == 0:
+        return rng.randint(0, 12)
+    if c == 1:
+        return Fraction(rng.randint(0, 36), rng.choice([2, 3, 4, 6]))
+    if c == 2:
+        return Fraction(rng.randint(0, 12), 1)  # integral, but a Fraction
+    if c == 3:
+        return rng.choice([0, 1, Fraction(0), Fraction(1), Fraction(1, 3), 2])
+    if c == 4:
+        return Fraction(rng.randint(0, 6)) + Fraction(rng.randint(0, 4), 5)
+    if c == 5 and rng.random() < 0.15:
+        return rng.choice([_HUGE + rng.randint(0, 3), Fraction(1, 2 ** 40 + 1)])
+    return rng.randint(0, 4)
+
+
+def _exact_points(rng):
+    n = rng.choice([rng.randint(0, 6), rng.randint(8, 24)])
+    pts = [(_exact_coord(rng), _exact_coord(rng)) for _ in range(n)]
+    if pts and rng.random() < 0.3:
+        pts.append((pts[rng.randrange(len(pts))][0], _exact_coord(rng)))
+    return pts
+
+
+def _typed(value):
+    """A comparison key that tells ``2`` from ``Fraction(2)``."""
+    if isinstance(value, RateProfile):
+        return tuple(
+            (t, type(t), r, type(r)) for t, r in value._points
+        )
+    return value, type(value)
+
+
+def _outcome(fn):
+    """``("ok", value, typed)`` or ``("raise", exception name)``."""
+    try:
+        value = fn()
+    except (UndefinedOperationError, InvalidTermError) as exc:
+        return ("raise", type(exc).__name__)
+    plain = value._points if isinstance(value, RateProfile) else value
+    return ("ok", plain, _typed(value))
+
+
+@contextlib.contextmanager
+def _numpy_off():
+    saved = _vec.HAVE_NUMPY
+    _vec.HAVE_NUMPY = False
+    try:
+        yield
+    finally:
+        _vec.HAVE_NUMPY = saved
+
+
+def _exact_cases(rng):
+    """One trial: ``(name, fast, reference, type_faithful)`` where each
+    side is a thunk building fresh profiles from raw points.
+    ``type_faithful`` marks oracles whose result types match the scalar
+    fast path; ``_reference_integral`` and the repeated-addition
+    ``from_segments``/``sum`` folds agree in value only (the fast sweeps
+    carry a Fraction forward, the folds renormalise it away), and so does
+    the recomputing ``saturating_sub`` oracle against a zero subtrahend
+    (the fast path hands back the minuend itself)."""
+    pa, pb = _exact_points(rng), _exact_points(rng)
+    many = [_exact_points(rng) for _ in range(rng.randint(2, 4))]
+    lo, hi = sorted([_exact_coord(rng), _exact_coord(rng)])
+    window = Interval(lo, hi)
+    start, quantity, t = _exact_coord(rng), _exact_coord(rng), _exact_coord(rng)
+    segments = []
+    for _ in range(rng.randint(1, 12)):
+        s, e = sorted([_exact_coord(rng), _exact_coord(rng)])
+        if s < e:
+            segments.append((Interval(s, e), _exact_coord(rng)))
+    A = lambda: RateProfile(pa)  # noqa: E731 - fresh operands per call
+    B = lambda: RateProfile(pb)  # noqa: E731
+
+    def reference_sum():
+        expected = RateProfile.zero()
+        for points in many:
+            expected = P._reference_add(expected, RateProfile(points))
+        return expected
+
+    cases = [
+        ("add", lambda: A() + B(), lambda: P._reference_add(A(), B()), True),
+        ("subtract", lambda: A().subtract(B()),
+         lambda: P._reference_subtract(A(), B()), True),
+        ("cap", lambda: A().cap(B()), lambda: _oracle_cap(A(), B()), True),
+        ("saturating_sub", lambda: A().saturating_sub(B()),
+         lambda: _oracle_saturating_sub(A(), B()), not B().is_zero),
+        ("dominates", lambda: A().dominates(B()),
+         lambda: _oracle_dominates(A(), B()), True),
+        ("rate_at", lambda: A().rate_at(t),
+         lambda: P._reference_rate_at(A(), t), True),
+        ("earliest_accumulation",
+         lambda: A().earliest_accumulation(start, quantity),
+         lambda: P._reference_earliest_accumulation(A(), start, quantity),
+         True),
+        ("sum", lambda: RateProfile.sum([RateProfile(m) for m in many]),
+         reference_sum, False),
+        ("from_segments", lambda: RateProfile.from_segments(segments),
+         lambda: P._reference_from_segments(segments), False),
+        # Chains keep kernel results (array form) flowing into kernels.
+        ("add-then-accumulate",
+         lambda: (A() + B()).earliest_accumulation(start, quantity),
+         lambda: P._reference_earliest_accumulation(
+             P._reference_add(A(), B()), start, quantity), True),
+        ("sum-then-rate_at",
+         lambda: RateProfile.sum([RateProfile(m) for m in many]).rate_at(t),
+         lambda: P._reference_rate_at(reference_sum(), t), False),
+    ]
+    if not window.is_empty:
+        cases += [
+            ("integral", lambda: A().integral(window),
+             lambda: P._reference_integral(A(), window), False),
+            ("clamp-then-integral",
+             lambda: (A() + B()).clamp(window).integral(Interval(lo, hi + 1)),
+             lambda: P._reference_integral(
+                 P._reference_add(A(), B()).clamp(window),
+                 Interval(lo, hi + 1)), False),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("kernels", ["forced", "size-gated"])
+def test_exact_family_matches_reference_in_value_and_type(kernels, monkeypatch):
+    """``forced`` sends every exact operation to the integer kernels;
+    ``size-gated`` keeps the shipped small-profile cutoff, so operand
+    pairs straddle the scalar/kernel boundary.  Either way the answer
+    must equal the oracle's value, carry the scalar fast path's exact
+    types, and raise exactly when the oracle raises."""
+    if kernels == "forced":
+        monkeypatch.setattr(P, "EXACT_KERNEL_MIN_BREAKPOINTS", 0)
+    rng = random.Random(20261017)
+    for _ in range(TRIALS // 5):
+        for name, fast, reference, type_faithful in _exact_cases(rng):
+            got = _outcome(fast)
+            expected = _outcome(reference)
+            with _numpy_off():
+                scalar = _outcome(fast)
+            assert got == scalar, (name, got, scalar)
+            assert got[0] == expected[0], (name, got, expected)
+            if got[0] == "ok":
+                assert got[1] == expected[1], (name, got, expected)
+                if type_faithful:
+                    assert got == expected, (name, got, expected)
+
+
+def test_exact_kernels_engage_and_fall_back():
+    """Guards against a silent fallback that would make the exact
+    family vacuous, and pins the fallbacks the kernels must leave to the
+    scalar path."""
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; scalar fallback is the only path")
+    big = RateProfile(
+        [(Fraction(k, 3), k % 4) for k in range(P.EXACT_KERNEL_MIN_BREAKPOINTS)]
+    )
+    small = RateProfile([(0, 1), (Fraction(5, 2), Fraction(4, 1))])
+    result = big + small
+    assert result._pts is None and result._den  # array form, no tuples
+    assert result._vt.dtype.kind == "i"
+    # The float kernels are never involved.
+    assert result._vok is None
+    # Small tuple-form pairs stay scalar.
+    assert (small + small)._pts is not None
+    # A value overflowing int64 once rescaled falls back to Fractions.
+    huge = RateProfile([(0, 2 ** 61), (Fraction(1, 7), 0)])
+    assert (big + huge) == P._reference_add(big, huge)
+    assert (big + huge)._pts is not None
+    # bool is a Rational but neither int nor Fraction: scalar path.
+    flagged = RateProfile([(k, True) for k in range(0, 40, 2)])
+    assert flagged._int_view() is None
+    # Array-form results pickle, compare and hash like their tuples.
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result and hash(clone) == hash(result)
+    assert _typed(clone) == _typed(result)
+
+
+def test_exact_queries_exhaustive_small_grid(monkeypatch):
+    """Every profile over a small integer grid, queried from int,
+    integral-Fraction and fractional starts and windows, on the forced
+    integer kernels: the answer and its type must be the scalar path's
+    (and the value the oracle's).  Pins the type rules random draws hit
+    rarely, e.g. a ``Fraction(2, 1)`` start whose first walked segment
+    makes the remaining quantity — and so the answer — a Fraction."""
+    import itertools
+
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; scalar fallback is the only path")
+    monkeypatch.setattr(P, "EXACT_KERNEL_MIN_BREAKPOINTS", 0)
+    times = (0, 1, Fraction(3), 4)
+    points = (0, Fraction(1), 2, Fraction(5, 2), Fraction(3, 1))
+    quantities = (1, 2, Fraction(2, 1), Fraction(3, 2), 5)
+    for rates in itertools.product((0, 1, 2, Fraction(2, 1)), repeat=4):
+        raw = list(zip(times, rates))
+        for start, quantity in itertools.product(points, quantities):
+            fast = _outcome(
+                lambda: RateProfile(raw).earliest_accumulation(start, quantity)
+            )
+            with _numpy_off():
+                scalar = _outcome(
+                    lambda: RateProfile(raw).earliest_accumulation(
+                        start, quantity
+                    )
+                )
+            reference = _outcome(
+                lambda: P._reference_earliest_accumulation(
+                    RateProfile(raw), start, quantity
+                )
+            )
+            assert fast == scalar == reference, (raw, start, quantity)
+        for lo, hi in itertools.combinations(points, 2):
+            window = Interval(lo, hi)
+            for query in (
+                lambda: RateProfile(raw).integral(window),
+                lambda: RateProfile(raw).clamp(window),
+                lambda: RateProfile(raw).rate_at(hi),
+            ):
+                fast = _outcome(query)
+                with _numpy_off():
+                    scalar = _outcome(query)
+                assert fast == scalar, (raw, window)
