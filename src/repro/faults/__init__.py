@@ -34,8 +34,6 @@ from repro.faults.netfaults import (
     MeshPolicy,
     NetfaultPoint,
     NetfaultResult,
-    PartitionCrashPoint,
-    PartitionCrashResult,
     PartitionPlan,
     admitted_promise_violations,
     chaos_partition_crash_matrix,
@@ -65,8 +63,6 @@ __all__ = [
     "NetfaultPoint",
     "NetfaultResult",
     "OverloadPlan",
-    "PartitionCrashPoint",
-    "PartitionCrashResult",
     "OverloadPoint",
     "OverloadResult",
     "PartitionPlan",

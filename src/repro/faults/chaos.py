@@ -8,27 +8,30 @@ an exhaustive experiment:
 * :class:`CrashingFile` — an injectable file object that dies after a
   budgeted number of writes, optionally mid-write (leaving the torn tail
   a real ``kill -9`` would leave);
-* :func:`chaos_crash_matrix` — runs one seeded scenario, then re-runs it
-  once per crash point (every journal-record boundary, i.e. every event
-  application and admission decision, plus mid-write tears and
-  checkpoint-write crashes), resumes each from the surviving artifacts,
-  and compares the resumed :class:`~repro.system.simulator.SimulationReport`
-  field-for-field against the uninterrupted run;
 * :func:`report_fingerprint` — the canonical, exhaustive comparison form
   (records including violation causes and salvage accounting, offered /
   consumed tallies, every trace note, loss, violation, and per-slice
-  transition label).
+  transition label);
+* :func:`kill_and_resume` — the one kill-and-resume loop.  It checks
+  that a journaled, checkpointed run equals a plain one, then re-runs it
+  once per crash point (every journal-record boundary, i.e. every event
+  application and admission decision, plus mid-write tears and
+  checkpoint-write crashes), resumes each from the surviving artifacts,
+  and compares fingerprints field for field.
+
+One loop, two adapters.  A :class:`CrashAdapter` tells the loop how to
+run something fresh, durably, and resumed:
+
+* :class:`SimulatorAdapter` runs a seeded scenario;
+  :func:`chaos_crash_matrix` wraps it;
+* :class:`repro.faults.netfaults.MeshAdapter` runs one mesh cell and adds
+  the wire state (:func:`repro.faults.netfaults.network_digest`) to the
+  fingerprint as its ``"network"`` entry, and tags each kill with the
+  torn record's partition phase and mid-RPC status;
+  :func:`repro.faults.netfaults.chaos_partition_crash_matrix` wraps it.
 
 Conservation (``offered = consumed + expired + lost``) is re-verified at
-the resume instant by :meth:`OpenSystemSimulator.resume` itself; the
-matrix additionally asserts it on every final report.
-
-The networked sibling of this matrix lives in
-:func:`repro.faults.netfaults.chaos_partition_crash_matrix`: it reuses
-:class:`SimulatedCrash` / :func:`crashing_opener` to kill *mesh* runs at
-every journal-record boundary — including mid-partition and mid-RPC
-backoff — and additionally demands the resumed run's wire state
-(:func:`repro.faults.netfaults.network_digest`) be byte-identical.
+the resume instant by :meth:`OpenSystemSimulator.resume` itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.errors import RotaError
+from repro.errors import FaultInjectionError, RotaError
 from repro.serialization import time_to_wire
 from repro.system.checkpoint import CheckpointStore, Journal
 from repro.system.simulator import OpenSystemSimulator, SimulationReport
@@ -237,7 +240,7 @@ def diff_fingerprints(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# The crash matrix
+# The kill-and-resume loop
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -248,16 +251,23 @@ class CrashPoint:
     index: int  # write (or save) number the crash landed on
     crashed: bool  # False when the run finished before the budget hit
     resumed_from: str = ""  # checkpoint file name, or "fresh" fallback
-    replayed_records: int = 0
     identical: bool = False
     detail: str = ""
+    #: mesh journal kills only: where the torn record's instant falls
+    #: relative to the partition window ("benign" | "pre-partition" |
+    #: "mid-partition" | "post-partition") ...
+    phase: str = ""
+    #: ... and whether it is a multi-attempt RPC verdict, so the resume
+    #: must re-walk the seeded backoff ladder, not re-draw it
+    mid_rpc: bool = False
 
 
 @dataclass
 class ChaosResult:
-    """Outcome of a full crash matrix over one scenario."""
+    """Outcome of a crash matrix over one or more cells."""
 
     points: List[CrashPoint] = field(default_factory=list)
+    cells: int = 0
     journal_records: int = 0
 
     @property
@@ -269,17 +279,190 @@ class ChaosResult:
         return [p for p in self.crashed_points if not p.identical]
 
     @property
+    def covered_mid_partition(self) -> bool:
+        return any(p.phase == "mid-partition" for p in self.crashed_points)
+
+    @property
+    def covered_mid_rpc(self) -> bool:
+        return any(p.mid_rpc for p in self.crashed_points)
+
+    @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return bool(self.crashed_points) and not self.mismatches
 
     def summary(self) -> str:
         crashed = self.crashed_points
         return (
-            f"{len(crashed)} crash points "
-            f"({len(self.points)} scheduled), "
-            f"{len(crashed) - len(self.mismatches)} identical resumes, "
-            f"{len(self.mismatches)} mismatches"
+            f"{self.cells} cells, {self.journal_records} journal records, "
+            f"{len(self.points)} kill points ({len(crashed)} crashed, "
+            f"{sum(p.phase == 'mid-partition' for p in crashed)} "
+            f"mid-partition, {sum(p.mid_rpc for p in crashed)} "
+            f"mid-rpc-backoff, {sum(p.kind == 'checkpoint' for p in crashed)}"
+            f" mid-checkpoint), {len(self.mismatches)} mismatches"
         )
+
+
+class CrashAdapter:
+    """The three ways :func:`kill_and_resume` executes a run; each
+    returns the run's canonical fingerprint."""
+
+    def fresh(self) -> Dict[str, Any]:
+        """A plain run with no durability I/O."""
+        raise NotImplementedError
+
+    def durable(
+        self,
+        journal: Union[Path, Journal],
+        checkpoint_dir: Union[Path, CheckpointStore],
+    ) -> Dict[str, Any]:
+        """A journaled and checkpointed run (it may die with
+        :class:`SimulatedCrash`)."""
+        raise NotImplementedError
+
+    def resume(self, pointdir: Path, checkpoint: Path) -> Dict[str, Any]:
+        """Finish a killed run from the artifacts under ``pointdir``;
+        ``checkpoint`` is the newest usable one there."""
+        raise NotImplementedError
+
+    def tag(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Extra :class:`CrashPoint` fields for a kill tearing ``record``."""
+        return {}
+
+
+def kill_and_resume(
+    adapter: CrashAdapter,
+    workdir: Union[str, Path],
+    *,
+    mid_write: bool = True,
+    checkpoint_crashes: int = 2,
+    boundary_stride: int = 1,
+) -> ChaosResult:
+    """Kill one run everywhere, resume every kill, demand identity.
+
+    The durable baseline must already equal the plain run (durability I/O
+    alone changes nothing, else :class:`FaultInjectionError`).  Then the
+    run dies at every ``boundary_stride``-th journal write — cleanly at
+    the record boundary and, with ``mid_write``, torn mid-write — and
+    during checkpoint saves 2 .. ``1 + checkpoint_crashes``.  Each kill
+    resumes from the newest surviving checkpoint, or starts over when
+    none survived, and its fingerprint must equal the plain run's."""
+    if boundary_stride < 1:
+        raise FaultInjectionError(
+            f"boundary_stride must be >= 1, got {boundary_stride!r}"
+        )
+    workdir = Path(workdir)
+    truth = adapter.fresh()
+    basedir = workdir / "baseline"
+    basedir.mkdir(parents=True, exist_ok=True)
+    baseline = adapter.durable(basedir / "journal.jsonl", basedir)
+    if baseline != truth:
+        raise FaultInjectionError(
+            "durability I/O altered the run itself: "
+            + ", ".join(diff_fingerprints(truth, baseline))
+        )
+    records, _ = Journal.scan(basedir / "journal.jsonl")
+    result = ChaosResult(cells=1, journal_records=len(records))
+    tears = [("boundary", "boundary", None)]
+    if mid_write:
+        tears.append(("mid-write", "midwrite", 17))
+    # Crash on the k-th journal write: the surviving journal holds k-1
+    # acknowledged records — that is, death at every record boundary.
+    for index in range(1, len(records) + 1, boundary_stride):
+        tag = adapter.tag(records[index - 1])
+        for kind, prefix, partial_bytes in tears:
+            pointdir = workdir / f"{prefix}-{index:04d}"
+            pointdir.mkdir(parents=True, exist_ok=True)
+            journal = Journal(
+                pointdir / "journal.jsonl",
+                opener=crashing_opener(
+                    crash_at_write=index, partial_bytes=partial_bytes
+                ),
+            )
+            result.points.append(_kill(
+                adapter, truth, pointdir, journal, pointdir,
+                CrashPoint(kind, index, crashed=False, **tag),
+            ))
+    # Crashes while *writing a checkpoint*: the torn snapshot must never
+    # surface; resume falls back to the previous one plus a longer replay.
+    for index in range(2, 2 + checkpoint_crashes):
+        pointdir = workdir / f"ckptcrash-{index:02d}"
+        pointdir.mkdir(parents=True, exist_ok=True)
+        result.points.append(_kill(
+            adapter, truth, pointdir, pointdir / "journal.jsonl",
+            _CrashingCheckpointStore(pointdir, crash_at_save=index),
+            CrashPoint("checkpoint", index, crashed=False),
+        ))
+    return result
+
+
+def _kill(
+    adapter: CrashAdapter,
+    truth: Dict[str, Any],
+    pointdir: Path,
+    journal: Union[Path, Journal],
+    checkpoint_dir: Union[Path, CheckpointStore],
+    point: CrashPoint,
+) -> CrashPoint:
+    try:
+        adapter.durable(journal, checkpoint_dir)
+        return point  # the budget outlived the run: nothing to resume
+    except SimulatedCrash:
+        point.crashed = True
+    finally:
+        if isinstance(journal, Journal):
+            journal.close()
+    latest = CheckpointStore(pointdir).latest()
+    if latest is None:
+        # Death before any snapshot became durable: recovery degenerates
+        # to starting over — still loss-free, still identical.
+        point.resumed_from = "fresh"
+        fingerprint = adapter.fresh()
+    else:
+        point.resumed_from = latest.name
+        fingerprint = adapter.resume(pointdir, latest)
+    point.identical = fingerprint == truth
+    if not point.identical:
+        point.detail = "diverged fields: " + ", ".join(
+            diff_fingerprints(truth, fingerprint)
+        )
+    return point
+
+
+# ----------------------------------------------------------------------
+# The simulator crash matrix
+# ----------------------------------------------------------------------
+
+@dataclass
+class SimulatorAdapter(CrashAdapter):
+    """Runs one seeded scenario on fresh simulators from the factory."""
+
+    scenario: Scenario
+    simulator_factory: Callable[[], OpenSystemSimulator]
+    checkpoint_every: int = 5
+
+    def _run(self, **durability: Any) -> Dict[str, Any]:
+        simulator = self.simulator_factory()
+        simulator.schedule(*self.scenario.events)
+        return report_fingerprint(
+            simulator.run(self.scenario.horizon, **durability)
+        )
+
+    def fresh(self) -> Dict[str, Any]:
+        return self._run()
+
+    def durable(self, journal, checkpoint_dir) -> Dict[str, Any]:
+        return self._run(
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            journal=journal,
+        )
+
+    def resume(self, pointdir: Path, checkpoint: Path) -> Dict[str, Any]:
+        journal = pointdir / "journal.jsonl"
+        resumed = OpenSystemSimulator.resume(
+            checkpoint, journal if journal.exists() else None
+        )
+        return report_fingerprint(resumed.resume_run())
 
 
 def chaos_crash_matrix(
@@ -300,170 +483,10 @@ def chaos_crash_matrix(
     record) for quick CI passes.  Returns a :class:`ChaosResult`; callers
     assert ``result.ok``.
     """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-
-    # Ground truth: one plain run (no durability I/O at all) ...
-    plain = simulator_factory()
-    plain.schedule(*scenario.events)
-    truth = report_fingerprint(plain.run(scenario.horizon))
-
-    # ... and one journaled run, to prove journaling changes nothing and
-    # to learn how many WAL records a full run writes.
-    basedir = workdir / "baseline"
-    base_sim = simulator_factory()
-    base_sim.schedule(*scenario.events)
-    base_report = base_sim.run(
-        scenario.horizon,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=basedir,
-        journal=basedir / "journal.jsonl",
+    return kill_and_resume(
+        SimulatorAdapter(scenario, simulator_factory, checkpoint_every),
+        workdir,
+        mid_write=mid_write,
+        checkpoint_crashes=checkpoint_crashes,
+        boundary_stride=boundary_stride,
     )
-    base_fp = report_fingerprint(base_report)
-    if base_fp != truth:
-        raise AssertionError(
-            "journaling altered the run itself: "
-            f"{diff_fingerprints(truth, base_fp)}"
-        )
-    records, _ = Journal.scan(basedir / "journal.jsonl")
-    total = len(records)
-
-    result = ChaosResult(journal_records=total)
-    # Crash on the k-th journal write: the surviving journal holds k-1
-    # acknowledged records — that is, death at every record boundary.
-    for write_index in range(1, total + 1, boundary_stride):
-        result.points.append(
-            _run_crash_point(
-                scenario, simulator_factory, truth,
-                workdir / f"boundary-{write_index:04d}",
-                kind="boundary",
-                crash_at_write=write_index,
-                partial_bytes=None,
-                checkpoint_every=checkpoint_every,
-            )
-        )
-        if mid_write:
-            result.points.append(
-                _run_crash_point(
-                    scenario, simulator_factory, truth,
-                    workdir / f"midwrite-{write_index:04d}",
-                    kind="mid-write",
-                    crash_at_write=write_index,
-                    partial_bytes=17,
-                    checkpoint_every=checkpoint_every,
-                )
-            )
-    # Crashes while *writing a checkpoint*: the torn snapshot must never
-    # surface; resume falls back to the previous one plus a longer replay.
-    for save_index in range(2, 2 + checkpoint_crashes):
-        result.points.append(
-            _run_checkpoint_crash_point(
-                scenario, simulator_factory, truth,
-                workdir / f"ckptcrash-{save_index:02d}",
-                crash_at_save=save_index,
-                checkpoint_every=checkpoint_every,
-            )
-        )
-    return result
-
-
-def _run_crash_point(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
-    *,
-    kind: str,
-    crash_at_write: int,
-    partial_bytes: Optional[int],
-    checkpoint_every: int,
-) -> CrashPoint:
-    pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    journal = Journal(
-        journal_path,
-        opener=crashing_opener(
-            crash_at_write=crash_at_write, partial_bytes=partial_bytes
-        ),
-    )
-    simulator = simulator_factory()
-    simulator.schedule(*scenario.events)
-    point = CrashPoint(kind=kind, index=crash_at_write, crashed=False)
-    try:
-        simulator.run(
-            scenario.horizon,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=pointdir,
-            journal=journal,
-        )
-        return point  # budget outlived the run; nothing to resume
-    except SimulatedCrash:
-        point.crashed = True
-    finally:
-        journal.close()
-    return _resume_and_compare(
-        scenario, simulator_factory, truth, pointdir, journal_path, point
-    )
-
-
-def _run_checkpoint_crash_point(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
-    *,
-    crash_at_save: int,
-    checkpoint_every: int,
-) -> CrashPoint:
-    pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    store = _CrashingCheckpointStore(pointdir, crash_at_save=crash_at_save)
-    simulator = simulator_factory()
-    simulator.schedule(*scenario.events)
-    point = CrashPoint(kind="checkpoint", index=crash_at_save, crashed=False)
-    try:
-        simulator.run(
-            scenario.horizon,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=store,
-            journal=journal_path,
-        )
-        return point
-    except SimulatedCrash:
-        point.crashed = True
-    return _resume_and_compare(
-        scenario, simulator_factory, truth, pointdir, journal_path, point
-    )
-
-
-def _resume_and_compare(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
-    journal_path: Path,
-    point: CrashPoint,
-) -> CrashPoint:
-    store = CheckpointStore(pointdir)
-    latest = store.latest()
-    if latest is None:
-        # Death before any snapshot became durable: nothing to restore,
-        # so recovery degenerates to starting over — still loss-free.
-        point.resumed_from = "fresh"
-        fresh = simulator_factory()
-        fresh.schedule(*scenario.events)
-        resumed_report = fresh.run(scenario.horizon)
-    else:
-        point.resumed_from = latest.name
-        resumed = OpenSystemSimulator.resume(
-            latest, journal_path if journal_path.exists() else None
-        )
-        point.replayed_records = len(resumed._replay_records)
-        resumed_report = resumed.resume_run()
-    fingerprint = report_fingerprint(resumed_report)
-    point.identical = fingerprint == truth
-    if not point.identical:
-        point.detail = "diverged fields: " + ", ".join(
-            diff_fingerprints(truth, fingerprint)
-        )
-    return point

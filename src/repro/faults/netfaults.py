@@ -38,6 +38,14 @@ misses — every one completes, recovers, or is honestly abandoned with
 salvage) and **replay identity** (every cell, run twice, produces
 field-identical report fingerprints — fates are stateless SHA-256 draws,
 so an unreliable network is still a deterministic one).
+
+:func:`chaos_partition_crash_matrix` is not a second crash harness.  It
+runs :func:`repro.faults.chaos.kill_and_resume`, the one kill-and-resume
+loop, once per partition cell with a :class:`MeshAdapter`.  That adapter
+runs the cell through :func:`run_mesh` / :func:`resume_mesh`, adds
+``"network": network_digest(policy)`` to the report fingerprint, and
+tags each journal kill with the torn record's partition phase and
+mid-RPC status.
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
 from repro.errors import ChannelError, CheckpointError, FaultInjectionError
 from repro.faults.chaos import (
-    SimulatedCrash,
-    crashing_opener,
+    ChaosResult,
+    CrashAdapter,
     diff_fingerprints,
+    kill_and_resume,
     report_fingerprint,
 )
 from repro.faults.recovery import RecoveryPolicy
@@ -1198,80 +1207,12 @@ def chaos_partition_matrix(
 # ----------------------------------------------------------------------
 # The partition x crash matrix
 # ----------------------------------------------------------------------
-@dataclass
-class PartitionCrashPoint:
-    """One kill of a journaled mesh run and what its resume proved."""
-
-    kind: str  # "boundary" | "mid-write"
-    index: int  # 1-based journal write the crash landed on
-    duration: Time  # the cell's partition duration
-    #: where the lost record's instant falls relative to the partition
-    #: window: "benign" | "pre-partition" | "mid-partition" |
-    #: "post-partition"
-    phase: str
-    #: the lost record is a multi-attempt RPC verdict — the resume must
-    #: re-walk the seeded backoff ladder, not re-draw it
-    mid_rpc: bool
-    crashed: bool
-    resumed_from: str = ""
-    #: resumed report fingerprint == uninterrupted run's
-    identical: bool = False
-    #: resumed network digest == uninterrupted run's
-    network_identical: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if not self.crashed:
-            return True  # write budget outlived the run; nothing to prove
-        return self.identical and self.network_identical
-
-
-@dataclass
-class PartitionCrashResult:
-    """Outcome of a full partition x crash matrix."""
-
-    points: List[PartitionCrashPoint] = field(default_factory=list)
-    cells: int = 0
-    journal_records: int = 0
-
-    @property
-    def crashed_points(self) -> List[PartitionCrashPoint]:
-        return [p for p in self.points if p.crashed]
-
-    @property
-    def mismatches(self) -> List[PartitionCrashPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def covered_mid_partition(self) -> bool:
-        return any(p.phase == "mid-partition" for p in self.crashed_points)
-
-    @property
-    def covered_mid_rpc(self) -> bool:
-        return any(p.mid_rpc for p in self.crashed_points)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.crashed_points) and not self.mismatches
-
-    def summary(self) -> str:
-        crashed = self.crashed_points
-        return (
-            f"{self.cells} cells, {self.journal_records} journal records, "
-            f"{len(self.points)} kill points ({len(crashed)} crashed, "
-            f"{sum(1 for p in crashed if p.phase == 'mid-partition')} "
-            f"mid-partition, {sum(1 for p in crashed if p.mid_rpc)} "
-            f"mid-rpc-backoff), {len(self.mismatches)} mismatches"
-        )
-
-
-def _crash_phase(cell: PartitionPlan, record: Optional[dict]) -> str:
+def _crash_phase(cell: PartitionPlan, record: dict) -> str:
     """Classify the journal record a crash tears by partition phase."""
     if cell.partition_duration <= 0:
         return "benign"
-    if record is None or "time" not in record:
-        return "pre-partition"  # the header, or nothing yet
+    if "time" not in record:
+        return "pre-partition"  # the header
     at = time_from_wire(record["time"])
     if at < cell.partition_start:
         return "pre-partition"
@@ -1280,74 +1221,48 @@ def _crash_phase(cell: PartitionPlan, record: Optional[dict]) -> str:
     return "post-partition"
 
 
-def _is_mid_rpc(record: Optional[dict]) -> bool:
+def _is_mid_rpc(record: dict) -> bool:
     return (
-        record is not None
-        and record.get("type") == "wire"
+        record.get("type") == "wire"
         and record.get("kind") == "rpc"
         and record.get("attempts", 1) > 1
     )
 
 
-def _partition_crash_point(
-    cell: PartitionPlan,
-    truth_fp: Dict[str, object],
-    truth_digest: str,
-    pointdir: Path,
-    *,
-    kind: str,
-    crash_at_write: int,
-    partial_bytes: Optional[int],
-    checkpoint_every: int,
-    phase: str,
-    mid_rpc: bool,
-) -> PartitionCrashPoint:
-    pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    journal = Journal(
-        journal_path,
-        opener=crashing_opener(
-            crash_at_write=crash_at_write, partial_bytes=partial_bytes
-        ),
-    )
-    point = PartitionCrashPoint(
-        kind=kind,
-        index=crash_at_write,
-        duration=cell.partition_duration,
-        phase=phase,
-        mid_rpc=mid_rpc,
-        crashed=False,
-    )
-    try:
-        run_mesh(
-            cell,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=pointdir,
+@dataclass
+class MeshAdapter(CrashAdapter):
+    """Runs one mesh cell; the fingerprint also pins the wire state."""
+
+    plan: PartitionPlan
+    checkpoint_every: int = 4
+
+    @staticmethod
+    def _fingerprint(run: Tuple[SimulationReport, MeshPolicy]) -> Dict:
+        report, policy = run
+        fingerprint = report_fingerprint(report)
+        fingerprint["network"] = network_digest(policy)
+        return fingerprint
+
+    def fresh(self) -> Dict:
+        return self._fingerprint(run_mesh(self.plan))
+
+    def durable(self, journal, checkpoint_dir) -> Dict:
+        return self._fingerprint(run_mesh(
+            self.plan,
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
             journal=journal,
-        )
-        return point  # budget outlived the run; nothing to resume
-    except SimulatedCrash:
-        point.crashed = True
-    finally:
-        journal.close()
-    if CheckpointStore(pointdir).latest() is None:
-        # Death before any snapshot became durable: recovery degenerates
-        # to starting over — still loss-free, still identical.
-        point.resumed_from = "fresh"
-        resumed_report, resumed_policy = run_mesh(cell)
-    else:
-        resumed_report, resumed_policy = resume_mesh(pointdir)
-        point.resumed_from = "checkpoint"
-    fingerprint = report_fingerprint(resumed_report)
-    point.identical = fingerprint == truth_fp
-    point.network_identical = network_digest(resumed_policy) == truth_digest
-    if not point.identical:
-        point.detail = "diverged fields: " + ", ".join(
-            diff_fingerprints(truth_fp, fingerprint)
-        )
-    elif not point.network_identical:
-        point.detail = "network digests diverge"
-    return point
+        ))
+
+    def resume(self, pointdir: Path, checkpoint: Path) -> Dict:
+        # resume_mesh picks the same newest usable checkpoint itself.
+        return self._fingerprint(resume_mesh(pointdir))
+
+    def tag(self, record: dict) -> Dict:
+        return {
+            "phase": _crash_phase(self.plan, record),
+            "mid_rpc": _is_mid_rpc(record),
+        }
 
 
 def chaos_partition_crash_matrix(
@@ -1358,82 +1273,33 @@ def chaos_partition_crash_matrix(
     checkpoint_every: int = 4,
     boundary_stride: int = 1,
     mid_write: bool = True,
-) -> PartitionCrashResult:
-    """Kill journaled mesh runs at journal-record boundaries (and torn
-    mid-write) across partition cells; callers assert ``result.ok``.
+) -> ChaosResult:
+    """Kill journaled mesh runs at journal-record boundaries, torn
+    mid-write, and during checkpoint saves, across partition cells;
+    callers assert ``result.ok``.
 
-    Per cell: an uninterrupted plain run and an uninterrupted
-    journaled+checkpointed run must already agree (durability I/O alone
-    changes nothing); then the run is killed at every ``boundary_stride``-th
-    record boundary — the default 1 covers *every* boundary, including
-    mid-partition instants and mid-RPC-backoff records — and each resume
-    must reproduce a field-identical report *and* an identical network
-    digest versus the uninterrupted run.  In-flight messages, lease
-    clocks, and retry ladders all cross the crash boundary through the
-    checkpoint's network section + wire WAL, never through a re-drawn
-    fate."""
-    if boundary_stride < 1:
-        raise FaultInjectionError(
-            f"boundary_stride must be >= 1, got {boundary_stride!r}"
-        )
-    workdir = Path(workdir)
+    Each cell (one per partition duration) goes through
+    :func:`~repro.faults.chaos.kill_and_resume` with a
+    :class:`MeshAdapter`: the default stride 1 covers *every* boundary,
+    including mid-partition instants and mid-RPC-backoff records, and
+    each resume must reproduce a field-identical report *and* network
+    digest.  In-flight messages, lease clocks, and retry ladders all
+    cross the crash boundary through the checkpoint's network section +
+    wire WAL, never through a re-drawn fate."""
     if durations is None:
         durations = (0, plan.partition_duration)
-    result = PartitionCrashResult()
+    result = ChaosResult()
     for duration in durations:
-        cell = dataclasses.replace(plan, partition_duration=duration)
-        result.cells += 1
-        celldir = workdir / f"cell-d{duration}"
-        truth_report, truth_policy = run_mesh(cell)
-        truth_fp = report_fingerprint(truth_report)
-        truth_digest = network_digest(truth_policy)
-        basedir = celldir / "baseline"
-        basedir.mkdir(parents=True, exist_ok=True)
-        base_report, base_policy = run_mesh(
-            cell,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=basedir,
-            journal=basedir / "journal.jsonl",
+        cell = kill_and_resume(
+            MeshAdapter(
+                dataclasses.replace(plan, partition_duration=duration),
+                checkpoint_every,
+            ),
+            Path(workdir) / f"cell-d{duration}",
+            mid_write=mid_write,
+            boundary_stride=boundary_stride,
         )
-        base_fp = report_fingerprint(base_report)
-        if base_fp != truth_fp or network_digest(base_policy) != truth_digest:
-            raise FaultInjectionError(
-                "journaling the mesh changed the run itself: "
-                + ", ".join(diff_fingerprints(truth_fp, base_fp))
-            )
-        records, _ = Journal.scan(basedir / "journal.jsonl")
-        result.journal_records += len(records)
-        for write_index in range(1, len(records) + 1, boundary_stride):
-            torn = records[write_index - 1]
-            phase = _crash_phase(cell, torn)
-            mid_rpc = _is_mid_rpc(torn)
-            result.points.append(
-                _partition_crash_point(
-                    cell,
-                    truth_fp,
-                    truth_digest,
-                    celldir / f"boundary-{write_index:04d}",
-                    kind="boundary",
-                    crash_at_write=write_index,
-                    partial_bytes=None,
-                    checkpoint_every=checkpoint_every,
-                    phase=phase,
-                    mid_rpc=mid_rpc,
-                )
-            )
-            if mid_write:
-                result.points.append(
-                    _partition_crash_point(
-                        cell,
-                        truth_fp,
-                        truth_digest,
-                        celldir / f"midwrite-{write_index:04d}",
-                        kind="mid-write",
-                        crash_at_write=write_index,
-                        partial_bytes=17,
-                        checkpoint_every=checkpoint_every,
-                        phase=phase,
-                        mid_rpc=mid_rpc,
-                    )
-                )
+        result.points += cell.points
+        result.cells += cell.cells
+        result.journal_records += cell.journal_records
     return result

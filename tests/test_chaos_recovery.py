@@ -19,12 +19,14 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import RotaAdmission
+from repro.errors import FaultInjectionError
 from repro.faults import (
     FaultPlan,
     RecoveryPolicy,
     chaos_crash_matrix,
     faulty_scenario,
 )
+from repro.faults.chaos import SimulatorAdapter, kill_and_resume
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.workloads import volunteer_scenario
 
@@ -109,3 +111,52 @@ def test_crash_matrix_backoff_and_abandonment_grid(tmp_path):
     )
     assert result.crashed_points
     assert result.ok, result.summary()
+
+
+def compact_scenario():
+    return faulty_scenario(
+        volunteer_scenario(5, nodes=3, horizon=20, session_rate=0.6),
+        FaultPlan(seed=17, crash_rate=0.02, revocation_rate=0.25),
+    )
+
+
+class TamperedResume(SimulatorAdapter):
+    """Mutant: every resume returns a report whose horizon is off."""
+
+    def resume(self, pointdir, checkpoint):
+        return {**super().resume(pointdir, checkpoint), "horizon": "tampered"}
+
+
+class TestLoopCanFail:
+    """Mutation self-checks: the loop reports what a broken resume or a
+    drifting durable run does, instead of passing vacuously."""
+
+    def test_tampered_resume_fails_every_crashed_point(self, tmp_path):
+        scenario = compact_scenario()
+        result = kill_and_resume(
+            TamperedResume(scenario, simulator_factory(scenario), 3),
+            tmp_path,
+            boundary_stride=7,
+            checkpoint_crashes=1,
+        )
+        crashed = result.crashed_points
+        assert len(crashed) == len(result.points) > 1
+        assert result.mismatches == crashed
+        assert all(p.detail == "diverged fields: horizon" for p in crashed)
+        assert not result.ok
+
+    def test_drifting_durable_run_is_a_typed_error(
+        self, tmp_path, monkeypatch
+    ):
+        durable = SimulatorAdapter.durable
+
+        def drifted(self, journal, checkpoint_dir):
+            return {
+                **durable(self, journal, checkpoint_dir),
+                "notes": "drifted",
+            }
+
+        monkeypatch.setattr(SimulatorAdapter, "durable", drifted)
+        scenario = compact_scenario()
+        with pytest.raises(FaultInjectionError, match="notes"):
+            chaos_crash_matrix(scenario, simulator_factory(scenario), tmp_path)

@@ -9,22 +9,25 @@ The journaled mesh contract has three layers, tested bottom-up here:
   and mid-RPC-backoff — resumes to a field-identical report and a
   byte-identical network digest, never re-deciding a fate draw;
 * the partition x crash matrix proves it across cells, with explicit
-  coverage of the hard phases.
+  coverage of the hard phases and of kills during checkpoint saves.
 
 The plan below is deliberately smaller than the default mesh (shorter
 horizon, fewer records) so the strided matrix stays tier-1 fast; the
-full stride-1 sweep runs in CI and E23.
+full stride-1 sweep over it runs as its own step of the CI
+``crash-matrix`` job.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines import RotaAdmission
 from repro.errors import CheckpointError, FaultInjectionError
 from repro.faults import (
     MeshPolicy,
     PartitionPlan,
     SimulatedCrash,
+    chaos_crash_matrix,
     chaos_partition_crash_matrix,
     crashing_opener,
     network_digest,
@@ -32,7 +35,10 @@ from repro.faults import (
     resume_mesh,
     run_mesh,
 )
+from repro.faults.netfaults import MeshAdapter
+from repro.system import OpenSystemSimulator
 from repro.system.checkpoint import Journal
+from repro.workloads import volunteer_scenario
 
 #: A compact mesh: lossy, delayed, partitioned — every fate kind shows
 #: up, but the journal stays small enough for exhaustive-ish killing.
@@ -155,8 +161,9 @@ class TestCrashResume:
 
 class TestPartitionCrashMatrix:
     def test_strided_matrix_all_identical(self, tmp_path):
-        """A strided sweep (CI runs stride 1): every kill point resumes
-        identical, and the hard phases are actually covered."""
+        """A strided sweep (the CI crash-matrix job runs stride 1):
+        every kill point resumes identical, and the hard phases are
+        actually covered."""
         result = chaos_partition_crash_matrix(
             tmp_path,
             PLAN,
@@ -193,6 +200,58 @@ class TestPartitionCrashMatrix:
         assert result.mismatches == [], result.summary()
         assert result.covered_mid_rpc, result.summary()
 
+    def test_checkpoint_save_kills_resume_identically(self, tmp_path):
+        """Kills during checkpoint saves: the torn snapshot never
+        surfaces, and the resume from the one before it reproduces the
+        report and the wire."""
+        result = chaos_partition_crash_matrix(
+            tmp_path,
+            PLAN,
+            durations=(PLAN.partition_duration,),
+            boundary_stride=10_000,
+            mid_write=False,
+        )
+        saves = [p for p in result.points if p.kind == "checkpoint"]
+        assert saves and all(p.crashed for p in saves), result.summary()
+        assert all(p.identical for p in saves), result.summary()
+        assert all(p.resumed_from.startswith("ckpt-") for p in saves)
+
     def test_bad_stride_rejected(self, tmp_path):
-        with pytest.raises(FaultInjectionError, match="boundary_stride"):
-            chaos_partition_crash_matrix(tmp_path, PLAN, boundary_stride=0)
+        """Both wrappers share the loop's check, before any run starts."""
+        scenario = volunteer_scenario(5, nodes=3, horizon=10)
+
+        def factory():
+            return OpenSystemSimulator(
+                RotaAdmission(),
+                initial_resources=scenario.initial_resources,
+            )
+
+        for stride in (0, -1):
+            with pytest.raises(FaultInjectionError, match="boundary_stride"):
+                chaos_partition_crash_matrix(
+                    tmp_path, PLAN, boundary_stride=stride
+                )
+            with pytest.raises(FaultInjectionError, match="boundary_stride"):
+                chaos_crash_matrix(
+                    scenario, factory, tmp_path, boundary_stride=stride
+                )
+        assert not any(tmp_path.iterdir())
+
+    def test_diverging_durable_run_is_a_typed_error(
+        self, tmp_path, monkeypatch
+    ):
+        """If durability I/O alone changed the run, no kill could be
+        judged against it: the matrix refuses with the diverged field."""
+        durable = MeshAdapter.durable
+
+        def drifted(self, journal, checkpoint_dir):
+            return {
+                **durable(self, journal, checkpoint_dir),
+                "network": "drifted",
+            }
+
+        monkeypatch.setattr(MeshAdapter, "durable", drifted)
+        with pytest.raises(FaultInjectionError, match="network"):
+            chaos_partition_crash_matrix(
+                tmp_path, PLAN, durations=(0,), boundary_stride=10_000
+            )
