@@ -1,8 +1,9 @@
-"""E23 — Whole-program flow analysis stays cheap enough to gate CI.
+"""E25 — Whole-program flow analysis stays cheap enough to gate CI.
 
 ``repro-lint flow`` (:mod:`repro.analysis.flow`) parses every source,
-builds the interprocedural call graph, and runs the taint, checkpoint-
-coverage, and escape analyses.  CI gates every push on it, so the whole
+builds the interprocedural call graph, and runs the taint (direct
+zero-hop sources and transitive chains alike), checkpoint-coverage, and
+escape analyses.  CI gates every push on it, so the whole
 pipeline must stay comfortably inside a fixed wall-clock budget as the
 codebase grows — an analysis too slow to gate is an analysis nobody
 runs.  The claims under test:
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="whole-program flow analysis wall-clock budget (E23)"
+        description="whole-program flow analysis wall-clock budget (E25)"
     )
     parser.add_argument(
         "--quick", action="store_true", help="run a single repetition"

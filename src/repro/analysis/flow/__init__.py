@@ -4,9 +4,10 @@ Where :mod:`repro.analysis.lint` sees one line at a time, this package
 sees one *call chain* at a time: an AST-derived interprocedural call
 graph (:mod:`.callgraph`) feeding three analyses —
 
-* :mod:`.taint` — transitive nondeterminism/exactness taint into the
-  deterministic and exact-arithmetic module families, with full witness
-  chains;
+* :mod:`.taint` — nondeterminism/exactness taint of the deterministic
+  and exact-arithmetic module families: a source written in one is a
+  zero-hop finding, one reached through calls carries its full witness
+  chain;
 * :mod:`.coverage` — the checkpoint-coverage proof for
   ``@checkpointable`` classes (every ``self`` attribute captured or
   annotated derivable);

@@ -24,13 +24,12 @@ attribute they excuse.
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.lint.engine import Finding
+from repro.analysis.lint.suppressions import comment_lines
 from repro.analysis.flow.names import FLOW_META_RULES  # noqa: F401  (re-export)
 
 #: Directives the analyzer understands, with the analyses that consume
@@ -60,23 +59,19 @@ class FlowAnnotation:
         return bool(self.reason and self.reason.strip())
 
 
-def parse_annotations(text: str) -> Dict[int, FlowAnnotation]:
+def parse_annotations(
+    text: str, comments: Optional[List[Tuple[int, str]]] = None
+) -> Dict[int, FlowAnnotation]:
     """All ``# repro-flow:`` comments in ``text``, keyed by 1-based line.
 
     Only genuine ``#`` comments count (the pattern inside a docstring is
     inert); when the file does not tokenize, a lexical scan takes over so
-    an annotation on a broken line is still reported, not swallowed.
+    an annotation on a broken line is still reported, not swallowed
+    (:func:`~repro.analysis.lint.suppressions.comment_lines`, which a
+    caller may pass in precomputed as ``comments``).
     """
-    try:
-        comments = [
-            (token.start[0], token.string)
-            for token in tokenize.generate_tokens(io.StringIO(text).readline)
-            if token.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, SyntaxError, ValueError):
-        comments = list(enumerate(text.splitlines(), start=1))
     out: Dict[int, FlowAnnotation] = {}
-    for number, raw in comments:
+    for number, raw in comments if comments is not None else comment_lines(text):
         match = _PATTERN.search(raw)
         if match is None:
             continue

@@ -1,8 +1,8 @@
 """AST-derived whole-program call graph over the ``repro`` tree.
 
-The single-file rules of :mod:`repro.analysis.lint.rules_code` see one
-line at a time; everything here exists so the flow analyses can see one
-*call chain* at a time.  :func:`build_program` parses every source once
+The code rules of :mod:`repro.analysis.lint.rules_code` see one line at
+a time; everything here exists so the flow analyses can see one *call
+chain* at a time.  :func:`build_program` parses every source once
 (into the same :class:`~repro.analysis.lint.engine.SourceFile` the lint
 engine uses), indexes every function, method, and class, and resolves
 call sites through:
@@ -39,7 +39,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.analysis.flow.annotations import FlowAnnotation, parse_annotations
 from repro.analysis.lint.engine import SourceFile, module_of
-from repro.analysis.lint.suppressions import Suppression, parse_suppressions
+from repro.analysis.lint.suppressions import (
+    Suppression,
+    comment_lines,
+    parse_suppressions,
+)
 
 #: Call-edge kinds.  ``defines`` joins a function to a nested function
 #: it creates (the closure escapes, conservatively); ``property`` joins
@@ -65,9 +69,13 @@ class FunctionNode:
     calls: List[Tuple[str, int, str]] = field(default_factory=list)
     #: unresolved/external dotted calls: ("time.time", line)
     external_calls: List[Tuple[str, int]] = field(default_factory=list)
+    #: the subset of ``external_calls`` written with no arguments at all
+    #: (``random.Random()``: a seedable constructor left unseeded)
+    argless_calls: Set[Tuple[str, int]] = field(default_factory=set)
     #: ``os.environ[...]`` / ``os.environ.get`` style reads
     env_reads: List[Tuple[str, int]] = field(default_factory=list)
-    #: lines of bare float literals in this body
+    #: lines of bare float literals in this body (default arguments
+    #: count: they parametrize this function)
     float_lines: List[int] = field(default_factory=list)
 
 
@@ -254,17 +262,18 @@ def _load_file(program: Program, path: str, text: str) -> None:
             f"file does not parse: {exc.msg}",
         )
         return
+    comments = comment_lines(text)
     source = SourceFile(
         path=path,
         text=text,
         module=module,
         tree=tree,
-        suppressions=parse_suppressions(text),
+        suppressions=parse_suppressions(text, comments),
     )
     program.files[path] = source
     if module is not None:
         program.modules[module] = source
-    program.annotations[path] = parse_annotations(text)
+    program.annotations[path] = parse_annotations(text, comments)
     program.suppressions[path] = source.suppressions
 
 
@@ -290,6 +299,24 @@ def _index_file(program: Program, source: SourceFile) -> None:
         elif isinstance(node, ast.ClassDef):
             _index_class(program, source, node, prefix=module, scope=scope)
             scope[node.name] = f"{module}.{node.name}"
+    # Function-local imports (lazy, cycle-breaking) bind file-wide too,
+    # without shadowing a module-level name: a deferred ``import time``
+    # must still resolve ``time.time()`` to the host clock.
+    local: Dict[str, str] = {}
+    for node in _nested_statements(source.tree.body):
+        _index_import(local, node, module)
+    for name, target in local.items():
+        scope.setdefault(name, target)
+
+
+def _nested_statements(stmts: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Every statement below ``stmts`` (not ``stmts`` themselves)."""
+    for stmt in stmts:
+        for name in ("body", "orelse", "finalbody", "handlers", "cases"):
+            children = getattr(stmt, name, ())
+            if isinstance(children, list):
+                yield from children
+                yield from _nested_statements(children)
 
 
 def _index_import(scope: Dict[str, str], node: ast.stmt, module: str) -> None:
@@ -436,7 +463,10 @@ def _link_file(program: Program, source: SourceFile) -> None:
     # Module-level body: everything outside function bodies, class
     # bodies included (decorators, dataclass field defaults, and
     # class-level assignments all execute at import time).
-    linker.link(module_fn, _module_level_nodes(source.tree), self_class=None)
+    linker.link(
+        module_fn, _owned_nodes(source.tree.body, module_level=True),
+        self_class=None,
+    )
     # Decorator application is an import-time call, whether written with
     # parens (a Call node) or bare (just a Name/Attribute).
     for node in ast.walk(source.tree):
@@ -449,13 +479,20 @@ def _link_file(program: Program, source: SourceFile) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _link_function(program, linker, node, prefix=module, self_class=None)
         elif isinstance(node, ast.ClassDef):
-            cls_qname = f"{module}.{node.name}"
-            for child in node.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    _link_function(
-                        program, linker, child,
-                        prefix=cls_qname, self_class=cls_qname,
-                    )
+            _link_class(program, linker, node, prefix=module)
+
+
+def _link_class(
+    program: Program, linker: "_Linker", node: ast.ClassDef, *, prefix: str
+) -> None:
+    cls_qname = f"{prefix}.{node.name}"
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _link_function(
+                program, linker, child, prefix=cls_qname, self_class=cls_qname,
+            )
+        elif isinstance(child, ast.ClassDef):
+            _link_class(program, linker, child, prefix=cls_qname)
 
 
 def _resolve_class_bases(program: Program, module: str) -> None:
@@ -569,43 +606,55 @@ def _dotted_of(expr: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _module_level_nodes(tree: ast.AST) -> List[ast.AST]:
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _owned_nodes(
+    stmts: Sequence[ast.AST], *, module_level: bool
+) -> List[ast.AST]:
+    """Every node ``stmts`` execute on their owner's behalf.
+
+    Skipped are exactly the defs the index pass made their own nodes —
+    direct ``def`` children of the module, of an indexed class, or of
+    the function — and every decorator (linked to ``<module>`` by
+    :func:`_link_file`).  Anything else is kept, lambdas and class
+    bodies included, down to a ``def`` nested under ``if``/``try``: no
+    line escapes the graph.
+    """
     out: List[ast.AST] = []
 
-    def visit(node: ast.AST, at_class_level: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # decorators handled separately in _link_file
-            if isinstance(child, ast.ClassDef):
-                visit(child, True)
+    def visit(children: Iterable[ast.AST], owns_defs: bool) -> None:
+        for child in children:
+            if not isinstance(child, _SCOPES):
+                out.append(child)
+                visit(ast.iter_child_nodes(child), False)
                 continue
+            if owns_defs and not isinstance(child, ast.ClassDef):
+                continue  # its own FunctionNode
             out.append(child)
-            visit(child, at_class_level)
+            visit(
+                (
+                    node
+                    for name, value in ast.iter_fields(child)
+                    if name != "decorator_list"
+                    for node in (value if isinstance(value, list) else [value])
+                    if isinstance(node, ast.AST)
+                ),
+                owns_defs and module_level and isinstance(child, ast.ClassDef),
+            )
 
-    visit(tree, False)
+    visit(stmts, True)
     return out
 
 
-def _function_body_nodes(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> List[ast.AST]:
-    """Every node in the body, lambdas included, nested defs excluded."""
+def _default_nodes(args: ast.arguments) -> List[ast.AST]:
+    """Default and keyword-only default expressions: they run when the
+    ``def`` does, and are recorded against the function they
+    parametrize, each at its own line."""
     out: List[ast.AST] = []
-
-    def visit(parent: ast.AST) -> None:
-        for child in ast.iter_child_nodes(parent):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            out.append(child)
-            visit(child)
-
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(stmt)
-        visit(stmt)
+    for default in (*args.defaults, *args.kw_defaults):
+        if default is not None:
+            out.extend(ast.walk(default))
     return out
 
 
@@ -626,7 +675,12 @@ def _link_function(
         if node.returns is not None
         else None
     )
-    linker.link(fn, _function_body_nodes(node), self_class=self_class, args=node.args)
+    linker.link(
+        fn,
+        _owned_nodes(node.body, module_level=False) + _default_nodes(node.args),
+        self_class=self_class,
+        args=node.args,
+    )
     for child in node.body:
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = f"{qname}.<locals>.{child.name}"
@@ -737,9 +791,10 @@ class _Linker:
 
     # ------------------------------------------------------------------
     def link_decorator(self, fn: FunctionNode, expr: ast.expr) -> None:
-        """One decorator application, parenthesised or bare."""
+        """One decorator application, parenthesised (arguments included)
+        or bare."""
         if isinstance(expr, ast.Call):
-            self._link_call(fn, expr, None, {})
+            self.link(fn, list(ast.walk(expr)), self_class=None)
             return
         dotted = _dotted_of(expr)
         if dotted is None:
@@ -808,6 +863,8 @@ class _Linker:
             fn.calls.append((target, line, "call"))
             return
         fn.external_calls.append((target, line))
+        if not node.args and not node.keywords:
+            fn.argless_calls.add((target, line))
 
     def _link_property_read(
         self,

@@ -14,14 +14,16 @@ from typing import Dict
 #: Interprocedural rules run by ``repro-lint flow``.
 FLOW_RULES: Dict[str, str] = {
     "flow-nondeterminism": (
-        "a function in a deterministic module transitively reaches a "
-        "wall-clock, ambient-randomness, or environment read through its "
-        "call chain; the finding carries the full witness chain"
+        "a deterministic module reads the host clock, ambient or unseeded "
+        "randomness, or the environment, directly (a zero-hop finding at "
+        "the source line) or through its call chain (reported at the "
+        "boundary call with the full witness chain)"
     ),
     "flow-exactness": (
-        "a function in an exact-arithmetic module transitively reaches "
-        "a function containing bare float literals; Theorems 1-4 stay "
-        "proofs only while every reachable operand is int/Fraction"
+        "an exact-arithmetic module holds a bare float literal (zero-hop) "
+        "or reaches one through its call chain (witness chain); Theorems "
+        "1-4 stay proofs only while every reachable operand is "
+        "int/Fraction"
     ),
     "flow-snapshot-coverage": (
         "a checkpointable class assigns a self attribute no snapshot "

@@ -1,41 +1,39 @@
-"""Transitive nondeterminism and exactness taint.
+"""Nondeterminism and exactness taint: one reporter, direct and transitive.
 
-The single-line rules (``wall-clock``, ``unseeded-random``,
-``float-literal``) already forbid *direct* violations inside the
-governed modules; this pass closes the interprocedural gap.  A helper in
-``repro.intervals`` that calls ``time.time()`` is legal in isolation —
-until ``repro.system`` calls the helper, at which point the replay
-contract is broken two hops away from any governed file.
+A *source* is a host-clock read, process-global or OS randomness, a
+seedable generator constructed without a seed, or an environment read
+(nondeterminism), or a bare float literal (exactness).  Sources are
+found in function bodies, in class bodies and module bodies (the
+``<module>`` node), and in default-argument expressions, which count
+against the function they parametrize.
 
 Propagation runs *backwards* over the call graph: every function that
 directly touches a source is tainted, every caller of a tainted
 function is tainted, and functions in the sanctioned transit modules
 (``repro.observability`` — whose clock readings never feed back into
 simulated state — and, for exactness, the declared float64 kernels)
-absorb taint instead of carrying it.  Findings are reported at the
-**boundary edge**: the call *from* a governed-module function *to* a
-tainted function outside the governed scope, so the direct-call case
-stays the line rules' business and nothing is double-reported.  Each
-finding carries the full shortest witness chain
-``caller → hop → … → source`` with ``path:line`` anchors.
+absorb taint instead of carrying it.  Each source is reported once:
+
+* a source inside a governed module is a **zero-hop** finding at the
+  source line itself;
+* a call *from* a governed-module function *to* a tainted function
+  outside the governed scope is a **boundary** finding at the call,
+  carrying the full shortest witness chain ``caller → hop → … →
+  source`` with ``path:line`` anchors.
 
 A source line sanctioned by a reasoned ``# repro-lint: disable=`` naming
-the matching line rule *or* the flow rule does not seed taint — the
-human already vouched for it once; flow trusts the same sanction.
+the flow rule does not seed taint and is not reported.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flow.callgraph import FunctionNode, Program
 from repro.analysis.lint.engine import Finding
 from repro.analysis.lint.rules_code import (
-    _AMBIENT_RANDOM_CALLS,
-    _AMBIENT_RANDOM_PREFIXES,
-    _CLOCK_CALLS,
     DETERMINISTIC_MODULES,
     EXACT_MODULES,
     INEXACT_KERNELS,
@@ -52,9 +50,51 @@ EXACT_EXEMPT_TRANSIT: Tuple[str, ...] = INEXACT_KERNELS + (
     "repro.observability",
 )
 
-#: Environment reads: no line rule owns these, so flow reports even the
-#: direct (chain-length-zero) case.
+#: Wall-clock and CPU-clock reads.  ``registry.now()`` (observability)
+#: is the sanctioned route for *timing* because its readings never feed
+#: back into simulated state.
+_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.localtime",
+        "time.gmtime",
+        "time.ctime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+_AMBIENT_RANDOM_PREFIXES = ("secrets.", "numpy.random.")
+_AMBIENT_RANDOM_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
+
+#: Generator constructors: deterministic when handed a seed, OS entropy
+#: when called with no arguments at all.
+_SEEDABLE_CONSTRUCTORS = frozenset({"random.Random", "numpy.random.default_rng"})
+
 _ENV_CALLS = frozenset({"os.getenv", "os.environ.get", "os.getenvb"})
+
+#: What each nondeterminism source kind should be replaced with.
+_NONDET_REMEDY = {
+    "clock": "simulated time is the only clock the replay contract admits",
+    "random": (
+        "the process-global RNG's state is perturbed by any import; use a "
+        "locally seeded random.Random(seed)"
+    ),
+    "entropy": "derive all randomness from an explicit plan/scenario seed",
+    "env": (
+        "configuration must arrive through explicit plan/scenario "
+        "parameters, never ambient process state"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +102,7 @@ class TaintSource:
     """Why a function is directly tainted."""
 
     kind: str  # "clock" | "random" | "entropy" | "env" | "float"
-    detail: str  # e.g. "time.time()" / "float literal 0.5"
+    detail: str  # e.g. "time.time() reads the host clock"
     line: int
 
 
@@ -73,39 +113,33 @@ def _in_modules(module: str, prefixes: Sequence[str]) -> bool:
     )
 
 
-def _sanctioned(
-    program: Program, fn: FunctionNode, line: int, rule_names: Sequence[str]
-) -> bool:
+def _sanctioned(program: Program, fn: FunctionNode, line: int, rule: str) -> bool:
     suppression = program.suppressions.get(fn.path, {}).get(line)
-    if suppression is None or not suppression.has_reason:
+    if (
+        suppression is None
+        or not suppression.has_reason
+        or rule not in suppression.rules
+    ):
         return False
-    if not any(name in suppression.rules for name in rule_names):
-        return False
-    # Mark flow-rule sanctions used so they cannot go stale silently;
-    # line-rule sanctions are marked by the line rules themselves.
-    for name in suppression.rules:
-        if name.startswith("flow-"):
-            suppression.used.add(name)
+    suppression.used.add(rule)  # a consumed sanction is never stale
     return True
 
 
-def classify_external(dotted: str) -> Optional[Tuple[str, str]]:
-    """``(kind, human detail)`` when ``dotted`` is a nondeterminism
-    source, else ``None``.  ``random.Random`` / seeded ``default_rng``
-    are the sanctioned constructors and never sources (the line rule
-    polices their seed arguments where it matters)."""
+def classify_external(dotted: str, *, argless: bool) -> Optional[Tuple[str, str]]:
+    """``(kind, human detail)`` when a call to ``dotted`` is a
+    nondeterminism source, else ``None``.  ``argless`` says the call
+    passed no arguments: a seedable constructor is a source only then."""
     if dotted in _CLOCK_CALLS:
         return "clock", f"{dotted}() reads the host clock"
+    if dotted in _SEEDABLE_CONSTRUCTORS:
+        if argless:
+            return "entropy", f"{dotted}() without a seed draws OS entropy"
+        return None
     if dotted == "random.SystemRandom" or dotted in _AMBIENT_RANDOM_CALLS:
         return "entropy", f"{dotted}() draws OS entropy"
-    if dotted.startswith("random.") and dotted not in (
-        "random.Random",
-        "random.SystemRandom",
-    ):
+    if dotted.startswith("random."):
         return "random", f"{dotted}() uses the process-global RNG"
     if dotted.startswith(_AMBIENT_RANDOM_PREFIXES):
-        if dotted == "numpy.random.default_rng":
-            return None  # seeded-or-not is the line rule's call
         return "entropy", f"{dotted}() is ambient randomness"
     if dotted in _ENV_CALLS or dotted.startswith("os.environ."):
         return "env", f"{dotted}() reads the process environment"
@@ -115,21 +149,17 @@ def classify_external(dotted: str) -> Optional[Tuple[str, str]]:
 def nondet_sources(program: Program, fn: FunctionNode) -> List[TaintSource]:
     out: List[TaintSource] = []
     for dotted, line in fn.external_calls:
-        classified = classify_external(dotted)
-        if classified is None:
+        classified = classify_external(
+            dotted, argless=(dotted, line) in fn.argless_calls
+        )
+        if classified is None or _sanctioned(
+            program, fn, line, "flow-nondeterminism"
+        ):
             continue
         kind, detail = classified
-        line_rule = {
-            "clock": "wall-clock",
-            "random": "unseeded-random",
-            "entropy": "unseeded-random",
-            "env": "flow-nondeterminism",  # no line rule owns env reads
-        }[kind]
-        if _sanctioned(program, fn, line, (line_rule, "flow-nondeterminism")):
-            continue
         out.append(TaintSource(kind=kind, detail=detail, line=line))
     for detail, line in fn.env_reads:
-        if _sanctioned(program, fn, line, ("flow-nondeterminism",)):
+        if _sanctioned(program, fn, line, "flow-nondeterminism"):
             continue
         out.append(
             TaintSource(
@@ -142,12 +172,11 @@ def nondet_sources(program: Program, fn: FunctionNode) -> List[TaintSource]:
 
 
 def float_sources(program: Program, fn: FunctionNode) -> List[TaintSource]:
-    out: List[TaintSource] = []
-    for line in fn.float_lines:
-        if _sanctioned(program, fn, line, ("float-literal", "flow-exactness")):
-            continue
-        out.append(TaintSource(kind="float", detail="bare float literal", line=line))
-    return out
+    return [
+        TaintSource(kind="float", detail="bare float literal", line=line)
+        for line in fn.float_lines
+        if not _sanctioned(program, fn, line, "flow-exactness")
+    ]
 
 
 class _TaintMap:
@@ -229,30 +258,47 @@ def _render_chain(
     return " -> ".join(parts)
 
 
-def _boundary_findings(
+def _findings(
     program: Program,
-    taint: _TaintMap,
+    direct: Dict[str, List[TaintSource]],
     *,
     rule: str,
+    exempt_transit: Sequence[str],
     sink_modules: Sequence[str],
     sink_exempt: Sequence[str],
     contract: str,
+    zero_hop: Callable[[FunctionNode, TaintSource], str],
 ) -> Iterator[Finding]:
+    taint = _TaintMap(program, direct, exempt_transit)
+
+    def in_sink(module: str) -> bool:
+        return _in_modules(module, sink_modules) and not _in_modules(
+            module, sink_exempt
+        )
+
     seen: Set[Tuple[str, int, str]] = set()
     for qname in sorted(program.functions):
         fn = program.functions[qname]
-        if not _in_modules(fn.module, sink_modules):
+        if not in_sink(fn.module):
             continue
-        if sink_exempt and _in_modules(fn.module, sink_exempt):
-            continue
+        for source in direct.get(qname, ()):
+            key = (fn.path, source.line, source.detail)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield Finding(
+                path=fn.path,
+                line=source.line,
+                column=1,
+                rule=rule,
+                message=zero_hop(fn, source),
+            )
         for callee, line, _kind in fn.calls:
             target = program.functions.get(callee)
             if target is None or not taint.tainted(callee):
                 continue
-            if _in_modules(target.module, sink_modules) and not (
-                sink_exempt and _in_modules(target.module, sink_exempt)
-            ):
-                continue  # intra-scope hop; report at the true boundary
+            if in_sink(target.module):
+                continue  # intra-scope hop; the source reports zero-hop
             key = (qname, line, callee)
             if key in seen:
                 continue
@@ -277,43 +323,25 @@ def nondeterminism_findings(
     *,
     sink_modules: Sequence[str] = DETERMINISTIC_MODULES,
 ) -> Iterator[Finding]:
-    direct = {
-        qname: nondet_sources(program, fn)
-        for qname, fn in program.functions.items()
-    }
-    taint = _TaintMap(program, direct, NONDET_EXEMPT_TRANSIT)
-    yield from _boundary_findings(
+    return _findings(
         program,
-        taint,
+        {
+            qname: nondet_sources(program, fn)
+            for qname, fn in program.functions.items()
+        },
         rule="flow-nondeterminism",
+        exempt_transit=NONDET_EXEMPT_TRANSIT,
         sink_modules=sink_modules,
         sink_exempt=(),
         contract=(
             "which the replay-verify contract of deterministic modules "
             "forbids at any call depth"
         ),
+        zero_hop=lambda fn, source: (
+            f"{source.detail} inside deterministic module {fn.module}; "
+            + _NONDET_REMEDY[source.kind]
+        ),
     )
-    # Direct environment reads inside the governed modules: no line rule
-    # owns them, so the chain-length-zero case is flow's to report.
-    for qname in sorted(program.functions):
-        fn = program.functions[qname]
-        if not _in_modules(fn.module, sink_modules):
-            continue
-        for source in direct.get(qname, ()):
-            if source.kind != "env":
-                continue
-            yield Finding(
-                path=fn.path,
-                line=source.line,
-                column=1,
-                rule="flow-nondeterminism",
-                message=(
-                    f"{source.detail} inside deterministic module "
-                    f"{fn.module}; configuration must arrive through "
-                    "explicit plan/scenario parameters, never ambient "
-                    "process state"
-                ),
-            )
 
 
 def exactness_findings(
@@ -321,19 +349,23 @@ def exactness_findings(
     *,
     sink_modules: Sequence[str] = EXACT_MODULES,
 ) -> Iterator[Finding]:
-    direct = {
-        qname: float_sources(program, fn)
-        for qname, fn in program.functions.items()
-    }
-    taint = _TaintMap(program, direct, EXACT_EXEMPT_TRANSIT)
-    yield from _boundary_findings(
+    return _findings(
         program,
-        taint,
+        {
+            qname: float_sources(program, fn)
+            for qname, fn in program.functions.items()
+        },
         rule="flow-exactness",
+        exempt_transit=EXACT_EXEMPT_TRANSIT,
         sink_modules=sink_modules,
         sink_exempt=INEXACT_KERNELS,
         contract=(
             "smuggling rounding into the int/Fraction arithmetic the "
             "Theorem 1-4 procedures rely on"
+        ),
+        zero_hop=lambda fn, source: (
+            f"{source.detail} in exact-arithmetic module {fn.module}; use "
+            "int/Fraction, or sanction a tolerance boundary with a "
+            "reasoned suppression"
         ),
     )

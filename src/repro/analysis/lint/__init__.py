@@ -6,10 +6,12 @@ ahead-of-time guarantees about its own code and inputs.  Two rule
 families plug into one engine:
 
 * **code rules** (:mod:`.rules_code`, :mod:`.layering`) protect the
-  replay-verify and exact-arithmetic contracts — no wall clocks or
-  ambient randomness in deterministic modules, no float arithmetic in
-  the exact Theorem-1..4 paths, imports pointing strictly down the
-  declared layering map;
+  replay-verify and exact-arithmetic contracts — no hash-order
+  iteration or ``id()`` ordering in deterministic modules, no float
+  equality in the exact Theorem-1..4 paths, imports pointing strictly
+  down the declared layering map (the clock, randomness, environment
+  and float-literal *sources* belong to ``repro-lint flow``, see
+  :mod:`repro.analysis.flow.taint`);
 * **spec rules** (:mod:`.spec`) validate workload scenarios, event
   traces, fault plans, ROTA formulas, and admission requests before any
   simulation touches them, including Allen path-consistency of temporal

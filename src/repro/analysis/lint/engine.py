@@ -9,10 +9,8 @@ the raw findings against the per-line suppressions of
 
 Rules never do I/O and never see raw paths — they receive a parsed
 :class:`SourceFile` and yield findings.  That keeps them trivially
-testable against in-memory fixture snippets (the test suite injects a
-``time.time()`` call into the *real* simulator source and asserts the
-determinism rule catches it) and keeps the analysis itself deterministic
-and exact, the very properties it polices.
+testable against in-memory fixture snippets and keeps the analysis
+itself deterministic and exact, the very properties it polices.
 """
 
 from __future__ import annotations

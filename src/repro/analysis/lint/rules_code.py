@@ -3,18 +3,23 @@
 Two module families are governed:
 
 * **Deterministic modules** (``repro.system``, ``repro.decision``,
-  ``repro.faults``) — everything on the replay path.  The write-ahead
-  journal (PR 3) re-executes these modules and verifies that pinned
-  decisions recur bit-for-bit; any ambient nondeterminism (wall clocks,
-  process-global RNGs, set iteration order, ``id()``-keyed ordering)
-  silently breaks that contract in ways only a diverging replay reveals.
+  ``repro.faults``, ...) — everything on the replay path.  The
+  write-ahead journal (PR 3) re-executes these modules and verifies that
+  pinned decisions recur bit-for-bit; set iteration order and
+  ``id()``-keyed ordering silently break that contract in ways only a
+  diverging replay reveals.
 
 * **Exact-arithmetic modules** (``repro.resources``, ``repro.decision``)
   — the Theorem 1–4 decision procedures run on ``int``/``Fraction``
-  arithmetic; a float literal (or a ``==``/``!=`` against one) smuggles
-  rounding into proofs that are otherwise exact.  The sanctioned
-  boundary is :func:`repro.resources.profile.is_exact` / ``EPSILON``;
-  crossing it elsewhere needs a reasoned suppression.
+  arithmetic; a ``==``/``!=`` against a float smuggles rounding into
+  proofs that are otherwise exact.
+
+The *sources* of nondeterminism and inexactness (host clocks, ambient or
+unseeded randomness, environment reads, float literals) are not line
+rules: ``repro-lint flow`` (:mod:`repro.analysis.flow.taint`) reports
+them, a source inside a governed module as a zero-hop chain and one
+reached through calls with its witness chain.  The module families
+below are shared with it.
 
 All detection is purely syntactic over the AST with import-alias
 resolution; the rules over-approximate nothing and under-approximate
@@ -25,7 +30,7 @@ see docs/static-analysis.md for the catalogue and the blind spots.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.analysis.lint.engine import Finding, Rule, SourceFile, register
 
@@ -52,36 +57,10 @@ EXACT_MODULES: Tuple[str, ...] = (
 #: The sanctioned *inexact* enclave inside the exact-arithmetic
 #: substrate: the float64 vector kernels that serve profiles whose
 #: ``is_exact()`` is already false.  Float literals and float compares
-#: are that module's whole job, so the exactness rules carve it out —
+#: are that module's whole job, so the exactness checks carve it out —
 #: and the ``layering`` rule pins ``numpy`` imports to exactly here,
 #: so the carve-out cannot silently widen.
 INEXACT_KERNELS: Tuple[str, ...] = ("repro.resources._vectorized",)
-
-#: Wall-clock and CPU-clock reads.  ``registry.now()`` (observability)
-#: is the sanctioned route for *timing* because its readings never feed
-#: back into simulated state.
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.localtime",
-        "time.gmtime",
-        "time.ctime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-_AMBIENT_RANDOM_PREFIXES = ("secrets.", "numpy.random.")
-_AMBIENT_RANDOM_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
 
 
 def import_aliases(tree: ast.AST) -> Dict[str, str]:
@@ -104,109 +83,6 @@ def import_aliases(tree: ast.AST) -> Dict[str, str]:
                 local = alias.asname or alias.name
                 aliases[local] = f"{node.module}.{alias.name}"
     return aliases
-
-
-def resolve_dotted(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
-    """Dotted name of an expression, resolved through import aliases.
-
-    Only chains rooted in an imported name resolve — a local variable
-    that happens to be called ``random`` stays ``None``.
-    """
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = aliases.get(node.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
-def calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
-    aliases = import_aliases(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node, resolve_dotted(node.func, aliases)
-
-
-@register
-class WallClockRule(Rule):
-    """No wall-clock reads on the replay path."""
-
-    name = "wall-clock"
-    description = (
-        "no time.time()/datetime.now()-style clock reads in deterministic "
-        "modules; replay-verify (PR 3) re-executes them and demands "
-        "bit-identical behaviour — use event time or registry.now()"
-    )
-    scope = DETERMINISTIC_MODULES
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        for node, dotted in calls(source.tree):
-            if dotted in _CLOCK_CALLS:
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}() reads the host clock inside deterministic "
-                    f"module {source.module}; simulated time is the only "
-                    "clock the replay contract admits",
-                )
-
-
-@register
-class UnseededRandomRule(Rule):
-    """All randomness must flow from an explicit seed."""
-
-    name = "unseeded-random"
-    description = (
-        "no process-global or OS randomness (random.random, os.urandom, "
-        "uuid4, secrets, numpy.random) in deterministic modules; "
-        "construct random.Random(seed) instead"
-    )
-    scope = DETERMINISTIC_MODULES
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        for node, dotted in calls(source.tree):
-            if dotted is None:
-                continue
-            if dotted == "random.Random":
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        source,
-                        node,
-                        "random.Random() without a seed draws entropy from "
-                        "the OS; pass the plan/scenario seed explicitly",
-                    )
-                continue
-            if dotted == "random.SystemRandom" or dotted in _AMBIENT_RANDOM_CALLS:
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}() is OS entropy; deterministic modules must "
-                    "derive all randomness from an explicit seed",
-                )
-            elif dotted.startswith("random."):
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}() uses the process-global RNG, whose state "
-                    "any import can perturb; use a locally seeded "
-                    "random.Random(seed)",
-                )
-            elif dotted.startswith(_AMBIENT_RANDOM_PREFIXES):
-                if dotted == "numpy.random.default_rng" and (
-                    node.args or node.keywords
-                ):
-                    continue  # explicitly seeded generator
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}() is ambient randomness; seed an explicit "
-                    "generator instead",
-                )
 
 
 def _is_set_expr(node: ast.expr, aliases: Dict[str, str]) -> bool:
@@ -310,32 +186,6 @@ class IdOrderingRule(Rule):
                         "differs on every run and every replay; key on a "
                         "stable attribute (label, sequence number) instead",
                     )
-
-
-@register
-class FloatLiteralRule(Rule):
-    """No float literals in exact-arithmetic modules."""
-
-    name = "float-literal"
-    description = (
-        "no float literals in exact-arithmetic modules (resources, "
-        "decision): Theorems 1-4 run on int/Fraction; the only sanctioned "
-        "float is the EPSILON tolerance boundary next to is_exact() and "
-        "the float64 vector kernels (the declared inexact path)"
-    )
-    scope = EXACT_MODULES
-    exempt = INEXACT_KERNELS
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                yield self.finding(
-                    source,
-                    node,
-                    f"float literal {node.value!r} in exact-arithmetic "
-                    f"module {source.module}; use int/Fraction, or suppress "
-                    "with a reason at a sanctioned tolerance boundary",
-                )
 
 
 def _is_float_operand(node: ast.expr) -> bool:

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analysis.lint.engine import Finding
 from repro.computation.interaction import SegmentedRequirement
-from repro.computation.requirements import SimpleRequirement
 from repro.decision.screen import requirement_demands, supply_shortfall
 from repro.errors import (
     FaultInjectionError,
@@ -252,14 +252,19 @@ def _one_interval(data: Mapping[str, Any], path: str, where: str) -> List[Findin
 # Resource sets and requirements
 # ----------------------------------------------------------------------
 
-def _classify_rota_error(exc: RotaError, path: str, where: str) -> Finding:
+def _classify_rota_error(
+    exc: RotaError, path: str, where: str, *, line: int = 1
+) -> Finding:
+    rule = "spec-syntax"
     if isinstance(exc, InvalidIntervalError):
-        return _finding(path, "spec-interval", str(exc), where=where)
-    if isinstance(exc, InvalidTermError) and "link endpoints" in str(exc):
-        return _finding(path, "spec-located-type", str(exc), where=where)
-    if isinstance(exc, InvalidComputationError) and "window" in str(exc):
-        return _finding(path, "spec-deadline-contradictory", str(exc), where=where)
-    return _finding(path, "spec-syntax", str(exc), where=where)
+        rule = "spec-interval"
+    elif isinstance(exc, InvalidTermError) and "link endpoints" in str(exc):
+        # Link construction itself rejects a self-loop, so this is where
+        # every located-type inconsistency surfaces.
+        rule = "spec-located-type"
+    elif isinstance(exc, InvalidComputationError) and "window" in str(exc):
+        rule = "spec-deadline-contradictory"
+    return _finding(path, rule, str(exc), where=where, line=line)
 
 
 def _load_resource_set(data: Any, path: str, where: str):
@@ -275,31 +280,7 @@ def _load_resource_set(data: Any, path: str, where: str):
             _finding(path, "spec-syntax",
                      f"bad resource set: {exc!r}", where=where)
         ]
-    findings.extend(_located_type_findings(
-        (term.ltype for term in resources.terms()), path, where
-    ))
     return resources, findings
-
-
-def _located_type_findings(ltypes: Iterable, path: str, where: str) -> List[Finding]:
-    findings: List[Finding] = []
-    seen = set()
-    for ltype in ltypes:
-        if ltype in seen:
-            continue
-        seen.add(ltype)
-        location = ltype.location
-        source = getattr(location, "source", None)
-        destination = getattr(location, "destination", None)
-        if source is not None and source == destination:
-            findings.append(
-                _finding(
-                    path, "spec-located-type",
-                    f"link {location} connects a node to itself; bandwidth "
-                    "terms need two distinct endpoints", where=where,
-                )
-            )
-    return findings
 
 
 def _load_requirement(data: Any, path: str, where: str):
@@ -318,10 +299,6 @@ def _load_requirement(data: Any, path: str, where: str):
     return requirement, findings
 
 
-def _requirement_demands(requirement) -> Mapping:
-    return requirement_demands(requirement)
-
-
 def _requirement_semantics(
     requirement,
     path: str,
@@ -334,7 +311,7 @@ def _requirement_semantics(
     """Vacuity/contradiction checks shared by every requirement context."""
     findings: List[Finding] = []
     window = requirement.window
-    demands = _requirement_demands(requirement)
+    demands = requirement_demands(requirement)
     total = sum(demands.values(), 0)
     if total == 0:
         findings.append(
@@ -392,7 +369,7 @@ def _requirement_semantics(
 def _coverage_findings(
     requirement, provided, path: str, where: str, *, line: int = 1
 ) -> List[Finding]:
-    demands = _requirement_demands(requirement)
+    demands = requirement_demands(requirement)
     findings: List[Finding] = []
     for ltype in demands:
         if ltype not in provided:
@@ -645,9 +622,6 @@ def _check_temporal_spec(
 def _check_scenario(
     document: Mapping[str, Any], path: str, *, quick: bool
 ) -> List[Finding]:
-    from repro.workloads.persistence import event_from_wire
-    from repro.system.events import ComputationArrivalEvent, ResourceJoinEvent
-
     findings: List[Finding] = []
     for key in sorted(set(document) - _SCENARIO_KEYS):
         findings.append(
@@ -695,56 +669,11 @@ def _check_scenario(
         events_wire = []
     if quick:
         events_wire = events_wire[:QUICK_TRACE_RECORDS]
-    events = []
-    for index, wire in enumerate(events_wire):
-        at = f"$.events[{index}]"
-        interval_findings = _interval_wire_findings(wire, path, at)
-        if interval_findings:
-            findings.extend(interval_findings)
-            continue
-        try:
-            events.append((at, event_from_wire(dict(wire))))
-        except (RotaError, KeyError, TypeError) as exc:
-            if isinstance(exc, RotaError):
-                findings.append(_classify_rota_error(exc, path, at))
-            else:
-                findings.append(
-                    _finding(path, "spec-syntax",
-                             f"bad event: {exc!r}", where=at)
-                )
-    for _, event in events:
-        if isinstance(event, ResourceJoinEvent):
-            provided.update(event.resources.located_types)
-    arrivals: Dict[str, Interval] = {}
-    for at, event in events:
-        if event.time < 0:
-            findings.append(
-                _finding(path, "spec-interval",
-                         f"event time {event.time} is negative", where=at)
-            )
-        elif horizon is not None and event.time > horizon:
-            findings.append(
-                _finding(
-                    path, "spec-deadline-vacuous",
-                    f"event at {event.time} lies beyond the horizon "
-                    f"{horizon} and will never fire", where=at,
-                    severity="warning",
-                )
-            )
-        if isinstance(event, ComputationArrivalEvent):
-            requirement = event.requirement
-            findings.extend(
-                _requirement_semantics(
-                    requirement, path, at,
-                    arrival_time=event.time, horizon=horizon,
-                )
-            )
-            findings.extend(
-                _coverage_findings(requirement, provided, path, at)
-            )
-            label = getattr(requirement, "label", "") or event.label
-            if label:
-                arrivals[label] = requirement.window
+    event_findings, arrivals = _screen_events(
+        ((1, f"$.events[{index}]", wire) for index, wire in enumerate(events_wire)),
+        path, provided=provided, horizon=horizon,
+    )
+    findings.extend(event_findings)
     constraints = document.get("temporal_constraints", [])
     if not isinstance(constraints, (list, tuple)):
         findings.append(
@@ -766,78 +695,110 @@ def check_trace_text(
     text: str, path: str, *, quick: bool = False
 ) -> List[Finding]:
     """Screen a JSONL event trace (persistence wire format)."""
-    from repro.workloads.persistence import event_from_wire
+    findings, _arrivals = _screen_events(
+        (
+            (number, "$", raw)
+            for number, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip()
+        ),
+        path,
+        decode=True,
+        limit=QUICK_TRACE_RECORDS if quick else None,
+    )
+    return findings
+
+
+def _screen_events(
+    entries: Iterable[Tuple[int, str, Any]],
+    path: str,
+    *,
+    provided: Iterable = (),
+    horizon=None,
+    decode: bool = False,
+    limit: Optional[int] = None,
+) -> Tuple[List[Finding], Dict[str, Interval]]:
+    """Load and screen wire events, each entry anchored at its own
+    ``(line, where)``; a ``decode`` entry is a raw JSON line.
+
+    Loading stops once ``limit`` events have loaded.  Coverage is then
+    skipped: with a truncated scan, later joins could still provide the
+    type, and only a full read can prove absence.  Returns the findings
+    and the window of every labelled arrival.
+    """
     from repro.system.events import ComputationArrivalEvent, ResourceJoinEvent
+    from repro.workloads.persistence import event_from_wire
 
     findings: List[Finding] = []
-    events: List[Tuple[int, Any]] = []
+    events: List[Tuple[int, str, Any]] = []
     truncated = False
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if quick and len(events) >= QUICK_TRACE_RECORDS:
+    for line, where, wire in entries:
+        if limit is not None and len(events) >= limit:
             truncated = True
             break
-        try:
-            wire = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            findings.append(
-                _finding(path, "spec-syntax",
-                         f"not valid JSON: {exc.msg}", line=number, where="")
-            )
-            continue
-        interval_findings = _interval_wire_findings(wire, path, "$")
-        if interval_findings:
-            findings.extend(
-                Finding(
-                    path=f.path, line=number, column=1, rule=f.rule,
-                    message=f.message, severity=f.severity,
+        if decode:
+            try:
+                wire = json.loads(wire)
+            except json.JSONDecodeError as exc:
+                findings.append(
+                    _finding(path, "spec-syntax",
+                             f"not valid JSON: {exc.msg}", line=line, where="")
                 )
-                for f in interval_findings
-            )
+                continue
+        interval_findings = _interval_wire_findings(wire, path, where)
+        if interval_findings:
+            findings.extend(replace(f, line=line) for f in interval_findings)
             continue
         try:
-            events.append((number, event_from_wire(dict(wire))))
+            events.append((line, where, event_from_wire(dict(wire))))
         except (RotaError, KeyError, TypeError) as exc:
             if isinstance(exc, RotaError):
-                base = _classify_rota_error(exc, path, "$")
                 findings.append(
-                    Finding(path=base.path, line=number, column=1,
-                            rule=base.rule, message=base.message,
-                            severity=base.severity)
+                    _classify_rota_error(exc, path, where, line=line)
                 )
             else:
                 findings.append(
                     _finding(path, "spec-syntax",
-                             f"bad event: {exc!r}", line=number, where="$")
+                             f"bad event: {exc!r}", line=line, where=where)
                 )
-    provided = set()
-    for _, event in events:
+    provided = set(provided)
+    for _line, _where, event in events:
         if isinstance(event, ResourceJoinEvent):
             provided.update(event.resources.located_types)
-    for number, event in events:
+    arrivals: Dict[str, Interval] = {}
+    for line, where, event in events:
         if event.time < 0:
             findings.append(
                 _finding(path, "spec-interval",
                          f"event time {event.time} is negative",
-                         line=number, where="$")
+                         line=line, where=where)
+            )
+        elif horizon is not None and event.time > horizon:
+            findings.append(
+                _finding(
+                    path, "spec-deadline-vacuous",
+                    f"event at {event.time} lies beyond the horizon "
+                    f"{horizon} and will never fire", line=line, where=where,
+                    severity="warning",
+                )
             )
         if isinstance(event, ComputationArrivalEvent):
+            requirement = event.requirement
             findings.extend(
                 _requirement_semantics(
-                    event.requirement, path, "$",
-                    line=number, arrival_time=event.time,
+                    requirement, path, where, line=line,
+                    arrival_time=event.time, horizon=horizon,
                 )
             )
             if not truncated:
-                # With a truncated scan, later joins could still provide
-                # the type; only a full read can prove absence.
                 findings.extend(
                     _coverage_findings(
-                        event.requirement, provided, path, "$", line=number
+                        requirement, provided, path, where, line=line
                     )
                 )
-    return findings
+            label = getattr(requirement, "label", "") or event.label
+            if label:
+                arrivals[label] = requirement.window
+    return findings, arrivals
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A finding may be silenced only *in place* and only *with a reason*::
 
-    EPSILON = 1e-9  # repro-lint: disable=float-literal -- sanctioned tolerance boundary
+    EPSILON = 1e-9  # repro-lint: disable=flow-exactness -- sanctioned tolerance boundary
 
 The grammar is deliberately rigid:
 
@@ -23,7 +23,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Meta-rules emitted by the suppression machinery itself.  They are part
 #: of the public rule namespace so reporters and the self-check fixtures
@@ -62,25 +62,35 @@ class Suppression:
         return bool(self.reason and self.reason.strip())
 
 
-def parse_suppressions(text: str) -> Dict[int, Suppression]:
-    """All suppression comments in ``text``, keyed by 1-based line number.
+def comment_lines(text: str) -> List[Tuple[int, str]]:
+    """``(line, comment)`` for every genuine ``#`` comment in ``text``.
 
-    Only genuine ``#`` comments count: the pattern appearing inside a
-    string or docstring (as in this module's own documentation) is inert.
-    When the file does not even tokenize, a lexical line scan takes over
-    so a suppression on a broken line is still reported rather than
-    silently vanishing.
+    The pattern appearing inside a string or docstring (as in this
+    module's own documentation) is no comment.  When the file does not
+    even tokenize, every physical line stands in, so a directive on a
+    broken line is still reported rather than silently vanishing.
     """
     try:
-        comments = [
+        return [
             (token.start[0], token.string)
             for token in tokenize.generate_tokens(io.StringIO(text).readline)
             if token.type == tokenize.COMMENT
         ]
     except (tokenize.TokenError, SyntaxError, ValueError):
-        comments = list(enumerate(text.splitlines(), start=1))
+        return list(enumerate(text.splitlines(), start=1))
+
+
+def parse_suppressions(
+    text: str, comments: Optional[List[Tuple[int, str]]] = None
+) -> Dict[int, Suppression]:
+    """All suppression comments in ``text``, keyed by 1-based line number.
+
+    ``comments`` passes in :func:`comment_lines` already computed for
+    ``text``, so a caller parsing several directive families tokenizes
+    once.
+    """
     out: Dict[int, Suppression] = {}
-    for number, raw in comments:
+    for number, raw in comments if comments is not None else comment_lines(text):
         match = _PATTERN.search(raw)
         if match is None:
             continue

@@ -77,7 +77,7 @@ from repro.resources import _vectorized as _vec
 
 #: Tolerance used when float arithmetic is involved.  Exact numeric types
 #: (int, Fraction) never need it.
-EPSILON = 1e-9  # repro-lint: disable=float-literal -- the sanctioned float-tolerance boundary itself (see is_exact below)
+EPSILON = 1e-9  # repro-lint: disable=flow-exactness -- the sanctioned float-tolerance boundary itself (see is_exact below)
 
 #: Breakpoints (all operands together) from which an exact operation on
 #: profiles still in tuple form moves onto the integer kernels, and from

@@ -52,8 +52,9 @@ def test_three_hop_clock_witness_chain_names_every_hop():
     assert "time.time() reads the host clock at src/repro/logic/zhop3.py:3" in message
 
 
-def test_direct_clock_call_in_sink_is_the_line_rules_business():
-    # flow must not duplicate what `repro-lint code` already reports.
+def test_direct_clock_call_in_sink_is_a_zero_hop_finding():
+    # A source inside a deterministic module is a chain of length zero,
+    # reported once, at the source line.
     result = _flow({
         "src/repro/system/zdirect.py": (
             "import time\n"
@@ -61,7 +62,27 @@ def test_direct_clock_call_in_sink_is_the_line_rules_business():
             "    return time.time()\n"
         ),
     })
-    assert not [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    findings = [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/system/zdirect.py", 3)
+    ]
+    assert "time.time() reads the host clock" in findings[0].message
+
+
+def test_zero_hop_and_boundary_never_report_one_source_twice():
+    # An intra-scope caller of a tainted sink function adds no finding:
+    # the source already reports zero-hop.
+    result = _flow({
+        "src/repro/system/zdirect.py": (
+            "import time\n"
+            "def now():\n"
+            "    return time.time()\n"
+            "def later():\n"
+            "    return now() + 1\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    assert [f.line for f in findings] == [3]
 
 
 def test_sanctioned_source_does_not_seed_taint():
@@ -148,6 +169,118 @@ def test_direct_env_read_in_sink_is_reported_chain_length_zero():
     assert len(findings) == 1
     assert findings[0].line == 3
     assert "environment" in findings[0].message
+
+
+# Default arguments run when the ``def`` does; they are recorded against
+# the function they parametrize, at their own line.
+def test_clock_in_default_argument_taints_through_calls():
+    result = _flow({
+        "src/repro/system/zcaller.py": (
+            "from repro.logic.zhop import hop\n"
+            "def drive():\n"
+            "    return hop()\n"
+        ),
+        "src/repro/logic/zhop.py": (
+            "import time\n"
+            "def hop(stamp=time.time()):\n"
+            "    return stamp\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/system/zcaller.py", 3)
+    ]
+    assert (
+        "time.time() reads the host clock at src/repro/logic/zhop.py:2"
+        in findings[0].message
+    )
+
+
+def test_clock_in_default_argument_in_sink_is_zero_hop():
+    result = _flow({
+        "src/repro/system/zhop.py": (
+            "import time\n"
+            "def hop(\n"
+            "    x,\n"
+            "    *,\n"
+            "    stamp=time.time(),\n"
+            "):\n"
+            "    return stamp\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    assert [f.line for f in findings] == [5]
+
+
+def test_float_in_default_argument_taints_through_calls():
+    result = _flow({
+        "src/repro/decision/zcaller.py": (
+            "from repro.logic.zhop import hop\n"
+            "def decide():\n"
+            "    return hop(4)\n"
+        ),
+        "src/repro/logic/zhop.py": (
+            "def hop(x, scale=0.5):\n"
+            "    return x * scale\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-exactness"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/decision/zcaller.py", 3)
+    ]
+    assert "bare float literal at src/repro/logic/zhop.py:1" in findings[0].message
+
+
+def test_float_in_keyword_only_default_in_sink_is_zero_hop():
+    result = _flow({
+        "src/repro/decision/zhop.py": (
+            "def hop(x, *, scale=0.5):\n"
+            "    return x * scale\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-exactness"]
+    assert [f.line for f in findings] == [1]
+    assert "exact-arithmetic module repro.decision.zhop" in findings[0].message
+
+
+def test_unseeded_random_constructor_taints_through_calls():
+    result = _flow({
+        "src/repro/system/zrng.py": (
+            "from repro.logic.zdraw import draw\n"
+            "def use():\n"
+            "    return draw()\n"
+        ),
+        "src/repro/logic/zdraw.py": (
+            "import random\n"
+            "def draw():\n"
+            "    return random.Random().random()\n"
+        ),
+    })
+    findings = [f for f in result.findings if f.rule == "flow-nondeterminism"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/system/zrng.py", 3)
+    ]
+    assert "random.Random() without a seed" in findings[0].message
+
+
+def test_seeded_random_constructor_is_no_source():
+    for seeded in ("random.Random(seed)", "random.Random(x=seed)"):
+        result = _flow({
+            "src/repro/system/zrng.py": (
+                "import random\n"
+                "from repro.logic.zdraw import draw\n"
+                "def use(seed):\n"
+                f"    return draw(seed), {seeded}\n"
+            ),
+            "src/repro/logic/zdraw.py": (
+                "import random\n"
+                "def draw(seed):\n"
+                f"    return {seeded}.random()\n"
+            ),
+        })
+        assert not [
+            f for f in result.findings if f.rule == "flow-nondeterminism"
+        ], seeded
 
 
 def test_exactness_boundary_reports_float_reached_from_exact_module():

@@ -18,7 +18,7 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 EXAMPLES = REPO_ROOT / "examples" / "specs"
 
 CLEAN_PY = "def f():\n    return 1\n"
-DIRTY_PY = "import time\nt = time.time()\n"
+DIRTY_PY = "xs = []\nfor x in {1, 2}:\n    xs.append(x)\n"
 
 GOOD_REQUEST = json.loads((EXAMPLES / "check_request.json").read_text())
 
@@ -43,7 +43,7 @@ class TestCodeCommand:
         assert lint_main(["code", str(path)]) == 1
         out = capsys.readouterr().out
         assert f"{path}:2:" in out
-        assert "[wall-clock]" in out
+        assert "[set-iteration]" in out
         assert "1 error(s)" in out
 
     def test_json_format(self, tmp_path, capsys):
@@ -55,19 +55,25 @@ class TestCodeCommand:
         assert document["counts"]["error"] == 1
         (finding,) = document["findings"]
         assert tuple(finding) == FINDING_FIELDS
-        assert finding["rule"] == "wall-clock"
+        assert finding["rule"] == "set-iteration"
         assert finding["line"] == 2
 
     def test_rules_filter(self, tmp_path, capsys):
         path = write_module(tmp_path, DIRTY_PY)
         assert lint_main(["code", "--rules", "layering", str(path)]) == 0
-        assert lint_main(["code", "--rules", "wall-clock", str(path)]) == 1
+        assert lint_main(["code", "--rules", "set-iteration", str(path)]) == 1
         capsys.readouterr()
 
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = write_module(tmp_path, CLEAN_PY)
         assert lint_main(["code", "--rules", "no-such-rule", str(path)]) == 2
         assert "unknown rule" in capsys.readouterr().err
+
+    def test_folded_rule_names_exit_2(self, tmp_path, capsys):
+        path = write_module(tmp_path, CLEAN_PY)
+        for name in ("wall-clock", "unseeded-random", "float-literal"):
+            assert lint_main(["code", "--rules", name, str(path)]) == 2
+            assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_exits_2(self, capsys):
         assert lint_main(["code", "/nonexistent/nowhere.py"]) == 2
@@ -118,10 +124,13 @@ class TestRulesCommand:
     def test_catalogue_lists_every_rule(self, capsys):
         assert lint_main(["rules"]) == 0
         out = capsys.readouterr().out
-        for name in ("wall-clock", "unseeded-random", "set-iteration",
-                     "id-ordering", "float-literal", "float-compare",
-                     "layering", "suppression-unused"):
+        for name in ("set-iteration", "id-ordering", "float-compare",
+                     "layering", "suppression-unused", "flow-nondeterminism",
+                     "flow-exactness"):
             assert f"{name}:" in out
+        # Folded into flow taint: no longer code rules.
+        for name in ("wall-clock", "unseeded-random", "float-literal"):
+            assert f"{name}:" not in out
         for name in SPEC_RULES:
             assert f"{name}:" in out
         assert "disable=" in out  # suppression syntax documented

@@ -51,31 +51,31 @@ class TestModuleResolution:
 class TestSuppressionParsing:
     def test_single_rule_with_reason(self):
         sups = parse_suppressions(
-            "x = 1  # repro-lint: disable=wall-clock -- testing harness\n"
+            "x = 1  # repro-lint: disable=set-iteration -- testing harness\n"
         )
         assert list(sups) == [1]
-        assert sups[1].rules == ("wall-clock",)
+        assert sups[1].rules == ("set-iteration",)
         assert sups[1].reason == "testing harness"
         assert sups[1].has_reason
 
     def test_multiple_rules_one_comment(self):
         sups = parse_suppressions(
-            "y = 2  # repro-lint: disable=wall-clock, unseeded-random -- both sanctioned\n"
+            "y = 2  # repro-lint: disable=set-iteration, id-ordering -- both sanctioned\n"
         )
-        assert sups[1].rules == ("wall-clock", "unseeded-random")
+        assert sups[1].rules == ("set-iteration", "id-ordering")
 
     def test_missing_reason_detected(self):
-        sups = parse_suppressions("z = 3  # repro-lint: disable=wall-clock\n")
+        sups = parse_suppressions("z = 3  # repro-lint: disable=set-iteration\n")
         assert not sups[1].has_reason
 
     def test_pattern_inside_string_is_inert(self):
         sups = parse_suppressions(
-            'doc = "example: # repro-lint: disable=wall-clock -- nope"\n'
+            'doc = "example: # repro-lint: disable=set-iteration -- nope"\n'
         )
         assert sups == {}
 
     def test_pattern_inside_docstring_is_inert(self):
-        text = '"""\n# repro-lint: disable=wall-clock -- docs\n"""\n'
+        text = '"""\n# repro-lint: disable=set-iteration -- docs\n"""\n'
         assert parse_suppressions(text) == {}
 
     def test_line_numbers_are_one_based(self):
@@ -89,17 +89,16 @@ class TestReconciliation:
 
     def test_reasoned_suppression_silences(self):
         findings = self.analyze(
-            "import time\n"
-            "t = time.time()  # repro-lint: disable=wall-clock -- fixture\n"
+            "xs = list({1, 2})  # repro-lint: disable=set-iteration -- fixture\n"
         )
         assert findings == []
 
     def test_reasonless_suppression_does_not_silence(self):
         findings = self.analyze(
-            "import time\nt = time.time()  # repro-lint: disable=wall-clock\n"
+            "xs = list({1, 2})  # repro-lint: disable=set-iteration\n"
         )
         rules = sorted(f.rule for f in findings)
-        assert rules == ["suppression-missing-reason", "wall-clock"]
+        assert rules == ["set-iteration", "suppression-missing-reason"]
 
     def test_unknown_rule_in_suppression(self):
         findings = self.analyze(
@@ -110,12 +109,12 @@ class TestReconciliation:
 
     def test_unused_suppression(self):
         findings = self.analyze(
-            "x = 1  # repro-lint: disable=wall-clock -- nothing here\n"
+            "x = 1  # repro-lint: disable=set-iteration -- nothing here\n"
         )
         assert [f.rule for f in findings] == ["suppression-unused"]
 
     def test_unused_check_off_for_filtered_rule_sets(self):
-        analyzer = Analyzer(get_rules(["wall-clock"]))
+        analyzer = Analyzer(get_rules(["set-iteration"]))
         findings = analyzer.check_source(
             "x = 1  # repro-lint: disable=layering -- other rule set\n",
             "src/repro/system/fixture.py",
@@ -125,11 +124,10 @@ class TestReconciliation:
 
     def test_suppression_for_wrong_rule_does_not_silence(self):
         findings = self.analyze(
-            "import time\n"
-            "t = time.time()  # repro-lint: disable=layering -- wrong rule\n"
+            "xs = list({1, 2})  # repro-lint: disable=layering -- wrong rule\n"
         )
         rules = sorted(f.rule for f in findings)
-        assert rules == ["suppression-unused", "wall-clock"]
+        assert rules == ["set-iteration", "suppression-unused"]
 
     def test_parse_error_is_a_finding(self):
         findings = self.analyze("def broken(:\n")
@@ -138,9 +136,9 @@ class TestReconciliation:
 
     def test_findings_sorted_by_position(self):
         findings = self.analyze(
-            "import time, random\n"
-            "a = time.time()\n"
-            "b = random.random()\n"
+            "xs = []\n"
+            "a = list({1, 2})\n"
+            "b = sorted([1], key=id)\n"
         )
         assert [f.line for f in findings] == [2, 3]
 
@@ -149,25 +147,25 @@ class TestRegistry:
     def test_known_rule_names_include_meta(self):
         names = known_rule_names()
         assert set(META_RULES) <= names
-        assert "wall-clock" in names and "layering" in names
+        assert "set-iteration" in names and "layering" in names
 
     def test_get_rules_raises_on_unknown(self):
         with pytest.raises(KeyError):
-            get_rules(["wall-clock", "made-up"])
+            get_rules(["set-iteration", "made-up"])
 
 
 class TestReporters:
     def findings(self):
         return [
-            Finding(path="a.py", line=3, column=1, rule="wall-clock",
-                    message="clock", severity="error"),
+            Finding(path="a.py", line=3, column=1, rule="set-iteration",
+                    message="set order", severity="error"),
             Finding(path="b.py", line=1, column=2, rule="spec-deadline-vacuous",
                     message="vacuous", severity="warning"),
         ]
 
     def test_text_contains_path_line_col_and_summary(self):
         text = render_text(self.findings(), files_checked=2)
-        assert "a.py:3:1: error: [wall-clock] clock" in text
+        assert "a.py:3:1: error: [set-iteration] set order" in text
         assert "1 error(s), 1 warning(s) in 2 file(s) checked" in text
 
     def test_text_clean_summary(self):

@@ -1,7 +1,7 @@
-"""Per-rule fixtures for the code rules, plus the self-checks the issue
-demands: every registered rule has at least one failing fixture, the
-repo's own source is clean, and an injected ``time.time()`` in
-``repro.system`` is demonstrably caught."""
+"""Per-rule fixtures for the code rules and the flow sources they hand
+off to, plus the self-checks the issue demands: every registered rule
+has at least one failing fixture, the repo's own source is clean, and
+an injected ``time.time()`` in ``repro.system`` is demonstrably caught."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.flow import FlowAnalyzer
 from repro.analysis.lint import (
     LAYERS,
     META_RULES,
@@ -27,9 +28,20 @@ DET_PATH = "src/repro/system/fixture.py"  # deterministic scope
 EXACT_PATH = "src/repro/resources/fixture.py"  # exact-arithmetic scope
 OUT_OF_SCOPE_PATH = "src/repro/logic/fixture.py"  # neither scope
 
-# rule -> (path, [bad snippets], [good snippets]).  Bad snippets must
-# produce at least one finding for exactly that rule; good snippets must
-# produce none at all under the full analyzer.
+#: Source families that were line rules once and are flow taint now:
+#: a direct hit in a governed module is a zero-hop flow finding.  Their
+#: fixtures keep the old family names.
+FOLDED = {
+    "wall-clock": "flow-nondeterminism",
+    "unseeded-random": "flow-nondeterminism",
+    "float-literal": "flow-exactness",
+}
+TAINT_RULES = frozenset(FOLDED.values())
+
+# family -> (path, [bad snippets], [good snippets]).  Bad snippets must
+# produce at least one finding for exactly that rule (the flow rule, for
+# a folded family); good snippets must produce none at all under the
+# full code analyzer plus flow taint.
 FIXTURES = {
     "wall-clock": (
         DET_PATH,
@@ -60,9 +72,9 @@ FIXTURES = {
         [
             "import random\nrng = random.Random(42)\n",
             "import random\n\ndef make(seed):\n    return random.Random(seed)\n",
-            # a seeded numpy rng is fine for *this* rule, but the
-            # layering rule pins numpy imports to the vector kernels,
-            # so the clean-everywhere fixture sticks to stdlib random
+            # a seeded numpy rng is no source either, but the layering
+            # rule pins numpy imports to the vector kernels, so the
+            # clean-everywhere fixture sticks to stdlib random
             "import random\nrng = random.Random(7)\n",
         ],
     ),
@@ -136,7 +148,10 @@ FIXTURES = {
     "parse-error": (DET_PATH, ["def broken(:\n"], []),
     "suppression-missing-reason": (
         DET_PATH,
-        ["import time\nt = time.time()  # repro-lint: disable=wall-clock\n"],
+        [
+            "import time\n"
+            "t = time.time()  # repro-lint: disable=flow-nondeterminism\n"
+        ],
         [],
     ),
     "suppression-unknown-rule": (
@@ -146,14 +161,19 @@ FIXTURES = {
     ),
     "suppression-unused": (
         DET_PATH,
-        ["x = 1  # repro-lint: disable=wall-clock -- nothing to silence\n"],
+        ["x = 1  # repro-lint: disable=set-iteration -- nothing to silence\n"],
         [],
     ),
 }
 
 
 def run(text, path):
-    return Analyzer().check_source(text, path)
+    """The code analyzer's findings plus flow taint's, for one file."""
+    flow = FlowAnalyzer().check_paths([], sources={path: text})
+    return sorted(
+        Analyzer().check_source(text, path)
+        + [f for f in flow.findings if f.rule in TAINT_RULES]
+    )
 
 
 @pytest.mark.parametrize(
@@ -166,8 +186,9 @@ def run(text, path):
 )
 def test_bad_fixture_triggers_rule(rule, path, snippet):
     findings = run(snippet, path)
-    assert any(f.rule == rule for f in findings), (
-        f"expected a {rule} finding, got {[f.render() for f in findings]}"
+    expected = FOLDED.get(rule, rule)
+    assert any(f.rule == expected for f in findings), (
+        f"expected a {expected} finding, got {[f.render() for f in findings]}"
     )
     for finding in findings:
         assert finding.path == path
@@ -196,21 +217,89 @@ def test_every_registered_rule_has_a_failing_fixture():
     )
 
 
+def test_folded_rules_are_gone_from_the_registry():
+    names = {rule.name for rule in all_rules()}
+    assert not names & set(FOLDED)
+    for name in FOLDED:
+        with pytest.raises(KeyError):
+            get_rules([name])
+
+
+# Parity with the retired line rules: every snippet they flagged (their
+# bad fixtures above, plus the placements an AST walk sees that a body
+# walk could miss) is exactly one flow finding, on the line where the
+# line rule fired.  (family, path, snippet, line)
+PARITY = [
+    (rule, path, snippet, len(snippet.splitlines()))
+    for rule in FOLDED
+    for path, bad, _good in [FIXTURES[rule]]
+    for snippet in bad
+] + [
+    ("wall-clock", DET_PATH,
+     "import time\n\nclass Clock:\n    started = time.time()\n", 4),
+    ("wall-clock", DET_PATH,
+     "import time\n\ndef stamp(at=time.time()):\n    return at\n", 3),
+    ("wall-clock", DET_PATH,
+     "def now():\n    import time\n    return time.time()\n", 3),
+    ("wall-clock", DET_PATH,
+     "import time\nif True:\n    def f():\n        return time.time()\n", 4),
+    ("wall-clock", DET_PATH,
+     "import time\n\ndef outer():\n    class Local:\n"
+     "        at = time.time()\n    return Local\n", 5),
+    ("unseeded-random", DET_PATH,
+     "import random\n\ndef draw(*, rng=random.Random()):\n    return rng\n", 3),
+    ("float-literal", EXACT_PATH, "class Tolerance:\n    eps = 1e-6\n", 2),
+    ("float-literal", EXACT_PATH,
+     "def scale(x, *, by=0.5):\n    return x * by\n", 1),
+    ("float-literal", EXACT_PATH,
+     "class Meter:\n    def read(self, t=0.25):\n        return t\n", 2),
+    ("float-literal", EXACT_PATH,
+     "class Outer:\n    class Inner:\n        def f(self, t=2):\n"
+     "            return t * 0.25\n", 4),
+    ("float-literal", EXACT_PATH,
+     "import functools\n\n@functools.lru_cache(maxsize=int(1e3))\n"
+     "def f():\n    return 1\n", 3),
+]
+
+
+@pytest.mark.parametrize("family,path,snippet,line", PARITY)
+def test_folded_source_is_one_zero_hop_flow_finding(family, path, snippet, line):
+    findings = [f for f in run(snippet, path) if f.rule in TAINT_RULES]
+    assert [(f.rule, f.line) for f in findings] == [(FOLDED[family], line)], (
+        [f.render() for f in findings]
+    )
+
+
+@pytest.mark.parametrize(
+    "path,snippet",
+    [(OUT_OF_SCOPE_PATH, snippet) for _family, _path, snippet, _line in PARITY]
+    + [
+        ("src/repro/resources/_vectorized.py", snippet)
+        for family, _path, snippet, _line in PARITY
+        if family == "float-literal"
+    ],
+)
+def test_folded_sources_outside_the_governed_modules_are_clean(path, snippet):
+    assert not [f for f in run(snippet, path) if f.rule in TAINT_RULES]
+
+
 def test_scoped_rules_ignore_out_of_scope_modules():
     for rule in ("wall-clock", "unseeded-random", "set-iteration", "id-ordering"):
         _path, bad, _good = FIXTURES[rule]
         findings = run(bad[0], OUT_OF_SCOPE_PATH)
-        assert not any(f.rule == rule for f in findings)
+        assert not any(f.rule == FOLDED.get(rule, rule) for f in findings)
     for rule in ("float-literal", "float-compare"):
         _path, bad, _good = FIXTURES[rule]
         findings = run(bad[0], OUT_OF_SCOPE_PATH)
-        assert not any(f.rule == rule for f in findings)
+        assert not any(f.rule == FOLDED.get(rule, rule) for f in findings)
 
 
 def test_decision_package_is_in_both_scopes():
     findings = run("import time\nx = 0.5\nt = time.time()\n",
                    "src/repro/decision/fixture.py")
-    assert {f.rule for f in findings} == {"wall-clock", "float-literal"}
+    assert [(f.rule, f.line) for f in findings] == [
+        ("flow-exactness", 2), ("flow-nondeterminism", 3),
+    ]
 
 
 def test_repo_source_is_clean():
@@ -222,15 +311,15 @@ def test_repo_source_is_clean():
 
 
 def test_injected_wall_clock_in_simulator_is_caught():
-    """Acceptance criterion: determinism rules demonstrably catch an
-    injected ``time.time()`` call in ``repro.system``."""
+    """Acceptance criterion: the determinism check demonstrably catches
+    an injected ``time.time()`` call in ``repro.system``, at its line."""
     real = SRC_REPRO / "system" / "simulator.py"
     text = real.read_text(encoding="utf-8")
     injected = text + "\n\nimport time\n\ndef _leak():\n    return time.time()\n"
     expected_line = len(injected.splitlines())  # the return time.time() line
 
-    findings = Analyzer().check_source(injected, str(real))
-    clocks = [f for f in findings if f.rule == "wall-clock"]
+    result = FlowAnalyzer().check_paths([], sources={str(real): injected})
+    clocks = [f for f in result.findings if f.rule == "flow-nondeterminism"]
     assert len(clocks) == 1
     assert clocks[0].path == str(real)
     assert clocks[0].line == expected_line
@@ -280,11 +369,11 @@ class TestThirdPartyPin:
         ) is not None
 
     def test_float_rules_exempt_the_kernels(self):
-        """The exact-arithmetic rules scope to ``repro.resources`` but
+        """The exact-arithmetic checks scope to ``repro.resources`` but
         carve out the float64 kernel module — floats are its job."""
-        snippet = "threshold = 0.5\n\ndef f(x):\n    return x == 0.5\n"
+        snippet = "threshold = 0.5\n\ndef f(x, by=0.25):\n    return x == 0.5\n"
         flagged = {f.rule for f in run(snippet, EXACT_PATH)}
-        assert {"float-literal", "float-compare"} <= flagged
+        assert {"flow-exactness", "float-compare"} <= flagged
         assert run(snippet, self.KERNEL_PATH) == []
 
 

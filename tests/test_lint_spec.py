@@ -321,6 +321,22 @@ class TestTraces:
         assert [f.rule for f in findings] == ["spec-syntax"]
         assert findings[0].line == 2
 
+    def test_load_failures_name_their_line(self):
+        # A bad interval and a bad event on lines 2 and 3 of a trace are
+        # anchored there, as their scenario counterparts are at
+        # $.events[i].
+        records = [join(0, term()), join(1, term(start=5, end=2)),
+                   {"event": "mystery", "time": 3}]
+        findings = check_trace_text(self.lines(*records), "t.jsonl")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("spec-interval", 2), ("spec-syntax", 3),
+        ]
+        findings = check_spec_document(scenario(records), "s.json")
+        assert [(f.rule, f.message.split(":")[0]) for f in findings] == [
+            ("spec-interval", "$.events[1].resources.terms[0].window"),
+            ("spec-syntax", "$.events[2]"),
+        ]
+
     def test_missing_resource_names_arrival_line(self):
         text = self.lines(
             join(0, term()),
