@@ -13,8 +13,8 @@ paper's promise discipline surviving the network it never modelled:
 * **Extended conservation** — ``offered = consumed + expired + lost +
   shed + lease-expired`` holds per slice inside every run
   (``invariant_interval=1``) and whole-run here.
-* **Replay identity** — every cell runs its seeded mesh twice and the
-  report fingerprints agree field-for-field (the PR-3 oracle).
+* **Replay identity** — every cell's seeded mesh, run twice, agrees on
+  report *and* wire state (:func:`repro.faults.replay_identity`).
 * **Graceful goodput** — degraded cells keep at least
   :data:`GOODPUT_FLOOR` of the perfect-network goodput; the partition
   costs admissions, never promises.
@@ -34,12 +34,8 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
-from repro.faults import (
-    PartitionPlan,
-    admitted_promise_violations,
-    run_mesh,
-)
-from repro.faults.chaos import report_fingerprint
+from repro.faults import PartitionPlan, admitted_promise_violations, run_mesh
+from repro.faults import mesh_fingerprint, replay_identity
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_netfaults.json"
 
@@ -73,8 +69,9 @@ def _plan(**overrides) -> PartitionPlan:
 
 def _cell_row(name: str, overrides: Dict[str, object]) -> Dict[str, object]:
     plan = _plan(**overrides)
-    report, policy = run_mesh(plan)
-    replay, _ = run_mesh(plan)
+    (report, policy), diverged = replay_identity(
+        lambda: run_mesh(plan), lambda run: mesh_fingerprint(*run)
+    )
     stats = policy.channel.stats
     renewals = stats.by_kind.get("lease-renew", 0) + stats.by_kind.get(
         "lease-ack", 0
@@ -101,7 +98,7 @@ def _cell_row(name: str, overrides: Dict[str, object]) -> Dict[str, object]:
         "renewal_messages": renewals,
         "renewal_overhead": renewals / total if total else 0.0,
         "conservation_gaps": gaps,
-        "identical": report_fingerprint(report) == report_fingerprint(replay),
+        "identical": not diverged,
     }
 
 

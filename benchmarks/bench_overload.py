@@ -26,8 +26,8 @@ The sweep: flash-crowd load multipliers × shed policies
 * **Bounded decision latency** — the p99 time from arrival to admission
   verdict stays within the per-request deadline slack (an admitted
   request always hears back while its promise is still keepable).
-* **Replay identity** — every cell's decision-log fingerprint is
-  byte-identical across a re-run of the same stream.
+* **Replay identity** — :func:`repro.faults.replay_identity` finds every
+  cell's decision-log fingerprint byte-identical across a re-run.
 
 Runs standalone for CI smoke tests::
 
@@ -40,6 +40,7 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
+from repro.faults import replay_identity, serve_fingerprint
 from repro.service import SHED_POLICIES, ServiceConfig, serve
 from repro.workloads import flash_crowd_requests
 
@@ -89,12 +90,11 @@ def _p99(latencies: List[float]) -> float:
 
 
 def _cell_row(multiplier: int, shed_policy: str) -> Dict[str, object]:
-    report = _serve_cell(multiplier, shed_policy)
-    replay = _serve_cell(multiplier, shed_policy)
+    report, diverged = replay_identity(
+        lambda: _serve_cell(multiplier, shed_policy), serve_fingerprint
+    )
     digest = report.summary()
-    latencies = [
-        float(o.decided_at - o.arrival) for o in report.admitted
-    ]
+    latencies = [float(o.decided_at - o.arrival) for o in report.admitted]
     return {
         "multiplier": multiplier,
         "shed_policy": shed_policy,
@@ -107,7 +107,7 @@ def _cell_row(multiplier: int, shed_policy: str) -> Dict[str, object]:
         "queueing_violations": report.queueing_violations(),
         "p99_decision_latency": _p99(latencies),
         "max_wait": digest["max_wait"],
-        "identical": report.fingerprint == replay.fingerprint,
+        "identical": not diverged,
         "fingerprint": digest["fingerprint"],
     }
 

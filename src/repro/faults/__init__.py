@@ -23,22 +23,24 @@ from repro.faults.chaos import (
     ChaosResult,
     CrashingFile,
     CrashPoint,
+    MatrixResult,
     SimulatedCrash,
     chaos_crash_matrix,
     crashing_opener,
     diff_fingerprints,
+    replay_identity,
     report_fingerprint,
 )
 from repro.faults.detection import Victim, find_victims, residual_requirement
 from repro.faults.netfaults import (
     MeshPolicy,
     NetfaultPoint,
-    NetfaultResult,
     PartitionPlan,
     admitted_promise_violations,
     chaos_partition_crash_matrix,
     chaos_partition_matrix,
     mesh_events,
+    mesh_fingerprint,
     network_digest,
     resume_mesh,
     run_mesh,
@@ -46,8 +48,8 @@ from repro.faults.netfaults import (
 from repro.faults.overload import (
     OverloadPlan,
     OverloadPoint,
-    OverloadResult,
     chaos_overload_matrix,
+    serve_fingerprint,
 )
 from repro.faults.plan import FaultPlan, faulty_scenario
 from repro.faults.recovery import RecoveryPolicy
@@ -59,12 +61,11 @@ __all__ = [
     "CrashPoint",
     "ExponentialBackoff",
     "FaultPlan",
+    "MatrixResult",
     "MeshPolicy",
     "NetfaultPoint",
-    "NetfaultResult",
     "OverloadPlan",
     "OverloadPoint",
-    "OverloadResult",
     "PartitionPlan",
     "SimulatedCrash",
     "admitted_promise_violations",
@@ -77,11 +78,14 @@ __all__ = [
     "faulty_scenario",
     "find_victims",
     "mesh_events",
+    "mesh_fingerprint",
     "network_digest",
     "resume_mesh",
+    "replay_identity",
     "run_mesh",
     "report_fingerprint",
     "residual_requirement",
+    "serve_fingerprint",
     "PromiseViolation",
     "RecoveryPolicy",
     "ResourceLoss",

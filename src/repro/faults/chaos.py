@@ -1,44 +1,45 @@
-"""Chaos harness: kill a run anywhere, resume it, demand identity.
+"""Chaos harness: one replay check and one kill-and-resume loop.
 
-The durability subsystem's contract (:mod:`repro.system.checkpoint`) is
-that a run interrupted at *any* instant resumes to the same temporal
-state — not a merely similar one.  This module turns that sentence into
-an exhaustive experiment:
+Every fault matrix proves one of two identities on seeded runs, and
+each has exactly one implementation here:
 
-* :class:`CrashingFile` — an injectable file object that dies after a
-  budgeted number of writes, optionally mid-write (leaving the torn tail
-  a real ``kill -9`` would leave);
-* :func:`report_fingerprint` — the canonical, exhaustive comparison form
-  (records including violation causes and salvage accounting, offered /
-  consumed tallies, every trace note, loss, violation, and per-slice
-  transition label);
-* :func:`kill_and_resume` — the one kill-and-resume loop.  It checks
-  that a journaled, checkpointed run equals a plain one, then re-runs it
-  once per crash point (every journal-record boundary, i.e. every event
-  application and admission decision, plus mid-write tears and
+* :func:`replay_identity` — the same plan, run twice, must give the
+  same run.  It names the fingerprint fields the replay diverged on;
+  :func:`replay_verdict` turns those (after conservation gaps, before a
+  leg's "plan too gentle" guard) into a point's failure detail.  The
+  overload and partition matrices and their benchmarks all call it and
+  collect points into a :class:`MatrixResult`.
+* :func:`kill_and_resume` — a run killed anywhere must resume to the
+  same run.  It checks that a journaled, checkpointed run equals a
+  plain one, then re-runs it once per crash point (every journal-record
+  boundary, mid-write tears via :class:`CrashingFile`, and
   checkpoint-write crashes), resumes each from the surviving artifacts,
   and compares fingerprints field for field.
 
-One loop, two adapters.  A :class:`CrashAdapter` tells the loop how to
-run something fresh, durably, and resumed:
+Each run kind has exactly one fingerprint: :func:`report_fingerprint`
+(every record, tally, trace note, loss, violation, and per-slice
+transition label) for a simulator run; plus ``"network"`` for a mesh
+run (:func:`repro.faults.netfaults.mesh_fingerprint`) or ``"door"``
+(the decision log) for a door-fronted one; ``{"decisions": ...}`` for
+a standalone ``serve()`` run
+(:func:`repro.faults.overload.serve_fingerprint`).
 
-* :class:`SimulatorAdapter` runs a seeded scenario;
-  :func:`chaos_crash_matrix` wraps it;
-* :class:`repro.faults.netfaults.MeshAdapter` runs one mesh cell and adds
-  the wire state (:func:`repro.faults.netfaults.network_digest`) to the
-  fingerprint as its ``"network"`` entry, and tags each kill with the
-  torn record's partition phase and mid-RPC status;
-  :func:`repro.faults.netfaults.chaos_partition_crash_matrix` wraps it.
-
-Conservation (``offered = consumed + expired + lost``) is re-verified at
-the resume instant by :meth:`OpenSystemSimulator.resume` itself.
+The kill-and-resume loop takes a :class:`CrashAdapter` (fresh, durable,
+resume): :class:`SimulatorAdapter` behind :func:`chaos_crash_matrix`,
+and :class:`repro.faults.netfaults.MeshAdapter` behind
+:func:`repro.faults.netfaults.chaos_partition_crash_matrix`, which also
+tags each kill with the torn record's partition phase and mid-RPC
+status.  Conservation (``offered = consumed + expired + lost``) is
+re-verified at the resume instant by :meth:`OpenSystemSimulator.resume`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from repro.errors import FaultInjectionError, RotaError
 from repro.serialization import time_to_wire
@@ -231,12 +232,67 @@ def _tally(amounts) -> List[tuple]:
 
 
 def diff_fingerprints(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
-    """Human-readable field paths where two fingerprints disagree."""
-    gaps = []
-    for key in a:
-        if a[key] != b[key]:
-            gaps.append(key)
-    return gaps
+    """Fields where two fingerprints disagree, in ``a``'s order; a field
+    only one side has counts as disagreeing."""
+    missing = object()
+    keys = list(a) + [key for key in b if key not in a]
+    return [
+        key for key in keys if a.get(key, missing) != b.get(key, missing)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The replay check
+# ----------------------------------------------------------------------
+
+Run = TypeVar("Run")
+
+
+def replay_identity(
+    run: Callable[[], Run], fingerprint: Callable[[Run], Dict[str, Any]]
+) -> Tuple[Run, List[str]]:
+    """Call ``run()`` twice; return the first run's result and the
+    fingerprint fields the second run diverged on (empty: identical)."""
+    first = run()
+    truth = fingerprint(first)
+    return first, diff_fingerprints(truth, fingerprint(run()))
+
+
+def replay_verdict(
+    diverged: Sequence[str], too_gentle: str = "", gaps: Sequence[str] = ()
+) -> str:
+    """A replayed point's failure detail, ``""`` when clean.  Checked in
+    order: whole-run conservation ``gaps``, then the ``diverged`` replay
+    fields, then the leg's own plan-too-gentle guard."""
+    if gaps:
+        return "conservation gaps: " + "; ".join(gaps)
+    if diverged:
+        return "diverged fields: " + ", ".join(diverged)
+    return too_gentle
+
+
+@dataclass
+class MatrixResult:
+    """Outcome of a replay matrix (``noun`` names its points in the
+    summary: "overload", "partition")."""
+
+    noun: str
+    points: List[Any] = field(default_factory=list)
+
+    @property
+    def failures(self) -> List[Any]:
+        return [p for p in self.points if not p.ok]
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.points) and not self.failures
+
+    def summary(self) -> str:
+        return (
+            f"{len(self.points)} {self.noun} points, "
+            f"{len(self.points) - len(self.failures)} clean, "
+            f"{len(self.failures)} failures"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -420,11 +476,9 @@ def _kill(
     else:
         point.resumed_from = latest.name
         fingerprint = adapter.resume(pointdir, latest)
-    point.identical = fingerprint == truth
-    if not point.identical:
-        point.detail = "diverged fields: " + ", ".join(
-            diff_fingerprints(truth, fingerprint)
-        )
+    diverged = diff_fingerprints(truth, fingerprint)
+    point.identical = not diverged
+    point.detail = replay_verdict(diverged)
     return point
 
 

@@ -31,21 +31,26 @@ temporal-reasoning story extends to the network itself:
   ``offered = consumed + expired + lost + shed + lease-expired``
   keeps holding at every slice throughout.
 
+Each mesh run kind has one fingerprint, :func:`mesh_fingerprint`: the
+report's (:func:`~repro.faults.chaos.report_fingerprint`) plus the wire
+state as ``"network"`` (:func:`network_digest`).  Both matrices below
+compare runs under it.
+
 :func:`chaos_partition_matrix` sweeps partition start/duration x loss x
 delay and asserts the two properties that make the model trustworthy:
 **zero admitted-promise violations** (no admitted computation silently
 misses — every one completes, recovers, or is honestly abandoned with
-salvage) and **replay identity** (every cell, run twice, produces
-field-identical report fingerprints — fates are stateless SHA-256 draws,
-so an unreliable network is still a deterministic one).
+salvage) and **replay identity**: every cell goes through
+:func:`repro.faults.chaos.replay_identity`, run twice, and both the
+report and the wire must come back field-identical (fates are stateless
+SHA-256 draws, so an unreliable network is still a deterministic one).
 
 :func:`chaos_partition_crash_matrix` is not a second crash harness.  It
 runs :func:`repro.faults.chaos.kill_and_resume`, the one kill-and-resume
 loop, once per partition cell with a :class:`MeshAdapter`.  That adapter
-runs the cell through :func:`run_mesh` / :func:`resume_mesh`, adds
-``"network": network_digest(policy)`` to the report fingerprint, and
-tags each journal kill with the torn record's partition phase and
-mid-RPC status.
+runs the cell through :func:`run_mesh` / :func:`resume_mesh` under the
+mesh fingerprint and tags each journal kill with the torn record's
+partition phase and mid-RPC status.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.backoff import Backoff
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
@@ -67,10 +72,13 @@ from repro.errors import ChannelError, CheckpointError, FaultInjectionError
 from repro.faults.chaos import (
     ChaosResult,
     CrashAdapter,
-    diff_fingerprints,
+    MatrixResult,
     kill_and_resume,
+    replay_identity,
+    replay_verdict,
     report_fingerprint,
 )
+from repro.faults.plan import require_count
 from repro.faults.recovery import RecoveryPolicy
 from repro.intervals.interval import Interval, Time
 from repro.markers import checkpointable
@@ -134,10 +142,8 @@ class PartitionPlan:
     deadline_slack: Time = 12
 
     def __post_init__(self) -> None:
-        if self.children < 1:
-            raise FaultInjectionError(
-                f"children must be >= 1, got {self.children!r}"
-            )
+        require_count("children", self.children)
+        require_count("rpc_attempts", self.rpc_attempts)
         if self.partition_start < 0 or self.partition_duration < 0:
             raise FaultInjectionError(
                 f"partition window must be non-negative, got "
@@ -184,10 +190,6 @@ class PartitionPlan:
         if self.rpc_timeout <= 0:
             raise FaultInjectionError(
                 f"rpc_timeout must be > 0, got {self.rpc_timeout!r}"
-            )
-        if self.rpc_attempts < 1:
-            raise FaultInjectionError(
-                f"rpc_attempts must be >= 1, got {self.rpc_attempts!r}"
             )
         if self.horizon <= 0:
             raise FaultInjectionError(
@@ -552,33 +554,21 @@ class MeshPolicy(AdmissionPolicy):
         if target == self._door:
             decision = enclave.admit(requirement)
         else:
-            # Cross-enclave admission: request/verdict over the wire,
-            # elapsed network time charged against the deadline.
-            self._rpc_seq += 1
-            rpc_key = f"{label}:a{self._rpc_seq}"
-            outcome = self._channel.rpc(
-                "admit",
-                self._door,
-                target,
-                now,
-                key=rpc_key,
-                deadline=requirement.deadline,
-                timeout=self._plan.rpc_timeout,
-                backoff=self._backoff,
-                max_attempts=self._plan.rpc_attempts,
+            # Cross-enclave admission: request/verdict over the wire.
+            outcome, checked = self._priced_rpc(
+                "admit", self._door, target, label, requirement, now,
+                self._plan.rpc_attempts,
             )
-            self.stray_verdicts += outcome.stray_replies
-            self._wal_rpc("admit", rpc_key, outcome, now)
-            if not outcome.ok:
-                self.rpc_failures += 1
-                return PolicyDecision(
-                    False,
-                    reason=(
-                        f"enclave {target!r} unreachable: no admission "
-                        f"verdict after {outcome.attempts} attempt(s)"
-                    ),
-                )
-            if outcome.completed_at >= requirement.deadline:
+            if checked is None:
+                if not outcome.ok:
+                    return PolicyDecision(
+                        False,
+                        reason=(
+                            f"enclave {target!r} unreachable: no admission "
+                            f"verdict after {outcome.attempts} attempt(s)"
+                        ),
+                    )
+                # A late admission verdict counts as a failed RPC too.
                 self.rpc_failures += 1
                 return PolicyDecision(
                     False,
@@ -587,14 +577,6 @@ class MeshPolicy(AdmissionPolicy):
                         f"t={outcome.completed_at} — after the deadline"
                     ),
                 )
-            self.network_delay_charged = (
-                self.network_delay_charged + outcome.elapsed(now)
-            )
-            checked = (
-                clip_start(requirement, outcome.completed_at)
-                if outcome.completed_at > now
-                else requirement
-            )
             decision = enclave.admit(checked)
         if decision.admitted:
             self._placements[label] = target
@@ -605,6 +587,46 @@ class MeshPolicy(AdmissionPolicy):
             reason=decision.reason
             or f"enclave {target!r} cannot assure the deadline",
         )
+
+    def _priced_rpc(
+        self, op: str, src: str, dst: str, label: str,
+        requirement: ConcurrentRequirement, now: Time, max_attempts: int,
+    ) -> Tuple[RpcOutcome, Optional[ConcurrentRequirement]]:
+        """One request/verdict exchange whose elapsed network time is
+        charged against the deadline.
+
+        Keys read ``label:a<seq>`` for ``admit`` and ``label:m<seq>`` for
+        ``migrate``; the outcome is write-ahead-logged either way.
+        Returns the outcome and the requirement clipped to the verdict's
+        landing instant, or ``None`` in its place when no verdict came
+        back (a failed RPC, tallied here) or it landed at or after the
+        deadline."""
+        self._rpc_seq += 1
+        key = f"{label}:{op[0]}{self._rpc_seq}"
+        outcome = self._channel.rpc(
+            op,
+            src,
+            dst,
+            now,
+            key=key,
+            deadline=requirement.deadline,
+            timeout=self._plan.rpc_timeout,
+            backoff=self._backoff,
+            max_attempts=max_attempts,
+        )
+        self.stray_verdicts += outcome.stray_replies
+        self._wal_rpc(op, key, outcome, now)
+        if not outcome.ok:
+            self.rpc_failures += 1
+            return outcome, None
+        if outcome.completed_at >= requirement.deadline:
+            return outcome, None
+        self.network_delay_charged = (
+            self.network_delay_charged + outcome.elapsed(now)
+        )
+        if outcome.completed_at > now:
+            return outcome, clip_start(requirement, outcome.completed_at)
+        return outcome, requirement
 
     def _redecide(
         self,
@@ -629,34 +651,11 @@ class MeshPolicy(AdmissionPolicy):
         for node in self._node_names:
             if node == placed:
                 continue
-            self._rpc_seq += 1
-            rpc_key = f"{label}:m{self._rpc_seq}"
-            outcome = self._channel.rpc(
-                "migrate",
-                placed,
-                node,
-                now,
-                key=rpc_key,
-                deadline=requirement.deadline,
-                timeout=self._plan.rpc_timeout,
-                backoff=self._backoff,
-                max_attempts=1,
+            _, offered = self._priced_rpc(
+                "migrate", placed, node, label, requirement, now, 1
             )
-            self.stray_verdicts += outcome.stray_replies
-            self._wal_rpc("migrate", rpc_key, outcome, now)
-            if not outcome.ok:
-                self.rpc_failures += 1
+            if offered is None:
                 continue
-            if outcome.completed_at >= requirement.deadline:
-                continue
-            self.network_delay_charged = (
-                self.network_delay_charged + outcome.elapsed(now)
-            )
-            offered = (
-                clip_start(requirement, outcome.completed_at)
-                if outcome.completed_at > now
-                else requirement
-            )
             accepted = self._enclaves[node].admit(offered)
             if accepted.admitted:
                 self._placements[label] = node
@@ -1058,6 +1057,15 @@ def network_digest(policy: MeshPolicy) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def mesh_fingerprint(
+    report: SimulationReport, policy: MeshPolicy
+) -> Dict[str, Any]:
+    """The fingerprint of a mesh run: the report's, plus the wire state
+    as ``"network"`` (:func:`network_digest`) — two mesh runs are the
+    same run only if their wires were byte-identical too."""
+    return {**report_fingerprint(report), "network": network_digest(policy)}
+
+
 def admitted_promise_violations(report: SimulationReport) -> List[str]:
     """Labels of admitted computations whose promise silently broke.
 
@@ -1090,7 +1098,7 @@ class NetfaultPoint:
     rpc_failures: int = 0
     #: admitted promises that silently broke (must stay empty)
     violations: List[str] = field(default_factory=list)
-    #: the two runs' report fingerprints agree field-for-field
+    #: the two runs' mesh fingerprints agree field for field
     identical: bool = False
     detail: str = ""
 
@@ -1099,67 +1107,39 @@ class NetfaultPoint:
         return self.identical and not self.violations and not self.detail
 
 
-@dataclass
-class NetfaultResult:
-    """Outcome of a full partition matrix."""
-
-    points: List[NetfaultPoint] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[NetfaultPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.points) and not self.failures
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.points)} partition points, "
-            f"{len(self.points) - len(self.failures)} clean, "
-            f"{len(self.failures)} failures"
-        )
-
-
 def _mesh_point(plan: PartitionPlan) -> NetfaultPoint:
-    report_a, policy_a = run_mesh(plan)
-    report_b, _ = run_mesh(plan)
-    fp_a = report_fingerprint(report_a)
-    fp_b = report_fingerprint(report_b)
-    point = NetfaultPoint(
+    (report, policy), diverged = replay_identity(
+        lambda: run_mesh(plan), lambda run: mesh_fingerprint(*run)
+    )
+    expirations = len(policy.leases.expired())
+    gentle = (
+        plan.partition_duration > plan.lease_ttl
+        and plan.severed
+        and not expirations
+    )
+    return NetfaultPoint(
         start=plan.partition_start,
         duration=plan.partition_duration,
         loss=plan.link_loss,
         delay=plan.link_delay,
-        arrivals=report_a.arrivals,
-        admitted=report_a.admitted,
-        completed=report_a.completed,
-        recovered=report_a.recovered,
-        abandoned=report_a.abandoned,
-        lease_expirations=len(policy_a.leases.expired()),
-        rpc_failures=policy_a.rpc_failures,
-        violations=admitted_promise_violations(report_a),
-        identical=fp_a == fp_b,
-    )
-    # The whole-run extended identity; the per-slice version already ran
-    # inside the simulator (invariant_interval=1).
-    gaps = report_a.trace.conservation_gaps(report_a.offered)
-    if gaps:
-        point.detail = "conservation gaps: " + "; ".join(gaps)
-    elif not point.identical:
-        point.detail = "mesh reports diverge: " + ", ".join(
-            diff_fingerprints(fp_a, fp_b)
-        )
-    elif (
-        plan.partition_duration > plan.lease_ttl
-        and plan.severed
-        and not point.lease_expirations
-    ):
-        point.detail = (
+        arrivals=report.arrivals,
+        admitted=report.admitted,
+        completed=report.completed,
+        recovered=report.recovered,
+        abandoned=report.abandoned,
+        lease_expirations=expirations,
+        rpc_failures=policy.rpc_failures,
+        violations=admitted_promise_violations(report),
+        identical=not diverged,
+        # The per-slice identity already ran inside the simulator
+        # (invariant_interval=1); this is the whole-run one.
+        detail=replay_verdict(
+            diverged,
             "partition outlasted the ttl but no lease expired "
-            "(plan too gentle)"
-        )
-    return point
+            "(plan too gentle)" if gentle else "",
+            report.trace.conservation_gaps(report.offered),
+        ),
+    )
 
 
 def chaos_partition_matrix(
@@ -1169,14 +1149,15 @@ def chaos_partition_matrix(
     durations: Optional[Sequence[Time]] = None,
     losses: Optional[Sequence[float]] = None,
     delays: Optional[Sequence[int]] = None,
-) -> NetfaultResult:
+) -> MatrixResult:
     """Sweep partition start/duration x loss x delay; callers assert
     ``result.ok``.
 
     Every cell runs the same seeded mesh twice and demands (1) zero
-    admitted-promise violations, (2) field-identical report fingerprints
-    (the PR-3 replay oracle), and (3) the extended conservation identity
-    — per slice inside the runs, whole-run here.  Defaults include the
+    admitted-promise violations, (2) field-identical mesh fingerprints
+    (:func:`mesh_fingerprint`: report *and* wire state), and (3) the
+    extended conservation identity — per slice inside the runs,
+    whole-run here.  Defaults include the
     benign cell (no partition, perfect link) as the baseline the
     benchmark compares degraded goodput against.
     """
@@ -1188,7 +1169,7 @@ def chaos_partition_matrix(
         losses = (0.0, plan.link_loss if plan.link_loss else 0.15)
     if delays is None:
         delays = (0, plan.link_delay if plan.link_delay else 1)
-    result = NetfaultResult()
+    result = MatrixResult("partition")
     for duration in durations:
         for start in starts:
             for loss in losses:
@@ -1231,23 +1212,16 @@ def _is_mid_rpc(record: dict) -> bool:
 
 @dataclass
 class MeshAdapter(CrashAdapter):
-    """Runs one mesh cell; the fingerprint also pins the wire state."""
+    """Runs one mesh cell under :func:`mesh_fingerprint`."""
 
     plan: PartitionPlan
     checkpoint_every: int = 4
 
-    @staticmethod
-    def _fingerprint(run: Tuple[SimulationReport, MeshPolicy]) -> Dict:
-        report, policy = run
-        fingerprint = report_fingerprint(report)
-        fingerprint["network"] = network_digest(policy)
-        return fingerprint
-
     def fresh(self) -> Dict:
-        return self._fingerprint(run_mesh(self.plan))
+        return mesh_fingerprint(*run_mesh(self.plan))
 
     def durable(self, journal, checkpoint_dir) -> Dict:
-        return self._fingerprint(run_mesh(
+        return mesh_fingerprint(*run_mesh(
             self.plan,
             checkpoint_every=self.checkpoint_every,
             checkpoint_dir=checkpoint_dir,
@@ -1256,7 +1230,7 @@ class MeshAdapter(CrashAdapter):
 
     def resume(self, pointdir: Path, checkpoint: Path) -> Dict:
         # resume_mesh picks the same newest usable checkpoint itself.
-        return self._fingerprint(resume_mesh(pointdir))
+        return mesh_fingerprint(*resume_mesh(pointdir))
 
     def tag(self, record: dict) -> Dict:
         return {

@@ -8,30 +8,44 @@ resume identically?"; this module asks the overload analogues:
    crowd), no admitted request's promise is violated by queueing alone:
    every admitted schedule fits inside ``(decision time, deadline)``.
 2. **Replay identity** — shed, breaker, and brownout decisions are a
-   deterministic function of ``(stream, config, seed)``: serving the
-   same stream twice yields byte-identical decision-log fingerprints.
+   deterministic function of ``(stream, config, seed)``.
 3. **Brownout soundness** — the degraded (Theorem-1 screen) path never
    rejects anything the exact Theorem-4 check would admit; every screen
    rejection is cross-checked against the read-only exact check.
 
-A fourth leg runs the stalled-enclave plan through the *simulator* with
-:class:`~repro.service.FrontDoorPolicy`, asserting the extended
-conservation identity (``offered = consumed + expired + lost + shed``)
-mid-run at every slice, plus field-identical reports across a re-run.
+Two legs, both replayed through :func:`repro.faults.chaos.replay_identity`:
+
+* the **door leg** serves a stream through :func:`repro.service.serve`
+  twice and compares decision-log fingerprints
+  (:func:`serve_fingerprint`) — once per flash-crowd multiplier, and
+  once on the stalled-enclave stream, which must also trip a breaker;
+* the **simulator leg** runs the stalled-enclave stream through the
+  simulator behind :class:`~repro.service.FrontDoorPolicy`, asserting
+  the extended conservation identity (``offered = consumed + expired +
+  lost + shed``) at every slice and whole-run, and replays the report
+  fingerprint plus the door's decision log (``"door"``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError
+from repro.faults.chaos import (
+    MatrixResult,
+    replay_identity,
+    replay_verdict,
+    report_fingerprint,
+)
+from repro.faults.plan import require_count
 from repro.service.config import ServiceConfig
 from repro.service.driver import serve
 from repro.service.policy import FrontDoorPolicy
 from repro.service.report import ServiceReport
-from repro.system.simulator import OpenSystemSimulator
-from repro.faults.chaos import diff_fingerprints, report_fingerprint
+from repro.system.events import arrival, resource_join
+from repro.system.simulator import OpenSystemSimulator, SimulationReport
 from repro.workloads.overload import (
     flash_crowd_requests,
     stalled_enclave_stream,
@@ -59,15 +73,9 @@ class OverloadPlan:
     def __post_init__(self) -> None:
         if not self.multipliers:
             raise FaultInjectionError("multipliers must be non-empty")
-        if any(
-            not isinstance(m, int) or m < 1 for m in self.multipliers
-        ):
-            raise FaultInjectionError(
-                f"multipliers must be positive integers, got "
-                f"{self.multipliers!r}"
-            )
-        if self.nodes < 1:
-            raise FaultInjectionError(f"nodes must be >= 1, got {self.nodes!r}")
+        for multiplier in self.multipliers:
+            require_count("each multiplier", multiplier)
+        require_count("nodes", self.nodes)
         if self.burst_at < 0 or self.burst_duration <= 0:
             raise FaultInjectionError(
                 f"burst window must be non-negative and non-empty, got "
@@ -95,7 +103,7 @@ class OverloadPoint:
     shed: int = 0
     #: labels of admitted requests whose promise queueing already broke
     queueing_violations: List[str] = field(default_factory=list)
-    #: decision-log fingerprints of the two runs agree byte-for-byte
+    #: the two runs' fingerprints agree field for field
     identical: bool = False
     #: brownout screen rejections cross-checked against the exact check
     brownout_verified: int = 0
@@ -106,26 +114,16 @@ class OverloadPoint:
         return self.identical and not self.queueing_violations and not self.detail
 
 
-@dataclass
-class OverloadResult:
-    """Outcome of a full overload matrix."""
+def serve_fingerprint(report: ServiceReport) -> Dict[str, Any]:
+    """The replay fingerprint of a standalone ``serve()`` run: its
+    decision-log fingerprint (seed plus every verdict)."""
+    return {"decisions": report.fingerprint}
 
-    points: List[OverloadPoint] = field(default_factory=list)
 
-    @property
-    def failures(self) -> List[OverloadPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.points) and not self.failures
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.points)} overload points, "
-            f"{len(self.points) - len(self.failures)} clean, "
-            f"{len(self.failures)} failures"
-        )
+def _front_door_fingerprint(
+    report: SimulationReport, policy: FrontDoorPolicy
+) -> Dict[str, Any]:
+    return {**report_fingerprint(report), "door": policy.door.fingerprint()}
 
 
 def _config(plan: OverloadPlan) -> ServiceConfig:
@@ -144,7 +142,7 @@ def chaos_overload_matrix(
     plan: OverloadPlan = OverloadPlan(),
     *,
     config_factory: Optional[Callable[[OverloadPlan], ServiceConfig]] = None,
-) -> OverloadResult:
+) -> MatrixResult:
     """Sweep the overload matrix; callers assert ``result.ok``.
 
     Every flash-crowd multiplier is served twice (replay identity) with
@@ -152,19 +150,20 @@ def chaos_overload_matrix(
     both standalone and through the simulator with per-slice
     conservation checks.
     """
-    make_config = config_factory or _config
-    result = OverloadResult()
+    config = (config_factory or _config)(plan)
+    result = MatrixResult("overload")
+    points = result.points
     for multiplier in plan.multipliers:
-        result.points.append(_flash_crowd_point(plan, multiplier, make_config))
+        stream = functools.partial(_flash_crowd, plan, multiplier)
+        points.append(_door_point("flash-crowd", multiplier, stream, config))
     if plan.stalled_enclave:
-        result.points.append(_stalled_enclave_point(plan, make_config))
-        result.points.append(_simulator_point(plan))
+        stream = functools.partial(_stalled_enclave, plan)
+        points.append(_door_point("stalled-enclave", 1, stream, config))
+        points.append(_simulator_point(plan))
     return result
 
 
-def _serve_flash_crowd(
-    plan: OverloadPlan, multiplier: int, config: ServiceConfig
-) -> ServiceReport:
+def _flash_crowd(plan: OverloadPlan, multiplier: int) -> Dict[str, Any]:
     resources, requests = flash_crowd_requests(
         plan.seed,
         multiplier=multiplier,
@@ -174,132 +173,90 @@ def _serve_flash_crowd(
         horizon=plan.horizon,
         deadline_slack=plan.deadline_slack,
     )
-    return serve(
-        requests,
-        resources=resources,
-        config=config,
+    return dict(requests=requests, resources=resources)
+
+
+def _stalled_enclave(plan: OverloadPlan) -> Dict[str, Any]:
+    resources, requests, joins, stalls = stalled_enclave_stream(
+        plan.seed, nodes=plan.nodes, horizon=plan.horizon
+    )
+    return dict(
+        requests=requests, resources=resources, joins=joins, stalls=stalls
+    )
+
+
+def _door_point(
+    kind: str,
+    multiplier: int,
+    stream: Callable[[], Dict[str, Any]],
+    config: ServiceConfig,
+) -> OverloadPoint:
+    """The door leg: serve the stream twice, compare decision logs."""
+    report, diverged = replay_identity(
+        lambda: serve(**stream(), config=config, verify_brownout=True),
+        serve_fingerprint,
+    )
+    gentle = kind == "stalled-enclave" and not report.breaker_transitions
+    return OverloadPoint(
+        kind=kind,
+        multiplier=multiplier,
+        offered=len(report.outcomes),
+        admitted=report.goodput,
+        shed=len(report.shed),
+        queueing_violations=report.queueing_violations(),
+        identical=not diverged,
+        brownout_verified=report.brownout_verified,
+        detail=replay_verdict(
+            diverged,
+            "stall never tripped a breaker (plan too gentle)" if gentle else "",
+        ),
+    )
+
+
+def _door_simulation(
+    plan: OverloadPlan,
+) -> Tuple[SimulationReport, FrontDoorPolicy]:
+    stream = _stalled_enclave(plan)
+    policy = FrontDoorPolicy(
+        config=ServiceConfig(breaker_failures=2, seed=plan.seed),
+        stalls=stream["stalls"],
         verify_brownout=True,
     )
-
-
-def _flash_crowd_point(
-    plan: OverloadPlan,
-    multiplier: int,
-    make_config: Callable[[OverloadPlan], ServiceConfig],
-) -> OverloadPoint:
-    config = make_config(plan)
-    first = _serve_flash_crowd(plan, multiplier, config)
-    second = _serve_flash_crowd(plan, multiplier, config)
-    point = OverloadPoint(
-        kind="flash-crowd",
-        multiplier=multiplier,
-        offered=len(first.outcomes),
-        admitted=first.goodput,
-        shed=len(first.shed),
-        queueing_violations=first.queueing_violations(),
-        identical=first.fingerprint == second.fingerprint,
-        brownout_verified=first.brownout_verified,
+    simulator = OpenSystemSimulator(
+        policy,
+        initial_resources=stream["resources"],
+        invariant_interval=1,
     )
-    if not point.identical:
-        point.detail = (
-            f"fingerprints diverge: {first.fingerprint[:12]} vs "
-            f"{second.fingerprint[:12]}"
-        )
-    return point
-
-
-def _stalled_enclave_point(
-    plan: OverloadPlan,
-    make_config: Callable[[OverloadPlan], ServiceConfig],
-) -> OverloadPoint:
-    config = make_config(plan)
-
-    def run() -> ServiceReport:
-        resources, requests, joins, stalls = stalled_enclave_stream(
-            plan.seed, nodes=plan.nodes, horizon=plan.horizon
-        )
-        return serve(
-            requests,
-            resources=resources,
-            joins=joins,
-            config=config,
-            stalls=stalls,
-            verify_brownout=True,
-        )
-
-    first, second = run(), run()
-    point = OverloadPoint(
-        kind="stalled-enclave",
-        multiplier=1,
-        offered=len(first.outcomes),
-        admitted=first.goodput,
-        shed=len(first.shed),
-        queueing_violations=first.queueing_violations(),
-        identical=first.fingerprint == second.fingerprint,
-        brownout_verified=first.brownout_verified,
+    simulator.schedule(
+        *(arrival(r.arrival, r.requirement, label=r.label)
+          for r in stream["requests"]),
+        *(resource_join(at, joining) for at, joining in stream["joins"]),
     )
-    if not point.identical:
-        point.detail = "stalled-enclave fingerprints diverge"
-    elif not first.breaker_transitions:
-        point.detail = "stall never tripped a breaker (plan too gentle)"
-    return point
+    return simulator.run(plan.horizon), policy
 
 
 def _simulator_point(plan: OverloadPlan) -> OverloadPoint:
     """The simulator leg: shed conservation holds at every slice and the
-    whole run (including shed losses) replays field-identically."""
-    from repro.system.events import arrival, resource_join
-
-    def run():
-        resources, requests, joins, stalls = stalled_enclave_stream(
-            plan.seed, nodes=plan.nodes, horizon=plan.horizon
-        )
-        policy = FrontDoorPolicy(
-            config=ServiceConfig(
-                breaker_failures=2,
-                seed=plan.seed,
-            ),
-            stalls=stalls,
-            verify_brownout=True,
-        )
-        simulator = OpenSystemSimulator(
-            policy,
-            initial_resources=resources,
-            invariant_interval=1,
-        )
-        events = [
-            arrival(r.arrival, r.requirement, label=r.label)
-            for r in requests
-        ]
-        events.extend(
-            resource_join(at, joining) for at, joining in joins
-        )
-        simulator.schedule(*events)
-        return simulator.run(plan.horizon), policy
-
-    report_a, policy_a = run()
-    report_b, _ = run()
-    fp_a = report_fingerprint(report_a)
-    fp_b = report_fingerprint(report_b)
-    admitted = sum(1 for r in report_a.records if r.admitted)
-    point = OverloadPoint(
+    whole run (including shed losses and the door's decision log)
+    replays field-identically."""
+    (report, policy), diverged = replay_identity(
+        lambda: _door_simulation(plan),
+        lambda run: _front_door_fingerprint(*run),
+    )
+    shed = report.trace.shed_totals()
+    return OverloadPoint(
         kind="simulator",
         multiplier=1,
-        offered=len(report_a.records),
-        admitted=admitted,
-        shed=len(report_a.trace.shed_totals()),
-        identical=fp_a == fp_b,
-        brownout_verified=policy_a.door.brownout_verified,
+        offered=len(report.records),
+        admitted=sum(1 for r in report.records if r.admitted),
+        shed=len(shed),
+        identical=not diverged,
+        brownout_verified=policy.door.brownout_verified,
+        # The per-slice identity already ran inside the simulator
+        # (invariant_interval=1); this is the whole-run one.
+        detail=replay_verdict(
+            diverged,
+            "" if shed else "no capacity was shed (breaker never walled a join)",
+            report.trace.conservation_gaps(report.offered),
+        ),
     )
-    # The extended identity over the whole run; the per-slice version
-    # already ran inside the simulator (invariant_interval=1).
-    gaps = report_a.trace.conservation_gaps(report_a.offered)
-    if gaps:
-        point.detail = "conservation gaps: " + "; ".join(gaps)
-    elif not point.identical:
-        point.detail = "simulator reports diverge: " + ", ".join(
-            diff_fingerprints(fp_a, fp_b)
-        )
-    elif not report_a.trace.shed_totals():
-        point.detail = "no capacity was shed (breaker never walled a join)"
-    return point

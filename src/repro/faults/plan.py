@@ -38,6 +38,15 @@ from repro.workloads.churn import broken_promises
 from repro.workloads.scenarios import Scenario
 
 
+def require_count(name: str, value: object) -> None:
+    """Reject a count field that is not an ``int`` >= 1 (``bool`` included:
+    ``True`` is a flag, not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FaultInjectionError(
+            f"{name} must be an integer >= 1, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Deterministic description of what goes wrong, and when."""

@@ -9,9 +9,10 @@ while writing a checkpoint; each resume must produce a
 Conservation (``offered = consumed + expired + lost``) is re-verified at
 the resume instant inside :meth:`OpenSystemSimulator.resume`.
 
-CI runs this file as its own job (see ``.github/workflows/ci.yml``); the
-full-stride matrix also runs in tier-1 because nothing else proves the
-interrupted-equals-uninterrupted contract.
+CI runs this file as its own job (see ``.github/workflows/ci.yml``).
+Tier-1 kills :func:`matrix_scenario` at every third record boundary; the
+same ``crash-matrix`` job also sweeps it at stride 1 (every boundary),
+the full proof of the interrupted-equals-uninterrupted contract.
 """
 
 from __future__ import annotations
@@ -53,6 +54,18 @@ def simulator_factory(scenario):
     return factory
 
 
+def matrix_scenario():
+    """Compact, but it still breaks and recovers a promise: the scenario
+    the crash matrix below samples and CI sweeps at stride 1."""
+    return faulty_scenario(
+        volunteer_scenario(5, nodes=3, horizon=40, session_rate=0.6),
+        FaultPlan(
+            seed=17, crash_rate=0.02, revocation_rate=0.25,
+            straggler_rate=0.02,
+        ),
+    )
+
+
 def test_scenario_exercises_recovery():
     """Guard: the matrix below is only meaningful if promises break and
     the backoff pipeline runs — both arms (recovered and abandoned)."""
@@ -66,21 +79,17 @@ def test_scenario_exercises_recovery():
 
 
 def test_crash_matrix_every_point_resumes_identically(tmp_path):
-    """Full-stride matrix (every record boundary + every mid-write tear)
-    on a compact scenario that still breaks and recovers a promise."""
-    scenario = faulty_scenario(
-        volunteer_scenario(5, nodes=3, horizon=40, session_rate=0.6),
-        FaultPlan(
-            seed=17, crash_rate=0.02, revocation_rate=0.25,
-            straggler_rate=0.02,
-        ),
-    )
+    """Every sampled point resumes identically: every third record
+    boundary, its mid-write tear, and two checkpoint-save kills.  The
+    stride-1 sweep of the same scenario is a step of the CI crash-matrix
+    job."""
+    scenario = matrix_scenario()
     result = chaos_crash_matrix(
         scenario,
         simulator_factory(scenario),
         tmp_path,
         checkpoint_every=3,
-        boundary_stride=1,
+        boundary_stride=3,
         mid_write=True,
         checkpoint_crashes=2,
     )

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from benchmarks import bench_netfaults
 from repro.errors import FaultInjectionError
 from repro.faults import (
     MeshPolicy,
@@ -22,6 +23,7 @@ from repro.faults import (
     chaos_partition_matrix,
     run_mesh,
 )
+from repro.faults import netfaults
 from repro.faults.chaos import report_fingerprint
 from repro.faults.recovery import RecoveryPolicy
 from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
@@ -43,6 +45,8 @@ from repro.system.simulator import OpenSystemSimulator
 class TestPartitionPlan:
     @pytest.mark.parametrize("kwargs", [
         {"children": 0},
+        {"children": 1.5},
+        {"children": True},
         {"severed": ("n9",)},
         {"severed": ()},
         {"partition_start": 99},  # >= horizon 48
@@ -54,6 +58,8 @@ class TestPartitionPlan:
         {"renew_every": 6},  # == lease_ttl: dead on a perfect network too
         {"rpc_timeout": 0},
         {"rpc_attempts": 0},
+        {"rpc_attempts": 2.5},
+        {"rpc_attempts": True},
         {"partition_duration": 0, "horizon": 0},
     ])
     def test_invalid_plans_rejected(self, kwargs):
@@ -228,3 +234,43 @@ class TestPartitionMatrix:
         assert point.identical
         assert point.violations == []
         assert point.detail == ""
+
+
+def wire_drifting(run_mesh):
+    """Mutant ``run_mesh``: every second run ends with wire state its
+    report cannot show (one more RPC sequence number, one more late
+    ack)."""
+    runs = []
+
+    def drifted(plan, **kwargs):
+        report, policy = run_mesh(plan, **kwargs)
+        runs.append(plan)
+        if len(runs) % 2 == 0:
+            policy._rpc_seq += 1
+            policy.late_acks += 1
+        return report, policy
+
+    return drifted
+
+
+class TestReplayCanFail:
+    """Mesh replay compares the wire, not only the report."""
+
+    def test_wire_only_drift_fails_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(netfaults, "run_mesh", wire_drifting(run_mesh))
+        result = chaos_partition_matrix(
+            PartitionPlan(), starts=(18,), durations=(0,),
+            losses=(0.0,), delays=(0,),
+        )
+        (point,) = result.points
+        assert not point.identical
+        assert not point.ok and not result.ok
+        assert point.detail == "diverged fields: network"
+
+    def test_wire_only_drift_flips_the_e22_verdict(self, monkeypatch):
+        monkeypatch.setattr(
+            bench_netfaults, "run_mesh", wire_drifting(run_mesh)
+        )
+        results = bench_netfaults.run_suite(quick=True)
+        assert not any(row["identical"] for row in results["rows"])
+        assert results["verdicts"]["replay_identical"] is False

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import OverloadPlan, chaos_overload_matrix
+from repro.faults import OverloadPlan, chaos_overload_matrix, overload
+from repro.service import ServiceReport
+from repro.service.frontdoor import ADMITTED, REJECTED
 from repro.workloads import flash_crowd_requests, stalled_enclave_stream
 
 
@@ -15,7 +19,11 @@ class TestOverloadPlan:
         {"multipliers": (0,)},
         {"multipliers": (1, -2)},
         {"multipliers": (1.5,)},
+        {"multipliers": (True,)},
+        {"multipliers": (1, False)},
         {"nodes": 0},
+        {"nodes": 2.5},
+        {"nodes": True},
         {"burst_at": -1},
         {"burst_duration": 0},
         {"horizon": 20, "burst_at": 20},
@@ -94,3 +102,57 @@ class TestChaosOverloadMatrix:
         )
         assert [p.kind for p in result.points] == ["flash-crowd"]
         assert result.ok
+
+
+def flip_first_verdict(door):
+    """Turn the first entry of a door's decision log into its opposite."""
+    first = door.outcomes[0]
+    door.outcomes[0] = dataclasses.replace(
+        first, outcome=REJECTED if first.admitted else ADMITTED
+    )
+
+
+class TestReplayCanFail:
+    """Mutation self-checks: a second run that differs only where one
+    leg's fingerprint looks must fail that leg, naming the field."""
+
+    def test_serve_mutant_fails_the_door_leg(self, monkeypatch):
+        from_door = ServiceReport.from_door.__func__
+        doors = []
+
+        def drifting(cls, door, horizon):
+            doors.append(door)
+            if len(doors) == 2:
+                flip_first_verdict(door)
+            return from_door(cls, door, horizon)
+
+        monkeypatch.setattr(ServiceReport, "from_door", classmethod(drifting))
+        result = chaos_overload_matrix(
+            OverloadPlan(multipliers=(1,), stalled_enclave=False)
+        )
+        (point,) = result.points
+        assert not point.identical
+        assert not point.ok and not result.ok
+        assert point.detail == "diverged fields: decisions"
+
+    def test_door_log_mutant_fails_the_simulator_leg(self, monkeypatch):
+        run = overload._door_simulation
+        runs = []
+
+        def drifting(plan):
+            report, policy = run(plan)
+            runs.append(plan)
+            if len(runs) == 2:
+                flip_first_verdict(policy.door)
+            return report, policy
+
+        monkeypatch.setattr(overload, "_door_simulation", drifting)
+        result = chaos_overload_matrix(OverloadPlan(multipliers=(1,)))
+        assert [p.kind for p in result.points] == [
+            "flash-crowd", "stalled-enclave", "simulator"
+        ]
+        door_leg, stalled, simulator = result.points
+        assert door_leg.ok and stalled.ok
+        assert not simulator.identical
+        assert not simulator.ok and not result.ok
+        assert simulator.detail == "diverged fields: door"
