@@ -36,7 +36,7 @@ from repro.intervals.interval import Interval, Time
 from repro.logic.state import SystemState
 from repro.resources.profile import EPSILON, is_exact
 from repro.system.simulator import SimulationReport
-from repro.system.tracing import SimulationTrace
+from repro.system.tracing import SimulationTrace, same_quantity
 
 
 def audit_report(
@@ -84,14 +84,6 @@ def midrun_conservation_violations(
 
 # ----------------------------------------------------------------------
 
-def _close(a, b) -> bool:
-    """Equality with tolerance only where a float entered the computation;
-    exact quantities (int/Fraction) must match exactly."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= 1e-6
-
-
 def _positive(value) -> bool:
     """Strictly-positive test with the same exactness policy: an exact
     residue, however small, is genuinely nonzero."""
@@ -124,7 +116,7 @@ def _audit_conservation(report: SimulationReport, allow_revocation: bool):
             + expired.get(ltype, 0)
             + shed.get(ltype, 0)
         )
-        if not _close(accounted, offered):
+        if not same_quantity(accounted, offered):
             legs = "consumed+expired+shed" if shed else "consumed+expired"
             yield (
                 f"conservation: {ltype} offered {offered} but "
@@ -153,7 +145,7 @@ def _audit_demand_accounting(report: SimulationReport):
         if record.total_demands is None:
             continue
         demand = record.total_demands.total
-        if record.completed and not _close(consumed, demand):
+        if record.completed and not same_quantity(consumed, demand):
             yield (
                 f"{record.label}: completed with consumption {consumed} "
                 f"!= demand {demand}"
@@ -163,7 +155,7 @@ def _audit_demand_accounting(report: SimulationReport):
                 f"{record.label}: unfinished yet consumed {consumed} "
                 f"> demand {demand}"
             )
-        if record.abandoned and not _close(record.salvaged, consumed):
+        if record.abandoned and not same_quantity(record.salvaged, consumed):
             yield (
                 f"{record.label}: abandoned with salvage {record.salvaged} "
                 f"!= consumed {consumed}"

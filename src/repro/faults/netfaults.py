@@ -144,6 +144,7 @@ class PartitionPlan:
     def __post_init__(self) -> None:
         require_count("children", self.children)
         require_count("rpc_attempts", self.rpc_attempts)
+        require_count("horizon", self.horizon)
         if self.partition_start < 0 or self.partition_duration < 0:
             raise FaultInjectionError(
                 f"partition window must be non-negative, got "
@@ -190,10 +191,6 @@ class PartitionPlan:
         if self.rpc_timeout <= 0:
             raise FaultInjectionError(
                 f"rpc_timeout must be > 0, got {self.rpc_timeout!r}"
-            )
-        if self.horizon <= 0:
-            raise FaultInjectionError(
-                f"horizon must be > 0, got {self.horizon!r}"
             )
 
     # ------------------------------------------------------------------

@@ -20,9 +20,11 @@ CI suite asserts.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Real
 from typing import List, Optional, Sequence
 
 from repro.errors import FaultInjectionError
@@ -47,6 +49,19 @@ def require_count(name: str, value: object) -> None:
         )
 
 
+def require_finite(name: str, value: object) -> None:
+    """Reject a numeric plan field that is not a finite real (``bool``
+    included, NaN and infinities too: no comparison can bound them)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+    ):
+        raise FaultInjectionError(
+            f"{name} must be a finite number, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Deterministic description of what goes wrong, and when."""
@@ -65,6 +80,13 @@ class FaultPlan:
     max_early: int = 10
 
     def __post_init__(self) -> None:
+        for name in (
+            "crash_rate", "revocation_rate", "straggler_rate",
+            "straggler_factor",
+        ):
+            require_finite(name, getattr(self, name))
+        require_count("min_early", self.min_early)
+        require_count("max_early", self.max_early)
         if self.crash_rate < 0 or self.straggler_rate < 0:
             raise FaultInjectionError(
                 "fault rates must be non-negative, got "
@@ -81,7 +103,7 @@ class FaultPlan:
                 f"straggler_factor must lie in [0, 1), got "
                 f"{self.straggler_factor!r}"
             )
-        if self.min_early < 1 or self.max_early < self.min_early:
+        if self.max_early < self.min_early:
             raise FaultInjectionError(
                 f"invalid early-revocation bounds "
                 f"[{self.min_early}, {self.max_early}]"

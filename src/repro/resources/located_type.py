@@ -86,6 +86,26 @@ class LocatedType:
     def __post_init__(self) -> None:
         if not self.kind:
             raise InvalidTermError("resource kind must be non-empty")
+        self._cache_hash()
+
+    # Every resource-set lookup and ledger update hashes a located type;
+    # the generated hash would re-hash the location's fields each time.
+    # The cached value is exactly that generated hash, so set and dict
+    # iteration order do not move.  It stays out of pickles: ``str``
+    # hashes are salted per process, so a resumed run recomputes it.
+    def _cache_hash(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.location)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"kind": self.kind, "location": self.location}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._cache_hash()
 
     def can_serve(self, requirement: "LocatedType") -> bool:
         """Whether a resource of this located type can satisfy a

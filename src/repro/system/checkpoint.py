@@ -848,6 +848,10 @@ class CheckpointStore:
                 )
             for lst, suffix in zip(lists, trace_part["suffix"]):
                 lst.extend(suffix)
+        if len(chain) > 1:
+            # The suffixes bypassed record()/record_loss(): re-derive the
+            # trace's running conservation ledger from the extended lists.
+            state[DeltaSnapshotter.TRACE_SECTION].rebuild_ledger()
         return tip, state
 
     def latest(self) -> Optional[Path]:

@@ -734,6 +734,15 @@ class OpenSystemSimulator:
                 if record is not None and not record.abandoned:
                     self._abandon(record, trace, state.t)
 
+        # The per-slice checks above read the trace's running ledger;
+        # once per run, pin it to the from-scratch re-sum (O(slices)).
+        drift = trace.ledger_drift()
+        if drift:
+            raise SimulationError(
+                "trace ledger drifted from the re-summed trace:\n  "
+                + "\n  ".join(drift)
+            )
+
         if instrumented:
             for ltype, amount in consumed_acc.values():
                 consumed_total.labels(ltype=str(ltype)).inc(amount)

@@ -15,6 +15,18 @@ The conservation identity the trace supports is::
 remaining capacity inside the horizon) and mid-run (remaining capacity
 passed in), which is what lets the simulator use the auditor as a runtime
 invariant checker.
+
+The legs come from a *running ledger*: :meth:`SimulationTrace.record` and
+:meth:`SimulationTrace.record_loss` fold each entry into per-located-type
+totals (consumed, expired, lost by cause and in all), so a check costs
+O(located types) instead of a re-sum of the whole trace, and the
+simulator can afford it after every slice.  The ledger is derived state:
+it stays out of the trace's pickle and is rebuilt from ``transitions``
+and ``losses`` on restore.  The re-sums survive as the
+``_reference_*`` oracles; :meth:`SimulationTrace.ledger_drift` compares
+the two, and the simulator runs that comparison once at the end of every
+run.  Both accumulate in record order, so even float legs agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,7 +36,9 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.intervals.interval import Time
 from repro.logic.transitions import Transition
+from repro.markers import checkpointable
 from repro.resources.located_type import LocatedType
+from repro.resources.profile import is_exact
 
 #: Causes a capacity loss can carry (anything else is a modelling bug).
 #: The first three are *faults* — capacity the system believed in that
@@ -47,6 +61,14 @@ def _check_cause(cause: str) -> None:
         raise ValueError(
             f"unknown loss cause {cause!r}; expected one of {LOSS_CAUSES}"
         )
+
+
+def same_quantity(left: Time, right: Time, tolerance: float = 1e-6) -> bool:
+    """Equality of two accounted quantities: exact when both are exact
+    (int/Fraction), within ``tolerance`` only once a float has entered."""
+    if is_exact(left) and is_exact(right):
+        return left == right
+    return abs(float(left) - float(right)) <= tolerance
 
 
 @dataclass(frozen=True)
@@ -82,6 +104,7 @@ class PromiseViolation:
     remaining_total: Time
 
 
+@checkpointable
 @dataclass
 class SimulationTrace:
     """Ordered record of every timed transition plus annotations."""
@@ -91,8 +114,56 @@ class SimulationTrace:
     losses: List[ResourceLoss] = field(default_factory=list)
     violations: List[PromiseViolation] = field(default_factory=list)
 
+    #: The running ledger's attributes: derived from the lists above,
+    #: so they never enter a pickle (snapshot bytes stay those of the
+    #: bare lists) and are rebuilt on restore.
+    _LEDGER = ("_consumed", "_expired", "_lost", "_lost_by_cause")
+
+    def __post_init__(self) -> None:
+        self.rebuild_ledger()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in self._LEDGER:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rebuild_ledger()
+
+    def rebuild_ledger(self) -> None:
+        """Re-derive the running totals from ``transitions`` and
+        ``losses``, in record order.  Needed whenever the lists grew
+        without :meth:`record`/:meth:`record_loss` — a delta-checkpoint
+        chain extends them in place on restore."""
+        # repro-flow: derivable=_consumed,_expired,_lost,_lost_by_cause -- rebuilt from transitions/losses on restore
+        self._consumed: Dict[LocatedType, Time] = {}
+        self._expired: Dict[LocatedType, Time] = {}
+        self._lost: Dict[LocatedType, Time] = {}
+        self._lost_by_cause: Dict[str, Dict[LocatedType, Time]] = {}
+        for transition in self.transitions:
+            self._absorb(transition)
+        for loss in self.losses:
+            self._absorb_loss(loss)
+
+    def _absorb(self, transition: Transition) -> None:
+        consumed = self._consumed
+        for _, ltype, quantity in transition.label.consumed:
+            consumed[ltype] = consumed.get(ltype, 0) + quantity
+        expired = self._expired
+        for ltype, quantity in transition.label.expired:
+            expired[ltype] = expired.get(ltype, 0) + quantity
+
+    def _absorb_loss(self, loss: ResourceLoss) -> None:
+        ltype = loss.ltype
+        self._lost[ltype] = self._lost.get(ltype, 0) + loss.quantity
+        by_cause = self._lost_by_cause.setdefault(loss.cause, {})
+        by_cause[ltype] = by_cause.get(ltype, 0) + loss.quantity
+
     def record(self, transition: Transition) -> None:
         self.transitions.append(transition)
+        self._absorb(transition)
 
     def note(self, time: Time, message: str) -> None:
         self.notes.append(TraceNote(time, message))
@@ -101,7 +172,9 @@ class SimulationTrace:
         self, time: Time, cause: str, ltype: LocatedType, quantity: Time
     ) -> None:
         _check_cause(cause)
-        self.losses.append(ResourceLoss(time, cause, ltype, quantity))
+        loss = ResourceLoss(time, cause, ltype, quantity)
+        self.losses.append(loss)
+        self._absorb_loss(loss)
 
     def record_violation(self, violation: PromiseViolation) -> None:
         self.violations.append(violation)
@@ -142,19 +215,11 @@ class SimulationTrace:
 
         Empty traces yield empty (zero-everywhere) totals, never an error.
         """
-        totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for _, ltype, quantity in transition.label.consumed:
-                totals[ltype] = totals.get(ltype, 0) + quantity
-        return totals
+        return dict(self._consumed)
 
     def expired_totals(self) -> Dict[LocatedType, Time]:
         """Total expired (unused) quantity per located type."""
-        totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for ltype, quantity in transition.label.expired:
-                totals[ltype] = totals.get(ltype, 0) + quantity
-        return totals
+        return dict(self._expired)
 
     def lost_totals(self, cause: str | None = None) -> Dict[LocatedType, Time]:
         """Total capacity lost to faults per located type.
@@ -167,16 +232,56 @@ class SimulationTrace:
         conservation identity).  An empty (or loss-free) trace yields
         empty, zero-everywhere totals, never an error.
         """
-        if cause is not None:
-            _check_cause(cause)
-        if not self.losses:
-            return {}
+        if cause is None:
+            return dict(self._lost)
+        _check_cause(cause)
+        return dict(self._lost_by_cause.get(cause, {}))
+
+    # -- reference oracles: the ledger's totals re-summed from scratch --
+    def _reference_consumed_totals(self) -> Dict[LocatedType, Time]:
+        totals: Dict[LocatedType, Time] = {}
+        for transition in self.transitions:
+            for _, ltype, quantity in transition.label.consumed:
+                totals[ltype] = totals.get(ltype, 0) + quantity
+        return totals
+
+    def _reference_expired_totals(self) -> Dict[LocatedType, Time]:
+        totals: Dict[LocatedType, Time] = {}
+        for transition in self.transitions:
+            for ltype, quantity in transition.label.expired:
+                totals[ltype] = totals.get(ltype, 0) + quantity
+        return totals
+
+    def _reference_lost_totals(
+        self, cause: str | None = None
+    ) -> Dict[LocatedType, Time]:
         totals: Dict[LocatedType, Time] = {}
         for loss in self.losses:
             if cause is not None and loss.cause != cause:
                 continue
             totals[loss.ltype] = totals.get(loss.ltype, 0) + loss.quantity
         return totals
+
+    def ledger_drift(self) -> List[str]:
+        """Every leg where the running ledger disagrees with the
+        ``_reference_*`` re-sum (empty when they agree exactly)."""
+        legs = [
+            ("consumed", self.consumed_totals(),
+             self._reference_consumed_totals()),
+            ("expired", self.expired_totals(),
+             self._reference_expired_totals()),
+            ("lost", self.lost_totals(), self._reference_lost_totals()),
+        ]
+        legs.extend(
+            (f"lost[{cause}]", self.lost_totals(cause),
+             self._reference_lost_totals(cause))
+            for cause in LOSS_CAUSES
+        )
+        return [
+            f"ledger {name} {ledger} != re-summed {reference}"
+            for name, ledger, reference in legs
+            if ledger != reference
+        ]
 
     def revoked_totals(self) -> Dict[LocatedType, Time]:
         return self.lost_totals("revocation")
@@ -218,10 +323,14 @@ class SimulationTrace:
         and ``Interval(now, horizon)`` as ``remaining_window``: capacity
         still ahead of the clock has neither been consumed nor expired,
         and balances the identity at every instant.
+
+        The legs are read from the running ledger (O(located types) per
+        call).  Exact legs must balance exactly; ``tolerance`` applies
+        only where a float entered.
         """
-        consumed = self.consumed_totals()
-        expired = self.expired_totals()
-        all_lost = self.lost_totals()
+        consumed = self._consumed
+        expired = self._expired
+        all_lost = self._lost
         lost = all_lost if include_losses else {}
         gaps: List[str] = []
         # Key discovery always includes loss-only types: a located type
@@ -242,14 +351,14 @@ class SimulationTrace:
                     ltype, remaining_window
                 )
             total = offered.get(ltype, 0)
-            if abs(float(accounted) - float(total)) > tolerance:
+            if not same_quantity(accounted, total, tolerance):
                 legs = "consumed+expired+lost"
-                if self.lost_totals("shed"):
+                if self._lost_by_cause.get("shed"):
                     # deliberate front-door refusals ride in the loss
                     # records; name the leg so the message matches the
                     # extended identity offered = c + e + lost + shed
                     legs += "+shed"
-                if self.lost_totals("lease-expired"):
+                if self._lost_by_cause.get("lease-expired"):
                     # conservative lease renunciations ride there too;
                     # the full identity reads
                     # offered = c + e + lost + shed + lease-expired
@@ -263,7 +372,7 @@ class SimulationTrace:
             elif (
                 not include_losses
                 and ltype not in offered
-                and abs(float(all_lost.get(ltype, 0))) > tolerance
+                and not same_quantity(all_lost.get(ltype, 0), 0, tolerance)
             ):
                 gaps.append(
                     f"conservation: {ltype} lost "

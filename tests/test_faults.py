@@ -63,6 +63,17 @@ class TestFaultPlan:
             {"straggler_factor": -0.2},
             {"min_early": 0},
             {"min_early": 5, "max_early": 4},
+            # wrong types and non-finite rates fail at construction with
+            # the plan's own error, never a bare TypeError or later on
+            {"crash_rate": "0.1"},
+            {"crash_rate": float("nan")},
+            {"crash_rate": float("inf")},
+            {"crash_rate": True},
+            {"straggler_rate": float("nan")},
+            {"revocation_rate": "0.5"},
+            {"straggler_factor": None},
+            {"min_early": 1.5},
+            {"max_early": "10"},
         ],
     )
     def test_validation(self, kwargs):

@@ -7,6 +7,7 @@ from repro.analysis.flow import FlowAnalyzer
 
 NETFAULTS = Path("src/repro/faults/netfaults.py")
 ADMISSION = Path("src/repro/decision/admission.py")
+TRACING = Path("src/repro/system/tracing.py")
 
 
 def _coverage(sources, paths=()):
@@ -185,6 +186,22 @@ def test_mutation_popping_schedules_from_admission_getstate_is_caught():
     named = [f for f in findings if "self._schedules" in f.message]
     assert len(named) == 1
     assert "AdmissionController" in named[0].message
+
+
+def test_mutation_deleting_the_trace_ledger_annotation_is_caught():
+    original = TRACING.read_text()
+    lines = original.splitlines(keepends=True)
+    annotation = [
+        line for line in lines if "# repro-flow: derivable=_consumed," in line
+    ]
+    assert len(annotation) == 1, "fixture drifted: update the annotation"
+    mutated = original.replace(annotation[0], "")
+    findings = _coverage({str(TRACING): mutated}, paths=["src/repro"])
+    named = {
+        f.message.split("assigns self.")[1].split(" ")[0] for f in findings
+    }
+    assert named == {"_consumed", "_expired", "_lost", "_lost_by_cause"}
+    assert all("SimulationTrace" in f.message for f in findings)
 
 
 def test_unmutated_tree_passes_the_proof():

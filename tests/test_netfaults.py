@@ -61,6 +61,10 @@ class TestPartitionPlan:
         {"rpc_attempts": 2.5},
         {"rpc_attempts": True},
         {"partition_duration": 0, "horizon": 0},
+        # a fractional horizon used to construct and fail inside run_mesh
+        {"horizon": 160.5},
+        {"horizon": "48"},
+        {"horizon": True},
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultInjectionError):
