@@ -8,11 +8,7 @@ from repro.analysis.metrics import (
     goodput_quantity,
     score,
 )
-from repro.analysis.audit import (
-    assert_clean,
-    audit_report,
-    midrun_conservation_violations,
-)
+from repro.analysis.audit import assert_clean, audit_report
 from repro.analysis.export import SCORE_FIELDS, scores_to_csv, sweep_to_csv
 from repro.analysis.report import POLICY_HEADERS, policy_table, render_table
 from repro.analysis.sweep import Sweep, SweepPoint, run_sweep
@@ -26,7 +22,6 @@ __all__ = [
     "score",
     "assert_clean",
     "audit_report",
-    "midrun_conservation_violations",
     "SCORE_FIELDS",
     "scores_to_csv",
     "sweep_to_csv",

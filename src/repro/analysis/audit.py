@@ -10,10 +10,10 @@ execution must satisfy:
   straggler degradation is measured into the trace, so the *extended*
   identity ``offered = consumed + expired + lost`` must balance exactly —
   a strictly stronger check than waving revoked quantity through.  The
-  same identity is assertable mid-run via
-  :func:`midrun_conservation_violations` (the simulator's
-  ``invariant_interval`` option), turning the auditor into a runtime
-  invariant checker;
+  same identity is asserted mid-run by the simulator itself
+  (``invariant_interval``, via
+  :meth:`~repro.system.tracing.SimulationTrace.conservation_gaps` with
+  the live ``remaining`` capacity);
 * **demand accounting** — a completed computation consumed exactly its
   total demand (recovered-then-completed included: salvage before the
   violation plus the residual afterwards sum to the original demand); an
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.intervals.interval import Interval, Time
-from repro.logic.state import SystemState
+from repro.intervals.interval import Time
 from repro.resources.profile import EPSILON, is_exact
 from repro.system.simulator import SimulationReport
-from repro.system.tracing import SimulationTrace, same_quantity
+from repro.system.tracing import same_quantity
 
 
 def audit_report(
@@ -57,29 +56,6 @@ def assert_clean(report: SimulationReport, *, allow_revocation: bool = False) ->
         raise AssertionError(
             "simulation audit failed:\n  " + "\n  ".join(violations)
         )
-
-
-def midrun_conservation_violations(
-    offered: Dict,
-    trace: SimulationTrace,
-    state: SystemState,
-    horizon: Time,
-) -> List[str]:
-    """The extended conservation identity, checked at a live instant.
-
-    Capacity still ahead of the clock (``state.theta`` within
-    ``(state.t, horizon)``) has neither been consumed nor expired, so::
-
-        offered = consumed + expired + lost + remaining
-
-    must already balance.  The simulator's ``invariant_interval`` option
-    calls this every N slices and raises on the first imbalance.
-    """
-    return trace.conservation_gaps(
-        offered,
-        remaining=state.theta,
-        remaining_window=Interval(state.t, horizon),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,9 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("strategies", ("planning", "encapsulation")),
     # The admission front door wraps decisions and policies; the
     # runtime (simulator, fault plans, workloads) drives it — service
-    # may depend on decision/observability, never the reverse.
+    # may depend on decision/observability, never the reverse, and
+    # reaches nothing in the runtime (the mesh, not the door, prices
+    # verdicts over the wire).
     ("services", ("service",)),
     ("runtime", ("system", "faults", "workloads")),
     ("surface", ("analysis", "cli", "__main__", "repro")),
@@ -58,17 +60,6 @@ PACKAGE_OVERRIDES: Dict[str, FrozenSet[str]] = {
     # The instrumentation layer must be importable from every package it
     # instruments; anything beyond the error hierarchy would be a cycle.
     "observability": frozenset({"errors"}),
-}
-
-#: Module-granular exceptions to the package map: importing package ->
-#: dotted repro modules it may reach *despite* their package's layer.
-#: ``repro.system.channel`` is a deterministic messaging primitive — it
-#: depends only on backoff/errors/intervals/observability — housed in
-#: ``repro.system`` for cohesion with the partition events that sever
-#: its links.  The service front door's verdict link rides it; the
-#: exception is module-tight so the door can never reach the simulator.
-IMPORT_EXCEPTIONS: Dict[str, Tuple[str, ...]] = {
-    "service": ("repro.system.channel",),
 }
 
 #: Third-party imports pinned to specific modules.  ``numpy`` backs the
@@ -114,18 +105,8 @@ def allowed_imports(package: str) -> Optional[FrozenSet[str]]:
     return frozenset(allowed)
 
 
-def import_violation(
-    package: str, target: str, dotted: Optional[str] = None
-) -> Optional[str]:
-    """Human message if ``package`` importing ``target`` breaks layering.
-
-    ``dotted`` is the full imported module path when known, consulted
-    against :data:`IMPORT_EXCEPTIONS` (module-granular carve-outs).
-    """
-    if dotted is not None:
-        for prefix in IMPORT_EXCEPTIONS.get(package, ()):
-            if dotted == prefix or dotted.startswith(prefix + "."):
-                return None
+def import_violation(package: str, target: str) -> Optional[str]:
+    """Human message if ``package`` importing ``target`` breaks layering."""
     allowed = allowed_imports(package)
     if allowed is None:
         return (
@@ -178,8 +159,8 @@ def third_party_pin_violation(
 
 def imported_repro_packages(
     tree: ast.AST, module: Optional[str]
-) -> Iterator[Tuple[ast.stmt, str, str]]:
-    """Yield ``(import statement, top-level repro package, dotted path)``.
+) -> Iterator[Tuple[ast.stmt, str]]:
+    """Yield ``(import statement, top-level repro package)``.
 
     Handles ``import repro.x``, ``from repro.x import y`` and relative
     ``from . import y`` forms (resolved against ``module``).
@@ -189,14 +170,14 @@ def imported_repro_packages(
             for alias in node.names:
                 package = _repro_package(alias.name)
                 if package is not None:
-                    yield node, package, alias.name
+                    yield node, package
         elif isinstance(node, ast.ImportFrom):
             dotted = _absolute_from(node, module)
             if dotted is None:
                 continue
             package = _repro_package(dotted)
             if package is not None:
-                yield node, package, dotted
+                yield node, package
 
 
 def _repro_package(dotted: str) -> Optional[str]:
@@ -239,10 +220,10 @@ class LayeringRule(Rule):
         package = source.package
         if package is None:
             return
-        for node, target, dotted in imported_repro_packages(
+        for node, target in imported_repro_packages(
             source.tree, source.module
         ):
-            message = import_violation(package, target, dotted)
+            message = import_violation(package, target)
             if message is not None:
                 yield self.finding(source, node, message)
         for node, target in _imported_third_party(source.tree):

@@ -21,16 +21,17 @@ them, a source inside a governed module as a zero-hop chain and one
 reached through calls with its witness chain.  The module families
 below are shared with it.
 
-All detection is purely syntactic over the AST with import-alias
-resolution; the rules over-approximate nothing and under-approximate
-consciously (a set reaching a loop through a variable is invisible) —
-see docs/static-analysis.md for the catalogue and the blind spots.
+All detection is purely syntactic over the AST (a builtin name rebound
+by an import no longer counts as the builtin); the rules
+over-approximate nothing and under-approximate consciously (a set
+reaching a loop through a variable is invisible) — see
+docs/static-analysis.md for the catalogue and the blind spots.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.analysis.lint.engine import Finding, Rule, SourceFile, register
 
@@ -63,35 +64,13 @@ EXACT_MODULES: Tuple[str, ...] = (
 INEXACT_KERNELS: Tuple[str, ...] = ("repro.resources._vectorized",)
 
 
-def import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the dotted things they import.
-
-    ``import numpy.random as npr`` -> ``{"npr": "numpy.random"}``;
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _is_set_expr(node: ast.expr, aliases: Dict[str, str]) -> bool:
+def _is_set_expr(node: ast.expr, shadowed: FrozenSet[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         # set()/frozenset() are flagged only when the name still means the
         # builtin (not shadowed by an import).
-        return node.func.id in ("set", "frozenset") and node.func.id not in aliases
+        return node.func.id in ("set", "frozenset") and node.func.id not in shadowed
     return False
 
 
@@ -110,25 +89,40 @@ class SetIterationRule(Rule):
     _ORDER_SENSITIVE_WRAPPERS = ("list", "tuple", "enumerate", "iter")
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
-        aliases = import_aliases(source.tree)
+        shadowed = self._imported_names(source.tree)
         for node in ast.walk(source.tree):
-            if isinstance(node, ast.For) and _is_set_expr(node.iter, aliases):
+            if isinstance(node, ast.For) and _is_set_expr(node.iter, shadowed):
                 yield self._finding(source, node.iter, "for-loop")
             elif isinstance(
                 node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
             ):
                 for generator in node.generators:
-                    if _is_set_expr(generator.iter, aliases):
+                    if _is_set_expr(generator.iter, shadowed):
                         yield self._finding(source, generator.iter, "comprehension")
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id in self._ORDER_SENSITIVE_WRAPPERS
-                and node.func.id not in aliases
+                and node.func.id not in shadowed
                 and node.args
-                and _is_set_expr(node.args[0], aliases)
+                and _is_set_expr(node.args[0], shadowed)
             ):
                 yield self._finding(source, node.args[0], f"{node.func.id}()")
+
+    @staticmethod
+    def _imported_names(tree: ast.AST) -> FrozenSet[str]:
+        """Local names bound by imports: a builtin shadowed by one
+        (``from sets import set``) no longer means the builtin."""
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    names.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                for alias in node.names:
+                    if alias.name != "*":
+                        names.add(alias.asname or alias.name)
+        return frozenset(names)
 
     def _finding(self, source: SourceFile, node: ast.expr, where: str) -> Finding:
         return self.finding(

@@ -30,8 +30,10 @@ deterministic exact number, never a platform-dependent float dance.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from repro.errors import RecoveryError
 
@@ -65,6 +67,20 @@ class Backoff:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("base", "factor", "cap", "jitter"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise RecoveryError(
+                    f"backoff {name} must be a finite number, got {value!r}"
+                )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise RecoveryError(
+                f"backoff seed must be an integer, got {self.seed!r}"
+            )
         if self.base <= 0 or self.cap < self.base or self.factor < 1:
             raise RecoveryError(
                 f"invalid backoff: base={self.base!r} factor={self.factor!r} "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.faults.chaos import (
@@ -138,11 +138,7 @@ def _config(plan: OverloadPlan) -> ServiceConfig:
     )
 
 
-def chaos_overload_matrix(
-    plan: OverloadPlan = OverloadPlan(),
-    *,
-    config_factory: Optional[Callable[[OverloadPlan], ServiceConfig]] = None,
-) -> MatrixResult:
+def chaos_overload_matrix(plan: OverloadPlan = OverloadPlan()) -> MatrixResult:
     """Sweep the overload matrix; callers assert ``result.ok``.
 
     Every flash-crowd multiplier is served twice (replay identity) with
@@ -150,7 +146,7 @@ def chaos_overload_matrix(
     both standalone and through the simulator with per-slice
     conservation checks.
     """
-    config = (config_factory or _config)(plan)
+    config = _config(plan)
     result = MatrixResult("overload")
     points = result.points
     for multiplier in plan.multipliers:

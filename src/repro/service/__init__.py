@@ -31,8 +31,6 @@ from repro.service.brownout import BrownoutController
 from repro.service.config import SHED_POLICIES, ServiceConfig
 from repro.service.driver import serve
 from repro.service.frontdoor import (
-    DOOR_ENDPOINT,
-    SHED_UNREACHABLE,
     AdmissionFrontDoor,
     ServiceOutcome,
     ServiceRequest,
@@ -43,8 +41,6 @@ from repro.service.report import ServiceReport
 
 __all__ = [
     "AdmissionFrontDoor",
-    "DOOR_ENDPOINT",
-    "SHED_UNREACHABLE",
     "BreakerState",
     "BrownoutController",
     "CircuitBreaker",

@@ -8,6 +8,7 @@ shed and breaker decision replayable bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -39,10 +40,21 @@ def _as_exact(name: str, value: Any) -> Time:
         raise ServiceConfigError(
             f"{name} must be a number, got {type(value).__name__}"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ServiceConfigError(f"{name} must be finite, got {value!r}")
     if isinstance(value, int):
         return value
     exact = Fraction(value).limit_denominator(1_000_000)
     return int(exact) if exact.denominator == 1 else exact
+
+
+def _require_int(name: str, value: Any, minimum: int) -> None:
+    """Integer knobs are counts: ``bool`` is not one, whatever Python's
+    ``isinstance(True, int)`` says."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ServiceConfigError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,12 +98,6 @@ class ServiceConfig:
     #: remaining window exceeds this multiple of the estimated
     #: wait-plus-check time — it can afford to be deferred.
     criticality_laxity: int = 4
-    #: Per-attempt timeout of the door -> enclave verdict exchange when
-    #: the door runs over an unreliable network (no effect otherwise).
-    rpc_timeout: Time = 2
-    #: Attempts before the door declares an enclave unreachable and
-    #: sheds the arrival (network mode only).
-    rpc_attempts: int = 3
     #: Open -> half-open retry schedule (seeded jitter, keyed per
     #: enclave, so concurrent breakers never share an RNG stream).
     backoff: Backoff = field(
@@ -102,10 +108,7 @@ class ServiceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_queue, int) or self.max_queue < 1:
-            raise ServiceConfigError(
-                f"max_queue must be a positive integer, got {self.max_queue!r}"
-            )
+        _require_int("max_queue", self.max_queue, 1)
         if self.shed_policy not in SHED_POLICIES:
             raise ServiceConfigError(
                 f"unknown shed policy {self.shed_policy!r}; "
@@ -135,12 +138,8 @@ class ServiceConfig:
                 f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )
         object.__setattr__(self, "ewma_alpha", Fraction(alpha))
-        for name in ("brownout_enter", "brownout_exit"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ServiceConfigError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
+        _require_int("brownout_enter", self.brownout_enter, 0)
+        _require_int("brownout_exit", self.brownout_exit, 0)
         if not self.brownout_exit < self.brownout_enter:
             raise ServiceConfigError(
                 "brownout thresholds must satisfy exit < enter (hysteresis), "
@@ -153,34 +152,10 @@ class ServiceConfig:
                     f"brownout_latency must be > 0, got {self.brownout_latency!r}"
                 )
             object.__setattr__(self, "brownout_latency", latency)
-        for name in ("breaker_failures", "breaker_probes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ServiceConfigError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        if not isinstance(self.slow_check_factor, int) or self.slow_check_factor < 2:
-            raise ServiceConfigError(
-                f"slow_check_factor must be an integer >= 2, "
-                f"got {self.slow_check_factor!r}"
-            )
-        if not isinstance(self.criticality_laxity, int) or self.criticality_laxity < 1:
-            raise ServiceConfigError(
-                f"criticality_laxity must be a positive integer, "
-                f"got {self.criticality_laxity!r}"
-            )
-        object.__setattr__(
-            self, "rpc_timeout", _as_exact("rpc_timeout", self.rpc_timeout)
-        )
-        if self.rpc_timeout <= 0:
-            raise ServiceConfigError(
-                f"rpc_timeout must be > 0, got {self.rpc_timeout!r}"
-            )
-        if not isinstance(self.rpc_attempts, int) or self.rpc_attempts < 1:
-            raise ServiceConfigError(
-                f"rpc_attempts must be a positive integer, "
-                f"got {self.rpc_attempts!r}"
-            )
+        _require_int("breaker_failures", self.breaker_failures, 1)
+        _require_int("breaker_probes", self.breaker_probes, 1)
+        _require_int("slow_check_factor", self.slow_check_factor, 2)
+        _require_int("criticality_laxity", self.criticality_laxity, 1)
         if not isinstance(self.backoff, Backoff):
             raise ServiceConfigError(
                 f"backoff must be a Backoff, got {type(self.backoff).__name__}"

@@ -29,7 +29,6 @@ def serve(
     horizon: Optional[Time] = None,
     align: Time | None = 1,
     verify_brownout: bool = True,
-    network=None,
 ) -> ServiceReport:
     """Serve ``requests`` (plus later ``joins``) through the front door.
 
@@ -47,7 +46,6 @@ def serve(
         config,
         stalls=stalls,
         verify_brownout=verify_brownout,
-        network=network,
     )
     arrivals = list(requests)
     events: list[tuple[Time, int, int, object]] = []

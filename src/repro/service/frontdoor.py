@@ -44,12 +44,10 @@ from repro.observability import get_registry
 from repro.resources.located_type import Link
 from repro.resources.resource_set import ResourceSet
 from repro.serialization import time_to_wire
-from repro.backoff import Backoff
-from repro.service.breaker import BreakerState, CircuitBreaker
+from repro.service.breaker import CircuitBreaker
 from repro.service.brownout import BrownoutController
 from repro.service.config import ServiceConfig
 from repro.service.queue import EnclaveLane, LatencyEwma
-from repro.system.channel import MessageChannel, NetworkModel
 
 #: decision-log outcome vocabulary
 ADMITTED = "admitted"
@@ -63,10 +61,6 @@ SHED_QUEUE_FULL = "queue-full"
 SHED_STALE_ENQUEUE = "stale-deadline-enqueue"
 SHED_STALE_DEQUEUE = "stale-deadline-dequeue"
 SHED_SCREEN_ENQUEUE = "screen-shortfall-enqueue"
-SHED_UNREACHABLE = "enclave-unreachable"
-
-#: the door's own endpoint name on the verdict links (network mode)
-DOOR_ENDPOINT = "door"
 
 
 def default_enclave(requirement: ConcurrentRequirement) -> str:
@@ -161,27 +155,11 @@ class AdmissionFrontDoor:
         stalls: Optional[Mapping[str, Sequence[Tuple[Time, Time]]]] = None,
         defer_low_criticality: bool = True,
         verify_brownout: bool = False,
-        network: Optional[NetworkModel] = None,
     ) -> None:
         self._checker = checker
         self._slack_view = slack_view
         self.config = config or ServiceConfig()
         self._prober = prober
-        self._channel = (
-            None
-            if network is None
-            else MessageChannel(network, name=f"{DOOR_ENDPOINT}-net")
-        )
-        # Retry spacing of the verdict exchange: faster than the breaker
-        # schedule (an attempt must fit inside the arrival's own window).
-        self._net_backoff = Backoff(
-            base=1, cap=8, jitter=0.25, seed=self.config.seed
-        )
-        self._rpc_seq = 0
-        #: total verdict-link latency charged against arrival windows
-        self.network_delay_charged: Time = 0
-        #: verdict exchanges that exhausted their attempts (shed arrivals)
-        self.rpc_failures = 0
         self._stalls: Dict[str, Tuple[Tuple[Time, Time], ...]] = {
             enclave: tuple((start, end) for start, end in windows)
             for enclave, windows in (stalls or {}).items()
@@ -251,11 +229,6 @@ class AdmissionFrontDoor:
     def check_latency(self) -> Time:
         """The live check-cost EWMA the enqueue screen prices waits with."""
         return self._ewma.value
-
-    @property
-    def channel(self) -> Optional[MessageChannel]:
-        """The verdict-link message channel (``None`` off-network)."""
-        return self._channel
 
     @property
     def deferred_labels(self) -> tuple[str, ...]:
@@ -400,57 +373,9 @@ class AdmissionFrontDoor:
             if self._stalled(request.enclave, start_at)
             else self.config.check_cost
         )
-        # Network mode: the verdict crosses a lossy, delaying link first.
-        # Its round-trip time joins the check cost, so injected message
-        # delay inflates the EWMA (brownout's latency trigger) and can
-        # cross the breaker's slow threshold — the network is observable
-        # to the door only through the latency it causes.
-        if self._channel is not None and request.enclave != DOOR_ENDPOINT:
-            self._rpc_seq += 1
-            exchange = self._channel.rpc(
-                "admit",
-                DOOR_ENDPOINT,
-                request.enclave,
-                start_at,
-                key=f"{request.label}:d{self._rpc_seq}",
-                deadline=requirement.deadline,
-                timeout=self.config.rpc_timeout,
-                backoff=self._net_backoff,
-                max_attempts=self.config.rpc_attempts,
-            )
-            if not exchange.ok:
-                # No verdict ever came back: the enclave is unreachable.
-                # Shed, and count a breaker failure so a persistent
-                # partition walls the enclave off at gate 1.
-                self.rpc_failures += 1
-                decided_at = self._charge(
-                    lane, t, exchange.elapsed(start_at)
-                )
-                self._note_breaker_unreachable(breaker, decided_at)
-                return self._finish_outcome(
-                    request,
-                    decided_at,
-                    SHED,
-                    SHED_UNREACHABLE,
-                    wait=wait,
-                    reconciled=reconciled,
-                )
-            network_time = exchange.elapsed(start_at)
-            cost = cost + network_time
-            self.network_delay_charged = (
-                self.network_delay_charged + network_time
-            )
-            # The breaker watches for *anomalous* slowness, so the
-            # link's deterministic floor (one round trip at base delay)
-            # is allowed for; jitter spikes and retry storms are not.
-            allowance = 2 * self._channel.network.link(
-                DOOR_ENDPOINT, request.enclave
-            ).delay
-        else:
-            allowance = 0
         decided_at = self._charge(lane, t, cost)
         self._ewma.observe(cost)
-        self._note_breaker_check(breaker, decided_at, cost, allowance)
+        self._note_breaker_check(breaker, decided_at, cost)
         if decided_at >= requirement.deadline:
             # The check itself (a stall, or tail-drop skipping gate 3)
             # overran the deadline; nothing left to admit against.
@@ -624,29 +549,13 @@ class AdmissionFrontDoor:
             ).inc(kind=kind)
 
     def _note_breaker_check(
-        self, breaker: CircuitBreaker, now: Time, cost: Time,
-        allowance: Time = 0,
+        self, breaker: CircuitBreaker, now: Time, cost: Time
     ) -> None:
         before = len(breaker.transitions)
-        if cost >= self.config.slow_threshold + allowance:
+        if cost >= self.config.slow_threshold:
             breaker.record_failure(now)
         else:
             breaker.record_success(now)
-        registry = get_registry()
-        if registry.enabled:
-            for at, _, to in breaker.transitions[before:]:
-                registry.counter(
-                    "door_breaker_transitions_total",
-                    "front-door circuit-breaker transitions",
-                    labels=("enclave", "to"),
-                ).inc(enclave=breaker.enclave, to=to)
-
-    def _note_breaker_unreachable(
-        self, breaker: CircuitBreaker, now: Time
-    ) -> None:
-        """An exhausted verdict exchange counts as a breaker failure."""
-        before = len(breaker.transitions)
-        breaker.record_failure(now)
         registry = get_registry()
         if registry.enabled:
             for at, _, to in breaker.transitions[before:]:

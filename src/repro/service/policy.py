@@ -112,7 +112,6 @@ class FrontDoorPolicy(AdmissionPolicy):
         *,
         stalls=None,
         verify_brownout: bool = False,
-        network=None,
     ) -> None:
         inner = RotaAdmission() if inner is None else inner
         self._inner = inner
@@ -126,7 +125,6 @@ class FrontDoorPolicy(AdmissionPolicy):
             stalls=stalls,
             defer_low_criticality=False,
             verify_brownout=verify_brownout and has_controller,
-            network=network,
         )
         self.name = f"{inner.name}+door"
         #: brownout-deferred arrivals awaiting reconciliation via retry

@@ -28,7 +28,6 @@ or gracefully abandoned with salvage accounting.
 from __future__ import annotations
 
 import heapq
-import pickle
 from dataclasses import dataclass, field as dataclasses_field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -280,7 +279,7 @@ class OpenSystemSimulator:
         # salvage accounting needs no rescan of the whole trace.
         self._consumed_by_owner: VersionedDict = VersionedDict()
         # Run-scoped report state (attributes, not run() locals, so a
-        # checkpoint can snapshot them mid-run — see _snapshot()).
+        # checkpoint can snapshot them mid-run — see _snapshot_sections()).
         self._records: Dict[str, ComputationRecord] = {}
         self._offered: VersionedDict = VersionedDict()
         self._consumed: VersionedDict = VersionedDict()
@@ -382,7 +381,6 @@ class OpenSystemSimulator:
         *,
         checkpoint_dir: Union[str, Path, CheckpointStore, None] = None,
         journal_fsync: bool = False,
-        verify_conservation: bool = True,
     ) -> "OpenSystemSimulator":
         """Rebuild a mid-run simulator from its durable artifacts.
 
@@ -507,17 +505,16 @@ class OpenSystemSimulator:
                 sim._journal = journal
                 sim._owns_journal = True
                 sim._replay_records = records[checkpoint.journal_records:]
-        if verify_conservation:
-            gaps = sim._trace.conservation_gaps(
-                sim._offered,
-                remaining=sim._state.theta,
-                remaining_window=Interval(sim._state.t, sim._horizon),
+        gaps = sim._trace.conservation_gaps(
+            sim._offered,
+            remaining=sim._state.theta,
+            remaining_window=Interval(sim._state.t, sim._horizon),
+        )
+        if gaps:
+            raise CheckpointError(
+                "conservation broken in restored state:\n  "
+                + "\n  ".join(gaps)
             )
-            if gaps:
-                raise CheckpointError(
-                    "conservation broken in restored state:\n  "
-                    + "\n  ".join(gaps)
-                )
         sim._mid_run = True
         return sim
 
@@ -918,16 +915,11 @@ class OpenSystemSimulator:
         )
         self._last_checkpoint_step = steps
 
-    def _snapshot(self) -> bytes:
-        """The full simulator state, pickled: everything :meth:`resume`
-        needs to continue as if the process had never died."""
-        return pickle.dumps(
-            self._snapshot_sections(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-
     def _snapshot_sections(self) -> Dict[str, Any]:
-        """The snapshot as named sections, pre-pickle — the unit the
-        delta snapshotter diffs checkpoint-to-checkpoint."""
+        """The full simulator state as named sections, pre-pickle:
+        everything :meth:`resume` needs to continue as if the process had
+        never died, and the unit the delta snapshotter diffs
+        checkpoint-to-checkpoint."""
         sections = {
             "state": self._state,
             "records": self._records,

@@ -313,12 +313,11 @@ class SimulationTrace:
         *,
         remaining: Optional[object] = None,  # ResourceSet, duck-typed
         remaining_window: Optional[object] = None,  # Interval
-        include_losses: bool = True,
         tolerance: float = 1e-6,
     ) -> List[str]:
         """Extended conservation check, one message per imbalance.
 
-        At run end: ``offered = consumed + expired (+ lost)`` per located
+        At run end: ``offered = consumed + expired + lost`` per located
         type.  Mid-run, pass the live state's ``theta`` as ``remaining``
         and ``Interval(now, horizon)`` as ``remaining_window``: capacity
         still ahead of the clock has neither been consumed nor expired,
@@ -330,16 +329,12 @@ class SimulationTrace:
         """
         consumed = self._consumed
         expired = self._expired
-        all_lost = self._lost
-        lost = all_lost if include_losses else {}
+        lost = self._lost
         gaps: List[str] = []
-        # Key discovery always includes loss-only types: a located type
-        # that shows up *only* in loss records (never offered, consumed,
-        # or expired) is itself an accounting anomaly and must surface in
-        # the report — even when ``include_losses=False`` keeps losses
-        # out of the balanced side, where 0 == 0 would otherwise let it
-        # vanish silently.
-        keys = set(offered) | set(consumed) | set(expired) | set(all_lost)
+        # Key discovery includes loss-only types: a located type that
+        # shows up *only* in loss records (never offered, consumed, or
+        # expired) is itself an accounting anomaly and must surface.
+        keys = set(offered) | set(consumed) | set(expired) | set(lost)
         for ltype in sorted(keys, key=str):
             accounted = (
                 consumed.get(ltype, 0)
@@ -368,15 +363,6 @@ class SimulationTrace:
                     f"accounted ({legs}"
                     f"{'+remaining' if remaining is not None else ''}) "
                     f"= {accounted}"
-                )
-            elif (
-                not include_losses
-                and ltype not in offered
-                and not same_quantity(all_lost.get(ltype, 0), 0, tolerance)
-            ):
-                gaps.append(
-                    f"conservation: {ltype} lost "
-                    f"{all_lost[ltype]} but was never offered"
                 )
         return gaps
 

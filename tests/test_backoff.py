@@ -97,6 +97,11 @@ class TestValidation:
         {"factor": 0.5},
         {"jitter": 1.0},
         {"jitter": -0.1},
+        {"base": float("nan")},
+        {"base": True},
+        {"factor": float("nan")},
+        {"cap": float("nan")},
+        {"seed": True},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(RecoveryError):

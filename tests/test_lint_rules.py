@@ -426,6 +426,17 @@ class TestLayeringMap:
         assert message is not None and "layering map" in message
         assert allowed_imports("nonexistent") is None
 
+    def test_service_may_not_reach_into_the_runtime(self):
+        # No module-granular carve-out remains: the front door reaching
+        # for the mesh's message channel is an upward import like any other.
+        assert import_violation("service", "system") is not None
+        findings = Analyzer(get_rules(["layering"])).check_source(
+            "from repro.system.channel import MessageChannel\n",
+            "src/repro/service/fixture.py",
+            "repro.service.fixture",
+        )
+        assert [f.rule for f in findings] == ["layering"]
+
     def test_layering_rule_resolves_relative_imports(self):
         # ``from ..system import simulator`` inside repro.intervals
         findings = Analyzer(get_rules(["layering"])).check_source(

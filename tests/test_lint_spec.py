@@ -237,6 +237,17 @@ def test_non_object_document():
     assert rules_of(findings) == {"spec-syntax"}
 
 
+@pytest.mark.parametrize("key", ["rpc_timeout", "rpc_attempts"])
+def test_retired_service_config_keys_are_syntax(key):
+    # the front door has no network knobs; a config carrying them is a
+    # typo'd key, not a silently ignored setting
+    findings = check_spec_document(
+        {"kind": "service_config", key: 2}, "svc.json"
+    )
+    assert rules_of(findings) == {"spec-syntax"}
+    assert key in findings[0].message
+
+
 def test_unreadable_file_raises_for_exit_2(tmp_path):
     with pytest.raises(OSError):
         check_spec_path(tmp_path / "absent.json")

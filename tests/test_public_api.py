@@ -29,6 +29,10 @@ class TestSurface:
             "repro.system",
             "repro.workloads",
             "repro.analysis",
+            "repro.service",
+            "repro.faults",
+            "repro.encapsulation",
+            "repro.observability",
         ],
     )
     def test_subpackage_all_resolves(self, module):

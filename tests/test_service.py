@@ -41,9 +41,7 @@ from repro.service.frontdoor import (
     SHED_SCREEN_ENQUEUE,
     SHED_STALE_DEQUEUE,
     SHED_STALE_ENQUEUE,
-    SHED_UNREACHABLE,
 )
-from repro.system.channel import LinkConfig, NetworkModel, PartitionSpan
 
 
 def requirement(node: str, amount: int, start, deadline, label="req"):
@@ -78,8 +76,22 @@ class TestServiceConfig:
         {"breaker_probes": 0},
         {"slow_check_factor": 1},
         {"ewma_alpha": 2},
-        {"rpc_timeout": 0},
-        {"rpc_attempts": 0},
+        # bools are not counts, though isinstance(True, int) holds
+        {"max_queue": True},
+        {"breaker_failures": True},
+        {"breaker_probes": True},
+        {"criticality_laxity": True},
+        {"brownout_exit": True},
+        # non-finite durations must not escape as bare ValueError or
+        # OverflowError from the exact-arithmetic coercion
+        {"check_cost": float("nan")},
+        {"screen_cost": float("nan")},
+        {"stall_cost": float("nan")},
+        {"ewma_alpha": float("nan")},
+        {"brownout_latency": float("nan")},
+        {"check_cost": float("inf")},
+        {"stall_cost": float("inf")},
+        {"brownout_latency": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ServiceConfigError):
@@ -91,8 +103,12 @@ class TestServiceConfig:
         assert isinstance(config.check_cost, (int, Fraction))
 
     def test_from_document_rejects_unknown_keys(self):
-        with pytest.raises(ServiceConfigError, match="unknown service config"):
-            ServiceConfig.from_document({"max_que": 8})
+        # rpc_timeout/rpc_attempts are not fields: the door has no network
+        for key in ("max_que", "rpc_timeout", "rpc_attempts"):
+            with pytest.raises(
+                ServiceConfigError, match="unknown service config"
+            ):
+                ServiceConfig.from_document({key: 8})
 
     def test_from_document_nested_backoff(self):
         config = ServiceConfig.from_document(
@@ -105,8 +121,10 @@ class TestServiceConfig:
             ServiceConfig.from_document({"backoff": {"bsae": 2}})
 
     def test_from_document_rejects_bad_backoff_values(self):
-        with pytest.raises(ServiceConfigError, match="bad backoff"):
-            ServiceConfig.from_document({"backoff": {"base": -1}})
+        # json.loads parses NaN, so a document can carry one
+        for base in (-1, float("nan"), True):
+            with pytest.raises(ServiceConfigError, match="bad backoff"):
+                ServiceConfig.from_document({"backoff": {"base": base}})
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +386,67 @@ class TestFrontDoorBreaker:
         assert shed.reason == SHED_BREAKER_OPEN
         assert ok.outcome == ADMITTED
 
+    def test_half_open_probe_meets_brownout_under_stall(self):
+        """The interaction pinned here: a stalled check inflates the EWMA
+        past the brownout latency trigger and opens the breaker; the
+        half-open probe slot is then consumed by a low-criticality
+        arrival that brownout defers *before* the exact check runs — the
+        breaker stays half-open, unprobed, until reconciliation resolves
+        the deferral after the stall and that exact check becomes the
+        successful probe."""
+        door = make_door(
+            config=ServiceConfig(
+                breaker_failures=1,
+                breaker_probes=1,
+                stall_cost=8,
+                brownout_latency=1,
+                backoff=Backoff(base=4, cap=64, jitter=0.0),
+            ),
+            stalls={"n0": [(0, 12)]},
+        )
+        breaker = door.breaker("n0")
+        # 1. The stall: slow but admitted; the EWMA climbs past the
+        # latency trigger and the breaker opens.
+        first = door.offer(
+            ServiceRequest(
+                "a", requirement("n0", 1, 1, 60), 1, criticality="high"
+            )
+        )
+        assert first.outcome == ADMITTED
+        assert breaker.state == BreakerState.OPEN
+        assert breaker.retry_at == 13  # opened at decided_at = 1 + 8
+        assert door.check_latency >= 1
+        # 2. Still open: walled off at gate 1.
+        walled = door.offer(
+            ServiceRequest(
+                "b", requirement("n0", 1, 10, 60), 10, criticality="high"
+            )
+        )
+        assert walled.reason == SHED_BREAKER_OPEN
+        # 3. Probe slot granted, then brownout (latency-triggered by the
+        # stall) defers the low-criticality probe before the exact
+        # check: half-open survives, unprobed.
+        deferred = door.offer(
+            ServiceRequest(
+                "d", requirement("n0", 1, 14, 60), 14, criticality="low"
+            )
+        )
+        assert deferred.outcome == DEFERRED
+        assert door.brownout.active
+        assert breaker.state == BreakerState.HALF_OPEN
+        # 4. Reconciliation runs the exact check after the stall: the
+        # deferral becomes the successful probe and closes it.
+        resolved = door.finish(30)
+        assert [o.outcome for o in resolved] == [ADMITTED]
+        assert resolved[0].reconciled
+        assert breaker.state == BreakerState.CLOSED
+        states = [(frm, to) for _, frm, to in breaker.transitions]
+        assert states == [
+            ("closed", "open"),
+            ("open", "half-open"),
+            ("half-open", "closed"),
+        ]
+
 
 class TestFrontDoorBrownout:
     def make(self, **kwargs):
@@ -435,132 +514,6 @@ class TestFrontDoorBrownout:
                 ResourceSet.empty,
                 verify_brownout=True,
             )
-
-
-# ----------------------------------------------------------------------
-# Network mode: the verdict crosses an unreliable link first
-# ----------------------------------------------------------------------
-
-class TestFrontDoorNetwork:
-    def net(self, *, delay=2, partitions=()):
-        return NetworkModel(
-            seed=0, default=LinkConfig(delay=delay), partitions=partitions
-        )
-
-    def test_round_trip_time_is_charged_and_inflates_the_ewma(self):
-        door = make_door(
-            config=ServiceConfig(rpc_timeout=6), network=self.net()
-        )
-        out = door.offer(ServiceRequest("a", requirement("n0", 1, 1, 50), 1))
-        assert out.outcome == ADMITTED
-        assert door.network_delay_charged == 4  # one rtt at delay 2
-        assert out.decided_at == 1 + Fraction(1, 4) + 4
-        assert door.check_latency > ServiceConfig().check_cost
-        # The admitted schedule starts after the verdict came back.
-        for t in out.schedule.consumption().terms():
-            if not t.is_null:
-                assert t.window.start >= out.decided_at
-
-    def test_benign_delay_never_trips_the_breaker(self):
-        # cost = 1/4 + rtt 4 crosses the bare slow threshold (2), but
-        # the allowance covers the link's deterministic floor: the
-        # breaker flags anomalous slowness, never the link itself.
-        door = make_door(
-            config=ServiceConfig(rpc_timeout=6, breaker_failures=1),
-            network=self.net(),
-        )
-        for i in range(3):
-            out = door.offer(
-                ServiceRequest(f"r{i}", requirement("n0", 1, i + 1, 60), i + 1)
-            )
-            assert out.outcome == ADMITTED
-        assert door.breaker("n0").state == BreakerState.CLOSED
-
-    def test_unreachable_enclave_sheds_and_opens_the_breaker(self):
-        span = PartitionSpan(start=0, end=100, severed=(("door", "n0"),))
-        door = make_door(
-            config=ServiceConfig(breaker_failures=1),
-            network=self.net(delay=0, partitions=(span,)),
-        )
-        shed = door.offer(ServiceRequest("a", requirement("n0", 1, 1, 60), 1))
-        assert (shed.outcome, shed.reason) == (SHED, SHED_UNREACHABLE)
-        assert shed.decided_at > 1  # the failed exchange cost real time
-        assert door.rpc_failures == 1
-        assert door.breaker("n0").state == BreakerState.OPEN
-        walled = door.offer(
-            ServiceRequest("b", requirement("n0", 1, 2, 60), 2)
-        )
-        assert walled.reason == SHED_BREAKER_OPEN
-
-    def test_half_open_probe_meets_brownout_under_injected_delay(self):
-        """The interaction pinned here: injected message delay inflates
-        the EWMA past the brownout latency trigger, a partition opens the
-        breaker, and the half-open probe slot is then consumed by a
-        low-criticality arrival that brownout defers *before* the exact
-        check runs — the breaker stays half-open, unprobed, until
-        reconciliation resolves the deferral over the healed link and
-        that exact check becomes the successful probe."""
-        span = PartitionSpan(start=8, end=24, severed=(("door", "n0"),))
-        door = make_door(
-            config=ServiceConfig(
-                rpc_timeout=6,
-                breaker_failures=1,
-                breaker_probes=1,
-                brownout_latency=1,
-                backoff=Backoff(base=4, cap=64, jitter=0.0),
-            ),
-            network=self.net(delay=2, partitions=(span,)),
-        )
-        breaker = door.breaker("n0")
-        # 1. Benign delay: EWMA climbs past the latency trigger, but the
-        # allowance keeps the breaker closed.
-        first = door.offer(
-            ServiceRequest(
-                "a", requirement("n0", 1, 1, 60), 1, criticality="high"
-            )
-        )
-        assert first.outcome == ADMITTED
-        assert breaker.state == BreakerState.CLOSED
-        # 2. Partition: no verdict comes back; the deadline bounds the
-        # retry ladder, the arrival is shed, the breaker opens.
-        lost = door.offer(
-            ServiceRequest(
-                "b", requirement("n0", 1, 10, 20), 10, criticality="high"
-            )
-        )
-        assert (lost.outcome, lost.reason) == (SHED, SHED_UNREACHABLE)
-        assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 24  # gave up at the deadline (20) + 4
-        # 3. Still open: walled off at gate 1.
-        walled = door.offer(
-            ServiceRequest(
-                "c", requirement("n0", 1, 21, 60), 21, criticality="high"
-            )
-        )
-        assert walled.reason == SHED_BREAKER_OPEN
-        # 4. Probe slot granted, then brownout (latency-triggered by the
-        # injected delay) defers the low-criticality probe before the
-        # exact check: half-open survives, unprobed.
-        deferred = door.offer(
-            ServiceRequest(
-                "d", requirement("n0", 1, 25, 60), 25, criticality="low"
-            )
-        )
-        assert deferred.outcome == DEFERRED
-        assert door.brownout.active
-        assert breaker.state == BreakerState.HALF_OPEN
-        # 5. Reconciliation runs the exact check over the healed link:
-        # the deferral becomes the successful probe and closes it.
-        resolved = door.finish(30)
-        assert [o.outcome for o in resolved] == [ADMITTED]
-        assert resolved[0].reconciled
-        assert breaker.state == BreakerState.CLOSED
-        states = [(frm, to) for _, frm, to in breaker.transitions]
-        assert states == [
-            ("closed", "open"),
-            ("open", "half-open"),
-            ("half-open", "closed"),
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -142,7 +142,6 @@ class TestTraceFaultErgonomics:
         trace = SimulationTrace()
         trace.record_loss(2, "crash", cpu1, 8)
         assert trace.conservation_gaps({cpu1: 8}) == []
-        assert trace.conservation_gaps({cpu1: 8}, include_losses=False)
 
     def test_loss_only_ltype_surfaces_in_gaps(self, cpu1):
         # Regression: a located type appearing *only* in loss records —
@@ -156,12 +155,3 @@ class TestTraceFaultErgonomics:
         assert str(cpu1) in gaps[0]
         # lost_totals must report it too, not just the gap message.
         assert trace.lost_totals() == {cpu1: 5}
-
-    def test_loss_only_ltype_surfaces_without_loss_leg(self, cpu1):
-        # With include_losses=False the loss leg leaves the balance, but
-        # a never-offered lost type is still an anomaly worth one line.
-        trace = SimulationTrace()
-        trace.record_loss(3, "crash", cpu1, 2)
-        gaps = trace.conservation_gaps({}, include_losses=False)
-        assert len(gaps) == 1
-        assert "never offered" in gaps[0]
