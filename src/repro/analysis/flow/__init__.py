@@ -9,8 +9,8 @@ graph (:mod:`.callgraph`) feeding three analyses —
   zero-hop finding, one reached through calls carries its full witness
   chain;
 * :mod:`.coverage` — the checkpoint-coverage proof for
-  ``@checkpointable`` classes (every ``self`` attribute captured or
-  annotated derivable);
+  ``@checkpointable`` classes (every ``self`` attribute captured, or its
+  finding suppressed with the reason a restore does without it);
 * :mod:`.escape` — shared-state escape detection plus the ranked
   isolation report grounding the parallel per-enclave simulator.
 
@@ -23,19 +23,15 @@ from repro.analysis.flow.analyzer import (
     render_flow_json,
     render_flow_text,
 )
-from repro.analysis.flow.annotations import FlowAnnotation, parse_annotations
 from repro.analysis.flow.callgraph import Program, build_program
-from repro.analysis.flow.names import FLOW_META_RULES, FLOW_RULES
+from repro.analysis.flow.names import FLOW_RULES
 
 __all__ = [
-    "FLOW_META_RULES",
     "FLOW_RULES",
     "FlowAnalyzer",
-    "FlowAnnotation",
     "FlowResult",
     "Program",
     "build_program",
-    "parse_annotations",
     "render_flow_json",
     "render_flow_text",
 ]

@@ -1,14 +1,12 @@
 """The ``repro-lint flow`` driver: build the program, run the three
-interprocedural analyses, reconcile sanctions, render.
+interprocedural analyses, reconcile suppressions, render.
 
-The reconcile contract mirrors the line engine exactly: a finding on a
-line carrying a reasoned ``# repro-lint: disable=<flow-rule>`` is
-silenced and the suppression marked used; a flow-named suppression that
-silences nothing is itself a finding (``suppression-unused``) — *this*
-analyzer polices those, because ``repro-lint code`` deliberately skips
-the unused check for flow-named suppressions it cannot discharge.  The
-``# repro-flow:`` annotation family is policed here too (see
-:mod:`repro.analysis.flow.annotations`).
+Suppressions go through the same ledger as the line engine's
+(:func:`repro.analysis.lint.suppressions.reconcile`): a finding on a line
+carrying a reasoned ``# repro-lint: disable=<flow-rule>`` is silenced,
+and a suppression whose flow-rule names silence nothing is itself a
+finding (``suppression-unused``).  The reports are the line engine's too,
+with the isolation report and call-graph stats appended.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.flow.annotations import annotation_meta_findings
-from repro.analysis.flow.callgraph import Program, build_program
+from repro.analysis.flow.callgraph import build_program
 from repro.analysis.flow.coverage import (
     checkpointable_classes,
     coverage_findings,
@@ -33,11 +30,9 @@ from repro.analysis.flow.taint import (
     exactness_findings,
     nondeterminism_findings,
 )
-from repro.analysis.lint.engine import Finding
-from repro.analysis.lint.reporters import FINDING_FIELDS
-
-#: Version of the ``repro-lint flow --format json`` document.
-FLOW_JSON_SCHEMA_VERSION = 1
+from repro.analysis.lint.engine import Finding, known_rule_names
+from repro.analysis.lint.reporters import _document, render_text
+from repro.analysis.lint.suppressions import reconcile
 
 
 @dataclass
@@ -69,20 +64,13 @@ class FlowAnalyzer:
                     rule="parse-error", message=message,
                 )
             )
-        # Ordering matters only for annotation bookkeeping: coverage
-        # marks 'derivable' annotations used before the meta pass runs.
         raw.extend(nondeterminism_findings(program))
         raw.extend(exactness_findings(program))
         raw.extend(coverage_findings(program))
         escape, report = escape_findings_and_report(program)
         raw.extend(escape)
-        kept = self._reconcile(program, raw)
-        for path in sorted(program.annotations):
-            kept.extend(
-                annotation_meta_findings(program.annotations[path], path)
-            )
-        kept.extend(self._stale_flow_suppressions(program))
-        kept.sort()
+        ran = set(FLOW_RULES) | {"parse-error"}
+        kept = reconcile(raw, program.suppressions, ran, known_rule_names())
         files_checked = len(program.files) + len(program.parse_errors)
         return FlowResult(
             findings=kept,
@@ -100,70 +88,9 @@ class FlowAnalyzer:
             },
         )
 
-    # ------------------------------------------------------------------
-    def _reconcile(
-        self, program: Program, raw: List[Finding]
-    ) -> List[Finding]:
-        kept: List[Finding] = []
-        for finding in raw:
-            suppression = program.suppressions.get(finding.path, {}).get(
-                finding.line
-            )
-            if (
-                suppression is not None
-                and suppression.has_reason
-                and finding.rule in suppression.rules
-            ):
-                suppression.used.add(finding.rule)
-                continue
-            kept.append(finding)
-        return kept
 
-    def _stale_flow_suppressions(self, program: Program) -> List[Finding]:
-        out: List[Finding] = []
-        for path in sorted(program.suppressions):
-            for suppression in program.suppressions[path].values():
-                flow_named = [
-                    name for name in suppression.rules if name in FLOW_RULES
-                ]
-                if not flow_named or not suppression.has_reason:
-                    continue
-                if suppression.used & set(flow_named):
-                    continue
-                out.append(
-                    Finding(
-                        path=path,
-                        line=suppression.line,
-                        column=1,
-                        rule="suppression-unused",
-                        message=(
-                            "flow suppression "
-                            f"({', '.join(flow_named)}) silences nothing "
-                            "on this line; remove it or move it to the "
-                            "offending line"
-                        ),
-                    )
-                )
-        return out
-
-
-# ----------------------------------------------------------------------
-# Reporters (the text form delegates to the engine's renderer idiom; the
-# JSON document extends the code schema with the isolation report).
-# ----------------------------------------------------------------------
 def render_flow_text(result: FlowResult, *, report: bool = False) -> str:
-    lines = [finding.render() for finding in result.findings]
-    errors = sum(1 for f in result.findings if f.severity == "error")
-    warnings = len(result.findings) - errors
-    if result.findings:
-        lines.append(
-            f"{errors} error(s), {warnings} warning(s) "
-            f"in {result.files_checked} file(s) checked"
-        )
-    else:
-        lines.append(
-            f"clean: {result.files_checked} file(s) checked, no findings"
-        )
+    lines = [render_text(result.findings, result.files_checked)]
     if report:
         lines.append(
             f"isolation report ({len(result.isolation_report)} "
@@ -175,34 +102,19 @@ def render_flow_text(result: FlowResult, *, report: bool = False) -> str:
 
 
 def render_flow_json(result: FlowResult) -> str:
-    document = {
-        "version": FLOW_JSON_SCHEMA_VERSION,
-        "tool": "repro-lint flow",
-        "files_checked": result.files_checked,
-        "counts": {
-            "error": sum(
-                1 for f in result.findings if f.severity == "error"
-            ),
-            "warning": sum(
-                1 for f in result.findings if f.severity == "warning"
-            ),
-        },
-        "findings": [
-            {name: getattr(finding, name) for name in FINDING_FIELDS}
-            for finding in result.findings
-        ],
-        "isolation_report": [
-            {
-                "rank": entry.rank,
-                "module": entry.module,
-                "path": entry.path,
-                "line": entry.line,
-                "name": entry.name,
-                "kind": entry.kind,
-                "detail": entry.detail,
-            }
-            for entry in result.isolation_report
-        ],
-        "stats": result.stats,
-    }
-    return json.dumps(document, indent=2, sort_keys=False)
+    document = _document(result.findings, result.files_checked)
+    document["tool"] = "repro-lint flow"
+    document["isolation_report"] = [
+        {
+            "rank": entry.rank,
+            "module": entry.module,
+            "path": entry.path,
+            "line": entry.line,
+            "name": entry.name,
+            "kind": entry.kind,
+            "detail": entry.detail,
+        }
+        for entry in result.isolation_report
+    ]
+    document["stats"] = result.stats
+    return json.dumps(document, indent=2)

@@ -37,13 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow.annotations import FlowAnnotation, parse_annotations
-from repro.analysis.lint.engine import SourceFile, module_of
-from repro.analysis.lint.suppressions import (
-    Suppression,
-    comment_lines,
-    parse_suppressions,
-)
+from repro.analysis.lint.engine import SourceFile, module_of, python_files
+from repro.analysis.lint.layering import absolute_from
+from repro.analysis.lint.suppressions import Suppression, parse_suppressions
 
 #: Call-edge kinds.  ``defines`` joins a function to a nested function
 #: it creates (the closure escapes, conservatively); ``property`` joins
@@ -81,13 +77,12 @@ class FunctionNode:
 
 @dataclass
 class ClassNode:
-    """One class: methods, bases, attribute types, span."""
+    """One class: methods, bases, attribute types."""
 
     qname: str
     module: str
     path: str
     line: int
-    end_line: int
     name: str
     #: base-class references, resolved to qnames where possible
     bases: List[str] = field(default_factory=list)
@@ -113,7 +108,6 @@ class Program:
         self.classes: Dict[str, ClassNode] = {}
         #: per-module local scope: name -> qname or dotted import target
         self.scopes: Dict[str, Dict[str, str]] = {}
-        self.annotations: Dict[str, Dict[int, FlowAnnotation]] = {}
         self.suppressions: Dict[str, Dict[int, Suppression]] = {}
         #: files that failed to parse: path -> (line, message)
         self.parse_errors: Dict[str, Tuple[int, str]] = {}
@@ -219,17 +213,6 @@ class Program:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def _python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            yield from sorted(
-                p for p in path.rglob("*.py") if "__pycache__" not in p.parts
-            )
-        else:
-            yield path
-
-
 def build_program(
     paths: Sequence[str | Path],
     *,
@@ -239,7 +222,7 @@ def build_program(
     (``path -> text``), letting tests inject mutated modules."""
     program = Program()
     texts: List[Tuple[str, str]] = []
-    for path in _python_files(paths):
+    for path in python_files(paths):
         texts.append((str(path), path.read_text()))
     for path, text in (sources or {}).items():
         texts.append((path, text))
@@ -262,19 +245,11 @@ def _load_file(program: Program, path: str, text: str) -> None:
             f"file does not parse: {exc.msg}",
         )
         return
-    comments = comment_lines(text)
-    source = SourceFile(
-        path=path,
-        text=text,
-        module=module,
-        tree=tree,
-        suppressions=parse_suppressions(text, comments),
-    )
+    source = SourceFile(path=path, text=text, module=module, tree=tree)
     program.files[path] = source
     if module is not None:
         program.modules[module] = source
-    program.annotations[path] = parse_annotations(text, comments)
-    program.suppressions[path] = source.suppressions
+    program.suppressions[path] = parse_suppressions(text)
 
 
 # -- pass 1: indexing ---------------------------------------------------
@@ -328,25 +303,13 @@ def _index_import(scope: Dict[str, str], node: ast.stmt, module: str) -> None:
                 root = alias.name.split(".")[0]
                 scope[root] = root
     elif isinstance(node, ast.ImportFrom):
-        base = _absolute_from(node, module)
+        base = absolute_from(node, module)
         if base is None:
             return
         for alias in node.names:
             if alias.name == "*":
                 continue
             scope[alias.asname or alias.name] = f"{base}.{alias.name}"
-
-
-def _absolute_from(node: ast.ImportFrom, module: str) -> Optional[str]:
-    if node.level == 0:
-        return node.module
-    base = module.split(".")
-    if len(base) < node.level:
-        return None
-    prefix = base[: len(base) - node.level]
-    if node.module:
-        prefix = prefix + node.module.split(".")
-    return ".".join(prefix) if prefix else None
 
 
 def _index_function(
@@ -406,7 +369,6 @@ def _index_class(
         module=source.module or source.path,
         path=source.path,
         line=node.lineno,
-        end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
         name=node.name,
         decorators=[_decorator_name(d) for d in node.decorator_list],
     )

@@ -14,9 +14,10 @@ the invariant a machine-checked proof obligation:
       (``state_snapshot`` / ``network_snapshot`` / ``__getstate__``),
       directly or through same-class helpers they call, including a
       wholesale ``dict(self.__dict__)`` minus the names it pops — or
-    * *derivable* — sanctioned by a reasoned
-      ``# repro-flow: derivable=<attr> -- <reason>`` annotation inside
-      the class body.
+    * *deliberately not captured* — its finding, anchored at the
+      attribute's first assignment, silenced by a reasoned
+      ``# repro-lint: disable=flow-snapshot-coverage -- <reason>`` on
+      that line (stale once the snapshot starts capturing it).
 
 Restore methods deliberately do **not** count as capture: restoring an
 attribute proves it *would* round-trip if captured, not that it is.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow.annotations import derivable_attributes, mark_used
 from repro.analysis.flow.callgraph import ClassNode, Program
 from repro.analysis.lint.engine import Finding
 
@@ -245,8 +245,6 @@ def covered_attributes(
 
 def coverage_findings(program: Program) -> Iterator[Finding]:
     for cls in checkpointable_classes(program):
-        annotations = program.annotations.get(cls.path, {})
-        derivable = derivable_attributes(annotations, cls.line, cls.end_line)
         covered, methods = covered_attributes(program, cls)
         if not methods:
             yield Finding(
@@ -264,9 +262,6 @@ def coverage_findings(program: Program) -> Iterator[Finding]:
         for attr in sorted(cls.self_attrs):
             if attr in covered:
                 continue
-            if attr in derivable:
-                mark_used(derivable[attr])
-                continue
             yield Finding(
                 path=cls.path,
                 line=cls.self_attrs[attr],
@@ -274,9 +269,8 @@ def coverage_findings(program: Program) -> Iterator[Finding]:
                 rule="flow-snapshot-coverage",
                 message=(
                     f"{cls.qname} assigns self.{attr} but no snapshot "
-                    f"method ({', '.join(methods)}) captures it and no "
-                    "'# repro-flow: derivable' annotation sanctions it; "
-                    "this state silently vanishes across a checkpoint/"
-                    "restore cycle"
+                    f"method ({', '.join(methods)}) captures it; this "
+                    "state silently vanishes across a checkpoint/restore "
+                    "cycle"
                 ),
             )

@@ -27,32 +27,14 @@ FLOW_RULES: Dict[str, str] = {
     ),
     "flow-snapshot-coverage": (
         "a checkpointable class assigns a self attribute no snapshot "
-        "method captures and no 'repro-flow: derivable' annotation "
-        "sanctions — state that would silently vanish across a resume"
+        "method captures — state that would silently vanish across a "
+        "resume unless a reasoned suppression says a restore does "
+        "without it"
     ),
     "flow-shared-state": (
         "module-level mutable state, an ambient singleton instance, a "
         "class-level mutable default, or a 'global' statement inside the "
         "enclave-parallel packages (system/encapsulation/decision) — "
         "state that escapes per-enclave isolation"
-    ),
-}
-
-#: Meta-rules policing the ``# repro-flow:`` annotation family itself,
-#: mirroring the PR 5 suppression contract (a reasonless annotation
-#: sanctions nothing; stale annotations cannot accumulate).
-FLOW_META_RULES: Dict[str, str] = {
-    "flow-annotation-missing-reason": (
-        "a '# repro-flow:' annotation lacks the mandatory '-- reason' "
-        "clause"
-    ),
-    "flow-annotation-unknown-directive": (
-        "a '# repro-flow:' annotation uses a directive the analyzer "
-        "does not know (known: derivable=<attr>)"
-    ),
-    "flow-annotation-unused": (
-        "a '# repro-flow:' annotation sanctions nothing (the attribute "
-        "is already captured, or the line is outside any checkpointable "
-        "class)"
     ),
 }

@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     code.add_argument(
         "--rules", default=None, metavar="RULE[,RULE...]",
-        help="run only the named rules (disables unused-suppression "
-        "checking, which needs the full set)",
+        help="run only the named rules (suppressions naming other rules "
+        "are not checked for staleness)",
     )
     code.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -204,20 +204,18 @@ def _cmd_rules(_args: argparse.Namespace) -> int:
         scope = ", ".join(rule.scope) if rule.scope else "all repro modules"
         print(f"  {rule.name}: {rule.description} [scope: {scope}]")
     print("flow rules (repro-lint flow):")
-    from repro.analysis.flow.names import FLOW_META_RULES, FLOW_RULES
+    from repro.analysis.flow.names import FLOW_RULES
 
     for name, description in FLOW_RULES.items():
         print(f"  {name}: {description}")
     print("meta rules (suppression machinery):")
     for name, description in META_RULES.items():
         print(f"  {name}: {description}")
-    for name, description in FLOW_META_RULES.items():
-        print(f"  {name}: {description}")
     print("spec rules (repro-lint spec):")
     for name, description in SPEC_RULES.items():
         print(f"  {name}: {description}")
     print(
-        "suppress a code finding in place with\n"
+        "suppress a code or flow finding in place with\n"
         "  # repro-lint: disable=<rule>[,<rule>] -- <reason>\n"
         "(the reason is mandatory; unexplained suppressions are findings)"
     )

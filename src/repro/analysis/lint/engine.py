@@ -16,14 +16,14 @@ itself deterministic and exact, the very properties it polices.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.lint.suppressions import (
     META_RULES,
-    Suppression,
     parse_suppressions,
+    reconcile,
 )
 
 #: Severities, in decreasing order of gravity.  Any finding — warning or
@@ -62,7 +62,6 @@ class SourceFile:
     text: str
     module: Optional[str]
     tree: ast.AST
-    suppressions: Dict[int, Suppression] = field(default_factory=dict)
 
     @property
     def package(self) -> Optional[str]:
@@ -185,23 +184,13 @@ def get_rules(names: Sequence[str]) -> Tuple[Rule, ...]:
 
 def known_rule_names() -> frozenset:
     """Code-rule, meta-rule, and flow-rule names — the one namespace all
-    suppressions live in.  Flow rules are produced only by ``repro-lint
-    flow``, but a suppression naming one must parse as known under
-    ``repro-lint code`` too (both tools read the same comments)."""
+    suppressions live in, whichever tool discharges them."""
     _load_builtin_rules()
-    return (
-        frozenset(_REGISTRY)
-        | frozenset(META_RULES)
-        | _flow_rule_names()
-    )
-
-
-def _flow_rule_names() -> frozenset:
     # Late import of the (leaf) flow namespace module: the flow package
     # imports the engine, not vice versa.
-    from repro.analysis.flow.names import FLOW_META_RULES, FLOW_RULES
+    from repro.analysis.flow.names import FLOW_RULES
 
-    return frozenset(FLOW_RULES) | frozenset(FLOW_META_RULES)
+    return frozenset(_REGISTRY) | frozenset(META_RULES) | frozenset(FLOW_RULES)
 
 
 def _load_builtin_rules() -> None:
@@ -211,23 +200,12 @@ def _load_builtin_rules() -> None:
 
 
 class Analyzer:
-    """Run a rule set over sources and reconcile suppressions.
+    """Run a rule set over sources and reconcile suppressions."""
 
-    ``check_unused`` should stay on only when the *full* default rule set
-    runs: with a filtered subset, a suppression for an unselected rule
-    would be misreported as unused.
-    """
-
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        *,
-        check_unused: bool = True,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: Tuple[Rule, ...] = (
             tuple(rules) if rules is not None else all_rules()
         )
-        self.check_unused = check_unused and rules is None
 
     # ------------------------------------------------------------------
     def check_source(
@@ -236,10 +214,11 @@ class Analyzer:
         """Analyse one in-memory source; ``module`` overrides path sniffing."""
         suppressions = parse_suppressions(text)
         module = module if module is not None else module_of(path)
+        raw: List[Finding] = []
         try:
             tree = ast.parse(text)
         except SyntaxError as exc:
-            raw = [
+            raw.append(
                 Finding(
                     path=path,
                     line=exc.lineno or 1,
@@ -247,17 +226,14 @@ class Analyzer:
                     rule="parse-error",
                     message=f"file does not parse: {exc.msg}",
                 )
-            ]
-            return self._reconcile(raw, suppressions, path)
-        source = SourceFile(
-            path=path, text=text, module=module, tree=tree,
-            suppressions=suppressions,
-        )
-        raw: List[Finding] = []
-        for rule in self.rules:
-            if rule.applies_to(module):
-                raw.extend(rule.check(source))
-        return self._reconcile(raw, suppressions, path)
+            )
+        else:
+            source = SourceFile(path=path, text=text, module=module, tree=tree)
+            for rule in self.rules:
+                if rule.applies_to(module):
+                    raw.extend(rule.check(source))
+        ran = {rule.name for rule in self.rules} | {"parse-error"}
+        return reconcile(raw, {path: suppressions}, ran, known_rule_names())
 
     def check_file(self, path: str | Path) -> List[Finding]:
         return self.check_source(Path(path).read_text(), str(path))
@@ -268,80 +244,16 @@ class Analyzer:
         """Analyse files and directories; returns (findings, files checked)."""
         findings: List[Finding] = []
         checked = 0
-        for path in _python_files(paths):
+        for path in python_files(paths):
             findings.extend(self.check_file(path))
             checked += 1
         findings.sort()
         return findings, checked
 
-    # ------------------------------------------------------------------
-    def _reconcile(
-        self,
-        raw: List[Finding],
-        suppressions: Dict[int, Suppression],
-        path: str,
-    ) -> List[Finding]:
-        kept: List[Finding] = []
-        for finding in raw:
-            suppression = suppressions.get(finding.line)
-            if (
-                suppression is not None
-                and suppression.has_reason
-                and finding.rule in suppression.rules
-            ):
-                suppression.used.add(finding.rule)
-                continue
-            kept.append(finding)
-        known = known_rule_names()
-        for suppression in suppressions.values():
-            kept.extend(self._meta_findings(suppression, known, path))
-        kept.sort()
-        return kept
 
-    def _meta_findings(
-        self,
-        suppression: Suppression,
-        known: frozenset,
-        path: str,
-    ) -> Iterator[Finding]:
-        at = dict(path=path, line=suppression.line, column=1)
-        if not suppression.has_reason:
-            yield Finding(
-                rule="suppression-missing-reason",
-                message=(
-                    "suppression must state a reason: "
-                    "'# repro-lint: disable="
-                    + ",".join(suppression.rules)
-                    + " -- <why this line is sanctioned>'"
-                ),
-                **at,
-            )
-            return  # a reasonless suppression silences nothing; stop here
-        for name in suppression.rules:
-            if name not in known:
-                yield Finding(
-                    rule="suppression-unknown-rule",
-                    message=f"suppression names unknown rule {name!r}",
-                    **at,
-                )
-        if self.check_unused and not suppression.used:
-            if any(name in _flow_rule_names() for name in suppression.rules):
-                # Flow-rule suppressions are discharged by `repro-lint
-                # flow`, which runs its own staleness check; the line
-                # engine cannot tell used from stale here.
-                return
-            if all(name in known for name in suppression.rules):
-                yield Finding(
-                    rule="suppression-unused",
-                    message=(
-                        "suppression silences nothing on this line; "
-                        "remove it or move it to the offending line"
-                    ),
-                    **at,
-                )
-
-
-def _python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+def python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """Every ``.py`` file named by ``paths``, directories walked in
+    sorted order."""
     for path in paths:
         path = Path(path)
         if path.is_dir():

@@ -172,7 +172,7 @@ def imported_repro_packages(
                 if package is not None:
                     yield node, package
         elif isinstance(node, ast.ImportFrom):
-            dotted = _absolute_from(node, module)
+            dotted = absolute_from(node, module)
             if dotted is None:
                 continue
             package = _repro_package(dotted)
@@ -187,7 +187,9 @@ def _repro_package(dotted: str) -> Optional[str]:
     return parts[1] if len(parts) > 1 else "repro"
 
 
-def _absolute_from(node: ast.ImportFrom, module: Optional[str]) -> Optional[str]:
+def absolute_from(node: ast.ImportFrom, module: Optional[str]) -> Optional[str]:
+    """The dotted module a (possibly relative) ``from`` import names,
+    resolved against the importing ``module``."""
     if node.level == 0:
         return node.module
     if module is None:

@@ -33,7 +33,13 @@ def render_text(findings: Sequence[Finding], files_checked: int) -> str:
 
 
 def render_json(findings: Sequence[Finding], files_checked: int) -> str:
-    document = {
+    return json.dumps(_document(findings, files_checked), indent=2)
+
+
+def _document(findings: Sequence[Finding], files_checked: int) -> dict:
+    """The JSON report every ``repro-lint`` tool emits; ``repro-lint
+    flow`` renames the tool and appends its own sections."""
+    return {
         "version": JSON_SCHEMA_VERSION,
         "tool": "repro-lint",
         "files_checked": files_checked,
@@ -46,4 +52,3 @@ def render_json(findings: Sequence[Finding], files_checked: int) -> str:
             for finding in findings
         ],
     }
-    return json.dumps(document, indent=2, sort_keys=False)

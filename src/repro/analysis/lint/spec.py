@@ -56,6 +56,7 @@ from repro.intervals.interval import Interval
 from repro.intervals.relations import Relation, relate
 from repro.serialization import (
     SerializationError,
+    interval_from_wire,
     requirement_from_wire,
     resource_set_from_wire,
     time_from_wire,
@@ -95,10 +96,6 @@ SPEC_RULES: Dict[str, str] = {
 _SCENARIO_KEYS = frozenset(
     {"kind", "name", "horizon", "initial_resources", "events",
      "temporal_constraints"}
-)
-_FAULT_PLAN_KEYS = frozenset(
-    {"kind", "seed", "crash_rate", "revocation_rate", "straggler_rate",
-     "straggler_factor", "min_early", "max_early"}
 )
 
 _RELATION_NAMES: Dict[str, Relation] = {}
@@ -178,10 +175,14 @@ def check_spec_document(
     if kind == "temporal_spec":
         return _check_temporal_spec(document, path)
     if kind == "resource_set":
-        _, findings = _load_resource_set(document, path, "$")
+        _, findings = _load(
+            resource_set_from_wire, "resource set", document, path, "$"
+        )
         return findings
     if isinstance(kind, str) and kind.endswith("_requirement"):
-        requirement, findings = _load_requirement(document, path, "$")
+        requirement, findings = _load(
+            requirement_from_wire, "requirement", document, path, "$"
+        )
         if requirement is not None:
             findings.extend(_requirement_semantics(requirement, path, "$"))
         return findings
@@ -267,36 +268,20 @@ def _classify_rota_error(
     return _finding(path, rule, str(exc), where=where, line=line)
 
 
-def _load_resource_set(data: Any, path: str, where: str):
+def _load(from_wire, noun: str, data: Any, path: str, where: str):
+    """``(value, findings)`` for one wire object; ``value`` is ``None``
+    whenever there is a finding."""
     findings = _interval_wire_findings(data, path, where)
     if findings:
         return None, findings
     try:
-        resources = resource_set_from_wire(data)
-    except (RotaError, KeyError, TypeError) as exc:
-        if isinstance(exc, RotaError):
-            return None, [_classify_rota_error(exc, path, where)]
+        return from_wire(data), []
+    except RotaError as exc:
+        return None, [_classify_rota_error(exc, path, where)]
+    except (KeyError, TypeError) as exc:
         return None, [
-            _finding(path, "spec-syntax",
-                     f"bad resource set: {exc!r}", where=where)
+            _finding(path, "spec-syntax", f"bad {noun}: {exc!r}", where=where)
         ]
-    return resources, findings
-
-
-def _load_requirement(data: Any, path: str, where: str):
-    findings = _interval_wire_findings(data, path, where)
-    if findings:
-        return None, findings
-    try:
-        requirement = requirement_from_wire(data)
-    except (RotaError, KeyError, TypeError) as exc:
-        if isinstance(exc, RotaError):
-            return None, [_classify_rota_error(exc, path, where)]
-        return None, [
-            _finding(path, "spec-syntax",
-                     f"bad requirement: {exc!r}", where=where)
-        ]
-    return requirement, findings
 
 
 def _requirement_semantics(
@@ -393,12 +378,14 @@ def check_request_document(
 ) -> List[Finding]:
     """Pre-admission screen for a ``repro check`` request document."""
     findings: List[Finding] = []
-    resources, resource_findings = _load_resource_set(
-        document["resources"], path, "$.resources"
+    resources, resource_findings = _load(
+        resource_set_from_wire, "resource set", document["resources"],
+        path, "$.resources",
     )
     findings.extend(resource_findings)
-    requirement, requirement_findings = _load_requirement(
-        document["requirement"], path, "$.requirement"
+    requirement, requirement_findings = _load(
+        requirement_from_wire, "requirement", document["requirement"],
+        path, "$.requirement",
     )
     findings.extend(requirement_findings)
     if requirement is None:
@@ -505,6 +492,17 @@ def check_temporal_constraints(
                 )
             )
             continue
+        if not all(
+            isinstance(constraint[end], str) for end in ("a", "b")
+        ):
+            findings.append(
+                _finding(
+                    path, "spec-syntax",
+                    "temporal constraint endpoints 'a' and 'b' must be "
+                    "interval names (strings)", where=at,
+                )
+            )
+            continue
         relations, relation_findings = _parse_relations(
             constraint["relations"], path, at
         )
@@ -591,10 +589,8 @@ def _check_temporal_spec(
             findings.extend(interval_findings)
             continue
         try:
-            concrete[name] = Interval(
-                time_from_wire(wire["start"]), time_from_wire(wire["end"])
-            )
-        except (KeyError, RotaError, SerializationError) as exc:
+            concrete[name] = interval_from_wire(wire)
+        except (KeyError, RotaError) as exc:
             findings.append(
                 _finding(path, "spec-syntax",
                          f"bad interval: {exc}", where=at)
@@ -652,8 +648,9 @@ def _check_scenario(
 
     provided = set()
     if "initial_resources" in document:
-        resources, resource_findings = _load_resource_set(
-            document["initial_resources"], path, "$.initial_resources"
+        resources, resource_findings = _load(
+            resource_set_from_wire, "resource set",
+            document["initial_resources"], path, "$.initial_resources",
         )
         findings.extend(resource_findings)
         if resources is not None:
@@ -749,7 +746,7 @@ def _screen_events(
             findings.extend(replace(f, line=line) for f in interval_findings)
             continue
         try:
-            events.append((line, where, event_from_wire(dict(wire))))
+            events.append((line, where, event_from_wire(wire)))
         except (RotaError, KeyError, TypeError) as exc:
             if isinstance(exc, RotaError):
                 findings.append(
@@ -809,22 +806,22 @@ def _check_fault_plan(document: Mapping[str, Any], path: str) -> List[Finding]:
     from repro.faults import FaultPlan
 
     findings: List[Finding] = []
-    for key in sorted(set(document) - _FAULT_PLAN_KEYS):
+    known = set(FaultPlan.__dataclass_fields__) | {"kind"}
+    for key in sorted(set(document) - known):
         findings.append(
             _finding(path, "spec-syntax",
                      f"unknown fault_plan key {key!r}", where=f"$.{key}")
         )
-    fields = {k: v for k, v in document.items() if k != "kind"}
+    fields = {
+        key: value
+        for key, value in document.items()
+        if key != "kind" and key in known
+    }
     try:
         FaultPlan(**fields)
     except FaultInjectionError as exc:
         findings.append(
             _finding(path, "spec-fault-plan", str(exc), where="$")
-        )
-    except TypeError as exc:
-        findings.append(
-            _finding(path, "spec-syntax",
-                     f"bad fault plan: {exc}", where="$")
         )
     return findings
 
@@ -898,8 +895,9 @@ def _check_formula_node(
                 _finding(path, "spec-syntax",
                          "satisfy needs a 'requirement'", where=where)
             ]
-        requirement, findings = _load_requirement(
-            node["requirement"], path, f"{where}.requirement"
+        requirement, findings = _load(
+            requirement_from_wire, "requirement", node["requirement"],
+            path, f"{where}.requirement",
         )
         if requirement is not None:
             findings.extend(

@@ -15,6 +15,8 @@ finding (``suppression-missing-reason``), as is one naming a rule the
 registry does not know (``suppression-unknown-rule``) or one that
 silences nothing (``suppression-unused``).  This is what keeps the
 repo's promise of "zero unexplained suppressions" checkable by machine.
+``repro-lint code`` and ``repro-lint flow`` share this one grammar and
+reconcile through :func:`reconcile`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,18 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Set,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.analysis.lint.engine import Finding
 
 #: Meta-rules emitted by the suppression machinery itself.  They are part
 #: of the public rule namespace so reporters and the self-check fixtures
@@ -54,7 +67,7 @@ class Suppression:
     line: int
     rules: Tuple[str, ...]
     reason: str | None
-    #: Rule names this suppression actually silenced (filled by the engine).
+    #: Rule names this suppression actually silenced (filled by :func:`reconcile`).
     used: Set[str] = field(default_factory=set)
 
     @property
@@ -62,7 +75,7 @@ class Suppression:
         return bool(self.reason and self.reason.strip())
 
 
-def comment_lines(text: str) -> List[Tuple[int, str]]:
+def _comment_lines(text: str) -> List[Tuple[int, str]]:
     """``(line, comment)`` for every genuine ``#`` comment in ``text``.
 
     The pattern appearing inside a string or docstring (as in this
@@ -80,17 +93,10 @@ def comment_lines(text: str) -> List[Tuple[int, str]]:
         return list(enumerate(text.splitlines(), start=1))
 
 
-def parse_suppressions(
-    text: str, comments: Optional[List[Tuple[int, str]]] = None
-) -> Dict[int, Suppression]:
-    """All suppression comments in ``text``, keyed by 1-based line number.
-
-    ``comments`` passes in :func:`comment_lines` already computed for
-    ``text``, so a caller parsing several directive families tokenizes
-    once.
-    """
+def parse_suppressions(text: str) -> Dict[int, Suppression]:
+    """All suppression comments in ``text``, keyed by 1-based line number."""
     out: Dict[int, Suppression] = {}
-    for number, raw in comments if comments is not None else comment_lines(text):
+    for number, raw in _comment_lines(text):
         match = _PATTERN.search(raw)
         if match is None:
             continue
@@ -101,3 +107,69 @@ def parse_suppressions(
             line=number, rules=rules, reason=match.group("reason")
         )
     return out
+
+
+def reconcile(
+    raw: Iterable[Finding],
+    suppressions: Dict[str, Dict[int, Suppression]],
+    ran: AbstractSet[str],
+    known: AbstractSet[str],
+) -> List[Finding]:
+    """Silence ``raw`` findings against ``suppressions`` (path -> line ->
+    suppression), then police the suppressions themselves.
+
+    ``ran`` names the rules this run could produce: a suppression is
+    unused only when none of its names in ``ran`` silenced anything, so
+    one comment may serve ``repro-lint code`` and ``repro-lint flow``
+    alike while a stale name on it still surfaces under its own tool.
+    ``known`` is the whole rule namespace both tools share.
+    """
+    # Late import: the engine imports this module for its parser.
+    from repro.analysis.lint.engine import Finding
+
+    kept: List[Finding] = []
+    for finding in raw:
+        suppression = suppressions.get(finding.path, {}).get(finding.line)
+        if (
+            suppression is not None
+            and suppression.has_reason
+            and finding.rule in suppression.rules
+        ):
+            suppression.used.add(finding.rule)
+            continue
+        kept.append(finding)
+    for path in sorted(suppressions):
+        for suppression in suppressions[path].values():
+            at = dict(path=path, line=suppression.line, column=1)
+            names = ",".join(suppression.rules)
+            if not suppression.has_reason:
+                kept.append(Finding(
+                    rule="suppression-missing-reason",
+                    message=(
+                        "suppression must state a reason: "
+                        f"'# repro-lint: disable={names} "
+                        "-- <why this line is sanctioned>'"
+                    ),
+                    **at,
+                ))
+                continue  # a reasonless suppression silences nothing
+            for name in suppression.rules:
+                if name not in known:
+                    kept.append(Finding(
+                        rule="suppression-unknown-rule",
+                        message=f"suppression names unknown rule {name!r}",
+                        **at,
+                    ))
+            stale = [name for name in suppression.rules if name in ran]
+            if stale and not suppression.used & set(stale):
+                kept.append(Finding(
+                    rule="suppression-unused",
+                    message=(
+                        f"suppression ({', '.join(stale)}) silences nothing "
+                        "on this line; remove it or move it to the "
+                        "offending line"
+                    ),
+                    **at,
+                ))
+    kept.sort()
+    return kept

@@ -78,7 +78,7 @@ from repro.faults.chaos import (
     replay_verdict,
     report_fingerprint,
 )
-from repro.faults.plan import require_count
+from repro.faults.plan import require_count, require_finite, require_seed
 from repro.faults.recovery import RecoveryPolicy
 from repro.intervals.interval import Interval, Time
 from repro.markers import checkpointable
@@ -142,9 +142,21 @@ class PartitionPlan:
     deadline_slack: Time = 12
 
     def __post_init__(self) -> None:
+        require_seed(self.seed)
         require_count("children", self.children)
         require_count("rpc_attempts", self.rpc_attempts)
         require_count("horizon", self.horizon)
+        for name in (
+            "partition_start", "partition_duration", "lease_ttl",
+            "renew_every", "rpc_timeout", "node_rate", "lease_rate",
+            "deadline_slack",
+        ):
+            require_finite(name, getattr(self, name))
+        for name in ("node_rate", "lease_rate", "deadline_slack"):
+            if getattr(self, name) <= 0:
+                raise FaultInjectionError(
+                    f"{name} must be > 0, got {getattr(self, name)!r}"
+                )
         if self.partition_start < 0 or self.partition_duration < 0:
             raise FaultInjectionError(
                 f"partition window must be non-negative, got "
@@ -297,11 +309,10 @@ class MeshPolicy(AdmissionPolicy):
         self._renounced: Dict[str, Time] = {}
         self._rpc_seq = 0
         #: wire WAL entries accumulated this slice; the simulator drains
-        #: them into the journal via :meth:`drain_wire_records`
-        # repro-flow: derivable=_wire_wal -- slice-local journal buffer,
-        # drained every slice; PR 9 recovery replays it from the journal,
-        # so checkpoints deliberately exclude it (_WIRE_STATE)
-        self._wire_wal: List[Dict[str, object]] = []
+        #: them into the journal via :meth:`drain_wire_records`.  A
+        #: slice-local buffer: recovery replays it from the journal, so
+        #: checkpoints deliberately exclude it (_WIRE_STATE)
+        self._wire_wal: List[Dict[str, object]] = []  # repro-lint: disable=flow-snapshot-coverage -- slice-local journal buffer, replayed from the journal
         # Observational tallies (reported by benchmarks, never traced).
         self.network_delay_charged: Time = 0
         self.rpc_failures = 0

@@ -39,7 +39,7 @@ from repro.faults.chaos import (
     replay_verdict,
     report_fingerprint,
 )
-from repro.faults.plan import require_count
+from repro.faults.plan import require_count, require_seed
 from repro.service.config import ServiceConfig
 from repro.service.driver import serve
 from repro.service.policy import FrontDoorPolicy
@@ -71,6 +71,7 @@ class OverloadPlan:
     stalled_enclave: bool = True
 
     def __post_init__(self) -> None:
+        require_seed(self.seed)
         if not self.multipliers:
             raise FaultInjectionError("multipliers must be non-empty")
         for multiplier in self.multipliers:

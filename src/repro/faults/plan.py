@@ -62,6 +62,14 @@ def require_finite(name: str, value: object) -> None:
         )
 
 
+def require_seed(value: object) -> None:
+    """Reject a seed that is not an ``int`` >= 0 (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FaultInjectionError(
+            f"seed must be an integer >= 0, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Deterministic description of what goes wrong, and when."""
@@ -80,6 +88,7 @@ class FaultPlan:
     max_early: int = 10
 
     def __post_init__(self) -> None:
+        require_seed(self.seed)
         for name in (
             "crash_rate", "revocation_rate", "straggler_rate",
             "straggler_factor",

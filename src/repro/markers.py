@@ -5,10 +5,10 @@ durability subsystem snapshots and restores.  The decorator is inert at
 runtime (it only stamps ``__checkpointable__``), but it is a *contract*
 the whole-program flow analysis enforces: every attribute the class ever
 assigns on ``self`` must be captured by one of its snapshot methods
-(``state_snapshot`` / ``network_snapshot`` / ``__getstate__``) or be
-explicitly annotated derivable::
+(``state_snapshot`` / ``network_snapshot`` / ``__getstate__``) or carry a
+reasoned suppression saying why a restore does without it::
 
-    self._cache = {}  # repro-flow: derivable=_cache -- rebuilt lazily on first read
+    self._cache = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt lazily on first read
 
 ``repro-lint flow`` (see :mod:`repro.analysis.flow`) fails the build on
 any attribute that is neither — the machine-checked form of PR 9's

@@ -59,12 +59,28 @@ def time_from_wire(value: Any) -> Time:
             numerator, _, denominator = value.partition("/")
             try:
                 return Fraction(int(numerator), int(denominator))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise SerializationError(f"bad rational {value!r}") from exc
         raise SerializationError(f"bad time value {value!r}")
     if isinstance(value, (int, float)):
         return value
     raise SerializationError(f"bad time value {value!r}")
+
+
+def _kind(data: Any) -> Any:
+    """The ``"kind"`` tag of a wire object; anything else is malformed."""
+    if not isinstance(data, Mapping):
+        raise SerializationError(
+            f"expected a wire object, got {type(data).__name__}"
+        )
+    return data.get("kind")
+
+
+def _name(data: Mapping[str, Any], key: str) -> str:
+    name = data[key]
+    if not isinstance(name, str):
+        raise SerializationError(f"location {key} must be a string, got {name!r}")
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -82,11 +98,13 @@ def location_to_wire(location: Node | Link) -> dict:
 
 
 def location_from_wire(data: Mapping[str, Any]) -> Node | Link:
-    kind = data.get("kind")
+    kind = _kind(data)
     if kind == "node":
-        return Node(data["name"])
+        return Node(_name(data, "name"))
     if kind == "link":
-        return Link(Node(data["source"]), Node(data["destination"]))
+        return Link(
+            Node(_name(data, "source")), Node(_name(data, "destination"))
+        )
     raise SerializationError(f"unknown location kind {kind!r}")
 
 
@@ -99,8 +117,9 @@ def ltype_to_wire(ltype: LocatedType) -> dict:
 
 
 def ltype_from_wire(data: Mapping[str, Any]) -> LocatedType:
-    if data.get("kind") != "ltype":
-        raise SerializationError(f"expected ltype, got {data.get('kind')!r}")
+    kind = _kind(data)
+    if kind != "ltype":
+        raise SerializationError(f"expected ltype, got {kind!r}")
     return LocatedType(data["resource"], location_from_wire(data["location"]))
 
 
@@ -117,8 +136,9 @@ def interval_to_wire(window: Interval) -> dict:
 
 
 def interval_from_wire(data: Mapping[str, Any]) -> Interval:
-    if data.get("kind") != "interval":
-        raise SerializationError(f"expected interval, got {data.get('kind')!r}")
+    kind = _kind(data)
+    if kind != "interval":
+        raise SerializationError(f"expected interval, got {kind!r}")
     return Interval(time_from_wire(data["start"]), time_from_wire(data["end"]))
 
 
@@ -132,8 +152,9 @@ def term_to_wire(item: ResourceTerm) -> dict:
 
 
 def term_from_wire(data: Mapping[str, Any]) -> ResourceTerm:
-    if data.get("kind") != "term":
-        raise SerializationError(f"expected term, got {data.get('kind')!r}")
+    kind = _kind(data)
+    if kind != "term":
+        raise SerializationError(f"expected term, got {kind!r}")
     return ResourceTerm(
         time_from_wire(data["rate"]),
         ltype_from_wire(data["ltype"]),
@@ -149,10 +170,9 @@ def resource_set_to_wire(resources: ResourceSet) -> dict:
 
 
 def resource_set_from_wire(data: Mapping[str, Any]) -> ResourceSet:
-    if data.get("kind") != "resource_set":
-        raise SerializationError(
-            f"expected resource_set, got {data.get('kind')!r}"
-        )
+    kind = _kind(data)
+    if kind != "resource_set":
+        raise SerializationError(f"expected resource_set, got {kind!r}")
     return ResourceSet(term_from_wire(t) for t in data["terms"])
 
 
@@ -171,8 +191,9 @@ def demands_to_wire(demands: Demands) -> dict:
 
 
 def demands_from_wire(data: Mapping[str, Any]) -> Demands:
-    if data.get("kind") != "demands":
-        raise SerializationError(f"expected demands, got {data.get('kind')!r}")
+    kind = _kind(data)
+    if kind != "demands":
+        raise SerializationError(f"expected demands, got {kind!r}")
     return Demands(
         {
             ltype_from_wire(entry["ltype"]): time_from_wire(entry["quantity"])
@@ -230,7 +251,7 @@ def requirement_to_wire(
 
 
 def requirement_from_wire(data: Mapping[str, Any]):
-    kind = data.get("kind")
+    kind = _kind(data)
     if kind == "simple_requirement":
         return SimpleRequirement(
             demands_from_wire(data["demands"]), interval_from_wire(data["window"])

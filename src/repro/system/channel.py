@@ -24,6 +24,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
 from repro.backoff import Backoff
@@ -40,8 +41,15 @@ FATES = ("delivered", "lost", "severed", "duplicated")
 
 
 def _check_probability(name: str, value) -> None:
-    if not 0 <= float(value) <= 1:
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        0 <= value <= 1
+    ):
         raise ChannelError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_ticks(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ChannelError(f"{name} must be a non-negative int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +66,8 @@ class LinkConfig:
     duplicate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delay, int) or self.delay < 0:
-            raise ChannelError(
-                f"link delay must be a non-negative int, got {self.delay!r}"
-            )
-        if not isinstance(self.jitter, int) or self.jitter < 0:
-            raise ChannelError(
-                f"link jitter must be a non-negative int, got {self.jitter!r}"
-            )
+        _check_ticks("link delay", self.delay)
+        _check_ticks("link jitter", self.jitter)
         _check_probability("link loss", self.loss)
         _check_probability("link duplicate", self.duplicate)
 
@@ -245,13 +247,13 @@ class MessageChannel:
     """
 
     def __init__(self, network: NetworkModel, *, name: str = "channel") -> None:
-        # repro-flow: derivable=_network -- stateless configuration, not run
-        # state: the model decides fates pure-functionally and the restoring
-        # owner re-binds the topology it is resuming under
-        self._network = network
-        # repro-flow: derivable=name -- construction identity; the restoring
-        # owner addresses the channel, the channel never re-reads its name
-        self.name = name
+        # Stateless configuration, not run state: the model decides fates
+        # pure-functionally and the restoring owner re-binds the topology
+        # it is resuming under.
+        self._network = network  # repro-lint: disable=flow-snapshot-coverage -- stateless configuration, re-bound by the restoring owner
+        # Construction identity: the restoring owner addresses the
+        # channel, the channel never re-reads its name.
+        self.name = name  # repro-lint: disable=flow-snapshot-coverage -- construction identity, not run state
         self._log: List[WireRecord] = []
         self._pending: List[Tuple[Time, int, WireRecord]] = []
         self._pending_seq = 0

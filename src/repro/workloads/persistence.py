@@ -154,10 +154,15 @@ def event_from_wire(data: dict) -> Event:
             time=time, resources=resource_set_from_wire(data["resources"])
         )
     if kind == "computation_arrival":
+        label = data.get("label", "")
+        if not isinstance(label, str):
+            raise SerializationError(
+                f"{kind}: label must be a string, got {label!r}"
+            )
         return ComputationArrivalEvent(
             time=time,
             requirement=requirement_from_wire(data["requirement"]),
-            label=data.get("label", ""),
+            label=label,
         )
     if kind == "computation_leave":
         return ComputationLeaveEvent(time=time, label=data["label"])

@@ -38,6 +38,8 @@ class TestLinkConfig:
         {"loss": 1.5},
         {"loss": -0.1},
         {"duplicate": 2.0},
+        {"delay": True},
+        {"loss": "0.1"},
     ])
     def test_invalid_links_rejected(self, kwargs):
         with pytest.raises(ChannelError):

@@ -74,6 +74,9 @@ class TestFaultPlan:
             {"straggler_factor": None},
             {"min_early": 1.5},
             {"max_early": "10"},
+            {"seed": "a"},
+            {"seed": True},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):

@@ -73,9 +73,9 @@ class TestRulesCatalogue:
             "flow-exactness",
             "flow-snapshot-coverage",
             "flow-shared-state",
-            "flow-annotation-missing-reason",
         ):
             assert name in out
+        assert "flow-annotation" not in out
 
 
 class TestEngineIntegration:
@@ -84,7 +84,8 @@ class TestEngineIntegration:
     def test_flow_rules_are_known_to_the_engine(self):
         known = known_rule_names()
         assert "flow-shared-state" in known
-        assert "flow-annotation-unused" in known
+        assert "flow-snapshot-coverage" in known
+        assert not any(name.startswith("flow-annotation") for name in known)
 
     def test_code_analyzer_accepts_flow_suppression_without_unknown_rule(self):
         findings = Analyzer().check_source(

@@ -64,6 +64,25 @@ class TestCodeCommand:
         assert lint_main(["code", "--rules", "set-iteration", str(path)]) == 1
         capsys.readouterr()
 
+    def test_half_stale_mixed_suppression_is_unused_under_code(
+        self, tmp_path, capsys
+    ):
+        # Only the flow rule fires on this line: flow is satisfied, but
+        # the set-iteration name on the same comment silences nothing.
+        path = write_module(
+            tmp_path,
+            "import time\n"
+            "def now():\n"
+            "    return time.time()  # repro-lint: disable=set-iteration,"
+            "flow-nondeterminism -- fixture\n",
+        )
+        assert lint_main(["flow", str(path.parent)]) == 0
+        capsys.readouterr()
+        assert lint_main(["code", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:3:1: error: [suppression-unused] suppression " \
+            "(set-iteration) silences nothing" in out
+
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = write_module(tmp_path, CLEAN_PY)
         assert lint_main(["code", "--rules", "no-such-rule", str(path)]) == 2
@@ -204,6 +223,13 @@ class TestReproCheckLint:
     def test_malformed_wire_exits_2(self, tmp_path, capsys):
         payload = json.loads(json.dumps(GOOD_REQUEST))
         payload["resources"]["terms"][0]["rate"] = -3
+        path = self.request_file(tmp_path, payload)
+        assert repro_main(["check", path]) == 2
+        assert "malformed request" in capsys.readouterr().err
+
+    def test_non_object_resources_exits_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(GOOD_REQUEST))
+        payload["resources"] = []
         path = self.request_file(tmp_path, payload)
         assert repro_main(["check", path]) == 2
         assert "malformed request" in capsys.readouterr().err

@@ -122,6 +122,16 @@ class TestReconciliation:
         )
         assert findings == []
 
+    def test_stale_suppression_reported_for_filtered_rule_sets(self):
+        analyzer = Analyzer(get_rules(["set-iteration"]))
+        findings = analyzer.check_source(
+            "x = 1  # repro-lint: disable=set-iteration -- stale\n",
+            "src/repro/system/fixture.py",
+            "repro.system.fixture",
+        )
+        assert [f.rule for f in findings] == ["suppression-unused"]
+        assert "(set-iteration)" in findings[0].message
+
     def test_suppression_for_wrong_rule_does_not_silence(self):
         findings = self.analyze(
             "xs = list({1, 2})  # repro-lint: disable=layering -- wrong rule\n"

@@ -248,6 +248,11 @@ def test_retired_service_config_keys_are_syntax(key):
     assert key in findings[0].message
 
 
+def test_non_integer_fault_plan_seed_is_a_finding():
+    findings = check_spec_document({"kind": "fault_plan", "seed": "a"})
+    assert rules_of(findings) == {"spec-fault-plan"}
+
+
 def test_unreadable_file_raises_for_exit_2(tmp_path):
     with pytest.raises(OSError):
         check_spec_path(tmp_path / "absent.json")

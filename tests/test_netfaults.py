@@ -65,6 +65,13 @@ class TestPartitionPlan:
         {"horizon": 160.5},
         {"horizon": "48"},
         {"horizon": True},
+        {"seed": "a"},
+        {"partition_start": float("nan")},
+        {"rpc_timeout": float("inf")},
+        {"deadline_slack": float("nan")},
+        {"node_rate": -1},
+        # used to escape as a bare TypeError from the lease_ttl comparison
+        {"lease_ttl": "6"},
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultInjectionError):

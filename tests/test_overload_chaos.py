@@ -28,6 +28,7 @@ class TestOverloadPlan:
         {"burst_duration": 0},
         {"horizon": 20, "burst_at": 20},
         {"deadline_slack": 0},
+        {"seed": "x"},
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultInjectionError):
