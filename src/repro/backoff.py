@@ -22,9 +22,12 @@ independent, stable jitter ladders from one configured seed; calling
 interleaving, always returns the same value.  (Python's builtin ``hash``
 is process-salted and thus useless here; the digest path is the point.)
 
-Arithmetic stays exact: jitter factors are :class:`~fractions.Fraction`
-values, so integral grids survive where they can and every delay is a
-deterministic exact number, never a platform-dependent float dance.
+Arithmetic stays exact and integral on the hot path: a draw is a raw
+integer on ``[0, 2**64)``, the jitter amplitude is turned into an exact
+``(num, den)`` once per configured value, and the jittered delay is one
+:class:`~fractions.Fraction` built from integers.  Integral grids survive
+where they can and every delay is a deterministic exact number, never a
+platform-dependent float dance.
 """
 
 from __future__ import annotations
@@ -33,13 +36,31 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Real
+from typing import Tuple
 
 from repro.errors import RecoveryError
 
-#: Resolution of one jitter draw: the first 8 digest bytes, uniform on
-#: ``[0, 1)`` in steps of ``2**-64`` — far below any scheduling grid.
-_JITTER_DENOMINATOR = 1 << 64
+#: Resolution of one jitter draw: the first 8 digest bytes, an integer
+#: uniform on ``[0, 2**64)`` read as a fraction of ``2**64`` — far below
+#: any scheduling grid.
+_JITTER_BITS = 64
+
+
+@lru_cache(maxsize=256)
+def _spread(jitter) -> Tuple[int, int]:
+    """The jitter amplitude as the exact ``(num, den)`` every draw scales
+    by — computed once per configured value, never per delay."""
+    exact = Fraction(jitter).limit_denominator(10_000)
+    return exact.numerator, exact.denominator
+
+
+def _ratio(value) -> Tuple[int, int]:
+    """An int, float or Fraction as an exact ``(num, den)`` in lowest terms."""
+    if isinstance(value, float):
+        return value.as_integer_ratio()
+    return int(value.numerator), int(value.denominator)
 
 
 @dataclass(frozen=True)
@@ -101,29 +122,45 @@ class Backoff:
         shared.  The result is a pure function of
         ``(config, attempt, key)`` — no internal state advances.
         """
-        if attempt < 0:
-            raise RecoveryError(f"attempt must be non-negative, got {attempt}")
-        raw = self.base * (self.factor ** attempt)
-        if raw >= float(self.cap):
-            capped = self.cap
-        else:
-            # Keep integral delays integral so event times stay on the grid.
-            capped = type(self.base)(raw) if raw == int(raw) else raw
+        if isinstance(attempt, bool) or not isinstance(attempt, int) or (
+            attempt < 0
+        ):
+            raise RecoveryError(
+                f"backoff attempt must be a non-negative int, got {attempt!r}"
+            )
+        capped = self._capped(attempt)
         if not self.jitter:
             return capped
-        spread = Fraction(self.jitter).limit_denominator(10_000)
-        # factor in [1 - jitter, 1 + jitter), exactly and statelessly
-        scale = 1 - spread + 2 * spread * self._draw(attempt, key)
-        jittered = Fraction(capped) * scale
-        lo, hi = Fraction(self.base), Fraction(self.cap)
-        if jittered < lo:
-            jittered = lo
-        elif jittered > hi:
-            jittered = hi
-        return int(jittered) if jittered.denominator == 1 else jittered
+        # capped * (1 - s + 2*s*u) with u = draw / 2**64, over integers:
+        # the factor lies in [1 - jitter, 1 + jitter), exactly and
+        # statelessly.
+        s_num, s_den = _spread(self.jitter)
+        c_num, c_den = _ratio(capped)
+        num = c_num * (
+            ((s_den - s_num) << _JITTER_BITS)
+            + 2 * s_num * self._draw(attempt, key)
+        )
+        den = (c_den * s_den) << _JITTER_BITS
+        lo_num, lo_den = _ratio(self.base)
+        hi_num, hi_den = _ratio(self.cap)
+        if num * lo_den < lo_num * den:
+            num, den = lo_num, lo_den
+        elif num * hi_den > hi_num * den:
+            num, den = hi_num, hi_den
+        jittered = Fraction(num, den)
+        return jittered.numerator if jittered.denominator == 1 else jittered
 
-    def _draw(self, attempt: int, key: str) -> Fraction:
-        """One uniform draw on ``[0, 1)`` from ``(seed, key, attempt)``.
+    def _capped(self, attempt: int):
+        """The unjittered ladder: ``min(cap, base * factor**attempt)``."""
+        raw = self.base * (self.factor ** attempt)
+        if raw >= float(self.cap):
+            return self.cap
+        # Keep integral delays integral so event times stay on the grid.
+        return type(self.base)(raw) if raw == int(raw) else raw
+
+    def _draw(self, attempt: int, key: str) -> int:
+        """One uniform integer draw on ``[0, 2**64)`` from
+        ``(seed, key, attempt)``.
 
         SHA-256, not ``hash()``: the builtin is salted per process, and
         a shared ``random.Random`` stream would couple callers through
@@ -132,6 +169,21 @@ class Backoff:
         digest = hashlib.sha256(
             f"{self.seed}:{key}:{attempt}".encode()
         ).digest()
-        return Fraction(
-            int.from_bytes(digest[:8], "big"), _JITTER_DENOMINATOR
-        )
+        return int.from_bytes(digest[:8], "big")
+
+    def _reference_delay(self, attempt: int, key: str = ""):
+        """:meth:`delay` in plain :class:`~fractions.Fraction` arithmetic:
+        the oracle the differential tests hold it to, value and type."""
+        capped = self._capped(attempt)
+        if not self.jitter:
+            return capped
+        spread = Fraction(self.jitter).limit_denominator(10_000)
+        draw = Fraction(self._draw(attempt, key), 1 << _JITTER_BITS)
+        scale = 1 - spread + 2 * spread * draw
+        jittered = Fraction(capped) * scale
+        lo, hi = Fraction(self.base), Fraction(self.cap)
+        if jittered < lo:
+            jittered = lo
+        elif jittered > hi:
+            jittered = hi
+        return int(jittered) if jittered.denominator == 1 else jittered

@@ -11,19 +11,26 @@ same discipline as :class:`repro.backoff.Backoff`.  No shared stream, no
 draw-order coupling: replaying a run, resuming it mid-flight, or
 reordering two independent senders can never change a single fate.
 
-Delays are integral (they live on the event grid); retry spacing may be
-fractional (jittered backoff), and all arithmetic stays exact so the
-accumulated network time charged against a deadline via
-:func:`repro.decision.admission.clip_start` is a deterministic exact
-number, never a float dance.
+Every draw is a raw integer on ``[0, 2**64)``.  A loss or duplication
+fate compares it by cross-multiplication against the link probability's
+exact ``(num, den)``, computed once per probability value; a jittered
+delay is the draw scaled in integers.  No message pays for a
+:class:`~fractions.Fraction`, and every fate equals the one the exact
+rational comparison gives.  Delays are integral (they live on the event
+grid); retry spacing may be fractional (jittered backoff), and all
+arithmetic stays exact so the accumulated network time charged against
+a deadline via :func:`repro.decision.admission.clip_start` is a
+deterministic exact number, never a float dance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
@@ -33,8 +40,9 @@ from repro.intervals.interval import Time
 from repro.markers import checkpointable
 from repro.observability import get_registry
 
-#: Resolution of one fate draw: first 8 digest bytes, uniform on [0, 1).
-_DRAW_DENOMINATOR = 1 << 64
+#: Resolution of one fate draw: the first 8 digest bytes, an integer
+#: uniform on [0, 2**64) read as a fraction of 2**64.
+_DRAW_BITS = 64
 
 #: Message fates a wire record can carry.
 FATES = ("delivered", "lost", "severed", "duplicated")
@@ -50,6 +58,36 @@ def _check_probability(name: str, value) -> None:
 def _check_ticks(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ChannelError(f"{name} must be a non-negative int, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+    ):
+        raise ChannelError(f"{name} must be a finite number, got {value!r}")
+
+
+def _is_link(pair) -> bool:
+    """Whether ``pair`` names an undirected link: a tuple of two names."""
+    return (
+        isinstance(pair, tuple)
+        and len(pair) == 2
+        and all(isinstance(end, str) for end in pair)
+    )
+
+
+@lru_cache(maxsize=256)
+def _threshold(probability) -> Tuple[int, int]:
+    """``(num * 2**64, den)`` of the probability a draw must fall below.
+
+    ``probability`` is read to the nearest fraction with a denominator of
+    at most 10**6, once per value; a draw ``raw`` then falls below it
+    exactly when ``raw * den < num * 2**64``.
+    """
+    exact = Fraction(probability).limit_denominator(1_000_000)
+    return exact.numerator << _DRAW_BITS, exact.denominator
 
 
 @dataclass(frozen=True)
@@ -92,6 +130,8 @@ class PartitionSpan:
     name: str = ""
 
     def __post_init__(self) -> None:
+        _check_finite("partition start", self.start)
+        _check_finite("partition end", self.end)
         if self.end <= self.start:
             raise ChannelError(
                 f"partition window must be non-empty, got "
@@ -99,6 +139,12 @@ class PartitionSpan:
             )
         if not self.severed:
             raise ChannelError("partition must sever at least one link")
+        for pair in self.severed:
+            if not _is_link(pair):
+                raise ChannelError(
+                    f"severed links must be pairs of two endpoint names, "
+                    f"got {pair!r}"
+                )
 
     def cuts(self, src: str, dst: str, at: Time) -> bool:
         if not self.start <= at < self.end:
@@ -119,6 +165,24 @@ class NetworkModel:
     default: LinkConfig = field(default_factory=LinkConfig)
     links: Tuple[Tuple[Tuple[str, str], LinkConfig], ...] = ()
     partitions: Tuple[PartitionSpan, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_ticks("network seed", self.seed)
+        if not isinstance(self.default, LinkConfig):
+            raise ChannelError(
+                f"network default must be a LinkConfig, got {self.default!r}"
+            )
+        for entry in self.links:
+            if not (
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and _is_link(entry[0])
+                and isinstance(entry[1], LinkConfig)
+            ):
+                raise ChannelError(
+                    f"network links must be ((src, dst), LinkConfig) pairs, "
+                    f"got {entry!r}"
+                )
 
     # ------------------------------------------------------------------
     def link(self, src: str, dst: str) -> LinkConfig:
@@ -142,35 +206,64 @@ class NetworkModel:
         )
 
     # ------------------------------------------------------------------
-    def _draw(self, key: str) -> Fraction:
-        """One uniform draw on [0, 1) from ``(seed, key)`` — stateless,
-        SHA-256-derived (builtin ``hash`` is process-salted; a shared
-        ``random.Random`` would couple senders through draw order)."""
+    def _draw(self, key: str) -> int:
+        """One uniform integer draw on ``[0, 2**64)`` from ``(seed, key)``
+        — stateless, SHA-256-derived (builtin ``hash`` is process-salted;
+        a shared ``random.Random`` would couple senders through draw
+        order)."""
         digest = hashlib.sha256(f"{self.seed}:{key}".encode()).digest()
-        return Fraction(int.from_bytes(digest[:8], "big"), _DRAW_DENOMINATOR)
+        return int.from_bytes(digest[:8], "big")
 
     def delay_of(self, src: str, dst: str, msg_id: str) -> int:
         config = self.link(src, dst)
         if not config.jitter:
             return config.delay
+        # floor(draw / 2**64 * (jitter + 1)): uniform on {0, ..., jitter}
         spread = self._draw(f"{src}>{dst}:{msg_id}:delay")
-        return config.delay + int(spread * (config.jitter + 1))
+        return config.delay + ((spread * (config.jitter + 1)) >> _DRAW_BITS)
 
     def lost(self, src: str, dst: str, msg_id: str) -> bool:
         config = self.link(src, dst)
         if not config.loss:
             return False
-        return self._draw(f"{src}>{dst}:{msg_id}:loss") < Fraction(
-            config.loss
-        ).limit_denominator(1_000_000)
+        num, den = _threshold(config.loss)
+        return self._draw(f"{src}>{dst}:{msg_id}:loss") * den < num
 
     def duplicated(self, src: str, dst: str, msg_id: str) -> bool:
         config = self.link(src, dst)
         if not config.duplicate:
             return False
-        return self._draw(f"{src}>{dst}:{msg_id}:dup") < Fraction(
+        num, den = _threshold(config.duplicate)
+        return self._draw(f"{src}>{dst}:{msg_id}:dup") * den < num
+
+    # ------------------------------------------------------------------
+    # Fraction-arithmetic oracles the differential tests hold the integer
+    # draws to, value and type.
+    def _reference_delay_of(self, src: str, dst: str, msg_id: str) -> int:
+        config = self.link(src, dst)
+        if not config.jitter:
+            return config.delay
+        spread = self._reference_draw(f"{src}>{dst}:{msg_id}:delay")
+        return config.delay + int(spread * (config.jitter + 1))
+
+    def _reference_lost(self, src: str, dst: str, msg_id: str) -> bool:
+        config = self.link(src, dst)
+        if not config.loss:
+            return False
+        return self._reference_draw(f"{src}>{dst}:{msg_id}:loss") < Fraction(
+            config.loss
+        ).limit_denominator(1_000_000)
+
+    def _reference_duplicated(self, src: str, dst: str, msg_id: str) -> bool:
+        config = self.link(src, dst)
+        if not config.duplicate:
+            return False
+        return self._reference_draw(f"{src}>{dst}:{msg_id}:dup") < Fraction(
             config.duplicate
         ).limit_denominator(1_000_000)
+
+    def _reference_draw(self, key: str) -> Fraction:
+        return Fraction(self._draw(key), 1 << _DRAW_BITS)
 
 
 @dataclass(frozen=True)
@@ -394,11 +487,16 @@ class MessageChannel:
         is resolved closed-form, which is equivalent because fates are
         stateless — and exactly what keeps replay byte-identical).
         """
+        _check_finite("rpc timeout", timeout)
         if timeout <= 0:
             raise ChannelError(f"rpc timeout must be > 0, got {timeout!r}")
-        if max_attempts < 1:
+        if (
+            isinstance(max_attempts, bool)
+            or not isinstance(max_attempts, int)
+            or max_attempts < 1
+        ):
             raise ChannelError(
-                f"rpc max_attempts must be >= 1, got {max_attempts!r}"
+                f"rpc max_attempts must be an int >= 1, got {max_attempts!r}"
             )
         registry = get_registry()
         strays = 0

@@ -24,12 +24,13 @@ divergence raises :class:`~repro.errors.CheckpointError` instead of
 silently rewriting history.
 
 **Incremental checkpoints.**  Pickling the full simulator state every
-cadence is dominated by the trace, which only ever *grows*.  A
-:class:`DeltaSnapshotter` therefore emits most checkpoints as **deltas**
-against the immediately preceding snapshot: only sections whose pickled
-bytes changed (or whose :class:`VersionedDict`/:class:`VersionedSet`
-version counter moved) are included, and the trace is encoded as the
-suffix appended since the base.  Deltas carry a ``format_version`` 2
+cadence is dominated by state that only ever *grows*: the trace's four
+lists and, on a mesh, the channel log.  A :class:`DeltaSnapshotter`
+therefore emits most checkpoints as **deltas** against the immediately
+preceding snapshot: only sections whose pickled bytes changed (or whose
+:class:`VersionedDict`/:class:`VersionedSet` version counter moved) are
+included, and every append-only sequence is encoded as the suffix
+appended since the base.  Deltas carry a ``format_version`` 2
 envelope naming their base (``base_step`` + ``base_sha256``); full
 snapshots keep the version-1 envelope, so old readers still restore
 them.  Every ``full_interval`` deltas — and always immediately after a
@@ -46,6 +47,8 @@ is reconstructed from the in-flight queue, the lease table's clocks,
 and the RPC attempt counters — no fate is ever re-drawn on resume, and
 lease grants/renewals/expiries and RPC verdicts ride the journal as
 WAL records so replay re-verifies them like any admission decision.
+The section's channel log is append-only like the trace, so a delta
+carries only the wire records sent since its base.
 """
 
 from __future__ import annotations
@@ -59,7 +62,17 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import CheckpointError
 from repro.observability import get_registry
@@ -630,15 +643,18 @@ class DeltaSnapshotter:
     :class:`SimulatorCheckpoint`:
 
     * the **first** snapshot, every ``full_interval``-th thereafter, and
-      any snapshot whose trace *shrank* (a new run reusing the
-      snapshotter would corrupt the chain) is a **full** — byte-identical
-      to the pre-delta format;
+      any snapshot whose append-only sequences *shrank* or changed in
+      number (a new run reusing the snapshotter would corrupt the chain)
+      is a **full** — byte-identical to the pre-delta format;
     * everything else is a **delta** holding only the sections that
-      changed since the previous snapshot plus the trace's appended
-      suffix.  Change detection is the ``version`` token for
-      :class:`VersionedDict`/:class:`VersionedSet` sections and a pickled
-      byte comparison for everything else, so in-place mutations (record
-      fields, victim attempt counters) are still caught.
+      changed since the previous snapshot plus the suffix appended to
+      each append-only sequence: the trace's four lists and, when the
+      :attr:`NETWORK_SECTION` is present, its channel log, which the
+      section's change detection leaves out.  Change detection is the
+      ``version`` token for :class:`VersionedDict`/:class:`VersionedSet`
+      sections and a pickled byte comparison for everything else, so
+      in-place mutations (record fields, victim attempt counters) are
+      still caught.
 
     The cache lives in process memory only: a resumed run must start a
     fresh snapshotter, whose first emission is therefore a full snapshot
@@ -655,8 +671,9 @@ class DeltaSnapshotter:
     #: counter.  Because every message fate is a stateless function of
     #: ``(seed, link, msg_id)``, this section is all a resume needs to
     #: rebuild a byte-identical channel without replaying a single draw.
-    #: It is diffed like any other section — a quiet wire costs nothing
-    #: in a delta checkpoint.
+    #: It is diffed like any other section, except that its channel log
+    #: (``["channel"]["log"]``) is append-only and rides the delta as a
+    #: suffix — a quiet wire costs nothing in a delta checkpoint.
     NETWORK_SECTION = "network"
 
     def __init__(self, *, full_interval: int = DEFAULT_FULL_INTERVAL) -> None:
@@ -665,15 +682,51 @@ class DeltaSnapshotter:
         self._full_interval = full_interval
         self._section_bytes: Dict[str, bytes] = {}
         self._section_versions: Dict[str, int] = {}
-        self._trace_lens: Optional[Tuple[int, int, int, int]] = None
+        self._lens: Optional[Tuple[int, ...]] = None
         self._base_step = -1
         self._base_sha = ""
         self._deltas_since_full = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _trace_lists(trace) -> Tuple[list, list, list, list]:
-        return (trace.transitions, trace.notes, trace.losses, trace.violations)
+    @classmethod
+    def _append_only(cls, sections: Dict[str, Any]) -> Tuple[Sequence, ...]:
+        """The sections' append-only sequences, in a fixed order: the
+        trace's four lists, then the channel log when the network section
+        is present."""
+        trace = sections[cls.TRACE_SECTION]
+        seqs: Tuple[Sequence, ...] = (
+            trace.transitions, trace.notes, trace.losses, trace.violations
+        )
+        network = sections.get(cls.NETWORK_SECTION)
+        if network is not None:
+            seqs += (network["channel"]["log"],)
+        return seqs
+
+    @classmethod
+    def _extend(
+        cls,
+        sections: Dict[str, Any],
+        base: Tuple[Sequence, ...],
+        suffixes: Tuple[Sequence, ...],
+    ) -> None:
+        """Append each suffix to its ``base`` sequence, read from
+        ``sections`` before a delta's changed sections replaced any of
+        them.  The trace's lists grow in place (the trace section is
+        never replaced); the channel log is a tuple inside a section a
+        delta may replace, so it is set afresh."""
+        for lst, suffix in zip(base[:4], suffixes):
+            lst.extend(suffix)
+        if len(base) > 4:
+            channel = sections[cls.NETWORK_SECTION]["channel"]
+            channel["log"] = base[4] + suffixes[4]
+
+    def _section_blob(self, name: str, value: Any) -> bytes:
+        """A section's pickled bytes, as compared for change detection and
+        stored in a delta; the network section is pickled without its
+        channel log, which travels as a suffix."""
+        if name == self.NETWORK_SECTION:
+            value = {**value, "channel": {**value["channel"], "log": ()}}
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     def encode(
         self,
@@ -683,15 +736,13 @@ class DeltaSnapshotter:
         journal_records: int,
         sequence: int,
     ) -> SimulatorCheckpoint:
-        trace = sections[self.TRACE_SECTION]
-        lens = tuple(len(lst) for lst in self._trace_lists(trace))
+        seqs = self._append_only(sections)
+        lens = tuple(len(seq) for seq in seqs)
         force_full = (
-            self._base_step < 0
+            self._lens is None
             or self._deltas_since_full >= self._full_interval
-            or (
-                self._trace_lens is not None
-                and any(new < old for new, old in zip(lens, self._trace_lens))
-            )
+            or len(lens) != len(self._lens)
+            or any(new < old for new, old in zip(lens, self._lens))
         )
         if force_full:
             return self._encode_full(
@@ -711,19 +762,15 @@ class DeltaSnapshotter:
                     )
                     self._section_versions[name] = token
             else:
-                blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+                blob = self._section_blob(name, value)
                 if self._section_bytes.get(name) != blob:
                     changed[name] = blob
                     self._section_bytes[name] = blob
 
-        base_lens = self._trace_lens or (0, 0, 0, 0)
-        suffix = tuple(
-            lst[start:]
-            for lst, start in zip(self._trace_lists(trace), base_lens)
-        )
+        suffix = tuple(seq[start:] for seq, start in zip(seqs, self._lens))
         bundle = {
             "sections": changed,
-            "trace": {"base": base_lens, "suffix": suffix},
+            "append_only": {"base": self._lens, "suffix": suffix},
         }
         payload = pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
         checkpoint = SimulatorCheckpoint(
@@ -751,9 +798,7 @@ class DeltaSnapshotter:
             if isinstance(value, (VersionedDict, VersionedSet)):
                 self._section_versions[name] = value.version
             else:
-                self._section_bytes[name] = pickle.dumps(
-                    value, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                self._section_bytes[name] = self._section_blob(name, value)
         self._advance(step, payload, lens)
         self._deltas_since_full = 0
         return SimulatorCheckpoint(
@@ -766,7 +811,7 @@ class DeltaSnapshotter:
     def _advance(self, step: int, payload: bytes, lens) -> None:
         self._base_step = step
         self._base_sha = hashlib.sha256(payload).hexdigest()
-        self._trace_lens = tuple(lens)
+        self._lens = tuple(lens)
 
 
 class CheckpointStore:
@@ -798,9 +843,10 @@ class CheckpointStore:
         of its base — located by ``base_step`` in this store and verified
         against ``base_sha256`` — recursively down to the anchoring full
         snapshot.  Any missing, corrupt, or mismatched link raises
-        :class:`CheckpointError`; trace suffixes are only appended after
-        asserting the materialized lists have exactly the base lengths
-        the delta was encoded against.
+        :class:`CheckpointError`; the suffixes of the append-only
+        sequences (the trace's lists and the channel log) are only
+        appended after asserting the materialized sequences have exactly
+        the base lengths the delta was encoded against.
         """
         tip = SimulatorCheckpoint.load(path)
         chain = [tip]
@@ -829,25 +875,24 @@ class CheckpointStore:
                     name: pickle.loads(blob)
                     for name, blob in bundle["sections"].items()
                 }
-                trace_part = bundle["trace"]
+                appended = bundle["append_only"]
             except CheckpointError:
                 raise
             except Exception as exc:
                 raise CheckpointError(
                     f"step-{delta.step} delta payload does not decode: {exc}"
                 ) from exc
-            state.update(changed)
-            trace = state[DeltaSnapshotter.TRACE_SECTION]
-            lists = DeltaSnapshotter._trace_lists(trace)
-            actual = tuple(len(lst) for lst in lists)
-            if actual != tuple(trace_part["base"]):
+            base = DeltaSnapshotter._append_only(state)
+            actual = tuple(len(seq) for seq in base)
+            expected = tuple(appended["base"])
+            if actual != expected:
                 raise CheckpointError(
-                    f"step-{delta.step} delta expects trace lengths "
-                    f"{tuple(trace_part['base'])} but the chain "
-                    f"materialized {actual}"
+                    f"step-{delta.step} delta expects append-only lengths "
+                    f"{expected} (trace lists, then channel log) but the "
+                    f"chain materialized {actual}"
                 )
-            for lst, suffix in zip(lists, trace_part["suffix"]):
-                lst.extend(suffix)
+            state.update(changed)
+            DeltaSnapshotter._extend(state, base, appended["suffix"])
         if len(chain) > 1:
             # The suffixes bypassed record()/record_loss(): re-derive the
             # trace's running conservation ledger from the extended lists.

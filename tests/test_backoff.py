@@ -27,6 +27,11 @@ class TestLadder:
         with pytest.raises(RecoveryError):
             Backoff().delay(-1)
 
+    @pytest.mark.parametrize("attempt", [True, 1.0, 0.5, "1"])
+    def test_non_int_attempt_rejected(self, attempt):
+        with pytest.raises(RecoveryError, match="attempt"):
+            Backoff().delay(attempt)
+
 
 class TestJitter:
     def test_jitter_is_deterministic_per_call(self):

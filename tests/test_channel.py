@@ -61,6 +61,29 @@ class TestPartitionSpan:
         with pytest.raises(ChannelError, match="at least one link"):
             PartitionSpan(start=0, end=5, severed=())
 
+    @pytest.mark.parametrize("start, end", [
+        (float("nan"), 5),
+        (0, float("nan")),
+        (float("-inf"), 5),
+        (0, float("inf")),
+        (True, 5),
+        ("0", 5),
+    ])
+    def test_non_finite_window_rejected(self, start, end):
+        with pytest.raises(ChannelError, match="finite"):
+            PartitionSpan(start=start, end=end, severed=(("a", "b"),))
+
+    @pytest.mark.parametrize("severed", [
+        ("ab",),
+        (("a",),),
+        (("a", "b", "c"),),
+        (("a", 1),),
+        (["a", "b"],),
+    ])
+    def test_severed_entries_must_be_pairs_of_names(self, severed):
+        with pytest.raises(ChannelError, match="pairs of two endpoint names"):
+            PartitionSpan(start=0, end=5, severed=severed)
+
     def test_cuts_is_symmetric_and_half_open(self):
         span = PartitionSpan(start=5, end=10, severed=(("a", "b"),))
         assert span.cuts("a", "b", 5)
@@ -86,6 +109,20 @@ class TestPartitionSpan:
 
 
 class TestNetworkModel:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"default": {"delay": 1}}, "default"),
+        ({"links": (("a", "b"),)}, "links"),
+        ({"links": ((("a", "b"), {"delay": 1}),)}, "links"),
+        ({"links": ((("a",), LinkConfig()),)}, "links"),
+        ({"links": (((1, 2), LinkConfig()),)}, "links"),
+    ])
+    def test_invalid_models_rejected(self, kwargs, match):
+        with pytest.raises(ChannelError, match=match):
+            NetworkModel(**kwargs)
+
     def test_link_override_matches_either_direction(self):
         fast = LinkConfig(delay=0)
         slow = LinkConfig(delay=7)
@@ -247,6 +284,18 @@ class TestRpc:
             self.rpc(channel, timeout=0)
         with pytest.raises(ChannelError, match="max_attempts"):
             self.rpc(channel, max_attempts=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"timeout": float("nan")}, "timeout"),
+        ({"timeout": float("inf")}, "timeout"),
+        ({"timeout": True}, "timeout"),
+        ({"max_attempts": True}, "max_attempts"),
+        ({"max_attempts": 2.0}, "max_attempts"),
+    ])
+    def test_malformed_arguments_rejected(self, kwargs, match):
+        channel = MessageChannel(NetworkModel())
+        with pytest.raises(ChannelError, match=match):
+            self.rpc(channel, **kwargs)
 
     def test_perfect_link_resolves_in_one_attempt(self):
         channel = MessageChannel(NetworkModel())

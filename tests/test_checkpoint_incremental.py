@@ -13,7 +13,9 @@ this module pins the delta layer on top of them:
   is missing or digest-mismatched is rejected and :meth:`latest` falls
   back to an older valid snapshot,
 * end-to-end: every checkpoint a real chaotic run writes, full or
-  delta, resumes to a report identical to the uninterrupted run.
+  delta, resumes to a report identical to the uninterrupted run, and a
+  mesh run's delta chain materializes the same ``network`` section —
+  channel log included — as a full snapshot of the same step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import pytest
 
 from repro.baselines import RotaAdmission
 from repro.errors import CheckpointError
-from repro.faults import FaultPlan, RecoveryPolicy, faulty_scenario
+from repro.faults import (
+    FaultPlan,
+    PartitionPlan,
+    RecoveryPolicy,
+    faulty_scenario,
+    run_mesh,
+)
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system import simulator as simulator_module
@@ -115,6 +123,18 @@ def _sections(trace, *, counter=0, vmap=None):
     }
 
 
+def _mesh_sections(trace, log, *, rpc_seq=0):
+    """Sections shaped like a mesh run's: the channel log lives in the
+    network section, next to state that is diffed whole."""
+    return {
+        "trace": trace,
+        "network": {
+            "channel": {"log": tuple(log), "pending": (), "pending_seq": 0},
+            "rpc_seq": rpc_seq,
+        },
+    }
+
+
 class TestDeltaSnapshotter:
     def test_cadence_first_full_then_deltas_then_reseed(self):
         snapper = DeltaSnapshotter(full_interval=3)
@@ -161,7 +181,7 @@ class TestDeltaSnapshotter:
         )
         bundle = pickle.loads(delta.payload)
         assert bundle["sections"] == {}  # only the trace moved
-        assert len(bundle["trace"]["suffix"][1]) == 1
+        assert len(bundle["append_only"]["suffix"][1]) == 1
         vmap["seen"] = 2
         trace.note(2, "tock")
         delta2 = snapper.encode(
@@ -179,6 +199,64 @@ class TestDeltaSnapshotter:
         fresh = SimulationTrace()  # a new run reusing the snapshotter
         ckpt = snapper.encode(
             _sections(fresh), step=1, journal_records=0, sequence=0
+        )
+        assert ckpt.kind == "full"
+
+    def test_delta_carries_only_the_appended_wire_records(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        log = [f"wire-{i}" for i in range(3)]
+        snapper.encode(
+            _mesh_sections(trace, log), step=0, journal_records=0, sequence=0
+        )
+        log += ["wire-3", "wire-4"]
+        delta = snapper.encode(
+            _mesh_sections(trace, log, rpc_seq=1),
+            step=1, journal_records=1, sequence=1,
+        )
+        bundle = pickle.loads(delta.payload)
+        assert bundle["append_only"]["base"] == (0, 0, 0, 0, 3)
+        assert bundle["append_only"]["suffix"][4] == ("wire-3", "wire-4")
+        # The rest of the section changed, so it rides the delta — but
+        # without the log it already carries as a suffix.
+        network = pickle.loads(bundle["sections"]["network"])
+        assert network["rpc_seq"] == 1
+        assert network["channel"]["log"] == ()
+
+    def test_quiet_wire_costs_nothing_in_a_delta(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        log = ["wire-0"]
+        snapper.encode(
+            _mesh_sections(trace, log), step=0, journal_records=0, sequence=0
+        )
+        trace.note(1, "tick")
+        bundle = pickle.loads(snapper.encode(
+            _mesh_sections(trace, log), step=1, journal_records=1, sequence=1
+        ).payload)
+        assert bundle["sections"] == {}
+        assert bundle["append_only"]["suffix"][4] == ()
+
+    def test_wire_log_shrink_forces_full(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        snapper.encode(
+            _mesh_sections(trace, ["wire-0", "wire-1"]),
+            step=0, journal_records=0, sequence=0,
+        )
+        ckpt = snapper.encode(
+            _mesh_sections(trace, ["wire-0"]),
+            step=1, journal_records=1, sequence=1,
+        )
+        assert ckpt.kind == "full"
+
+    def test_network_section_appearing_forces_full(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        snapper.encode(_sections(trace), step=0, journal_records=0, sequence=0)
+        ckpt = snapper.encode(
+            _mesh_sections(trace, ["wire-0"]),
+            step=1, journal_records=1, sequence=1,
         )
         assert ckpt.kind == "full"
 
@@ -293,7 +371,7 @@ class TestResolve:
         )
         # Corrupt the recorded base lengths: materialization must notice.
         bundle = pickle.loads(delta.payload)
-        bundle["trace"]["base"] = (0, 5, 0, 0)
+        bundle["append_only"]["base"] = (0, 5, 0, 0)
         forged = SimulatorCheckpoint(
             step=1, journal_records=1, sequence=1,
             payload=pickle.dumps(bundle),
@@ -301,8 +379,53 @@ class TestResolve:
             base_sha256=delta.base_sha256,
         )
         store.save(forged)
-        with pytest.raises(CheckpointError, match="trace lengths"):
+        with pytest.raises(CheckpointError, match="append-only lengths"):
             store.resolve(store.path_for(1))
+
+
+    def test_mesh_chain_extends_the_wire_log(self, tmp_path):
+        snapper = DeltaSnapshotter()
+        store = CheckpointStore(tmp_path)
+        trace = SimulationTrace()
+        log = []
+        for step in range(4):
+            log.append(f"wire-{step}")
+            store.save(snapper.encode(
+                _mesh_sections(trace, log, rpc_seq=step),
+                step=step, journal_records=step, sequence=step,
+            ))
+        tip, state = store.resolve(store.path_for(3))
+        assert tip.is_delta
+        assert state["network"] == _mesh_sections(trace, log, rpc_seq=3)[
+            "network"
+        ]
+
+    def test_wire_log_length_mismatch_rejects(self, tmp_path):
+        snapper = DeltaSnapshotter()
+        store = CheckpointStore(tmp_path)
+        trace = SimulationTrace()
+        store.save(snapper.encode(
+            _mesh_sections(trace, ["wire-0"]),
+            step=0, journal_records=0, sequence=0,
+        ))
+        delta = snapper.encode(
+            _mesh_sections(trace, ["wire-0", "wire-1"]),
+            step=1, journal_records=1, sequence=1,
+        )
+        # Claim a longer base log than the full snapshot holds.
+        bundle = pickle.loads(delta.payload)
+        assert bundle["append_only"]["base"][4] == 1
+        bundle["append_only"]["base"] = (0, 0, 0, 0, 2)
+        forged = SimulatorCheckpoint(
+            step=1, journal_records=1, sequence=1,
+            payload=pickle.dumps(bundle),
+            kind="delta", base_step=0,
+            base_sha256=delta.base_sha256,
+        )
+        store.save(forged)
+        with pytest.raises(CheckpointError, match="append-only lengths"):
+            store.resolve(store.path_for(1))
+        assert store.latest() == store.path_for(0)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +442,19 @@ def chaos_scenario():
     )
 
 
+#: A small lossy, delayed, jittery mesh with a partition: the wire log
+#: grows between most checkpoints.
+MESH_PLAN = PartitionPlan(
+    seed=3,
+    horizon=30,
+    partition_start=10,
+    partition_duration=8,
+    link_delay=1,
+    link_jitter=2,
+    link_loss=0.15,
+)
+
+
 def make_simulator(scenario):
     return OpenSystemSimulator(
         RotaAdmission(),
@@ -332,7 +468,7 @@ class _AllFullSnapshotter(DeltaSnapshotter):
     """Every snapshot full — the pre-delta behavior, for comparison."""
 
     def encode(self, sections, *, step, journal_records, sequence):
-        lens = tuple(len(lst) for lst in self._trace_lists(sections["trace"]))
+        lens = tuple(len(seq) for seq in self._append_only(sections))
         return self._encode_full(
             sections, lens,
             step=step, journal_records=journal_records, sequence=sequence,
@@ -427,3 +563,40 @@ class TestEndToEndEquivalence:
                     f"{delta_path.name} ({tip.kind}): section {name!r} "
                     "diverges between delta-chain and full restore"
                 )
+
+    def test_mesh_delta_chain_network_equals_full_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """A lossy, partitioned mesh run snapshotted every slice: at every
+        step, the delta chain materializes the same ``network`` section —
+        channel log, in-flight queue, stats, lease clocks — as a full
+        snapshot taken at that step."""
+        seq0 = sequence_value()
+        delta_dir = tmp_path / "delta"
+        run_mesh(MESH_PLAN, checkpoint_every=1, checkpoint_dir=delta_dir)
+
+        full_dir = tmp_path / "full"
+        monkeypatch.setattr(
+            simulator_module, "DeltaSnapshotter", _AllFullSnapshotter
+        )
+        restore_sequence(seq0)
+        run_mesh(MESH_PLAN, checkpoint_every=1, checkpoint_dir=full_dir)
+
+        delta_store = CheckpointStore(delta_dir)
+        full_store = CheckpointStore(full_dir)
+        delta_paths = sorted(delta_dir.glob("ckpt-*.json"))
+        assert [p.name for p in delta_paths] == [
+            p.name for p in sorted(full_dir.glob("ckpt-*.json"))
+        ]
+        carried_wire = False
+        for path in delta_paths:
+            tip, via_chain = delta_store.resolve(path)
+            _, via_full = full_store.resolve(full_dir / path.name)
+            assert via_chain["network"] == via_full["network"], (
+                f"{path.name} ({tip.kind}): network section diverges "
+                "between delta-chain and full restore"
+            )
+            if tip.is_delta:
+                suffix = pickle.loads(tip.payload)["append_only"]["suffix"]
+                carried_wire = carried_wire or bool(suffix[4])
+        assert carried_wire, "no delta carried wire records"
