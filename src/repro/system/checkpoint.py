@@ -12,9 +12,9 @@ run two durable artifacts that together make any instant survivable:
   mid-write can never surface a half-snapshot;
 * a **write-ahead journal** (:class:`Journal`) — every applied event and
   admission decision appended as a CRC-tagged JSONL record *before* it
-  takes effect.  Recovery replays up to the last complete record and
-  discards a torn tail; corruption anywhere earlier is an error, never a
-  silent truncation.
+  takes effect (one JSON encode per record).  Recovery replays up to
+  the last complete record and discards a torn tail; corruption anywhere
+  earlier is an error, never a silent truncation.
 
 The replay contract: execution from a checkpoint is deterministic, so a
 resumed run regenerates the journal suffix record-for-record.  Each
@@ -23,19 +23,24 @@ promise recorded before the crash is replayed, never re-decided; any
 divergence raises :class:`~repro.errors.CheckpointError` instead of
 silently rewriting history.
 
-**Incremental checkpoints.**  Pickling the full simulator state every
-cadence is dominated by state that only ever *grows*: the trace's four
-lists and, on a mesh, the channel log.  A :class:`DeltaSnapshotter`
-therefore emits most checkpoints as **deltas** against the immediately
-preceding snapshot: only sections whose pickled bytes changed (or whose
-:class:`VersionedDict`/:class:`VersionedSet` version counter moved) are
-included, and every append-only sequence is encoded as the suffix
-appended since the base.  Deltas carry a ``format_version`` 2
-envelope naming their base (``base_step`` + ``base_sha256``); full
-snapshots keep the version-1 envelope, so old readers still restore
-them.  Every ``full_interval`` deltas — and always immediately after a
-resume, since the delta cache dies with the process — a full snapshot
-reseeds the chain.  :meth:`CheckpointStore.latest` validates the whole
+**Incremental checkpoints.**  Simulator state only moves forward: the
+trace's four lists and, on a mesh, the channel log only grow, the event
+heap only drains (plus the odd recovery offer), and a finished arrival's
+record rarely changes.  A :class:`DeltaSnapshotter` therefore emits most
+checkpoints as **deltas** against the immediately preceding snapshot,
+each section diffed by exactly one rule from one table
+(:attr:`DeltaSnapshotter.RULES`): append-only suffixes for the trace and
+the channel log; the ``events`` section (a sorted list, hence a valid
+heap) keyed by ``seq``; ``records`` keyed by label, a record riding only
+when new or changed; the frozen ``state`` by identity, pickled in one
+memo with the trace suffix; version tokens for
+:class:`VersionedDict`/:class:`VersionedSet` sections; pickled bytes for
+the rest.  Deltas carry a ``format_version`` 2 envelope naming their
+base (``base_step`` + ``base_sha256``); full snapshots keep the
+version-1 envelope, so old readers still restore them.  Every
+``full_interval`` deltas — and always immediately after a resume, since
+the delta cache dies with the process — a full snapshot reseeds the
+chain.  :meth:`CheckpointStore.latest` validates the whole
 chain before nominating a file: a delta whose base is missing, corrupt,
 or checksum-mismatched is skipped in favour of an older snapshot.
 
@@ -62,15 +67,17 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
-    Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -147,6 +154,19 @@ def _fsync_directory(directory: Path) -> None:
 # ----------------------------------------------------------------------
 
 def _encode_record(data: Dict[str, Any]) -> bytes:
+    """One journal line: the CRC-tagged envelope around ``data``.
+
+    The sorted-keys body is encoded once and spliced into the envelope;
+    ``json.dumps`` escapes non-ASCII, so the bytes equal the two-pass
+    :func:`_reference_encode_record` line exactly.
+    """
+    body = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    return b'{"crc":%d,"data":%s}\n' % (zlib.crc32(body), body)
+
+
+def _reference_encode_record(data: Dict[str, Any]) -> bytes:
+    """The two-pass encoding: the oracle :func:`_encode_record` must
+    match byte for byte."""
     body = json.dumps(data, sort_keys=True, separators=(",", ":"))
     crc = zlib.crc32(body.encode("utf-8"))
     line = json.dumps(
@@ -539,8 +559,9 @@ class VersionedDict(dict):
     re-pickling unchanged sections without comparing bytes.  Sound only
     for sections whose *values* are effectively immutable (profiles,
     frozen dataclasses, scalars): an in-place mutation of a stored value
-    does not bump the version, which is why the simulator keeps its
-    mutable-record sections on byte comparison instead.
+    does not bump the version, which is why the simulator's sections
+    mutated in place ride other rules instead (``records`` keyed by
+    label with a field comparison, ``victims`` by pickled bytes).
     """
 
     __slots__ = ("version",)
@@ -634,27 +655,257 @@ class VersionedSet(set):
 # Incremental snapshot encoding
 # ----------------------------------------------------------------------
 
+class _NeedsFull(Exception):
+    """A section moved in a way no delta part can express."""
+
+
+#: A rule's ``diff`` verdict for a section that did not move.
+_UNCHANGED = object()
+
+
+class _Rule:
+    """How one section rides a delta checkpoint (stateless: the rules
+    are used as classes, never instantiated).
+
+    ``seed(value)`` is the base a snapshot leaves behind;
+    ``diff(value, base)`` returns ``(part, next_base)``, with ``part``
+    :data:`_UNCHANGED` when the section did not move, and raises
+    :class:`_NeedsFull` when no part can express the move;
+    ``apply(old, part)`` folds a part into the materialized value.
+    """
+
+    @classmethod
+    def seed(cls, value: Any) -> Any:
+        return value
+
+    @classmethod
+    def diff(cls, value: Any, base: Any) -> Tuple[Any, Any]:
+        return (_UNCHANGED if value is base else value), value
+
+    @classmethod
+    def apply(cls, old: Any, part: Any) -> Any:
+        return part
+
+
+class _Identity(_Rule):
+    """A frozen value: unchanged exactly when it is the same object."""
+
+
+class _Versioned(_Rule):
+    """A :class:`VersionedDict`/:class:`VersionedSet`: unchanged while its
+    version token stands still."""
+
+    @classmethod
+    def seed(cls, value):
+        return value.version
+
+    @classmethod
+    def diff(cls, value, base):
+        token = value.version
+        return (_UNCHANGED if token == base else value), token
+
+
+class _Pickled(_Rule):
+    """Byte comparison: the section's pickle is its base and, when the
+    bytes differ, its part."""
+
+    @classmethod
+    def blob(cls, value: Any) -> bytes:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def seed(cls, value):
+        return cls.blob(value)
+
+    @classmethod
+    def diff(cls, value, base):
+        blob = cls.blob(value)
+        return (_UNCHANGED if blob == base else blob), blob
+
+    @classmethod
+    def apply(cls, old, part):
+        return pickle.loads(part)
+
+
+def _require_lengths(what: str, actual: Tuple[int, ...], expected) -> None:
+    if actual != tuple(expected):
+        raise CheckpointError(
+            f"delta expects {what} append-only lengths {tuple(expected)} "
+            f"but the chain materialized {actual}"
+        )
+
+
+class _TraceSuffix(_Rule):
+    """The trace's four lists only grow: a part is what each gained."""
+
+    @staticmethod
+    def _lists(trace) -> Tuple[list, ...]:
+        return (
+            trace.transitions, trace.notes, trace.losses, trace.violations
+        )
+
+    @classmethod
+    def seed(cls, trace):
+        return tuple(len(lst) for lst in cls._lists(trace))
+
+    @classmethod
+    def diff(cls, trace, base):
+        lists = cls._lists(trace)
+        lens = tuple(len(lst) for lst in lists)
+        if lens == base:
+            return _UNCHANGED, base
+        if any(new < old for new, old in zip(lens, base)):
+            raise _NeedsFull
+        suffix = tuple(lst[start:] for lst, start in zip(lists, base))
+        return {"base": base, "suffix": suffix}, lens
+
+    @classmethod
+    def apply(cls, trace, part):
+        lists = cls._lists(trace)
+        _require_lengths(
+            "trace", tuple(len(lst) for lst in lists), part["base"]
+        )
+        for lst, suffix in zip(lists, part["suffix"]):
+            lst.extend(suffix)
+        return trace
+
+
+class _NetworkSection(_Pickled):
+    """A mesh's wire state, byte-compared without its channel log; the
+    log only grows and rides the part as a suffix."""
+
+    @classmethod
+    def blob(cls, value):
+        return super().blob(
+            {**value, "channel": {**value["channel"], "log": ()}}
+        )
+
+    @classmethod
+    def seed(cls, value):
+        return cls.blob(value), len(value["channel"]["log"])
+
+    @classmethod
+    def diff(cls, value, base):
+        base_blob, base_len = base
+        log = value["channel"]["log"]
+        if len(log) < base_len:
+            raise _NeedsFull
+        blob = cls.blob(value)
+        if blob == base_blob and len(log) == base_len:
+            return _UNCHANGED, base
+        part = {
+            "section": None if blob == base_blob else blob,
+            "base": base_len,
+            "suffix": log[base_len:],
+        }
+        return part, (blob, len(log))
+
+    @classmethod
+    def apply(cls, old, part):
+        log = old["channel"]["log"]
+        _require_lengths("channel log", (len(log),), (part["base"],))
+        new = old if part["section"] is None else pickle.loads(part["section"])
+        new["channel"]["log"] = log + part["suffix"]
+        return new
+
+
+class _KeyedEvents(_Rule):
+    """The event heap as a sorted list of ``(time, seq, event)`` entries,
+    keyed by ``seq``: a part is the seqs removed since the base plus the
+    entries added.  Events are frozen, so a kept entry is the very same
+    tuple from snapshot to snapshot."""
+
+    @classmethod
+    def seed(cls, events):
+        return {entry[1]: entry for entry in events}
+
+    @classmethod
+    def diff(cls, events, base):
+        current = cls.seed(events)
+        if len(current) != len(events):
+            raise _NeedsFull  # duplicate seqs: the key is not a key
+        removed = [
+            seq for seq, entry in base.items()
+            if current.get(seq) is not entry
+        ]
+        added = [
+            entry for seq, entry in current.items()
+            if base.get(seq) is not entry
+        ]
+        if not removed and not added:
+            return _UNCHANGED, base
+        return {"removed": removed, "added": added}, current
+
+    @classmethod
+    def apply(cls, events, part):
+        gone = set(part["removed"])
+        kept = [entry for entry in events if entry[1] not in gone]
+        if len(kept) != len(events) - len(gone):
+            raise CheckpointError(
+                "delta removes events its base does not hold"
+            )
+        kept.extend(part["added"])
+        kept.sort()
+        return kept
+
+
+class _KeyedRecords(_Rule):
+    """Computation records keyed by label.  A record rides the part when
+    it is new or its field dict differs from the shallow copy taken at
+    the base; every field holds an immutable value, so an in-place
+    mutation shows as a changed field.  Labels are only ever appended:
+    a record that vanished (or moved) forces a full."""
+
+    @classmethod
+    def seed(cls, records):
+        return {label: dict(vars(record)) for label, record in records.items()}
+
+    @classmethod
+    def diff(cls, records, base):
+        if list(records)[: len(base)] != list(base):
+            raise _NeedsFull
+        changed = {
+            label: record
+            for label, record in records.items()
+            if vars(record) != base.get(label)
+        }
+        if not changed:
+            return _UNCHANGED, base
+        base = dict(base)
+        base.update(
+            (label, dict(vars(record))) for label, record in changed.items()
+        )
+        return changed, base
+
+    @classmethod
+    def apply(cls, records, part):
+        records.update(part)
+        return records
+
+
 class DeltaSnapshotter:
     """Encode simulator snapshots as deltas against the previous one.
 
-    The caller hands over the *unpickled* section dict (the payload of
-    :meth:`~repro.system.simulator.OpenSystemSimulator._snapshot`); the
-    snapshotter decides full vs delta and returns a sealed
+    The caller hands over the *unpickled* section dict (see
+    :meth:`~repro.system.simulator.OpenSystemSimulator._snapshot_sections`);
+    the snapshotter decides full vs delta and returns a sealed
     :class:`SimulatorCheckpoint`:
 
     * the **first** snapshot, every ``full_interval``-th thereafter, and
-      any snapshot whose append-only sequences *shrank* or changed in
-      number (a new run reusing the snapshotter would corrupt the chain)
-      is a **full** — byte-identical to the pre-delta format;
-    * everything else is a **delta** holding only the sections that
-      changed since the previous snapshot plus the suffix appended to
-      each append-only sequence: the trace's four lists and, when the
-      :attr:`NETWORK_SECTION` is present, its channel log, which the
-      section's change detection leaves out.  Change detection is the
-      ``version`` token for :class:`VersionedDict`/:class:`VersionedSet`
-      sections and a pickled byte comparison for everything else, so
-      in-place mutations (record fields, victim attempt counters) are
-      still caught.
+      any snapshot whose section names changed or one of whose sections
+      moved in a way no delta part expresses (an append-only sequence
+      shrank, a record vanished — a new run reusing the snapshotter
+      would corrupt the chain) is a **full** — byte-identical to the
+      pre-delta format;
+    * everything else is a **delta**: one pickled bundle holding a part
+      for each section that moved since the previous snapshot, as
+      computed by that section's one diff rule in :attr:`RULES`.
+      Sections not named there diff by ``version`` token when they are
+      :class:`VersionedDict`/:class:`VersionedSet`, else by pickled
+      bytes, so in-place mutations (victim attempt counters) are still
+      caught.  Bytes-ruled parts are nested pickles; every other part is
+      pickled once with the bundle, so the changed ``state`` and the
+      trace suffix (whose last transition targets it) share one memo.
 
     The cache lives in process memory only: a resumed run must start a
     fresh snapshotter, whose first emission is therefore a full snapshot
@@ -671,62 +922,46 @@ class DeltaSnapshotter:
     #: counter.  Because every message fate is a stateless function of
     #: ``(seed, link, msg_id)``, this section is all a resume needs to
     #: rebuild a byte-identical channel without replaying a single draw.
-    #: It is diffed like any other section, except that its channel log
-    #: (``["channel"]["log"]``) is append-only and rides the delta as a
-    #: suffix — a quiet wire costs nothing in a delta checkpoint.
+    #: Its channel log (``["channel"]["log"]``) is append-only and rides
+    #: a delta as a suffix — a quiet wire costs nothing in a delta.
     NETWORK_SECTION = "network"
 
+    #: The one diff rule of each specially-shaped section.
+    RULES: Mapping[str, Type[_Rule]] = MappingProxyType({
+        TRACE_SECTION: _TraceSuffix,
+        NETWORK_SECTION: _NetworkSection,
+        "events": _KeyedEvents,
+        "records": _KeyedRecords,
+        "state": _Identity,
+    })
+
     def __init__(self, *, full_interval: int = DEFAULT_FULL_INTERVAL) -> None:
-        if full_interval < 1:
-            raise ValueError("full_interval must be >= 1")
+        if (
+            isinstance(full_interval, bool)
+            or not isinstance(full_interval, int)
+            or full_interval < 1
+        ):
+            raise CheckpointError(
+                f"full_interval must be an integer >= 1, got {full_interval!r}"
+            )
         self._full_interval = full_interval
-        self._section_bytes: Dict[str, bytes] = {}
-        self._section_versions: Dict[str, int] = {}
-        self._lens: Optional[Tuple[int, ...]] = None
+        #: section name -> (its rule, its base as of the last snapshot);
+        #: ``None`` until the first (full) snapshot
+        self._bases: Optional[Dict[str, Tuple[Type[_Rule], Any]]] = None
         self._base_step = -1
         self._base_sha = ""
         self._deltas_since_full = 0
 
     # ------------------------------------------------------------------
     @classmethod
-    def _append_only(cls, sections: Dict[str, Any]) -> Tuple[Sequence, ...]:
-        """The sections' append-only sequences, in a fixed order: the
-        trace's four lists, then the channel log when the network section
-        is present."""
-        trace = sections[cls.TRACE_SECTION]
-        seqs: Tuple[Sequence, ...] = (
-            trace.transitions, trace.notes, trace.losses, trace.violations
-        )
-        network = sections.get(cls.NETWORK_SECTION)
-        if network is not None:
-            seqs += (network["channel"]["log"],)
-        return seqs
-
-    @classmethod
-    def _extend(
-        cls,
-        sections: Dict[str, Any],
-        base: Tuple[Sequence, ...],
-        suffixes: Tuple[Sequence, ...],
-    ) -> None:
-        """Append each suffix to its ``base`` sequence, read from
-        ``sections`` before a delta's changed sections replaced any of
-        them.  The trace's lists grow in place (the trace section is
-        never replaced); the channel log is a tuple inside a section a
-        delta may replace, so it is set afresh."""
-        for lst, suffix in zip(base[:4], suffixes):
-            lst.extend(suffix)
-        if len(base) > 4:
-            channel = sections[cls.NETWORK_SECTION]["channel"]
-            channel["log"] = base[4] + suffixes[4]
-
-    def _section_blob(self, name: str, value: Any) -> bytes:
-        """A section's pickled bytes, as compared for change detection and
-        stored in a delta; the network section is pickled without its
-        channel log, which travels as a suffix."""
-        if name == self.NETWORK_SECTION:
-            value = {**value, "channel": {**value["channel"], "log": ()}}
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    def rule_for(cls, name: str, value: Any) -> Type[_Rule]:
+        """The diff rule section ``name`` (holding ``value``) rides by."""
+        rule = cls.RULES.get(name)
+        if rule is not None:
+            return rule
+        if isinstance(value, (VersionedDict, VersionedSet)):
+            return _Versioned
+        return _Pickled
 
     def encode(
         self,
@@ -736,43 +971,15 @@ class DeltaSnapshotter:
         journal_records: int,
         sequence: int,
     ) -> SimulatorCheckpoint:
-        seqs = self._append_only(sections)
-        lens = tuple(len(seq) for seq in seqs)
-        force_full = (
-            self._lens is None
-            or self._deltas_since_full >= self._full_interval
-            or len(lens) != len(self._lens)
-            or any(new < old for new, old in zip(lens, self._lens))
-        )
-        if force_full:
+        parts = self._diff(sections)
+        if parts is None:
             return self._encode_full(
-                sections, lens,
+                sections,
                 step=step, journal_records=journal_records, sequence=sequence,
             )
-
-        changed: Dict[str, bytes] = {}
-        for name, value in sections.items():
-            if name == self.TRACE_SECTION:
-                continue
-            if isinstance(value, (VersionedDict, VersionedSet)):
-                token = value.version
-                if self._section_versions.get(name) != token:
-                    changed[name] = pickle.dumps(
-                        value, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    self._section_versions[name] = token
-            else:
-                blob = self._section_blob(name, value)
-                if self._section_bytes.get(name) != blob:
-                    changed[name] = blob
-                    self._section_bytes[name] = blob
-
-        suffix = tuple(seq[start:] for seq, start in zip(seqs, self._lens))
-        bundle = {
-            "sections": changed,
-            "append_only": {"base": self._lens, "suffix": suffix},
-        }
-        payload = pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(
+            {"parts": parts}, protocol=pickle.HIGHEST_PROTOCOL
+        )
         checkpoint = SimulatorCheckpoint(
             step=step,
             journal_records=journal_records,
@@ -782,24 +989,44 @@ class DeltaSnapshotter:
             base_step=self._base_step,
             base_sha256=self._base_sha,
         )
-        self._advance(step, payload, lens)
+        self._advance(step, payload)
         self._deltas_since_full += 1
         return checkpoint
 
+    def _diff(self, sections: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The part of every section that moved since the previous
+        snapshot, or ``None`` when this snapshot must be full."""
+        if (
+            self._bases is None
+            or self._deltas_since_full >= self._full_interval
+            or sections.keys() != self._bases.keys()
+        ):
+            return None
+        parts: Dict[str, Any] = {}
+        bases: Dict[str, Tuple[Type[_Rule], Any]] = {}
+        for name, value in sections.items():
+            rule, base = self._bases[name]
+            if self.rule_for(name, value) is not rule:
+                return None
+            try:
+                part, base = rule.diff(value, base)
+            except _NeedsFull:
+                return None
+            if part is not _UNCHANGED:
+                parts[name] = part
+            bases[name] = (rule, base)
+        self._bases = bases
+        return parts
+
     def _encode_full(
-        self, sections, lens, *, step, journal_records, sequence
+        self, sections, *, step, journal_records, sequence
     ) -> SimulatorCheckpoint:
         payload = pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
-        self._section_bytes.clear()
-        self._section_versions.clear()
+        self._bases = {}
         for name, value in sections.items():
-            if name == self.TRACE_SECTION:
-                continue
-            if isinstance(value, (VersionedDict, VersionedSet)):
-                self._section_versions[name] = value.version
-            else:
-                self._section_bytes[name] = self._section_blob(name, value)
-        self._advance(step, payload, lens)
+            rule = self.rule_for(name, value)
+            self._bases[name] = (rule, rule.seed(value))
+        self._advance(step, payload)
         self._deltas_since_full = 0
         return SimulatorCheckpoint(
             step=step,
@@ -808,10 +1035,9 @@ class DeltaSnapshotter:
             payload=payload,
         )
 
-    def _advance(self, step: int, payload: bytes, lens) -> None:
+    def _advance(self, step: int, payload: bytes) -> None:
         self._base_step = step
         self._base_sha = hashlib.sha256(payload).hexdigest()
-        self._lens = tuple(lens)
 
 
 class CheckpointStore:
@@ -842,11 +1068,14 @@ class CheckpointStore:
         A full checkpoint unpickles directly.  A delta is applied on top
         of its base — located by ``base_step`` in this store and verified
         against ``base_sha256`` — recursively down to the anchoring full
-        snapshot.  Any missing, corrupt, or mismatched link raises
-        :class:`CheckpointError`; the suffixes of the append-only
-        sequences (the trace's lists and the channel log) are only
-        appended after asserting the materialized sequences have exactly
-        the base lengths the delta was encoded against.
+        snapshot — by folding each of its parts into the materialized
+        section through that section's :meth:`DeltaSnapshotter.rule_for`
+        rule.  Any missing, corrupt, or mismatched link raises
+        :class:`CheckpointError`, as does a payload that is not a bundle
+        of parts; the suffixes of the append-only sequences (the trace's
+        lists and the channel log) are only appended after asserting the
+        materialized sequences have exactly the base lengths the delta
+        was encoded against.
         """
         tip = SimulatorCheckpoint.load(path)
         chain = [tip]
@@ -870,29 +1099,17 @@ class CheckpointStore:
         state = cursor.restore_state()
         for delta in reversed(chain[:-1]):
             try:
-                bundle = pickle.loads(delta.payload)
-                changed = {
-                    name: pickle.loads(blob)
-                    for name, blob in bundle["sections"].items()
-                }
-                appended = bundle["append_only"]
-            except CheckpointError:
-                raise
+                parts = pickle.loads(delta.payload)["parts"]
+                for name, part in parts.items():
+                    old = state[name]
+                    rule = DeltaSnapshotter.rule_for(name, old)
+                    state[name] = rule.apply(old, part)
+            except CheckpointError as exc:
+                raise CheckpointError(f"step-{delta.step} {exc}") from exc
             except Exception as exc:
                 raise CheckpointError(
                     f"step-{delta.step} delta payload does not decode: {exc}"
                 ) from exc
-            base = DeltaSnapshotter._append_only(state)
-            actual = tuple(len(seq) for seq in base)
-            expected = tuple(appended["base"])
-            if actual != expected:
-                raise CheckpointError(
-                    f"step-{delta.step} delta expects append-only lengths "
-                    f"{expected} (trace lists, then channel log) but the "
-                    f"chain materialized {actual}"
-                )
-            state.update(changed)
-            DeltaSnapshotter._extend(state, base, appended["suffix"])
         if len(chain) > 1:
             # The suffixes bypassed record()/record_loss(): re-derive the
             # trace's running conservation ledger from the extended lists.

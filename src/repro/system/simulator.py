@@ -344,6 +344,15 @@ class OpenSystemSimulator:
                 "this simulator holds restored mid-run state; "
                 "call resume_run(), not run()"
             )
+        if (
+            isinstance(checkpoint_every, bool)
+            or not isinstance(checkpoint_every, int)
+            or checkpoint_every < 0
+        ):
+            raise SimulationError(
+                "checkpoint_every must be an integer >= 0, "
+                f"got {checkpoint_every!r}"
+            )
         self._horizon = horizon
         self._run_window = Interval(self._start_time, horizon)
         self._records = {}
@@ -801,11 +810,7 @@ class OpenSystemSimulator:
         checkpoint_dir: Union[str, Path, CheckpointStore, None],
         journal_fsync: bool,
     ) -> None:
-        if checkpoint_every < 0:
-            raise SimulationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every!r}"
-            )
-        self._checkpoint_every = int(checkpoint_every)
+        self._checkpoint_every = checkpoint_every
         self._checkpoint_store = None
         self._snapshotter = None
         if checkpoint_dir is not None:
@@ -926,7 +931,9 @@ class OpenSystemSimulator:
             "offered": self._offered,
             "consumed": self._consumed,
             "trace": self._trace,
-            "events": list(self._events),
+            # Sorted, so a delta's keyed events part restores the same
+            # list; a sorted list is a valid heap (resume heapifies).
+            "events": sorted(self._events),
             "victims": self._victims,
             "flagged": self._flagged,
             "consumed_by_owner": self._consumed_by_owner,

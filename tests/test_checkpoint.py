@@ -12,12 +12,13 @@ replayed decisions is detected, not overwritten.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
 
 from repro.baselines import RotaAdmission
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SimulationError
 from repro.faults import FaultPlan, RecoveryPolicy, faulty_scenario
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
 from repro.system import OpenSystemSimulator, ReservationPolicy
@@ -25,6 +26,7 @@ from repro.system.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     JOURNAL_FORMAT_VERSION,
     CheckpointStore,
+    DeltaSnapshotter,
     Journal,
     SimulatorCheckpoint,
     atomic_writer,
@@ -409,3 +411,34 @@ class TestResume:
         assert "26 bytes" in report.warnings[0]  # len of the torn write
         fingerprint = report_fingerprint(report)
         assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
+
+
+# ----------------------------------------------------------------------
+# Bad durability settings fail at the boundary
+# ----------------------------------------------------------------------
+
+BAD_COUNTS = [2.5, True, False, "3", math.nan, math.inf, -1, None]
+
+
+class TestDurabilityBoundary:
+    @pytest.mark.parametrize("checkpoint_every", BAD_COUNTS)
+    def test_run_rejects_bad_checkpoint_every(
+        self, tmp_path, checkpoint_every
+    ):
+        scenario = chaos_scenario()
+        sim = make_simulator(scenario)
+        sim.schedule(*scenario.events)
+        with pytest.raises(SimulationError, match="checkpoint_every") as info:
+            sim.run(
+                scenario.horizon,
+                checkpoint_every=checkpoint_every,
+                checkpoint_dir=tmp_path,
+            )
+        assert info.traceback[-1].name == "run"
+        assert not list(tmp_path.iterdir()), "nothing may be written"
+
+    @pytest.mark.parametrize("full_interval", BAD_COUNTS + [0])
+    def test_snapshotter_rejects_bad_full_interval(self, full_interval):
+        with pytest.raises(CheckpointError, match="full_interval") as info:
+            DeltaSnapshotter(full_interval=full_interval)
+        assert info.traceback[-1].name == "__init__"

@@ -9,17 +9,24 @@ this module pins the delta layer on top of them:
   deterministic pickling,
 * :class:`DeltaSnapshotter` cadence (first full, ``full_interval``
   deltas, reseed) and base-chain references,
+* the per-section diff rules: the event heap and the records ride a
+  delta keyed (only added/removed events, only new or changed records),
+  an unchanged ``state`` rides not at all, and a changed one shares one
+  pickle memo with the trace suffix,
 * :meth:`CheckpointStore.resolve` chain validation — a delta whose base
   is missing or digest-mismatched is rejected and :meth:`latest` falls
-  back to an older valid snapshot,
+  back to an older valid snapshot, as it does for a payload that is not
+  a bundle of parts,
 * end-to-end: every checkpoint a real chaotic run writes, full or
   delta, resumes to a report identical to the uninterrupted run, and a
-  mesh run's delta chain materializes the same ``network`` section —
-  channel log included — as a full snapshot of the same step.
+  chaotic or mesh run's delta chain materializes the same value-semantics
+  sections — ``network`` with its channel log included — as a full
+  snapshot of the same step.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -43,7 +50,15 @@ from repro.system.checkpoint import (
     VersionedDict,
     VersionedSet,
 )
-from repro.system.events import restore_sequence, sequence_value
+from repro.intervals import Interval
+from repro.logic.state import initial_state
+from repro.resources import ResourceSet
+from repro.system.events import (
+    RecoveryOfferEvent,
+    restore_sequence,
+    sequence_value,
+)
+from repro.system.simulator import ComputationRecord
 from repro.system.tracing import SimulationTrace
 from repro.workloads import volunteer_scenario
 
@@ -154,8 +169,6 @@ class TestDeltaSnapshotter:
         previous = snapper.encode(
             _sections(trace), step=0, journal_records=0, sequence=0
         )
-        import hashlib
-
         for step in (1, 2, 3):
             trace.note(step, "tick")
             ckpt = snapper.encode(
@@ -179,17 +192,17 @@ class TestDeltaSnapshotter:
         delta = snapper.encode(
             _sections(trace, vmap=vmap), step=1, journal_records=1, sequence=1
         )
-        bundle = pickle.loads(delta.payload)
-        assert bundle["sections"] == {}  # only the trace moved
-        assert len(bundle["append_only"]["suffix"][1]) == 1
+        parts = pickle.loads(delta.payload)["parts"]
+        assert set(parts) == {"trace"}  # only the trace moved
+        assert len(parts["trace"]["suffix"][1]) == 1
         vmap["seen"] = 2
         trace.note(2, "tock")
         delta2 = snapper.encode(
             _sections(trace, vmap=vmap, counter=9),
             step=2, journal_records=2, sequence=2,
         )
-        changed = set(pickle.loads(delta2.payload)["sections"])
-        assert changed == {"vmap", "counter"}
+        changed = set(pickle.loads(delta2.payload)["parts"])
+        assert changed == {"trace", "vmap", "counter"}
 
     def test_trace_shrink_forces_full(self):
         snapper = DeltaSnapshotter(full_interval=8)
@@ -214,12 +227,12 @@ class TestDeltaSnapshotter:
             _mesh_sections(trace, log, rpc_seq=1),
             step=1, journal_records=1, sequence=1,
         )
-        bundle = pickle.loads(delta.payload)
-        assert bundle["append_only"]["base"] == (0, 0, 0, 0, 3)
-        assert bundle["append_only"]["suffix"][4] == ("wire-3", "wire-4")
+        part = pickle.loads(delta.payload)["parts"]["network"]
+        assert part["base"] == 3
+        assert part["suffix"] == ("wire-3", "wire-4")
         # The rest of the section changed, so it rides the delta — but
         # without the log it already carries as a suffix.
-        network = pickle.loads(bundle["sections"]["network"])
+        network = pickle.loads(part["section"])
         assert network["rpc_seq"] == 1
         assert network["channel"]["log"] == ()
 
@@ -231,11 +244,10 @@ class TestDeltaSnapshotter:
             _mesh_sections(trace, log), step=0, journal_records=0, sequence=0
         )
         trace.note(1, "tick")
-        bundle = pickle.loads(snapper.encode(
+        parts = pickle.loads(snapper.encode(
             _mesh_sections(trace, log), step=1, journal_records=1, sequence=1
-        ).payload)
-        assert bundle["sections"] == {}
-        assert bundle["append_only"]["suffix"][4] == ()
+        ).payload)["parts"]
+        assert set(parts) == {"trace"}
 
     def test_wire_log_shrink_forces_full(self):
         snapper = DeltaSnapshotter(full_interval=8)
@@ -259,6 +271,98 @@ class TestDeltaSnapshotter:
             step=1, journal_records=1, sequence=1,
         )
         assert ckpt.kind == "full"
+
+    def test_events_part_is_keyed_by_seq(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        events = [(1, 1, "e1"), (2, 2, "e2"), (4, 3, "e3")]
+        snapper.encode(
+            {"trace": trace, "events": list(events)},
+            step=0, journal_records=0, sequence=0,
+        )
+        events = [events[1], (3, 7, "offer"), events[2]]  # popped e1
+        parts = pickle.loads(snapper.encode(
+            {"trace": trace, "events": events},
+            step=1, journal_records=1, sequence=1,
+        ).payload)["parts"]
+        assert parts["events"] == {"removed": [1], "added": [(3, 7, "offer")]}
+        unchanged = pickle.loads(snapper.encode(
+            {"trace": trace, "events": list(events)},
+            step=2, journal_records=2, sequence=2,
+        ).payload)["parts"]
+        assert "events" not in unchanged
+
+    def test_duplicate_event_seqs_force_full(self):
+        """The same event scheduled twice queues two entries under one
+        seq; a keyed part could not tell them apart."""
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        snapper.encode(
+            {"trace": trace, "events": [(1, 1, "e1")]},
+            step=0, journal_records=0, sequence=0,
+        )
+        ckpt = snapper.encode(
+            {"trace": trace, "events": [(1, 1, "e1"), (1, 1, "e1")]},
+            step=1, journal_records=1, sequence=1,
+        )
+        assert ckpt.kind == "full"
+
+    def test_only_new_or_changed_records_ride(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        records = {
+            label: ComputationRecord(label, 0, Interval(0, 10), admitted=True)
+            for label in ("a", "b", "c")
+        }
+
+        def save(step):
+            checkpoint = snapper.encode(
+                {"trace": trace, "records": records},
+                step=step, journal_records=step, sequence=step,
+            )
+            store.save(checkpoint)
+            return checkpoint
+
+        save(0)
+        records["a"].completed = True
+        records["d"] = ComputationRecord("d", 1, Interval(1, 9))
+        parts = pickle.loads(save(1).payload)["parts"]
+        assert list(parts["records"]) == ["a", "d"]
+        # A terminal record mutated in place still rides the next delta.
+        records["a"].recovery_attempts += 1
+        records["a"].salvaged = 1.5
+        parts = pickle.loads(save(2).payload)["parts"]
+        assert list(parts["records"]) == ["a"]
+        assert parts["records"]["a"].salvaged == 1.5
+        assert "records" not in pickle.loads(save(3).payload)["parts"]
+        tip, state = store.resolve(store.path_for(3))
+        assert tip.is_delta
+        assert list(state["records"]) == ["a", "b", "c", "d"]
+        assert state["records"] == records
+        del records["b"]  # records are never dropped: a shrink is a full
+        assert save(4).kind == "full"
+
+    def test_unchanged_state_is_absent_from_the_delta(self):
+        snapper = DeltaSnapshotter(full_interval=8)
+        trace = SimulationTrace()
+        state = initial_state(ResourceSet.empty(), 0)
+        snapper.encode(
+            {"trace": trace, "state": state},
+            step=0, journal_records=0, sequence=0,
+        )
+        trace.note(1, "tick")
+        parts = pickle.loads(snapper.encode(
+            {"trace": trace, "state": state},
+            step=1, journal_records=1, sequence=1,
+        ).payload)["parts"]
+        assert set(parts) == {"trace"}
+        later = initial_state(ResourceSet.empty(), 1)
+        parts = pickle.loads(snapper.encode(
+            {"trace": trace, "state": later},
+            step=2, journal_records=2, sequence=2,
+        ).payload)["parts"]
+        assert parts["state"] == later
 
     def test_delta_envelope_roundtrips(self):
         snapper = DeltaSnapshotter(full_interval=8)
@@ -371,7 +475,7 @@ class TestResolve:
         )
         # Corrupt the recorded base lengths: materialization must notice.
         bundle = pickle.loads(delta.payload)
-        bundle["append_only"]["base"] = (0, 5, 0, 0)
+        bundle["parts"]["trace"]["base"] = (0, 5, 0, 0)
         forged = SimulatorCheckpoint(
             step=1, journal_records=1, sequence=1,
             payload=pickle.dumps(bundle),
@@ -382,6 +486,36 @@ class TestResolve:
         with pytest.raises(CheckpointError, match="append-only lengths"):
             store.resolve(store.path_for(1))
 
+
+    def test_pre_change_bundle_shape_does_not_decode(self, tmp_path):
+        """A delta in the bundle shape that predates per-section rules
+        (pickled blobs under ``sections``, suffixes under
+        ``append_only``) is rejected, and :meth:`latest` falls back to
+        the newest full."""
+        store = CheckpointStore(tmp_path)
+        trace = SimulationTrace()
+        full = DeltaSnapshotter().encode(
+            {"trace": trace, "counter": 0},
+            step=0, journal_records=0, sequence=0,
+        )
+        store.save(full)
+        trace.note(1, "tick")
+        legacy = {
+            "sections": {"counter": pickle.dumps(1)},
+            "append_only": {
+                "base": (0, 0, 0, 0),
+                "suffix": ([], list(trace.notes), [], []),
+            },
+        }
+        store.save(SimulatorCheckpoint(
+            step=1, journal_records=1, sequence=1,
+            payload=pickle.dumps(legacy),
+            kind="delta", base_step=0,
+            base_sha256=hashlib.sha256(full.payload).hexdigest(),
+        ))
+        with pytest.raises(CheckpointError, match="does not decode"):
+            store.resolve(store.path_for(1))
+        assert store.latest() == store.path_for(0)
 
     def test_mesh_chain_extends_the_wire_log(self, tmp_path):
         snapper = DeltaSnapshotter()
@@ -414,8 +548,8 @@ class TestResolve:
         )
         # Claim a longer base log than the full snapshot holds.
         bundle = pickle.loads(delta.payload)
-        assert bundle["append_only"]["base"][4] == 1
-        bundle["append_only"]["base"] = (0, 0, 0, 0, 2)
+        assert bundle["parts"]["network"]["base"] == 1
+        bundle["parts"]["network"]["base"] = 2
         forged = SimulatorCheckpoint(
             step=1, journal_records=1, sequence=1,
             payload=pickle.dumps(bundle),
@@ -464,15 +598,86 @@ def make_simulator(scenario):
     )
 
 
+#: Sections with value semantics, compared directly between a delta-chain
+#: and a full restore; policy objects don't define __eq__, so their
+#: equivalence is covered by the resume-and-finish fingerprints.
+VALUE_SECTIONS = (
+    "records", "offered", "consumed", "trace", "events", "victims",
+    "flagged", "consumed_by_owner", "horizon", "start_time", "dt",
+    "invariant_interval", "checkpoint_every", "state",
+)
+
+
 class _AllFullSnapshotter(DeltaSnapshotter):
     """Every snapshot full — the pre-delta behavior, for comparison."""
 
     def encode(self, sections, *, step, journal_records, sequence):
-        lens = tuple(len(seq) for seq in self._append_only(sections))
         return self._encode_full(
-            sections, lens,
+            sections,
             step=step, journal_records=journal_records, sequence=sequence,
         )
+
+
+@pytest.fixture(scope="module")
+def chaos_chain(tmp_path_factory):
+    """The store and checkpoint paths of a chaotic run checkpointed every
+    slice (so recovery offers land between snapshots)."""
+    directory = tmp_path_factory.mktemp("chaos-chain")
+    scenario = chaos_scenario()
+    sim = make_simulator(scenario)
+    sim.schedule(*scenario.events)
+    sim.run(scenario.horizon, checkpoint_every=1, checkpoint_dir=directory)
+    return CheckpointStore(directory), sorted(directory.glob("ckpt-*.json"))
+
+
+def delta_steps(store, paths):
+    """``(previous state, delta parts, state)`` for every delta in the
+    chain, each state materialized through the store."""
+    previous = None
+    for path in paths:
+        tip, state = store.resolve(path)
+        if tip.is_delta:
+            yield previous, pickle.loads(tip.payload)["parts"], state
+        previous = state
+
+
+class TestPartsOnARealRun:
+    def test_events_part_holds_only_added_entries_and_removed_seqs(
+        self, chaos_chain
+    ):
+        offered_recovery = False
+        for previous, parts, state in delta_steps(*chaos_chain):
+            before = {entry[1] for entry in previous["events"]}
+            after = {entry[1]: entry for entry in state["events"]}
+            part = parts.get("events", {"removed": [], "added": []})
+            assert sorted(part["removed"]) == sorted(before - set(after))
+            assert part["added"] == [
+                entry for seq, entry in sorted(after.items())
+                if seq not in before
+            ]
+            offered_recovery = offered_recovery or any(
+                isinstance(entry[2], RecoveryOfferEvent)
+                for entry in part["added"]
+            )
+        assert offered_recovery, "no recovery offer was pushed mid-run"
+
+    def test_only_new_or_changed_records_ride(self, chaos_chain):
+        skipped_some = False
+        for previous, parts, state in delta_steps(*chaos_chain):
+            old = previous["records"]
+            moved = [
+                label for label, record in state["records"].items()
+                if label not in old or vars(record) != vars(old[label])
+            ]
+            assert list(parts.get("records", {})) == moved
+            skipped_some = skipped_some or len(moved) < len(old)
+        assert skipped_some, "every delta re-sent every record"
+
+    def test_changed_state_shares_the_trace_suffix_pickle(self, chaos_chain):
+        for _, parts, _ in delta_steps(*chaos_chain):
+            transitions = parts["trace"]["suffix"][0]
+            # One pickle memo: the state is the last transition's target.
+            assert parts["state"] is transitions[-1].target
 
 
 class TestEndToEndEquivalence:
@@ -547,18 +752,10 @@ class TestEndToEndEquivalence:
             not SimulatorCheckpoint.load(p).is_delta for p in full_paths
         )
 
-        # Sections with value semantics compare directly; policy objects
-        # don't define __eq__, so their equivalence is covered by the
-        # resume-and-finish fingerprints above.
-        comparable = (
-            "records", "offered", "consumed", "trace", "events", "victims",
-            "flagged", "consumed_by_owner", "horizon", "start_time", "dt",
-            "invariant_interval", "checkpoint_every", "state",
-        )
         for delta_path, full_path in zip(delta_paths, full_paths):
             tip, via_chain = delta_store.resolve(delta_path)
             _, via_full = full_store.resolve(full_path)
-            for name in comparable:
+            for name in VALUE_SECTIONS:
                 assert via_chain[name] == via_full[name], (
                     f"{delta_path.name} ({tip.kind}): section {name!r} "
                     "diverges between delta-chain and full restore"
@@ -569,8 +766,9 @@ class TestEndToEndEquivalence:
     ):
         """A lossy, partitioned mesh run snapshotted every slice: at every
         step, the delta chain materializes the same ``network`` section —
-        channel log, in-flight queue, stats, lease clocks — as a full
-        snapshot taken at that step."""
+        channel log, in-flight queue, stats, lease clocks — and the same
+        value-semantics sections (records, events, state, trace, tallies)
+        as a full snapshot taken at that step."""
         seq0 = sequence_value()
         delta_dir = tmp_path / "delta"
         run_mesh(MESH_PLAN, checkpoint_every=1, checkpoint_dir=delta_dir)
@@ -592,11 +790,12 @@ class TestEndToEndEquivalence:
         for path in delta_paths:
             tip, via_chain = delta_store.resolve(path)
             _, via_full = full_store.resolve(full_dir / path.name)
-            assert via_chain["network"] == via_full["network"], (
-                f"{path.name} ({tip.kind}): network section diverges "
-                "between delta-chain and full restore"
-            )
+            for name in VALUE_SECTIONS + ("network",):
+                assert via_chain[name] == via_full[name], (
+                    f"{path.name} ({tip.kind}): section {name!r} diverges "
+                    "between delta-chain and full restore"
+                )
             if tip.is_delta:
-                suffix = pickle.loads(tip.payload)["append_only"]["suffix"]
-                carried_wire = carried_wire or bool(suffix[4])
+                part = pickle.loads(tip.payload)["parts"].get("network")
+                carried_wire = carried_wire or bool(part and part["suffix"])
         assert carried_wire, "no delta carried wire records"
