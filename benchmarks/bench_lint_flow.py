@@ -61,7 +61,6 @@ def _one_run() -> Dict[str, object]:
         "functions": result.stats["functions"],
         "call_edges": result.stats["call_edges"],
         "checkpointable_classes": result.stats["checkpointable_classes"],
-        "isolation_entries": len(result.isolation_report),
     }
 
 

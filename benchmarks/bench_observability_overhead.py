@@ -84,13 +84,6 @@ def make_simulator(scenario) -> OpenSystemSimulator:
 
 
 def _one_run(scenario, **run_kwargs):
-    # Same-process repeats must regenerate identical event streams:
-    # recovery offers scheduled mid-run advance the global sequence
-    # counter, so pin it to the same origin before every run.
-    from repro.system.events import restore_sequence, sequence_value
-
-    origin = max((event.seq for event in scenario.events), default=0) + 1
-    restore_sequence(origin)
     journal = run_kwargs.get("journal")
     if journal is not None:
         Path(journal).unlink(missing_ok=True)

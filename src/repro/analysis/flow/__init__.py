@@ -11,8 +11,8 @@ graph (:mod:`.callgraph`) feeding three analyses —
 * :mod:`.coverage` — the checkpoint-coverage proof for
   ``@checkpointable`` classes (every ``self`` attribute captured, or its
   finding suppressed with the reason a restore does without it);
-* :mod:`.escape` — shared-state escape detection plus the ranked
-  isolation report grounding the parallel per-enclave simulator.
+* :mod:`.escape` — shared-state escape detection: module-level mutable
+  state a run would share with everything else in the process.
 
 Exposed as ``repro-lint flow`` with the engine's 0/1/2 exit contract.
 """
@@ -21,7 +21,6 @@ from repro.analysis.flow.analyzer import (
     FlowAnalyzer,
     FlowResult,
     render_flow_json,
-    render_flow_text,
 )
 from repro.analysis.flow.callgraph import Program, build_program
 from repro.analysis.flow.names import FLOW_RULES
@@ -33,5 +32,4 @@ __all__ = [
     "Program",
     "build_program",
     "render_flow_json",
-    "render_flow_text",
 ]

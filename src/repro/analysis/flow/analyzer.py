@@ -6,7 +6,7 @@ Suppressions go through the same ledger as the line engine's
 carrying a reasoned ``# repro-lint: disable=<flow-rule>`` is silenced,
 and a suppression whose flow-rule names silence nothing is itself a
 finding (``suppression-unused``).  The reports are the line engine's too,
-with the isolation report and call-graph stats appended.
+with call-graph stats appended to the JSON document.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ from repro.analysis.flow.coverage import (
     checkpointable_classes,
     coverage_findings,
 )
-from repro.analysis.flow.escape import (
-    IsolationEntry,
-    escape_findings_and_report,
-)
+from repro.analysis.flow.escape import escape_findings
 from repro.analysis.flow.names import FLOW_RULES
 from repro.analysis.flow.taint import (
     exactness_findings,
     nondeterminism_findings,
 )
 from repro.analysis.lint.engine import Finding, known_rule_names
-from repro.analysis.lint.reporters import _document, render_text
+from repro.analysis.lint.reporters import _document
 from repro.analysis.lint.suppressions import reconcile
 
 
@@ -41,7 +38,6 @@ class FlowResult:
 
     findings: List[Finding]
     files_checked: int
-    isolation_report: List[IsolationEntry]
     stats: Dict[str, int] = field(default_factory=dict)
 
 
@@ -67,15 +63,13 @@ class FlowAnalyzer:
         raw.extend(nondeterminism_findings(program))
         raw.extend(exactness_findings(program))
         raw.extend(coverage_findings(program))
-        escape, report = escape_findings_and_report(program)
-        raw.extend(escape)
+        raw.extend(escape_findings(program))
         ran = set(FLOW_RULES) | {"parse-error"}
         kept = reconcile(raw, program.suppressions, ran, known_rule_names())
         files_checked = len(program.files) + len(program.parse_errors)
         return FlowResult(
             findings=kept,
             files_checked=files_checked,
-            isolation_report=report,
             stats={
                 "functions": len(program.functions),
                 "classes": len(program.classes),
@@ -89,32 +83,8 @@ class FlowAnalyzer:
         )
 
 
-def render_flow_text(result: FlowResult, *, report: bool = False) -> str:
-    lines = [render_text(result.findings, result.files_checked)]
-    if report:
-        lines.append(
-            f"isolation report ({len(result.isolation_report)} "
-            "entries, rank 1 = hardest escape):"
-        )
-        for entry in result.isolation_report:
-            lines.append(entry.render())
-    return "\n".join(lines)
-
-
 def render_flow_json(result: FlowResult) -> str:
     document = _document(result.findings, result.files_checked)
     document["tool"] = "repro-lint flow"
-    document["isolation_report"] = [
-        {
-            "rank": entry.rank,
-            "module": entry.module,
-            "path": entry.path,
-            "line": entry.line,
-            "name": entry.name,
-            "kind": entry.kind,
-            "detail": entry.detail,
-        }
-        for entry in result.isolation_report
-    ]
     document["stats"] = result.stats
     return json.dumps(document, indent=2)

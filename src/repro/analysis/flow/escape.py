@@ -1,36 +1,27 @@
-"""Shared-state escape analysis for the enclave-parallel packages.
+"""Shared-state escape analysis: process-global mutable state.
 
-The ROADMAP's parallel-DES item wants one simulator (or thread) per
-enclave.  That is only sound if no state *escapes* an enclave through a
-module-level alias: a module-level dict is process-global, an ambient
-singleton instance is shared by every enclave that imports it, and a
-``global`` statement is a write to neither-yours-nor-mine memory.  This
-pass inventories every such escape hatch in the packages the parallel
-plan would shard (``repro.system``, ``repro.encapsulation``,
-``repro.decision``) and emits two artifacts:
-
-* **findings** (rule ``flow-shared-state``) for the hard escapes —
-  module-level mutable containers and repro-class singleton instances,
-  class-level mutable defaults, and ``global`` statements.  These block
-  the gate unless carrying a reasoned suppression (a deliberate ambient
-  object is a *decision*, and decisions get written down);
-* a ranked **isolation report** (also covering the soft, sanctioned
-  reads such as ``get_registry()``) that is the work-list for the
-  parallel-DES refactor: rank 1 must move into per-enclave state, rank
-  2 must become instance state or parameters, rank 3 is safe if the
-  ambient object stays read-only per process.
+A run is a path fixed by the system's own state and inputs.  State that
+lives at module level escapes every instance: a module-level dict or an
+ambient singleton is shared by every simulator the process builds, a
+class-level mutable default by every instance of the class, and a
+``global`` statement writes memory no instance owns.  Any of them makes
+what a run computes (or writes) depend on what else ran earlier in the
+same process — a determinism hazard.  This pass reports each one in the
+packages that decide a run (``repro.system``, ``repro.encapsulation``,
+``repro.decision``) as a ``flow-shared-state`` finding; a deliberate
+ambient object carries a reasoned suppression (a decision, written
+down).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.flow.callgraph import Program, _dotted_of
 from repro.analysis.lint.engine import Finding, SourceFile
 
-#: Packages the parallel per-enclave simulator would shard.
+#: Packages whose state decides a run.
 ESCAPE_SCOPE: Tuple[str, ...] = (
     "repro.system",
     "repro.encapsulation",
@@ -55,34 +46,8 @@ _MUTABLE_CALLS = frozenset(
     }
 )
 
-#: Sanctioned ambient accessors; reads are rank-3 report entries, not
-#: findings (the registry contract keeps telemetry out of state).
-_AMBIENT_ACCESSORS = frozenset(
-    {
-        "repro.observability.metrics.get_registry",
-        "repro.observability.metrics.set_registry",
-        "repro.observability.metrics.use_registry",
-    }
-)
-
-
-@dataclass(frozen=True, order=True)
-class IsolationEntry:
-    """One row of the ranked isolation report (lower rank = worse)."""
-
-    rank: int
-    module: str
-    path: str
-    line: int
-    name: str
-    kind: str
-    detail: str
-
-    def render(self) -> str:
-        return (
-            f"  [rank {self.rank}] {self.path}:{self.line} "
-            f"{self.name} ({self.kind}): {self.detail}"
-        )
+#: Why a process-global is a hazard, appended to every finding.
+_HAZARD = "a run would depend on what else ran earlier in the process"
 
 
 def _in_scope(module: Optional[str], scope: Sequence[str]) -> bool:
@@ -145,13 +110,19 @@ def _class_level_assigns(
                     yield node.name, target.id, child.value, child.lineno
 
 
-def escape_findings_and_report(
+def _hazard(path: str, line: int, message: str) -> Finding:
+    return Finding(
+        path=path, line=line, column=1, rule="flow-shared-state",
+        message=message,
+    )
+
+
+def escape_findings(
     program: Program,
     *,
     scope: Sequence[str] = ESCAPE_SCOPE,
-) -> Tuple[List[Finding], List[IsolationEntry]]:
+) -> List[Finding]:
     findings: List[Finding] = []
-    report: List[IsolationEntry] = []
     for path in sorted(program.files):
         source = program.files[path]
         module = source.module
@@ -162,119 +133,25 @@ def escape_findings_and_report(
             if name.startswith("__") and name.endswith("__"):
                 continue  # export/metadata dunders, written once at import
             detail = _mutable_value(program, module, value)
-            if detail is None:
-                continue
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    column=1,
-                    rule="flow-shared-state",
-                    message=(
-                        f"{detail} '{name}' is process-global state in "
-                        f"enclave-scoped module {module}; every enclave "
-                        "of a parallel run would alias it — move it into "
-                        "per-enclave instance state"
-                    ),
-                )
-            )
-            report.append(
-                IsolationEntry(
-                    rank=1,
-                    module=module,
-                    path=path,
-                    line=line,
-                    name=name,
-                    kind="module-global",
-                    detail=detail,
-                )
-            )
+            if detail is not None:
+                findings.append(_hazard(path, line, (
+                    f"{detail} '{name}' is process-global state in "
+                    f"{module}; {_HAZARD} — move it into instance state"
+                )))
         for cls_name, attr, value, line in _class_level_assigns(source):
             detail = _mutable_value(program, module, value)
-            if detail is None:
-                continue
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    column=1,
-                    rule="flow-shared-state",
-                    message=(
-                        f"class-level mutable default {cls_name}.{attr} "
-                        f"({detail}) is shared by every instance across "
-                        "every enclave; initialise it in __init__"
-                    ),
-                )
-            )
-            report.append(
-                IsolationEntry(
-                    rank=2,
-                    module=module,
-                    path=path,
-                    line=line,
-                    name=f"{cls_name}.{attr}",
-                    kind="class-default",
-                    detail=detail,
-                )
-            )
+            if detail is not None:
+                findings.append(_hazard(path, line, (
+                    f"class-level mutable default {cls_name}.{attr} "
+                    f"({detail}) is shared by every instance in the "
+                    f"process; {_HAZARD} — initialise it in __init__"
+                )))
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Global):
                 names = ", ".join(node.names)
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=node.lineno,
-                        column=1,
-                        rule="flow-shared-state",
-                        message=(
-                            f"'global {names}' writes process-global state "
-                            f"from enclave-scoped module {module}; thread "
-                            "the value through explicit state instead"
-                        ),
-                    )
-                )
-                report.append(
-                    IsolationEntry(
-                        rank=2,
-                        module=module,
-                        path=path,
-                        line=node.lineno,
-                        name=names,
-                        kind="global-stmt",
-                        detail="global statement",
-                    )
-                )
-    _ambient_reads(program, scope, report)
-    report.sort()
-    return findings, report
-
-
-def _ambient_reads(
-    program: Program, scope: Sequence[str], report: List[IsolationEntry]
-) -> None:
-    seen = set()
-    for qname in sorted(program.functions):
-        fn = program.functions[qname]
-        if not _in_scope(fn.module, scope):
-            continue
-        for callee, line, _kind in fn.calls:
-            if callee not in _AMBIENT_ACCESSORS:
-                continue
-            key = (fn.path, line)
-            if key in seen:
-                continue
-            seen.add(key)
-            report.append(
-                IsolationEntry(
-                    rank=3,
-                    module=fn.module,
-                    path=fn.path,
-                    line=line,
-                    name=callee.rsplit(".", 1)[-1],
-                    kind="ambient-read",
-                    detail=(
-                        "sanctioned registry access; safe while the "
-                        "ambient registry stays read-only per process"
-                    ),
-                )
-            )
+                findings.append(_hazard(path, node.lineno, (
+                    f"'global {names}' writes process-global state from "
+                    f"{module}; {_HAZARD} — thread the value through "
+                    "explicit state instead"
+                )))
+    return findings

@@ -34,7 +34,7 @@ FLOW_RULES: Dict[str, str] = {
     "flow-shared-state": (
         "module-level mutable state, an ambient singleton instance, a "
         "class-level mutable default, or a 'global' statement inside the "
-        "enclave-parallel packages (system/encapsulation/decision) — "
-        "state that escapes per-enclave isolation"
+        "packages that decide a run (system/encapsulation/decision) — "
+        "state that makes a run depend on what else ran in the process"
     ),
 }

@@ -76,13 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     flow.add_argument(
         "--format", choices=["text", "json"], default="text",
-        help="report format (default: text; json includes the ranked "
-        "isolation report and call-graph stats)",
-    )
-    flow.add_argument(
-        "--report", action="store_true",
-        help="also print the ranked shared-state isolation report "
-        "(always present in json output)",
+        help="report format (default: text; json includes call-graph "
+        "stats)",
     )
 
     spec = sub.add_parser(
@@ -147,17 +142,13 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             return _usage_error(f"no such file or directory: {path}")
     # Imported here so `repro-lint code` never pays for the call-graph
     # machinery it does not use.
-    from repro.analysis.flow import (
-        FlowAnalyzer,
-        render_flow_json,
-        render_flow_text,
-    )
+    from repro.analysis.flow import FlowAnalyzer, render_flow_json
 
     result = FlowAnalyzer().check_paths(paths)
     if args.format == "json":
         print(render_flow_json(result))
     else:
-        print(render_flow_text(result, report=args.report))
+        print(render_text(result.findings, result.files_checked))
     return exit_code(result.findings)
 
 

@@ -49,9 +49,14 @@ class RecoveryPolicy:
     immediate_first_offer: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        attempts = self.max_attempts
+        if (
+            isinstance(attempts, bool)
+            or not isinstance(attempts, int)
+            or attempts < 1
+        ):
             raise RecoveryError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be an integer >= 1, got {attempts!r}"
             )
 
     def next_offer_delay(self, attempts_done: int) -> Time:

@@ -8,8 +8,8 @@ run two durable artifacts that together make any instant survivable:
   checksummed snapshot of the full simulator state (``rho``, the
   computation records, pending recoveries and their backoff schedules,
   the event heap, trace counters, the admission/allocation policy state,
-  and the global event-sequence counter), written atomically so a crash
-  mid-write can never surface a half-snapshot;
+  and the simulator's own event-sequence counter), written atomically so
+  a crash mid-write can never surface a half-snapshot;
 * a **write-ahead journal** (:class:`Journal`) — every applied event and
   admission decision appended as a CRC-tagged JSONL record *before* it
   takes effect (one JSON encode per record).  Recovery replays up to
@@ -392,11 +392,11 @@ class SimulatorCheckpoint:
     """One atomic snapshot (or delta) of a running simulation.
 
     ``payload`` is the pickled simulator state (see
-    :meth:`repro.system.simulator.OpenSystemSimulator._snapshot`);
+    :meth:`repro.system.simulator.OpenSystemSimulator._snapshot_sections`);
     ``journal_records`` is how many journal records had been acknowledged
     when the snapshot was taken, i.e. where replay-verification starts;
-    ``sequence`` is the global event-sequence counter
-    (:func:`repro.system.events.sequence_value`) to restore on resume.
+    ``sequence`` is the simulator's own event-sequence counter, the seq
+    its next ``schedule()`` stamps on a heap entry, restored on resume.
 
     ``kind`` is ``"full"`` for a self-contained snapshot or ``"delta"``
     for an incremental one; a delta's ``payload`` is a pickled

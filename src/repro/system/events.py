@@ -4,13 +4,15 @@ The paper's open-system dynamics are three instantaneous transition
 rules: resources join (with a pre-declared leave time inside their term
 intervals), computations arrive seeking accommodation, and
 not-yet-started computations may leave.  Each becomes an event type here.
-Events are ordered by time, with ties broken by a monotone sequence
-number so the simulation is deterministic.
+Events are plain data: two events are equal when every field is.  The
+simulator that schedules them orders them by time and breaks ties by
+its own schedule() call order, so a run's tie order is fixed by the run
+alone, never by what else ran in the same process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.computation.requirements import (
@@ -22,77 +24,40 @@ from repro.intervals.interval import Time
 from repro.resources.located_type import Node
 from repro.resources.resource_set import ResourceSet
 
-class _EventSequence:
-    """Process-wide tie-breaking counter for events at equal times.
 
-    Unlike a bare :func:`itertools.count` the counter is *checkpointable*:
-    :func:`sequence_value` / :func:`restore_sequence` let the durability
-    subsystem (:mod:`repro.system.checkpoint`) snapshot it and wind a
-    resumed process back to the exact point the crashed one reached, so
-    events minted after resume (recovery offers) sort against the restored
-    heap exactly as they would have in the uninterrupted run.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0
-
-    def advance(self) -> int:
-        value = self._value
-        self._value += 1
-        return value
-
-
-_sequence = _EventSequence()  # repro-lint: disable=flow-shared-state -- deliberate process-wide tiebreaker with explicit sequence_value()/restore_sequence() checkpoint hooks; rank-1 entry in the flow isolation report until the parallel-DES refactor threads it per enclave
-
-
-def sequence_value() -> int:
-    """The next sequence number a new event would receive."""
-    return _sequence._value
-
-
-def restore_sequence(value: int) -> None:
-    """Reset the counter to ``value`` (a prior :func:`sequence_value`)."""
-    if value < 0:
-        raise ValueError(f"sequence value must be >= 0, got {value!r}")
-    _sequence._value = int(value)
-
-
-@dataclass(frozen=True, order=True)
-class _Ordered:
+@dataclass(frozen=True)
+class _Timed:
     time: Time
-    seq: int = field(default_factory=_sequence.advance, compare=True)
 
 
-@dataclass(frozen=True, order=True)
-class ResourceJoinEvent(_Ordered):
+@dataclass(frozen=True)
+class ResourceJoinEvent(_Timed):
     """``Theta_join`` enters the system at ``time``.
 
     Leave times are implicit: every term's interval states when the
     resource disappears again (the paper has no separate leave rule).
     """
 
-    resources: ResourceSet = field(default=None, compare=False)  # type: ignore[assignment]
+    resources: ResourceSet = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, order=True)
-class ComputationArrivalEvent(_Ordered):
+@dataclass(frozen=True)
+class ComputationArrivalEvent(_Timed):
     """A computation ``(Lambda, s, d)`` asks to be accommodated."""
 
-    requirement: ConcurrentRequirement = field(default=None, compare=False)  # type: ignore[assignment]
-    label: str = field(default="", compare=False)
+    requirement: ConcurrentRequirement = None  # type: ignore[assignment]
+    label: str = ""
 
 
-@dataclass(frozen=True, order=True)
-class ComputationLeaveEvent(_Ordered):
+@dataclass(frozen=True)
+class ComputationLeaveEvent(_Timed):
     """An accommodated computation withdraws (valid only while ``t < s``)."""
 
-    label: str = field(default="", compare=False)
+    label: str = ""
 
 
-@dataclass(frozen=True, order=True)
-class ResourceRevocationEvent(_Ordered):
+@dataclass(frozen=True)
+class ResourceRevocationEvent(_Timed):
     """Capacity vanishes at ``time`` *despite* its declared interval.
 
     This violates the paper's model (leave times are pre-declared at join
@@ -100,11 +65,11 @@ class ResourceRevocationEvent(_Ordered):
     how much deadline assurance depends on the pre-declaration assumption.
     """
 
-    resources: ResourceSet = field(default=None, compare=False)  # type: ignore[assignment]
+    resources: ResourceSet = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, order=True)
-class NodeCrashEvent(_Ordered):
+@dataclass(frozen=True)
+class NodeCrashEvent(_Timed):
     """Every resource located at ``location`` vanishes *now*.
 
     A crash is the harshest promise violation: unlike a revocation (which
@@ -112,11 +77,11 @@ class NodeCrashEvent(_Ordered):
     every link touching the node, regardless of their declared intervals.
     """
 
-    location: "Node" = field(default=None, compare=False)  # type: ignore[assignment]
+    location: "Node" = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, order=True)
-class RateDegradationEvent(_Ordered):
+@dataclass(frozen=True)
+class RateDegradationEvent(_Timed):
     """A straggler fault: from ``time`` on, resources located at
     ``location`` deliver only ``factor`` of their declared rate.
 
@@ -124,23 +89,23 @@ class RateDegradationEvent(_Ordered):
     the declared future capacity is lost, unannounced.
     """
 
-    location: "Node" = field(default=None, compare=False)  # type: ignore[assignment]
-    factor: object = field(default=None, compare=False)  # Fraction | float
+    location: "Node" = None  # type: ignore[assignment]
+    factor: object = None  # Fraction | float
 
 
-@dataclass(frozen=True, order=True)
-class RecoveryOfferEvent(_Ordered):
+@dataclass(frozen=True)
+class RecoveryOfferEvent(_Timed):
     """Internal: re-offer a promise-violation victim to admission.
 
     Scheduled by the simulator's recovery pipeline with capped exponential
     backoff between attempts; never part of user-authored workloads.
     """
 
-    label: str = field(default="", compare=False)
+    label: str = ""
 
 
-@dataclass(frozen=True, order=True)
-class PartitionStartEvent(_Ordered):
+@dataclass(frozen=True)
+class PartitionStartEvent(_Timed):
     """The network severs ``links`` at ``time``.
 
     Messages across a severed link die with fate ``"severed"`` until the
@@ -152,13 +117,13 @@ class PartitionStartEvent(_Ordered):
     admission policy at the instant it bites.
     """
 
-    name: str = field(default="", compare=False)
+    name: str = ""
     #: undirected (endpoint, endpoint) pairs the partition cuts
-    links: tuple = field(default=(), compare=False)
+    links: tuple = ()
 
 
-@dataclass(frozen=True, order=True)
-class PartitionHealEvent(_Ordered):
+@dataclass(frozen=True)
+class PartitionHealEvent(_Timed):
     """The partition named ``name`` heals: ``links`` carry again.
 
     On heal the policy reconciles the partitioned sides' accounts
@@ -166,8 +131,8 @@ class PartitionHealEvent(_Ordered):
     whatever reconciliation notes the policy reports.
     """
 
-    name: str = field(default="", compare=False)
-    links: tuple = field(default=(), compare=False)
+    name: str = ""
+    links: tuple = ()
 
 
 Event = Union[

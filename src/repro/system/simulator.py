@@ -28,7 +28,9 @@ or gracefully abandoned with salvage accounting.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field as dataclasses_field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -63,8 +65,6 @@ from repro.system.events import (
     RecoveryOfferEvent,
     ResourceJoinEvent,
     ResourceRevocationEvent,
-    restore_sequence,
-    sequence_value,
 )
 from repro.system.scheduler import AllocationPolicy, EdfPolicy, ReservationPolicy
 from repro.system.tracing import PromiseViolation, SimulationTrace
@@ -251,16 +251,27 @@ class OpenSystemSimulator:
         recovery: "RecoveryPolicy | None" = None,
         invariant_interval: int = 0,
     ) -> None:
-        if dt <= 0:
-            raise SimulationError(f"dt must be positive, got {dt!r}")
-        if invariant_interval < 0:
+        if not _finite_real(dt) or dt <= 0:
             raise SimulationError(
-                f"invariant_interval must be >= 0, got {invariant_interval!r}"
+                f"dt must be a finite number > 0, got {dt!r}"
+            )
+        if (
+            isinstance(invariant_interval, bool)
+            or not isinstance(invariant_interval, int)
+            or invariant_interval < 0
+        ):
+            raise SimulationError(
+                "invariant_interval must be an integer >= 0, "
+                f"got {invariant_interval!r}"
             )
         self._admission = admission_policy
         self._allocation = allocation_policy or EdfPolicy()
         self._dt = dt
         self._events: List[tuple] = []
+        # Tie-breaker for same-time events: schedule() call order.  Each
+        # simulator counts its own, so a run's order never depends on
+        # what else ran in the process; checkpoints carry it.
+        self._next_seq = 0
         self._state = initial_state(
             initial_resources or ResourceSet.empty(), start_time
         )
@@ -313,10 +324,11 @@ class OpenSystemSimulator:
     # Event scheduling
     # ------------------------------------------------------------------
     def schedule(self, *events: Event) -> None:
-        # The heap holds (time, seq, event) tuples: event classes differ,
-        # and dataclass-generated ordering never compares across classes.
+        # The heap holds (time, seq, event) tuples; seq is unique, so
+        # events themselves are never compared.
         for event in events:
-            heapq.heappush(self._events, (event.time, event.seq, event))
+            heapq.heappush(self._events, (event.time, self._next_seq, event))
+            self._next_seq += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -352,6 +364,10 @@ class OpenSystemSimulator:
             raise SimulationError(
                 "checkpoint_every must be an integer >= 0, "
                 f"got {checkpoint_every!r}"
+            )
+        if not _finite_real(horizon):
+            raise SimulationError(
+                f"horizon must be a finite number, got {horizon!r}"
             )
         self._horizon = horizon
         self._run_window = Interval(self._start_time, horizon)
@@ -468,7 +484,7 @@ class OpenSystemSimulator:
         sim._checkpoint_every = payload.get("checkpoint_every", 0)
         # Post-resume events (recovery offers) must sort against the
         # restored heap exactly as the uninterrupted run's would have.
-        restore_sequence(checkpoint.sequence)
+        sim._next_seq = checkpoint.sequence
         sim._last_checkpoint_step = checkpoint.step
         sim._checkpoint_store = store
         # The delta cache died with the crashed process: a fresh
@@ -624,7 +640,7 @@ class OpenSystemSimulator:
                                 )
                 with phase("offer"):
                     while self._events and self._events[0][0] <= state.t:
-                        _, _, event = heapq.heappop(self._events)
+                        _, seq, event = heapq.heappop(self._events)
                         kind = type(event)
                         series = event_series.get(id(kind))
                         if series is None:
@@ -632,7 +648,9 @@ class OpenSystemSimulator:
                                 events_total.labels(kind=kind.__name__)
                             )
                         series.inc()
-                        self._journal_record(_event_journal_entry(event))
+                        self._journal_record(
+                            _event_journal_entry(event, seq)
+                        )
                         state = self._apply_event(
                             event, state, records, self._tally_offered,
                             trace, fault_causes,
@@ -915,7 +933,7 @@ class OpenSystemSimulator:
                 self._snapshot_sections(),
                 step=steps,
                 journal_records=self._journal_count,
-                sequence=sequence_value(),
+                sequence=self._next_seq,
             )
         )
         self._last_checkpoint_step = steps
@@ -1334,7 +1352,14 @@ class OpenSystemSimulator:
         )
 
 
-def _event_journal_entry(event: Event) -> dict:
+def _finite_real(value: object) -> bool:
+    """True for a finite real number (``bool`` is a flag, not a time)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    return isinstance(value, Integral) or math.isfinite(value)
+
+
+def _event_journal_entry(event: Event, seq: int) -> dict:
     """The WAL record for one applied event.
 
     Intentionally a summary, not the full wire form: replay re-executes
@@ -1345,7 +1370,7 @@ def _event_journal_entry(event: Event) -> dict:
         "type": "event",
         "kind": type(event).__name__,
         "time": time_to_wire(event.time),
-        "seq": event.seq,
+        "seq": seq,
     }
     label = getattr(event, "label", None)
     if label:

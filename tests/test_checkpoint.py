@@ -437,6 +437,23 @@ class TestDurabilityBoundary:
         assert info.traceback[-1].name == "run"
         assert not list(tmp_path.iterdir()), "nothing may be written"
 
+    @pytest.mark.parametrize(
+        "horizon", [math.inf, -math.inf, math.nan, True, False, "60", None]
+    )
+    def test_run_rejects_bad_horizon(self, tmp_path, horizon):
+        scenario = chaos_scenario()
+        sim = make_simulator(scenario)
+        sim.schedule(*scenario.events)
+        with pytest.raises(SimulationError, match="horizon") as info:
+            sim.run(
+                horizon,
+                checkpoint_every=5,
+                checkpoint_dir=tmp_path,
+                journal=tmp_path / "journal.jsonl",
+            )
+        assert info.traceback[-1].name == "run"
+        assert not list(tmp_path.iterdir()), "nothing may be written"
+
     @pytest.mark.parametrize("full_interval", BAD_COUNTS + [0])
     def test_snapshotter_rejects_bad_full_interval(self, full_interval):
         with pytest.raises(CheckpointError, match="full_interval") as info:

@@ -53,11 +53,7 @@ from repro.system.checkpoint import (
 from repro.intervals import Interval
 from repro.logic.state import initial_state
 from repro.resources import ResourceSet
-from repro.system.events import (
-    RecoveryOfferEvent,
-    restore_sequence,
-    sequence_value,
-)
+from repro.system.events import RecoveryOfferEvent
 from repro.system.simulator import ComputationRecord
 from repro.system.tracing import SimulationTrace
 from repro.workloads import volunteer_scenario
@@ -722,9 +718,6 @@ class TestEndToEndEquivalence:
         every checkpoint full — materializes identical section values at
         every step."""
         scenario = chaos_scenario()
-        # Events minted mid-run (recovery offers) draw from the global
-        # sequence counter; pin it so both runs mint identical events.
-        seq0 = sequence_value()
 
         delta_dir = tmp_path / "delta"
         sim = make_simulator(scenario)
@@ -735,7 +728,6 @@ class TestEndToEndEquivalence:
         monkeypatch.setattr(
             simulator_module, "DeltaSnapshotter", _AllFullSnapshotter
         )
-        restore_sequence(seq0)
         sim = make_simulator(scenario)
         sim.schedule(*scenario.events)
         sim.run(scenario.horizon, checkpoint_every=1, checkpoint_dir=full_dir)
@@ -769,7 +761,6 @@ class TestEndToEndEquivalence:
         channel log, in-flight queue, stats, lease clocks — and the same
         value-semantics sections (records, events, state, trace, tallies)
         as a full snapshot taken at that step."""
-        seq0 = sequence_value()
         delta_dir = tmp_path / "delta"
         run_mesh(MESH_PLAN, checkpoint_every=1, checkpoint_dir=delta_dir)
 
@@ -777,7 +768,6 @@ class TestEndToEndEquivalence:
         monkeypatch.setattr(
             simulator_module, "DeltaSnapshotter", _AllFullSnapshotter
         )
-        restore_sequence(seq0)
         run_mesh(MESH_PLAN, checkpoint_every=1, checkpoint_dir=full_dir)
 
         delta_store = CheckpointStore(delta_dir)

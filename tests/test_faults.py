@@ -3,6 +3,8 @@ recovery (re-admission, backoff, graceful degradation)."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines import RotaAdmission
@@ -166,6 +168,13 @@ class TestRecoveryPolicy:
     def test_max_attempts_validated(self):
         with pytest.raises(RecoveryError):
             RecoveryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize(
+        "max_attempts", [2.5, True, math.nan, math.inf, "3", None]
+    )
+    def test_max_attempts_must_be_a_count(self, max_attempts):
+        with pytest.raises(RecoveryError, match="max_attempts"):
+            RecoveryPolicy(max_attempts=max_attempts)
 
     def test_next_offer_delay_schedule(self):
         policy = RecoveryPolicy(backoff=ExponentialBackoff(base=1, cap=8))

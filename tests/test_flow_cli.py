@@ -40,22 +40,12 @@ class TestJsonOutput:
         [finding] = document["findings"]
         assert finding["rule"] == "flow-shared-state"
         assert finding["line"] == 1
-        [entry] = document["isolation_report"]
-        assert entry["rank"] == 1
-        assert entry["name"] == "_registry"
+        # The code document plus call-graph stats, and nothing else (the
+        # ranked isolation section is gone).
+        assert sorted(document) == [
+            "counts", "files_checked", "findings", "stats", "tool", "version",
+        ]
         assert document["stats"]["functions"] >= 1
-
-    def test_report_flag_prints_isolation_report(self, tmp_path, capsys):
-        _write(
-            tmp_path,
-            "src/repro/system/ok.py",
-            "_cache = {}  # repro-lint: disable=flow-shared-state"
-            " -- test sanction: read-only after import\n",
-        )
-        assert main(["flow", str(tmp_path / "src/repro"), "--report"]) == 0
-        out = capsys.readouterr().out
-        assert "isolation report" in out
-        assert "[rank 1]" in out
 
     def test_parse_error_reported_with_engine_rule(self, tmp_path, capsys):
         _write(tmp_path, "src/repro/system/broken.py", "def broken(:\n")

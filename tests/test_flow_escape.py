@@ -1,6 +1,7 @@
-"""Shared-state escape analysis and the ranked isolation report."""
+"""Shared-state escape analysis: process-global mutable state."""
 
-from repro.analysis.flow import FlowAnalyzer
+from repro.analysis.flow import FlowAnalyzer, build_program
+from repro.analysis.flow.escape import escape_findings
 
 
 def _run(sources, paths=()):
@@ -90,28 +91,13 @@ def test_reasoned_suppression_silences_and_is_consumed():
     assert not [f for f in result.findings if f.rule == "suppression-unused"]
 
 
-def test_isolation_report_is_ranked_and_covers_sanctioned_entries():
-    result = _run({
-        "src/repro/system/zmix.py": (
-            "_table = {}  # repro-lint: disable=flow-shared-state"
-            " -- test sanction: rank-1 entry stays in the report\n"
-            "class Pool:\n"
-            "    members = []  # repro-lint: disable=flow-shared-state"
-            " -- test sanction: rank-2 entry\n"
-        ),
-    })
-    ranks = [(e.rank, e.name) for e in result.isolation_report
-             if e.path == "src/repro/system/zmix.py"]
-    # Suppression silences the finding, but the report still lists the
-    # escape — it is the parallel-DES work-list, not a gate.
-    assert (1, "_table") in ranks
-    assert (2, "Pool.members") in ranks
-    assert ranks == sorted(ranks)
-
-
-def test_real_tree_report_includes_event_sequence_singleton():
-    result = FlowAnalyzer().check_paths(["src/repro"])
-    rank1 = [e for e in result.isolation_report if e.rank == 1]
-    assert any(e.name == "_sequence" and "events" in e.module for e in rank1)
-    # Sanctioned registry reads appear at rank 3.
-    assert any(e.kind == "ambient-read" for e in result.isolation_report)
+def test_real_tree_has_no_shared_state_even_suppressed():
+    program = build_program(["src/repro"])
+    assert not escape_findings(program)
+    sanctioned = [
+        (path, line)
+        for path, by_line in program.suppressions.items()
+        for line, suppression in by_line.items()
+        if "flow-shared-state" in suppression.rules
+    ]
+    assert not sanctioned

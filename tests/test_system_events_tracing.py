@@ -17,6 +17,7 @@ from repro.system import (
     arrival,
     resource_join,
 )
+from repro.system.checkpoint import Journal
 
 
 def creq(phases, s, d, label):
@@ -39,10 +40,28 @@ class TestEvents:
         assert isinstance(event, ResourceJoinEvent)
         assert event.time == 5
 
-    def test_sequence_numbers_monotone(self, cpu1):
-        a = arrival(0, creq([Demands({cpu1: 1})], 0, 9, "a"))
-        b = arrival(0, creq([Demands({cpu1: 1})], 0, 9, "b"))
-        assert a.seq < b.seq
+    def test_same_time_events_pop_in_schedule_order(self, cpu1, tmp_path):
+        # Minted a, b, c but scheduled c, a, b: the simulator's own
+        # schedule() call order breaks the tie, not creation order.
+        minted = {
+            label: arrival(0, creq([Demands({cpu1: 1})], 0, 9, label))
+            for label in "abc"
+        }
+        sim = OpenSystemSimulator(OptimisticAdmission())
+        for label in "cab":
+            sim.schedule(minted[label])
+        journal = tmp_path / "journal.jsonl"
+        sim.run(1, journal=journal)
+        records, _ = Journal.scan(journal)
+        applied = [r for r in records if r["type"] == "event"]
+        assert [r["label"] for r in applied] == ["c", "a", "b"]
+        assert [r["seq"] for r in applied] == [0, 1, 2]
+
+    def test_events_compare_by_value(self, cpu1):
+        requirement = creq([Demands({cpu1: 1})], 0, 9, "a")
+        assert arrival(0, requirement) == arrival(0, requirement)
+        assert arrival(0, requirement) != arrival(1, requirement)
+        assert arrival(0, requirement, "x") != arrival(0, requirement, "y")
 
 
 class TestTrace:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines import OptimisticAdmission, RotaAdmission
@@ -53,6 +55,27 @@ class TestLifecycle:
         assert not record.admitted
         assert record.outcome == "rejected"
         assert record.rejection_reason
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("dt", True),
+            ("dt", math.inf),
+            ("dt", math.nan),
+            ("dt", "1"),
+            ("dt", None),
+            ("dt", -1),
+            ("invariant_interval", 2.5),
+            ("invariant_interval", True),
+            ("invariant_interval", math.nan),
+            ("invariant_interval", "x"),
+            ("invariant_interval", -1),
+        ],
+    )
+    def test_constructor_rejects_bad_settings(self, name, value):
+        with pytest.raises(SimulationError, match=name) as info:
+            OpenSystemSimulator(OptimisticAdmission(), **{name: value})
+        assert info.traceback[-1].name == "__init__"
 
     def test_duplicate_labels_rejected(self, pool, cpu1):
         sim = OpenSystemSimulator(OptimisticAdmission(), initial_resources=pool)
