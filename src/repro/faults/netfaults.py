@@ -163,6 +163,13 @@ class PartitionPlan:
                 f"start={self.partition_start!r} "
                 f"duration={self.partition_duration!r}"
             )
+        if not isinstance(self.severed, (tuple, list)) or not all(
+            isinstance(node, str) for node in self.severed
+        ):
+            raise FaultInjectionError(
+                f"severed must be a tuple or list of node names, "
+                f"got {self.severed!r}"
+            )
         names = mesh_names(self.children)
         if self.partition_duration > 0:
             if not self.severed:
@@ -983,8 +990,8 @@ def resume_mesh(
     run's, and finishes the run.  Returns the full report plus the
     restored policy, whose channel log, lease table, and stats are
     byte-identical to an uninterrupted run's."""
-    directory = Path(checkpoint_dir)
-    store = CheckpointStore(directory)
+    store = CheckpointStore(checkpoint_dir)
+    directory = store.directory
     latest = store.latest()
     if latest is None:
         raise CheckpointError(

@@ -39,7 +39,7 @@ from repro.faults.chaos import (
     replay_verdict,
     report_fingerprint,
 )
-from repro.faults.plan import require_count, require_seed
+from repro.faults.plan import require_count, require_finite, require_seed
 from repro.service.config import ServiceConfig
 from repro.service.driver import serve
 from repro.service.policy import FrontDoorPolicy
@@ -72,11 +72,21 @@ class OverloadPlan:
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
-        if not self.multipliers:
-            raise FaultInjectionError("multipliers must be non-empty")
+        if (
+            not isinstance(self.multipliers, (tuple, list))
+            or not self.multipliers
+        ):
+            raise FaultInjectionError(
+                f"multipliers must be a non-empty tuple or list, "
+                f"got {self.multipliers!r}"
+            )
         for multiplier in self.multipliers:
             require_count("each multiplier", multiplier)
         require_count("nodes", self.nodes)
+        for name in (
+            "burst_at", "burst_duration", "horizon", "deadline_slack"
+        ):
+            require_finite(name, getattr(self, name))
         if self.burst_at < 0 or self.burst_duration <= 0:
             raise FaultInjectionError(
                 f"burst window must be non-negative and non-empty, got "

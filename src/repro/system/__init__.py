@@ -36,8 +36,6 @@ from repro.system.checkpoint import (
     DeltaSnapshotter,
     Journal,
     SimulatorCheckpoint,
-    VersionedDict,
-    VersionedSet,
     atomic_writer,
     latest_checkpoint,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "DeltaSnapshotter",
     "Journal",
     "SimulatorCheckpoint",
-    "VersionedDict",
-    "VersionedSet",
     "atomic_writer",
     "latest_checkpoint",
     "ComputationRecord",

@@ -27,22 +27,21 @@ silently rewriting history.
 trace's four lists and, on a mesh, the channel log only grow, the event
 heap only drains (plus the odd recovery offer), and a finished arrival's
 record rarely changes.  A :class:`DeltaSnapshotter` therefore emits most
-checkpoints as **deltas** against the immediately preceding snapshot,
-each section diffed by exactly one rule from one table
-(:attr:`DeltaSnapshotter.RULES`): append-only suffixes for the trace and
-the channel log; the ``events`` section (a sorted list, hence a valid
-heap) keyed by ``seq``; ``records`` keyed by label, a record riding only
-when new or changed; the frozen ``state`` by identity, pickled in one
-memo with the trace suffix; version tokens for
-:class:`VersionedDict`/:class:`VersionedSet` sections; pickled bytes for
-the rest.  Deltas carry a ``format_version`` 2 envelope naming their
-base (``base_step`` + ``base_sha256``); full snapshots keep the
-version-1 envelope, so old readers still restore them.  Every
-``full_interval`` deltas — and always immediately after a resume, since
-the delta cache dies with the process — a full snapshot reseeds the
-chain.  :meth:`CheckpointStore.latest` validates the whole
-chain before nominating a file: a delta whose base is missing, corrupt,
-or checksum-mismatched is skipped in favour of an older snapshot.
+checkpoints as **deltas** against the immediately preceding snapshot.
+Every section is plain data, diffed by the one rule its name selects
+(:meth:`DeltaSnapshotter.rule_for`): append-only suffixes for the trace
+and the channel log; the ``events`` section (a sorted list, hence a
+valid heap) keyed by ``seq``; ``records`` keyed by label, a record
+riding only when new or changed; the frozen ``state`` by identity,
+pickled in one memo with the trace suffix; pickled bytes for the rest.
+Deltas carry a ``format_version`` 2 envelope naming their base
+(``base_step`` + ``base_sha256``); full snapshots keep the version-1
+envelope, so old readers still restore them.  After every
+:data:`FULL_INTERVAL` deltas — and always immediately after a resume,
+since the delta cache dies with the process — a full snapshot reseeds
+the chain.  :meth:`CheckpointStore.latest` validates the whole chain
+before nominating a file: a delta whose base is missing, corrupt, or
+checksum-mismatched is skipped in favour of an older snapshot.
 
 **The wire is derivable state.**  Channel-aware policies (the mesh of
 :mod:`repro.faults.netfaults`) add one more section,
@@ -96,7 +95,14 @@ CHECKPOINT_FORMAT_VERSION = 2
 _CHECKPOINT_MAGIC = "rota-checkpoint"
 #: A full snapshot reseeds the delta chain after this many deltas,
 #: bounding both restore cost and the blast radius of a lost base.
-DEFAULT_FULL_INTERVAL = 8
+FULL_INTERVAL = 8
+
+
+def require_path(what: str, value: object) -> None:
+    """Reject a durability location that is not a ``str`` or
+    ``os.PathLike`` (``pathlib`` would raise a bare ``TypeError``)."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise CheckpointError(f"{what} must be a path, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +199,7 @@ class Journal:
         truncate: bool = False,
         _count: int = 0,
     ) -> None:
+        require_path("journal", path)
         self._path = Path(path)
         self._fsync = fsync
         # A journal belongs to one run: fresh runs truncate, so records
@@ -537,118 +544,18 @@ class SimulatorCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Versioned containers (cheap change detection for the delta snapshotter)
+# Loaders for older full snapshots
 # ----------------------------------------------------------------------
+# Full snapshots once pickled four sections as mutation-counting
+# containers, through these two names.  Pickle finds them by name, so
+# those snapshots still resume; each section restores as plain data.
 
 def _rebuild_versioned_dict(items, version):
-    rebuilt = VersionedDict(items)
-    rebuilt.version = version
-    return rebuilt
+    return dict(items)
 
 
 def _rebuild_versioned_set(items, version):
-    rebuilt = VersionedSet(items)
-    rebuilt.version = version
-    return rebuilt
-
-
-class VersionedDict(dict):
-    """A dict that counts its mutations.
-
-    :class:`DeltaSnapshotter` reads the ``version`` token to skip
-    re-pickling unchanged sections without comparing bytes.  Sound only
-    for sections whose *values* are effectively immutable (profiles,
-    frozen dataclasses, scalars): an in-place mutation of a stored value
-    does not bump the version, which is why the simulator's sections
-    mutated in place ride other rules instead (``records`` keyed by
-    label with a field comparison, ``victims`` by pickled bytes).
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.version = 0
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.version += 1
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self.version += 1
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self.version += 1
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self.version += 1
-        return result
-
-    def clear(self) -> None:
-        super().clear()
-        self.version += 1
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self.version += 1
-
-    def setdefault(self, key, default=None):
-        result = super().setdefault(key, default)
-        self.version += 1
-        return result
-
-    def __reduce__(self):
-        # Explicit reduce: the default dict-subclass protocol repopulates
-        # items through ``__setitem__``, which needs ``version`` to exist
-        # before ``__init__`` has run.
-        return (_rebuild_versioned_dict, (dict(self), self.version))
-
-
-class VersionedSet(set):
-    """A set that counts its mutations; see :class:`VersionedDict`.
-
-    Pickles through a *sorted* element list so equal sets always produce
-    equal bytes — set iteration order is not deterministic enough for
-    byte-compared or checksummed payloads.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.version = 0
-
-    def add(self, element) -> None:
-        super().add(element)
-        self.version += 1
-
-    def discard(self, element) -> None:
-        super().discard(element)
-        self.version += 1
-
-    def remove(self, element) -> None:
-        super().remove(element)
-        self.version += 1
-
-    def pop(self):
-        result = super().pop()
-        self.version += 1
-        return result
-
-    def clear(self) -> None:
-        super().clear()
-        self.version += 1
-
-    def update(self, *others) -> None:
-        super().update(*others)
-        self.version += 1
-
-    def __reduce__(self):
-        return (_rebuild_versioned_set, (sorted(self), self.version))
+    return set(items)
 
 
 # ----------------------------------------------------------------------
@@ -689,20 +596,6 @@ class _Rule:
 
 class _Identity(_Rule):
     """A frozen value: unchanged exactly when it is the same object."""
-
-
-class _Versioned(_Rule):
-    """A :class:`VersionedDict`/:class:`VersionedSet`: unchanged while its
-    version token stands still."""
-
-    @classmethod
-    def seed(cls, value):
-        return value.version
-
-    @classmethod
-    def diff(cls, value, base):
-        token = value.version
-        return (_UNCHANGED if token == base else value), token
 
 
 class _Pickled(_Rule):
@@ -891,17 +784,16 @@ class DeltaSnapshotter:
     the snapshotter decides full vs delta and returns a sealed
     :class:`SimulatorCheckpoint`:
 
-    * the **first** snapshot, every ``full_interval``-th thereafter, and
-      any snapshot whose section names changed or one of whose sections
-      moved in a way no delta part expresses (an append-only sequence
-      shrank, a record vanished — a new run reusing the snapshotter
-      would corrupt the chain) is a **full** — byte-identical to the
-      pre-delta format;
+    * the **first** snapshot, the one after every :data:`FULL_INTERVAL`
+      deltas, and any snapshot whose section names changed or one of
+      whose sections moved in a way no delta part expresses (an
+      append-only sequence shrank, a record vanished — a new run reusing
+      the snapshotter would corrupt the chain) is a **full** —
+      byte-identical to the pre-delta format;
     * everything else is a **delta**: one pickled bundle holding a part
       for each section that moved since the previous snapshot, as
-      computed by that section's one diff rule in :attr:`RULES`.
-      Sections not named there diff by ``version`` token when they are
-      :class:`VersionedDict`/:class:`VersionedSet`, else by pickled
+      computed by that section's one diff rule, chosen by name alone
+      (:meth:`rule_for`): its entry in :attr:`RULES`, else pickled
       bytes, so in-place mutations (victim attempt counters) are still
       caught.  Bytes-ruled parts are nested pickles; every other part is
       pickled once with the bundle, so the changed ``state`` and the
@@ -935,33 +827,19 @@ class DeltaSnapshotter:
         "state": _Identity,
     })
 
-    def __init__(self, *, full_interval: int = DEFAULT_FULL_INTERVAL) -> None:
-        if (
-            isinstance(full_interval, bool)
-            or not isinstance(full_interval, int)
-            or full_interval < 1
-        ):
-            raise CheckpointError(
-                f"full_interval must be an integer >= 1, got {full_interval!r}"
-            )
-        self._full_interval = full_interval
-        #: section name -> (its rule, its base as of the last snapshot);
-        #: ``None`` until the first (full) snapshot
-        self._bases: Optional[Dict[str, Tuple[Type[_Rule], Any]]] = None
+    def __init__(self) -> None:
+        #: section name -> its base as of the last snapshot; ``None``
+        #: until the first (full) snapshot
+        self._bases: Optional[Dict[str, Any]] = None
         self._base_step = -1
         self._base_sha = ""
         self._deltas_since_full = 0
 
     # ------------------------------------------------------------------
     @classmethod
-    def rule_for(cls, name: str, value: Any) -> Type[_Rule]:
-        """The diff rule section ``name`` (holding ``value``) rides by."""
-        rule = cls.RULES.get(name)
-        if rule is not None:
-            return rule
-        if isinstance(value, (VersionedDict, VersionedSet)):
-            return _Versioned
-        return _Pickled
+    def rule_for(cls, name: str) -> Type[_Rule]:
+        """The diff rule section ``name`` rides by."""
+        return cls.RULES.get(name, _Pickled)
 
     def encode(
         self,
@@ -998,23 +876,21 @@ class DeltaSnapshotter:
         snapshot, or ``None`` when this snapshot must be full."""
         if (
             self._bases is None
-            or self._deltas_since_full >= self._full_interval
+            or self._deltas_since_full >= FULL_INTERVAL
             or sections.keys() != self._bases.keys()
         ):
             return None
         parts: Dict[str, Any] = {}
-        bases: Dict[str, Tuple[Type[_Rule], Any]] = {}
+        bases: Dict[str, Any] = {}
         for name, value in sections.items():
-            rule, base = self._bases[name]
-            if self.rule_for(name, value) is not rule:
-                return None
             try:
-                part, base = rule.diff(value, base)
+                part, bases[name] = self.rule_for(name).diff(
+                    value, self._bases[name]
+                )
             except _NeedsFull:
                 return None
             if part is not _UNCHANGED:
                 parts[name] = part
-            bases[name] = (rule, base)
         self._bases = bases
         return parts
 
@@ -1022,10 +898,10 @@ class DeltaSnapshotter:
         self, sections, *, step, journal_records, sequence
     ) -> SimulatorCheckpoint:
         payload = pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
-        self._bases = {}
-        for name, value in sections.items():
-            rule = self.rule_for(name, value)
-            self._bases[name] = (rule, rule.seed(value))
+        self._bases = {
+            name: self.rule_for(name).seed(value)
+            for name, value in sections.items()
+        }
         self._advance(step, payload)
         self._deltas_since_full = 0
         return SimulatorCheckpoint(
@@ -1044,6 +920,7 @@ class CheckpointStore:
     """A directory of ``ckpt-<step>.json`` files, newest-wins on resume."""
 
     def __init__(self, directory: PathLike, *, opener: Opener = open) -> None:
+        require_path("checkpoint directory", directory)
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._opener = opener
@@ -1102,7 +979,7 @@ class CheckpointStore:
                 parts = pickle.loads(delta.payload)["parts"]
                 for name, part in parts.items():
                     old = state[name]
-                    rule = DeltaSnapshotter.rule_for(name, old)
+                    rule = DeltaSnapshotter.rule_for(name)
                     state[name] = rule.apply(old, part)
             except CheckpointError as exc:
                 raise CheckpointError(f"step-{delta.step} {exc}") from exc

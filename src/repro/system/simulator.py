@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field as dataclasses_field
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
@@ -49,10 +49,9 @@ from repro.system.checkpoint import (
     DeltaSnapshotter,
     Journal,
     SimulatorCheckpoint,
-    VersionedDict,
-    VersionedSet,
     check_journal_header,
     journal_header,
+    require_path,
 )
 from repro.system.events import (
     ComputationArrivalEvent,
@@ -222,12 +221,6 @@ def _metric_amount(quantity):
         return float(quantity)
 
 
-def _as_versioned_dict(value: Dict) -> "VersionedDict":
-    """Restored snapshot section as a :class:`VersionedDict` (pre-delta
-    checkpoints pickled plain dicts)."""
-    return value if isinstance(value, VersionedDict) else VersionedDict(value)
-
-
 @dataclass
 class _ActiveVictim:
     """A promise-violation victim between eviction and its final fate."""
@@ -280,20 +273,16 @@ class OpenSystemSimulator:
         self._invariant_interval = invariant_interval
         # Run-scoped fault/recovery bookkeeping (reset by run()).
         self._victims: Dict[str, _ActiveVictim] = {}
-        # Versioned containers: their mutation counters let the delta
-        # snapshotter skip unchanged sections without byte comparisons.
-        # Only sections whose *values* are immutable qualify — records
-        # and victims are mutated in place, so they stay plain dicts.
-        self._flagged: VersionedSet = VersionedSet()
+        self._flagged: Set[str] = set()
         self._horizon: Time = 0
         # Consumption per owning arrival, tallied as slices execute so
         # salvage accounting needs no rescan of the whole trace.
-        self._consumed_by_owner: VersionedDict = VersionedDict()
+        self._consumed_by_owner: Dict[str, Time] = {}
         # Run-scoped report state (attributes, not run() locals, so a
         # checkpoint can snapshot them mid-run — see _snapshot_sections()).
         self._records: Dict[str, ComputationRecord] = {}
-        self._offered: VersionedDict = VersionedDict()
-        self._consumed: VersionedDict = VersionedDict()
+        self._offered: Dict[LocatedType, Time] = {}
+        self._consumed: Dict[LocatedType, Time] = {}
         self._trace = SimulationTrace()
         self._run_window: Optional[Interval] = None
         # Durability plumbing (configured per run()).
@@ -372,12 +361,12 @@ class OpenSystemSimulator:
         self._horizon = horizon
         self._run_window = Interval(self._start_time, horizon)
         self._records = {}
-        self._offered = VersionedDict()
-        self._consumed = VersionedDict()
+        self._offered = {}
+        self._consumed = {}
         self._trace = SimulationTrace()
         self._victims = {}
-        self._flagged = VersionedSet()
-        self._consumed_by_owner = VersionedDict()
+        self._flagged = set()
+        self._consumed_by_owner = {}
         self._replay_records = []
         self._replay_pos = 0
         self._journal_count = 0
@@ -419,6 +408,9 @@ class OpenSystemSimulator:
         re-verified at the restored instant before execution continues.
         Call :meth:`resume_run` on the result to finish the run.
         """
+        require_path("checkpoint_path", checkpoint_path)
+        if journal_path is not None:
+            require_path("journal_path", journal_path)
         registry = get_registry()
         restore_started = registry.now() if registry.enabled else 0.0
         store_source = (
@@ -462,23 +454,14 @@ class OpenSystemSimulator:
         sim._invariant_interval = payload["invariant_interval"]
         sim._state = payload["state"]
         sim._records = payload["records"]
-        # Re-wrap as versioned containers: snapshots written by this
-        # version round-trip them already, but checkpoints from older
-        # runs hold plain dicts/sets.
-        sim._offered = _as_versioned_dict(payload["offered"])
-        sim._consumed = _as_versioned_dict(payload["consumed"])
+        sim._offered = payload["offered"]
+        sim._consumed = payload["consumed"]
         sim._trace = payload["trace"]
         sim._events = payload["events"]
         heapq.heapify(sim._events)
         sim._victims = payload["victims"]
-        sim._flagged = (
-            payload["flagged"]
-            if isinstance(payload["flagged"], VersionedSet)
-            else VersionedSet(payload["flagged"])
-        )
-        sim._consumed_by_owner = _as_versioned_dict(
-            payload["consumed_by_owner"]
-        )
+        sim._flagged = set(payload["flagged"])
+        sim._consumed_by_owner = payload["consumed_by_owner"]
         sim._horizon = payload["horizon"]
         sim._run_window = Interval(sim._start_time, sim._horizon)
         sim._checkpoint_every = payload.get("checkpoint_every", 0)
@@ -953,7 +936,8 @@ class OpenSystemSimulator:
             # list; a sorted list is a valid heap (resume heapifies).
             "events": sorted(self._events),
             "victims": self._victims,
-            "flagged": self._flagged,
+            # Sorted, so equal sets pickle to equal bytes.
+            "flagged": sorted(self._flagged),
             "consumed_by_owner": self._consumed_by_owner,
             "horizon": self._horizon,
             "start_time": self._start_time,

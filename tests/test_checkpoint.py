@@ -19,16 +19,23 @@ import pytest
 
 from repro.baselines import RotaAdmission
 from repro.errors import CheckpointError, SimulationError
-from repro.faults import FaultPlan, RecoveryPolicy, faulty_scenario
+from repro.faults import (
+    FaultPlan,
+    PartitionPlan,
+    RecoveryPolicy,
+    faulty_scenario,
+    run_mesh,
+)
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     JOURNAL_FORMAT_VERSION,
     CheckpointStore,
-    DeltaSnapshotter,
     Journal,
     SimulatorCheckpoint,
+    _rebuild_versioned_dict,
+    _rebuild_versioned_set,
     atomic_writer,
     check_journal_header,
     journal_header,
@@ -418,6 +425,10 @@ class TestResume:
 # ----------------------------------------------------------------------
 
 BAD_COUNTS = [2.5, True, False, "3", math.nan, math.inf, -1, None]
+#: not a path where ``None`` means "no such artifact"
+NOT_PATHS = [5, []]
+#: not a path where one is required
+BAD_PATHS = [None] + NOT_PATHS
 
 
 class TestDurabilityBoundary:
@@ -454,8 +465,107 @@ class TestDurabilityBoundary:
         assert info.traceback[-1].name == "run"
         assert not list(tmp_path.iterdir()), "nothing may be written"
 
-    @pytest.mark.parametrize("full_interval", BAD_COUNTS + [0])
-    def test_snapshotter_rejects_bad_full_interval(self, full_interval):
-        with pytest.raises(CheckpointError, match="full_interval") as info:
-            DeltaSnapshotter(full_interval=full_interval)
-        assert info.traceback[-1].name == "__init__"
+    @pytest.mark.parametrize("location", BAD_PATHS)
+    def test_store_and_journal_reject_non_paths(self, location):
+        with pytest.raises(CheckpointError, match="must be a path"):
+            CheckpointStore(location)
+        with pytest.raises(CheckpointError, match="must be a path"):
+            Journal(location)
+
+    @pytest.mark.parametrize("location", NOT_PATHS)
+    @pytest.mark.parametrize("argument", ["journal", "checkpoint_dir"])
+    def test_run_rejects_non_path_durability(
+        self, tmp_path, argument, location
+    ):
+        scenario = chaos_scenario()
+        sim = make_simulator(scenario)
+        sim.schedule(*scenario.events)
+        durability = {
+            "journal": tmp_path / "journal.jsonl",
+            "checkpoint_dir": tmp_path,
+            argument: location,
+        }
+        with pytest.raises(CheckpointError, match="must be a path"):
+            sim.run(scenario.horizon, checkpoint_every=5, **durability)
+        assert not list(tmp_path.iterdir()), "nothing may be written"
+
+    @pytest.mark.parametrize("location", NOT_PATHS)
+    @pytest.mark.parametrize("argument", ["journal", "checkpoint_dir"])
+    def test_run_mesh_rejects_non_path_durability(self, argument, location):
+        with pytest.raises(CheckpointError, match="must be a path"):
+            run_mesh(PartitionPlan(), **{argument: location})
+
+    @pytest.mark.parametrize(
+        "argument, location",
+        [("checkpoint_path", bad) for bad in BAD_PATHS]
+        + [("journal_path", bad) for bad in NOT_PATHS],
+    )
+    def test_resume_rejects_non_paths(self, tmp_path, argument, location):
+        paths = {
+            "checkpoint_path": tmp_path / "ckpt-00000000.json",
+            "journal_path": tmp_path / "journal.jsonl",
+            argument: location,
+        }
+        with pytest.raises(CheckpointError, match="must be a path"):
+            OpenSystemSimulator.resume(**paths)
+        assert not list(tmp_path.iterdir()), "nothing may be written"
+
+
+# ----------------------------------------------------------------------
+# Full snapshots written before the sections became plain data
+# ----------------------------------------------------------------------
+
+class _Counting:
+    """Pickles like the mutation-counting containers that full snapshots
+    once held: through a rebuild function, with a version token."""
+
+    def __init__(self, rebuild, items):
+        self._reduced = (rebuild, (items, 7))
+
+    def __reduce__(self):
+        return self._reduced
+
+
+class TestOlderSnapshots:
+    def test_full_snapshot_of_counting_containers_resumes(self, tmp_path):
+        """A full snapshot that pickled ``offered``, ``consumed``,
+        ``consumed_by_owner`` and ``flagged`` through the old rebuild
+        functions restores them as a plain dict/set and resumes to the
+        uninterrupted run's report."""
+        scenario = chaos_scenario()
+        plain = make_simulator(scenario)
+        plain.schedule(*scenario.events)
+        truth = report_fingerprint(plain.run(scenario.horizon))
+
+        pointdir = tmp_path / "ckpt"
+        journal = tmp_path / "journal.jsonl"
+        sim = make_simulator(scenario)
+        sim.schedule(*scenario.events)
+        sim.run(
+            scenario.horizon,
+            checkpoint_every=10,
+            checkpoint_dir=pointdir,
+            journal=journal,
+        )
+        path = sorted(pointdir.glob("ckpt-*.json"))[3]
+        tip, state = CheckpointStore(pointdir).resolve(path)
+        for name in ("offered", "consumed", "consumed_by_owner"):
+            state[name] = _Counting(_rebuild_versioned_dict, dict(state[name]))
+        state["flagged"] = _Counting(_rebuild_versioned_set, state["flagged"])
+        store = CheckpointStore(tmp_path / "counting")
+        counting = store.save(SimulatorCheckpoint(
+            step=tip.step,
+            journal_records=tip.journal_records,
+            sequence=tip.sequence,
+            payload=pickle.dumps(state, pickle.HIGHEST_PROTOCOL),
+        ))
+
+        _, restored = store.resolve(counting)
+        for name in ("offered", "consumed", "consumed_by_owner"):
+            assert type(restored[name]) is dict and restored[name]
+        assert type(restored["flagged"]) is set and restored["flagged"]
+        resumed = OpenSystemSimulator.resume(
+            counting, journal, checkpoint_dir=store
+        )
+        fingerprint = report_fingerprint(resumed.resume_run())
+        assert fingerprint == truth, diff_fingerprints(truth, fingerprint)

@@ -5,9 +5,7 @@ same simulator, field for field, as restoring a full snapshot.
 ``test_checkpoint.py`` pins the artifact-level durability contracts;
 this module pins the delta layer on top of them:
 
-* :class:`VersionedDict`/:class:`VersionedSet` mutation counters and
-  deterministic pickling,
-* :class:`DeltaSnapshotter` cadence (first full, ``full_interval``
+* :class:`DeltaSnapshotter` cadence (first full, :data:`FULL_INTERVAL`
   deltas, reseed) and base-chain references,
 * the per-section diff rules: the event heap and the records ride a
   delta keyed (only added/removed events, only new or changed records),
@@ -21,7 +19,9 @@ this module pins the delta layer on top of them:
   delta, resumes to a report identical to the uninterrupted run, and a
   chaotic or mesh run's delta chain materializes the same value-semantics
   sections — ``network`` with its channel log included — as a full
-  snapshot of the same step.
+  snapshot of the same step,
+* plain-data sections: ``flagged`` pickles to the same bytes whatever
+  order it was filled in.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ from repro.faults.chaos import diff_fingerprints, report_fingerprint
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system import simulator as simulator_module
 from repro.system.checkpoint import (
+    FULL_INTERVAL,
     CheckpointStore,
     DeltaSnapshotter,
     SimulatorCheckpoint,
-    VersionedDict,
-    VersionedSet,
 )
 from repro.intervals import Interval
 from repro.logic.state import initial_state
@@ -60,77 +59,14 @@ from repro.workloads import volunteer_scenario
 
 
 # ----------------------------------------------------------------------
-# Versioned containers
-# ----------------------------------------------------------------------
-
-class TestVersionedContainers:
-    def test_dict_mutators_bump_version(self):
-        d = VersionedDict()
-        assert d.version == 0
-        d["a"] = 1
-        d["a"] = 2
-        del d["a"]
-        d.update({"b": 3})
-        d.setdefault("c", 4)
-        d.pop("b")
-        d["e"] = 5
-        d.popitem()
-        d.clear()
-        assert d.version == 9
-        assert d == {}
-
-    def test_set_mutators_bump_version(self):
-        s = VersionedSet()
-        s.add("x")
-        s.add("y")
-        s.discard("x")
-        s.remove("y")
-        s.update({"z", "w"})
-        s.pop()
-        s.clear()
-        assert s.version == 7
-        assert s == set()
-
-    def test_dict_pickle_roundtrip_keeps_type_and_version(self):
-        d = VersionedDict({"a": 1})
-        d["b"] = 2
-        clone = pickle.loads(pickle.dumps(d, pickle.HIGHEST_PROTOCOL))
-        assert type(clone) is VersionedDict
-        assert clone == d
-        assert clone.version == d.version
-        clone["c"] = 3  # mutators still work post-unpickle
-        assert clone.version == d.version + 1
-
-    def test_set_pickles_deterministically(self):
-        """Equal sets built in different insertion orders must pickle to
-        the same bytes — the delta snapshotter byte-compares payloads and
-        the envelope seals them with a checksum."""
-        a = VersionedSet()
-        for label in ("j1", "j9", "j5"):
-            a.add(label)
-        b = VersionedSet()
-        for label in ("j5", "j1", "j9"):
-            b.add(label)
-        assert pickle.dumps(a, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
-            b, pickle.HIGHEST_PROTOCOL
-        )
-        clone = pickle.loads(pickle.dumps(a, pickle.HIGHEST_PROTOCOL))
-        assert type(clone) is VersionedSet and clone == {"j1", "j5", "j9"}
-
-    def test_plain_equality_with_builtins(self):
-        assert VersionedDict({"k": 1}) == {"k": 1}
-        assert VersionedSet({"k"}) == {"k"}
-
-
-# ----------------------------------------------------------------------
 # DeltaSnapshotter unit behavior
 # ----------------------------------------------------------------------
 
-def _sections(trace, *, counter=0, vmap=None):
+def _sections(trace, *, counter=0, table=None):
     return {
         "trace": trace,
         "counter": counter,
-        "vmap": vmap if vmap is not None else VersionedDict(),
+        "table": table if table is not None else {},
     }
 
 
@@ -148,19 +84,19 @@ def _mesh_sections(trace, log, *, rpc_seq=0):
 
 class TestDeltaSnapshotter:
     def test_cadence_first_full_then_deltas_then_reseed(self):
-        snapper = DeltaSnapshotter(full_interval=3)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         kinds = []
-        for step in range(6):
+        for step in range(FULL_INTERVAL + 2):
             trace.note(step, f"tick {step}")
             ckpt = snapper.encode(
                 _sections(trace), step=step, journal_records=step, sequence=step
             )
             kinds.append(ckpt.kind)
-        assert kinds == ["full", "delta", "delta", "delta", "full", "delta"]
+        assert kinds == ["full"] + ["delta"] * FULL_INTERVAL + ["full"]
 
     def test_delta_base_references_chain(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         previous = snapper.encode(
             _sections(trace), step=0, journal_records=0, sequence=0
@@ -178,30 +114,30 @@ class TestDeltaSnapshotter:
             previous = ckpt
 
     def test_unchanged_sections_are_omitted_from_deltas(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
-        vmap = VersionedDict({"seen": 1})
+        table = {"seen": 1}
         snapper.encode(
-            _sections(trace, vmap=vmap), step=0, journal_records=0, sequence=0
+            _sections(trace, table=table), step=0, journal_records=0, sequence=0
         )
         trace.note(1, "tick")
         delta = snapper.encode(
-            _sections(trace, vmap=vmap), step=1, journal_records=1, sequence=1
+            _sections(trace, table=table), step=1, journal_records=1, sequence=1
         )
         parts = pickle.loads(delta.payload)["parts"]
         assert set(parts) == {"trace"}  # only the trace moved
         assert len(parts["trace"]["suffix"][1]) == 1
-        vmap["seen"] = 2
+        table["seen"] = 2
         trace.note(2, "tock")
         delta2 = snapper.encode(
-            _sections(trace, vmap=vmap, counter=9),
+            _sections(trace, table=table, counter=9),
             step=2, journal_records=2, sequence=2,
         )
         changed = set(pickle.loads(delta2.payload)["parts"])
-        assert changed == {"trace", "vmap", "counter"}
+        assert changed == {"trace", "table", "counter"}
 
     def test_trace_shrink_forces_full(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         trace.note(0, "tick")
         snapper.encode(_sections(trace), step=0, journal_records=0, sequence=0)
@@ -212,7 +148,7 @@ class TestDeltaSnapshotter:
         assert ckpt.kind == "full"
 
     def test_delta_carries_only_the_appended_wire_records(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         log = [f"wire-{i}" for i in range(3)]
         snapper.encode(
@@ -233,7 +169,7 @@ class TestDeltaSnapshotter:
         assert network["channel"]["log"] == ()
 
     def test_quiet_wire_costs_nothing_in_a_delta(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         log = ["wire-0"]
         snapper.encode(
@@ -246,7 +182,7 @@ class TestDeltaSnapshotter:
         assert set(parts) == {"trace"}
 
     def test_wire_log_shrink_forces_full(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         snapper.encode(
             _mesh_sections(trace, ["wire-0", "wire-1"]),
@@ -259,7 +195,7 @@ class TestDeltaSnapshotter:
         assert ckpt.kind == "full"
 
     def test_network_section_appearing_forces_full(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         snapper.encode(_sections(trace), step=0, journal_records=0, sequence=0)
         ckpt = snapper.encode(
@@ -269,7 +205,7 @@ class TestDeltaSnapshotter:
         assert ckpt.kind == "full"
 
     def test_events_part_is_keyed_by_seq(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         events = [(1, 1, "e1"), (2, 2, "e2"), (4, 3, "e3")]
         snapper.encode(
@@ -291,7 +227,7 @@ class TestDeltaSnapshotter:
     def test_duplicate_event_seqs_force_full(self):
         """The same event scheduled twice queues two entries under one
         seq; a keyed part could not tell them apart."""
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         snapper.encode(
             {"trace": trace, "events": [(1, 1, "e1")]},
@@ -305,7 +241,7 @@ class TestDeltaSnapshotter:
 
     def test_only_new_or_changed_records_ride(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         records = {
             label: ComputationRecord(label, 0, Interval(0, 10), admitted=True)
@@ -340,7 +276,7 @@ class TestDeltaSnapshotter:
         assert save(4).kind == "full"
 
     def test_unchanged_state_is_absent_from_the_delta(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         state = initial_state(ResourceSet.empty(), 0)
         snapper.encode(
@@ -361,7 +297,7 @@ class TestDeltaSnapshotter:
         assert parts["state"] == later
 
     def test_delta_envelope_roundtrips(self):
-        snapper = DeltaSnapshotter(full_interval=8)
+        snapper = DeltaSnapshotter()
         trace = SimulationTrace()
         snapper.encode(_sections(trace), step=0, journal_records=0, sequence=0)
         trace.note(1, "tick")
@@ -391,17 +327,17 @@ class TestDeltaSnapshotter:
 # Chain resolution in the store
 # ----------------------------------------------------------------------
 
-def _write_chain(tmp_path, ticks=4, full_interval=8):
+def _write_chain(tmp_path, ticks=4):
     store = CheckpointStore(tmp_path)
-    snapper = DeltaSnapshotter(full_interval=full_interval)
+    snapper = DeltaSnapshotter()
     trace = SimulationTrace()
-    vmap = VersionedDict()
+    table = {}
     checkpoints = []
     for step in range(ticks):
         trace.note(step, f"tick {step}")
-        vmap[f"k{step}"] = step
+        table[f"k{step}"] = step
         ckpt = snapper.encode(
-            {"trace": trace, "counter": step * 10, "vmap": vmap},
+            {"trace": trace, "counter": step * 10, "table": table},
             step=step, journal_records=step, sequence=step,
         )
         store.save(ckpt)
@@ -415,8 +351,8 @@ class TestResolve:
         tip, state = store.resolve(store.path_for(3))
         assert tip.is_delta and tip.step == 3
         assert state["counter"] == 30
-        assert state["vmap"] == {"k0": 0, "k1": 1, "k2": 2, "k3": 3}
-        assert type(state["vmap"]) is VersionedDict
+        assert state["table"] == {"k0": 0, "k1": 1, "k2": 2, "k3": 3}
+        assert type(state["table"]) is dict
         assert [note.message for note in state["trace"].notes] == [
             f"tick {s}" for s in range(4)
         ]
@@ -429,17 +365,19 @@ class TestResolve:
             assert len(state["trace"].notes) == step + 1
 
     def test_missing_base_rejects_and_latest_falls_back(self, tmp_path):
-        store, checkpoints = _write_chain(tmp_path, ticks=4, full_interval=2)
-        # steps: 0 full, 1 delta, 2 delta, 3 full (reseed), so break the
-        # 0-full and the 1..2 chain collapses while 3 stands alone.
-        assert [c.kind for c in checkpoints] == [
-            "full", "delta", "delta", "full"
-        ]
-        store.path_for(3).unlink()  # drop the newest full
-        assert store.latest() == store.path_for(2)
+        reseed = FULL_INTERVAL + 1
+        store, checkpoints = _write_chain(tmp_path, ticks=reseed + 1)
+        # steps: 0 full, 1..FULL_INTERVAL delta, then a full reseed, so
+        # break the 0-full and the delta chain collapses while the
+        # reseed stands alone.
+        assert [c.kind for c in checkpoints] == (
+            ["full"] + ["delta"] * FULL_INTERVAL + ["full"]
+        )
+        store.path_for(reseed).unlink()  # drop the newest full
+        assert store.latest() == store.path_for(reseed - 1)
         store.path_for(0).unlink()  # now the whole delta chain is orphaned
         with pytest.raises(CheckpointError, match="cannot read"):
-            store.resolve(store.path_for(2))
+            store.resolve(store.path_for(reseed - 1))
         assert store.latest() is None
 
     def test_base_digest_mismatch_rejects(self, tmp_path):
@@ -450,7 +388,7 @@ class TestResolve:
         impostor = SimulatorCheckpoint(
             step=0, journal_records=0, sequence=0,
             payload=pickle.dumps({"trace": SimulationTrace(), "counter": -1,
-                                  "vmap": VersionedDict()}),
+                                  "table": {}}),
         )
         store.save(impostor)
         with pytest.raises(CheckpointError, match="broken chain"):
@@ -789,3 +727,21 @@ class TestEndToEndEquivalence:
                 part = pickle.loads(tip.payload)["parts"].get("network")
                 carried_wire = carried_wire or bool(part and part["suffix"])
         assert carried_wire, "no delta carried wire records"
+
+
+# ----------------------------------------------------------------------
+# Plain-data sections
+# ----------------------------------------------------------------------
+
+class TestPlainSections:
+    def test_flagged_section_bytes_ignore_fill_order(self):
+        labels = [f"j{i}" for i in range(64)]
+        blobs = []
+        for order in (labels, labels[::-1]):
+            sim = OpenSystemSimulator(RotaAdmission())
+            for label in order:
+                sim._flagged.add(label)
+            section = sim._snapshot_sections()["flagged"]
+            assert section == sorted(labels)
+            blobs.append(pickle.dumps(section, pickle.HIGHEST_PROTOCOL))
+        assert blobs[0] == blobs[1]

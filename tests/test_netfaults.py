@@ -77,6 +77,16 @@ class TestPartitionPlan:
         with pytest.raises(FaultInjectionError):
             PartitionPlan(**kwargs)
 
+    @pytest.mark.parametrize("severed", [True, 5, "n1", ("n1", 2), None])
+    def test_severed_must_be_a_sequence_of_names(self, severed):
+        """``True``/``5`` escaped as bare ``TypeError``s, and a bare
+        string was iterated character by character."""
+        with pytest.raises(FaultInjectionError, match="tuple or list"):
+            PartitionPlan(severed=severed)
+
+    def test_severed_accepts_a_list(self):
+        assert PartitionPlan(severed=["n1"]).severed_links == (("n0", "n1"),)
+
     def test_shape_properties(self):
         plan = PartitionPlan(children=2)
         assert plan.door == "n0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -29,6 +30,17 @@ class TestOverloadPlan:
         {"horizon": 20, "burst_at": 20},
         {"deadline_slack": 0},
         {"seed": "x"},
+        # NaN and bools used to construct; None, 'x' and a bare bool for
+        # multipliers escaped as bare TypeErrors
+        *(
+            {name: value}
+            for name in (
+                "burst_at", "burst_duration", "horizon", "deadline_slack"
+            )
+            for value in (math.nan, True, None, "x")
+        ),
+        {"multipliers": True},
+        {"multipliers": 4},
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultInjectionError):
