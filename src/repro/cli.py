@@ -626,12 +626,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             durable: dict = {}
             if args.checkpoint_dir is not None and not args.resume:
                 policy_dir = Path(args.checkpoint_dir) / cls.name
-                policy_dir.mkdir(parents=True, exist_ok=True)
-                # A fresh run starts fresh artifacts: checkpoints from an
-                # earlier run at higher step numbers would otherwise shadow
-                # this run's snapshots on a later --resume.
-                for stale in policy_dir.glob("ckpt-*.json"):
-                    stale.unlink()
                 durable = {
                     "checkpoint_every": args.checkpoint_every,
                     "checkpoint_dir": policy_dir,
@@ -702,12 +696,6 @@ def _cmd_scenario_mesh(args: argparse.Namespace) -> int:
         durable: dict = {}
         if args.checkpoint_dir is not None:
             mesh_dir = Path(args.checkpoint_dir) / MeshPolicy.name
-            mesh_dir.mkdir(parents=True, exist_ok=True)
-            # Same fresh-run discipline as the per-policy scenarios:
-            # higher-step checkpoints from an earlier run would shadow
-            # this run's snapshots on a later --resume.
-            for stale in mesh_dir.glob("ckpt-*.json"):
-                stale.unlink()
             durable = {
                 "checkpoint_every": args.checkpoint_every,
                 "checkpoint_dir": mesh_dir,

@@ -104,6 +104,16 @@ from repro.system.simulator import OpenSystemSimulator, SimulationReport
 from repro.workloads.partition import mesh_names, partitioned_mesh_stream
 
 
+#: The name of the plan's one partition window (events and spans).
+PARTITION_NAME = "p0"
+#: Links never duplicate a message: the mesh's wire loses and delays.
+LINK_DUPLICATE = 0.0
+#: Virtual ticks an RPC attempt waits for its verdict before retrying.
+RPC_TIMEOUT: Time = 2
+#: Attempts per cross-enclave admission RPC (migration offers get one).
+RPC_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """Deterministic description of one unreliable-network experiment.
@@ -122,41 +132,30 @@ class PartitionPlan:
     partition_duration: Time = 10
     #: child nodes the partition cuts off from the door
     severed: Tuple[str, ...] = ("n1",)
-    partition_name: str = "p0"
     #: default link behaviour (applies to every door<->child link)
     link_delay: int = 0
     link_jitter: int = 0
     link_loss: float = 0.0
-    link_duplicate: float = 0.0
     #: lease discipline for cross-enclave grants
     lease_ttl: Time = 6
     renew_every: Time = 2
-    #: request/verdict exchange parameters
-    rpc_timeout: Time = 2
-    rpc_attempts: int = 3
     #: workload shape (see :func:`repro.workloads.partition`)
-    node_rate: Time = 6
-    lease_rate: Time = 2
-    lease_joins_at: Tuple[Time, ...] = (6, 10)
     horizon: Time = 48
     deadline_slack: Time = 12
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
         require_count("children", self.children)
-        require_count("rpc_attempts", self.rpc_attempts)
         require_count("horizon", self.horizon)
         for name in (
             "partition_start", "partition_duration", "lease_ttl",
-            "renew_every", "rpc_timeout", "node_rate", "lease_rate",
-            "deadline_slack",
+            "renew_every", "deadline_slack",
         ):
             require_finite(name, getattr(self, name))
-        for name in ("node_rate", "lease_rate", "deadline_slack"):
-            if getattr(self, name) <= 0:
-                raise FaultInjectionError(
-                    f"{name} must be > 0, got {getattr(self, name)!r}"
-                )
+        if self.deadline_slack <= 0:
+            raise FaultInjectionError(
+                f"deadline_slack must be > 0, got {self.deadline_slack!r}"
+            )
         if self.partition_start < 0 or self.partition_duration < 0:
             raise FaultInjectionError(
                 f"partition window must be non-negative, got "
@@ -188,12 +187,7 @@ class PartitionPlan:
                     f"the horizon {self.horizon!r}"
                 )
         try:
-            LinkConfig(
-                delay=self.link_delay,
-                jitter=self.link_jitter,
-                loss=self.link_loss,
-                duplicate=self.link_duplicate,
-            )
+            self.link()
         except ChannelError as exc:
             raise FaultInjectionError(str(exc)) from None
         if self.lease_ttl <= 0:
@@ -206,10 +200,6 @@ class PartitionPlan:
                 f"{self.renew_every!r} against ttl {self.lease_ttl!r} "
                 "(a lease renewed less often than it expires is dead "
                 "on a perfect network too)"
-            )
-        if self.rpc_timeout <= 0:
-            raise FaultInjectionError(
-                f"rpc_timeout must be > 0, got {self.rpc_timeout!r}"
             )
 
     # ------------------------------------------------------------------
@@ -240,7 +230,7 @@ class PartitionPlan:
             delay=self.link_delay,
             jitter=self.link_jitter,
             loss=self.link_loss,
-            duplicate=self.link_duplicate,
+            duplicate=LINK_DUPLICATE,
         )
 
     def network(self) -> NetworkModel:
@@ -251,7 +241,7 @@ class PartitionPlan:
                     start=self.partition_start,
                     end=self.partition_end,
                     severed=self.severed_links,
-                    name=self.partition_name,
+                    name=PARTITION_NAME,
                 ),
             )
         return NetworkModel(
@@ -572,7 +562,7 @@ class MeshPolicy(AdmissionPolicy):
             # Cross-enclave admission: request/verdict over the wire.
             outcome, checked = self._priced_rpc(
                 "admit", self._door, target, label, requirement, now,
-                self._plan.rpc_attempts,
+                RPC_ATTEMPTS,
             )
             if checked is None:
                 if not outcome.ok:
@@ -625,7 +615,7 @@ class MeshPolicy(AdmissionPolicy):
             now,
             key=key,
             deadline=requirement.deadline,
-            timeout=self._plan.rpc_timeout,
+            timeout=RPC_TIMEOUT,
             backoff=self._backoff,
             max_attempts=max_attempts,
         )
@@ -920,10 +910,7 @@ def mesh_events(plan: PartitionPlan) -> Tuple[ResourceSet, List[Event]]:
     resources, stream, joins = partitioned_mesh_stream(
         plan.seed,
         children=plan.children,
-        node_rate=plan.node_rate,
         horizon=plan.horizon,
-        lease_joins_at=plan.lease_joins_at,
-        lease_rate=plan.lease_rate,
         deadline_slack=plan.deadline_slack,
     )
     events: List[Event] = [
@@ -934,12 +921,12 @@ def mesh_events(plan: PartitionPlan) -> Tuple[ResourceSet, List[Event]]:
     if plan.partition_duration > 0:
         events.append(
             partition_start(
-                plan.partition_start, plan.partition_name, plan.severed_links
+                plan.partition_start, PARTITION_NAME, plan.severed_links
             )
         )
         events.append(
             partition_heal(
-                plan.partition_end, plan.partition_name, plan.severed_links
+                plan.partition_end, PARTITION_NAME, plan.severed_links
             )
         )
     return resources, events

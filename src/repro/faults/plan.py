@@ -39,6 +39,9 @@ from repro.system.node import Topology
 from repro.workloads.churn import broken_promises
 from repro.workloads.scenarios import Scenario
 
+#: Surviving rate fraction after a straggler fault.
+STRAGGLER_FACTOR = Fraction(1, 2)
+
 
 def require_count(name: str, value: object) -> None:
     """Reject a count field that is not an ``int`` >= 1 (``bool`` included:
@@ -81,21 +84,11 @@ class FaultPlan:
     revocation_rate: float = 0.0
     #: Poisson rate of straggler (rate-degradation) events per time unit
     straggler_rate: float = 0.0
-    #: surviving rate fraction after a straggler fault, in [0, 1)
-    straggler_factor: float = 0.5
-    #: how early (time units) a revocation lands before the declared end
-    min_early: int = 2
-    max_early: int = 10
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
-        for name in (
-            "crash_rate", "revocation_rate", "straggler_rate",
-            "straggler_factor",
-        ):
+        for name in ("crash_rate", "revocation_rate", "straggler_rate"):
             require_finite(name, getattr(self, name))
-        require_count("min_early", self.min_early)
-        require_count("max_early", self.max_early)
         if self.crash_rate < 0 or self.straggler_rate < 0:
             raise FaultInjectionError(
                 "fault rates must be non-negative, got "
@@ -106,16 +99,6 @@ class FaultPlan:
             raise FaultInjectionError(
                 f"revocation_rate must lie in [0, 1], got "
                 f"{self.revocation_rate!r}"
-            )
-        if not 0 <= self.straggler_factor < 1:
-            raise FaultInjectionError(
-                f"straggler_factor must lie in [0, 1), got "
-                f"{self.straggler_factor!r}"
-            )
-        if self.max_early < self.min_early:
-            raise FaultInjectionError(
-                f"invalid early-revocation bounds "
-                f"[{self.min_early}, {self.max_early}]"
             )
 
     @property
@@ -167,8 +150,6 @@ class FaultPlan:
                     rng,
                     list(sessions),
                     violation_rate=self.revocation_rate,
-                    min_early=self.min_early,
-                    max_early=self.max_early,
                 )
             )
         if locations:
@@ -176,12 +157,11 @@ class FaultPlan:
                 NodeCrashEvent(time=t, location=rng.choice(list(locations)))
                 for t in _poisson_times(rng, self.crash_rate, horizon)
             )
-            factor = Fraction(self.straggler_factor).limit_denominator(10_000)
             out.extend(
                 RateDegradationEvent(
                     time=t,
                     location=rng.choice(list(locations)),
-                    factor=factor,
+                    factor=STRAGGLER_FACTOR,
                 )
                 for t in _poisson_times(rng, self.straggler_rate, horizon)
             )

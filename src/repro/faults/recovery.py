@@ -35,6 +35,11 @@ from repro.observability import get_registry
 #: not wall seconds; bucket on the exponential ladder.
 _BACKOFF_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
+#: The first re-offer is made at detection time, before any backoff
+#: delay: the fault that hurt this victim may have spared slack elsewhere.
+#: Only later offers wait on :meth:`RecoveryPolicy.next_offer_delay`.
+IMMEDIATE_FIRST_OFFER = True
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -44,9 +49,6 @@ class RecoveryPolicy:
     max_attempts: int = 4
     #: delay schedule between consecutive re-offers
     backoff: ExponentialBackoff = field(default_factory=ExponentialBackoff)
-    #: re-offer immediately at detection time (before any backoff delay);
-    #: the fault that hurt this victim may have spared slack elsewhere
-    immediate_first_offer: bool = True
 
     def __post_init__(self) -> None:
         attempts = self.max_attempts

@@ -28,6 +28,19 @@ from repro.intervals.interval import Time
 #:   enclave's queue is full, regardless of deadlines.
 SHED_POLICIES = ("deadline", "tail-drop")
 
+#: Simulated cost of the conservative Theorem-1 screen; ``check_cost``
+#: may not undercut it (the screen is the cheap path).
+SCREEN_COST: Time = Fraction(1, 50)
+#: EWMA smoothing factor for the live check-latency estimate.
+EWMA_ALPHA = Fraction(1, 4)
+#: A check costing at least this multiple of ``check_cost`` counts as a
+#: breaker failure (stall detection).
+SLOW_CHECK_FACTOR = 8
+#: An arrival is low-criticality (brownout-degradable) when its remaining
+#: window exceeds this multiple of the estimated wait-plus-check time: it
+#: can afford to be deferred.
+CRITICALITY_LAXITY = 4
+
 
 def _as_exact(name: str, value: Any) -> Time:
     """Coerce a config duration to exact arithmetic (int or Fraction).
@@ -72,13 +85,9 @@ class ServiceConfig:
     shed_policy: str = "deadline"
     #: Simulated cost of one exact Theorem-4 admission check.
     check_cost: Time = Fraction(1, 4)
-    #: Simulated cost of the conservative Theorem-1 screen.
-    screen_cost: Time = Fraction(1, 50)
     #: Simulated cost of a check against a *stalled* enclave (the fault
     #: the circuit breaker exists to wall off).
     stall_cost: Time = 8
-    #: EWMA smoothing factor for the live check-latency estimate.
-    ewma_alpha: Fraction = Fraction(1, 4)
     #: Queue depth (across all lanes) at or above which brownout engages.
     brownout_enter: int = 48
     #: Depth at or below which brownout disengages; must be < enter
@@ -91,13 +100,6 @@ class ServiceConfig:
     breaker_failures: int = 3
     #: Successful half-open probes required to close it again.
     breaker_probes: int = 2
-    #: A check costing at least this multiple of ``check_cost`` counts as
-    #: a breaker failure (stall detection).
-    slow_check_factor: int = 8
-    #: An arrival is low-criticality (brownout-degradable) when its
-    #: remaining window exceeds this multiple of the estimated
-    #: wait-plus-check time — it can afford to be deferred.
-    criticality_laxity: int = 4
     #: Open -> half-open retry schedule (seeded jitter, keyed per
     #: enclave, so concurrent breakers never share an RNG stream).
     backoff: Backoff = field(
@@ -115,29 +117,16 @@ class ServiceConfig:
                 f"expected one of {SHED_POLICIES}"
             )
         object.__setattr__(self, "check_cost", _as_exact("check_cost", self.check_cost))
-        object.__setattr__(
-            self, "screen_cost", _as_exact("screen_cost", self.screen_cost)
-        )
         object.__setattr__(self, "stall_cost", _as_exact("stall_cost", self.stall_cost))
-        if self.check_cost <= 0:
+        if self.check_cost < SCREEN_COST:
             raise ServiceConfigError(
-                f"check_cost must be > 0, got {self.check_cost!r}"
-            )
-        if not 0 < self.screen_cost <= self.check_cost:
-            raise ServiceConfigError(
-                "screen_cost must be in (0, check_cost]: the screen is the "
-                f"cheap path, got {self.screen_cost!r} vs {self.check_cost!r}"
+                f"check_cost must be >= the screen cost {SCREEN_COST}: the "
+                f"screen is the cheap path, got {self.check_cost!r}"
             )
         if self.stall_cost < self.check_cost:
             raise ServiceConfigError(
                 f"stall_cost must be >= check_cost, got {self.stall_cost!r}"
             )
-        alpha = _as_exact("ewma_alpha", self.ewma_alpha)
-        if not 0 < alpha <= 1:
-            raise ServiceConfigError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
-            )
-        object.__setattr__(self, "ewma_alpha", Fraction(alpha))
         _require_int("brownout_enter", self.brownout_enter, 0)
         _require_int("brownout_exit", self.brownout_exit, 0)
         if not self.brownout_exit < self.brownout_enter:
@@ -154,8 +143,6 @@ class ServiceConfig:
             object.__setattr__(self, "brownout_latency", latency)
         _require_int("breaker_failures", self.breaker_failures, 1)
         _require_int("breaker_probes", self.breaker_probes, 1)
-        _require_int("slow_check_factor", self.slow_check_factor, 2)
-        _require_int("criticality_laxity", self.criticality_laxity, 1)
         if not isinstance(self.backoff, Backoff):
             raise ServiceConfigError(
                 f"backoff must be a Backoff, got {type(self.backoff).__name__}"
@@ -166,7 +153,7 @@ class ServiceConfig:
     @property
     def slow_threshold(self) -> Time:
         """Check cost at or above which the breaker counts a failure."""
-        return self.check_cost * self.slow_check_factor
+        return self.check_cost * SLOW_CHECK_FACTOR
 
     # ------------------------------------------------------------------
     @classmethod

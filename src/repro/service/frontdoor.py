@@ -46,7 +46,12 @@ from repro.resources.resource_set import ResourceSet
 from repro.serialization import time_to_wire
 from repro.service.breaker import CircuitBreaker
 from repro.service.brownout import BrownoutController
-from repro.service.config import ServiceConfig
+from repro.service.config import (
+    CRITICALITY_LAXITY,
+    EWMA_ALPHA,
+    SCREEN_COST,
+    ServiceConfig,
+)
 from repro.service.queue import EnclaveLane, LatencyEwma
 
 #: decision-log outcome vocabulary
@@ -174,7 +179,7 @@ class AdmissionFrontDoor:
         self._last_arrival: Time = 0
         self._lanes: Dict[str, EnclaveLane] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._ewma = LatencyEwma(self.config.ewma_alpha, self.config.check_cost)
+        self._ewma = LatencyEwma(EWMA_ALPHA, self.config.check_cost)
         self.brownout = BrownoutController(
             enter_depth=self.config.brownout_enter,
             exit_depth=self.config.brownout_exit,
@@ -355,10 +360,10 @@ class AdmissionFrontDoor:
         # stale in the queue is recognised for the price of a screen.
         if (
             self.config.shed_policy == "deadline"
-            and start_at + self.config.screen_cost + self.config.check_cost
+            and start_at + SCREEN_COST + self.config.check_cost
             >= requirement.deadline
         ):
-            decided_at = self._charge(lane, t, self.config.screen_cost)
+            decided_at = self._charge(lane, t, SCREEN_COST)
             return self._finish_outcome(
                 request,
                 decided_at,
@@ -409,7 +414,7 @@ class AdmissionFrontDoor:
     ) -> ServiceOutcome:
         """Degraded path: Theorem-1 screen; reject or defer, never admit."""
         requirement = request.requirement
-        decided_at = self._charge(lane, t, self.config.screen_cost)
+        decided_at = self._charge(lane, t, SCREEN_COST)
         window = Interval(
             min(max(requirement.start, decided_at), requirement.deadline),
             requirement.deadline,
@@ -481,7 +486,7 @@ class AdmissionFrontDoor:
             breaker = self.breaker(request.enclave)
             wait = self._busy_until - t if self._busy_until > t else 0
             if request.requirement.deadline <= t + wait:
-                decided_at = self._charge(lane, t, self.config.screen_cost)
+                decided_at = self._charge(lane, t, SCREEN_COST)
                 resolved.append(
                     self._finish_outcome(
                         request,
@@ -531,7 +536,7 @@ class AdmissionFrontDoor:
             return request.criticality == "low"
         remaining = request.requirement.deadline - request.arrival
         budget = wait + self._ewma.value
-        return remaining >= self.config.criticality_laxity * budget
+        return remaining >= CRITICALITY_LAXITY * budget
 
     def _note_brownout(self) -> None:
         fresh = self.brownout.transitions[self._brownout_counted :]

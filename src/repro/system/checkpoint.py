@@ -932,6 +932,13 @@ class CheckpointStore:
     def path_for(self, step: int) -> Path:
         return self._directory / f"ckpt-{step:08d}.json"
 
+    def clear(self) -> None:
+        """Delete every checkpoint in the directory.  A fresh run calls
+        this before its first snapshot: an earlier run's higher-step
+        checkpoints would otherwise win :meth:`latest` on resume."""
+        for path in self._directory.glob("ckpt-*.json"):
+            path.unlink()
+
     def save(self, checkpoint: SimulatorCheckpoint) -> Path:
         return checkpoint.save(
             self.path_for(checkpoint.step), opener=self._opener

@@ -68,6 +68,10 @@ from repro.system.events import (
 from repro.system.scheduler import AllocationPolicy, EdfPolicy, ReservationPolicy
 from repro.system.tracing import PromiseViolation, SimulationTrace
 
+#: Every run starts at t = 0: the journal header records it, and
+#: accounting windows open there.
+START_TIME: Time = 0
+
 
 @dataclass
 class ComputationRecord:
@@ -240,7 +244,6 @@ class OpenSystemSimulator:
         initial_resources: ResourceSet | None = None,
         allocation_policy: AllocationPolicy | None = None,
         dt: Time = 1,
-        start_time: Time = 0,
         recovery: "RecoveryPolicy | None" = None,
         invariant_interval: int = 0,
     ) -> None:
@@ -266,9 +269,8 @@ class OpenSystemSimulator:
         # what else ran in the process; checkpoints carry it.
         self._next_seq = 0
         self._state = initial_state(
-            initial_resources or ResourceSet.empty(), start_time
+            initial_resources or ResourceSet.empty(), START_TIME
         )
-        self._start_time = start_time
         self._recovery = recovery
         self._invariant_interval = invariant_interval
         # Run-scoped fault/recovery bookkeeping (reset by run()).
@@ -282,7 +284,6 @@ class OpenSystemSimulator:
         # checkpoint can snapshot them mid-run — see _snapshot_sections()).
         self._records: Dict[str, ComputationRecord] = {}
         self._offered: Dict[LocatedType, Time] = {}
-        self._consumed: Dict[LocatedType, Time] = {}
         self._trace = SimulationTrace()
         self._run_window: Optional[Interval] = None
         # Durability plumbing (configured per run()).
@@ -300,7 +301,7 @@ class OpenSystemSimulator:
         # never traced or fingerprinted.
         self._warnings: List[str] = []
         if initial_resources is not None and not initial_resources.is_empty:
-            self._admission.observe_resources(initial_resources, start_time)
+            self._admission.observe_resources(initial_resources, START_TIME)
 
     # ------------------------------------------------------------------
     @property
@@ -359,10 +360,9 @@ class OpenSystemSimulator:
                 f"horizon must be a finite number, got {horizon!r}"
             )
         self._horizon = horizon
-        self._run_window = Interval(self._start_time, horizon)
+        self._run_window = Interval(START_TIME, horizon)
         self._records = {}
         self._offered = {}
-        self._consumed = {}
         self._trace = SimulationTrace()
         self._victims = {}
         self._flagged = set()
@@ -450,12 +450,10 @@ class OpenSystemSimulator:
         sim._allocation = payload["allocation"]
         sim._recovery = payload["recovery"]
         sim._dt = payload["dt"]
-        sim._start_time = payload["start_time"]
         sim._invariant_interval = payload["invariant_interval"]
         sim._state = payload["state"]
         sim._records = payload["records"]
         sim._offered = payload["offered"]
-        sim._consumed = payload["consumed"]
         sim._trace = payload["trace"]
         sim._events = payload["events"]
         heapq.heapify(sim._events)
@@ -463,7 +461,7 @@ class OpenSystemSimulator:
         sim._flagged = set(payload["flagged"])
         sim._consumed_by_owner = payload["consumed_by_owner"]
         sim._horizon = payload["horizon"]
-        sim._run_window = Interval(sim._start_time, sim._horizon)
+        sim._run_window = Interval(START_TIME, sim._horizon)
         sim._checkpoint_every = payload.get("checkpoint_every", 0)
         # Post-resume events (recovery offers) must sort against the
         # restored heap exactly as the uninterrupted run's would have.
@@ -544,7 +542,6 @@ class OpenSystemSimulator:
         state = self._state
         horizon = self._horizon
         records = self._records
-        consumed = self._consumed
         trace = self._trace
         registry = get_registry()
         # Null-registry instruments are shared no-op singletons, so the
@@ -661,7 +658,6 @@ class OpenSystemSimulator:
                     transition = step(state, self._dt, allocations)
                 trace.record(transition)
                 for actor, ltype, quantity in transition.label.consumed:
-                    consumed[ltype] = consumed.get(ltype, 0) + quantity
                     amount = _metric_amount(quantity)
                     owner = actor.split("[")[0]
                     self._consumed_by_owner[owner] = (
@@ -763,7 +759,7 @@ class OpenSystemSimulator:
             policy_name=self._admission.name,
             records=list(records.values()),
             offered=self._offered,
-            consumed=consumed,
+            consumed=trace.consumed_totals(),
             trace=trace,
             horizon=horizon,
             metrics=registry.snapshot() if registry.enabled else None,
@@ -820,6 +816,9 @@ class OpenSystemSimulator:
                 if isinstance(checkpoint_dir, CheckpointStore)
                 else CheckpointStore(checkpoint_dir)
             )
+            # run() starts a fresh run, so its checkpoints start fresh
+            # too, as a path journal is truncated below.
+            self._checkpoint_store.clear()
             self._snapshotter = DeltaSnapshotter()
         elif checkpoint_every:
             raise SimulationError("checkpoint_every requires checkpoint_dir")
@@ -843,7 +842,7 @@ class OpenSystemSimulator:
                 "policy": self._admission.name,
                 "horizon": time_to_wire(self._horizon),
                 "dt": time_to_wire(self._dt),
-                "start": time_to_wire(self._start_time),
+                "start": time_to_wire(START_TIME),
             }
         )
 
@@ -930,7 +929,6 @@ class OpenSystemSimulator:
             "state": self._state,
             "records": self._records,
             "offered": self._offered,
-            "consumed": self._consumed,
             "trace": self._trace,
             # Sorted, so a delta's keyed events part restores the same
             # list; a sorted list is a valid heap (resume heapifies).
@@ -940,7 +938,6 @@ class OpenSystemSimulator:
             "flagged": sorted(self._flagged),
             "consumed_by_owner": self._consumed_by_owner,
             "horizon": self._horizon,
-            "start_time": self._start_time,
             "dt": self._dt,
             "invariant_interval": self._invariant_interval,
             "checkpoint_every": self._checkpoint_every,
@@ -1238,17 +1235,7 @@ class OpenSystemSimulator:
             for progress in components:
                 self._allocation.release(progress.label)
         self._victims[label] = _ActiveVictim(label, residual)
-        assert self._recovery is not None
-        if self._recovery.immediate_first_offer:
-            state = self._offer_recovery(state, record, trace, reason="eviction")
-        else:
-            self.schedule(
-                RecoveryOfferEvent(
-                    time=state.t + self._recovery.next_offer_delay(1),
-                    label=label,
-                )
-            )
-        return state
+        return self._offer_recovery(state, record, trace, reason="eviction")
 
     def _offer_recovery(
         self,

@@ -66,13 +66,18 @@ def churn_events(
         events.append(resource_join(join_at, resources))
 
 
+#: How early (time units) a revocation may land before the declared end.
+MIN_EARLY = 2
+MAX_EARLY = 10
+
+
 def broken_promises(
     rng: random.Random,
     sessions: List[ResourceJoinEvent],
     *,
     violation_rate: float,
-    min_early: int = 2,
-    max_early: int = 10,
+    min_early: int = MIN_EARLY,
+    max_early: int = MAX_EARLY,
 ) -> List["ResourceRevocationEvent"]:
     """Revocation events violating a fraction of the sessions' declared
     leave times.

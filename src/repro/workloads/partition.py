@@ -28,6 +28,13 @@ from repro.resources.located_type import cpu
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
 
+#: Each node's base CPU rate, owned outright from t=0.
+NODE_RATE: Time = 6
+#: The CPU rate of each lease-backed join.
+LEASE_RATE: Time = 2
+#: When the lease-backed joins arrive, one per child round-robin.
+LEASE_JOINS_AT: Tuple[Time, ...] = (6, 10)
+
 
 def mesh_names(children: int) -> Tuple[str, ...]:
     """Node names of a mesh: the door ``n0`` plus ``children`` children."""
@@ -40,10 +47,10 @@ def partitioned_mesh_stream(
     seed: int = 0,
     *,
     children: int = 2,
-    node_rate: Time = 6,
+    node_rate: Time = NODE_RATE,
     horizon: Time = 48,
-    lease_joins_at: Sequence[Time] = (6, 10),
-    lease_rate: Time = 2,
+    lease_joins_at: Sequence[Time] = LEASE_JOINS_AT,
+    lease_rate: Time = LEASE_RATE,
     deadline_slack: Time = 12,
     max_quantity: int = 3,
 ) -> Tuple[

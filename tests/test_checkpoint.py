@@ -23,7 +23,11 @@ from repro.faults import (
     FaultPlan,
     PartitionPlan,
     RecoveryPolicy,
+    SimulatedCrash,
+    crashing_opener,
     faulty_scenario,
+    mesh_fingerprint,
+    resume_mesh,
     run_mesh,
 )
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
@@ -312,6 +316,40 @@ class TestResume:
                 f"{diff_fingerprints(truth, fingerprint)}"
             )
 
+    def test_fresh_run_clears_an_earlier_runs_checkpoints(self, tmp_path):
+        """A fresh run in a reused checkpoint directory deletes the earlier
+        run's snapshots: killed, it resumes itself, not the earlier run's
+        higher-step checkpoint."""
+        earlier = PartitionPlan(
+            seed=1, horizon=260, children=3, partition_start=40,
+            partition_duration=24, link_delay=1, link_loss=0.1,
+        )
+        run_mesh(
+            earlier,
+            checkpoint_every=25,
+            checkpoint_dir=tmp_path,
+            journal=tmp_path / "journal.jsonl",
+        )
+        plan = PartitionPlan(seed=2, horizon=48)
+        truth = mesh_fingerprint(*run_mesh(plan))
+        journal = Journal(
+            tmp_path / "journal.jsonl",
+            opener=crashing_opener(crash_at_write=60),
+            truncate=True,
+        )
+        with pytest.raises(SimulatedCrash):
+            run_mesh(
+                plan,
+                checkpoint_every=25,
+                checkpoint_dir=tmp_path,
+                journal=journal,
+            )
+        journal.close()
+        report, policy = resume_mesh(tmp_path)
+        assert policy.plan == plan
+        resumed = mesh_fingerprint(report, policy)
+        assert resumed == truth, diff_fingerprints(truth, resumed)
+
     def test_tampered_journal_decision_detected(self, tmp_path):
         """Promises are replayed, never re-decided: a journal whose
         pinned decision disagrees with the deterministic replay is an
@@ -531,7 +569,8 @@ class TestOlderSnapshots:
         """A full snapshot that pickled ``offered``, ``consumed``,
         ``consumed_by_owner`` and ``flagged`` through the old rebuild
         functions restores them as a plain dict/set and resumes to the
-        uninterrupted run's report."""
+        uninterrupted run's report.  Its ``consumed`` and ``start_time``
+        sections, which resume no longer reads, are ignored."""
         scenario = chaos_scenario()
         plain = make_simulator(scenario)
         plain.schedule(*scenario.events)
@@ -549,6 +588,8 @@ class TestOlderSnapshots:
         )
         path = sorted(pointdir.glob("ckpt-*.json"))[3]
         tip, state = CheckpointStore(pointdir).resolve(path)
+        state["consumed"] = state["trace"].consumed_totals()
+        state["start_time"] = 0
         for name in ("offered", "consumed", "consumed_by_owner"):
             state[name] = _Counting(_rebuild_versioned_dict, dict(state[name]))
         state["flagged"] = _Counting(_rebuild_versioned_set, state["flagged"])

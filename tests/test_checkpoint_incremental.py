@@ -536,8 +536,8 @@ def make_simulator(scenario):
 #: and a full restore; policy objects don't define __eq__, so their
 #: equivalence is covered by the resume-and-finish fingerprints.
 VALUE_SECTIONS = (
-    "records", "offered", "consumed", "trace", "events", "victims",
-    "flagged", "consumed_by_owner", "horizon", "start_time", "dt",
+    "records", "offered", "trace", "events", "victims",
+    "flagged", "consumed_by_owner", "horizon", "dt",
     "invariant_interval", "checkpoint_every", "state",
 )
 

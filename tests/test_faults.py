@@ -61,10 +61,10 @@ class TestFaultPlan:
             {"straggler_rate": -1},
             {"revocation_rate": 1.5},
             {"revocation_rate": -0.1},
-            {"straggler_factor": 1.0},
-            {"straggler_factor": -0.2},
-            {"min_early": 0},
-            {"min_early": 5, "max_early": 4},
+            {"revocation_rate": float("inf")},
+            {"straggler_rate": float("inf")},
+            {"seed": 1.5},
+            {"revocation_rate": float("nan")},
             # wrong types and non-finite rates fail at construction with
             # the plan's own error, never a bare TypeError or later on
             {"crash_rate": "0.1"},
@@ -73,9 +73,9 @@ class TestFaultPlan:
             {"crash_rate": True},
             {"straggler_rate": float("nan")},
             {"revocation_rate": "0.5"},
-            {"straggler_factor": None},
-            {"min_early": 1.5},
-            {"max_early": "10"},
+            {"crash_rate": None},
+            {"straggler_rate": True},
+            {"revocation_rate": True},
             {"seed": "a"},
             {"seed": True},
             {"seed": -1},

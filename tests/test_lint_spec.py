@@ -248,6 +248,18 @@ def test_retired_service_config_keys_are_syntax(key):
     assert key in findings[0].message
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("fault_plan", "straggler_factor"),
+    ("service_config", "ewma_alpha"),
+])
+def test_removed_option_keys_are_syntax(kind, key):
+    # these options are module constants now; a document setting one is a
+    # typo'd key, not a silently ignored setting
+    findings = check_spec_document({"kind": kind, key: 0.5}, "plan.json")
+    assert rules_of(findings) == {"spec-syntax"}
+    assert f"unknown {kind} key {key!r}" in findings[0].message
+
+
 def test_non_integer_fault_plan_seed_is_a_finding():
     findings = check_spec_document({"kind": "fault_plan", "seed": "a"})
     assert rules_of(findings) == {"spec-fault-plan"}

@@ -56,10 +56,10 @@ class TestPartitionPlan:
         {"lease_ttl": 0},
         {"renew_every": 0},
         {"renew_every": 6},  # == lease_ttl: dead on a perfect network too
-        {"rpc_timeout": 0},
-        {"rpc_attempts": 0},
-        {"rpc_attempts": 2.5},
-        {"rpc_attempts": True},
+        {"link_jitter": -1},
+        {"partition_duration": -1},
+        {"deadline_slack": 0},
+        {"link_loss": float("nan")},
         {"partition_duration": 0, "horizon": 0},
         # a fractional horizon used to construct and fail inside run_mesh
         {"horizon": 160.5},
@@ -67,9 +67,9 @@ class TestPartitionPlan:
         {"horizon": True},
         {"seed": "a"},
         {"partition_start": float("nan")},
-        {"rpc_timeout": float("inf")},
+        {"lease_ttl": float("inf")},
         {"deadline_slack": float("nan")},
-        {"node_rate": -1},
+        {"deadline_slack": -1},
         # used to escape as a bare TypeError from the lease_ttl comparison
         {"lease_ttl": "6"},
     ])

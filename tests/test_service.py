@@ -74,20 +74,20 @@ class TestServiceConfig:
         {"brownout_enter": 4, "brownout_exit": 4},
         {"breaker_failures": 0},
         {"breaker_probes": 0},
-        {"slow_check_factor": 1},
-        {"ewma_alpha": 2},
+        {"check_cost": Fraction(1, 100)},  # undercuts the 1/50 screen
+        {"stall_cost": Fraction(1, 8)},  # below check_cost
         # bools are not counts, though isinstance(True, int) holds
         {"max_queue": True},
         {"breaker_failures": True},
         {"breaker_probes": True},
-        {"criticality_laxity": True},
+        {"brownout_enter": True},
         {"brownout_exit": True},
         # non-finite durations must not escape as bare ValueError or
         # OverflowError from the exact-arithmetic coercion
         {"check_cost": float("nan")},
-        {"screen_cost": float("nan")},
+        {"check_cost": float("-inf")},
         {"stall_cost": float("nan")},
-        {"ewma_alpha": float("nan")},
+        {"stall_cost": float("-inf")},
         {"brownout_latency": float("nan")},
         {"check_cost": float("inf")},
         {"stall_cost": float("inf")},
@@ -103,8 +103,12 @@ class TestServiceConfig:
         assert isinstance(config.check_cost, (int, Fraction))
 
     def test_from_document_rejects_unknown_keys(self):
-        # rpc_timeout/rpc_attempts are not fields: the door has no network
-        for key in ("max_que", "rpc_timeout", "rpc_attempts"):
+        # rpc_timeout/rpc_attempts are not fields: the door has no network;
+        # the cost model's fixed parts are module constants
+        for key in (
+            "max_que", "rpc_timeout", "rpc_attempts", "screen_cost",
+            "ewma_alpha", "slow_check_factor", "criticality_laxity",
+        ):
             with pytest.raises(
                 ServiceConfigError, match="unknown service config"
             ):
