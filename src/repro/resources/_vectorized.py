@@ -10,6 +10,15 @@ stays auditable.
   scaled-integer kernels (``exact_*``, bottom of the module): int64
   numerators over one common denominator per profile.  No float and no
   EPSILON is involved, so the answers are exact by construction.
+  ``add``, ``subtract`` and ``dominates`` against a right operand with
+  bounded support (last rate the int 0, as every admission claim has)
+  are window-local: a short Python merge over the breakpoints inside
+  that support, spliced between the left operand's untouched prefix and
+  suffix and renormalised only at the seams — value-, type- and
+  bound-identical to the whole-array merge, which still answers wide
+  windows.  ``earliest_accumulation`` walks forward from the segment
+  holding ``start`` in the scalar path's own arithmetic; only window
+  integrals build the whole-profile prefix sums.
 * **Inexact** profiles (some float coordinate) run on the float64
   kernels (everything else).
 
@@ -454,7 +463,112 @@ def _exact_normalise(den, times, rates, ftimes, frates, bound):
     return den, times, rates, ftimes, frates, bound
 
 
+#: Rows (the right operand's breakpoints plus the left operand's inside
+#: its support) up to which a bounded-support ``add``/``subtract``/
+#: ``dominates`` merges in a Python loop over memoryviews and splices
+#: the result between the left operand's untouched prefix and suffix.
+#: Past it numpy's whole-array merge is cheaper (measured in
+#: EXPERIMENTS.md E24).
+EXACT_WINDOW_MAX_ROWS = 32
+
+
+def _exact_window(va, vb):
+    """The window merge of a bounded-support right operand.
+
+    ``vb`` has bounded support when its last rate is the int 0 (every
+    clamp to a finite window has one): outside its support it adds or
+    removes the int 0, which leaves ``va``'s values *and* types as they
+    are.  Returns ``(den, a, lo, hi, before, rows, ba, bb)``: ``a`` is
+    ``va``'s arrays on the common denominator, ``va``'s breakpoints
+    ``lo:hi`` lie inside ``vb``'s support, ``before`` is ``va``'s rate
+    numerator ahead of it, and ``rows`` holds one
+    ``(time, time_is_fraction, rate_a, a_is_fraction, rate_b,
+    b_is_fraction)`` per breakpoint of either operand there, as
+    :func:`_exact_merge` would (a shared time keeps ``va``'s bit).
+    ``None`` sends the operation to the whole-array kernel: ``vb``'s
+    support is unbounded, the window holds more than
+    :data:`EXACT_WINDOW_MAX_ROWS` rows, or a rescale overflows."""
+    if vb[2][-1] or vb[4][-1]:
+        return None
+    common = _common((va, vb))
+    if common is None:
+        return None
+    den, ((ta, ra, ba), (tb, rb, bb)) = common
+    times_a, times_b = memoryview(ta), memoryview(tb)
+    m = len(times_b)
+    lo = bisect_left(times_a, times_b[0])
+    hi = bisect_right(times_a, times_b[m - 1], lo)
+    if hi - lo + m > EXACT_WINDOW_MAX_ROWS:
+        return None
+    rates_a, ftimes_a, frates_a = (
+        memoryview(ra), memoryview(va[3]), memoryview(va[4])
+    )
+    rates_b, ftimes_b, frates_b = (
+        memoryview(rb), memoryview(vb[3]), memoryview(vb[4])
+    )
+    rate_a, flag_a = (rates_a[lo - 1], frates_a[lo - 1]) if lo else (0, False)
+    before = rate_a
+    rate_b, flag_b = 0, False
+    rows = []
+    i, j = lo, 0
+    while j < m:
+        t = times_b[j]
+        if i < hi and times_a[i] <= t:
+            at = times_a[i]
+            fat = ftimes_a[i]
+            rate_a, flag_a = rates_a[i], frates_a[i]
+            i += 1
+            if at == t:
+                rate_b, flag_b = rates_b[j], frates_b[j]
+                j += 1
+            rows.append((at, fat, rate_a, flag_a, rate_b, flag_b))
+        else:
+            rate_b, flag_b = rates_b[j], frates_b[j]
+            rows.append((t, ftimes_b[j], rate_a, flag_a, rate_b, flag_b))
+            j += 1
+    return den, (ta, ra, va[3], va[4]), lo, hi, before, rows, ba, bb
+
+
+def _exact_splice(den, a, lo, hi, before, rows, bound):
+    """``a``'s breakpoints before ``lo``, the window ``rows``
+    ``(time, time_is_fraction, rate, rate_is_fraction)`` and ``a``'s
+    breakpoints from ``hi``, normalised as :func:`_exact_normalise` would
+    the whole sweep.  Only the window needs it, against ``before`` (the
+    rate ahead of it): ``a`` is normalised, and the window's last row
+    (``vb``'s int-0 end) carries ``a``'s own rate there, which differs
+    from the suffix's first."""
+    kept = []
+    for row in rows:
+        if row[2] != before:
+            kept.append(row)
+            before = row[2]
+    if not kept:
+        return den, *(
+            _np.concatenate((array[:lo], array[hi:])) for array in a
+        ), bound
+    # numpy reads the short Python columns straight into each result.
+    times, ftimes, rates, frates = zip(*kept)
+    ta, ra, ft, fr = a
+    return (
+        den,
+        _np.concatenate((ta[:lo], times, ta[hi:])),
+        _np.concatenate((ra[:lo], rates, ra[hi:])),
+        _np.concatenate((ft[:lo], ftimes, ft[hi:])),
+        _np.concatenate((fr[:lo], frates, fr[hi:])),
+        bound,
+    )
+
+
 def exact_add(va, vb):
+    window = _exact_window(va, vb)
+    if window is not None:
+        den, a, lo, hi, before, rows, ba, bb = window
+        bound = ba + bb
+        if bound >= EXACT_LIMIT:
+            return None
+        return _exact_splice(den, a, lo, hi, before, [
+            (t, ft, ra + rb, fa or fb) for t, ft, ra, fa, rb, fb in rows
+        ], bound)
     merged = _exact_merge(va, vb)
     if merged is None:
         return None
@@ -470,6 +584,20 @@ def exact_subtract(va, vb):
     ``("negative", time, minuend_rate, subtrahend_rate)`` (Python values)
     for the first rate that goes negative — exact values have no dust to
     forgive — or ``None`` on overflow."""
+    window = _exact_window(va, vb)
+    if window is not None:
+        den, a, lo, hi, before, rows, ba, bb = window
+        for t, ft, ra, fa, rb, fb in rows:
+            if ra < rb:
+                return (
+                    "negative",
+                    exact_scalar(t, den, ft),
+                    exact_scalar(ra, den, fa),
+                    exact_scalar(rb, den, fb),
+                )
+        return ("profile", _exact_splice(den, a, lo, hi, before, [
+            (t, ft, ra - rb, fa or fb) for t, ft, ra, fa, rb, fb in rows
+        ], max(ba, bb)))
     merged = _exact_merge(va, vb)
     if merged is None:
         return None
@@ -520,6 +648,9 @@ def exact_cap(va, vb):
 
 def exact_dominates(va, vb):
     """Pointwise ``a >= b`` everywhere, or ``None`` on overflow."""
+    window = _exact_window(va, vb)
+    if window is not None:
+        return all(row[2] >= row[4] for row in window[5])
     merged = _exact_merge(va, vb)
     if merged is None:
         return None
@@ -654,27 +785,29 @@ def exact_clamp(view, start, end):
 
 
 def exact_index(view):
-    """Query index of an integer-form profile:
-    ``(times, rates, ftimes, frates, cum, first, walked)``.
-
-    The first four are memoryviews of the profile's arrays: scalar reads
-    and ``bisect`` on them cost a fraction of numpy's per-call overhead
-    and share the arrays' memory.  ``cum[k]`` is the integral up to
-    breakpoint ``k`` (over ``den**2``), which the scalar path computes
-    as a Fraction exactly when ``k > first``, and ``walked[k]`` counts
-    the positive-rate segments before ``k`` whose capacity is a
-    Fraction.  ``cum`` and ``walked`` are ``None`` when the prefix
-    integrals could overflow int64."""
-    _, times, rates, ftimes, frates, bound = view
-    scalars = (
+    """Query index of an integer-form profile: memoryviews
+    ``(times, rates, ftimes, frates)`` of its arrays.  Scalar reads and
+    ``bisect`` on them cost a fraction of numpy's per-call overhead and
+    share the arrays' memory."""
+    _, times, rates, ftimes, frates, _ = view
+    return (
         memoryview(times), memoryview(rates),
         memoryview(ftimes), memoryview(frates),
     )
+
+
+def exact_prefix(view):
+    """Prefix integrals of an integer-form profile: ``(cum, first)``.
+
+    ``cum[k]`` is the integral up to breakpoint ``k`` (over ``den**2``),
+    which the scalar path computes as a Fraction exactly when
+    ``k > first``.  ``None`` when the prefix integrals could overflow
+    int64.  Only window integrals read them."""
+    _, times, rates, ftimes, frates, bound = view
     if bound >= _INTEGRAL_LIMIT:
-        return scalars + (None, 0, None)
+        return None
     n = len(times)
     cum = _np.zeros(n, dtype=_np.int64)
-    walked = _np.zeros(n, dtype=_np.int64)
     first = n
     if n > 1:
         _np.cumsum(rates[:-1] * _np.diff(times), out=cum[1:])
@@ -684,25 +817,24 @@ def exact_index(view):
         seen = _np.cumsum(touched)
         if seen[-1]:
             first = bisect_left(memoryview(seen), 1)
-        _np.cumsum(touched & (rates[:-1] > 0), out=walked[1:])
-    return scalars + (memoryview(cum), first, memoryview(walked))
+    return memoryview(cum), first
 
 
 def exact_rate_at(den, index, t):
     """The rate in effect at int/Fraction ``t``."""
-    times, rates, _, frates = index[:4]
+    times, rates, _, frates = index
     i = bisect_right(times, _floor_scaled(t, den)) - 1
     if i < 0:
         return 0
     return exact_scalar(rates[i], den, frates[i])
 
 
-def _exact_cum_at(den, index, t):
-    """``(value, is_fraction, i)``: the integral from the first
-    breakpoint up to ``t`` (over ``den**2``; an int or a Fraction when
-    ``t`` is off the grid), whether the scalar path computes it as a
-    Fraction, and the index of the last breakpoint at or before ``t``."""
-    times, rates, ftimes, frates, cum, first, _ = index
+def _exact_cum_at(den, index, prefix, t):
+    """``(value, is_fraction)``: the integral from the first breakpoint
+    up to ``t`` (over ``den**2``; an int or a Fraction when ``t`` is off
+    the grid), and whether the scalar path computes it as a Fraction."""
+    times, rates, ftimes, frates = index
+    cum, first = prefix
     if type(t) is int:
         scaled = t * den
         i = bisect_right(times, scaled) - 1
@@ -710,77 +842,65 @@ def _exact_cum_at(den, index, t):
         i = bisect_right(times, _floor_scaled(t, den)) - 1
         scaled = Fraction(t.numerator * den, t.denominator)
     if i < 0:
-        return 0, False, i
+        return 0, False
     base = times[i]
     rate = rates[i]
     if rate == 0 or base == scaled:
-        return cum[i], i > first, i
+        return cum[i], i > first
     return (
         cum[i] + rate * (scaled - base),
         i > first or frates[i] or ftimes[i] or type(t) is Fraction,
-        i,
     )
 
 
-def exact_integral(den, index, start, end):
+def exact_integral(den, index, prefix, start, end):
     """Window integral over int/Fraction ``(start, end)``:
     ``cumulative(end) - cumulative(start)`` as the scalar path computes
     it, typed like it."""
-    high, high_fraction, _ = _exact_cum_at(den, index, end)
-    low, low_fraction, _ = _exact_cum_at(den, index, start)
+    high, high_fraction = _exact_cum_at(den, index, prefix, end)
+    low, low_fraction = _exact_cum_at(den, index, prefix, start)
     if high_fraction or low_fraction:
         return Fraction(high - low) / (den * den)
     return (high - low) // (den * den)
 
 
-def exact_accumulation(den, index, start, quantity):
-    """The earliest ``t >= start`` accumulating ``quantity > 0``, or
-    ``None``: the segment is found by a binary search over the exact
-    prefix integrals, then the answer and its type are those of
-    ``RateProfile.earliest_accumulation``'s segment walk."""
-    times, rates, ftimes, frates, cum, _, walked = index
+def exact_earliest_accumulation(den, index, start, quantity):
+    """``RateProfile.earliest_accumulation``'s segment walk, read off the
+    integer form: from the segment holding int/Fraction ``start``, each
+    segment's coordinates are turned back into their Python values, so
+    the arithmetic — and with it every type — is the scalar path's.  A
+    walk draws on a segment or two, so it reads only those, never the
+    whole profile."""
+    times, rates, ftimes, frates = index
     n = len(times)
-    base, _, lo = _exact_cum_at(den, index, start)
-    target = base + quantity * den * den
-    ceiling = -((-target.numerator) // target.denominator) if type(
-        target
-    ) is Fraction else target
-    k = bisect_left(cum, ceiling)
-    i = k - 1
-    if k == n:
-        i = n - 1
-        if rates[i] == 0:
-            return None
-    rate = rates[i]
-    rate_fraction = frates[i]
-    if i == lo:
-        # Accumulation completes inside the segment holding ``start``:
-        # nothing was walked, and the segment starts at ``start``.
-        effective = start * den if type(start) is int else Fraction(
-            start.numerator * den, start.denominator
-        )
-        effective_fraction = type(start) is Fraction
-        used = 0
-        remaining_fraction = type(quantity) is Fraction
+    lo = bisect_right(times, _floor_scaled(start, den)) - 1
+    # The scalar walk's ``max(start, segment start)``, settled by the
+    # bisection: ``start`` itself in its own segment, the segment's
+    # start in every later one.
+    if lo < 0:
+        lo = 0
+        seg_end = exact_scalar(times[0], den, ftimes[0])
     else:
-        effective = times[i]
-        effective_fraction = ftimes[i]
-        used = cum[i] - base
-        first = lo + 1
-        remaining_fraction = (
-            type(quantity) is Fraction
-            or walked[i] - walked[first] > 0
-            or (lo >= 0 and rates[lo] > 0 and (
-                frates[lo] or ftimes[lo + 1] or type(start) is Fraction
-            ))
+        seg_end = start
+    remaining = quantity
+    for i in range(lo, n):
+        effective_start = seg_end
+        seg_end = (
+            exact_scalar(times[i + 1], den, ftimes[i + 1])
+            if i + 1 < n else math.inf
         )
-    value = Fraction(
-        effective * rate + quantity * den * den - used, den * rate
-    )
-    # ``exact_div``: an int only for an integral int/int quotient.
-    quotient_fraction = remaining_fraction or rate_fraction
-    if effective_fraction or quotient_fraction:
-        return value
-    if value.denominator == 1:
-        return value.numerator
-    return value
+        if rates[i] == 0:
+            continue
+        rate = exact_scalar(rates[i], den, frates[i])
+        capacity = rate * (seg_end - effective_start)
+        if capacity >= remaining:
+            # ``exact_div``: an int only for an integral int/int quotient.
+            if type(remaining) is int and type(rate) is int:
+                step = Fraction(remaining, rate)
+                if step.denominator == 1:
+                    step = step.numerator
+            else:
+                step = remaining / rate
+            return effective_start + step
+        remaining -= capacity
+    return None

@@ -34,8 +34,12 @@ share that surface, and both run on array kernels in
   numerator arrays for times and rates, and a per-coordinate "is a
   Fraction" bit, so every result keeps the type the scalar path would
   give it (``Fraction(2, 1)`` stays a Fraction, ``2`` stays an int).
-  Window integrals and accumulation searches use an exact int64
-  cumulative sum plus a binary search; no EPSILON is involved.
+  No EPSILON is involved.  A commit is a local edit: adding or
+  subtracting a claim (bounded support: its last rate is the int 0)
+  rewrites only the breakpoints inside the claim's window and reuses
+  the rest of the arrays.  Accumulation walks forward from ``start``'s
+  segment, as the scalar path does; window integrals read an exact
+  int64 prefix sum, built on first use.
 * **Inexact** profiles (some float coordinate) batch onto float64
   kernels whenever every coordinate is losslessly float64-representable;
   they reproduce the scalar float path's IEEE-754 operation order
@@ -172,12 +176,14 @@ class RateProfile:
 
     __slots__ = (
         "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl",
-        "_den", "_ft", "_fr", "_bound", "_ix",
+        "_den", "_ft", "_fr", "_bound", "_ix", "_pre",
     )
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
         pts = _normalise(points)
         for time, rate in pts:
+            if isinstance(time, float) and math.isnan(time):
+                raise InvalidTermError("profile breakpoint time must not be NaN")
             if isinstance(rate, float) and math.isnan(rate):
                 raise InvalidTermError("profile rate must not be NaN")
             if rate < 0:
@@ -195,6 +201,7 @@ class RateProfile:
         self._fr = None
         self._bound: Optional[int] = None
         self._ix = None
+        self._pre = None
 
     @property
     def _points(self) -> tuple[Tuple[Time, Time], ...]:
@@ -210,7 +217,7 @@ class RateProfile:
             if self._den:
                 pts = _vec.exact_points(self._exact_view())
                 self._vt = self._vr = self._ft = self._fr = None
-                self._den = self._bound = self._ix = None
+                self._den = self._bound = self._ix = self._pre = None
             else:
                 pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
             self._pts = pts
@@ -301,6 +308,15 @@ class RateProfile:
             index = self._ix = _vec.exact_index(self._exact_view())
         return index
 
+    def _exact_prefix(self):
+        """The exact prefix integrals of an integer-form profile (built
+        on first use: only window integrals read them), or ``None`` when
+        they could overflow int64."""
+        prefix = self._pre
+        if prefix is None:
+            prefix = self._pre = _vec.exact_prefix(self._exact_view())
+        return prefix
+
     def _vector_index(self):
         """Float64 ``(times, rates)`` arrays for the vectorized kernels,
         or ``None`` when the profile is not losslessly representable
@@ -348,7 +364,8 @@ class RateProfile:
         profile._vok = True
         profile._rl = None
         profile._den = 0
-        profile._ft = profile._fr = profile._bound = profile._ix = None
+        profile._ft = profile._fr = profile._bound = None
+        profile._ix = profile._pre = None
         return profile
 
     @classmethod
@@ -359,7 +376,8 @@ class RateProfile:
             return _ZERO
         profile = cls.__new__(cls)
         profile._pts = None  # materialized on demand from the arrays
-        profile._times = profile._cum = profile._rl = profile._ix = None
+        profile._times = profile._cum = profile._rl = None
+        profile._ix = profile._pre = None
         profile._exact = True
         profile._vt = times
         profile._vr = rates
@@ -601,8 +619,12 @@ class RateProfile:
         start, end = window.start, window.end
         if type(start) in _EXACT_TYPES and type(end) in _EXACT_TYPES:
             index = self._ix or self._exact_index()
-            if index is not None and index[4] is not None:
-                return _vec.exact_integral(self._den, index, start, end)
+            if index is not None:
+                prefix = self._exact_prefix()
+                if prefix is not None:
+                    return _vec.exact_integral(
+                        self._den, index, prefix, start, end
+                    )
         if self._is_exact() and is_exact(start) and is_exact(end):
             return self._cumulative(end) - self._cumulative(start)
         if _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
@@ -655,11 +677,11 @@ class RateProfile:
 
         Returns ``None`` when the quantity can never be accumulated.  This
         is the primitive behind the greedy breakpoint search of Theorem 2.
-        Exact profiles search the integer kernels' prefix integrals;
-        otherwise the walk bisects to the first segment past ``start``
-        and walks from there, so the cost is ``O(log n + k)`` for ``k``
-        segments actually drawn on (the reference walked every segment
-        from the origin).
+        The walk bisects to the segment holding ``start`` and walks
+        from there, so the cost is ``O(log n + k)`` for ``k`` segments
+        actually drawn on (the reference walked every segment from the
+        origin); integer-form profiles run the same walk on their
+        arrays.
         """
         if quantity <= 0:
             return start
@@ -667,8 +689,8 @@ class RateProfile:
             return None
         if type(start) in _EXACT_TYPES and type(quantity) in _EXACT_TYPES:
             index = self._exact_index()
-            if index is not None and index[4] is not None:
-                return _vec.exact_accumulation(
+            if index is not None:
+                return _vec.exact_earliest_accumulation(
                     self._den, index, start, quantity
                 )
         self._ensure_index()

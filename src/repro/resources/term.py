@@ -17,6 +17,7 @@ well defined.  EXPERIMENTS.md records this deviation.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Tuple
@@ -38,6 +39,10 @@ class ResourceTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.rate, Real):
             raise InvalidTermError(f"rate must be a real number, got {self.rate!r}")
+        if isinstance(self.rate, float) and not math.isfinite(self.rate):
+            # An infinite rate accumulates any demand at once; a NaN one
+            # would only surface later, inside profile aggregation.
+            raise InvalidTermError(f"rate must be finite, got {self.rate!r}")
         if self.rate < 0:
             raise InvalidTermError(
                 f"resource terms cannot be negative, got rate {self.rate!r}"

@@ -411,6 +411,76 @@ def _exact_points(rng):
     return pts
 
 
+def _as_drawn(value, rng):
+    """An integral Fraction as an int or kept a Fraction, at random."""
+    if value.denominator == 1 and rng.random() < 0.6:
+        return int(value)
+    return value
+
+
+def _other_type(value):
+    """The same number under the other exact type (``2`` and
+    ``Fraction(2)`` swap; a non-integral Fraction has no int twin)."""
+    if type(value) is int:
+        return Fraction(value)
+    return int(value) if value.denominator == 1 else value
+
+
+def _wide_operands(rng):
+    """A wide integer-form left operand (16-300 breakpoints) and a
+    bounded-support right one, plus a ``start`` and ``quantity``.
+
+    The right operand is usually the left one clamped to a few of its
+    segments, the shape of an admission claim; it may also start before
+    the left one's first breakpoint, end past its horizon, have its edges
+    on the left one's breakpoints under the other type, carry a new
+    denominator, exceed the left one inside the window (subtraction goes
+    negative there), or end in a ``Fraction(0)`` rate, which is not
+    bounded support.  The quantity is what the left operand supplies over
+    55-65 segments from ``start``, so accumulation walks that far."""
+    t = Fraction(rng.randint(-3, 3))
+    pa = []
+    for _ in range(rng.randint(16, rng.choice([80, 300]))):
+        rate = rng.choice([
+            0, 1, 2, 3, 5, Fraction(0), Fraction(3), Fraction(7, 2),
+            Fraction(5, 3), Fraction(1, 4), Fraction(9, 4),
+        ])
+        pa.append((_as_drawn(t, rng), rate))
+        t += rng.choice([1, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
+    if rng.random() < 0.7:
+        pa.append((_as_drawn(t, rng), 0))
+    times = [time for time, _ in pa]
+    i = rng.randrange(len(times) - 1)
+    lo, hi = times[i], times[min(len(times) - 1, i + rng.randint(1, 8))]
+    shape = rng.randrange(6)
+    if shape == 0:
+        lo, hi = _other_type(lo), _other_type(hi)
+    elif shape == 1:
+        lo = times[0] - rng.choice([1, Fraction(1, 5)])
+    elif shape == 2:
+        hi = times[-1] + rng.choice([2, Fraction(3, 7)])
+    elif shape == 3:
+        lo, hi = lo + Fraction(1, 5), hi + Fraction(2, 7)
+    a = RateProfile(pa)
+    pb = [(lo, P._reference_rate_at(a, lo))]
+    pb += [(time, rate) for time, rate in a.breakpoints if lo < time < hi]
+    pb.append((hi, 0))
+    variant = rng.randrange(6)
+    if variant == 0:
+        pb[-1] = (hi, Fraction(0))
+    elif variant == 1:
+        k = rng.randrange(len(pb) - 1)
+        pb[k] = (pb[k][0], pb[k][1] + rng.choice([1, Fraction(1, 3)]))
+    elif variant == 2:  # a partial claim, keeping its int-0 end
+        pb[:-1] = [(time, rate * Fraction(1, 2)) for time, rate in pb[:-1]]
+    k = rng.randrange(max(1, len(times) - 60))
+    start = rng.choice([times[k], _other_type(times[k]), times[k] + Fraction(1, 7)])
+    end = times[min(len(times) - 1, k + rng.randint(55, 65))]
+    quantity = P._reference_integral(a, Interval(start, max(start, end)))
+    quantity += rng.choice([0, 1, Fraction(1, 3)])
+    return pa, pb, start, quantity
+
+
 def _typed(value):
     """A comparison key that tells ``2`` from ``Fraction(2)``."""
     if isinstance(value, RateProfile):
@@ -420,14 +490,18 @@ def _typed(value):
     return value, type(value)
 
 
-def _outcome(fn):
-    """``("ok", value, typed)`` or ``("raise", exception name)``."""
+def _outcome(fn, with_bound=False):
+    """``("ok", value, typed)`` or ``("raise", exception name, message)``.
+    ``with_bound`` appends an integer-form result's magnitude bound
+    (``None`` for any other result) to an ``ok``."""
     try:
         value = fn()
     except (UndefinedOperationError, InvalidTermError) as exc:
-        return ("raise", type(exc).__name__)
+        return ("raise", type(exc).__name__, str(exc))
+    bound = getattr(value, "_bound", None)  # before ``_points`` drops it
     plain = value._points if isinstance(value, RateProfile) else value
-    return ("ok", plain, _typed(value))
+    outcome = ("ok", plain, _typed(value))
+    return outcome + (bound,) if with_bound else outcome
 
 
 @contextlib.contextmanager
@@ -440,9 +514,23 @@ def _numpy_off():
         _vec.HAVE_NUMPY = saved
 
 
+@contextlib.contextmanager
+def _whole_array_kernels():
+    """No window is narrow enough: every exact binary operation merges
+    the whole arrays."""
+    saved = _vec.EXACT_WINDOW_MAX_ROWS
+    _vec.EXACT_WINDOW_MAX_ROWS = 0
+    try:
+        yield
+    finally:
+        _vec.EXACT_WINDOW_MAX_ROWS = saved
+
+
 def _exact_cases(rng):
     """One trial: ``(name, fast, reference, type_faithful)`` where each
-    side is a thunk building fresh profiles from raw points.
+    side is a thunk building fresh profiles from raw points.  About one
+    trial in seven draws wide operands (:func:`_wide_operands`) for the
+    binary operations and the accumulation walks.
     ``type_faithful`` marks oracles whose result types match the scalar
     fast path; ``_reference_integral`` and the repeated-addition
     ``from_segments``/``sum`` folds agree in value only (the fast sweeps
@@ -459,6 +547,8 @@ def _exact_cases(rng):
         s, e = sorted([_exact_coord(rng), _exact_coord(rng)])
         if s < e:
             segments.append((Interval(s, e), _exact_coord(rng)))
+    if rng.random() < 0.15:
+        pa, pb, start, quantity = _wide_operands(rng)
     A = lambda: RateProfile(pa)  # noqa: E731 - fresh operands per call
     B = lambda: RateProfile(pb)  # noqa: E731
 
@@ -514,26 +604,31 @@ def test_exact_family_matches_reference_in_value_and_type(kernels, monkeypatch):
     """``forced`` sends every exact operation to the integer kernels;
     ``size-gated`` keeps the shipped small-profile cutoff, so operand
     pairs straddle the scalar/kernel boundary.  Either way the answer
-    must equal the oracle's value, carry the scalar fast path's exact
-    types, and raise exactly when the oracle raises."""
+    must equal the whole-array kernels' in value, type, magnitude bound
+    and error text (a bounded-support right operand takes the window
+    merge), the scalar path's in value, type and error text, and the
+    oracle's value, carrying its types where it is type-faithful and
+    raising exactly when it raises."""
     if kernels == "forced":
         monkeypatch.setattr(P, "EXACT_KERNEL_MIN_BREAKPOINTS", 0)
     rng = random.Random(20261017)
     for _ in range(TRIALS // 5):
         for name, fast, reference, type_faithful in _exact_cases(rng):
-            got = _outcome(fast)
+            bounded = _outcome(fast, with_bound=True)
+            with _whole_array_kernels():
+                whole = _outcome(fast, with_bound=True)
+            assert bounded == whole, (name, bounded, whole)
+            got = bounded[:3]
             expected = _outcome(reference)
             with _numpy_off():
                 scalar = _outcome(fast)
             assert got == scalar, (name, got, scalar)
-            assert got[0] == expected[0], (name, got, expected)
-            if got[0] == "ok":
-                assert got[1] == expected[1], (name, got, expected)
-                if type_faithful:
-                    assert got == expected, (name, got, expected)
+            assert got[:2] == expected[:2], (name, got, expected)
+            if got[0] == "ok" and type_faithful:
+                assert got == expected, (name, got, expected)
 
 
-def test_exact_kernels_engage_and_fall_back():
+def test_exact_kernels_engage_and_fall_back(monkeypatch):
     """Guards against a silent fallback that would make the exact
     family vacuous, and pins the fallbacks the kernels must leave to the
     scalar path."""
@@ -561,6 +656,26 @@ def test_exact_kernels_engage_and_fall_back():
     clone = pickle.loads(pickle.dumps(result))
     assert clone == result and hash(clone) == hash(result)
     assert _typed(clone) == _typed(result)
+    # A commit into a wide slack edits only the claim's window: both
+    # the committed ``+`` and the slack ``-`` splice, neither merges
+    # the whole arrays.
+    controller = AdmissionController(
+        ResourceSet.of(term(60, cpu("l1"), 0, 400))
+    )
+    arrivals = _exact_arrivals(241, 400)
+    for requirement in arrivals[:-1]:
+        controller.admit(requirement)
+    assert len(controller.expiring_slack.profile(cpu("l1"))._vt) >= 200
+    calls = {"_exact_merge": 0, "_exact_splice": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(_vec, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(_vec, name, counted)
+    assert controller.admit(arrivals[-1]).admitted
+    assert calls == {"_exact_merge": 0, "_exact_splice": 2}
+    monkeypatch.undo()
+    assert controller.verify_slack()
 
 
 def test_exact_queries_exhaustive_small_grid(monkeypatch):

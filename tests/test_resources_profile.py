@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals import Interval, IntervalSet
-from repro.resources import RateProfile
+from repro.resources import RateProfile, profile_from_points
 
 
 def const(rate, start, end):
@@ -43,6 +43,12 @@ class TestConstruction:
     def test_nan_rate_rejected(self):
         with pytest.raises(InvalidTermError):
             RateProfile([(0, float("nan"))])
+
+    def test_nan_breakpoint_time_rejected(self):
+        """A NaN time used to sort anywhere and read as an empty profile
+        (``integral`` answered 0)."""
+        with pytest.raises(InvalidTermError, match="NaN"):
+            profile_from_points([(0, 1), (math.nan, 0)])
 
     def test_from_segments_overlap_adds(self):
         p = RateProfile.from_segments(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import InvalidTermError, LocatedTypeMismatchError
@@ -20,6 +22,18 @@ class TestConstruction:
         """Paper: resource terms cannot be negative."""
         with pytest.raises(InvalidTermError):
             term(-1, cpu1, 0, 3)
+
+    def test_infinite_rate_rejected(self, cpu1):
+        """An infinite rate would accumulate any demand at once."""
+        for rate in (math.inf, -math.inf):
+            with pytest.raises(InvalidTermError, match="finite"):
+                term(rate, cpu1, 0, 5)
+
+    def test_nan_rate_rejected_at_construction(self, cpu1):
+        """Not first inside profile aggregation, long after the term
+        was accepted."""
+        with pytest.raises(InvalidTermError, match="finite"):
+            term(math.nan, cpu1, 0, 5)
 
     def test_non_numeric_rate_rejected(self, cpu1):
         with pytest.raises(InvalidTermError):
