@@ -10,17 +10,20 @@ stays auditable.
   scaled-integer kernels (``exact_*``, bottom of the module): int64
   numerators over one common denominator per profile.  No float and no
   EPSILON is involved, so the answers are exact by construction.
-  ``add``, ``subtract`` and ``dominates`` against a right operand with
-  bounded support (last rate the int 0, as every admission claim has)
-  are window-local: a short Python merge over the breakpoints inside
-  that support, spliced between the left operand's untouched prefix and
-  suffix and renormalised only at the seams — value-, type- and
-  bound-identical to the whole-array merge, which still answers wide
-  windows.  ``earliest_accumulation`` walks forward from the segment
-  holding ``start`` in the scalar path's own arithmetic; only window
-  integrals build the whole-profile prefix sums.
+  ``earliest_accumulation`` walks forward from the segment holding
+  ``start`` in the scalar path's own arithmetic; only window integrals
+  build the whole-profile prefix sums.
 * **Inexact** profiles (some float coordinate) run on the float64
   kernels (everything else).
+
+In both regimes ``add``, ``subtract`` and ``dominates`` against a right
+operand with bounded support (last rate the int 0 or ``+0.0``, as every
+admission claim has) are window-local: a short Python merge over the
+breakpoints inside that support, spliced between the left operand's
+untouched prefix and suffix and renormalised only at the seams.  The
+whole-array merge still answers windows wider than
+:data:`WINDOW_MAX_ROWS` rows, and the splice answers exactly as it
+would (value, type and bound on the integer form; every bit on float64).
 
 The scalar Fraction path in ``profile.py`` remains the fallback (no
 numpy, a value that would overflow int64 after rescaling, a ``Rational``
@@ -36,8 +39,17 @@ float path's IEEE-754 operation order exactly —
 * window integrals accumulate per-segment contributions in time order
   via ``cumsum`` (sequential prefix sums, never pairwise reduction).
 
+The window splice keeps the contract: it does the same elementwise
+operations on Python floats (IEEE-754 doubles, like float64), and
+outside the window the whole-array kernels add or subtract ``+0.0``,
+which leaves every rate as it is except that a sum turns ``-0.0`` into
+``+0.0`` — so ``add`` passes the untouched rates through ``+ 0.0``
+too.  A time both operands hold keeps the left operand's value
+(``-0.0`` against ``0.0`` included), as the scalar sweep does.
+
 ``tests/test_profile_differential.py`` fuzzes this agreement against
-the ``_reference_*`` oracles.
+the ``_reference_*`` oracles, and the splice against the whole-array
+kernels bit for bit.
 
 Coordinates are converted to float64, so the kernels only accept
 profiles whose coordinates are floats or integers small enough to be
@@ -128,6 +140,30 @@ def _rates_at_times(ta, ra, times):
     return _np.where(ia >= 0, ra[_np.maximum(ia, 0)], 0.0)
 
 
+def _union(ta, tb):
+    """Sorted distinct times of two sorted, duplicate-free time arrays
+    (float64 or int64), merged by binary search rather than a sort.  A
+    time both hold keeps ``ta``'s value, as the scalar sweeps keep the
+    first operand's on a tie (``-0.0`` against ``0.0`` included).
+
+    Returns ``(times, at_a, fresh, at_new)``: ``ta`` lands at
+    ``times[at_a]``, and ``tb[fresh]`` (the times only ``tb`` holds) at
+    ``times[at_new]``."""
+    n = len(ta)
+    pos = _np.searchsorted(ta, tb)
+    inside = pos < n
+    held = _np.zeros(len(tb), dtype=bool)
+    held[inside] = ta[pos[inside]] == tb[inside]
+    fresh = ~held
+    new_t = tb[fresh]
+    times = _np.empty(n + len(new_t), dtype=ta.dtype)
+    at_a = _np.searchsorted(new_t, ta) + _np.arange(n)
+    at_new = pos[fresh] + _np.arange(len(new_t))
+    times[at_a] = ta
+    times[at_new] = new_t
+    return times, at_a, fresh, at_new
+
+
 def merge(va, vb):
     """Union breaktimes plus each operand's rate at every breaktime.
 
@@ -137,11 +173,101 @@ def merge(va, vb):
     """
     ta, ra = va
     tb, rb = vb
-    times = _np.union1d(ta, tb)
+    times = _union(ta, tb)[0]
     return times, _rates_at_times(ta, ra, times), _rates_at_times(tb, rb, times)
 
 
+#: Rows (the right operand's breakpoints plus the left operand's inside
+#: its support) up to which a bounded-support ``add``/``subtract``/
+#: ``dominates`` merges in a Python loop and splices the result between
+#: the left operand's untouched prefix and suffix, in either regime.
+#: Past it numpy's whole-array merge is cheaper on the integer form; the
+#: float crossover lies near 100 rows, and admission claims hold 2-10,
+#: so one cap serves both (measured in EXPERIMENTS.md E24).
+WINDOW_MAX_ROWS = 32
+
+
+def _window(va, vb):
+    """The window merge of a bounded-support float right operand.
+
+    ``vb`` has bounded support when its last rate is ``+0.0`` (every
+    clamp to a finite window has one): before its first breakpoint and
+    from its last one on, the whole-array kernels add or subtract
+    ``+0.0`` there.  Returns ``(lo, hi, before, rows)``: ``va``'s
+    breakpoints ``lo:hi`` lie inside ``vb``'s support, ``before`` is
+    ``va``'s rate ahead of it, and ``rows`` holds one ``(time, rate_a,
+    rate_b)`` per breakpoint of either operand there, as :func:`merge`
+    would (a shared time keeps ``va``'s value).  ``None`` sends the
+    operation to the whole-array kernel: ``vb``'s last rate is not
+    ``+0.0``, or the window holds more than :data:`WINDOW_MAX_ROWS`
+    rows."""
+    tb, rb = vb
+    rates_b = memoryview(rb)
+    m = len(rates_b)
+    last = rates_b[m - 1]
+    if last != 0.0 or math.copysign(1.0, last) < 0.0:
+        return None
+    ta, ra = va
+    times_a, times_b = memoryview(ta), memoryview(tb)
+    lo = bisect_left(times_a, times_b[0])
+    hi = bisect_right(times_a, times_b[m - 1], lo)
+    if hi - lo + m > WINDOW_MAX_ROWS:
+        return None
+    rates_a = memoryview(ra)
+    rate_a = rates_a[lo - 1] if lo else 0.0
+    before = rate_a
+    rate_b = 0.0
+    rows = []
+    i, j = lo, 0
+    while j < m:
+        t = times_b[j]
+        if i < hi and times_a[i] <= t:
+            at = times_a[i]
+            rate_a = rates_a[i]
+            i += 1
+            if at == t:
+                rate_b = rates_b[j]
+                j += 1
+            rows.append((at, rate_a, rate_b))
+        else:
+            rate_b = rates_b[j]
+            rows.append((t, rate_a, rate_b))
+            j += 1
+    return lo, hi, before, rows
+
+
+def _splice(arrays, lo, hi, before, rows):
+    """The left operand's ``arrays`` (times, rates, then any further
+    per-breakpoint columns) before ``lo``, the window ``rows`` (one value
+    per array) and the arrays from ``hi`` on, normalised as the whole
+    sweep would be.  Only the window needs it, against ``before`` (the
+    rate ahead of it): the left operand is normalised, and the window's
+    last row (the right operand's zero end) carries the left operand's
+    own rate there, which differs from the suffix's first.  Either
+    regime: :func:`_window` and :func:`_exact_window` feed it."""
+    kept = []
+    for row in rows:
+        if row[1] != before:
+            kept.append(row)
+            before = row[1]
+    if not kept:
+        return [_np.concatenate((array[:lo], array[hi:])) for array in arrays]
+    # numpy reads the short Python columns straight into each result.
+    return [
+        _np.concatenate((array[:lo], column, array[hi:]))
+        for array, column in zip(arrays, zip(*kept))
+    ]
+
+
 def add(va, vb):
+    window = _window(va, vb)
+    if window is not None:
+        lo, hi, before, rows = window
+        # Outside the window the whole-array sum adds +0.0, which turns
+        # a -0.0 rate into +0.0.
+        return _splice((va[0], va[1] + 0.0), lo, hi, before, [
+            (t, rate_a + rate_b) for t, rate_a, rate_b in rows
+        ])
     times, ra, rb = merge(va, vb)
     return normalise_arrays(times, ra + rb)
 
@@ -154,8 +280,27 @@ def subtract(va, vb, tolerance):
     (in time order) rate that goes negative beyond ``tolerance`` — the
     caller raises with the same message the scalar path uses.  NaN rates
     (inf - inf) survive into the result; profile construction rejects
-    them exactly as the scalar path does.
+    them exactly as the scalar path does.  A bounded-support ``vb``
+    subtracts ``+0.0`` outside its window, which changes no rate, so
+    only the window is checked and rewritten.
     """
+    window = _window(va, vb)
+    if window is not None:
+        lo, hi, before, rows = window
+        out = []
+        nan = False
+        for t, rate_a, rate_b in rows:
+            diff = rate_a - rate_b
+            if diff < 0.0:
+                if -diff > tolerance:
+                    return ("negative", t, rate_a, rate_b)
+                diff = 0.0
+            elif diff != diff:
+                nan = True
+            out.append((t, diff))
+        if nan:
+            return ("nan",)
+        return ("profile", *_splice(va, lo, hi, before, out))
     times, ra, rb = merge(va, vb)
     diff = ra - rb
     negative = diff < 0.0
@@ -195,6 +340,11 @@ def cap(va, vb):
 
 
 def dominates(va, vb) -> bool:
+    window = _window(va, vb)
+    if window is not None:
+        # Outside the window every rate is compared with +0.0, and
+        # rates are never negative.
+        return all(rate_a >= rate_b for _, rate_a, rate_b in window[3])
     _, ra, rb = merge(va, vb)
     return bool((ra >= rb).all())
 
@@ -245,7 +395,7 @@ def sum_profiles(operands):
     ``+``-fold definition."""
     times = operands[0][0]
     for tk, _ in operands[1:]:
-        times = _np.union1d(times, tk)
+        times = _union(times, tk)[0]
     level = _np.zeros(len(times), dtype=_np.float64)
     for tk, rk in operands:
         level = level + _rates_at_times(tk, rk, times)
@@ -258,9 +408,21 @@ def from_segments(segments: List[Tuple[float, float, float]]):
     Breaktimes are the union of starts and finite ends; the rate at each
     breaktime folds left-to-right over the segment list, bit-identical
     to summing the equivalent ``constant()`` profiles."""
-    starts = _np.array([s for s, _, _ in segments], dtype=_np.float64)
-    ends = _np.array([e for _, e, _ in segments], dtype=_np.float64)
-    times = _np.union1d(starts, ends[_np.isfinite(ends)])
+    raw = _np.array(
+        [t for s, e, _ in segments for t in ((s,) if math.isinf(e) else (s, e))],
+        dtype=_np.float64,
+    )
+    times = _np.sort(raw)
+    first = _np.empty(len(times), dtype=bool)
+    first[0] = True
+    _np.not_equal(times[1:], times[:-1], out=first[1:])
+    times = times[first]
+    # The sort orders -0.0 and 0.0 arbitrarily: a zero keeps the value
+    # that comes first in segment order, as the union of the segments'
+    # constant profiles does.
+    zeros = raw == 0.0
+    if zeros.any():
+        times[times == 0.0] = raw[zeros][0]
     level = _np.zeros(len(times), dtype=_np.float64)
     for start, end, rate in segments:
         level = level + _np.where((times >= start) & (times < end),
@@ -397,25 +559,13 @@ def _common(views):
 
 
 def _exact_union(ta, fa, tb, fb):
-    """Sorted distinct breakpoint times of two operands.  A time both
-    hold keeps the first operand's Fraction bit — the object the scalar
-    sweeps keep on a tie.  Merges by binary search rather than a stable
-    sort: the same answer without paging in numpy's sort kernels."""
-    n = len(ta)
-    if n == 0:
+    """Sorted distinct breakpoint times of two operands (:func:`_union`)
+    and their Fraction bits.  A time both hold keeps the first operand's
+    bit — the object the scalar sweeps keep on a tie."""
+    if len(ta) == 0:
         return tb, fb
-    pos = _np.searchsorted(ta, tb)
-    inside = pos < n
-    held = _np.zeros(len(tb), dtype=bool)
-    held[inside] = ta[pos[inside]] == tb[inside]
-    fresh = ~held
-    new_t = tb[fresh]
-    times = _np.empty(n + len(new_t), dtype=_np.int64)
+    times, at_a, fresh, at_new = _union(ta, tb)
     flags = _np.empty(len(times), dtype=bool)
-    at_a = _np.searchsorted(new_t, ta) + _np.arange(n)
-    at_new = pos[fresh] + _np.arange(len(new_t))
-    times[at_a] = ta
-    times[at_new] = new_t
     flags[at_a] = fa
     flags[at_new] = fb[fresh]
     return times, flags
@@ -463,15 +613,6 @@ def _exact_normalise(den, times, rates, ftimes, frates, bound):
     return den, times, rates, ftimes, frates, bound
 
 
-#: Rows (the right operand's breakpoints plus the left operand's inside
-#: its support) up to which a bounded-support ``add``/``subtract``/
-#: ``dominates`` merges in a Python loop over memoryviews and splices
-#: the result between the left operand's untouched prefix and suffix.
-#: Past it numpy's whole-array merge is cheaper (measured in
-#: EXPERIMENTS.md E24).
-EXACT_WINDOW_MAX_ROWS = 32
-
-
 def _exact_window(va, vb):
     """The window merge of a bounded-support right operand.
 
@@ -487,7 +628,7 @@ def _exact_window(va, vb):
     :func:`_exact_merge` would (a shared time keeps ``va``'s bit).
     ``None`` sends the operation to the whole-array kernel: ``vb``'s
     support is unbounded, the window holds more than
-    :data:`EXACT_WINDOW_MAX_ROWS` rows, or a rescale overflows."""
+    :data:`WINDOW_MAX_ROWS` rows, or a rescale overflows."""
     if vb[2][-1] or vb[4][-1]:
         return None
     common = _common((va, vb))
@@ -498,7 +639,7 @@ def _exact_window(va, vb):
     m = len(times_b)
     lo = bisect_left(times_a, times_b[0])
     hi = bisect_right(times_a, times_b[m - 1], lo)
-    if hi - lo + m > EXACT_WINDOW_MAX_ROWS:
+    if hi - lo + m > WINDOW_MAX_ROWS:
         return None
     rates_a, ftimes_a, frates_a = (
         memoryview(ra), memoryview(va[3]), memoryview(va[4])
@@ -529,36 +670,6 @@ def _exact_window(va, vb):
     return den, (ta, ra, va[3], va[4]), lo, hi, before, rows, ba, bb
 
 
-def _exact_splice(den, a, lo, hi, before, rows, bound):
-    """``a``'s breakpoints before ``lo``, the window ``rows``
-    ``(time, time_is_fraction, rate, rate_is_fraction)`` and ``a``'s
-    breakpoints from ``hi``, normalised as :func:`_exact_normalise` would
-    the whole sweep.  Only the window needs it, against ``before`` (the
-    rate ahead of it): ``a`` is normalised, and the window's last row
-    (``vb``'s int-0 end) carries ``a``'s own rate there, which differs
-    from the suffix's first."""
-    kept = []
-    for row in rows:
-        if row[2] != before:
-            kept.append(row)
-            before = row[2]
-    if not kept:
-        return den, *(
-            _np.concatenate((array[:lo], array[hi:])) for array in a
-        ), bound
-    # numpy reads the short Python columns straight into each result.
-    times, ftimes, rates, frates = zip(*kept)
-    ta, ra, ft, fr = a
-    return (
-        den,
-        _np.concatenate((ta[:lo], times, ta[hi:])),
-        _np.concatenate((ra[:lo], rates, ra[hi:])),
-        _np.concatenate((ft[:lo], ftimes, ft[hi:])),
-        _np.concatenate((fr[:lo], frates, fr[hi:])),
-        bound,
-    )
-
-
 def exact_add(va, vb):
     window = _exact_window(va, vb)
     if window is not None:
@@ -566,9 +677,9 @@ def exact_add(va, vb):
         bound = ba + bb
         if bound >= EXACT_LIMIT:
             return None
-        return _exact_splice(den, a, lo, hi, before, [
-            (t, ft, ra + rb, fa or fb) for t, ft, ra, fa, rb, fb in rows
-        ], bound)
+        return (den, *_splice(a, lo, hi, before, [
+            (t, ra + rb, ft, fa or fb) for t, ft, ra, fa, rb, fb in rows
+        ]), bound)
     merged = _exact_merge(va, vb)
     if merged is None:
         return None
@@ -595,9 +706,9 @@ def exact_subtract(va, vb):
                     exact_scalar(ra, den, fa),
                     exact_scalar(rb, den, fb),
                 )
-        return ("profile", _exact_splice(den, a, lo, hi, before, [
-            (t, ft, ra - rb, fa or fb) for t, ft, ra, fa, rb, fb in rows
-        ], max(ba, bb)))
+        return ("profile", (den, *_splice(a, lo, hi, before, [
+            (t, ra - rb, ft, fa or fb) for t, ft, ra, fa, rb, fb in rows
+        ]), max(ba, bb)))
     merged = _exact_merge(va, vb)
     if merged is None:
         return None

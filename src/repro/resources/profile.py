@@ -45,7 +45,10 @@ share that surface, and both run on array kernels in
   they reproduce the scalar float path's IEEE-754 operation order
   bit-for-bit.  Vec-built float profiles carry float coordinates, so an
   int that rode along in an inexact profile comes back as the equal
-  float (``2 -> 2.0``).
+  float (``2 -> 2.0``).  Commits are local edits here too (a claim's
+  last rate is ``+0.0``), and queries read the arrays in place: the
+  bisect index and rate list are memoryviews, and ``clamp`` copies only
+  the window's breakpoints.
 
 Kernel results stay in array form; the breakpoint tuples are built only
 on demand (equality, pickling, the scalar fallbacks), and a profile
@@ -189,13 +192,13 @@ class RateProfile:
             if rate < 0:
                 raise InvalidTermError(f"profile rate must be >= 0, got {rate!r} at t={time!r}")
         self._pts: Optional[tuple] = pts
-        self._times: Optional[list] = None
+        self._times: Optional[Sequence[Time]] = None
         self._cum: Optional[list] = None
         self._exact: Optional[bool] = None
         self._vt = None
         self._vr = None
         self._vok: Optional[bool] = None
-        self._rl: Optional[list] = None
+        self._rl: Optional[Sequence[Time]] = None
         self._den: Optional[int] = None
         self._ft = None
         self._fr = None
@@ -223,13 +226,13 @@ class RateProfile:
             self._pts = pts
         return pts
 
-    def _rates(self) -> list:
+    def _rates(self) -> Sequence[Time]:
         """Rates by breakpoint position, built lazily (float-vec-built
-        profiles read straight off the rate array)."""
+        profiles hand out a memoryview of the rate array, no copy)."""
         rl = self._rl
         if rl is None:
             if self._pts is None and not self._den:
-                rl = self._vr.tolist()
+                rl = memoryview(self._vr)
             else:
                 rl = [r for _, r in self._points]
             self._rl = rl
@@ -250,7 +253,7 @@ class RateProfile:
         if self._times is not None:
             return
         if self._pts is None and not self._den:
-            self._times = self._vt.tolist()  # float-vec-built
+            self._times = memoryview(self._vt)  # float-vec-built: no copy
             return
         self._times = [t for t, _ in self._points]
 
@@ -531,10 +534,12 @@ class RateProfile:
 
     def rate_at(self, t: Time) -> Time:
         """The rate in effect at time ``t`` (``O(log n)``)."""
-        if self.is_zero:
-            return 0
         if self._den and type(t) in _EXACT_TYPES:
             return _vec.exact_rate_at(self._den, self._exact_index(), t)
+        if type(t) is float and t != t:
+            raise InvalidTermError("rate_at: time t must not be NaN")
+        if self.is_zero:
+            return 0
         self._ensure_index()
         i = bisect_right(self._times, t) - 1
         return self._rates()[i] if i >= 0 else 0
@@ -546,6 +551,9 @@ class RateProfile:
         and the query times are float64-safe; the results are the stored
         rate objects either way, identical to mapping :meth:`rate_at`.
         """
+        for t in ts:
+            if type(t) is float and t != t:
+                raise InvalidTermError("rates_at: query time ts must not hold NaN")
         if self.is_zero:
             return [0] * len(ts)
         if _vec.HAVE_NUMPY and all(_vec.coordinate_safe(t) for t in ts):
@@ -683,6 +691,10 @@ class RateProfile:
         origin); integer-form profiles run the same walk on their
         arrays.
         """
+        if type(start) is float and start != start:
+            raise InvalidTermError("earliest_accumulation: start must not be NaN")
+        if type(quantity) is float and quantity != quantity:
+            raise InvalidTermError("earliest_accumulation: quantity must not be NaN")
         if quantity <= 0:
             return start
         if self.is_zero:
@@ -722,6 +734,10 @@ class RateProfile:
         primitive behind as-late-as-possible (ALAP) scheduling.  Returns
         ``None`` when the quantity cannot be accumulated before ``end``.
         """
+        if type(end) is float and end != end:
+            raise InvalidTermError("latest_accumulation: end must not be NaN")
+        if type(quantity) is float and quantity != quantity:
+            raise InvalidTermError("latest_accumulation: quantity must not be NaN")
         if quantity <= 0:
             return end
         if self.is_zero:
@@ -865,7 +881,9 @@ class RateProfile:
         )
 
     def scale(self, factor: Time) -> "RateProfile":
-        """The profile with every rate multiplied by ``factor >= 0``."""
+        """The profile with every rate multiplied by a finite ``factor >= 0``."""
+        if type(factor) is float and not math.isfinite(factor):
+            raise InvalidTermError(f"scale factor must be finite, got {factor!r}")
         if factor < 0:
             raise InvalidTermError("scale factor must be >= 0")
         if factor == 0:
@@ -891,7 +909,10 @@ class RateProfile:
         points: list[Tuple[Time, Time]] = [(window.start, self.rate_at(window.start))]
         lo = bisect_right(times, window.start)
         hi = bisect_left(times, window.end)
-        points.extend(self._points[lo:hi])
+        if self._pts is None:  # float arrays: read the window in place
+            points.extend(zip(times[lo:hi], self._rates()[lo:hi]))
+        else:
+            points.extend(self._points[lo:hi])
         if not math.isinf(window.end):
             points.append((window.end, 0))
         return RateProfile(points)

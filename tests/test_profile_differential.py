@@ -16,6 +16,11 @@ contract is stricter: every coordinate must match in value *and*
 ``type()``, because ``Fraction(2, 1)`` and ``2`` serialize differently
 and the pinned gold digests see the difference.
 
+The float window family draws wide float64 left operands against
+claim-shaped right ones and holds the window splice to the whole-array
+float kernels bit for bit, signed zeros included, with the same error
+type and text.
+
 Two real divergences this fuzzer surfaced are pinned as minimized
 regression tests below:
 
@@ -32,6 +37,7 @@ regression tests below:
 from __future__ import annotations
 
 import contextlib
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -516,14 +522,14 @@ def _numpy_off():
 
 @contextlib.contextmanager
 def _whole_array_kernels():
-    """No window is narrow enough: every exact binary operation merges
-    the whole arrays."""
-    saved = _vec.EXACT_WINDOW_MAX_ROWS
-    _vec.EXACT_WINDOW_MAX_ROWS = 0
+    """No window is narrow enough: every binary operation, exact or
+    float, merges the whole arrays."""
+    saved = _vec.WINDOW_MAX_ROWS
+    _vec.WINDOW_MAX_ROWS = 0
     try:
         yield
     finally:
-        _vec.EXACT_WINDOW_MAX_ROWS = saved
+        _vec.WINDOW_MAX_ROWS = saved
 
 
 def _exact_cases(rng):
@@ -666,14 +672,14 @@ def test_exact_kernels_engage_and_fall_back(monkeypatch):
     for requirement in arrivals[:-1]:
         controller.admit(requirement)
     assert len(controller.expiring_slack.profile(cpu("l1"))._vt) >= 200
-    calls = {"_exact_merge": 0, "_exact_splice": 0}
+    calls = {"_exact_merge": 0, "_splice": 0}
     for name in calls:
         def counted(*args, _kernel=getattr(_vec, name), _name=name):
             calls[_name] += 1
             return _kernel(*args)
         monkeypatch.setattr(_vec, name, counted)
     assert controller.admit(arrivals[-1]).admitted
-    assert calls == {"_exact_merge": 0, "_exact_splice": 2}
+    assert calls == {"_exact_merge": 0, "_splice": 2}
     monkeypatch.undo()
     assert controller.verify_slack()
 
@@ -722,3 +728,243 @@ def test_exact_queries_exhaustive_small_grid(monkeypatch):
                 with _numpy_off():
                     scalar = _outcome(query)
                 assert fast == scalar, (raw, window)
+
+
+# ----------------------------------------------------------------------
+# The float window family: float64 kernels, checked bit for bit
+# ----------------------------------------------------------------------
+
+def _float_wide_operands(rng):
+    """A wide float left operand (16-300 breakpoints) and a right one
+    that is usually the left one clamped to a run of its segments, the
+    shape of an admission claim.
+
+    The left operand's rates include ``-0.0``, ``inf`` and ``0.0`` gaps,
+    and a time may be ``-0.0``.  The claim spans 1-8 segments (well
+    inside the row cap), 12-20 (either side of it) or 21-30 (past it).
+    It may start before the left operand, end past its horizon, sit
+    off its breakpoints, meet a ``0.0`` time as ``-0.0``, end in a
+    ``-0.0`` rate (not bounded support), be a partial claim, exceed the
+    left operand by dust just inside or just outside ``EPSILON``, or
+    meet an ``inf`` rate (``inf - inf``) ahead of a row that goes
+    negative."""
+    t = rng.choice([0.0, -0.0, -2.0, 1.5])
+    pa = []
+    for _ in range(rng.randint(16, rng.choice([80, 300]))):
+        rate = rng.choice([0.0, -0.0, 1.0, 2.5, 60.0, 0.1, 1 / 3, 7.25])
+        if rng.random() < 0.02:
+            rate = math.inf
+        pa.append((t, rate))
+        t += rng.choice([1.0, 0.5, 2.0, 0.1, 1 / 3])
+    if rng.random() < 0.7:
+        pa.append((t, rng.choice([0.0, -0.0])))
+    a = RateProfile(pa)
+    times = [time for time, _ in a.breakpoints]
+    i = rng.randrange(len(times) - 1)
+    span = rng.choice([rng.randint(1, 8), rng.randint(12, 20), rng.randint(21, 30)])
+    lo, hi = times[i], times[min(len(times) - 1, i + span)]
+    shape = rng.randrange(5)
+    if shape == 0:
+        lo, hi = -lo if lo == 0.0 else lo, -hi if hi == 0.0 else hi
+    elif shape == 1:
+        lo = times[0] - rng.choice([1.0, 0.25])
+    elif shape == 2:
+        hi = times[-1] + rng.choice([2.0, 0.375])
+    elif shape == 3:
+        lo, hi = lo + 0.2, hi + 0.3
+    pb = [(lo, P._reference_rate_at(a, lo))]
+    pb += [(time, rate) for time, rate in a.breakpoints if lo < time < hi]
+    pb.append((hi, 0.0))
+    variant = rng.randrange(6)
+    if variant == 0:
+        pb[-1] = (hi, -0.0)
+    elif variant == 1:
+        k = rng.randrange(len(pb) - 1)
+        bump = rng.choice([1.0, 5e-10, 2e-9])  # beyond, inside, just past EPSILON
+        pb[k] = (pb[k][0], pb[k][1] + bump)
+    elif variant == 2:
+        pb[:-1] = [(time, rate * 0.5) for time, rate in pb[:-1]]
+    elif variant == 3 and len(pb) > 2:
+        pb[0] = (pb[0][0], math.inf)  # inf - inf where the left one is inf
+        pb[1] = (pb[1][0], pb[1][1] + 1.0)  # then a negative row
+    return pa, pb
+
+
+def _bits(value):
+    """A comparison key that tells ``-0.0`` from ``0.0``."""
+    if isinstance(value, RateProfile):
+        return tuple(
+            (t, math.copysign(1.0, t), r, math.copysign(1.0, r))
+            for t, r in value._points
+        )
+    return value
+
+
+def _float_outcome(fn):
+    """``("ok", bits)`` or ``("raise", exception name, message)``."""
+    try:
+        return ("ok", _bits(fn()))
+    except (UndefinedOperationError, InvalidTermError) as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
+_FLOAT_OPS = {
+    "add": lambda a, b: a + b,
+    "subtract": lambda a, b: a.subtract(b),
+    "dominates": lambda a, b: a.dominates(b),
+    # A commit's result feeding the next commit stays on the arrays.
+    "subtract-then-add": lambda a, b: a.subtract(b) + b,
+}
+
+
+def _float_agree(pa, pb):
+    """Every float operation on ``pa``/``pb`` answers bit for bit, with
+    the same error type and text, as the whole-array kernels do, and bit
+    for bit with the same error type as the scalar path (whose messages
+    print the int ``0`` it reads before an operand's first breakpoint
+    where the kernels print ``0.0``)."""
+    for name, op in _FLOAT_OPS.items():
+        def run():
+            return op(RateProfile(pa), RateProfile(pb))
+        fast = _float_outcome(run)
+        with _whole_array_kernels():
+            whole = _float_outcome(run)
+        assert fast == whole, (name, pa, pb, fast, whole)
+        with _numpy_off():
+            scalar = _float_outcome(run)
+        assert fast[:2] == scalar[:2], (name, pa, pb, fast, scalar)
+
+
+def test_float_window_family_is_bit_identical_to_whole_arrays(monkeypatch):
+    """Wide float operands against bounded claims (and a few unbounded
+    ones): the window splice must reproduce the whole-array kernels bit
+    for bit, signed zeros included, and raise what they raise, in the
+    same order.  The trials must exercise both the splice and the
+    fallback, or the comparison is vacuous."""
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; scalar fallback is the only path")
+    calls = {"window": 0, "whole": 0}
+    window = _vec._window
+
+    def counted(va, vb):
+        rows = window(va, vb)
+        if _vec.WINDOW_MAX_ROWS:  # the shipped cap, not _whole_array_kernels
+            calls["whole" if rows is None else "window"] += 1
+        return rows
+
+    monkeypatch.setattr(_vec, "_window", counted)
+    rng = random.Random(20261018)
+    for _ in range(TRIALS // 5):
+        _float_agree(*_float_wide_operands(rng))
+    assert min(calls.values()) > TRIALS // 5, calls
+
+
+@pytest.mark.parametrize("pa, pb", [
+    # Signed zeros: a -0.0 rate outside the window turns +0.0 in a sum
+    # and stays -0.0 in a difference; a -0.0 time meets a 0.0 one.
+    ([(-1.0, 1.0), (0.0, -0.0), (1.0, 2.0), (3.0, 0.0)],
+     [(1.0, 0.5), (2.0, 0.0)]),
+    ([(0.0, 1.0), (1.0, -0.0), (2.0, 3.0), (4.0, 0.0)],
+     [(-0.0, 1.0), (0.5, 0.0)]),
+    ([(-0.0, 1.0), (1.0, 2.0)], [(0.0, -0.0), (0.5, 1.0), (0.75, 0.0)]),
+    # A -0.0 end is not bounded support: the whole arrays answer.
+    ([(0.0, 1.0), (1.0, -0.0), (2.0, 3.0)], [(0.5, 1.0), (1.5, -0.0)]),
+    # inf - inf alone, and ahead of a row that goes negative.
+    ([(0.0, math.inf), (1.0, 1.0), (2.0, 0.0)], [(0.0, math.inf), (1.0, 0.0)]),
+    ([(0.0, math.inf), (1.0, 1.0), (2.0, 0.0)],
+     [(0.0, math.inf), (1.0, 2.0), (1.5, 0.0)]),
+    # Dust just inside and just outside EPSILON.
+    ([(0.0, 1.0), (4.0, 0.0)], [(1.0, 1.0 + 5e-10), (2.0, 0.0)]),
+    ([(0.0, 1.0), (4.0, 0.0)], [(1.0, 1.0 + 2e-9), (2.0, 0.0)]),
+    # The claim removes everything, and a claim past both ends.
+    ([(0.0, 1.0), (4.0, 0.0)], [(0.0, 1.0), (4.0, 0.0)]),
+    ([(1.0, 1.0), (4.0, 0.0)], [(0.0, 0.5), (6.0, 0.0)]),
+])
+def test_float_window_edge_cases(pa, pb):
+    _float_agree(pa, pb)
+
+
+def test_float_unions_keep_the_first_zero():
+    """A ``-0.0`` and a ``0.0`` breakpoint time are one time, and the
+    union keeps the one met first, as the scalar sweep does.  numpy's
+    sort orders the two arbitrarily once it holds a few dozen values, so
+    ``from_segments`` must not take the zero the sort leaves first."""
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; scalar fallback is the only path")
+    starts = [float(k % 5) - 2.0 for k in range(40)]
+    segments = [(Interval(-0.0, 1.0), 1.0)] + [
+        (Interval(start, start + float(k % 3) + 1.0), 0.5 + k)
+        for k, start in enumerate(starts)
+    ]
+    constants = [RateProfile.constant(rate, window) for window, rate in segments]
+    with _numpy_off():
+        scalar = _bits(RateProfile.from_segments(segments))
+    assert any(t == 0.0 and s < 0 for t, s, _, _ in scalar)
+    assert _bits(RateProfile.from_segments(segments)) == scalar
+    assert _bits(RateProfile.sum(constants)) == scalar
+
+
+def test_float_window_engages_and_falls_back(monkeypatch):
+    """A commit into a wide float slack edits only the claim's window:
+    both the committed ``+`` and the slack ``-`` splice and neither
+    merges the whole arrays.  A claim holding more than
+    ``WINDOW_MAX_ROWS`` rows goes to the whole-array merge."""
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; scalar fallback is the only path")
+    controller = AdmissionController(
+        ResourceSet.of(term(60.0, cpu("l1"), 0.0, 400.0))
+    )
+    arrivals = _float_arrivals(241, 400)
+    for requirement in arrivals[:-1]:
+        controller.admit(requirement)
+    slack = controller.expiring_slack.profile(cpu("l1"))
+    assert slack._pts is None and len(slack._vt) >= 200
+    calls = {"merge": 0, "_splice": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(_vec, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(_vec, name, counted)
+    assert controller.admit(arrivals[-1]).admitted
+    assert calls == {"merge": 0, "_splice": 2}
+    times = slack._vt.tolist()
+    wide = slack.clamp(Interval(times[10], times[10 + _vec.WINDOW_MAX_ROWS]))
+    assert (slack - wide) == P._reference_subtract(slack, wide)
+    assert calls == {"merge": 1, "_splice": 2}
+    monkeypatch.undo()
+    assert controller.verify_slack()
+
+
+def test_float_admission_never_imports_numpy_ma():
+    """``np.union1d`` reached ``np.unique``, which imports ``numpy.ma``
+    (~0.7 MB) on first use.  A fresh process running a float admission,
+    a float ``sum`` and a float ``from_segments`` must not load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not _vec.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; nothing to import")
+    script = (
+        "import sys\n"
+        "from repro.computation import ComplexRequirement, Demands\n"
+        "from repro.decision import AdmissionController\n"
+        "from repro.intervals import Interval\n"
+        "from repro.resources import RateProfile, ResourceSet, cpu, term\n"
+        "c = AdmissionController(ResourceSet.of(term(6.0, cpu('l1'), 0.0, 90.0)))\n"
+        "for k in range(60):\n"
+        "    c.admit(ComplexRequirement([Demands({cpu('l1'): 2.5})],\n"
+        "            Interval(k, k + 8.0), label=f'j{k}'))\n"
+        "slack = c.expiring_slack.profile(cpu('l1'))\n"
+        "RateProfile.sum([slack, c.committed.profile(cpu('l1'))])\n"
+        "RateProfile.from_segments([(Interval(0.0, 2.5), 1.0), (Interval(1.0, 3.0), 0.5)])\n"
+        "print(slack._pts is None, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["True", "False"]

@@ -224,3 +224,47 @@ class TestAlgebra:
         a = RateProfile([(0, 2), (4, 6), (8, 0)])
         b = const(1, 3, 9)
         assert (a + b) - b == a
+
+
+class TestNonFiniteArguments:
+    """A NaN query argument used to answer silently (``rate_at`` read 0,
+    the accumulation walks read ``None``), and ``scale(inf)`` failed on
+    the NaN it minted from a zero rate, naming the rate instead of the
+    factor.  Each now raises at entry and names the bad argument, on the
+    float arrays and on the tuple form alike."""
+
+    PROFILES = (
+        RateProfile(((0, 2.0), (10, 0))),
+        RateProfile(((0, 2.0), (10, 0))) + RateProfile(((5.0, 1.0), (7.0, 0))),
+        RateProfile(((0, 2), (10, 0))),
+        RateProfile.zero(),
+    )
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_rate_at_rejects_nan(self, profile):
+        with pytest.raises(InvalidTermError, match=r"rate_at: time t .*NaN"):
+            profile.rate_at(math.nan)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_rates_at_rejects_nan(self, profile):
+        with pytest.raises(InvalidTermError, match=r"rates_at: query time ts .*NaN"):
+            profile.rates_at([1.0, math.nan])
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_earliest_accumulation_rejects_nan(self, profile):
+        with pytest.raises(InvalidTermError, match=r"earliest_accumulation: start .*NaN"):
+            profile.earliest_accumulation(math.nan, 1.0)
+        with pytest.raises(InvalidTermError, match=r"earliest_accumulation: quantity .*NaN"):
+            profile.earliest_accumulation(0, math.nan)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_latest_accumulation_rejects_nan(self, profile):
+        with pytest.raises(InvalidTermError, match=r"latest_accumulation: end .*NaN"):
+            profile.latest_accumulation(math.nan, 1.0)
+        with pytest.raises(InvalidTermError, match=r"latest_accumulation: quantity .*NaN"):
+            profile.latest_accumulation(10, math.nan)
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_scale_rejects_non_finite_factor(self, factor):
+        with pytest.raises(InvalidTermError, match="scale factor must be finite"):
+            const(2.0, 0, 4).scale(factor)
