@@ -16,11 +16,11 @@ experiment measures the rebuilt hot path against the retained
   because the answers are identical.  The workload runs twice: once with
   float (inexact) quantities, where the vectorized numpy kernels carry
   the profile algebra — the headline ``admission`` row — and once with
-  integer (exact) quantities, where the scaled-integer (int64) kernels
-  carry it (``admission_exact``).  The float workload uses dyadic rationals
-  (halves over power-of-two durations) so every intermediate sum is
-  exact in double precision and the zero-divergence gate is meaningful
-  rather than luck.
+  integer (exact) quantities, where the exact profiles' Python lists and
+  their window splice carry it (``admission_exact``).  The float
+  workload uses dyadic rationals (halves over power-of-two durations) so
+  every intermediate sum is exact in double precision and the
+  zero-divergence gate is meaningful rather than luck.
 
 Results (timings plus speedup factors) are written to
 ``BENCH_profile_ops.json`` so CI history can track regressions.
@@ -195,8 +195,8 @@ def bench_admission(
     With ``inexact=True`` the capacity and demands are floats, which
     routes every profile operation through the float64 kernels of
     :mod:`repro.resources._vectorized` — the configuration the >=200x
-    acceptance bar targets.  Otherwise the exact profiles run on the same
-    module's scaled-integer kernels.
+    acceptance bar targets.  Otherwise the exact profiles run on their
+    Python lists: each commit splices only the claim's window.
     """
     capacity = 60.0 if inexact else 60
     available = ResourceSet.of(term(capacity, cpu("l1"), 0, horizon))
@@ -222,7 +222,7 @@ def bench_admission(
     return {
         "arrivals": count,
         "admitted": sum(fast_decisions),
-        "kernel": "vectorized-float" if inexact else "exact-int64",
+        "kernel": "vectorized-float" if inexact else "exact-lists",
         "fast_s": fast,
         "reference_s": reference,
         "speedup": reference / fast if fast else float("inf"),

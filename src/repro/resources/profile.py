@@ -26,43 +26,38 @@ with a rate-0 breakpoint).
 Every decision procedure (Theorem 4 admission, schedule search, the
 Figure 1 model checker) bottoms out here, so the algebra and the point
 and window queries are the system's hot path.  Two arithmetic regimes
-share that surface, and both run on array kernels in
-:mod:`repro.resources._vectorized`:
+share that surface, each with one working form besides the tuples:
 
-* **Exact** profiles (every coordinate ``int``/``Fraction``) run on
-  scaled-integer kernels: one common denominator per profile, int64
-  numerator arrays for times and rates, and a per-coordinate "is a
-  Fraction" bit, so every result keeps the type the scalar path would
-  give it (``Fraction(2, 1)`` stays a Fraction, ``2`` stays an int).
+* **Exact** profiles (every coordinate ``int``/``Fraction``) hold
+  parallel Python ``times``/``rates`` lists and run on the scalar code
+  in this module, so every result has the type Python's arithmetic
+  gives it (``Fraction(2, 1)`` stays a Fraction, ``2`` stays an int).
   No EPSILON is involved.  A commit is a local edit: adding or
   subtracting a claim (bounded support: its last rate is the int 0)
-  rewrites only the breakpoints inside the claim's window and reuses
-  the rest of the arrays.  Accumulation walks forward from ``start``'s
-  segment, as the scalar path does; window integrals read an exact
-  int64 prefix sum, built on first use.
-* **Inexact** profiles (some float coordinate) batch onto float64
-  kernels whenever every coordinate is losslessly float64-representable;
-  they reproduce the scalar float path's IEEE-754 operation order
-  bit-for-bit.  Vec-built float profiles carry float coordinates, so an
-  int that rode along in an inexact profile comes back as the equal
-  float (``2 -> 2.0``).  Commits are local edits here too (a claim's
-  last rate is ``+0.0``), and queries read the arrays in place: the
-  bisect index and rate list are memoryviews, and ``clamp`` copies only
-  the window's breakpoints.
+  merges only the breakpoints inside the claim's window and splices
+  them between the untouched slices of the lists.  Point queries,
+  accumulation walks and window integrals bisect to their start and
+  read only the segments they cover.
+* **Inexact** profiles (some float coordinate) batch onto the float64
+  kernels in :mod:`repro.resources._vectorized` whenever every
+  coordinate is losslessly float64-representable; they reproduce the
+  scalar float path's IEEE-754 operation order bit-for-bit.  Vec-built
+  float profiles carry float coordinates, so an int that rode along in
+  an inexact profile comes back as the equal float (``2 -> 2.0``).
+  Commits are local edits here too (a claim's last rate is ``+0.0``),
+  and queries read the arrays in place: the bisect index and rate list
+  are memoryviews, and ``clamp`` copies only the window's breakpoints.
 
-Kernel results stay in array form; the breakpoint tuples are built only
-on demand (equality, pickling, the scalar fallbacks), and a profile
-never keeps both forms alive.  Exact operations whose operands are all
-still small tuples stay scalar: below
-:data:`EXACT_KERNEL_MIN_BREAKPOINTS` numpy's per-call overhead costs more
-than the work.
+Splice and kernel results stay in list or array form; the breakpoint
+tuples are built only on demand (equality, hashing, pickling, the
+sweeps).
 
-The scalar path — a lazily-built bisect index plus a cumulative-integral
-array, ``O(log n)`` point/window lookups and ``O(n + m)`` two-pointer
-merges — is the fallback: without numpy, for exact values that would
-overflow int64 after rescaling, and for ``Rational`` values that are
-neither ``int`` nor ``Fraction``.  The naive implementations are retained
-below as ``_reference_*`` oracles; ``tests/test_profile_fastpath.py`` and
+The two-pointer merge over both breakpoint lists (``_merged_rates``,
+the *sweep*) answers every other binary operation: exact pairs whose
+right operand has unbounded support, ``cap`` and ``saturating_sub`` on
+exact profiles, and float work without numpy or with coordinates
+float64 cannot hold.  The naive implementations are retained below as
+``_reference_*`` oracles; ``tests/test_profile_fastpath.py`` and
 ``tests/test_profile_differential.py`` pin every path to them (values,
 types and exceptions), and ``benchmarks/bench_profile_ops.py`` tracks the
 speedup.
@@ -85,16 +80,6 @@ from repro.resources import _vectorized as _vec
 #: Tolerance used when float arithmetic is involved.  Exact numeric types
 #: (int, Fraction) never need it.
 EPSILON = 1e-9  # repro-lint: disable=flow-exactness -- the sanctioned float-tolerance boundary itself (see is_exact below)
-
-#: Breakpoints (all operands together) from which an exact operation on
-#: profiles still in tuple form moves onto the integer kernels, and from
-#: which such a profile switches to array form for good.  Below it the
-#: scalar sweep is faster than numpy's per-call overhead (measured in
-#: EXPERIMENTS.md); profiles already in array form always stay on the
-#: kernels.
-EXACT_KERNEL_MIN_BREAKPOINTS = 16
-
-_EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(value: object) -> bool:
@@ -146,41 +131,24 @@ def _normalise(points: Iterable[Tuple[Time, Time]]) -> tuple[Tuple[Time, Time], 
     return tuple(merged)
 
 
-def _exact_views(profiles: Sequence["RateProfile"]):
-    """Integer views of ``profiles`` for an exact kernel, or ``None`` when
-    the operation stays on the float or scalar path."""
-    if not any(p._den for p in profiles):
-        size = 0
-        for p in profiles:
-            if p._pts is None:
-                return None  # float arrays
-            size += len(p._pts)
-        if size < EXACT_KERNEL_MIN_BREAKPOINTS:
-            return None
-    views = []
-    for p in profiles:
-        view = p._int_view()
-        if view is None:
-            return None
-        views.append(view)
-    return views
+def _negative(t: Time, ra: Time, rb: Time) -> UndefinedOperationError:
+    """The error a subtraction raises where its rate would go negative."""
+    return UndefinedOperationError(
+        f"subtraction would make the rate negative at t={t!r} ({ra!r} - {rb!r})"
+    )
 
 
 class RateProfile:
     """An immutable, piecewise-constant, non-negative function of time.
 
-    A profile lives in one of three forms: breakpoint tuples (``_pts``),
-    float64 arrays (``_vt``/``_vr`` with ``_vok`` set, inexact only), or
-    the integer form (``_vt``/``_vr`` int64 numerators over ``_den``,
-    Fraction bits ``_ft``/``_fr``, magnitude bound ``_bound``; exact
-    only).  ``_den`` is ``None`` before the integer form was tried and
-    0 when the profile has none.
+    The breakpoint tuples (``_pts``) are the canonical form.  A splice
+    result holds only the parallel lists every profile builds as its
+    bisect index (``_times``/``_rl``; exact only), and a float kernel
+    result only float64 arrays (``_vt``/``_vr`` with ``_vok`` set;
+    inexact only).  Either builds the tuples on demand.
     """
 
-    __slots__ = (
-        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl",
-        "_den", "_ft", "_fr", "_bound", "_ix", "_pre",
-    )
+    __slots__ = ("_pts", "_times", "_exact", "_vt", "_vr", "_vok", "_rl")
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
         pts = _normalise(points)
@@ -193,34 +161,24 @@ class RateProfile:
                 raise InvalidTermError(f"profile rate must be >= 0, got {rate!r} at t={time!r}")
         self._pts: Optional[tuple] = pts
         self._times: Optional[Sequence[Time]] = None
-        self._cum: Optional[list] = None
         self._exact: Optional[bool] = None
         self._vt = None
         self._vr = None
         self._vok: Optional[bool] = None
         self._rl: Optional[Sequence[Time]] = None
-        self._den: Optional[int] = None
-        self._ft = None
-        self._fr = None
-        self._bound: Optional[int] = None
-        self._ix = None
-        self._pre = None
 
     @property
     def _points(self) -> tuple[Tuple[Time, Time], ...]:
         """Canonical breakpoint tuples.
 
-        Array-built profiles materialize them only when something
-        actually needs them (equality, hashing, the scalar fallbacks):
-        the hot admission chains — subtract, cap, clamp, integral,
-        accumulation walks — stay on the arrays end to end.  An
-        integer-form profile hands its arrays in for the tuples."""
+        List- and array-built profiles materialize them only when
+        something actually needs them (equality, hashing, the sweeps):
+        the hot admission chains — subtract, add, clamp, integral,
+        accumulation walks — read the lists or arrays end to end."""
         pts = self._pts
         if pts is None:
-            if self._den:
-                pts = _vec.exact_points(self._exact_view())
-                self._vt = self._vr = self._ft = self._fr = None
-                self._den = self._bound = self._ix = self._pre = None
+            if self._vt is None:
+                pts = tuple(zip(self._times, self._rl))
             else:
                 pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
             self._pts = pts
@@ -231,20 +189,23 @@ class RateProfile:
         profiles hand out a memoryview of the rate array, no copy)."""
         rl = self._rl
         if rl is None:
-            if self._pts is None and not self._den:
+            if self._pts is None:
                 rl = memoryview(self._vr)
             else:
-                rl = [r for _, r in self._points]
+                rl = [r for _, r in self._pts]
             self._rl = rl
         return rl
 
     def _is_exact(self) -> bool:
-        """Whether every coordinate is exact (cumulative differences are
-        then drift-free), computed once."""
+        """Whether every coordinate is an ``int`` or a ``Fraction``,
+        computed once.  Other ``Rational`` types (``bool``, numpy
+        integers) do not count: the splice relies on ``x + 0`` and
+        ``x - 0`` keeping ``x``'s type, which ``True + 0`` does not."""
         exact = self._exact
         if exact is None:
             exact = self._exact = all(
-                is_exact(t) and is_exact(r) for t, r in self._pts
+                type(v) is int or type(v) is Fraction
+                for point in self._pts for v in point
             )
         return exact
 
@@ -252,80 +213,17 @@ class RateProfile:
         """Build the breakpoint times for bisection on first use."""
         if self._times is not None:
             return
-        if self._pts is None and not self._den:
+        if self._pts is None:
             self._times = memoryview(self._vt)  # float-vec-built: no copy
             return
-        self._times = [t for t, _ in self._points]
-
-    def _ensure_cumulative(self) -> None:
-        """The cumulative integral up to each breakpoint: only the exact
-        scalar ``integral`` reads it."""
-        if self._cum is not None:
-            return
-        self._ensure_index()
-        pts, times = self._points, self._times
-        cum: list = [0] * len(pts)
-        for i in range(1, len(pts)):
-            t_prev, r_prev = pts[i - 1]
-            cum[i] = cum[i - 1] + r_prev * (times[i] - t_prev)
-        self._cum = cum
-
-    def _exact_view(self):
-        """The integer form as a kernel view (integer-form profiles only)."""
-        return (self._den, self._vt, self._vr, self._ft, self._fr, self._bound)
-
-    def _int_view(self):
-        """The integer form for the exact kernels, or ``None`` when the
-        profile has none (float coordinates, an int64 overflow after
-        rescaling, other ``Rational`` types, no numpy).  A tuple-form
-        profile converts on the fly; one with at least
-        :data:`EXACT_KERNEL_MIN_BREAKPOINTS` breakpoints switches to the
-        integer form for good."""
-        if self._den:
-            return self._exact_view()
-        pts = self._pts
-        if self._den is not None or pts is None or not _vec.HAVE_NUMPY:
-            return None
-        view = _vec.exact_arrays_from_points(pts)
-        if view is None:
-            self._den = 0
-            return None
-        if len(pts) >= EXACT_KERNEL_MIN_BREAKPOINTS:
-            self._den, self._vt, self._vr, self._ft, self._fr, self._bound = view
-            self._pts = self._times = self._cum = self._rl = None
-            self._vok = None
-            self._exact = True
-        return view
-
-    def _exact_index(self):
-        """The exact kernels' query index, or ``None`` (scalar path) for
-        small tuple-form profiles and profiles with no integer form."""
-        if not self._den:
-            pts = self._pts
-            if pts is None or len(pts) < EXACT_KERNEL_MIN_BREAKPOINTS:
-                return None
-            if self._int_view() is None:
-                return None
-        index = self._ix
-        if index is None:
-            index = self._ix = _vec.exact_index(self._exact_view())
-        return index
-
-    def _exact_prefix(self):
-        """The exact prefix integrals of an integer-form profile (built
-        on first use: only window integrals read them), or ``None`` when
-        they could overflow int64."""
-        prefix = self._pre
-        if prefix is None:
-            prefix = self._pre = _vec.exact_prefix(self._exact_view())
-        return prefix
+        self._times = [t for t, _ in self._pts]
 
     def _vector_index(self):
         """Float64 ``(times, rates)`` arrays for the vectorized kernels,
         or ``None`` when the profile is not losslessly representable
         (Fraction coordinates, huge ints) or numpy is unavailable."""
         if self._vok is None:
-            pts = self._points  # an integer-form profile materializes first
+            pts = self._points
             if _vec.HAVE_NUMPY and _vec.points_safe(pts):
                 self._vt, self._vr = _vec.arrays_from_points(pts)
                 self._vok = True
@@ -337,7 +235,7 @@ class RateProfile:
         """Operand arrays for a vectorized binary op, or ``None`` when
         the op must stay scalar.  The float kernels are auto-selected
         only when the operation is inexact — both operands exact means
-        the integer kernels or the scalar fallback answer."""
+        the splice or the sweep answers."""
         if self._is_exact() and other._is_exact():
             return None
         va = self._vector_index()
@@ -347,6 +245,89 @@ class RateProfile:
         if vb is None:
             return None
         return va, vb
+
+    def _window(self, other: "RateProfile"):
+        """The window merge of an exact pair whose right operand has
+        bounded support, or ``None`` when the sweep must answer.
+
+        ``other`` has bounded support when its last rate is the int 0
+        (every clamp to a finite window has one): before its first
+        breakpoint and from its last one on, the sweep adds or removes
+        the int 0, which leaves ``self``'s values *and* types as they
+        are.  Returns ``(lo, hi, before, rows)``: ``self``'s breakpoints
+        ``lo:hi`` lie inside ``other``'s support, ``before`` is
+        ``self``'s rate ahead of them, and ``rows`` holds one
+        ``(time, self_rate, other_rate)`` per breakpoint of either
+        profile there, as :meth:`_merged_rates` yields them (a time both
+        hold keeps ``self``'s)."""
+        if not (self._is_exact() and other._is_exact()):
+            return None
+        rates_b = other._rates()
+        last = rates_b[-1]
+        if type(last) is not int or last != 0:
+            return None
+        self._ensure_index()
+        other._ensure_index()
+        times_a, rates_a, times_b = self._times, self._rates(), other._times
+        m = len(times_b)
+        lo = bisect_left(times_a, times_b[0])
+        hi = bisect_right(times_a, times_b[m - 1], lo)
+        rate_a = rates_a[lo - 1] if lo else 0
+        before = rate_a
+        rate_b = 0
+        rows = []
+        i, j = lo, 0
+        while j < m:
+            t = times_b[j]
+            if i < hi and times_a[i] <= t:
+                at = times_a[i]
+                rate_a = rates_a[i]
+                i += 1
+                if at == t:
+                    rate_b = rates_b[j]
+                    j += 1
+                rows.append((at, rate_a, rate_b))
+            else:
+                rate_b = rates_b[j]
+                rows.append((t, rate_a, rate_b))
+                j += 1
+        return lo, hi, before, rows
+
+    def _splice(self, lo: int, hi: int, before: Time, rows) -> "RateProfile":
+        """``self``'s lists before ``lo``, the window ``rows`` (``(time,
+        rate)`` pairs) and the lists from ``hi`` on, normalised as the
+        sweep would be.  Only the window needs it, against ``before``
+        (the rate ahead of it, the int 0 at the front, which also drops
+        a leading zero): ``self`` is normalised, and the window's last
+        row (the right operand's zero end) carries ``self``'s own rate
+        there, which differs from the suffix's first."""
+        times: list = []
+        rates: list = []
+        for t, rate in rows:
+            if rate != before:
+                times.append(t)
+                rates.append(rate)
+                before = rate
+        return RateProfile._from_lists(
+            self._times[:lo] + times + self._times[hi:],
+            self._rl[:lo] + rates + self._rl[hi:],
+        )
+
+    @classmethod
+    def _from_lists(cls, times: list, rates: list) -> "RateProfile":
+        """Adopt normalised exact ``times``/``rates`` lists as a profile
+        (splice results only): no tuples are built, and the lists are
+        the bisect index."""
+        if not times:
+            return _ZERO
+        profile = cls.__new__(cls)
+        profile._pts = None  # materialized on demand from the lists
+        profile._times = times
+        profile._rl = rates
+        profile._exact = True
+        profile._vt = profile._vr = None
+        profile._vok = None
+        return profile
 
     @classmethod
     def _from_float_arrays(cls, times, rates) -> "RateProfile":
@@ -360,50 +341,23 @@ class RateProfile:
         profile = cls.__new__(cls)
         profile._pts = None  # materialized on demand from the arrays
         profile._times = None
-        profile._cum = None  # only consulted on the exact path
         profile._exact = False
         profile._vt = times
         profile._vr = rates
         profile._vok = True
         profile._rl = None
-        profile._den = 0
-        profile._ft = profile._fr = profile._bound = None
-        profile._ix = profile._pre = None
-        return profile
-
-    @classmethod
-    def _from_exact_arrays(cls, view) -> "RateProfile":
-        """Adopt a normalised integer-form kernel result as a profile."""
-        den, times, rates, ftimes, frates, bound = view
-        if len(times) == 0:
-            return _ZERO
-        profile = cls.__new__(cls)
-        profile._pts = None  # materialized on demand from the arrays
-        profile._times = profile._cum = profile._rl = None
-        profile._ix = profile._pre = None
-        profile._exact = True
-        profile._vt = times
-        profile._vr = rates
-        profile._vok = None
-        profile._den = den
-        profile._ft = ftimes
-        profile._fr = frates
-        profile._bound = bound
         return profile
 
     def __reduce__(self):
         # Serialize the canonical breakpoints only: the lazy indexes and
         # array forms are caches, rebuilt on demand after unpickling
         # (keeps checkpoint payloads small and independent of which
-        # queries happened to run before the snapshot).  Pickling does
-        # not move an integer-form profile off its arrays.
+        # queries happened to run before the snapshot).  Pickling leaves
+        # a list-form profile in list form.
         pts = self._pts
-        if pts is None:
-            pts = (
-                _vec.exact_points(self._exact_view()) if self._den
-                else self._points
-            )
-        return (RateProfile, (pts,))
+        if pts is None and self._vt is None:
+            pts = tuple(zip(self._times, self._rl))
+        return (RateProfile, (pts if pts is not None else self._points,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -451,10 +405,6 @@ class RateProfile:
             return cls.sum(
                 cls.constant(rate, Interval(start, end)) for start, end, rate in live
             )
-        if _vec.HAVE_NUMPY and 2 * len(live) >= EXACT_KERNEL_MIN_BREAKPOINTS:
-            view = _vec.exact_from_segments(live)
-            if view is not None:
-                return cls._from_exact_arrays(view)
         events: list[Tuple[Time, Time]] = []
         for start, end, rate in live:
             events.append((start, rate))
@@ -486,11 +436,6 @@ class RateProfile:
             return _ZERO
         if len(live) == 1:
             return live[0]
-        views = _exact_views(live)
-        if views is not None:
-            view = _vec.exact_sum(views)
-            if view is not None:
-                return cls._from_exact_arrays(view)
         if not all(p._is_exact() for p in live):
             arrays = [p._vector_index() for p in live]
             if all(a is not None for a in arrays):
@@ -529,13 +474,11 @@ class RateProfile:
     def is_zero(self) -> bool:
         pts = self._pts
         if pts is None:
-            return False  # array-built profiles are never empty
+            return False  # list- and array-built profiles are never empty
         return not pts
 
     def rate_at(self, t: Time) -> Time:
         """The rate in effect at time ``t`` (``O(log n)``)."""
-        if self._den and type(t) in _EXACT_TYPES:
-            return _vec.exact_rate_at(self._den, self._exact_index(), t)
         if type(t) is float and t != t:
             raise InvalidTermError("rate_at: time t must not be NaN")
         if self.is_zero:
@@ -547,16 +490,19 @@ class RateProfile:
     def rates_at(self, ts: Sequence[Time]) -> List[Time]:
         """Batch :meth:`rate_at`: the rate in effect at each query time.
 
-        One vectorized bisection over all queries when both the profile
-        and the query times are float64-safe; the results are the stored
-        rate objects either way, identical to mapping :meth:`rate_at`.
+        One vectorized bisection over all queries when the profile is
+        inexact and both it and the query times are float64-safe; the
+        results are the stored rate objects either way, identical to
+        mapping :meth:`rate_at`.
         """
         for t in ts:
             if type(t) is float and t != t:
                 raise InvalidTermError("rates_at: query time ts must not hold NaN")
         if self.is_zero:
             return [0] * len(ts)
-        if _vec.HAVE_NUMPY and all(_vec.coordinate_safe(t) for t in ts):
+        if not self._is_exact() and _vec.HAVE_NUMPY and all(
+            _vec.coordinate_safe(t) for t in ts
+        ):
             va = self._vector_index()
             if va is not None:
                 rates = self._rates()
@@ -591,8 +537,8 @@ class RateProfile:
         pts = self._pts
         if pts is not None:
             return pts[-1][0] if pts else 0
-        if self._den:
-            return _vec.exact_scalar(int(self._vt[-1]), self._den, self._ft[-1])
+        if self._vt is None:
+            return self._times[-1]  # list-built: never empty
         return self._vt[-1].item()  # vec-built: never empty
 
     @property
@@ -600,42 +546,22 @@ class RateProfile:
         """Maximum rate anywhere."""
         return max((rate for _, rate in self._points), default=0)
 
-    def _cumulative(self, t: Time) -> Time:
-        """Integral from before the first breakpoint up to ``t`` (exact
-        profiles only; callers guard)."""
-        self._ensure_cumulative()
-        times, cum = self._times, self._cum
-        i = bisect_right(times, t) - 1
-        if i < 0:
-            return 0
-        rate = self._rates()[i]
-        if rate == 0 or times[i] == t:
-            return cum[i]
-        return cum[i] + rate * (t - times[i])
-
     def integral(self, window: Interval) -> Time:
         """Total quantity available during ``window``:
         the paper's ``r x tau`` generalised to step functions.
 
-        Exact profiles answer in ``O(log n)`` from a cumulative-integral
-        array (int64 numerators on the integer kernels, Fractions on the
-        scalar fallback); float profiles fall back to a bisected segment
-        scan that reproduces the reference summation order bit-for-bit.
+        A bisected segment scan, ``O(log n + k)`` for the ``k`` segments
+        the window covers, that sums in the reference's order, so the
+        answer has the oracle's value and type (bit for bit on floats).
+        An inexact operation on float64-safe operands runs the same scan
+        on the arrays.
         """
         if window.is_empty or self.is_zero:
             return 0
         start, end = window.start, window.end
-        if type(start) in _EXACT_TYPES and type(end) in _EXACT_TYPES:
-            index = self._ix or self._exact_index()
-            if index is not None:
-                prefix = self._exact_prefix()
-                if prefix is not None:
-                    return _vec.exact_integral(
-                        self._den, index, prefix, start, end
-                    )
-        if self._is_exact() and is_exact(start) and is_exact(end):
-            return self._cumulative(end) - self._cumulative(start)
-        if _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
+        if not (self._is_exact() and is_exact(start) and is_exact(end)) and (
+            _vec.coordinate_safe(start) and _vec.coordinate_safe(end)
+        ):
             va = self._vector_index()
             if va is not None:
                 return _vec.integral(va, start, end)
@@ -688,8 +614,7 @@ class RateProfile:
         The walk bisects to the segment holding ``start`` and walks
         from there, so the cost is ``O(log n + k)`` for ``k`` segments
         actually drawn on (the reference walked every segment from the
-        origin); integer-form profiles run the same walk on their
-        arrays.
+        origin).
         """
         if type(start) is float and start != start:
             raise InvalidTermError("earliest_accumulation: start must not be NaN")
@@ -699,12 +624,6 @@ class RateProfile:
             return start
         if self.is_zero:
             return None
-        if type(start) in _EXACT_TYPES and type(quantity) in _EXACT_TYPES:
-            index = self._exact_index()
-            if index is not None:
-                return _vec.exact_earliest_accumulation(
-                    self._den, index, start, quantity
-                )
         self._ensure_index()
         times = self._times
         rates = self._rates()
@@ -792,11 +711,12 @@ class RateProfile:
             return other
         if other.is_zero:
             return self
-        views = _exact_views((self, other))
-        if views is not None:
-            view = _vec.exact_add(*views)
-            if view is not None:
-                return RateProfile._from_exact_arrays(view)
+        window = self._window(other)
+        if window is not None:
+            lo, hi, before, rows = window
+            return self._splice(lo, hi, before, [
+                (t, ra + rb) for t, ra, rb in rows
+            ])
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.add(*pair))
@@ -814,17 +734,16 @@ class RateProfile:
         """
         if other.is_zero:
             return self
-        views = _exact_views((self, other))
-        if views is not None:
-            result = _vec.exact_subtract(*views)
-            if result is not None and result[0] == "negative":
-                _, t, ra, rb = result
-                raise UndefinedOperationError(
-                    f"subtraction would make the rate negative at t={t!r} "
-                    f"({ra!r} - {rb!r})"
-                )
-            if result is not None:
-                return RateProfile._from_exact_arrays(result[1])
+        window = self._window(other)
+        if window is not None:
+            lo, hi, before, rows = window
+            out = []
+            for t, ra, rb in rows:
+                value = ra - rb
+                if value < 0:
+                    raise _negative(t, ra, rb)
+                out.append((t, value))
+            return self._splice(lo, hi, before, out)
         # Vectorize only under a sub-unit tolerance: integer-valued
         # differences are exact for the scalar path (they raise however
         # small), and any |diff| >= 1 also exceeds a sub-unit tolerance,
@@ -833,11 +752,7 @@ class RateProfile:
         if pair is not None:
             result = _vec.subtract(*pair, tolerance)
             if result[0] == "negative":
-                _, t, ra, rb = result
-                raise UndefinedOperationError(
-                    f"subtraction would make the rate negative at t={t!r} "
-                    f"({ra!r} - {rb!r})"
-                )
+                raise _negative(*result[1:])
             if result[0] == "nan":
                 raise InvalidTermError("profile rate must not be NaN")
             return RateProfile._from_float_arrays(result[1], result[2])
@@ -848,10 +763,7 @@ class RateProfile:
                 if not is_exact(value) and -value <= tolerance:
                     value = 0
                 else:
-                    raise UndefinedOperationError(
-                        f"subtraction would make the rate negative at t={t!r} "
-                        f"({ra!r} - {rb!r})"
-                    )
+                    raise _negative(t, ra, rb)
             points.append((t, value))
         return RateProfile(points)
 
@@ -868,11 +780,6 @@ class RateProfile:
         """
         if other.is_zero:
             return self
-        views = _exact_views((self, other))
-        if views is not None:
-            view = _vec.exact_saturating_sub(*views)
-            if view is not None:
-                return RateProfile._from_exact_arrays(view)
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.saturating_sub(*pair))
@@ -895,24 +802,13 @@ class RateProfile:
         ``U_s^d`` applied to one located type."""
         if window.is_empty or self.is_zero:
             return _ZERO
-        if self._den or (
-            self._pts is not None
-            and len(self._pts) >= EXACT_KERNEL_MIN_BREAKPOINTS
-        ):
-            view = self._int_view()
-            if view is not None:
-                view = _vec.exact_clamp(view, window.start, window.end)
-                if view is not None:
-                    return RateProfile._from_exact_arrays(view)
         self._ensure_index()
         times = self._times
         points: list[Tuple[Time, Time]] = [(window.start, self.rate_at(window.start))]
         lo = bisect_right(times, window.start)
         hi = bisect_left(times, window.end)
-        if self._pts is None:  # float arrays: read the window in place
-            points.extend(zip(times[lo:hi], self._rates()[lo:hi]))
-        else:
-            points.extend(self._points[lo:hi])
+        # Read the window in place, whatever the form.
+        points.extend(zip(times[lo:hi], self._rates()[lo:hi]))
         if not math.isinf(window.end):
             points.append((window.end, 0))
         return RateProfile(points)
@@ -925,11 +821,6 @@ class RateProfile:
         """Pointwise minimum with another profile."""
         if self.is_zero or ceiling.is_zero:
             return _ZERO
-        views = _exact_views((self, ceiling))
-        if views is not None:
-            view = _vec.exact_cap(*views)
-            if view is not None:
-                return RateProfile._from_exact_arrays(view)
         pair = self._vector_pair(ceiling)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.cap(*pair))
@@ -941,11 +832,10 @@ class RateProfile:
         """Pointwise ``self >= other`` everywhere."""
         if other.is_zero:
             return True
-        views = _exact_views((self, other))
-        if views is not None:
-            verdict = _vec.exact_dominates(*views)
-            if verdict is not None:
-                return verdict
+        window = self._window(other)
+        if window is not None:
+            # Outside the window every rate is compared with the int 0.
+            return all(ra >= rb for _, ra, rb in window[3])
         pair = self._vector_pair(other)
         if pair is not None:
             return _vec.dominates(*pair)
@@ -960,8 +850,6 @@ class RateProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RateProfile):
             return NotImplemented
-        if self._den and other._den:
-            return _vec.exact_equal(self._exact_view(), other._exact_view())
         return self._points == other._points
 
     def __hash__(self) -> int:
