@@ -47,7 +47,7 @@ from repro.faults import (
     report_fingerprint,
 )
 from repro.system import OpenSystemSimulator, ReservationPolicy
-from repro.system.checkpoint import CheckpointStore, Journal, SimulatorCheckpoint
+from repro.system.checkpoint import Journal, SimulatorCheckpoint
 from repro.workloads import volunteer_scenario
 
 RESULTS_PATH = (
@@ -185,9 +185,7 @@ def bench_recovery(
             journal.close()
 
         started = time.perf_counter()
-        latest = CheckpointStore(pointdir).latest()
-        assert latest is not None, f"no checkpoint survived at {fraction}"
-        resumed = OpenSystemSimulator.resume(latest, journal_path)
+        resumed = OpenSystemSimulator.resume(pointdir, journal_path)
         replayed = len(resumed._replay_records)
         resumed_report = resumed.resume_run()
         resume_s = time.perf_counter() - started

@@ -45,7 +45,7 @@ from repro.faults import (
     resume_mesh,
     run_mesh,
 )
-from repro.system.checkpoint import CheckpointStore, Journal
+from repro.system.checkpoint import Journal
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_mesh_recovery.json"
@@ -159,14 +159,7 @@ def bench_recovery(
             journal.close()
 
         started = time.perf_counter()
-        if CheckpointStore(pointdir).latest() is None:
-            # Death before the first durable snapshot: recovery is a
-            # from-scratch rerun — still loss-free, still identical.
-            resumed_report, resumed_policy = run_mesh(plan)
-            resumed_from = "fresh"
-        else:
-            resumed_report, resumed_policy = resume_mesh(pointdir)
-            resumed_from = "checkpoint"
+        resumed_report, resumed_policy = resume_mesh(pointdir)
         resume_s = time.perf_counter() - started
         gaps = diff_fingerprints(truth_fp, report_fingerprint(resumed_report))
         rows.append(
@@ -174,7 +167,7 @@ def bench_recovery(
                 "crash_fraction": fraction,
                 "crash_at_write": crash_at,
                 "journal_records_total": total,
-                "resumed_from": resumed_from,
+                "resumed_from": resumed_report.resumed_from,
                 "resume_s": resume_s,
                 "identical": not gaps,
                 "network_identical":

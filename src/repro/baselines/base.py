@@ -36,6 +36,13 @@ class PolicyDecision:
         return self.admitted
 
 
+def arrival_label(requirement: ConcurrentRequirement) -> str:
+    """The arrival a requirement belongs to: its first component's label
+    without the ``[index]`` suffix a multi-component arrival carries, or
+    ``"arrival"`` when it is unnamed."""
+    return requirement.components[0].label.split("[")[0] or "arrival"
+
+
 class AdmissionPolicy(abc.ABC):
     """Stateful admission controller fed by the simulator."""
 

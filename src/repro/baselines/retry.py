@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.backoff import Backoff
-from repro.baselines.base import AdmissionPolicy, PolicyDecision
+from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.computation.requirements import ConcurrentRequirement
 from repro.intervals.interval import Time
 from repro.resources.resource_set import ResourceSet
@@ -88,7 +88,7 @@ class RetryingPolicy(AdmissionPolicy):
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
         decision = self._inner.decide(requirement, now)
         if not decision.admitted and requirement.deadline > now:
-            label = requirement.components[0].label.split("[")[0] or "arrival"
+            label = arrival_label(requirement)
             if label in self._pending:
                 # a retry round: count the attempt, push out the next one
                 pending = self._pending[label]
@@ -102,7 +102,7 @@ class RetryingPolicy(AdmissionPolicy):
             else:
                 self._pending[label] = _Pending(label, requirement)
         elif decision.admitted:
-            label = requirement.components[0].label.split("[")[0] or "arrival"
+            label = arrival_label(requirement)
             if label in self._pending:
                 del self._pending[label]
                 self.late_admissions.append(label)

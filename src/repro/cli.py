@@ -33,6 +33,11 @@ from typing import Sequence
 from repro.analysis import policy_table, score
 from repro.baselines import ALL_POLICIES, RotaAdmission
 from repro.decision import AdmissionController
+from repro.errors import (
+    CheckpointError,
+    FaultInjectionError,
+    ServiceConfigError,
+)
 from repro.serialization import (
     requirement_from_wire,
     resource_set_from_wire,
@@ -546,12 +551,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     from repro.faults import FaultPlan, RecoveryPolicy, faulty_scenario
 
-    from repro.errors import (
-        CheckpointError,
-        FaultInjectionError,
-        ServiceConfigError,
-    )
-
     if args.resume and args.policy == "all" and args.name != "mesh":
         # The mesh has exactly one admission path, so --policy stays at
         # its "all" default there and is unambiguous.
@@ -583,25 +582,15 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 2
     if args.name == "mesh":
         return _cmd_scenario_mesh(args)
-    service_config = None
-    if args.front_door:
-        try:
-            service_config = _service_config(args)
-        except ServiceConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    service_config = _service_config(args) if args.front_door else None
     factory = SCENARIOS[args.name]
     scenario = factory(args.seed) if args.seed is not None else factory()
-    try:
-        plan = FaultPlan(
-            seed=args.fault_seed,
-            crash_rate=args.crash_rate,
-            revocation_rate=args.revocation_rate,
-            straggler_rate=args.straggler_rate,
-        )
-    except FaultInjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = FaultPlan(
+        seed=args.fault_seed,
+        crash_rate=args.crash_rate,
+        revocation_rate=args.revocation_rate,
+        straggler_rate=args.straggler_rate,
+    )
     if not plan.is_benign:
         scenario = faulty_scenario(scenario, plan)
     recovery = RecoveryPolicy() if args.recover else None
@@ -631,23 +620,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     "checkpoint_dir": policy_dir,
                     "journal": policy_dir / "journal.jsonl",
                 }
-            try:
-                if args.resume:
-                    report = _resume_scenario(
-                        Path(args.checkpoint_dir), cls.name
-                    )
-                else:
-                    simulator = OpenSystemSimulator(
-                        policy,
-                        initial_resources=scenario.initial_resources,
-                        allocation_policy=allocation,
-                        recovery=recovery,
-                    )
-                    simulator.schedule(*scenario.events)
-                    report = simulator.run(scenario.horizon, **durable)
-            except CheckpointError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            if args.resume:
+                policy_dir = Path(args.checkpoint_dir) / cls.name
+                report = OpenSystemSimulator.resume(
+                    policy_dir, policy_dir / "journal.jsonl"
+                ).resume_run()
+            else:
+                simulator = OpenSystemSimulator(
+                    policy,
+                    initial_resources=scenario.initial_resources,
+                    allocation_policy=allocation,
+                    recovery=recovery,
+                )
+                simulator.schedule(*scenario.events)
+                report = simulator.run(scenario.horizon, **durable)
             rows.append(score(report))
             if not plan.is_benign:
                 fault_lines.append(
@@ -673,26 +659,17 @@ def _cmd_scenario_mesh(args: argparse.Namespace) -> int:
     """The mesh scenario: enclaves admitting over an unreliable network."""
     from pathlib import Path
 
-    from repro.errors import CheckpointError, FaultInjectionError
     from repro.faults import MeshPolicy, resume_mesh, run_mesh
 
     if args.resume:
         mesh_dir = Path(args.checkpoint_dir) / MeshPolicy.name
-        try:
-            with _metrics_session(args):
-                report, policy = resume_mesh(mesh_dir)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with _metrics_session(args):
+            report, policy = resume_mesh(mesh_dir)
         # The plan travels inside the checkpoint with the policy; the
         # resumed report is titled from what was actually recorded.
         plan = policy.plan
     else:
-        try:
-            plan = _mesh_plan(args)
-        except FaultInjectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        plan = _mesh_plan(args)
         durable: dict = {}
         if args.checkpoint_dir is not None:
             mesh_dir = Path(args.checkpoint_dir) / MeshPolicy.name
@@ -701,12 +678,8 @@ def _cmd_scenario_mesh(args: argparse.Namespace) -> int:
                 "checkpoint_dir": mesh_dir,
                 "journal": mesh_dir / "journal.jsonl",
             }
-        try:
-            with _metrics_session(args):
-                report, policy = run_mesh(plan, **durable)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with _metrics_session(args):
+            report, policy = run_mesh(plan, **durable)
     window = (
         f"[{plan.partition_start}, {plan.partition_end})"
         if plan.partition_duration
@@ -720,28 +693,6 @@ def _cmd_scenario_mesh(args: argparse.Namespace) -> int:
     print("unreliable network:")
     print("\n".join(_mesh_lines(report, policy)))
     return 0
-
-
-def _resume_scenario(checkpoint_dir, policy_name):
-    """Restore the latest checkpoint under ``checkpoint_dir/policy_name``
-    and run the simulation to completion."""
-    from repro.errors import CheckpointError
-    from repro.system import latest_checkpoint
-
-    policy_dir = checkpoint_dir / policy_name
-    checkpoint_path = latest_checkpoint(policy_dir)
-    if checkpoint_path is None:
-        raise CheckpointError(
-            f"no usable checkpoint under {policy_dir}; "
-            "run with --checkpoint-dir first"
-        )
-    journal_path = policy_dir / "journal.jsonl"
-    simulator = OpenSystemSimulator.resume(
-        checkpoint_path,
-        journal_path if journal_path.exists() else None,
-        checkpoint_dir=policy_dir,
-    )
-    return simulator.resume_run()
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -831,15 +782,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if network_error is not None:
         print(f"error: {network_error}", file=sys.stderr)
         return 2
-    service_config = None
-    if args.front_door:
-        from repro.errors import ServiceConfigError
-
-        try:
-            service_config = _service_config(args)
-        except ServiceConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    service_config = _service_config(args) if args.front_door else None
     try:
         if args.resources is not None:
             with open(args.resources) as handle:
@@ -861,18 +804,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         args.partition_plan is not None or bool(_network_tuning(args))
     )
     if networked:
-        from repro.errors import FaultInjectionError
         from repro.faults import MeshPolicy, RecoveryPolicy
 
-        try:
-            # Link flags alone mean a lossy wire with no partition
-            # window — synthesize a zero-duration plan for them.
-            plan = _mesh_plan(
-                args, horizon=max(1, int(args.horizon)), default_benign=True
-            )
-        except FaultInjectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        # Link flags alone mean a lossy wire with no partition window —
+        # synthesize a zero-duration plan for them.
+        plan = _mesh_plan(
+            args, horizon=max(1, int(args.horizon)), default_benign=True
+        )
         policy = MeshPolicy(plan)
         allocation = None
         recovery = RecoveryPolicy()
@@ -909,15 +847,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "table1":
-        return _cmd_table1(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+    commands = {
+        "scenario": _cmd_scenario,
+        "check": _cmd_check,
+        "table1": _cmd_table1,
+        "replay": _cmd_replay,
+    }
+    try:
+        return commands[args.command](args)
+    except (ServiceConfigError, FaultInjectionError, CheckpointError) as exc:
+        # Bad configuration and unusable durable artifacts are usage
+        # errors (exit 2), like a bad flag.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.baselines.base import AdmissionPolicy, PolicyDecision
+from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.computation.requirements import ConcurrentRequirement
 from repro.encapsulation.enclave import Enclave
 from repro.intervals.interval import Time
@@ -64,7 +64,7 @@ class EnclaveAdmission(AdmissionPolicy):
             return PolicyDecision(
                 False, reason="no enclave can assure the deadline"
             )
-        label = requirement.components[0].label.split("[")[0] or "arrival"
+        label = arrival_label(requirement)
         self._placements[label] = admitted_in.name
         schedule = (
             decision.schedule

@@ -306,7 +306,7 @@ class CrashPoint:
     kind: str  # "boundary" | "mid-write" | "checkpoint"
     index: int  # write (or save) number the crash landed on
     crashed: bool  # False when the run finished before the budget hit
-    resumed_from: str = ""  # checkpoint file name, or "fresh" fallback
+    resumed_from: str = ""  # the checkpoint file the resume restored
     identical: bool = False
     detail: str = ""
     #: mesh journal kills only: where the torn record's instant falls
@@ -375,9 +375,10 @@ class CrashAdapter:
         :class:`SimulatedCrash`)."""
         raise NotImplementedError
 
-    def resume(self, pointdir: Path, checkpoint: Path) -> Dict[str, Any]:
-        """Finish a killed run from the artifacts under ``pointdir``;
-        ``checkpoint`` is the newest usable one there."""
+    def resume(self, pointdir: Path) -> Tuple[str, Dict[str, Any]]:
+        """Finish a killed run from the newest usable checkpoint under
+        ``pointdir``; returns that checkpoint's file name and the
+        fingerprint."""
         raise NotImplementedError
 
     def tag(self, record: Dict[str, Any]) -> Dict[str, Any]:
@@ -400,8 +401,9 @@ def kill_and_resume(
     run dies at every ``boundary_stride``-th journal write — cleanly at
     the record boundary and, with ``mid_write``, torn mid-write — and
     during checkpoint saves 2 .. ``1 + checkpoint_crashes``.  Each kill
-    resumes from the newest surviving checkpoint, or starts over when
-    none survived, and its fingerprint must equal the plain run's."""
+    resumes from the newest surviving checkpoint (the step-0 one is
+    sealed before the first journal write, so one always survives), and
+    its fingerprint must equal the plain run's."""
     if boundary_stride < 1:
         raise FaultInjectionError(
             f"boundary_stride must be >= 1, got {boundary_stride!r}"
@@ -467,15 +469,7 @@ def _kill(
     finally:
         if isinstance(journal, Journal):
             journal.close()
-    latest = CheckpointStore(pointdir).latest()
-    if latest is None:
-        # Death before any snapshot became durable: recovery degenerates
-        # to starting over — still loss-free, still identical.
-        point.resumed_from = "fresh"
-        fingerprint = adapter.fresh()
-    else:
-        point.resumed_from = latest.name
-        fingerprint = adapter.resume(pointdir, latest)
+    point.resumed_from, fingerprint = adapter.resume(pointdir)
     diverged = diff_fingerprints(truth, fingerprint)
     point.identical = not diverged
     point.detail = replay_verdict(diverged)
@@ -511,12 +505,11 @@ class SimulatorAdapter(CrashAdapter):
             journal=journal,
         )
 
-    def resume(self, pointdir: Path, checkpoint: Path) -> Dict[str, Any]:
-        journal = pointdir / "journal.jsonl"
-        resumed = OpenSystemSimulator.resume(
-            checkpoint, journal if journal.exists() else None
-        )
-        return report_fingerprint(resumed.resume_run())
+    def resume(self, pointdir: Path) -> Tuple[str, Dict[str, Any]]:
+        report = OpenSystemSimulator.resume(
+            pointdir, pointdir / "journal.jsonl"
+        ).resume_run()
+        return report.resumed_from, report_fingerprint(report)
 
 
 def chaos_crash_matrix(

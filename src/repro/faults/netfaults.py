@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.backoff import Backoff
-from repro.baselines.base import AdmissionPolicy, PolicyDecision
+from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.admission import clip_start
 from repro.encapsulation.enclave import Enclave
@@ -92,7 +92,7 @@ from repro.system.channel import (
     PartitionSpan,
     RpcOutcome,
 )
-from repro.system.checkpoint import CheckpointStore, Journal
+from repro.system.checkpoint import CheckpointStore, Journal, require_path
 from repro.system.events import (
     Event,
     arrival,
@@ -546,7 +546,7 @@ class MeshPolicy(AdmissionPolicy):
         if self._root is None:
             return PolicyDecision(False, reason="mesh has no resources yet")
         self._advance(now)
-        label = requirement.components[0].label.split("[")[0] or "arrival"
+        label = arrival_label(requirement)
         placed = self._placements.get(label)
         if placed is not None:
             return self._redecide(label, placed, requirement, now)
@@ -977,18 +977,10 @@ def resume_mesh(
     run's, and finishes the run.  Returns the full report plus the
     restored policy, whose channel log, lease table, and stats are
     byte-identical to an uninterrupted run's."""
-    store = CheckpointStore(checkpoint_dir)
-    directory = store.directory
-    latest = store.latest()
-    if latest is None:
-        raise CheckpointError(
-            f"no usable checkpoint under {directory}: nothing to resume"
-        )
-    journal_path = directory / "journal.jsonl"
+    require_path("checkpoint_dir", checkpoint_dir)
+    directory = Path(checkpoint_dir)
     simulator = OpenSystemSimulator.resume(
-        latest,
-        journal_path if journal_path.exists() else None,
-        checkpoint_dir=store,
+        directory, directory / "journal.jsonl"
     )
     report = simulator.resume_run()
     policy = simulator.admission_policy
@@ -1230,9 +1222,9 @@ class MeshAdapter(CrashAdapter):
             journal=journal,
         ))
 
-    def resume(self, pointdir: Path, checkpoint: Path) -> Dict:
-        # resume_mesh picks the same newest usable checkpoint itself.
-        return mesh_fingerprint(*resume_mesh(pointdir))
+    def resume(self, pointdir: Path) -> Tuple[str, Dict]:
+        report, policy = resume_mesh(pointdir)
+        return report.resumed_from, mesh_fingerprint(report, policy)
 
     def tag(self, record: dict) -> Dict:
         return {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.base import AdmissionPolicy, PolicyDecision
+from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.baselines.rota_policy import RotaAdmission
 from repro.computation.requirements import ConcurrentRequirement
 from repro.intervals.interval import Time
@@ -178,7 +178,7 @@ class FrontDoorPolicy(AdmissionPolicy):
         return ResourceSet.from_profiles(kept)
 
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
-        label = requirement.components[0].label.split("[")[0] or "arrival"
+        label = arrival_label(requirement)
         outcome = self._door.offer(
             ServiceRequest(label, requirement, arrival=now)
         )

@@ -37,7 +37,6 @@ from repro.system.checkpoint import (
     Journal,
     SimulatorCheckpoint,
     atomic_writer,
-    latest_checkpoint,
 )
 from repro.system.node import Topology
 from repro.system.scheduler import (
@@ -92,7 +91,6 @@ __all__ = [
     "Journal",
     "SimulatorCheckpoint",
     "atomic_writer",
-    "latest_checkpoint",
     "ComputationRecord",
     "OpenSystemSimulator",
     "SimulationReport",

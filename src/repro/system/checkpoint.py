@@ -1000,8 +1000,12 @@ class CheckpointStore:
             state[DeltaSnapshotter.TRACE_SECTION].rebuild_ledger()
         return tip, state
 
-    def latest(self) -> Optional[Path]:
-        """The newest checkpoint file whose *whole chain* validates.
+    def latest(
+        self,
+    ) -> Optional[Tuple[Path, SimulatorCheckpoint, Dict[str, Any]]]:
+        """The newest checkpoint file whose *whole chain* validates, with
+        what :meth:`resolve` materialized from it: ``(path, checkpoint,
+        state)``, or None when no checkpoint validates.
 
         Atomic writes mean a final-named file is normally intact, but a
         checkpoint that fails validation — including a delta whose base
@@ -1011,16 +1015,7 @@ class CheckpointStore:
         """
         for path in sorted(self._directory.glob("ckpt-*.json"), reverse=True):
             try:
-                self.resolve(path)
+                return (path, *self.resolve(path))
             except CheckpointError:
                 continue
-            return path
         return None
-
-
-def latest_checkpoint(directory: PathLike) -> Optional[Path]:
-    """Convenience wrapper: newest valid checkpoint in ``directory``."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
-    return CheckpointStore(directory).latest()

@@ -131,6 +131,9 @@ class SimulationReport:
     #: uninterrupted one, so warnings never enter the trace or the
     #: replay fingerprint.
     warnings: List[str] = dataclasses_field(default_factory=list)
+    #: the checkpoint file a resumed run restored ("" when the run never
+    #: resumed).  Observational, like ``warnings``.
+    resumed_from: str = ""
 
     # ------------------------------------------------------------------
     @property
@@ -297,9 +300,11 @@ class OpenSystemSimulator:
         self._last_checkpoint_step = -1
         self._snapshotter: Optional[DeltaSnapshotter] = None
         self._mid_run = False
-        # Observational resume anomalies (torn journal tails); reported,
-        # never traced or fingerprinted.
+        # Observational resume anomalies (torn journal tails) and the
+        # restored checkpoint's name; reported, never traced or
+        # fingerprinted.
         self._warnings: List[str] = []
+        self._resumed_from = ""
         if initial_resources is not None and not initial_resources.is_empty:
             self._admission.observe_resources(initial_resources, START_TIME)
 
@@ -372,6 +377,7 @@ class OpenSystemSimulator:
         self._journal_count = 0
         self._last_checkpoint_step = -1
         self._warnings = []
+        self._resumed_from = ""
         # Per-run bound-series caches (observability): id()-keyed, so a
         # fresh run must never inherit bindings from a previous one.
         self._offered_series = None
@@ -393,10 +399,18 @@ class OpenSystemSimulator:
         checkpoint_path: Union[str, Path],
         journal_path: Union[str, Path, None] = None,
         *,
-        checkpoint_dir: Union[str, Path, CheckpointStore, None] = None,
         journal_fsync: bool = False,
     ) -> "OpenSystemSimulator":
         """Rebuild a mid-run simulator from its durable artifacts.
+
+        ``checkpoint_path`` is a checkpoint file or the directory holding
+        the checkpoints; given a directory, the newest checkpoint whose
+        delta chain validates wins (an older one plus a longer journal
+        replay reaches the same state).  The resumed run keeps writing
+        checkpoints next to the restored one.  A directory with no usable
+        checkpoint, or no directory at all, raises
+        :class:`~repro.system.checkpoint.CheckpointError` and creates
+        nothing.
 
         The checkpoint restores the snapshot (state, records, pending
         recoveries mid-backoff, event heap, policy state, sequence
@@ -413,19 +427,21 @@ class OpenSystemSimulator:
             require_path("journal_path", journal_path)
         registry = get_registry()
         restore_started = registry.now() if registry.enabled else 0.0
-        store_source = (
-            checkpoint_dir
-            if checkpoint_dir is not None
-            else Path(checkpoint_path).parent
-        )
-        store = (
-            store_source
-            if isinstance(store_source, CheckpointStore)
-            else CheckpointStore(store_source)
-        )
         # resolve() materializes delta checkpoints through their base
-        # chain; a full checkpoint unpickles directly.
-        checkpoint, payload = store.resolve(checkpoint_path)
+        # chain; the directory search and the restore share that one call.
+        source = Path(checkpoint_path)
+        found = None
+        if source.is_file():
+            store = CheckpointStore(source.parent)
+            found = (source, *store.resolve(source))
+        elif source.is_dir():
+            store = CheckpointStore(source)
+            found = store.latest()
+        if found is None:
+            raise CheckpointError(
+                f"no usable checkpoint under {source}: nothing to resume"
+            )
+        path, checkpoint, payload = found
         if registry.enabled:
             registry.histogram(
                 "checkpoint_restore_seconds",
@@ -478,6 +494,7 @@ class OpenSystemSimulator:
         sim._replay_pos = 0
         sim._journal_count = checkpoint.journal_records
         sim._warnings = []
+        sim._resumed_from = path.name
         if journal_path is not None:
             journal, records = Journal.for_resume(
                 journal_path, fsync=journal_fsync
@@ -764,6 +781,7 @@ class OpenSystemSimulator:
             horizon=horizon,
             metrics=registry.snapshot() if registry.enabled else None,
             warnings=list(self._warnings),
+            resumed_from=self._resumed_from,
         )
 
     # ------------------------------------------------------------------
@@ -975,7 +993,6 @@ class OpenSystemSimulator:
             accepted = self._admission.admit_resources(joining, state.t)
             if accepted is not joining:
                 withheld = joining.saturating_minus(accepted)
-                registry = get_registry()
                 shed_totals: Dict[LocatedType, Time] = {}
                 for term in withheld.terms():
                     if term.is_null:
@@ -984,13 +1001,9 @@ class OpenSystemSimulator:
                         shed_totals.get(term.ltype, 0) + term.quantity
                     )
                 for ltype, gone in shed_totals.items():
-                    trace.record_loss(state.t, "shed", ltype, gone)
-                    if registry.enabled:
-                        registry.counter(
-                            "sim_lost_quantity_total",
-                            "capacity lost to faults, by cause and located type",
-                            labels=("cause", "ltype"),
-                        ).inc(float(gone), cause="shed", ltype=str(ltype))
+                    self._record_loss(
+                        trace, state.t, "shed", ltype, gone, float(gone)
+                    )
                 joining = accepted
             self._admission.observe_resources(joining, state.t)
             trace.note(state.t, f"resources join: {len(joining.located_types)} types")
@@ -1142,38 +1155,55 @@ class OpenSystemSimulator:
             return state
         measure = Interval(state.t, self._horizon)
         survived = state.theta.saturating_minus(lost)
-        registry = get_registry()
-        series_map = None
-        if registry.enabled:
-            cache = getattr(self, "_lost_series", None)
-            if cache is None or cache[0] is not registry:
-                cache = self._lost_series = (
-                    registry,
-                    registry.counter(
-                        "sim_lost_quantity_total",
-                        "capacity lost to faults, by cause and located type",
-                        labels=("cause", "ltype"),
-                    ),
-                    {},
-                )
-            _, lost_total, series_map = cache
         for ltype in state.theta.located_types:
             gone = state.theta.quantity(ltype, measure) - survived.quantity(
                 ltype, measure
             )
             if gone > 1e-12:
-                trace.record_loss(state.t, cause, ltype, gone)
-                if series_map is not None:
-                    series = series_map.get((cause, id(ltype)))
-                    if series is None:
-                        series = series_map[(cause, id(ltype))] = (
-                            lost_total.labels(cause=cause, ltype=str(ltype))
-                        )
-                    series.inc(_metric_amount(gone))
+                self._record_loss(
+                    trace, state.t, cause, ltype, gone, _metric_amount(gone)
+                )
         if self._recovery is not None:
             # Honest recovery reasons against surviving resources only.
             self._admission.observe_loss(lost, state.t)
         return SystemState(survived, state.rho, state.t)
+
+    def _record_loss(
+        self,
+        trace: SimulationTrace,
+        at: Time,
+        cause: str,
+        ltype: LocatedType,
+        gone: Time,
+        sample: float,
+    ) -> None:
+        """Trace one measured loss and count ``sample`` of it by cause and
+        located type; the bound series are cached per run, like
+        ``_tally_offered``'s.  Shed joins sample as floats and fault
+        losses keep int quantities as ints, as their snapshots always
+        have."""
+        trace.record_loss(at, cause, ltype, gone)
+        registry = get_registry()
+        if not registry.enabled:
+            return
+        cache = getattr(self, "_lost_series", None)
+        if cache is None or cache[0] is not registry:
+            cache = self._lost_series = (
+                registry,
+                registry.counter(
+                    "sim_lost_quantity_total",
+                    "capacity lost to faults, by cause and located type",
+                    labels=("cause", "ltype"),
+                ),
+                {},
+            )
+        _, lost_total, series_map = cache
+        series = series_map.get((cause, id(ltype)))
+        if series is None:
+            series = series_map[(cause, id(ltype))] = lost_total.labels(
+                cause=cause, ltype=str(ltype)
+            )
+        series.inc(sample)
 
     def _handle_violations(
         self,

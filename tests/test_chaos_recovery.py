@@ -132,8 +132,9 @@ def compact_scenario():
 class TamperedResume(SimulatorAdapter):
     """Mutant: every resume returns a report whose horizon is off."""
 
-    def resume(self, pointdir, checkpoint):
-        return {**super().resume(pointdir, checkpoint), "horizon": "tampered"}
+    def resume(self, pointdir):
+        resumed_from, fingerprint = super().resume(pointdir)
+        return resumed_from, {**fingerprint, "horizon": "tampered"}
 
 
 class TestLoopCanFail:

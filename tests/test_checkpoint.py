@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,6 @@ from repro.system.checkpoint import (
     atomic_writer,
     check_journal_header,
     journal_header,
-    latest_checkpoint,
 )
 from repro.system.events import RecoveryOfferEvent
 from repro.workloads import volunteer_scenario
@@ -223,10 +223,7 @@ class TestCheckpoint:
         store.save(make_checkpoint(step=1))
         newest = store.save(make_checkpoint(step=2))
         newest.write_text(newest.read_text()[:40])  # torn somehow
-        assert store.latest() == store.path_for(1)
-
-    def test_latest_checkpoint_missing_directory(self, tmp_path):
-        assert latest_checkpoint(tmp_path / "nowhere") is None
+        assert store.latest()[0] == store.path_for(1)
 
 
 class TestAtomicWriter:
@@ -308,13 +305,80 @@ class TestResume:
 
         for path in mid_backoff:
             resumed = OpenSystemSimulator.resume(
-                path, tmp_path / "journal.jsonl", checkpoint_dir=tmp_path
+                path, tmp_path / "journal.jsonl"
             )
             fingerprint = report_fingerprint(resumed.resume_run())
             assert fingerprint == truth, (
                 f"resume from {path.name} diverged: "
                 f"{diff_fingerprints(truth, fingerprint)}"
             )
+
+    def test_resume_resolves_the_newest_checkpoint_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Finding the newest valid checkpoint and restoring it share one
+        ``resolve()``, from a directory source and a file source alike,
+        and the report names the checkpoint the resume restored."""
+        scenario = chaos_scenario()
+        plain = make_simulator(scenario)
+        plain.schedule(*scenario.events)
+        truth = report_fingerprint(plain.run(scenario.horizon))
+        simulator = make_simulator(scenario)
+        simulator.schedule(*scenario.events)
+        simulator.run(
+            scenario.horizon,
+            checkpoint_every=5,
+            checkpoint_dir=tmp_path,
+            journal=tmp_path / "journal.jsonl",
+        )
+        newest = sorted(tmp_path.glob("ckpt-*.json"))[-1]
+        resolved = []
+        resolve = CheckpointStore.resolve
+
+        def counting(store, path):
+            resolved.append(Path(path).name)
+            return resolve(store, path)
+
+        monkeypatch.setattr(CheckpointStore, "resolve", counting)
+        for source in (tmp_path, newest):
+            resolved.clear()
+            resumed = OpenSystemSimulator.resume(
+                source, tmp_path / "journal.jsonl"
+            )
+            assert resolved == [newest.name], source
+            report = resumed.resume_run()
+            assert report.resumed_from == newest.name
+            fingerprint = report_fingerprint(report)
+            assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
+
+    def test_directory_resume_skips_a_broken_newest_chain(self, tmp_path):
+        """The newest delta cannot materialize once its base is gone; a
+        directory resume falls back to the next checkpoint that does, and
+        the longer journal replay still reaches the uninterrupted run."""
+        scenario = chaos_scenario()
+        plain = make_simulator(scenario)
+        plain.schedule(*scenario.events)
+        truth = report_fingerprint(plain.run(scenario.horizon))
+        simulator = make_simulator(scenario)
+        simulator.schedule(*scenario.events)
+        simulator.run(
+            scenario.horizon,
+            checkpoint_every=5,
+            checkpoint_dir=tmp_path,
+            journal=tmp_path / "journal.jsonl",
+        )
+        *_, older, base, newest = sorted(tmp_path.glob("ckpt-*.json"))
+        tip = SimulatorCheckpoint.load(newest)
+        assert tip.is_delta and tip.base_step == SimulatorCheckpoint.load(
+            base
+        ).step
+        base.unlink()
+        report = OpenSystemSimulator.resume(
+            tmp_path, tmp_path / "journal.jsonl"
+        ).resume_run()
+        assert report.resumed_from == older.name
+        fingerprint = report_fingerprint(report)
+        assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
 
     def test_fresh_run_clears_an_earlier_runs_checkpoints(self, tmp_path):
         """A fresh run in a reused checkpoint directory deletes the earlier
@@ -375,9 +439,7 @@ class TestResume:
         write_journal(tmp_path / "journal.jsonl", records)
 
         first = sorted(tmp_path.glob("ckpt-*.json"))[0]
-        resumed = OpenSystemSimulator.resume(
-            first, tmp_path / "journal.jsonl", checkpoint_dir=tmp_path
-        )
+        resumed = OpenSystemSimulator.resume(first, tmp_path / "journal.jsonl")
         with pytest.raises(CheckpointError, match="diverged"):
             resumed.resume_run()
 
@@ -407,9 +469,7 @@ class TestResume:
         (tmp_path / "journal.jsonl").unlink()
         write_journal(tmp_path / "journal.jsonl", kept)
 
-        resumed = OpenSystemSimulator.resume(
-            last, tmp_path / "journal.jsonl", checkpoint_dir=tmp_path
-        )
+        resumed = OpenSystemSimulator.resume(last, tmp_path / "journal.jsonl")
         # Fresh epoch: no stale records survive, none are pinned for replay.
         assert resumed._journal_count == 0
         assert resumed._replay_records == []
@@ -446,9 +506,7 @@ class TestResume:
         with open(tmp_path / "journal.jsonl", "ab") as handle:
             handle.write(b'{"crc": 99, "data": {"torn')  # death mid-append
         first = sorted(tmp_path.glob("ckpt-*.json"))[0]
-        resumed = OpenSystemSimulator.resume(
-            first, tmp_path / "journal.jsonl", checkpoint_dir=tmp_path
-        )
+        resumed = OpenSystemSimulator.resume(first, tmp_path / "journal.jsonl")
         report = resumed.resume_run()
         assert len(report.warnings) == 1
         assert "torn tail" in report.warnings[0]
@@ -605,8 +663,6 @@ class TestOlderSnapshots:
         for name in ("offered", "consumed", "consumed_by_owner"):
             assert type(restored[name]) is dict and restored[name]
         assert type(restored["flagged"]) is set and restored["flagged"]
-        resumed = OpenSystemSimulator.resume(
-            counting, journal, checkpoint_dir=store
-        )
+        resumed = OpenSystemSimulator.resume(counting, journal)
         fingerprint = report_fingerprint(resumed.resume_run())
         assert fingerprint == truth, diff_fingerprints(truth, fingerprint)

@@ -374,7 +374,7 @@ class TestResolve:
             ["full"] + ["delta"] * FULL_INTERVAL + ["full"]
         )
         store.path_for(reseed).unlink()  # drop the newest full
-        assert store.latest() == store.path_for(reseed - 1)
+        assert store.latest()[0] == store.path_for(reseed - 1)
         store.path_for(0).unlink()  # now the whole delta chain is orphaned
         with pytest.raises(CheckpointError, match="cannot read"):
             store.resolve(store.path_for(reseed - 1))
@@ -393,7 +393,7 @@ class TestResolve:
         store.save(impostor)
         with pytest.raises(CheckpointError, match="broken chain"):
             store.resolve(store.path_for(1))
-        assert store.latest() == store.path_for(0)
+        assert store.latest()[0] == store.path_for(0)
 
     def test_trace_length_mismatch_rejects(self, tmp_path):
         snapper = DeltaSnapshotter()
@@ -449,7 +449,7 @@ class TestResolve:
         ))
         with pytest.raises(CheckpointError, match="does not decode"):
             store.resolve(store.path_for(1))
-        assert store.latest() == store.path_for(0)
+        assert store.latest()[0] == store.path_for(0)
 
     def test_mesh_chain_extends_the_wire_log(self, tmp_path):
         snapper = DeltaSnapshotter()
@@ -493,7 +493,7 @@ class TestResolve:
         store.save(forged)
         with pytest.raises(CheckpointError, match="append-only lengths"):
             store.resolve(store.path_for(1))
-        assert store.latest() == store.path_for(0)
+        assert store.latest()[0] == store.path_for(0)
 
 
 # ----------------------------------------------------------------------
@@ -639,9 +639,7 @@ class TestEndToEndEquivalence:
         assert kinds == {"full", "delta"}, "run must exercise both kinds"
 
         for path in paths:
-            resumed = OpenSystemSimulator.resume(
-                path, journal, checkpoint_dir=pointdir
-            )
+            resumed = OpenSystemSimulator.resume(path, journal)
             fingerprint = report_fingerprint(resumed.resume_run())
             assert fingerprint == truth, (
                 f"resume from {path.name} "

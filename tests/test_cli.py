@@ -73,6 +73,17 @@ class TestScenario:
         assert "+faults@" not in out
         assert "promise violations" not in out
 
+    def test_resume_without_a_checkpoint_exits_2(self, tmp_path, capsys):
+        """No checkpoint under the directory: a usage error that names
+        the directory, and the directory is not created."""
+        empty = tmp_path / "empty"
+        assert main([
+            "scenario", "pipeline", "--seed", "3", "--policy", "rota",
+            "--resume", "--checkpoint-dir", str(empty),
+        ]) == 2
+        assert "nothing to resume" in capsys.readouterr().err
+        assert not empty.exists()
+
     @pytest.mark.parametrize("flag", [
         "--crash-rate", "--revocation-rate", "--straggler-rate",
     ])

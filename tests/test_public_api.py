@@ -70,6 +70,7 @@ OPTION_SURFACE = {
     OpenSystemSimulator.run: (
         "checkpoint_every", "checkpoint_dir", "journal", "journal_fsync",
     ),
+    OpenSystemSimulator.resume: ("journal_fsync",),
 }
 
 
@@ -105,6 +106,8 @@ class TestOptionSurface:
         *[(FaultPlan, option) for option in (
             "straggler_factor", "min_early", "max_early",
         )],
+        (lambda **kw: OpenSystemSimulator.resume("unused", **kw),
+         "checkpoint_dir"),
     ])
     def test_removed_options_are_rejected(self, factory, option):
         with pytest.raises(TypeError, match=option):

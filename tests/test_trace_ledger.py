@@ -168,8 +168,7 @@ class TestLedgerAcrossRestore:
         assert deltas, "no delta checkpoint in the chain"
         # The newest checkpoint is a delta; resuming from it finishes
         # the run (whose end-of-run oracle re-checks the ledger).
-        latest = store.latest()
-        assert store.resolve(latest)[0].is_delta
+        assert store.latest()[1].is_delta
         resumed, _ = resume_mesh(tmp_path)
         assert report_fingerprint(resumed) == report_fingerprint(truth)
 
