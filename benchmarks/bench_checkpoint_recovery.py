@@ -24,6 +24,11 @@ Two questions, answered on the E14 fault-recovery workload:
   does the resumed run re-verify?  Each resumed report must again be
   identical to the uninterrupted run.
 
+Both legs take one seeded run as ``run(**durability) -> (report,
+policy)`` and compare runs with ``report_fingerprint(report, policy)``,
+so E23 (``bench_mesh_recovery.py``) calls them on the mesh and both
+files share one row schema.
+
 Runs standalone for CI smoke tests::
 
     PYTHONPATH=src python benchmarks/bench_checkpoint_recovery.py --quick
@@ -31,6 +36,7 @@ Runs standalone for CI smoke tests::
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -46,6 +52,7 @@ from repro.faults import (
     faulty_scenario,
     report_fingerprint,
 )
+from repro.faults.chaos import scenario_run
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system.checkpoint import Journal, SimulatorCheckpoint
 from repro.workloads import volunteer_scenario
@@ -78,47 +85,49 @@ def make_simulator(scenario) -> OpenSystemSimulator:
     )
 
 
-def _timed_run(scenario, repeats: int, **run_kwargs):
-    """Best-of-``repeats`` wall time and the last run's report."""
+def make_run(*, quick: bool = False):
+    """The workload as ``run(**durability) -> (report, policy)``."""
+    scenario = make_scenario(quick=quick)
+    return scenario_run(scenario, functools.partial(make_simulator, scenario))
+
+
+def _timed_run(run, repeats: int, **durability):
+    """Best-of-``repeats`` wall time of ``run(**durability)`` and the
+    last run's ``(report, policy)``.  ``run()`` starts each repeat
+    fresh: it truncates the journal and clears the checkpoints."""
     best = float("inf")
-    report = None
     for _ in range(repeats):
-        journal = run_kwargs.get("journal")
-        if journal is not None:
-            # Journals open in append mode; a repeat is a fresh run.
-            Path(journal).unlink(missing_ok=True)
-        simulator = make_simulator(scenario)
-        simulator.schedule(*scenario.events)
         started = time.perf_counter()
-        report = simulator.run(scenario.horizon, **run_kwargs)
+        outcome = run(**durability)
         best = min(best, time.perf_counter() - started)
-    return best, report
+    return best, outcome
 
 
 def bench_overhead(
-    scenario, workdir: Path, *, repeats: int = 3, checkpoint_every: int = 5
+    run, workdir: Path, *, repeats: int = 3, checkpoint_every: int = 5
 ) -> Dict[str, float]:
-    """Plain vs journaled vs journaled+checkpointed wall time."""
-    plain_s, plain = _timed_run(scenario, repeats)
-    truth = report_fingerprint(plain)
+    """Plain vs journaled vs journaled+checkpointed wall time of one
+    ``run(**durability) -> (report, policy)``."""
+    plain_s, plain = _timed_run(run, repeats)
+    truth = report_fingerprint(*plain)
 
     jdir = workdir / "journal-only"
     jdir.mkdir(parents=True, exist_ok=True)
     journal_s, journaled = _timed_run(
-        scenario, repeats, journal=jdir / "journal.jsonl"
+        run, repeats, journal=jdir / "journal.jsonl"
     )
-    gaps = diff_fingerprints(truth, report_fingerprint(journaled))
+    gaps = diff_fingerprints(truth, report_fingerprint(*journaled))
     assert not gaps, f"journaling altered the run: {gaps}"
 
     cdir = workdir / "checkpointed"
     cdir.mkdir(parents=True, exist_ok=True)
     checkpoint_s, checkpointed = _timed_run(
-        scenario, repeats,
+        run, repeats,
         journal=cdir / "journal.jsonl",
         checkpoint_every=checkpoint_every,
         checkpoint_dir=cdir,
     )
-    gaps = diff_fingerprints(truth, report_fingerprint(checkpointed))
+    gaps = diff_fingerprints(truth, report_fingerprint(*checkpointed))
     assert not gaps, f"checkpointing altered the run: {gaps}"
 
     records, _ = Journal.scan(jdir / "journal.jsonl")
@@ -131,6 +140,8 @@ def bench_overhead(
         "journaled_s": journal_s,
         "checkpointed_s": checkpoint_s,
         "journal_records": len(records),
+        "wire_records": sum(r.get("type") == "wire" for r in records),
+        "checkpoint_every": checkpoint_every,
         "checkpoints_full": kinds.count("full"),
         "checkpoints_delta": kinds.count("delta"),
         "journal_overhead_frac": (journal_s - plain_s) / plain_s,
@@ -139,22 +150,22 @@ def bench_overhead(
 
 
 def bench_recovery(
-    scenario,
+    run,
     workdir: Path,
     *,
     fractions=CRASH_FRACTIONS,
     checkpoint_every: int = 5,
-) -> List[Dict[str, float]]:
-    """Kill the journaled run at fractions of its WAL; time the resume."""
+) -> List[Dict[str, object]]:
+    """Kill the journaled run at fractions of its WAL; time the resume.
+
+    Each resume is the one resume call; its fingerprint covers the
+    report and the restored policy's own state (a mesh's wire)."""
+    durable = functools.partial(run, checkpoint_every=checkpoint_every)
     basedir = workdir / "recovery-baseline"
     basedir.mkdir(parents=True, exist_ok=True)
-    _, baseline = _timed_run(
-        scenario, 1,
-        journal=basedir / "journal.jsonl",
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=basedir,
-    )
-    truth = report_fingerprint(baseline)
+    truth = report_fingerprint(*durable(
+        checkpoint_dir=basedir, journal=basedir / "journal.jsonl"
+    ))
     records, _ = Journal.scan(basedir / "journal.jsonl")
     total = len(records)
 
@@ -167,15 +178,8 @@ def bench_recovery(
         journal = Journal(
             journal_path, opener=crashing_opener(crash_at_write=crash_at)
         )
-        simulator = make_simulator(scenario)
-        simulator.schedule(*scenario.events)
         try:
-            simulator.run(
-                scenario.horizon,
-                journal=journal,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=pointdir,
-            )
+            durable(checkpoint_dir=pointdir, journal=journal)
             raise AssertionError(
                 f"run survived its crash budget ({crash_at}/{total} writes)"
             )
@@ -187,14 +191,17 @@ def bench_recovery(
         started = time.perf_counter()
         resumed = OpenSystemSimulator.resume(pointdir, journal_path)
         replayed = len(resumed._replay_records)
-        resumed_report = resumed.resume_run()
+        report = resumed.resume_run()
         resume_s = time.perf_counter() - started
-        gaps = diff_fingerprints(truth, report_fingerprint(resumed_report))
+        gaps = diff_fingerprints(
+            truth, report_fingerprint(report, resumed.admission_policy)
+        )
         rows.append(
             {
                 "crash_fraction": fraction,
                 "crash_at_write": crash_at,
                 "journal_records_total": total,
+                "resumed_from": report.resumed_from,
                 "replayed_records": replayed,
                 "resume_s": resume_s,
                 "identical": not gaps,
@@ -205,11 +212,11 @@ def bench_recovery(
 
 
 def run_suite(workdir: Path, *, quick: bool = False) -> Dict[str, object]:
-    scenario = make_scenario(quick=quick)
+    run = make_run(quick=quick)
     overhead = bench_overhead(
-        scenario, workdir / "overhead", repeats=2 if quick else 3
+        run, workdir / "overhead", repeats=2 if quick else 3
     )
-    recovery = bench_recovery(scenario, workdir / "recovery")
+    recovery = bench_recovery(run, workdir / "recovery")
     results = {
         "workload": "E14 fault-recovery (volunteer seed=23, plan seed=17, "
         "intensity 1.5)",
@@ -228,23 +235,26 @@ def run_suite(workdir: Path, *, quick: bool = False) -> Dict[str, object]:
     return results
 
 
-def _render(results: Dict[str, object]) -> str:
+def render(title: str, results: Dict[str, object]) -> str:
+    """The overhead and recovery legs' table (E16's and E23's)."""
     overhead = results["overhead"]
     lines = [
-        "E16 — durability overhead and crash recovery",
+        title,
         f"  plain          {overhead['plain_s']:.4f}s",
         f"  journaled      {overhead['journaled_s']:.4f}s "
         f"({overhead['journal_overhead_frac'] * 100:+.1f}%, "
-        f"{overhead['journal_records']} WAL records)",
+        f"{overhead['wire_records']}/{overhead['journal_records']} "
+        "wire/WAL records)",
         f"  checkpointed   {overhead['checkpointed_s']:.4f}s "
         f"({overhead['checkpoint_overhead_frac'] * 100:+.1f}%, "
         f"{overhead['checkpoints_full']} full / "
-        f"{overhead['checkpoints_delta']} delta snapshots)",
+        f"{overhead['checkpoints_delta']} delta snapshots at "
+        f"every={overhead['checkpoint_every']})",
     ]
     for row in results["recovery"]:
         lines.append(
             f"  crash@{int(row['crash_fraction'] * 100):2d}%      "
-            f"resume={row['resume_s']:.4f}s "
+            f"resume={row['resume_s']:.4f}s from {row['resumed_from']} "
             f"replayed={row['replayed_records']}/"
             f"{row['journal_records_total']} records "
             f"identical={row['identical']}"
@@ -257,8 +267,8 @@ def write_results(results: Dict[str, object]) -> None:
 
 
 def test_durability_identity_and_overhead(tmp_path, emit):
-    scenario = make_scenario(quick=True)
-    overhead = bench_overhead(scenario, tmp_path, repeats=1)
+    run = make_run(quick=True)
+    overhead = bench_overhead(run, tmp_path, repeats=1)
     # Identity is asserted inside bench_overhead; here only sanity-check
     # that the workload journals something and timing stayed plausible.
     # (The strict <= 25% bar is enforced by the full run in main(); quick
@@ -277,8 +287,7 @@ def test_durability_identity_and_overhead(tmp_path, emit):
 
 
 def test_crash_fraction_resume_identity(tmp_path):
-    scenario = make_scenario(quick=True)
-    rows = bench_recovery(scenario, tmp_path)
+    rows = bench_recovery(make_run(quick=True), tmp_path)
     assert len(rows) == len(CRASH_FRACTIONS)
     for row in rows:
         assert row["identical"]
@@ -306,7 +315,7 @@ def main(argv=None) -> int:
     if not args.no_write:
         write_results(results)
         print(f"wrote {RESULTS_PATH}")
-    print(_render(results))
+    print(render("E16 — durability overhead and crash recovery", results))
     return 0
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.faults import PartitionPlan, admitted_promise_violations, run_mesh
-from repro.faults import mesh_fingerprint, replay_identity
+from repro.faults import replay_identity, report_fingerprint
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_netfaults.json"
 
@@ -70,7 +70,7 @@ def _plan(**overrides) -> PartitionPlan:
 def _cell_row(name: str, overrides: Dict[str, object]) -> Dict[str, object]:
     plan = _plan(**overrides)
     (report, policy), diverged = replay_identity(
-        lambda: run_mesh(plan), lambda run: mesh_fingerprint(*run)
+        lambda: run_mesh(plan), lambda run: report_fingerprint(*run)
     )
     stats = policy.channel.stats
     renewals = stats.by_kind.get("lease-renew", 0) + stats.by_kind.get(

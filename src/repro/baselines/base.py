@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.schedule import ConcurrentSchedule
@@ -102,3 +102,12 @@ class AdmissionPolicy(abc.ABC):
         computations "seeking out new frontiers" as opportunity appears.
         """
         return []
+
+    def fingerprint_fields(self) -> Dict[str, str]:
+        """Replay state the policy keeps beyond the report (optional).
+
+        :func:`repro.faults.chaos.report_fingerprint` merges these fields
+        into a run's fingerprint, so two runs are the same run only if
+        this state agrees too.  The default adds nothing; the mesh adds
+        its wire state and the front door its decision log."""
+        return {}

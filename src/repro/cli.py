@@ -125,19 +125,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "fault injection", "run the scenario's faulty variant (repro.faults)"
     )
     faults.add_argument(
-        "--crash-rate", type=_unit_rate, default=0.0,
+        "--crash-rate", type=_unit_rate, default=None,
         help="Poisson rate of unannounced node crashes per time unit",
     )
     faults.add_argument(
-        "--revocation-rate", type=_unit_rate, default=0.0,
+        "--revocation-rate", type=_unit_rate, default=None,
         help="per-session probability of early capacity revocation",
     )
     faults.add_argument(
-        "--straggler-rate", type=_unit_rate, default=0.0,
+        "--straggler-rate", type=_unit_rate, default=None,
         help="Poisson rate of rate-degradation (straggler) faults",
     )
     faults.add_argument(
-        "--fault-seed", type=_nonnegative_int, default=0,
+        "--fault-seed", type=_nonnegative_int, default=None,
         help="seed of the deterministic fault plan",
     )
     faults.add_argument(
@@ -164,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume an interrupted run from the latest checkpoint in "
         "--checkpoint-dir/<policy>/ instead of starting fresh "
-        "(requires a single explicit --policy)",
+        "(requires a single explicit --policy; the scenario, fault plan "
+        "and recovery come from the checkpoint)",
     )
     _add_front_door_flags(scenario)
     _add_network_flags(scenario)
@@ -546,153 +547,188 @@ def _metrics_session(args: argparse.Namespace):
             write_jsonl(registry.snapshot(), args.metrics_out)
 
 
+#: Loss causes that are unannounced faults (shed and lease-expired
+#: capacity is refused or renounced, not lost to a fault).
+_FAULT_CAUSES = frozenset(("crash", "revocation", "degradation"))
+
+
+def _check_resume_flags(args: argparse.Namespace) -> str | None:
+    """A resume restores one run (its events, fault plan and recovery)
+    from its checkpoint directory, so flags that build a fresh run are
+    refused."""
+    if not args.resume:
+        return None
+    if args.policy == "all" and args.name != "mesh":
+        # The mesh has exactly one admission path, so --policy stays at
+        # its "all" default there and is unambiguous.
+        return (
+            "--resume restores one interrupted run; pick the policy "
+            "explicitly with --policy"
+        )
+    if args.checkpoint_dir is None:
+        return (
+            "--resume restores a run from its durable artifacts; pass "
+            "--checkpoint-dir DIR to say where they live, or drop "
+            "--resume to start fresh"
+        )
+    passed = [
+        flag
+        for flag, value in (
+            ("--seed", args.seed),
+            ("--crash-rate", args.crash_rate),
+            ("--revocation-rate", args.revocation_rate),
+            ("--straggler-rate", args.straggler_rate),
+            ("--fault-seed", args.fault_seed),
+            ("--recover", args.recover or None),
+        )
+        if value is not None
+    ]
+    if passed:
+        return (
+            "--resume restores the recorded scenario and fault plan from "
+            f"the checkpoint; {'/'.join(passed)} shape"
+            f"{'s' if len(passed) == 1 else ''} fresh runs only"
+        )
+    return None
+
+
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.faults import MeshPolicy, run_mesh
+
+    for check in (
+        _check_resume_flags,
+        _check_metrics_flags,
+        _check_front_door_flags,
+        _check_network_flags,
+    ):
+        error = check(args)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    title = f"scenario={args.name}"
+    with _metrics_session(args):
+        if args.resume:
+            name = MeshPolicy.name if args.name == "mesh" else args.policy
+            policy_dir = Path(args.checkpoint_dir) / name
+            simulator = OpenSystemSimulator.resume(
+                policy_dir, policy_dir / "journal.jsonl"
+            )
+            runs = [(simulator.resume_run(), simulator.admission_policy)]
+        elif args.name == "mesh":
+            plan = _mesh_plan(args)
+            runs = [run_mesh(plan, **_durability(args, MeshPolicy.name))]
+        else:
+            title, runs = _run_scenario(args)
+    _print_runs(title, runs)
+    return 0
+
+
+def _durability(args: argparse.Namespace, name: str) -> dict:
+    """``run()``'s durability arguments for policy ``name``: artifacts
+    under ``--checkpoint-dir/<name>/``, none without the flag."""
+    from pathlib import Path
+
+    if args.checkpoint_dir is None:
+        return {}
+    policy_dir = Path(args.checkpoint_dir) / name
+    return {
+        "checkpoint_every": args.checkpoint_every,
+        "checkpoint_dir": policy_dir,
+        "journal": policy_dir / "journal.jsonl",
+    }
+
+
+def _run_scenario(args: argparse.Namespace):
+    """Fresh runs of the named scenario (faulty variant under fault
+    flags) for each chosen policy; returns the title and the runs."""
     from repro.faults import FaultPlan, RecoveryPolicy, faulty_scenario
 
-    if args.resume and args.policy == "all" and args.name != "mesh":
-        # The mesh has exactly one admission path, so --policy stays at
-        # its "all" default there and is unambiguous.
-        print(
-            "error: --resume restores one interrupted run; pick the policy "
-            "explicitly with --policy",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and args.checkpoint_dir is None:
-        print(
-            "error: --resume restores a run from its durable artifacts; "
-            "pass --checkpoint-dir DIR to say where they live, or drop "
-            "--resume to start fresh",
-            file=sys.stderr,
-        )
-        return 2
-    metrics_error = _check_metrics_flags(args)
-    if metrics_error is not None:
-        print(f"error: {metrics_error}", file=sys.stderr)
-        return 2
-    door_error = _check_front_door_flags(args)
-    if door_error is not None:
-        print(f"error: {door_error}", file=sys.stderr)
-        return 2
-    network_error = _check_network_flags(args)
-    if network_error is not None:
-        print(f"error: {network_error}", file=sys.stderr)
-        return 2
-    if args.name == "mesh":
-        return _cmd_scenario_mesh(args)
     service_config = _service_config(args) if args.front_door else None
     factory = SCENARIOS[args.name]
     scenario = factory(args.seed) if args.seed is not None else factory()
     plan = FaultPlan(
-        seed=args.fault_seed,
-        crash_rate=args.crash_rate,
-        revocation_rate=args.revocation_rate,
-        straggler_rate=args.straggler_rate,
+        seed=args.fault_seed or 0,
+        crash_rate=args.crash_rate or 0.0,
+        revocation_rate=args.revocation_rate or 0.0,
+        straggler_rate=args.straggler_rate or 0.0,
     )
     if not plan.is_benign:
         scenario = faulty_scenario(scenario, plan)
-    recovery = RecoveryPolicy() if args.recover else None
     chosen = (
         ALL_POLICIES
         if args.policy == "all"
         else tuple(cls for cls in ALL_POLICIES if cls.name == args.policy)
     )
-    rows = []
-    fault_lines = []
-    door_lines = []
-    with _metrics_session(args):
-        for cls in chosen:
-            policy = cls()
-            allocation = (
-                ReservationPolicy() if isinstance(policy, RotaAdmission) else None
-            )
-            if service_config is not None:
-                from repro.service import FrontDoorPolicy
+    runs = []
+    for cls in chosen:
+        policy = cls()
+        allocation = (
+            ReservationPolicy() if isinstance(policy, RotaAdmission) else None
+        )
+        if service_config is not None:
+            from repro.service import FrontDoorPolicy
 
-                policy = FrontDoorPolicy(policy, service_config)
-            durable: dict = {}
-            if args.checkpoint_dir is not None and not args.resume:
-                policy_dir = Path(args.checkpoint_dir) / cls.name
-                durable = {
-                    "checkpoint_every": args.checkpoint_every,
-                    "checkpoint_dir": policy_dir,
-                    "journal": policy_dir / "journal.jsonl",
-                }
-            if args.resume:
-                policy_dir = Path(args.checkpoint_dir) / cls.name
-                report = OpenSystemSimulator.resume(
-                    policy_dir, policy_dir / "journal.jsonl"
-                ).resume_run()
-            else:
-                simulator = OpenSystemSimulator(
-                    policy,
-                    initial_resources=scenario.initial_resources,
-                    allocation_policy=allocation,
-                    recovery=recovery,
-                )
-                simulator.schedule(*scenario.events)
-                report = simulator.run(scenario.horizon, **durable)
-            rows.append(score(report))
-            if not plan.is_benign:
-                fault_lines.append(
-                    f"  {report.policy_name}: "
-                    f"violations={len(report.violations)} "
-                    f"recovered={report.recovered} abandoned={report.abandoned}"
-                )
-            if service_config is not None:
-                door_lines.append(
-                    _door_summary_line(policy, scenario.horizon)
-                )
-    print(policy_table(rows, title=f"scenario={scenario.name}"))
+            policy = FrontDoorPolicy(policy, service_config)
+        simulator = OpenSystemSimulator(
+            policy,
+            initial_resources=scenario.initial_resources,
+            allocation_policy=allocation,
+            recovery=RecoveryPolicy() if args.recover else None,
+        )
+        simulator.schedule(*scenario.events)
+        report = simulator.run(
+            scenario.horizon, **_durability(args, cls.name)
+        )
+        runs.append((report, policy))
+    return f"scenario={scenario.name}", runs
+
+
+def _print_runs(title: str, runs) -> None:
+    """The policy table and the digest blocks of finished runs, fresh or
+    resumed alike: every block is read off the runs themselves."""
+    from repro.faults import MeshPolicy
+    from repro.service import FrontDoorPolicy
+
+    first, mesh = runs[0]
+    if isinstance(mesh, MeshPolicy):
+        # The plan travels inside the checkpoint with the policy, so a
+        # resumed mesh is titled from what was actually recorded.
+        plan = mesh.plan
+        window = (
+            f"[{plan.partition_start}, {plan.partition_end})"
+            if plan.partition_duration
+            else "none"
+        )
+        title = (
+            f"scenario=mesh partition={window} "
+            f"loss={plan.link_loss:g} delay={plan.link_delay}"
+        )
+    if first.resumed_from:
+        title += f" resumed_from={first.resumed_from}"
+    print(policy_table([score(report) for report, _ in runs], title=title))
+    fault_lines = [
+        f"  {report.policy_name}: violations={len(report.violations)} "
+        f"recovered={report.recovered} abandoned={report.abandoned}"
+        for report, _ in runs
+        if report.violations
+        or any(loss.cause in _FAULT_CAUSES for loss in report.trace.losses)
+    ]
     if fault_lines:
         print("promise violations under faults:")
         print("\n".join(fault_lines))
+    door_lines = [
+        _door_summary_line(policy, report.horizon)
+        for report, policy in runs
+        if isinstance(policy, FrontDoorPolicy)
+    ]
     if door_lines:
         print("front door (shed/breaker/brownout):")
         print("\n".join(door_lines))
-    return 0
-
-
-def _cmd_scenario_mesh(args: argparse.Namespace) -> int:
-    """The mesh scenario: enclaves admitting over an unreliable network."""
-    from pathlib import Path
-
-    from repro.faults import MeshPolicy, resume_mesh, run_mesh
-
-    if args.resume:
-        mesh_dir = Path(args.checkpoint_dir) / MeshPolicy.name
-        with _metrics_session(args):
-            report, policy = resume_mesh(mesh_dir)
-        # The plan travels inside the checkpoint with the policy; the
-        # resumed report is titled from what was actually recorded.
-        plan = policy.plan
-    else:
-        plan = _mesh_plan(args)
-        durable: dict = {}
-        if args.checkpoint_dir is not None:
-            mesh_dir = Path(args.checkpoint_dir) / MeshPolicy.name
-            durable = {
-                "checkpoint_every": args.checkpoint_every,
-                "checkpoint_dir": mesh_dir,
-                "journal": mesh_dir / "journal.jsonl",
-            }
-        with _metrics_session(args):
-            report, policy = run_mesh(plan, **durable)
-    window = (
-        f"[{plan.partition_start}, {plan.partition_end})"
-        if plan.partition_duration
-        else "none"
-    )
-    print(policy_table(
-        [score(report)],
-        title=f"scenario=mesh partition={window} "
-        f"loss={plan.link_loss:g} delay={plan.link_delay}",
-    ))
-    print("unreliable network:")
-    print("\n".join(_mesh_lines(report, policy)))
-    return 0
+    if isinstance(mesh, MeshPolicy):
+        print("unreliable network:")
+        print("\n".join(_mesh_lines(first, mesh)))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

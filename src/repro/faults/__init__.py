@@ -40,9 +40,7 @@ from repro.faults.netfaults import (
     chaos_partition_crash_matrix,
     chaos_partition_matrix,
     mesh_events,
-    mesh_fingerprint,
     network_digest,
-    resume_mesh,
     run_mesh,
 )
 from repro.faults.overload import (
@@ -78,9 +76,7 @@ __all__ = [
     "faulty_scenario",
     "find_victims",
     "mesh_events",
-    "mesh_fingerprint",
     "network_digest",
-    "resume_mesh",
     "replay_identity",
     "run_mesh",
     "report_fingerprint",

@@ -16,31 +16,36 @@ each has exactly one implementation here:
   checkpoint-write crashes), resumes each from the surviving artifacts,
   and compares fingerprints field for field.
 
-Each run kind has exactly one fingerprint: :func:`report_fingerprint`
-(every record, tally, trace note, loss, violation, and per-slice
-transition label) for a simulator run; plus ``"network"`` for a mesh
-run (:func:`repro.faults.netfaults.mesh_fingerprint`) or ``"door"``
-(the decision log) for a door-fronted one; ``{"decisions": ...}`` for
-a standalone ``serve()`` run
-(:func:`repro.faults.overload.serve_fingerprint`).
+A simulator run has exactly one fingerprint,
+:func:`report_fingerprint` over its report (every record, tally, trace
+note, loss, violation, and per-slice transition label) and its policy,
+whose :meth:`~repro.baselines.base.AdmissionPolicy.fingerprint_fields`
+add the replay state the report does not show: ``"network"`` for the
+mesh, ``"door"`` (the decision log) for the front door.  A standalone
+``serve()`` run, which has no simulator report, has
+``{"decisions": ...}`` (:func:`repro.faults.overload.serve_fingerprint`).
 
-The kill-and-resume loop takes a :class:`CrashAdapter` (fresh, durable,
-resume): :class:`SimulatorAdapter` behind :func:`chaos_crash_matrix`,
-and :class:`repro.faults.netfaults.MeshAdapter` behind
+The kill-and-resume loop takes a plain run callable,
+``run(**durability) -> (report, policy)``: :func:`scenario_run`, a
+closure over the simulator factory, behind :func:`chaos_crash_matrix`,
+and ``partial(run_mesh, cell)`` behind
 :func:`repro.faults.netfaults.chaos_partition_crash_matrix`, which also
 tags each kill with the torn record's partition phase and mid-RPC
-status.  Conservation (``offered = consumed + expired + lost``) is
-re-verified at the resume instant by :meth:`OpenSystemSimulator.resume`.
+status.  Every kill resumes through :meth:`OpenSystemSimulator.resume`,
+which re-verifies conservation (``offered = consumed + expired +
+lost``) at the resume instant.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
 )
 
+from repro.baselines.base import AdmissionPolicy
 from repro.errors import FaultInjectionError, RotaError
 from repro.serialization import time_to_wire
 from repro.system.checkpoint import CheckpointStore, Journal
@@ -156,15 +161,21 @@ class _CrashingCheckpointStore(CheckpointStore):
 # Field-for-field report identity
 # ----------------------------------------------------------------------
 
-def report_fingerprint(report: SimulationReport) -> Dict[str, Any]:
-    """A canonical value covering every field a report exposes.
+def report_fingerprint(
+    report: SimulationReport, policy: Optional[AdmissionPolicy] = None
+) -> Dict[str, Any]:
+    """A canonical value covering every field a report exposes, plus the
+    policy's :meth:`~repro.baselines.base.AdmissionPolicy.fingerprint_fields`
+    when ``policy`` is given.
 
     Two runs with equal fingerprints agree on every record (including
     violation instants, recovery attempts, and salvage accounting), every
-    aggregate tally, and every trace entry down to per-slice consumption.
+    aggregate tally, every trace entry down to per-slice consumption,
+    and the policy's own replay state (a mesh's wire, a front door's
+    decision log).
     """
     trace = report.trace
-    return {
+    fields = {
         "policy": report.policy_name,
         "horizon": time_to_wire(report.horizon),
         "records": [
@@ -225,6 +236,9 @@ def report_fingerprint(report: SimulationReport) -> Dict[str, Any]:
             for tr in trace.transitions
         ],
     }
+    if policy is not None:
+        fields.update(policy.fingerprint_fields())
+    return fields
 
 
 def _tally(amounts) -> List[tuple]:
@@ -358,61 +372,47 @@ class ChaosResult:
         )
 
 
-class CrashAdapter:
-    """The three ways :func:`kill_and_resume` executes a run; each
-    returns the run's canonical fingerprint."""
-
-    def fresh(self) -> Dict[str, Any]:
-        """A plain run with no durability I/O."""
-        raise NotImplementedError
-
-    def durable(
-        self,
-        journal: Union[Path, Journal],
-        checkpoint_dir: Union[Path, CheckpointStore],
-    ) -> Dict[str, Any]:
-        """A journaled and checkpointed run (it may die with
-        :class:`SimulatedCrash`)."""
-        raise NotImplementedError
-
-    def resume(self, pointdir: Path) -> Tuple[str, Dict[str, Any]]:
-        """Finish a killed run from the newest usable checkpoint under
-        ``pointdir``; returns that checkpoint's file name and the
-        fingerprint."""
-        raise NotImplementedError
-
-    def tag(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Extra :class:`CrashPoint` fields for a kill tearing ``record``."""
-        return {}
+#: ``run(**durability) -> (report, policy)``: one seeded run, plain when
+#: called with no arguments, journaled and checkpointed when called with
+#: ``checkpoint_every``, ``checkpoint_dir`` and ``journal``.
+DurableRun = Callable[..., Tuple[SimulationReport, AdmissionPolicy]]
 
 
 def kill_and_resume(
-    adapter: CrashAdapter,
+    run: DurableRun,
     workdir: Union[str, Path],
     *,
+    checkpoint_every: int,
+    tag: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
     mid_write: bool = True,
     checkpoint_crashes: int = 2,
     boundary_stride: int = 1,
 ) -> ChaosResult:
     """Kill one run everywhere, resume every kill, demand identity.
 
-    The durable baseline must already equal the plain run (durability I/O
-    alone changes nothing, else :class:`FaultInjectionError`).  Then the
-    run dies at every ``boundary_stride``-th journal write — cleanly at
-    the record boundary and, with ``mid_write``, torn mid-write — and
-    during checkpoint saves 2 .. ``1 + checkpoint_crashes``.  Each kill
-    resumes from the newest surviving checkpoint (the step-0 one is
-    sealed before the first journal write, so one always survives), and
-    its fingerprint must equal the plain run's."""
+    ``run()`` is the plain run; ``run(checkpoint_every=..., checkpoint_dir=...,
+    journal=...)`` the durable one, whose baseline must already equal the
+    plain run (durability I/O alone changes nothing, else
+    :class:`FaultInjectionError`).  Then the run dies at every
+    ``boundary_stride``-th journal write — cleanly at the record boundary
+    and, with ``mid_write``, torn mid-write — and during checkpoint saves
+    2 .. ``1 + checkpoint_crashes``.  Each kill resumes from the newest
+    surviving checkpoint (the step-0 one is sealed before the first
+    journal write, so one always survives), and its
+    :func:`report_fingerprint` must equal the plain run's.  ``tag(record)``
+    gives extra :class:`CrashPoint` fields for a kill tearing ``record``."""
     if boundary_stride < 1:
         raise FaultInjectionError(
             f"boundary_stride must be >= 1, got {boundary_stride!r}"
         )
     workdir = Path(workdir)
-    truth = adapter.fresh()
+    truth = report_fingerprint(*run())
     basedir = workdir / "baseline"
     basedir.mkdir(parents=True, exist_ok=True)
-    baseline = adapter.durable(basedir / "journal.jsonl", basedir)
+    durable = functools.partial(run, checkpoint_every=checkpoint_every)
+    baseline = report_fingerprint(*durable(
+        checkpoint_dir=basedir, journal=basedir / "journal.jsonl"
+    ))
     if baseline != truth:
         raise FaultInjectionError(
             "durability I/O altered the run itself: "
@@ -426,7 +426,7 @@ def kill_and_resume(
     # Crash on the k-th journal write: the surviving journal holds k-1
     # acknowledged records — that is, death at every record boundary.
     for index in range(1, len(records) + 1, boundary_stride):
-        tag = adapter.tag(records[index - 1])
+        fields = tag(records[index - 1]) if tag is not None else {}
         for kind, prefix, partial_bytes in tears:
             pointdir = workdir / f"{prefix}-{index:04d}"
             pointdir.mkdir(parents=True, exist_ok=True)
@@ -437,8 +437,8 @@ def kill_and_resume(
                 ),
             )
             result.points.append(_kill(
-                adapter, truth, pointdir, journal, pointdir,
-                CrashPoint(kind, index, crashed=False, **tag),
+                durable, truth, pointdir, journal, pointdir,
+                CrashPoint(kind, index, crashed=False, **fields),
             ))
     # Crashes while *writing a checkpoint*: the torn snapshot must never
     # surface; resume falls back to the previous one plus a longer replay.
@@ -446,7 +446,7 @@ def kill_and_resume(
         pointdir = workdir / f"ckptcrash-{index:02d}"
         pointdir.mkdir(parents=True, exist_ok=True)
         result.points.append(_kill(
-            adapter, truth, pointdir, pointdir / "journal.jsonl",
+            durable, truth, pointdir, pointdir / "journal.jsonl",
             _CrashingCheckpointStore(pointdir, crash_at_save=index),
             CrashPoint("checkpoint", index, crashed=False),
         ))
@@ -454,7 +454,7 @@ def kill_and_resume(
 
 
 def _kill(
-    adapter: CrashAdapter,
+    durable: DurableRun,
     truth: Dict[str, Any],
     pointdir: Path,
     journal: Union[Path, Journal],
@@ -462,15 +462,19 @@ def _kill(
     point: CrashPoint,
 ) -> CrashPoint:
     try:
-        adapter.durable(journal, checkpoint_dir)
+        durable(checkpoint_dir=checkpoint_dir, journal=journal)
         return point  # the budget outlived the run: nothing to resume
     except SimulatedCrash:
         point.crashed = True
     finally:
         if isinstance(journal, Journal):
             journal.close()
-    point.resumed_from, fingerprint = adapter.resume(pointdir)
-    diverged = diff_fingerprints(truth, fingerprint)
+    simulator = OpenSystemSimulator.resume(pointdir, pointdir / "journal.jsonl")
+    report = simulator.resume_run()
+    point.resumed_from = report.resumed_from
+    diverged = diff_fingerprints(
+        truth, report_fingerprint(report, simulator.admission_policy)
+    )
     point.identical = not diverged
     point.detail = replay_verdict(diverged)
     return point
@@ -480,36 +484,19 @@ def _kill(
 # The simulator crash matrix
 # ----------------------------------------------------------------------
 
-@dataclass
-class SimulatorAdapter(CrashAdapter):
-    """Runs one seeded scenario on fresh simulators from the factory."""
+def scenario_run(
+    scenario: Scenario, simulator_factory: Callable[[], OpenSystemSimulator]
+) -> DurableRun:
+    """The seeded scenario as a :data:`DurableRun`: each call schedules
+    its events on a fresh simulator from the factory and runs it."""
 
-    scenario: Scenario
-    simulator_factory: Callable[[], OpenSystemSimulator]
-    checkpoint_every: int = 5
+    def run(**durability: Any) -> Tuple[SimulationReport, AdmissionPolicy]:
+        simulator = simulator_factory()
+        simulator.schedule(*scenario.events)
+        report = simulator.run(scenario.horizon, **durability)
+        return report, simulator.admission_policy
 
-    def _run(self, **durability: Any) -> Dict[str, Any]:
-        simulator = self.simulator_factory()
-        simulator.schedule(*self.scenario.events)
-        return report_fingerprint(
-            simulator.run(self.scenario.horizon, **durability)
-        )
-
-    def fresh(self) -> Dict[str, Any]:
-        return self._run()
-
-    def durable(self, journal, checkpoint_dir) -> Dict[str, Any]:
-        return self._run(
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            journal=journal,
-        )
-
-    def resume(self, pointdir: Path) -> Tuple[str, Dict[str, Any]]:
-        report = OpenSystemSimulator.resume(
-            pointdir, pointdir / "journal.jsonl"
-        ).resume_run()
-        return report.resumed_from, report_fingerprint(report)
+    return run
 
 
 def chaos_crash_matrix(
@@ -531,8 +518,9 @@ def chaos_crash_matrix(
     assert ``result.ok``.
     """
     return kill_and_resume(
-        SimulatorAdapter(scenario, simulator_factory, checkpoint_every),
+        scenario_run(scenario, simulator_factory),
         workdir,
+        checkpoint_every=checkpoint_every,
         mid_write=mid_write,
         checkpoint_crashes=checkpoint_crashes,
         boundary_stride=boundary_stride,

@@ -31,10 +31,11 @@ temporal-reasoning story extends to the network itself:
   ``offered = consumed + expired + lost + shed + lease-expired``
   keeps holding at every slice throughout.
 
-Each mesh run kind has one fingerprint, :func:`mesh_fingerprint`: the
-report's (:func:`~repro.faults.chaos.report_fingerprint`) plus the wire
-state as ``"network"`` (:func:`network_digest`).  Both matrices below
-compare runs under it.
+A mesh run's fingerprint is
+:func:`~repro.faults.chaos.report_fingerprint` over the report and the
+policy, whose :meth:`MeshPolicy.fingerprint_fields` add the wire state
+as ``"network"`` (:func:`network_digest`).  Both matrices below compare
+runs under it.
 
 :func:`chaos_partition_matrix` sweeps partition start/duration x loss x
 delay and asserts the two properties that make the model trustworthy:
@@ -47,15 +48,15 @@ SHA-256 draws, so an unreliable network is still a deterministic one).
 
 :func:`chaos_partition_crash_matrix` is not a second crash harness.  It
 runs :func:`repro.faults.chaos.kill_and_resume`, the one kill-and-resume
-loop, once per partition cell with a :class:`MeshAdapter`.  That adapter
-runs the cell through :func:`run_mesh` / :func:`resume_mesh` under the
-mesh fingerprint and tags each journal kill with the torn record's
-partition phase and mid-RPC status.
+loop, once per partition cell over ``partial(run_mesh, cell)``, tagging
+each journal kill with the torn record's partition phase and mid-RPC
+status.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -68,10 +69,9 @@ from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.admission import clip_start
 from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
-from repro.errors import ChannelError, CheckpointError, FaultInjectionError
+from repro.errors import ChannelError, FaultInjectionError
 from repro.faults.chaos import (
     ChaosResult,
-    CrashAdapter,
     MatrixResult,
     kill_and_resume,
     replay_identity,
@@ -92,7 +92,7 @@ from repro.system.channel import (
     PartitionSpan,
     RpcOutcome,
 )
-from repro.system.checkpoint import CheckpointStore, Journal, require_path
+from repro.system.checkpoint import CheckpointStore, Journal
 from repro.system.events import (
     Event,
     arrival,
@@ -398,6 +398,11 @@ class MeshPolicy(AdmissionPolicy):
                 "migrations": self.migrations,
             },
         }
+
+    def fingerprint_fields(self) -> Dict[str, str]:
+        """Two mesh runs are the same run only if their wires were
+        byte-identical too: the wire state as ``"network"``."""
+        return {"network": network_digest(self)}
 
     def restore_network(self, snapshot: Dict[str, object]) -> None:
         """Reinstate a :meth:`network_snapshot` (the dedup map included,
@@ -947,7 +952,9 @@ def run_mesh(
     Durability is opt-in exactly as for any other policy: ``journal``
     write-ahead-logs events, decisions, *and* wire outcomes;
     ``checkpoint_dir`` snapshots the simulator plus the policy's network
-    section, so a killed mesh run resumes via :func:`resume_mesh`."""
+    section, so a killed mesh run resumes through
+    :meth:`OpenSystemSimulator.resume` like any other run, with the
+    restored policy as the simulator's ``admission_policy``."""
     resources, events = mesh_events(plan)
     policy = MeshPolicy(plan)
     simulator = OpenSystemSimulator(
@@ -963,32 +970,6 @@ def run_mesh(
         checkpoint_dir=checkpoint_dir,
         journal=journal,
     )
-    return report, policy
-
-
-def resume_mesh(
-    checkpoint_dir: Union[str, Path],
-) -> Tuple[SimulationReport, MeshPolicy]:
-    """Resume an interrupted mesh run from its durable artifacts.
-
-    Picks the newest usable checkpoint under ``checkpoint_dir`` (delta
-    chains validated), replays the journal suffix with every regenerated
-    record — wire WAL entries included — verified against the crashed
-    run's, and finishes the run.  Returns the full report plus the
-    restored policy, whose channel log, lease table, and stats are
-    byte-identical to an uninterrupted run's."""
-    require_path("checkpoint_dir", checkpoint_dir)
-    directory = Path(checkpoint_dir)
-    simulator = OpenSystemSimulator.resume(
-        directory, directory / "journal.jsonl"
-    )
-    report = simulator.resume_run()
-    policy = simulator.admission_policy
-    if not isinstance(policy, MeshPolicy):
-        raise CheckpointError(
-            f"checkpoint under {directory} restored policy "
-            f"{policy.name!r}, not the mesh"
-        )
     return report, policy
 
 
@@ -1051,15 +1032,6 @@ def network_digest(policy: MeshPolicy) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def mesh_fingerprint(
-    report: SimulationReport, policy: MeshPolicy
-) -> Dict[str, Any]:
-    """The fingerprint of a mesh run: the report's, plus the wire state
-    as ``"network"`` (:func:`network_digest`) — two mesh runs are the
-    same run only if their wires were byte-identical too."""
-    return {**report_fingerprint(report), "network": network_digest(policy)}
-
-
 def admitted_promise_violations(report: SimulationReport) -> List[str]:
     """Labels of admitted computations whose promise silently broke.
 
@@ -1103,7 +1075,7 @@ class NetfaultPoint:
 
 def _mesh_point(plan: PartitionPlan) -> NetfaultPoint:
     (report, policy), diverged = replay_identity(
-        lambda: run_mesh(plan), lambda run: mesh_fingerprint(*run)
+        lambda: run_mesh(plan), lambda run: report_fingerprint(*run)
     )
     expirations = len(policy.leases.expired())
     gentle = (
@@ -1148,8 +1120,9 @@ def chaos_partition_matrix(
     ``result.ok``.
 
     Every cell runs the same seeded mesh twice and demands (1) zero
-    admitted-promise violations, (2) field-identical mesh fingerprints
-    (:func:`mesh_fingerprint`: report *and* wire state), and (3) the
+    admitted-promise violations, (2) field-identical fingerprints
+    (:func:`report_fingerprint` over report *and* policy, so the wire
+    state too), and (3) the
     extended conservation identity — per slice inside the runs,
     whole-run here.  Defaults include the
     benign cell (no partition, perfect link) as the baseline the
@@ -1204,33 +1177,10 @@ def _is_mid_rpc(record: dict) -> bool:
     )
 
 
-@dataclass
-class MeshAdapter(CrashAdapter):
-    """Runs one mesh cell under :func:`mesh_fingerprint`."""
-
-    plan: PartitionPlan
-    checkpoint_every: int = 4
-
-    def fresh(self) -> Dict:
-        return mesh_fingerprint(*run_mesh(self.plan))
-
-    def durable(self, journal, checkpoint_dir) -> Dict:
-        return mesh_fingerprint(*run_mesh(
-            self.plan,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            journal=journal,
-        ))
-
-    def resume(self, pointdir: Path) -> Tuple[str, Dict]:
-        report, policy = resume_mesh(pointdir)
-        return report.resumed_from, mesh_fingerprint(report, policy)
-
-    def tag(self, record: dict) -> Dict:
-        return {
-            "phase": _crash_phase(self.plan, record),
-            "mid_rpc": _is_mid_rpc(record),
-        }
+def _tag(cell: PartitionPlan, record: dict) -> Dict[str, Any]:
+    """The :class:`~repro.faults.chaos.CrashPoint` fields of a kill that
+    tears ``record``: its partition phase and mid-RPC status."""
+    return {"phase": _crash_phase(cell, record), "mid_rpc": _is_mid_rpc(record)}
 
 
 def chaos_partition_crash_matrix(
@@ -1247,8 +1197,8 @@ def chaos_partition_crash_matrix(
     callers assert ``result.ok``.
 
     Each cell (one per partition duration) goes through
-    :func:`~repro.faults.chaos.kill_and_resume` with a
-    :class:`MeshAdapter`: the default stride 1 covers *every* boundary,
+    :func:`~repro.faults.chaos.kill_and_resume` over
+    ``partial(run_mesh, cell)``: the default stride 1 covers *every* boundary,
     including mid-partition instants and mid-RPC-backoff records, and
     each resume must reproduce a field-identical report *and* network
     digest.  In-flight messages, lease clocks, and retry ladders all
@@ -1258,16 +1208,16 @@ def chaos_partition_crash_matrix(
         durations = (0, plan.partition_duration)
     result = ChaosResult()
     for duration in durations:
-        cell = kill_and_resume(
-            MeshAdapter(
-                dataclasses.replace(plan, partition_duration=duration),
-                checkpoint_every,
-            ),
+        cell = dataclasses.replace(plan, partition_duration=duration)
+        killed = kill_and_resume(
+            functools.partial(run_mesh, cell),
             Path(workdir) / f"cell-d{duration}",
+            checkpoint_every=checkpoint_every,
+            tag=functools.partial(_tag, cell),
             mid_write=mid_write,
             boundary_stride=boundary_stride,
         )
-        result.points += cell.points
-        result.cells += cell.cells
-        result.journal_records += cell.journal_records
+        result.points += killed.points
+        result.cells += killed.cells
+        result.journal_records += killed.journal_records
     return result

@@ -23,7 +23,8 @@ Two legs, both replayed through :func:`repro.faults.chaos.replay_identity`:
   simulator behind :class:`~repro.service.FrontDoorPolicy`, asserting
   the extended conservation identity (``offered = consumed + expired +
   lost + shed``) at every slice and whole-run, and replays the report
-  fingerprint plus the door's decision log (``"door"``).
+  fingerprint, which the policy extends with the door's decision log
+  (``"door"``).
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ def serve_fingerprint(report: ServiceReport) -> Dict[str, Any]:
     return {"decisions": report.fingerprint}
 
 
-def _front_door_fingerprint(
-    report: SimulationReport, policy: FrontDoorPolicy
-) -> Dict[str, Any]:
-    return {**report_fingerprint(report), "door": policy.door.fingerprint()}
-
-
 def _config(plan: OverloadPlan) -> ServiceConfig:
     # Thresholds sized to the synthetic cluster: small queues so a 10x
     # burst actually pressures them, brownout engaging well before the
@@ -221,7 +216,7 @@ def _door_point(
 
 
 def _door_simulation(
-    plan: OverloadPlan,
+    plan: OverloadPlan, **durability: Any
 ) -> Tuple[SimulationReport, FrontDoorPolicy]:
     stream = _stalled_enclave(plan)
     policy = FrontDoorPolicy(
@@ -239,7 +234,7 @@ def _door_simulation(
           for r in stream["requests"]),
         *(resource_join(at, joining) for at, joining in stream["joins"]),
     )
-    return simulator.run(plan.horizon), policy
+    return simulator.run(plan.horizon, **durability), policy
 
 
 def _simulator_point(plan: OverloadPlan) -> OverloadPoint:
@@ -248,7 +243,7 @@ def _simulator_point(plan: OverloadPlan) -> OverloadPoint:
     replays field-identically."""
     (report, policy), diverged = replay_identity(
         lambda: _door_simulation(plan),
-        lambda run: _front_door_fingerprint(*run),
+        lambda run: report_fingerprint(*run),
     )
     shed = report.trace.shed_totals()
     return OverloadPoint(

@@ -204,6 +204,11 @@ class FrontDoorPolicy(AdmissionPolicy):
     def forfeit(self, label: str, now: Time) -> None:
         self._inner.forfeit(label, now)
 
+    def fingerprint_fields(self) -> Dict[str, str]:
+        """The door's decision log as ``"door"``: a replayed run must
+        shed, defer and admit exactly as the original did."""
+        return {"door": self._door.fingerprint()}
+
     def retry_candidates(
         self, now: Time
     ) -> list[Tuple[str, ConcurrentRequirement]]:

@@ -1001,9 +1001,7 @@ class OpenSystemSimulator:
                         shed_totals.get(term.ltype, 0) + term.quantity
                     )
                 for ltype, gone in shed_totals.items():
-                    self._record_loss(
-                        trace, state.t, "shed", ltype, gone, float(gone)
-                    )
+                    self._record_loss(trace, state.t, "shed", ltype, gone)
                 joining = accepted
             self._admission.observe_resources(joining, state.t)
             trace.note(state.t, f"resources join: {len(joining.located_types)} types")
@@ -1160,9 +1158,7 @@ class OpenSystemSimulator:
                 ltype, measure
             )
             if gone > 1e-12:
-                self._record_loss(
-                    trace, state.t, cause, ltype, gone, _metric_amount(gone)
-                )
+                self._record_loss(trace, state.t, cause, ltype, gone)
         if self._recovery is not None:
             # Honest recovery reasons against surviving resources only.
             self._admission.observe_loss(lost, state.t)
@@ -1175,13 +1171,12 @@ class OpenSystemSimulator:
         cause: str,
         ltype: LocatedType,
         gone: Time,
-        sample: float,
     ) -> None:
-        """Trace one measured loss and count ``sample`` of it by cause and
-        located type; the bound series are cached per run, like
-        ``_tally_offered``'s.  Shed joins sample as floats and fault
-        losses keep int quantities as ints, as their snapshots always
-        have."""
+        """Trace one measured loss and count it by cause and located
+        type; the bound series are cached per run, like
+        ``_tally_offered``'s.  Every cause samples through
+        :func:`_metric_amount`, so an int quantity counts as an int
+        whether it was shed or lost to a fault."""
         trace.record_loss(at, cause, ltype, gone)
         registry = get_registry()
         if not registry.enabled:
@@ -1203,7 +1198,7 @@ class OpenSystemSimulator:
             series = series_map[(cause, id(ltype))] = lost_total.labels(
                 cause=cause, ltype=str(ltype)
             )
-        series.inc(sample)
+        series.inc(_metric_amount(gone))
 
     def _handle_violations(
         self,

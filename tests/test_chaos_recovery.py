@@ -27,7 +27,7 @@ from repro.faults import (
     chaos_crash_matrix,
     faulty_scenario,
 )
-from repro.faults.chaos import SimulatorAdapter, kill_and_resume
+from repro.faults.chaos import kill_and_resume, scenario_run
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.workloads import volunteer_scenario
 
@@ -129,23 +129,31 @@ def compact_scenario():
     )
 
 
-class TamperedResume(SimulatorAdapter):
-    """Mutant: every resume returns a report whose horizon is off."""
-
-    def resume(self, pointdir):
-        resumed_from, fingerprint = super().resume(pointdir)
-        return resumed_from, {**fingerprint, "horizon": "tampered"}
+def compact_run():
+    scenario = compact_scenario()
+    return scenario_run(scenario, simulator_factory(scenario))
 
 
 class TestLoopCanFail:
     """Mutation self-checks: the loop reports what a broken resume or a
     drifting durable run does, instead of passing vacuously."""
 
-    def test_tampered_resume_fails_every_crashed_point(self, tmp_path):
-        scenario = compact_scenario()
+    def test_tampered_resume_fails_every_crashed_point(
+        self, tmp_path, monkeypatch
+    ):
+        """Mutant: every resume returns a report whose horizon is off."""
+        resume_run = OpenSystemSimulator.resume_run
+
+        def tampered(self):
+            report = resume_run(self)
+            report.horizon += 1
+            return report
+
+        monkeypatch.setattr(OpenSystemSimulator, "resume_run", tampered)
         result = kill_and_resume(
-            TamperedResume(scenario, simulator_factory(scenario), 3),
+            compact_run(),
             tmp_path,
+            checkpoint_every=3,
             boundary_stride=7,
             checkpoint_crashes=1,
         )
@@ -155,18 +163,14 @@ class TestLoopCanFail:
         assert all(p.detail == "diverged fields: horizon" for p in crashed)
         assert not result.ok
 
-    def test_drifting_durable_run_is_a_typed_error(
-        self, tmp_path, monkeypatch
-    ):
-        durable = SimulatorAdapter.durable
+    def test_drifting_durable_run_is_a_typed_error(self, tmp_path):
+        run = compact_run()
 
-        def drifted(self, journal, checkpoint_dir):
-            return {
-                **durable(self, journal, checkpoint_dir),
-                "notes": "drifted",
-            }
+        def drifted(**durability):
+            report, policy = run(**durability)
+            if durability:
+                report.trace.note(0, "drifted")
+            return report, policy
 
-        monkeypatch.setattr(SimulatorAdapter, "durable", drifted)
-        scenario = compact_scenario()
         with pytest.raises(FaultInjectionError, match="notes"):
-            chaos_crash_matrix(scenario, simulator_factory(scenario), tmp_path)
+            kill_and_resume(drifted, tmp_path, checkpoint_every=5)

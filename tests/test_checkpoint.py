@@ -27,8 +27,6 @@ from repro.faults import (
     SimulatedCrash,
     crashing_opener,
     faulty_scenario,
-    mesh_fingerprint,
-    resume_mesh,
     run_mesh,
 )
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
@@ -395,7 +393,7 @@ class TestResume:
             journal=tmp_path / "journal.jsonl",
         )
         plan = PartitionPlan(seed=2, horizon=48)
-        truth = mesh_fingerprint(*run_mesh(plan))
+        truth = report_fingerprint(*run_mesh(plan))
         journal = Journal(
             tmp_path / "journal.jsonl",
             opener=crashing_opener(crash_at_write=60),
@@ -409,9 +407,12 @@ class TestResume:
                 journal=journal,
             )
         journal.close()
-        report, policy = resume_mesh(tmp_path)
-        assert policy.plan == plan
-        resumed = mesh_fingerprint(report, policy)
+        simulator = OpenSystemSimulator.resume(
+            tmp_path, tmp_path / "journal.jsonl"
+        )
+        report = simulator.resume_run()
+        assert simulator.admission_policy.plan == plan
+        resumed = report_fingerprint(report, simulator.admission_policy)
         assert resumed == truth, diff_fingerprints(truth, resumed)
 
     def test_tampered_journal_decision_detected(self, tmp_path):

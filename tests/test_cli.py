@@ -78,11 +78,68 @@ class TestScenario:
         the directory, and the directory is not created."""
         empty = tmp_path / "empty"
         assert main([
-            "scenario", "pipeline", "--seed", "3", "--policy", "rota",
+            "scenario", "pipeline", "--policy", "rota",
             "--resume", "--checkpoint-dir", str(empty),
         ]) == 2
         assert "nothing to resume" in capsys.readouterr().err
         assert not empty.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "4"],
+        ["--crash-rate", "0.05"],
+        ["--revocation-rate", "0"],
+        ["--straggler-rate", "0.1"],
+        ["--fault-seed", "0"],
+        ["--recover"],
+    ])
+    def test_resume_refuses_fresh_run_flags(self, flags, tmp_path, capsys):
+        """The checkpoint holds the scenario's events, fault plan and
+        recovery; a flag that would build them again is a usage error."""
+        assert main([
+            "scenario", "pipeline", "--policy", "rota",
+            "--resume", "--checkpoint-dir", str(tmp_path), *flags,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "fresh runs only" in err
+
+    def test_resume_prints_what_the_fresh_run_printed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Nothing of a resume is rebuilt from flags: a faulty run
+        killed and resumed with plain ``--resume`` prints the same table
+        and fault block, titled with the scenario and the checkpoint it
+        resumed from."""
+        from repro.faults import SimulatedCrash, crashing_opener
+        from repro.system.checkpoint import Journal
+
+        fresh_argv = [
+            "scenario", "pipeline", "--seed", "4", "--policy", "rota",
+            "--crash-rate", "0.05", "--fault-seed", "7", "--recover",
+        ]
+        assert main(fresh_argv) == 0
+        fresh = capsys.readouterr().out.splitlines()
+        assert fresh[0].startswith("scenario=pipeline+faults@7")
+        assert "promise violations under faults:" in fresh
+
+        original = Journal.__init__
+
+        def crashing(self, path, **kwargs):
+            kwargs["opener"] = crashing_opener(crash_at_write=30)
+            original(self, path, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Journal, "__init__", crashing)
+            with pytest.raises(SimulatedCrash):
+                main([*fresh_argv, "--checkpoint-dir", str(tmp_path),
+                      "--checkpoint-every", "5"])
+        capsys.readouterr()
+        assert main([
+            "scenario", "pipeline", "--policy", "rota",
+            "--resume", "--checkpoint-dir", str(tmp_path),
+        ]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert resumed[0].startswith("scenario=pipeline resumed_from=ckpt-")
+        assert resumed[1:] == fresh[1:]
 
     @pytest.mark.parametrize("flag", [
         "--crash-rate", "--revocation-rate", "--straggler-rate",
@@ -431,7 +488,12 @@ class TestMeshNetworkFlags:
             "scenario", "mesh", "--checkpoint-dir", str(tmp_path),
             "--resume",
         ]) == 0
-        assert capsys.readouterr().out == fresh_out
+        resumed_out = capsys.readouterr().out
+        title = fresh_out.splitlines()[0]
+        newest = sorted(mesh_dir.glob("ckpt-*.json"))[-1].name
+        assert resumed_out == fresh_out.replace(
+            title, f"{title} resumed_from={newest}", 1
+        )
 
     def test_mesh_resume_refuses_network_flags(self, tmp_path, capsys):
         assert main([

@@ -32,10 +32,9 @@ from repro.faults import (
     crashing_opener,
     network_digest,
     report_fingerprint,
-    resume_mesh,
     run_mesh,
 )
-from repro.faults.netfaults import MeshAdapter
+from repro.faults import netfaults
 from repro.system import OpenSystemSimulator
 from repro.system.checkpoint import Journal
 from repro.workloads import volunteer_scenario
@@ -72,6 +71,14 @@ def durable_run(plan, directory, *, crash_at_write=None, checkpoint_every=4):
         journal.close()
 
 
+def resume(directory):
+    """The one resume call, plus the restored policy."""
+    simulator = OpenSystemSimulator.resume(
+        directory, directory / "journal.jsonl"
+    )
+    return simulator.resume_run(), simulator.admission_policy
+
+
 class TestNetworkSnapshot:
     def test_roundtrip_restores_an_identical_wire(self):
         _, policy = run_mesh(PLAN)
@@ -104,11 +111,11 @@ class TestNetworkSnapshot:
             patch.delattr(MeshPolicy, "network_snapshot")
             durable_run(PLAN, tmp_path)
         with pytest.raises(CheckpointError, match="network"):
-            resume_mesh(tmp_path)
+            resume(tmp_path)
 
     def test_resume_with_no_artifacts_is_an_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="nothing to resume"):
-            resume_mesh(tmp_path)
+            resume(tmp_path)
 
 
 class TestCrashResume:
@@ -122,7 +129,7 @@ class TestCrashResume:
         truth_report, truth_policy = run_mesh(PLAN)
         with pytest.raises(SimulatedCrash):
             durable_run(PLAN, tmp_path / "run", crash_at_write=40)
-        report, policy = resume_mesh(tmp_path / "run")
+        report, policy = resume(tmp_path / "run")
         assert report_fingerprint(report) == report_fingerprint(truth_report)
         assert network_digest(policy) == network_digest(truth_policy)
 
@@ -147,7 +154,7 @@ class TestCrashResume:
 
         with pytest.raises(SimulatedCrash):
             durable_run(PLAN, tmp_path / "run", crash_at_write=crash_at)
-        report, policy = resume_mesh(tmp_path / "run")
+        report, policy = resume(tmp_path / "run")
         resumed_ids = [r.msg_id for r in policy.channel.log]
         assert resumed_ids == truth_ids
         key = torn["key"]
@@ -242,15 +249,15 @@ class TestPartitionCrashMatrix:
     ):
         """If durability I/O alone changed the run, no kill could be
         judged against it: the matrix refuses with the diverged field."""
-        durable = MeshAdapter.durable
+        run_mesh = netfaults.run_mesh
 
-        def drifted(self, journal, checkpoint_dir):
-            return {
-                **durable(self, journal, checkpoint_dir),
-                "network": "drifted",
-            }
+        def drifted(plan, **durability):
+            report, policy = run_mesh(plan, **durability)
+            if durability:
+                policy.channel.stats.sent += 1
+            return report, policy
 
-        monkeypatch.setattr(MeshAdapter, "durable", drifted)
+        monkeypatch.setattr(netfaults, "run_mesh", drifted)
         with pytest.raises(FaultInjectionError, match="network"):
             chaos_partition_crash_matrix(
                 tmp_path, PLAN, durations=(0,), boundary_stride=10_000

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import OverloadPlan, chaos_overload_matrix, overload
+from repro.faults import (
+    OverloadPlan,
+    chaos_overload_matrix,
+    overload,
+    report_fingerprint,
+)
+from repro.faults.chaos import kill_and_resume
 from repro.service import ServiceReport
 from repro.service.frontdoor import ADMITTED, REJECTED
 from repro.workloads import flash_crowd_requests, stalled_enclave_stream
@@ -169,3 +176,32 @@ class TestReplayCanFail:
         assert not simulator.identical
         assert not simulator.ok and not result.ok
         assert simulator.detail == "diverged fields: door"
+
+
+#: The simulator leg's door-fronted stalled-enclave run, as the
+#: kill-and-resume loop's ``run(**durability)``; the CI crash-matrix job
+#: sweeps it at stride 1.
+door_run = functools.partial(overload._door_simulation, OverloadPlan())
+
+
+class TestFrontDoorCrashResume:
+    def test_fingerprint_carries_the_door_log(self):
+        report, policy = door_run()
+        assert report_fingerprint(report, policy) == {
+            **report_fingerprint(report), "door": policy.door.fingerprint(),
+        }
+
+    def test_killed_door_run_resumes_identically(self, tmp_path):
+        """A door-fronted run killed at sampled journal boundaries, torn
+        mid-write, and during checkpoint saves resumes to the same
+        report and the same door decision log."""
+        result = kill_and_resume(
+            door_run, tmp_path, checkpoint_every=3, boundary_stride=12
+        )
+        assert result.crashed_points, "budget never hit: matrix proved nothing"
+        assert result.mismatches == [], result.summary()
+        assert any(p.kind == "checkpoint" for p in result.crashed_points)
+        assert all(
+            p.resumed_from.startswith("ckpt-") for p in result.crashed_points
+        )
+        assert result.ok

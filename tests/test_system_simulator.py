@@ -11,11 +11,13 @@ from repro.computation import ComplexRequirement, Demands
 from repro.errors import SimulationError
 from repro.intervals import Interval
 from repro.resources import ResourceSet, term
+from repro.observability import MetricsRegistry, use_registry
 from repro.system import (
     ComputationLeaveEvent,
     OpenSystemSimulator,
     ReservationPolicy,
     arrival,
+    node_crash,
     resource_join,
 )
 
@@ -201,3 +203,37 @@ class TestRotaSoundnessInExecution:
         report = sim.run(30)
         assert report.missed == 0
         assert report.completed == report.admitted
+
+
+class _RefuseJoins(RotaAdmission):
+    """Sheds every mid-run join at the gate."""
+
+    def admit_resources(self, resources, now):
+        return ResourceSet.empty()
+
+
+class TestLossMetrics:
+    def test_shed_and_fault_samples_share_a_type(self, pool, cpu1, cpu2):
+        """``sim_lost_quantity_total`` samples every cause alike: an int
+        shed quantity counts as an int, as an int fault quantity does."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            sim = OpenSystemSimulator(_RefuseJoins(), initial_resources=pool)
+            sim.schedule(
+                resource_join(2, ResourceSet.of(term(3, cpu2, 0, 20))),
+                node_crash(5, cpu1.location),
+            )
+            report = sim.run(20)
+        assert {loss.cause for loss in report.trace.losses} == {
+            "shed", "crash",
+        }
+        (family,) = [
+            f for f in registry.snapshot()["metrics"]
+            if f["name"] == "sim_lost_quantity_total"
+        ]
+        samples = {
+            series["labels"]["cause"]: series["value"]
+            for series in family["series"]
+        }
+        assert samples == {"shed": 54, "crash": 60}
+        assert type(samples["shed"]) is type(samples["crash"]) is int

@@ -25,9 +25,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults import OverloadPlan, PartitionPlan, chaos_overload_matrix
 from repro.faults.chaos import report_fingerprint
-from repro.faults.netfaults import resume_mesh, run_mesh
+from repro.faults.netfaults import run_mesh
 from repro.resources import cpu
-from repro.system import SimulationTrace
+from repro.system import OpenSystemSimulator, SimulationTrace
 from repro.system.checkpoint import CheckpointStore
 from repro.system.tracing import LOSS_CAUSES, ResourceLoss
 
@@ -169,7 +169,9 @@ class TestLedgerAcrossRestore:
         # The newest checkpoint is a delta; resuming from it finishes
         # the run (whose end-of-run oracle re-checks the ledger).
         assert store.latest()[1].is_delta
-        resumed, _ = resume_mesh(tmp_path)
+        resumed = OpenSystemSimulator.resume(
+            tmp_path, tmp_path / "journal.jsonl"
+        ).resume_run()
         assert report_fingerprint(resumed) == report_fingerprint(truth)
 
     def test_located_type_hash_survives_another_hash_seed(self, tmp_path):
