@@ -11,7 +11,8 @@ the invariant a machine-checked proof obligation:
     must be either
 
     * *captured* — read by one of the class's snapshot methods
-      (``state_snapshot`` / ``network_snapshot`` / ``__getstate__``),
+      (``state_snapshot`` / ``network_snapshot`` / ``__getstate__`` /
+      the simulator's ``_snapshot_sections``),
       directly or through same-class helpers they call, including a
       wholesale ``dict(self.__dict__)`` minus the names it pops — or
     * *deliberately not captured* — its finding, anchored at the
@@ -40,6 +41,7 @@ CAPTURE_METHODS: Tuple[str, ...] = (
     "state_snapshot",
     "network_snapshot",
     "__getstate__",
+    "_snapshot_sections",
 )
 
 #: Classes under the proof regardless of decoration — the contract

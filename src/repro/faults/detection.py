@@ -46,10 +46,11 @@ class Victim:
 def components_of(
     state: SystemState, label: str
 ) -> Tuple[ActorProgress, ...]:
-    """All of an arrival's actor components currently accommodated."""
+    """All of an arrival's actor components currently accommodated,
+    finished ones included."""
     return tuple(
         p
-        for p in state.rho
+        for p in state
         if p.label == label or p.label.startswith(label + "[")
     )
 

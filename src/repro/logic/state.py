@@ -10,14 +10,22 @@ has reached and how much of that phase's demand remains.  This is the
 state the labeled transition rules decrement: the paper's
 ``[q - r x dt]^{(t, t')}_xi``.
 
+An actor that is complete, or whose deadline has passed, has no possible
+action left (the general transition rule only advances the others).  A
+state may keep such actors in a second tuple, ``finished``
+(:meth:`SystemState.retire_finished`), so the timed rules walk only live
+work; the logic-level views (:meth:`SystemState.progress_of`,
+iteration, ``pending``, ``missed``) read both tuples.
+
 States are immutable value objects, hashable so path enumeration can
 memoise visited configurations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.computation.demands import Demands
 from repro.computation.requirements import ComplexRequirement
@@ -76,6 +84,11 @@ class ActorProgress:
     def active_at(self, t: Time) -> bool:
         """Whether the actor may consume resources at time ``t``."""
         return (not self.is_complete) and self.start <= t < self.deadline
+
+    def finished_at(self, t: Time) -> bool:
+        """Whether the actor can never act again from ``t`` on: it is
+        complete, or its deadline has passed."""
+        return self.is_complete or t >= self.deadline
 
     # ------------------------------------------------------------------
     def after_consuming(self, consumed: Demands) -> "ActorProgress":
@@ -144,50 +157,75 @@ class ActorProgress:
 
 @dataclass(frozen=True)
 class SystemState:
-    """``S = (Theta, rho, t)``."""
+    """``S = (Theta, rho, t)``.
+
+    ``rho`` holds the actors the timed rules advance; ``finished`` holds
+    accommodated actors retired from ``rho`` because they can never act
+    again.  Together they are the paper's ``rho``."""
 
     theta: ResourceSet
     rho: tuple[ActorProgress, ...]
     t: Time
+    finished: tuple[ActorProgress, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", tuple(self.rho))
+        object.__setattr__(self, "finished", tuple(self.finished))
 
     # ------------------------------------------------------------------
     @property
     def is_quiescent(self) -> bool:
         """No accommodated computation has outstanding demand."""
-        return all(progress.is_complete for progress in self.rho)
+        return all(progress.is_complete for progress in self)
 
     @property
     def pending(self) -> tuple[ActorProgress, ...]:
         """Accommodated computations with outstanding demand."""
-        return tuple(p for p in self.rho if not p.is_complete)
+        return tuple(p for p in self if not p.is_complete)
 
     @property
     def missed(self) -> tuple[ActorProgress, ...]:
         """Computations whose deadline has passed with demand outstanding."""
         return tuple(
-            p for p in self.rho if not p.is_complete and self.t >= p.deadline
+            p for p in self if not p.is_complete and self.t >= p.deadline
         )
 
     def progress_of(self, label: str) -> ActorProgress:
-        for progress in self.rho:
+        for progress in self:
             if progress.label == label:
                 return progress
         raise KeyError(f"no accommodated computation labelled {label!r}")
 
-    def replace_progress(
-        self, updated: tuple[ActorProgress, ...]
-    ) -> "SystemState":
-        return replace(self, rho=updated)
+    def without(self, doomed: Iterable[ActorProgress]) -> "SystemState":
+        """The state with the given actors removed from both tuples."""
+        ids = {id(p) for p in doomed}
+        return replace(
+            self,
+            rho=tuple(p for p in self.rho if id(p) not in ids),
+            finished=tuple(p for p in self.finished if id(p) not in ids),
+        )
+
+    def retire_finished(self) -> "SystemState":
+        """Move every actor of ``rho`` that is finished at ``t`` (see
+        :meth:`ActorProgress.finished_at`) to the end of ``finished``,
+        keeping the order of both.  Costs one pass over ``rho``."""
+        live: list[ActorProgress] = []
+        done: list[ActorProgress] = []
+        for progress in self.rho:
+            (done if progress.finished_at(self.t) else live).append(progress)
+        if not done:
+            return self
+        return SystemState(
+            self.theta, tuple(live), self.t, self.finished + tuple(done)
+        )
 
     def __iter__(self) -> Iterator[ActorProgress]:
-        return iter(self.rho)
+        return itertools.chain(self.rho, self.finished)
 
     def __repr__(self) -> str:
         return (
-            f"SystemState(t={self.t}, {len(self.rho)} computations, "
+            f"SystemState(t={self.t}, "
+            f"{len(self.rho) + len(self.finished)} computations, "
             f"{len(self.theta.located_types)} resource types)"
         )
 

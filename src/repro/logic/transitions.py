@@ -23,7 +23,7 @@ branching of the tree frame ``chi`` whose branches are computation paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.computation.demands import Demands
@@ -138,6 +138,7 @@ def step(
         theta=state.theta.truncate_before(state.t + dt),
         rho=tuple(updated),
         t=state.t + dt,
+        finished=state.finished,
     )
     label = TransitionLabel(tuple(consumed_labels), tuple(expired), dt)
     return Transition(state, label, next_state)
@@ -182,7 +183,7 @@ def acquire(state: SystemState, joining: ResourceSet) -> SystemState:
     There is no resource-leave rule: a term's interval already fixes when
     it leaves.
     """
-    return SystemState(state.theta | joining, state.rho, state.t)
+    return replace(state, theta=state.theta | joining)
 
 
 def accommodate(
@@ -206,7 +207,7 @@ def accommodate(
                 f"{part.deadline} has passed (t={state.t})"
             )
     additions = tuple(ActorProgress(part) for part in parts)
-    return SystemState(state.theta, state.rho + additions, state.t)
+    return replace(state, rho=state.rho + additions)
 
 
 def leave(state: SystemState, label: str) -> SystemState:
@@ -220,8 +221,7 @@ def leave(state: SystemState, label: str) -> SystemState:
         raise TransitionError(
             f"{label!r} has already started (t={state.t} >= s={progress.start})"
         )
-    remaining = tuple(p for p in state.rho if p is not progress)
-    return SystemState(state.theta, remaining, state.t)
+    return state.without((progress,))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ durability subsystem snapshots and restores.  The decorator is inert at
 runtime (it only stamps ``__checkpointable__``), but it is a *contract*
 the whole-program flow analysis enforces: every attribute the class ever
 assigns on ``self`` must be captured by one of its snapshot methods
-(``state_snapshot`` / ``network_snapshot`` / ``__getstate__``) or carry a
+(``state_snapshot`` / ``network_snapshot`` / ``__getstate__`` /
+``_snapshot_sections``) or carry a
 reasoned suppression saying why a restore does without it::
 
     self._cache = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt lazily on first read

@@ -316,8 +316,8 @@ class RateProfile:
     @classmethod
     def _from_lists(cls, times: list, rates: list) -> "RateProfile":
         """Adopt normalised exact ``times``/``rates`` lists as a profile
-        (splice results only): no tuples are built, and the lists are
-        the bisect index."""
+        (splice and prefix-cut results only): no tuples are built, and
+        the lists are the bisect index."""
         if not times:
             return _ZERO
         profile = cls.__new__(cls)
@@ -812,6 +812,32 @@ class RateProfile:
         if not math.isinf(window.end):
             points.append((window.end, 0))
         return RateProfile(points)
+
+    def truncate_before(self, t: Time) -> "RateProfile":
+        """The profile with everything before ``t`` dropped: ``clamp``
+        to ``(t, inf)``, the expiry of availability in the past.
+
+        On an exact profile and an exact ``t`` this is a prefix cut:
+        bisect to ``t``, keep the lists from there, and put ``t`` in
+        front with the rate in effect there (none when that rate is 0).
+        The kept suffix is normalised already, so the result is
+        ``clamp``'s in value and type.  Other profiles take ``clamp``."""
+        if self.is_zero:
+            return _ZERO
+        if not (
+            (type(t) is int or type(t) is Fraction) and self._is_exact()
+        ):
+            return self.clamp(Interval(t, math.inf))
+        self._ensure_index()
+        times = self._times
+        lo = bisect_right(times, t)
+        if lo == 0:
+            return self
+        rates = self._rates()
+        edge = rates[lo - 1]
+        if edge == 0:
+            return RateProfile._from_lists(times[lo:], rates[lo:])
+        return RateProfile._from_lists([t] + times[lo:], [edge] + rates[lo:])
 
     def shift(self, delta: Time) -> "RateProfile":
         """The profile translated in time by ``delta``."""

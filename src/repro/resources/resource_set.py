@@ -17,12 +17,11 @@ Operations follow Section III:
 * ``U_s^d Theta`` — :meth:`restrict` — the resources existing within a
   window, used by the satisfaction function ``f``.
 
-Instances are immutable; every operation returns a new set.
+Instances are immutable; no operation changes a set in place.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Iterator, Mapping
 
 from repro.errors import UndefinedOperationError
@@ -136,10 +135,14 @@ class ResourceSet:
 
     def truncate_before(self, t: Time) -> "ResourceSet":
         """Drop everything before time ``t`` (resources in the past have
-        expired; used when advancing system state)."""
-        return ResourceSet.from_profiles(
-            {lt: p.clamp(Interval(t, math.inf)) for lt, p in self._profiles.items()}
-        )
+        expired; used when advancing system state).  Resources only
+        diminish, so each exact profile loses a prefix
+        (:meth:`RateProfile.truncate_before`); a set with nothing before
+        ``t`` is returned as it is."""
+        cut = {lt: p.truncate_before(t) for lt, p in self._profiles.items()}
+        if all(cut[lt] is p for lt, p in self._profiles.items()):
+            return self
+        return ResourceSet.from_profiles(cut)
 
     # ------------------------------------------------------------------
     # Algebra

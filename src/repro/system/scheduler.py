@@ -31,7 +31,11 @@ class AllocationPolicy(abc.ABC):
 
     @abc.abstractmethod
     def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
-        """Allocations for the slice ``(state.t, state.t + dt)``."""
+        """Allocations for the slice ``(state.t, state.t + dt)``.
+
+        Only ``state.rho`` can consume: actors retired to
+        ``state.finished`` never act again, so a policy never walks
+        them."""
 
 
 class _PriorityPolicy(AllocationPolicy):

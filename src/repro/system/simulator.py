@@ -29,17 +29,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import dataclass, field as dataclasses_field, replace
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
 from repro.errors import CheckpointError, SimulationError, TransitionError
 from repro.intervals.interval import Interval, Time
 from repro.logic.state import SystemState, initial_state
-from repro.logic.transitions import accommodate, acquire, leave, step
+from repro.logic.transitions import Transition, accommodate, acquire, leave, step
+from repro.markers import checkpointable
 from repro.observability import PhaseTimer, get_registry
 from repro.resources.located_type import LocatedType, Node
 from repro.resources.resource_set import ResourceSet
@@ -237,6 +238,7 @@ class _ActiveVictim:
     attempts: int = 0
 
 
+@checkpointable
 class OpenSystemSimulator:
     """Event-driven executor of the ROTA open-system rules."""
 
@@ -270,7 +272,7 @@ class OpenSystemSimulator:
         # Tie-breaker for same-time events: schedule() call order.  Each
         # simulator counts its own, so a run's order never depends on
         # what else ran in the process; checkpoints carry it.
-        self._next_seq = 0
+        self._next_seq = 0  # repro-lint: disable=flow-snapshot-coverage -- sealed in the checkpoint envelope as its sequence
         self._state = initial_state(
             initial_resources or ResourceSet.empty(), START_TIME
         )
@@ -283,28 +285,32 @@ class OpenSystemSimulator:
         # Consumption per owning arrival, tallied as slices execute so
         # salvage accounting needs no rescan of the whole trace.
         self._consumed_by_owner: Dict[str, Time] = {}
+        # Owner index over the admitted, unsettled records, in arrival
+        # order: each label maps to its components still short of
+        # completion, so the expire phase walks open work only.
+        self._open: Dict[str, Tuple[str, ...]] = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt from the records and state sections on resume
         # Run-scoped report state (attributes, not run() locals, so a
         # checkpoint can snapshot them mid-run — see _snapshot_sections()).
         self._records: Dict[str, ComputationRecord] = {}
         self._offered: Dict[LocatedType, Time] = {}
         self._trace = SimulationTrace()
-        self._run_window: Optional[Interval] = None
+        self._run_window: Optional[Interval] = None  # repro-lint: disable=flow-snapshot-coverage -- derived from the horizon on resume
         # Durability plumbing (configured per run()).
-        self._journal: Optional[Journal] = None
-        self._owns_journal = False
-        self._journal_count = 0
-        self._replay_records: List[dict] = []
-        self._replay_pos = 0
-        self._checkpoint_store: Optional[CheckpointStore] = None
+        self._journal: Optional[Journal] = None  # repro-lint: disable=flow-snapshot-coverage -- reopened from the journal path on resume
+        self._owns_journal = False  # repro-lint: disable=flow-snapshot-coverage -- reopened from the journal path on resume
+        self._journal_count = 0  # repro-lint: disable=flow-snapshot-coverage -- sealed in the checkpoint envelope as its journal record count
+        self._replay_records: List[dict] = []  # repro-lint: disable=flow-snapshot-coverage -- the journal suffix, reloaded on resume
+        self._replay_pos = 0  # repro-lint: disable=flow-snapshot-coverage -- the journal suffix, reloaded on resume
+        self._checkpoint_store: Optional[CheckpointStore] = None  # repro-lint: disable=flow-snapshot-coverage -- the directory resume reads
         self._checkpoint_every = 0
-        self._last_checkpoint_step = -1
-        self._snapshotter: Optional[DeltaSnapshotter] = None
-        self._mid_run = False
+        self._last_checkpoint_step = -1  # repro-lint: disable=flow-snapshot-coverage -- sealed in the checkpoint envelope as its step
+        self._snapshotter: Optional[DeltaSnapshotter] = None  # repro-lint: disable=flow-snapshot-coverage -- the delta cache dies with the process; a resume writes a full
+        self._mid_run = False  # repro-lint: disable=flow-snapshot-coverage -- set by resume itself
         # Observational resume anomalies (torn journal tails) and the
         # restored checkpoint's name; reported, never traced or
         # fingerprinted.
-        self._warnings: List[str] = []
-        self._resumed_from = ""
+        self._warnings: List[str] = []  # repro-lint: disable=flow-snapshot-coverage -- observational, never traced or fingerprinted
+        self._resumed_from = ""  # repro-lint: disable=flow-snapshot-coverage -- observational, never traced or fingerprinted
         if initial_resources is not None and not initial_resources.is_empty:
             self._admission.observe_resources(initial_resources, START_TIME)
 
@@ -372,6 +378,7 @@ class OpenSystemSimulator:
         self._victims = {}
         self._flagged = set()
         self._consumed_by_owner = {}
+        self._open = {}
         self._replay_records = []
         self._replay_pos = 0
         self._journal_count = 0
@@ -380,8 +387,8 @@ class OpenSystemSimulator:
         self._resumed_from = ""
         # Per-run bound-series caches (observability): id()-keyed, so a
         # fresh run must never inherit bindings from a previous one.
-        self._offered_series = None
-        self._lost_series = None
+        self._offered_series = None  # repro-lint: disable=flow-snapshot-coverage -- per-run metric handle cache
+        self._lost_series = None  # repro-lint: disable=flow-snapshot-coverage -- per-run metric handle cache
         self._tally_offered(self._state.theta)
         self._configure_durability(
             journal, checkpoint_every, checkpoint_dir, journal_fsync
@@ -467,8 +474,11 @@ class OpenSystemSimulator:
         sim._recovery = payload["recovery"]
         sim._dt = payload["dt"]
         sim._invariant_interval = payload["invariant_interval"]
-        sim._state = payload["state"]
+        # A snapshot written before actors retired holds every actor in
+        # rho; retiring here gives the state the uninterrupted run has.
+        sim._state = payload["state"].retire_finished()
         sim._records = payload["records"]
+        sim._open = _open_index(sim._records, sim._state)
         sim._offered = payload["offered"]
         sim._trace = payload["trace"]
         sim._events = payload["events"]
@@ -673,6 +683,15 @@ class OpenSystemSimulator:
                 with phase("claim"):
                     allocations = self._allocation.allocate(state, self._dt)
                     transition = step(state, self._dt, allocations)
+                # The actors this slice finished leave rho in the state
+                # the trace records, so it and the checkpointed state
+                # stay one object.
+                stepped = transition.target
+                retired = stepped.retire_finished()
+                if retired is not stepped:
+                    transition = Transition(
+                        transition.source, transition.label, retired
+                    )
                 trace.record(transition)
                 for actor, ltype, quantity in transition.label.consumed:
                     amount = _metric_amount(quantity)
@@ -697,36 +716,35 @@ class OpenSystemSimulator:
                             cell[1] += _metric_amount(quantity)
                 state = transition.target
 
-                # 3. Outcome bookkeeping.  A multi-actor arrival completes
-                # when every component completes; it misses when any
-                # component is still unfinished at the arrival's deadline.
+                # 3. Outcome bookkeeping over the open records only.  A
+                # multi-actor arrival completes when every component
+                # completes; it misses when any component is still
+                # unfinished at the arrival's deadline.
                 with phase("expire"):
-                    for record in records.values():
-                        if (
-                            not record.admitted
-                            or record.completed
-                            or record.missed
-                            or record.abandoned
-                        ):
-                            continue
-                        if record.label in self._victims:
+                    now = state.t
+                    live = {p.label: p for p in stepped.rho}
+                    for label, parts in list(self._open.items()):
+                        record = records[label]
+                        if label in self._victims:
                             # Awaiting re-admission; give up at the deadline.
-                            if state.t >= record.window.end:
-                                self._abandon(record, trace, state.t)
+                            if now >= record.window.end:
+                                self._abandon(record, trace, now)
                             continue
-                        components = [
-                            p
-                            for p in state.rho
-                            if p.label == record.label
-                            or p.label.startswith(record.label + "[")
-                        ]
-                        if not components:
-                            continue
-                        if all(p.is_complete for p in components):
+                        # A part missing from rho retired short of
+                        # completion: its deadline passed.
+                        left = tuple(
+                            part for part in parts
+                            if part not in live or not live[part].is_complete
+                        )
+                        if not left:
                             record.completed = True
-                            record.finish_time = state.t
-                        elif state.t >= record.window.end:
+                            record.finish_time = now
+                            self._settle(label)
+                        elif now >= record.window.end:
                             record.missed = True
+                            self._settle(label)
+                        elif len(left) < len(parts):
+                            self._open[label] = left
 
                 # 4. Optional runtime invariant check: the extended
                 # conservation identity must hold at every sampled instant.
@@ -1019,11 +1037,7 @@ class OpenSystemSimulator:
                 record.admitted = True
                 record.rejection_reason = ""
                 trace.note(state.t, f"retry admitted {label!r}")
-                if decision.schedule is not None and isinstance(
-                    self._allocation, ReservationPolicy
-                ):
-                    self._allocation.reserve(label, decision.schedule)
-                state = accommodate(state, _relabel(requirement, label))
+                state = self._accommodate(state, label, requirement, decision)
             # ... and a new frontier for evicted victims too: offer
             # re-admission ahead of their backoff schedule.
             for label in list(self._victims):
@@ -1054,12 +1068,9 @@ class OpenSystemSimulator:
                 + (f" ({decision.reason})" if decision.reason else ""),
             )
             if decision.admitted:
-                if decision.schedule is not None and isinstance(
-                    self._allocation, ReservationPolicy
-                ):
-                    self._allocation.reserve(label, decision.schedule)
-                relabelled = _relabel(event.requirement, label)
-                return accommodate(state, relabelled)
+                return self._accommodate(
+                    state, label, event.requirement, decision
+                )
             return state
 
         if isinstance(event, ResourceRevocationEvent):
@@ -1127,8 +1138,7 @@ class OpenSystemSimulator:
                 trace.note(state.t, f"leave {event.label!r} refused")
                 return state
             self._admission.on_leave(event.label, state.t)
-            if isinstance(self._allocation, ReservationPolicy):
-                self._allocation.release(event.label)
+            self._settle(event.label)
             record = records.get(event.label)
             if record is not None:
                 record.admitted = False
@@ -1137,6 +1147,42 @@ class OpenSystemSimulator:
             return state
 
         raise SimulationError(f"unknown event {event!r}")
+
+    def _accommodate(
+        self,
+        state: SystemState,
+        label: str,
+        requirement: ConcurrentRequirement,
+        decision: PolicyDecision,
+    ) -> SystemState:
+        """Accommodate an admitted arrival's components under its label,
+        reserve its witness schedule, and index it as open."""
+        if decision.schedule is not None and isinstance(
+            self._allocation, ReservationPolicy
+        ):
+            self._allocation.reserve(label, decision.schedule)
+        relabelled = _relabel(requirement, label)
+        late = (
+            label not in self._open
+            and label != next(reversed(self._records))
+        )
+        self._open[label] = tuple(part.label for part in relabelled.components)
+        if late:
+            # A retry admits an earlier arrival: keep arrival order.
+            self._open = {
+                key: self._open[key]
+                for key in self._records
+                if key in self._open
+            }
+        return accommodate(state, relabelled)
+
+    def _settle(self, label: str) -> None:
+        """A record reached its outcome (or withdrew): it leaves the
+        owner index, and its reservation, which no allocation reads
+        again, is released."""
+        self._open.pop(label, None)
+        if isinstance(self._allocation, ReservationPolicy):
+            self._allocation.release(label)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -1162,7 +1208,7 @@ class OpenSystemSimulator:
         if self._recovery is not None:
             # Honest recovery reasons against surviving resources only.
             self._admission.observe_loss(lost, state.t)
-        return SystemState(survived, state.rho, state.t)
+        return replace(state, theta=survived)
 
     def _record_loss(
         self,
@@ -1211,14 +1257,9 @@ class OpenSystemSimulator:
 
         cause = "+".join(sorted(set(fault_causes)))
         candidates = [
-            record.label
-            for record in records.values()
-            if record.admitted
-            and not record.completed
-            and not record.missed
-            and not record.abandoned
-            and record.label not in self._victims
-            and record.label not in self._flagged
+            label
+            for label in self._open
+            if label not in self._victims and label not in self._flagged
         ]
         for label, remaining_total in find_victims(state, candidates):
             record = records[label]
@@ -1250,10 +1291,8 @@ class OpenSystemSimulator:
         label = record.label
         components = components_of(state, label)
         residual = residual_requirement(components, state.t, label)
-        component_ids = {id(p) for p in components}
-        state = state.replace_progress(
-            tuple(p for p in state.rho if id(p) not in component_ids)
-        )
+        state = state.without(components)
+        self._open[label] = ()
         self._admission.forfeit(label, state.t)
         if isinstance(self._allocation, ReservationPolicy):
             self._allocation.release(label)
@@ -1310,11 +1349,9 @@ class OpenSystemSimulator:
                 f"recovered {record.label!r} on offer {victim.attempts} "
                 f"({reason})",
             )
-            if decision.schedule is not None and isinstance(
-                self._allocation, ReservationPolicy
-            ):
-                self._allocation.reserve(record.label, decision.schedule)
-            return accommodate(state, _relabel(victim.residual, record.label))
+            return self._accommodate(
+                state, record.label, victim.residual, decision
+            )
         if victim.attempts >= self._recovery.max_attempts:
             self._abandon(record, trace, now)
             return state
@@ -1334,6 +1371,7 @@ class OpenSystemSimulator:
         if victim is not None:
             record.recovery_attempts = victim.attempts
         record.abandoned = True
+        self._settle(record.label)
         salvaged = self._consumed_by_owner.get(record.label, 0.0)
         record.salvaged = salvaged
         get_registry().counter(
@@ -1403,6 +1441,26 @@ def _degradation_loss(theta: ResourceSet, location: Node, factor) -> ResourceSet
         if ltype.location == location:
             lost[ltype] = theta.profile(ltype).scale(1 - factor)
     return ResourceSet.from_profiles(lost)
+
+
+def _open_index(
+    records: Dict[str, ComputationRecord], state: SystemState
+) -> Dict[str, Tuple[str, ...]]:
+    """The owner index of a restored run: every admitted, unsettled
+    record, in arrival order, with its components short of completion
+    (an evicted victim's are gone from the state)."""
+    parts: Dict[str, List[str]] = {}
+    for progress in state:
+        if not progress.is_complete:
+            parts.setdefault(progress.label.split("[")[0], []).append(
+                progress.label
+            )
+    return {
+        label: tuple(parts.get(label, ()))
+        for label, record in records.items()
+        if record.admitted
+        and not (record.completed or record.missed or record.abandoned)
+    }
 
 
 def _relabel(

@@ -30,6 +30,7 @@ from repro.faults import (
     run_mesh,
 )
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
+from repro.logic.state import SystemState
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -667,3 +668,71 @@ class TestOlderSnapshots:
         resumed = OpenSystemSimulator.resume(counting, journal)
         fingerprint = report_fingerprint(resumed.resume_run())
         assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
+
+
+class _ParentFormatState:
+    """Pickles as a ``SystemState`` of the format before finished actors
+    had a tuple of their own: one ``rho`` holding every accommodated
+    actor in arrival order, and no ``finished`` attribute at all."""
+
+    def __init__(self, state, records):
+        order = {label: index for index, label in enumerate(records)}
+        self.fields = {
+            "theta": state.theta,
+            "rho": tuple(
+                sorted(state, key=lambda p: order[p.label.split("[")[0]])
+            ),
+            "t": state.t,
+        }
+
+    def __reduce__(self):
+        return (object.__new__, (SystemState,), self.fields)
+
+
+class TestSingleRhoSnapshots:
+    def test_all_actor_rho_resumes_to_the_uninterrupted_run(self, tmp_path):
+        """A full snapshot whose state holds every actor, finished or
+        not, in one ``rho`` resumes: the finished actors are retired at
+        restore, and every kill point's report equals the uninterrupted
+        run's."""
+        scenario = chaos_scenario()
+        plain = make_simulator(scenario)
+        plain.schedule(*scenario.events)
+        truth = report_fingerprint(plain.run(scenario.horizon))
+
+        pointdir = tmp_path / "ckpt"
+        journal = tmp_path / "journal.jsonl"
+        sim = make_simulator(scenario)
+        sim.schedule(*scenario.events)
+        sim.run(
+            scenario.horizon,
+            checkpoint_every=10,
+            checkpoint_dir=pointdir,
+            journal=journal,
+        )
+        converted = 0
+        for path in sorted(pointdir.glob("ckpt-*.json")):
+            tip, sections = CheckpointStore(pointdir).resolve(path)
+            state = sections["state"]
+            if not state.finished:
+                continue
+            sections["state"] = _ParentFormatState(state, sections["records"])
+            store = CheckpointStore(tmp_path / f"single-{tip.step}")
+            single = store.save(SimulatorCheckpoint(
+                step=tip.step,
+                journal_records=tip.journal_records,
+                sequence=tip.sequence,
+                payload=pickle.dumps(sections, pickle.HIGHEST_PROTOCOL),
+            ))
+            _, restored = store.resolve(single)
+            assert "finished" not in vars(restored["state"])
+            assert len(restored["state"].rho) == len(state.rho) + len(
+                state.finished
+            )
+            resumed = OpenSystemSimulator.resume(single, journal)
+            assert resumed._state.rho == state.rho
+            assert set(resumed._state.finished) == set(state.finished)
+            fingerprint = report_fingerprint(resumed.resume_run())
+            assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
+            converted += 1
+        assert converted >= 3

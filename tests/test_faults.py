@@ -318,3 +318,58 @@ class TestDeterminism:
             (r.label, r.outcome) for r in second.records
         ]
         assert first.consumed == second.consumed
+
+
+class TestRecoveryInformsAdmission:
+    """``pipeline`` seed 4 under ``FaultPlan(seed=7, crash_rate=0.05)``
+    admits nothing with recovery on, by design.  The plan crashes
+    ``src`` at t=7 and ``dst`` at t=33, and ``pipe0``..``pipe16`` are
+    refused even without faults.  With recovery the simulator reports
+    each loss through ``observe_loss``, so the policy refuses work on
+    dead nodes; without recovery the policy is not told, admits ten
+    arrivals onto dead capacity, and every one is violated."""
+
+    class _Spy(RotaAdmission):
+        def __init__(self):
+            super().__init__()
+            self.losses = []
+
+        def observe_loss(self, lost, now):
+            self.losses.append(now)
+            return super().observe_loss(lost, now)
+
+    def _run(self, *, faults, recover):
+        from repro.workloads.scenarios import pipeline_scenario
+
+        scenario = pipeline_scenario(4)
+        if faults:
+            scenario = faulty_scenario(
+                scenario, FaultPlan(seed=7, crash_rate=0.05)
+            )
+        policy = self._Spy()
+        sim = OpenSystemSimulator(
+            policy,
+            initial_resources=scenario.initial_resources,
+            allocation_policy=ReservationPolicy(),
+            recovery=RecoveryPolicy() if recover else None,
+        )
+        sim.schedule(*scenario.events)
+        return sim.run(scenario.horizon), policy
+
+    def test_without_faults_the_first_admission_is_pipe17(self):
+        report, policy = self._run(faults=False, recover=True)
+        admitted = [r for r in report.records if r.admitted]
+        assert (report.arrivals, report.admitted, report.completed) == (33, 10, 10)
+        assert (admitted[0].label, admitted[0].arrival_time) == ("pipe17", 43)
+        assert policy.losses == []
+
+    def test_unrecovered_faults_admit_onto_dead_capacity(self):
+        report, policy = self._run(faults=True, recover=False)
+        assert (report.admitted, report.completed, report.missed) == (10, 0, 10)
+        assert len(report.violations) == 10
+        assert policy.losses == []
+
+    def test_recovery_tells_the_policy_and_it_refuses(self):
+        report, policy = self._run(faults=True, recover=True)
+        assert (report.arrivals, report.admitted) == (33, 0)
+        assert policy.losses == [7, 33]

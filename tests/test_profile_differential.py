@@ -772,6 +772,42 @@ def test_exact_queries_exhaustive_small_grid():
                 assert _outcome(query) == _outcome(oracle), (raw, window)
 
 
+def test_truncate_before_is_clamp_in_value_and_type():
+    """Expiry is a prefix cut on exact profiles: ``truncate_before(t)``
+    gives ``clamp``'s (and the oracle's) breakpoints with their types,
+    from tuple-built and list-built (spliced) profiles alike, for int and
+    Fraction cut times on and between breakpoints.  Inexact operands
+    (a float profile or a float cut time) take ``clamp`` itself."""
+    rng = random.Random(29)
+    claim = RateProfile([(1, 1), (2, 0)])
+    cuts = 0
+    for _ in range(400):
+        base = RateProfile(_exact_points(rng))
+        for profile in (base, base + claim):
+            times = [t for t, _ in profile.breakpoints]
+            for t in [_exact_coord(rng), _exact_coord(rng)] + [
+                _other_type(time) for time in times[:3]
+            ] + times[:3]:
+                window = Interval(t, math.inf)
+                got = _outcome(lambda: profile.truncate_before(t))
+                assert got == _outcome(lambda: profile.clamp(window))
+                assert got == _outcome(lambda: _oracle_clamp(profile, window))
+                result = profile.truncate_before(t)
+                if result is not profile and not result.is_zero:
+                    assert result._pts is None  # the list-form prefix cut
+                    cuts += 1
+    assert cuts > 500
+    floats = RateProfile([(0.5, 2.0), (3.0, 0.0)])
+    for t in (0, 1, Fraction(7, 2), 0.25, 1.5, 3.0):
+        assert _typed(floats.truncate_before(t)) == _typed(
+            floats.clamp(Interval(t, math.inf))
+        )
+    exact = RateProfile([(0, 2), (4, 0)])
+    assert _typed(exact.truncate_before(1.5)) == _typed(
+        exact.clamp(Interval(1.5, math.inf))
+    )
+
+
 # ----------------------------------------------------------------------
 # The float window family: float64 kernels, checked bit for bit
 # ----------------------------------------------------------------------
