@@ -224,16 +224,16 @@ def report_fingerprint(
         ],
         "transitions": [
             (
-                time_to_wire(tr.source.t),
+                time_to_wire(entry.t),
                 sorted(
                     (actor, str(ltype), float(q))
-                    for actor, ltype, q in tr.label.consumed
+                    for actor, ltype, q in entry.label.consumed
                 ),
                 sorted(
-                    (str(ltype), float(q)) for ltype, q in tr.label.expired
+                    (str(ltype), float(q)) for ltype, q in entry.label.expired
                 ),
             )
-            for tr in trace.transitions
+            for entry in trace.transitions
         ],
     }
     if policy is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.computation.demands import Demands
 from repro.computation.requirements import ComplexRequirement, ConcurrentRequirement
@@ -149,19 +149,25 @@ def expire(state: SystemState, dt: Time) -> Transition:
     return step(state, dt, None)
 
 
-def greedy_allocations(state: SystemState, dt: Time) -> Mapping[str, Demands]:
-    """A canonical maximal allocation for the slice: earlier-admitted
-    computations drain availability first.  Used by deterministic stepping
-    (the simulator offers richer policies)."""
+def greedy_allocations(
+    state: SystemState,
+    dt: Time,
+    key: Callable[[ActorProgress], Any] | None = None,
+) -> Mapping[str, Demands]:
+    """A maximal allocation for the slice: active computations drain
+    availability in turn, in admission order or sorted by ``key``.  The
+    admission-order branch is the canonical one of deterministic
+    stepping; the simulator's priority policies pass their own order."""
     slice_window = Interval(state.t, state.t + dt)
     capacity: Dict[LocatedType, Time] = {
         lt: state.theta.quantity(lt, slice_window)
         for lt in state.theta.located_types
     }
+    active = [p for p in state.rho if p.active_at(state.t)]
+    if key is not None:
+        active.sort(key=key)
     out: Dict[str, Demands] = {}
-    for progress in state.rho:
-        if not progress.active_at(state.t):
-            continue
+    for progress in active:
         granted: Dict[LocatedType, Time] = {}
         for ltype, want in progress.current_demands.items():
             take = min(want, capacity.get(ltype, 0))

@@ -32,16 +32,18 @@ Every section is plain data, diffed by the one rule its name selects
 (:meth:`DeltaSnapshotter.rule_for`): append-only suffixes for the trace
 and the channel log; the ``events`` section (a sorted list, hence a
 valid heap) keyed by ``seq``; ``records`` keyed by label, a record
-riding only when new or changed; the frozen ``state`` by identity,
-pickled in one memo with the trace suffix; pickled bytes for the rest.
-Deltas carry a ``format_version`` 2 envelope naming their base
-(``base_step`` + ``base_sha256``); full snapshots keep the version-1
-envelope, so old readers still restore them.  After every
-:data:`FULL_INTERVAL` deltas — and always immediately after a resume,
-since the delta cache dies with the process — a full snapshot reseeds
-the chain.  :meth:`CheckpointStore.latest` validates the whole chain
-before nominating a file: a delta whose base is missing, corrupt, or
-checksum-mismatched is skipped in favour of an older snapshot.
+riding only when new or changed; the frozen ``state`` by identity, whole
+when it moved (the trace holds no states, so it shares nothing with the
+trace suffix); pickled bytes for the rest.  Full snapshots and deltas
+share one envelope, :data:`CHECKPOINT_FORMAT_VERSION`; a delta's also
+names its base (``base_step`` + ``base_sha256``).  Older envelopes are
+refused with a :class:`~repro.errors.CheckpointError` naming their
+version.  After every :data:`FULL_INTERVAL` deltas — and always
+immediately after a resume, since the delta cache dies with the process
+— a full snapshot reseeds the chain.  :meth:`CheckpointStore.latest`
+validates the whole chain before nominating a file: a delta whose base
+is missing, corrupt, or checksum-mismatched is skipped in favour of an
+older snapshot.
 
 **The wire is derivable state.**  Channel-aware policies (the mesh of
 :mod:`repro.faults.netfaults`) add one more section,
@@ -88,10 +90,10 @@ Opener = Callable[..., Any]
 
 #: Wire version of the journal's JSONL records.
 JOURNAL_FORMAT_VERSION = 1
-#: Wire version of the checkpoint envelope.  Full snapshots are written
-#: as version 1 (unchanged on-disk shape); delta checkpoints need the
-#: version-2 envelope for their base reference.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Wire version of the checkpoint envelope, full and delta alike; no
+#: other version is read.  Version 3 traces hold start times and labels,
+#: not the transitions (and their states) of versions 1 and 2.
+CHECKPOINT_FORMAT_VERSION = 3
 _CHECKPOINT_MAGIC = "rota-checkpoint"
 #: A full snapshot reseeds the delta chain after this many deltas,
 #: bounding both restore cost and the blast radius of a lost base.
@@ -428,9 +430,7 @@ class SimulatorCheckpoint:
     def to_json(self) -> str:
         envelope = {
             "magic": _CHECKPOINT_MAGIC,
-            # Full snapshots stay on the version-1 envelope so readers
-            # predating delta support can still restore them.
-            "format_version": 2 if self.is_delta else 1,
+            "format_version": CHECKPOINT_FORMAT_VERSION,
             "step": self.step,
             "journal_records": self.journal_records,
             "sequence": self.sequence,
@@ -461,13 +461,14 @@ class SimulatorCheckpoint:
                 f"{source}: checkpoint format_version {version} is newer "
                 f"than supported {CHECKPOINT_FORMAT_VERSION}"
             )
+        if version < CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                f"{source}: checkpoint format_version {version} predates "
+                f"supported {CHECKPOINT_FORMAT_VERSION}"
+            )
         kind = envelope.get("kind", "full")
         if kind not in ("full", "delta"):
             raise CheckpointError(f"{source}: unknown checkpoint kind {kind!r}")
-        if kind == "delta" and version < 2:
-            raise CheckpointError(
-                f"{source}: delta checkpoints require format_version >= 2"
-            )
         try:
             payload = base64.b64decode(envelope["payload"].encode("ascii"))
         except (KeyError, AttributeError, ValueError) as exc:
@@ -541,21 +542,6 @@ class SimulatorCheckpoint:
             raise CheckpointError(
                 f"checkpoint payload does not unpickle: {exc}"
             ) from exc
-
-
-# ----------------------------------------------------------------------
-# Loaders for older full snapshots
-# ----------------------------------------------------------------------
-# Full snapshots once pickled four sections as mutation-counting
-# containers, through these two names.  Pickle finds them by name, so
-# those snapshots still resume; each section restores as plain data.
-
-def _rebuild_versioned_dict(items, version):
-    return dict(items)
-
-
-def _rebuild_versioned_set(items, version):
-    return set(items)
 
 
 # ----------------------------------------------------------------------
@@ -788,16 +774,15 @@ class DeltaSnapshotter:
       deltas, and any snapshot whose section names changed or one of
       whose sections moved in a way no delta part expresses (an
       append-only sequence shrank, a record vanished — a new run reusing
-      the snapshotter would corrupt the chain) is a **full** —
-      byte-identical to the pre-delta format;
+      the snapshotter would corrupt the chain) is a **full**, the
+      pickle of every section;
     * everything else is a **delta**: one pickled bundle holding a part
       for each section that moved since the previous snapshot, as
       computed by that section's one diff rule, chosen by name alone
       (:meth:`rule_for`): its entry in :attr:`RULES`, else pickled
       bytes, so in-place mutations (victim attempt counters) are still
       caught.  Bytes-ruled parts are nested pickles; every other part is
-      pickled once with the bundle, so the changed ``state`` and the
-      trace suffix (whose last transition targets it) share one memo.
+      pickled once with the bundle.
 
     The cache lives in process memory only: a resumed run must start a
     fresh snapshotter, whose first emission is therefore a full snapshot
@@ -1000,22 +985,25 @@ class CheckpointStore:
             state[DeltaSnapshotter.TRACE_SECTION].rebuild_ledger()
         return tip, state
 
-    def latest(
-        self,
-    ) -> Optional[Tuple[Path, SimulatorCheckpoint, Dict[str, Any]]]:
+    def latest(self) -> Tuple[Path, SimulatorCheckpoint, Dict[str, Any]]:
         """The newest checkpoint file whose *whole chain* validates, with
         what :meth:`resolve` materialized from it: ``(path, checkpoint,
-        state)``, or None when no checkpoint validates.
+        state)``.
 
         Atomic writes mean a final-named file is normally intact, but a
         checkpoint that fails validation — including a delta whose base
         is missing, corrupt, or digest-mismatched — is skipped rather
         than fatal: an older snapshot plus journal replay reaches the
-        same state.
+        same state.  When none validates, :class:`CheckpointError` names
+        the newest file and why it was refused.
         """
+        why = ""
         for path in sorted(self._directory.glob("ckpt-*.json"), reverse=True):
             try:
                 return (path, *self.resolve(path))
-            except CheckpointError:
-                continue
-        return None
+            except CheckpointError as exc:
+                why = why or f" (newest {path.name}: {exc})"
+        raise CheckpointError(
+            f"no usable checkpoint under {self._directory}: "
+            f"nothing to resume{why}"
+        )

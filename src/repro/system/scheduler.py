@@ -4,7 +4,7 @@ At every ``dt`` slice the simulator must choose a concrete allocation —
 one branch of the ROTA evolution tree.  Policies implement that choice:
 
 * :class:`FcfsPolicy` — admission order drains capacity first (the
-  canonical greedy branch of :func:`repro.logic.transitions.greedy_allocations`).
+  canonical branch of :func:`repro.logic.transitions.greedy_allocations`).
 * :class:`EdfPolicy` — earliest-deadline-first: classic for deadline
   workloads; used as the default executor for baseline-admitted work.
 * :class:`ReservationPolicy` — follows the witness schedules that ROTA
@@ -17,12 +17,13 @@ one branch of the ROTA evolution tree.  Policies implement that choice:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.computation.demands import Demands
 from repro.decision.schedule import ConcurrentSchedule
 from repro.intervals.interval import Interval, Time
 from repro.logic.state import ActorProgress, SystemState
+from repro.logic.transitions import greedy_allocations
 from repro.resources.located_type import LocatedType
 
 
@@ -38,44 +39,22 @@ class AllocationPolicy(abc.ABC):
         them."""
 
 
-class _PriorityPolicy(AllocationPolicy):
-    """Work-conserving allocation by a priority order over computations."""
-
-    def _order(self, active: Sequence[ActorProgress]) -> Sequence[ActorProgress]:
-        raise NotImplementedError
-
-    def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
-        window = Interval(state.t, state.t + dt)
-        capacity: Dict[LocatedType, Time] = {
-            lt: state.theta.quantity(lt, window)
-            for lt in state.theta.located_types
-        }
-        allocations: Dict[str, Demands] = {}
-        active = [p for p in state.rho if p.active_at(state.t)]
-        for progress in self._order(active):
-            granted: Dict[LocatedType, Time] = {}
-            for ltype, want in progress.current_demands.items():
-                take = min(want, capacity.get(ltype, 0))
-                if take > 0:
-                    granted[ltype] = take
-                    capacity[ltype] -= take
-            if granted:
-                allocations[progress.label] = Demands(granted)
-        return allocations
+def _deadline_first(progress: ActorProgress) -> tuple:
+    return (progress.deadline, progress.label)
 
 
-class FcfsPolicy(_PriorityPolicy):
+class FcfsPolicy(AllocationPolicy):
     """First come, first served (admission order)."""
 
-    def _order(self, active: Sequence[ActorProgress]) -> Sequence[ActorProgress]:
-        return active
+    def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
+        return greedy_allocations(state, dt)
 
 
-class EdfPolicy(_PriorityPolicy):
+class EdfPolicy(AllocationPolicy):
     """Earliest deadline first."""
 
-    def _order(self, active: Sequence[ActorProgress]) -> Sequence[ActorProgress]:
-        return sorted(active, key=lambda p: (p.deadline, p.label))
+    def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
+        return greedy_allocations(state, dt, _deadline_first)
 
 
 class ReservationPolicy(AllocationPolicy):
@@ -89,7 +68,6 @@ class ReservationPolicy(AllocationPolicy):
 
     def __init__(self, reservations: Mapping[str, ConcurrentSchedule] | None = None):
         self._reservations: Dict[str, ConcurrentSchedule] = dict(reservations or {})
-        self._fallback = EdfPolicy()
 
     def reserve(self, label: str, schedule: ConcurrentSchedule) -> None:
         self._reservations[label] = schedule
@@ -138,8 +116,7 @@ class ReservationPolicy(AllocationPolicy):
         # capacity expires anyway, so topping up never endangers another
         # reservation's future claims.
         for progress in sorted(
-            unreserved_active + reserved_active,
-            key=lambda p: (p.deadline, p.label),
+            unreserved_active + reserved_active, key=_deadline_first
         ):
             already = dict(allocations.get(progress.label, Demands()))
             granted = dict(already)

@@ -39,7 +39,7 @@ from repro.computation.requirements import ConcurrentRequirement
 from repro.errors import CheckpointError, SimulationError, TransitionError
 from repro.intervals.interval import Interval, Time
 from repro.logic.state import SystemState, initial_state
-from repro.logic.transitions import Transition, accommodate, acquire, leave, step
+from repro.logic.transitions import accommodate, acquire, leave, step
 from repro.markers import checkpointable
 from repro.observability import PhaseTimer, get_registry
 from repro.resources.located_type import LocatedType, Node
@@ -415,7 +415,8 @@ class OpenSystemSimulator:
         delta chain validates wins (an older one plus a longer journal
         replay reaches the same state).  The resumed run keeps writing
         checkpoints next to the restored one.  A directory with no usable
-        checkpoint, or no directory at all, raises
+        checkpoint (the error names the newest file and why it was
+        refused), or no directory at all, raises
         :class:`~repro.system.checkpoint.CheckpointError` and creates
         nothing.
 
@@ -437,18 +438,16 @@ class OpenSystemSimulator:
         # resolve() materializes delta checkpoints through their base
         # chain; the directory search and the restore share that one call.
         source = Path(checkpoint_path)
-        found = None
         if source.is_file():
             store = CheckpointStore(source.parent)
-            found = (source, *store.resolve(source))
+            path, (checkpoint, payload) = source, store.resolve(source)
         elif source.is_dir():
             store = CheckpointStore(source)
-            found = store.latest()
-        if found is None:
+            path, checkpoint, payload = store.latest()
+        else:
             raise CheckpointError(
                 f"no usable checkpoint under {source}: nothing to resume"
             )
-        path, checkpoint, payload = found
         if registry.enabled:
             registry.histogram(
                 "checkpoint_restore_seconds",
@@ -474,9 +473,7 @@ class OpenSystemSimulator:
         sim._recovery = payload["recovery"]
         sim._dt = payload["dt"]
         sim._invariant_interval = payload["invariant_interval"]
-        # A snapshot written before actors retired holds every actor in
-        # rho; retiring here gives the state the uninterrupted run has.
-        sim._state = payload["state"].retire_finished()
+        sim._state = payload["state"]
         sim._records = payload["records"]
         sim._open = _open_index(sim._records, sim._state)
         sim._offered = payload["offered"]
@@ -488,7 +485,7 @@ class OpenSystemSimulator:
         sim._consumed_by_owner = payload["consumed_by_owner"]
         sim._horizon = payload["horizon"]
         sim._run_window = Interval(START_TIME, sim._horizon)
-        sim._checkpoint_every = payload.get("checkpoint_every", 0)
+        sim._checkpoint_every = payload["checkpoint_every"]
         # Post-resume events (recovery offers) must sort against the
         # restored heap exactly as the uninterrupted run's would have.
         sim._next_seq = checkpoint.sequence
@@ -683,16 +680,7 @@ class OpenSystemSimulator:
                 with phase("claim"):
                     allocations = self._allocation.allocate(state, self._dt)
                     transition = step(state, self._dt, allocations)
-                # The actors this slice finished leave rho in the state
-                # the trace records, so it and the checkpointed state
-                # stay one object.
-                stepped = transition.target
-                retired = stepped.retire_finished()
-                if retired is not stepped:
-                    transition = Transition(
-                        transition.source, transition.label, retired
-                    )
-                trace.record(transition)
+                trace.record(state.t, transition.label)
                 for actor, ltype, quantity in transition.label.consumed:
                     amount = _metric_amount(quantity)
                     owner = actor.split("[")[0]
@@ -714,7 +702,9 @@ class OpenSystemSimulator:
                             ]
                         else:
                             cell[1] += _metric_amount(quantity)
-                state = transition.target
+                # The actors this slice finished leave rho.
+                stepped = transition.target
+                state = stepped.retire_finished()
 
                 # 3. Outcome bookkeeping over the open records only.  A
                 # multi-actor arrival completes when every component

@@ -1,10 +1,14 @@
-"""Simulation traces: an audit log of states, transitions, and notes.
+"""Simulation traces: what each timed slice did, plus notes, losses and
+violations.
 
-Traces let tests and benchmarks assert not only final outcomes but also
-*how* the system evolved: per-slice consumption and expiry, the moments
-arrivals were admitted or rejected, aggregate accounting that must
-balance, and — under fault injection — every capacity loss and promise
-violation.
+A trace entry (:class:`TraceEntry`) is a slice's start time and its
+transition label — who consumed what, and what expired unused — never
+the states around it: past slices never change, and the journal
+rebuilds any state by deterministic re-execution.  Traces let tests and
+benchmarks assert not only final outcomes but also *how* the system
+evolved: per-slice consumption and expiry, the moments arrivals were
+admitted or rejected, aggregate accounting that must balance, and —
+under fault injection — every capacity loss and promise violation.
 
 The conservation identity the trace supports is::
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.intervals.interval import Time
-from repro.logic.transitions import Transition
+from repro.logic.transitions import TransitionLabel
 from repro.markers import checkpointable
 from repro.resources.located_type import LocatedType
 from repro.resources.profile import is_exact
@@ -69,6 +73,14 @@ def same_quantity(left: Time, right: Time, tolerance: float = 1e-6) -> bool:
     if is_exact(left) and is_exact(right):
         return left == right
     return abs(float(left) - float(right)) <= tolerance
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    """One timed slice: when it started and what it did."""
+
+    t: Time
+    label: TransitionLabel
 
 
 @dataclass(frozen=True)
@@ -107,9 +119,9 @@ class PromiseViolation:
 @checkpointable
 @dataclass
 class SimulationTrace:
-    """Ordered record of every timed transition plus annotations."""
+    """Ordered record of every timed slice plus annotations."""
 
-    transitions: List[Transition] = field(default_factory=list)
+    transitions: List[TraceEntry] = field(default_factory=list)
     notes: List[TraceNote] = field(default_factory=list)
     losses: List[ResourceLoss] = field(default_factory=list)
     violations: List[PromiseViolation] = field(default_factory=list)
@@ -143,17 +155,17 @@ class SimulationTrace:
         self._expired: Dict[LocatedType, Time] = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt from transitions on restore
         self._lost: Dict[LocatedType, Time] = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt from losses on restore
         self._lost_by_cause: Dict[str, Dict[LocatedType, Time]] = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt from losses on restore
-        for transition in self.transitions:
-            self._absorb(transition)
+        for entry in self.transitions:
+            self._absorb(entry)
         for loss in self.losses:
             self._absorb_loss(loss)
 
-    def _absorb(self, transition: Transition) -> None:
+    def _absorb(self, entry: TraceEntry) -> None:
         consumed = self._consumed
-        for _, ltype, quantity in transition.label.consumed:
+        for _, ltype, quantity in entry.label.consumed:
             consumed[ltype] = consumed.get(ltype, 0) + quantity
         expired = self._expired
-        for ltype, quantity in transition.label.expired:
+        for ltype, quantity in entry.label.expired:
             expired[ltype] = expired.get(ltype, 0) + quantity
 
     def _absorb_loss(self, loss: ResourceLoss) -> None:
@@ -162,9 +174,11 @@ class SimulationTrace:
         by_cause = self._lost_by_cause.setdefault(loss.cause, {})
         by_cause[ltype] = by_cause.get(ltype, 0) + loss.quantity
 
-    def record(self, transition: Transition) -> None:
-        self.transitions.append(transition)
-        self._absorb(transition)
+    def record(self, t: Time, label: TransitionLabel) -> None:
+        """Record the slice that started at ``t`` and did ``label``."""
+        entry = TraceEntry(t, label)
+        self.transitions.append(entry)
+        self._absorb(entry)
 
     def note(self, time: Time, message: str) -> None:
         self.notes.append(TraceNote(time, message))
@@ -241,15 +255,15 @@ class SimulationTrace:
     # -- reference oracles: the ledger's totals re-summed from scratch --
     def _reference_consumed_totals(self) -> Dict[LocatedType, Time]:
         totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for _, ltype, quantity in transition.label.consumed:
+        for entry in self.transitions:
+            for _, ltype, quantity in entry.label.consumed:
                 totals[ltype] = totals.get(ltype, 0) + quantity
         return totals
 
     def _reference_expired_totals(self) -> Dict[LocatedType, Time]:
         totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for ltype, quantity in transition.label.expired:
+        for entry in self.transitions:
+            for ltype, quantity in entry.label.expired:
                 totals[ltype] = totals.get(ltype, 0) + quantity
         return totals
 
@@ -301,8 +315,8 @@ class SimulationTrace:
     def consumption_by_actor(self) -> Dict[str, Dict[LocatedType, Time]]:
         """Who consumed what, over the whole trace."""
         totals: Dict[str, Dict[LocatedType, Time]] = {}
-        for transition in self.transitions:
-            for actor, ltype, quantity in transition.label.consumed:
+        for entry in self.transitions:
+            for actor, ltype, quantity in entry.label.consumed:
                 bucket = totals.setdefault(actor, {})
                 bucket[ltype] = bucket.get(ltype, 0) + quantity
         return totals
@@ -368,12 +382,12 @@ class SimulationTrace:
         return gaps
 
     def timeline(self) -> Iterator[Tuple[Time, str]]:
-        """Merged, time-ordered view of notes and transition summaries."""
+        """Merged, time-ordered view of notes and slice summaries."""
         entries: List[Tuple[Time, str]] = [
             (note.time, note.message) for note in self.notes
         ]
         entries.extend(
-            (tr.source.t, str(tr.label)) for tr in self.transitions
+            (entry.t, str(entry.label)) for entry in self.transitions
         )
         entries.extend(
             (loss.time, f"lost to {loss.cause}: {loss.quantity} {loss.ltype}")

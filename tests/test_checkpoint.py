@@ -30,7 +30,6 @@ from repro.faults import (
     run_mesh,
 )
 from repro.faults.chaos import diff_fingerprints, report_fingerprint
-from repro.logic.state import SystemState
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.system.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -38,8 +37,6 @@ from repro.system.checkpoint import (
     CheckpointStore,
     Journal,
     SimulatorCheckpoint,
-    _rebuild_versioned_dict,
-    _rebuild_versioned_set,
     atomic_writer,
     check_journal_header,
     journal_header,
@@ -207,6 +204,28 @@ class TestCheckpoint:
         path.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError, match="newer than supported"):
             SimulatorCheckpoint.load(path)
+
+    @pytest.mark.parametrize("version, kind", [(1, "full"), (2, "delta")])
+    def test_older_format_versions_rejected(self, version, kind):
+        """Envelopes of the two formats before this one — version-1 full
+        snapshots and version-2 deltas, whose traces pickled whole
+        transitions — are refused with a typed error naming the
+        version."""
+        checkpoint = make_checkpoint()
+        if kind == "delta":
+            checkpoint = SimulatorCheckpoint(
+                step=3, journal_records=7, sequence=42,
+                payload=checkpoint.payload,
+                kind="delta", base_step=2, base_sha256="ab" * 32,
+            )
+        envelope = json.loads(checkpoint.to_json())
+        assert envelope["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        envelope["format_version"] = version
+        with pytest.raises(
+            CheckpointError,
+            match=f"format_version {version} predates supported 3",
+        ):
+            SimulatorCheckpoint.from_json(json.dumps(envelope))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -378,6 +397,30 @@ class TestResume:
         assert report.resumed_from == older.name
         fingerprint = report_fingerprint(report)
         assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
+
+    def test_directory_of_older_formats_names_the_refusal(self, tmp_path):
+        """A directory written by the previous format (version-1 fulls,
+        version-2 deltas) has nothing to resume, and the error says why:
+        the newest file and its version."""
+        scenario = chaos_scenario()
+        simulator = make_simulator(scenario)
+        simulator.schedule(*scenario.events)
+        simulator.run(
+            scenario.horizon, checkpoint_every=5, checkpoint_dir=tmp_path
+        )
+        paths = sorted(tmp_path.glob("ckpt-*.json"))
+        for path in paths:
+            envelope = json.loads(path.read_text())
+            envelope["format_version"] = 2 if "kind" in envelope else 1
+            path.write_text(json.dumps(envelope))
+        newest = paths[-1]
+        version = json.loads(newest.read_text())["format_version"]
+        with pytest.raises(CheckpointError) as caught:
+            OpenSystemSimulator.resume(tmp_path)
+        message = str(caught.value)
+        assert "nothing to resume" in message
+        assert f"newest {newest.name}:" in message
+        assert f"format_version {version} predates supported 3" in message
 
     def test_fresh_run_clears_an_earlier_runs_checkpoints(self, tmp_path):
         """A fresh run in a reused checkpoint directory deletes the earlier
@@ -607,132 +650,3 @@ class TestDurabilityBoundary:
         with pytest.raises(CheckpointError, match="must be a path"):
             OpenSystemSimulator.resume(**paths)
         assert not list(tmp_path.iterdir()), "nothing may be written"
-
-
-# ----------------------------------------------------------------------
-# Full snapshots written before the sections became plain data
-# ----------------------------------------------------------------------
-
-class _Counting:
-    """Pickles like the mutation-counting containers that full snapshots
-    once held: through a rebuild function, with a version token."""
-
-    def __init__(self, rebuild, items):
-        self._reduced = (rebuild, (items, 7))
-
-    def __reduce__(self):
-        return self._reduced
-
-
-class TestOlderSnapshots:
-    def test_full_snapshot_of_counting_containers_resumes(self, tmp_path):
-        """A full snapshot that pickled ``offered``, ``consumed``,
-        ``consumed_by_owner`` and ``flagged`` through the old rebuild
-        functions restores them as a plain dict/set and resumes to the
-        uninterrupted run's report.  Its ``consumed`` and ``start_time``
-        sections, which resume no longer reads, are ignored."""
-        scenario = chaos_scenario()
-        plain = make_simulator(scenario)
-        plain.schedule(*scenario.events)
-        truth = report_fingerprint(plain.run(scenario.horizon))
-
-        pointdir = tmp_path / "ckpt"
-        journal = tmp_path / "journal.jsonl"
-        sim = make_simulator(scenario)
-        sim.schedule(*scenario.events)
-        sim.run(
-            scenario.horizon,
-            checkpoint_every=10,
-            checkpoint_dir=pointdir,
-            journal=journal,
-        )
-        path = sorted(pointdir.glob("ckpt-*.json"))[3]
-        tip, state = CheckpointStore(pointdir).resolve(path)
-        state["consumed"] = state["trace"].consumed_totals()
-        state["start_time"] = 0
-        for name in ("offered", "consumed", "consumed_by_owner"):
-            state[name] = _Counting(_rebuild_versioned_dict, dict(state[name]))
-        state["flagged"] = _Counting(_rebuild_versioned_set, state["flagged"])
-        store = CheckpointStore(tmp_path / "counting")
-        counting = store.save(SimulatorCheckpoint(
-            step=tip.step,
-            journal_records=tip.journal_records,
-            sequence=tip.sequence,
-            payload=pickle.dumps(state, pickle.HIGHEST_PROTOCOL),
-        ))
-
-        _, restored = store.resolve(counting)
-        for name in ("offered", "consumed", "consumed_by_owner"):
-            assert type(restored[name]) is dict and restored[name]
-        assert type(restored["flagged"]) is set and restored["flagged"]
-        resumed = OpenSystemSimulator.resume(counting, journal)
-        fingerprint = report_fingerprint(resumed.resume_run())
-        assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
-
-
-class _ParentFormatState:
-    """Pickles as a ``SystemState`` of the format before finished actors
-    had a tuple of their own: one ``rho`` holding every accommodated
-    actor in arrival order, and no ``finished`` attribute at all."""
-
-    def __init__(self, state, records):
-        order = {label: index for index, label in enumerate(records)}
-        self.fields = {
-            "theta": state.theta,
-            "rho": tuple(
-                sorted(state, key=lambda p: order[p.label.split("[")[0]])
-            ),
-            "t": state.t,
-        }
-
-    def __reduce__(self):
-        return (object.__new__, (SystemState,), self.fields)
-
-
-class TestSingleRhoSnapshots:
-    def test_all_actor_rho_resumes_to_the_uninterrupted_run(self, tmp_path):
-        """A full snapshot whose state holds every actor, finished or
-        not, in one ``rho`` resumes: the finished actors are retired at
-        restore, and every kill point's report equals the uninterrupted
-        run's."""
-        scenario = chaos_scenario()
-        plain = make_simulator(scenario)
-        plain.schedule(*scenario.events)
-        truth = report_fingerprint(plain.run(scenario.horizon))
-
-        pointdir = tmp_path / "ckpt"
-        journal = tmp_path / "journal.jsonl"
-        sim = make_simulator(scenario)
-        sim.schedule(*scenario.events)
-        sim.run(
-            scenario.horizon,
-            checkpoint_every=10,
-            checkpoint_dir=pointdir,
-            journal=journal,
-        )
-        converted = 0
-        for path in sorted(pointdir.glob("ckpt-*.json")):
-            tip, sections = CheckpointStore(pointdir).resolve(path)
-            state = sections["state"]
-            if not state.finished:
-                continue
-            sections["state"] = _ParentFormatState(state, sections["records"])
-            store = CheckpointStore(tmp_path / f"single-{tip.step}")
-            single = store.save(SimulatorCheckpoint(
-                step=tip.step,
-                journal_records=tip.journal_records,
-                sequence=tip.sequence,
-                payload=pickle.dumps(sections, pickle.HIGHEST_PROTOCOL),
-            ))
-            _, restored = store.resolve(single)
-            assert "finished" not in vars(restored["state"])
-            assert len(restored["state"].rho) == len(state.rho) + len(
-                state.finished
-            )
-            resumed = OpenSystemSimulator.resume(single, journal)
-            assert resumed._state.rho == state.rho
-            assert set(resumed._state.finished) == set(state.finished)
-            fingerprint = report_fingerprint(resumed.resume_run())
-            assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
-            converted += 1
-        assert converted >= 3

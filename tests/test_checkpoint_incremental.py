@@ -9,12 +9,13 @@ this module pins the delta layer on top of them:
   deltas, reseed) and base-chain references,
 * the per-section diff rules: the event heap and the records ride a
   delta keyed (only added/removed events, only new or changed records),
-  an unchanged ``state`` rides not at all, and a changed one shares one
-  pickle memo with the trace suffix,
+  an unchanged ``state`` rides not at all, and the trace suffix holds
+  no ``SystemState`` (a trace entry is a start time and a label),
 * :meth:`CheckpointStore.resolve` chain validation — a delta whose base
   is missing or digest-mismatched is rejected and :meth:`latest` falls
   back to an older valid snapshot, as it does for a payload that is not
-  a bundle of parts,
+  a bundle of parts (and names the newest file's refusal when nothing
+  validates),
 * end-to-end: every checkpoint a real chaotic run writes, full or
   delta, resumes to a report identical to the uninterrupted run, and a
   chaotic or mesh run's delta chain materializes the same value-semantics
@@ -309,19 +310,6 @@ class TestDeltaSnapshotter:
         with pytest.raises(CheckpointError, match="standalone"):
             clone.restore_state()
 
-    def test_full_envelope_stays_version_1(self):
-        """Full snapshots keep the pre-delta on-disk shape so readers
-        without delta support can still restore them."""
-        import json
-
-        snapper = DeltaSnapshotter()
-        full = snapper.encode(
-            _sections(SimulationTrace()), step=0, journal_records=0, sequence=0
-        )
-        envelope = json.loads(full.to_json())
-        assert envelope["format_version"] == 1
-        assert "kind" not in envelope and "base_step" not in envelope
-
 
 # ----------------------------------------------------------------------
 # Chain resolution in the store
@@ -378,7 +366,11 @@ class TestResolve:
         store.path_for(0).unlink()  # now the whole delta chain is orphaned
         with pytest.raises(CheckpointError, match="cannot read"):
             store.resolve(store.path_for(reseed - 1))
-        assert store.latest() is None
+        newest = store.path_for(reseed - 1).name
+        with pytest.raises(
+            CheckpointError, match=f"nothing to resume \\(newest {newest}: "
+        ):
+            store.latest()
 
     def test_base_digest_mismatch_rejects(self, tmp_path):
         store, checkpoints = _write_chain(tmp_path, ticks=2)
@@ -607,11 +599,16 @@ class TestPartsOnARealRun:
             skipped_some = skipped_some or len(moved) < len(old)
         assert skipped_some, "every delta re-sent every record"
 
-    def test_changed_state_shares_the_trace_suffix_pickle(self, chaos_chain):
+    def test_trace_part_pickles_no_system_state(self, chaos_chain):
+        """A trace entry is a slice's start time and label: the trace
+        part of every delta carries no state, however the state moved."""
+        deltas = 0
         for _, parts, _ in delta_steps(*chaos_chain):
-            transitions = parts["trace"]["suffix"][0]
-            # One pickle memo: the state is the last transition's target.
-            assert parts["state"] is transitions[-1].target
+            assert parts["trace"]["suffix"][0], "a slice ran since the base"
+            blob = pickle.dumps(parts["trace"], pickle.HIGHEST_PROTOCOL)
+            assert b"SystemState" not in blob
+            deltas += 1
+        assert deltas
 
 
 class TestEndToEndEquivalence:
