@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.admission import AdmissionController
+from repro.errors import TransitionError
 from repro.intervals.interval import Time
 from repro.resources.resource_set import ResourceSet
 
@@ -52,7 +53,7 @@ class RotaAdmission(AdmissionPolicy):
     def on_leave(self, label: str, now: Time) -> None:
         try:
             self._controller.withdraw(label, now=now)
-        except Exception:
+        except TransitionError:
             # The simulator already validated the leave rule; a label the
             # controller tracked under a different key is not an error.
             pass
@@ -65,7 +66,7 @@ class RotaAdmission(AdmissionPolicy):
         self._controller.advance_to(now)
         try:
             self._controller.forfeit(label)
-        except Exception:
+        except TransitionError:
             # A victim admitted by a wrapped/aliased label may be tracked
             # under a different key; eviction is best-effort by design.
             pass

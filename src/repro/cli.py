@@ -34,6 +34,7 @@ from repro.analysis import policy_table, score
 from repro.baselines import ALL_POLICIES, RotaAdmission
 from repro.decision import AdmissionController
 from repro.errors import (
+    AdmissionConfigError,
     CheckpointError,
     FaultInjectionError,
     ServiceConfigError,
@@ -891,7 +892,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ServiceConfigError, FaultInjectionError, CheckpointError) as exc:
+    except (
+        AdmissionConfigError,
+        ServiceConfigError,
+        FaultInjectionError,
+        CheckpointError,
+    ) as exc:
         # Bad configuration and unusable durable artifacts are usage
         # errors (exit 2), like a bad flag.
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,12 @@ class TransitionError(RotaError, ValueError):
     precondition (e.g. accommodating a computation past its deadline)."""
 
 
+class AdmissionConfigError(RotaError, ValueError):
+    """An admission controller was built with an unusable clock or
+    witness grid: a non-finite ``now``, or an ``align`` that is not a
+    positive finite number."""
+
+
 class FormulaError(RotaError, ValueError):
     """A ROTA formula is malformed or evaluated against an unsuitable
     model/path combination."""

@@ -69,7 +69,7 @@ from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.admission import clip_start
 from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
-from repro.errors import ChannelError, FaultInjectionError
+from repro.errors import ChannelError, FaultInjectionError, TransitionError
 from repro.faults.chaos import (
     ChaosResult,
     MatrixResult,
@@ -699,7 +699,7 @@ class MeshPolicy(AdmissionPolicy):
         controller.advance_to(now)
         try:
             controller.forfeit(label)
-        except Exception:
+        except TransitionError:
             # Eviction is best-effort by design (see RotaAdmission).
             pass
 
@@ -710,7 +710,7 @@ class MeshPolicy(AdmissionPolicy):
         controller = self._enclaves[placed].controller
         try:
             controller.withdraw(label, now=now)
-        except Exception:
+        except TransitionError:
             pass
 
     # ------------------------------------------------------------------

@@ -17,13 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import InvalidIntervalError
 
 #: Type alias for time values accepted throughout the library.
 Time = Real
+
+
+def is_finite_time(value: object) -> bool:
+    """True for a finite real number (``bool`` is a flag, not a time)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    return isinstance(value, Integral) or math.isfinite(value)
 
 
 def _check_time(value: object, what: str) -> None:

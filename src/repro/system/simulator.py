@@ -28,16 +28,14 @@ or gracefully abandoned with salvage accounting.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field as dataclasses_field, replace
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
 from repro.errors import CheckpointError, SimulationError, TransitionError
-from repro.intervals.interval import Interval, Time
+from repro.intervals.interval import Interval, Time, is_finite_time
 from repro.logic.state import SystemState, initial_state
 from repro.logic.transitions import accommodate, acquire, leave, step
 from repro.markers import checkpointable
@@ -252,7 +250,7 @@ class OpenSystemSimulator:
         recovery: "RecoveryPolicy | None" = None,
         invariant_interval: int = 0,
     ) -> None:
-        if not _finite_real(dt) or dt <= 0:
+        if not is_finite_time(dt) or dt <= 0:
             raise SimulationError(
                 f"dt must be a finite number > 0, got {dt!r}"
             )
@@ -366,7 +364,7 @@ class OpenSystemSimulator:
                 "checkpoint_every must be an integer >= 0, "
                 f"got {checkpoint_every!r}"
             )
-        if not _finite_real(horizon):
+        if not is_finite_time(horizon):
             raise SimulationError(
                 f"horizon must be a finite number, got {horizon!r}"
             )
@@ -1374,13 +1372,6 @@ class OpenSystemSimulator:
             f"abandoned {record.label!r} after {record.recovery_attempts} "
             f"offers (salvaged {salvaged:g})",
         )
-
-
-def _finite_real(value: object) -> bool:
-    """True for a finite real number (``bool`` is a flag, not a time)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False
-    return isinstance(value, Integral) or math.isfinite(value)
 
 
 def _event_journal_entry(event: Event, seq: int) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import RotaAdmission
+from repro.decision import AdmissionController
 from repro.errors import FaultInjectionError
 from repro.faults import (
     FaultPlan,
@@ -76,6 +77,37 @@ def test_scenario_exercises_recovery():
     assert report.trace.violations
     assert report.recovered > 0
     assert report.abandoned > 0
+
+
+def test_slack_is_exact_after_every_controller_mutation(monkeypatch):
+    """Theorem 4 admits against ``available - committed``: every
+    controller mutation of the faulty run — joins after revocations
+    included — must leave the slack equal to that reference."""
+    calls, drifted = [], []
+
+    def checked(name):
+        mutate = getattr(AdmissionController, name)
+
+        def wrapper(controller, *args, **kwargs):
+            result = mutate(controller, *args, **kwargs)
+            calls.append(name)
+            if not controller.verify_slack():
+                drifted.append((name, controller.now))
+            return result
+
+        return wrapper
+
+    for name in (
+        "add_resources", "revoke_resources", "forfeit", "admit",
+        "withdraw", "reserve", "release",
+    ):
+        monkeypatch.setattr(AdmissionController, name, checked(name))
+    scenario = violating_scenario()
+    simulator = simulator_factory(scenario)()
+    simulator.schedule(*scenario.events)
+    simulator.run(scenario.horizon)
+    assert {"add_resources", "revoke_resources", "admit"} <= set(calls)
+    assert not drifted, f"slack drifted after {drifted}"
 
 
 def test_crash_matrix_every_point_resumes_identically(tmp_path):

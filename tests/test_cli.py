@@ -254,6 +254,15 @@ class TestCheck:
         result = json.loads(capsys.readouterr().out)
         assert result["admitted"] is True
 
+    def test_zero_align_is_a_usage_error(self, tmp_path, capsys):
+        path = write_request(tmp_path, quantity=30)
+        assert main(["check", path, "--align", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: align must be None or a finite number > 0, got 0"
+        ]
+
 
 class TestReplay:
     def test_replay_recorded_trace(self, tmp_path, capsys):

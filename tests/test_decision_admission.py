@@ -6,7 +6,7 @@ import pytest
 
 from repro.computation import ComplexRequirement, Demands
 from repro.decision import AdmissionController
-from repro.errors import TransitionError
+from repro.errors import AdmissionConfigError, TransitionError
 from repro.intervals import Interval
 from repro.resources import ResourceSet, term
 
@@ -130,6 +130,22 @@ class TestAlignedAdmission:
         for schedule in decision.schedule.schedules:
             for b in schedule.breakpoints:
                 assert float(b).is_integer()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"align": 0},
+        {"align": -1},
+        {"align": float("nan")},
+        {"align": float("inf")},
+        {"align": "1"},
+        {"align": True},
+        {"now": float("nan")},
+        {"now": float("inf")},
+        {"now": True},
+    ], ids=repr)
+    def test_bad_clock_or_grid_rejected_at_construction(self, kwargs):
+        with pytest.raises(AdmissionConfigError) as excinfo:
+            AdmissionController(ResourceSet.empty(), **kwargs)
+        assert excinfo.traceback[-1].name == "__init__"
 
 
 class TestSlackCacheInvariant:

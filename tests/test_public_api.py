@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.baselines import RotaAdmission
+from repro.decision import AdmissionController
 from repro.faults import FaultPlan, PartitionPlan, RecoveryPolicy
 from repro.service import ServiceConfig
 from repro.system import OpenSystemSimulator
@@ -71,6 +72,7 @@ OPTION_SURFACE = {
         "checkpoint_every", "checkpoint_dir", "journal", "journal_fsync",
     ),
     OpenSystemSimulator.resume: ("journal_fsync",),
+    AdmissionController.__init__: ("now", "align"),
 }
 
 
@@ -108,6 +110,7 @@ class TestOptionSurface:
         )],
         (lambda **kw: OpenSystemSimulator.resume("unused", **kw),
          "checkpoint_dir"),
+        (AdmissionController, "slack_check_interval"),
     ])
     def test_removed_options_are_rejected(self, factory, option):
         with pytest.raises(TypeError, match=option):
