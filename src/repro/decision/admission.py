@@ -270,7 +270,7 @@ class AdmissionController:
         """Check a newcomer against the expiring slack, without committing."""
         requirement = _as_concurrent(requirement)
         label = _requirement_label(requirement)
-        if requirement.deadline <= self._now:
+        if deadline_passed(requirement, self._now):
             decision = AdmissionDecision(
                 False, label, reason="deadline has already passed (t >= d)"
             )
@@ -365,6 +365,14 @@ def _as_concurrent(
     return ConcurrentRequirement((requirement,), requirement.window)
 
 
+def deadline_passed(requirement: ConcurrentRequirement, now: Time) -> bool:
+    """Whether some component's deadline is at or before ``now``: too late
+    to decide on, since :func:`clip_start` would leave that component no
+    window.  Components may close before the requirement's own deadline,
+    so its outer deadline alone does not say."""
+    return any(part.deadline <= now for part in requirement.components)
+
+
 def clip_start(
     requirement: ConcurrentRequirement, now: Time
 ) -> ConcurrentRequirement:
@@ -375,7 +383,8 @@ def clip_start(
     (:mod:`repro.service`) to charge queueing delay before the exact
     Theorem-4 check runs.  The deadline never moves; only the usable
     window shrinks, so a check on the clipped requirement is exactly the
-    check a punctual arrival at ``now`` would get."""
+    check a punctual arrival at ``now`` would get.  Callers first rule
+    out :func:`deadline_passed`."""
     from repro.intervals.interval import Interval
 
     window = Interval(now, requirement.deadline)

@@ -46,8 +46,8 @@ class Victim:
 def components_of(
     state: SystemState, label: str
 ) -> Tuple[ActorProgress, ...]:
-    """All of an arrival's actor components currently accommodated,
-    finished ones included."""
+    """All of an arrival's actor components still in ``rho``: a state
+    holds no component that can never act again."""
     return tuple(
         p
         for p in state

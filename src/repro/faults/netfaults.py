@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.backoff import Backoff
 from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.computation.requirements import ConcurrentRequirement
-from repro.decision.admission import clip_start
+from repro.decision.admission import clip_start, deadline_passed
 from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
 from repro.errors import ChannelError, FaultInjectionError, TransitionError
@@ -629,7 +629,7 @@ class MeshPolicy(AdmissionPolicy):
         if not outcome.ok:
             self.rpc_failures += 1
             return outcome, None
-        if outcome.completed_at >= requirement.deadline:
+        if deadline_passed(requirement, outcome.completed_at):
             return outcome, None
         self.network_delay_charged = (
             self.network_delay_charged + outcome.elapsed(now)

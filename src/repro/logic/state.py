@@ -11,11 +11,10 @@ state the labeled transition rules decrement: the paper's
 ``[q - r x dt]^{(t, t')}_xi``.
 
 An actor that is complete, or whose deadline has passed, has no possible
-action left (the general transition rule only advances the others).  A
-state may keep such actors in a second tuple, ``finished``
-(:meth:`SystemState.retire_finished`), so the timed rules walk only live
-work; the logic-level views (:meth:`SystemState.progress_of`,
-iteration, ``pending``, ``missed``) read both tuples.
+action left (the general transition rule only advances the others).
+:meth:`SystemState.drop_finished` forgets such actors, so the timed
+rules walk only live work; the open-system simulator drops them after
+every slice.
 
 States are immutable value objects, hashable so path enumeration can
 memoise visited configurations.
@@ -23,7 +22,6 @@ memoise visited configurations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
@@ -157,20 +155,14 @@ class ActorProgress:
 
 @dataclass(frozen=True)
 class SystemState:
-    """``S = (Theta, rho, t)``.
-
-    ``rho`` holds the actors the timed rules advance; ``finished`` holds
-    accommodated actors retired from ``rho`` because they can never act
-    again.  Together they are the paper's ``rho``."""
+    """``S = (Theta, rho, t)``."""
 
     theta: ResourceSet
     rho: tuple[ActorProgress, ...]
     t: Time
-    finished: tuple[ActorProgress, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", tuple(self.rho))
-        object.__setattr__(self, "finished", tuple(self.finished))
 
     # ------------------------------------------------------------------
     @property
@@ -197,35 +189,25 @@ class SystemState:
         raise KeyError(f"no accommodated computation labelled {label!r}")
 
     def without(self, doomed: Iterable[ActorProgress]) -> "SystemState":
-        """The state with the given actors removed from both tuples."""
+        """The state with the given actors removed from ``rho``."""
         ids = {id(p) for p in doomed}
-        return replace(
-            self,
-            rho=tuple(p for p in self.rho if id(p) not in ids),
-            finished=tuple(p for p in self.finished if id(p) not in ids),
-        )
+        return replace(self, rho=tuple(p for p in self.rho if id(p) not in ids))
 
-    def retire_finished(self) -> "SystemState":
-        """Move every actor of ``rho`` that is finished at ``t`` (see
-        :meth:`ActorProgress.finished_at`) to the end of ``finished``,
-        keeping the order of both.  Costs one pass over ``rho``."""
-        live: list[ActorProgress] = []
-        done: list[ActorProgress] = []
-        for progress in self.rho:
-            (done if progress.finished_at(self.t) else live).append(progress)
-        if not done:
+    def drop_finished(self) -> "SystemState":
+        """The state without the actors of ``rho`` that are finished at
+        ``t`` (see :meth:`ActorProgress.finished_at`), keeping the order
+        of the rest.  Costs one pass over ``rho``."""
+        live = tuple(p for p in self.rho if not p.finished_at(self.t))
+        if len(live) == len(self.rho):
             return self
-        return SystemState(
-            self.theta, tuple(live), self.t, self.finished + tuple(done)
-        )
+        return replace(self, rho=live)
 
     def __iter__(self) -> Iterator[ActorProgress]:
-        return itertools.chain(self.rho, self.finished)
+        return iter(self.rho)
 
     def __repr__(self) -> str:
         return (
-            f"SystemState(t={self.t}, "
-            f"{len(self.rho) + len(self.finished)} computations, "
+            f"SystemState(t={self.t}, {len(self.rho)} computations, "
             f"{len(self.theta.located_types)} resource types)"
         )
 

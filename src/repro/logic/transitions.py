@@ -138,7 +138,6 @@ def step(
         theta=state.theta.truncate_before(state.t + dt),
         rho=tuple(updated),
         t=state.t + dt,
-        finished=state.finished,
     )
     label = TransitionLabel(tuple(consumed_labels), tuple(expired), dt)
     return Transition(state, label, next_state)

@@ -35,7 +35,11 @@ from repro.computation.requirements import (
     ComplexRequirement,
     ConcurrentRequirement,
 )
-from repro.decision.admission import AdmissionController, clip_start
+from repro.decision.admission import (
+    AdmissionController,
+    clip_start,
+    deadline_passed,
+)
 from repro.decision.schedule import ConcurrentSchedule
 from repro.decision.screen import supply_shortfall
 from repro.errors import ServiceError
@@ -381,9 +385,9 @@ class AdmissionFrontDoor:
         decided_at = self._charge(lane, t, cost)
         self._ewma.observe(cost)
         self._note_breaker_check(breaker, decided_at, cost)
-        if decided_at >= requirement.deadline:
+        if deadline_passed(requirement, decided_at):
             # The check itself (a stall, or tail-drop skipping gate 3)
-            # overran the deadline; nothing left to admit against.
+            # overran a deadline; nothing left to admit against.
             return self._finish_outcome(
                 request,
                 decided_at,
@@ -419,13 +423,18 @@ class AdmissionFrontDoor:
             min(max(requirement.start, decided_at), requirement.deadline),
             requirement.deadline,
         )
-        shortfall = (
-            f"window {window} is empty"
-            if window.is_empty
-            else supply_shortfall(self._slack_view(), requirement, window=window)
-        )
+        # Too late for a component: nothing is left to screen or probe.
+        late = deadline_passed(requirement, decided_at)
+        if window.is_empty:
+            shortfall = f"window {window} is empty"
+        elif late:
+            shortfall = f"a component deadline passed by t={decided_at}"
+        else:
+            shortfall = supply_shortfall(
+                self._slack_view(), requirement, window=window
+            )
         if shortfall is not None:
-            if self._verify_brownout:
+            if self._verify_brownout and not late:
                 probe = self._prober(clip_start(requirement, decided_at), t)
                 if probe.admitted:
                     raise ServiceError(

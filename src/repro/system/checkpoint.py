@@ -6,10 +6,11 @@ run two durable artifacts that together make any instant survivable:
 
 * a **checkpoint** (:class:`SimulatorCheckpoint`) — a versioned,
   checksummed snapshot of the full simulator state (``rho``, the
-  computation records, pending recoveries and their backoff schedules,
-  the event heap, trace counters, the admission/allocation policy state,
-  and the simulator's own event-sequence counter), written atomically so
-  a crash mid-write can never surface a half-snapshot;
+  computation records and the index of the open ones, pending
+  recoveries and their backoff schedules, the event heap, trace
+  counters, the admission/allocation policy state, and the simulator's
+  own event-sequence counter), written atomically so a crash mid-write
+  can never surface a half-snapshot;
 * a **write-ahead journal** (:class:`Journal`) — every applied event and
   admission decision appended as a CRC-tagged JSONL record *before* it
   takes effect (one JSON encode per record).  Recovery replays up to
@@ -91,9 +92,11 @@ Opener = Callable[..., Any]
 #: Wire version of the journal's JSONL records.
 JOURNAL_FORMAT_VERSION = 1
 #: Wire version of the checkpoint envelope, full and delta alike; no
-#: other version is read.  Version 3 traces hold start times and labels,
-#: not the transitions (and their states) of versions 1 and 2.
-CHECKPOINT_FORMAT_VERSION = 3
+#: other version is read.  Since version 3 traces hold start times and
+#: labels, not the transitions (and their states) of versions 1 and 2;
+#: version 4 states hold live actors only, and the simulator's owner
+#: index rides its own ``open`` section.
+CHECKPOINT_FORMAT_VERSION = 4
 _CHECKPOINT_MAGIC = "rota-checkpoint"
 #: A full snapshot reseeds the delta chain after this many deltas,
 #: bounding both restore cost and the blast radius of a lost base.

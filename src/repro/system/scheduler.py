@@ -34,9 +34,8 @@ class AllocationPolicy(abc.ABC):
     def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
         """Allocations for the slice ``(state.t, state.t + dt)``.
 
-        Only ``state.rho`` can consume: actors retired to
-        ``state.finished`` never act again, so a policy never walks
-        them."""
+        Only ``state.rho`` can consume, and it holds live actors only:
+        the simulator drops every actor that can never act again."""
 
 
 def _deadline_first(progress: ActorProgress) -> tuple:

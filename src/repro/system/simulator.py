@@ -280,13 +280,11 @@ class OpenSystemSimulator:
         self._victims: Dict[str, _ActiveVictim] = {}
         self._flagged: Set[str] = set()
         self._horizon: Time = 0
-        # Consumption per owning arrival, tallied as slices execute so
-        # salvage accounting needs no rescan of the whole trace.
-        self._consumed_by_owner: Dict[str, Time] = {}
         # Owner index over the admitted, unsettled records, in arrival
         # order: each label maps to its components still short of
-        # completion, so the expire phase walks open work only.
-        self._open: Dict[str, Tuple[str, ...]] = {}  # repro-lint: disable=flow-snapshot-coverage -- rebuilt from the records and state sections on resume
+        # completion, so the expire phase walks open work only.  A part
+        # listed here but gone from rho retired short of completion.
+        self._open: Dict[str, Tuple[str, ...]] = {}
         # Run-scoped report state (attributes, not run() locals, so a
         # checkpoint can snapshot them mid-run — see _snapshot_sections()).
         self._records: Dict[str, ComputationRecord] = {}
@@ -375,7 +373,6 @@ class OpenSystemSimulator:
         self._trace = SimulationTrace()
         self._victims = {}
         self._flagged = set()
-        self._consumed_by_owner = {}
         self._open = {}
         self._replay_records = []
         self._replay_pos = 0
@@ -473,14 +470,13 @@ class OpenSystemSimulator:
         sim._invariant_interval = payload["invariant_interval"]
         sim._state = payload["state"]
         sim._records = payload["records"]
-        sim._open = _open_index(sim._records, sim._state)
+        sim._open = payload["open"]
         sim._offered = payload["offered"]
         sim._trace = payload["trace"]
         sim._events = payload["events"]
         heapq.heapify(sim._events)
         sim._victims = payload["victims"]
         sim._flagged = set(payload["flagged"])
-        sim._consumed_by_owner = payload["consumed_by_owner"]
         sim._horizon = payload["horizon"]
         sim._run_window = Interval(START_TIME, sim._horizon)
         sim._checkpoint_every = payload["checkpoint_every"]
@@ -679,19 +675,14 @@ class OpenSystemSimulator:
                     allocations = self._allocation.allocate(state, self._dt)
                     transition = step(state, self._dt, allocations)
                 trace.record(state.t, transition.label)
-                for actor, ltype, quantity in transition.label.consumed:
-                    amount = _metric_amount(quantity)
-                    owner = actor.split("[")[0]
-                    self._consumed_by_owner[owner] = (
-                        self._consumed_by_owner.get(owner, 0.0) + amount
-                    )
-                    if instrumented:
+                if instrumented:
+                    for _, ltype, quantity in transition.label.consumed:
+                        amount = _metric_amount(quantity)
                         cell = consumed_acc.get(id(ltype))
                         if cell is None:
                             consumed_acc[id(ltype)] = [ltype, amount]
                         else:
                             cell[1] += amount
-                if instrumented:
                     for ltype, quantity in transition.label.expired:
                         cell = expired_acc.get(id(ltype))
                         if cell is None:
@@ -700,9 +691,9 @@ class OpenSystemSimulator:
                             ]
                         else:
                             cell[1] += _metric_amount(quantity)
-                # The actors this slice finished leave rho.
+                # The actors this slice finished leave the state.
                 stepped = transition.target
-                state = stepped.retire_finished()
+                state = stepped.drop_finished()
 
                 # 3. Outcome bookkeeping over the open records only.  A
                 # multi-actor arrival completes when every component
@@ -960,7 +951,7 @@ class OpenSystemSimulator:
             "victims": self._victims,
             # Sorted, so equal sets pickle to equal bytes.
             "flagged": sorted(self._flagged),
-            "consumed_by_owner": self._consumed_by_owner,
+            "open": self._open,
             "horizon": self._horizon,
             "dt": self._dt,
             "invariant_interval": self._invariant_interval,
@@ -1244,10 +1235,16 @@ class OpenSystemSimulator:
         from repro.faults.detection import find_victims
 
         cause = "+".join(sorted(set(fault_causes)))
+        # A record with a part gone from rho short of completion is
+        # already a plain miss: that part's deadline passed, and no
+        # recovery can meet it.
+        live = {p.label for p in state.rho}
         candidates = [
             label
-            for label in self._open
-            if label not in self._victims and label not in self._flagged
+            for label, parts in self._open.items()
+            if label not in self._victims
+            and label not in self._flagged
+            and all(part in live for part in parts)
         ]
         for label, remaining_total in find_victims(state, candidates):
             record = records[label]
@@ -1360,7 +1357,11 @@ class OpenSystemSimulator:
             record.recovery_attempts = victim.attempts
         record.abandoned = True
         self._settle(record.label)
-        salvaged = self._consumed_by_owner.get(record.label, 0.0)
+        salvaged = 0.0
+        for entry in trace.transitions:
+            for actor, _, quantity in entry.label.consumed:
+                if actor.split("[")[0] == record.label:
+                    salvaged += _metric_amount(quantity)
         record.salvaged = salvaged
         get_registry().counter(
             "recovery_outcomes_total",
@@ -1422,26 +1423,6 @@ def _degradation_loss(theta: ResourceSet, location: Node, factor) -> ResourceSet
         if ltype.location == location:
             lost[ltype] = theta.profile(ltype).scale(1 - factor)
     return ResourceSet.from_profiles(lost)
-
-
-def _open_index(
-    records: Dict[str, ComputationRecord], state: SystemState
-) -> Dict[str, Tuple[str, ...]]:
-    """The owner index of a restored run: every admitted, unsettled
-    record, in arrival order, with its components short of completion
-    (an evicted victim's are gone from the state)."""
-    parts: Dict[str, List[str]] = {}
-    for progress in state:
-        if not progress.is_complete:
-            parts.setdefault(progress.label.split("[")[0], []).append(
-                progress.label
-            )
-    return {
-        label: tuple(parts.get(label, ()))
-        for label, record in records.items()
-        if record.admitted
-        and not (record.completed or record.missed or record.abandoned)
-    }
 
 
 def _relabel(

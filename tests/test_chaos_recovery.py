@@ -10,16 +10,20 @@ Conservation (``offered = consumed + expired + lost``) is re-verified at
 the resume instant inside :meth:`OpenSystemSimulator.resume`.
 
 CI runs this file as its own job (see ``.github/workflows/ci.yml``).
-Tier-1 kills :func:`matrix_scenario` at every third record boundary; the
-same ``crash-matrix`` job also sweeps it at stride 1 (every boundary),
+Tier-1 kills :func:`matrix_scenario` and
+:func:`multi_component_scenario` at every third record boundary; the
+same ``crash-matrix`` job also sweeps both at stride 1 (every boundary),
 the full proof of the interrupted-equals-uninterrupted contract.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.baselines import RotaAdmission
+from repro.baselines import OptimisticAdmission, RotaAdmission
+from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
 from repro.decision import AdmissionController
 from repro.errors import FaultInjectionError
 from repro.faults import (
@@ -29,8 +33,11 @@ from repro.faults import (
     faulty_scenario,
 )
 from repro.faults.chaos import kill_and_resume, scenario_run
-from repro.system import OpenSystemSimulator, ReservationPolicy
+from repro.intervals import Interval
+from repro.resources import ResourceSet, cpu, term
+from repro.system import OpenSystemSimulator, ReservationPolicy, arrival
 from repro.workloads import volunteer_scenario
+from repro.workloads.scenarios import Scenario
 
 
 def violating_scenario():
@@ -65,6 +72,64 @@ def matrix_scenario():
             straggler_rate=0.02,
         ),
     )
+
+
+def multi_component_scenario(seed=7):
+    """Two-part arrivals whose first part's window closes before the
+    arrival's, under faults.  Admitted optimistically, some first parts
+    leave ``rho`` short of completion while their record stays open, and
+    faults evict records whose two-part residuals are re-admitted under
+    the old label: the state the multi-component crash sweep kills."""
+    rng = random.Random(seed)
+    horizon = 60
+    nodes = [cpu(f"n{index}") for index in range(3)]
+    events = []
+    for index in range(12):
+        start = rng.randrange(0, horizon // 2)
+        end = start + rng.randrange(10, 20)
+        deadlines = (start + rng.randrange(3, end - start), end)
+        parts = tuple(
+            ComplexRequirement(
+                [Demands({ltype: rng.randrange(2, 2 + deadline - start)})],
+                Interval(start, deadline),
+                label=f"p{part}",
+            )
+            for part, (ltype, deadline) in enumerate(
+                zip(rng.sample(nodes, 2), deadlines)
+            )
+        )
+        events.append(
+            arrival(
+                start,
+                ConcurrentRequirement(parts, Interval(start, end)),
+                f"m{index}",
+            )
+        )
+    return faulty_scenario(
+        Scenario(
+            name="multi-component",
+            initial_resources=ResourceSet.of(
+                *(term(2, ltype, 0, horizon) for ltype in nodes)
+            ),
+            events=events,
+            horizon=horizon,
+        ),
+        FaultPlan(
+            seed=seed, crash_rate=0.02, revocation_rate=0.3,
+            straggler_rate=0.02,
+        ),
+    )
+
+
+def optimistic_factory(scenario):
+    def factory():
+        return OpenSystemSimulator(
+            OptimisticAdmission(),
+            initial_resources=scenario.initial_resources,
+            recovery=RecoveryPolicy(max_attempts=3),
+        )
+
+    return factory
 
 
 def test_scenario_exercises_recovery():
@@ -151,6 +216,57 @@ def test_crash_matrix_backoff_and_abandonment_grid(tmp_path):
         checkpoint_crashes=3,
     )
     assert result.crashed_points
+    assert result.ok, result.summary()
+
+
+def test_multi_component_scenario_leaves_parts_short_and_relabels():
+    """Guard: the multi-component sweep below is only meaningful if a
+    record stays open after a part left ``rho`` short of completion, and
+    a two-part residual is re-admitted under the evicted record's label."""
+    scenario = multi_component_scenario()
+    requirements = {
+        event.label: event.requirement
+        for event in scenario.events
+        if getattr(event, "requirement", None) is not None
+    }
+    report, _ = scenario_run(scenario, optimistic_factory(scenario))()
+    consumed = report.trace.consumption_by_actor()
+    left_short = relabelled = 0
+    for record in report.records:
+        first = requirements[record.label].components[0]
+        if (
+            sum(consumed.get(f"{record.label}[0]", {}).values())
+            < first.phases[0].total
+            and first.deadline < record.window.end
+            and (
+                record.violated_at is None
+                or record.violated_at >= first.deadline
+            )
+        ):
+            left_short += 1
+        if record.violated_at is not None and any(
+            actor.startswith(record.label + "[")
+            for entry in report.trace.transitions
+            if entry.t >= record.violated_at
+            for actor, _, _ in entry.label.consumed
+        ):
+            relabelled += 1
+    assert left_short and relabelled
+
+
+def test_multi_component_crash_matrix_resumes_identically(tmp_path):
+    """Every third record boundary of the multi-component run, its
+    mid-write tear, and two checkpoint-save kills resume identically.
+    The stride-1 sweep is a step of the CI crash-matrix job."""
+    scenario = multi_component_scenario()
+    result = chaos_crash_matrix(
+        scenario,
+        optimistic_factory(scenario),
+        tmp_path,
+        checkpoint_every=3,
+        boundary_stride=3,
+    )
+    assert result.crashed_points, "budget never hit: matrix proved nothing"
     assert result.ok, result.summary()
 
 

@@ -529,7 +529,7 @@ def make_simulator(scenario):
 #: equivalence is covered by the resume-and-finish fingerprints.
 VALUE_SECTIONS = (
     "records", "offered", "trace", "events", "victims",
-    "flagged", "consumed_by_owner", "horizon", "dt",
+    "flagged", "open", "horizon", "dt",
     "invariant_interval", "checkpoint_every", "state",
 )
 

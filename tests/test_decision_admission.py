@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.computation import ComplexRequirement, Demands
+from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
 from repro.decision import AdmissionController
 from repro.errors import AdmissionConfigError, TransitionError
 from repro.intervals import Interval
-from repro.resources import ResourceSet, term
+from repro.resources import ResourceSet, cpu, term
 
 
 def creq(phases, s, d, label):
@@ -38,6 +38,28 @@ class TestBasicAdmission:
         decision = controller.can_admit(creq([Demands({cpu1: 1})], 0, 5, "late"))
         assert not decision.admitted
         assert "deadline" in decision.reason
+
+    @pytest.mark.parametrize("now", [5, 3])
+    @pytest.mark.parametrize("method", ["can_admit", "admit"])
+    def test_reject_when_a_component_deadline_passed(self, now, method):
+        """A component window may close before the requirement's own
+        deadline; once it has, the requirement is refused as late, not
+        clipped to an empty window."""
+        controller = AdmissionController(
+            ResourceSet.of(term(2, cpu("n0"), 0, 40), term(2, cpu("n1"), 0, 40))
+        )
+        controller.advance_to(now)
+        requirement = ConcurrentRequirement(
+            (
+                creq([Demands({cpu("n0"): 4})], 0, 3, "a"),
+                creq([Demands({cpu("n1"): 10})], 0, 20, "b"),
+            ),
+            Interval(0, 20),
+        )
+        decision = getattr(controller, method)(requirement)
+        assert not decision.admitted
+        assert decision.reason == "deadline has already passed (t >= d)"
+        assert controller.admitted_labels == ()
 
     def test_can_admit_does_not_commit(self, controller, cpu1):
         req = creq([Demands({cpu1: 30})], 0, 10, "a")

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import RotaAdmission
 from repro.baselines.retry import ExponentialBackoff, RetryingPolicy
-from repro.computation import ComplexRequirement, Demands
+from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
 from repro.errors import FaultInjectionError, RecoveryError
 from repro.faults import (
     FaultPlan,
@@ -19,6 +19,7 @@ from repro.faults import (
 )
 from repro.intervals import Interval
 from repro.resources import ResourceSet, term
+from repro.resources.located_type import LocatedType, Node
 from repro.system import (
     OpenSystemSimulator,
     ReservationPolicy,
@@ -27,6 +28,7 @@ from repro.system import (
     rate_degradation,
     resource_join,
 )
+from repro.system.events import ResourceRevocationEvent
 from repro.analysis import assert_clean
 from repro.workloads.scenarios import volunteer_scenario
 
@@ -225,6 +227,32 @@ class TestRecoveryOutcomes:
         assert record.salvaged == pytest.approx(8.0)  # 2/s for 4s
         assert report.abandoned == 1
         assert_clean(report, allow_revocation=True)
+
+    def test_backoff_reoffer_after_a_component_deadline_abandons(self):
+        """A backoff re-offer that lands after one component's deadline
+        (t=4) but inside the arrival's window is refused as late, and the
+        victim is abandoned after its last offer, not crashed on."""
+        n0, n1 = LocatedType("cpu", Node("n0")), LocatedType("cpu", Node("n1"))
+        pool = ResourceSet.of(term(2, n0, 0, 40), term(2, n1, 0, 40))
+        job = ConcurrentRequirement(
+            (
+                creq([Demands({n0: 4})], 0, 4, "a"),
+                creq([Demands({n1: 10})], 0, 20, "b"),
+            ),
+            Interval(0, 20),
+        )
+        sim = simulator(pool, recovery=RecoveryPolicy(max_attempts=3))
+        sim.schedule(
+            arrival(0, job, "job"),
+            ResourceRevocationEvent(
+                time=1, resources=ResourceSet.of(term(2, n0, 1, 4))
+            ),
+        )
+        report = sim.run(40)
+        record = report.record_of("job")
+        assert record.violated_at == 1
+        assert record.outcome == "abandoned"
+        assert record.recovery_attempts == 3
 
     def test_without_recovery_victim_misses_but_is_detected(self, cpu1):
         """No RecoveryPolicy: detection still records the violation, the

@@ -148,6 +148,37 @@ class TestMeshRuns:
         second, _ = run_mesh(plan)
         assert report_fingerprint(first) == report_fingerprint(second)
 
+    def test_a_verdict_after_a_component_deadline_lands_late(self):
+        """The admission verdict lands at t=2, after component ``a``'s
+        deadline (t=1) but inside the arrival's window: the mesh counts
+        it as landing after the deadline, never clipping ``a`` to an
+        empty window."""
+        plan = PartitionPlan(partition_duration=0, link_delay=1)
+        policy = MeshPolicy(plan)
+        policy.observe_resources(
+            ResourceSet.of(
+                term(2, cpu("n0"), 0, 40), term(2, cpu("n1"), 0, 40)
+            ),
+            0,
+        )
+        job = ConcurrentRequirement(
+            (
+                ComplexRequirement(
+                    [Demands({cpu("n1"): 1})], Interval(0, 1), label="a"
+                ),
+                ComplexRequirement(
+                    [Demands({cpu("n1"): 10})], Interval(0, 20), label="b"
+                ),
+            ),
+            Interval(0, 20),
+        )
+        decision = policy.decide(job, 0)
+        assert not decision.admitted
+        assert decision.reason == (
+            "verdict from 'n1' landed at t=2 — after the deadline"
+        )
+        assert policy.rpc_failures == 1
+
     def test_lossy_joins_are_shed_at_the_boundary(self):
         plan = PartitionPlan(partition_duration=0, link_loss=1.0)
         report, policy = run_mesh(plan)

@@ -501,6 +501,33 @@ class TestFrontDoorBrownout:
         assert resolved[0].reconciled
         assert resolved[0].label == "later"
 
+    def test_a_closed_component_window_is_rejected_without_a_probe(self):
+        """A component whose deadline passed before the screen ran leaves
+        nothing to screen or probe: the screen rejects it outright."""
+        door = self.make(verify_brownout=True)
+        self.fill(door)
+        late = ConcurrentRequirement(
+            (
+                ComplexRequirement(
+                    [Demands({cpu("n0"): 1})], Interval(1, 3), label="a"
+                ),
+                ComplexRequirement(
+                    [Demands({cpu("n1"): 50})], Interval(1, 100), label="b"
+                ),
+            ),
+            Interval(1, 100),
+        )
+        outcome = door.offer(
+            ServiceRequest("late", late, 1, criticality="low")
+        )
+        assert outcome.decided_at >= 3
+        assert outcome.outcome == REJECTED
+        assert outcome.reason == (
+            "brownout screen: a component deadline passed by "
+            f"t={outcome.decided_at}"
+        )
+        assert door.brownout_verified == 0
+
     def test_high_criticality_keeps_the_exact_check_under_brownout(self):
         door = self.make()
         self.fill(door)
@@ -566,6 +593,28 @@ class TestServeDriver:
         by_label = {o.label: o for o in report.outcomes}
         assert by_label["early"].outcome != ADMITTED  # nothing at n1 yet
         assert by_label["late"].outcome == ADMITTED
+
+    def test_a_closed_component_window_is_shed_at_the_check(self):
+        """A request whose component window closed before its check
+        (t=3 here, the request arrives at t=4) is shed as stale, not
+        clipped to an empty window."""
+        late = ConcurrentRequirement(
+            (
+                ComplexRequirement(
+                    [Demands({cpu("n0"): 4})], Interval(0, 3), label="a"
+                ),
+                ComplexRequirement(
+                    [Demands({cpu("n1"): 10})], Interval(0, 20), label="b"
+                ),
+            ),
+            Interval(0, 20),
+        )
+        resources = ResourceSet.of(
+            term(2, cpu("n0"), 0, 40), term(2, cpu("n1"), 0, 40)
+        )
+        report = serve([ServiceRequest("r", late, 4)], resources=resources)
+        (outcome,) = report.outcomes
+        assert (outcome.outcome, outcome.reason) == (SHED, SHED_STALE_DEQUEUE)
 
 
 # ----------------------------------------------------------------------
