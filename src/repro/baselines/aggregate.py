@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.demands import Demands
 from repro.computation.requirements import ConcurrentRequirement
+from repro.decision.admission import deadline_passed
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import LocatedType
 from repro.resources.resource_set import ResourceSet
@@ -40,7 +41,7 @@ class AggregateAdmission(AdmissionPolicy):
         self._available = self._available | resources
 
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
-        if requirement.deadline <= now:
+        if deadline_passed(requirement, now):
             return PolicyDecision(False, reason="deadline already passed")
         window = Interval(max(requirement.start, now), requirement.deadline)
         needed: Dict[LocatedType, Time] = dict(requirement.total_demands)

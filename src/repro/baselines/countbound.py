@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
+from repro.decision.admission import deadline_passed
 from repro.intervals.interval import Interval, Time
 from repro.resources.resource_set import ResourceSet
 
@@ -34,7 +35,7 @@ class CountBoundAdmission(AdmissionPolicy):
         self._available = self._available | resources
 
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
-        if requirement.deadline <= now:
+        if deadline_passed(requirement, now):
             return PolicyDecision(False, reason="deadline already passed")
         window = Interval(max(requirement.start, now), requirement.deadline)
         pool = sum(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
+from repro.decision.admission import deadline_passed
 from repro.intervals.interval import Time
 from repro.resources.resource_set import ResourceSet
 
@@ -22,6 +23,6 @@ class OptimisticAdmission(AdmissionPolicy):
         pass
 
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
-        if requirement.deadline <= now:
+        if deadline_passed(requirement, now):
             return PolicyDecision(False, reason="deadline already passed")
         return PolicyDecision(True)

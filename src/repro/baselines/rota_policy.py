@@ -51,8 +51,9 @@ class RotaAdmission(AdmissionPolicy):
         return PolicyDecision(False, reason=decision.reason)
 
     def on_leave(self, label: str, now: Time) -> None:
+        self._controller.advance_to(now)
         try:
-            self._controller.withdraw(label, now=now)
+            self._controller.withdraw(label)
         except TransitionError:
             # The simulator already validated the leave rule; a label the
             # controller tracked under a different key is not an error.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
 from repro.computation.requirements import ConcurrentRequirement
+from repro.decision.admission import deadline_passed
 from repro.intervals.interval import Time
 from repro.resources.profile import exact_div
 from repro.resources.resource_set import ResourceSet
@@ -38,7 +39,7 @@ class StartPointAdmission(AdmissionPolicy):
         self._available = self._available | resources
 
     def decide(self, requirement: ConcurrentRequirement, now: Time) -> PolicyDecision:
-        if requirement.deadline <= now:
+        if deadline_passed(requirement, now):
             return PolicyDecision(False, reason="deadline already passed")
         start = max(requirement.start, now)
         for component in requirement.components:

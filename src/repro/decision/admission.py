@@ -12,6 +12,10 @@ is then itself a valid concurrent path.
 * ``_available``  — all resources the system knows about (``Theta``),
 * ``_committed``  — the union of admitted schedules' claimed consumption.
 
+Resources in the past have expired, so both hold live work only:
+:meth:`AdmissionController.advance_to` retires finished schedules and
+cuts the past off.
+
 The *expiring slack* ``available - committed`` is the executable analogue
 of the paper's ``U Theta_expire``: whatever the committed path will not
 consume would expire, and is therefore free for newcomers.  Admission
@@ -21,8 +25,9 @@ disturbed — the controller never re-plans admitted work.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.computation.requirements import (
     ComplexRequirement,
@@ -92,6 +97,11 @@ class AdmissionController:
         # reference.
         self._slack = self._available
         self._schedules: Dict[str, ConcurrentSchedule] = {}
+        # ``(finish_time, label)`` per admitted schedule, a min-heap that
+        # :meth:`advance_to` pops to retire finished work without scanning
+        # every schedule.  Derived from ``_schedules``: entries of labels
+        # that left early are skipped when popped.
+        self._finishing: List[Tuple[Time, str]] = []
         self._now = now
         #: Witness breakpoints are rounded up to this grid when set: pass
         #: the executor's ``Delta t`` so committed schedules survive
@@ -148,22 +158,30 @@ class AdmissionController:
     # Pickling (checkpoint payloads)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Drop the slack from pickles: it is ``available - committed``,
-        so serializing it would duplicate both operands' profiles in
-        every checkpoint.  :meth:`__setstate__` re-derives it."""
+        """Drop the derived state from pickles: the slack is ``available -
+        committed``, so serializing it would duplicate both operands'
+        profiles in every checkpoint, and the finish heap is read off the
+        schedules.  :meth:`__setstate__` re-derives both."""
         state = dict(self.__dict__)
-        state["_slack"] = None
+        state["_slack"] = state["_finishing"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._slack = self.reference_slack()
+        self._finishing = [
+            (schedule.finish_time, label)
+            for label, schedule in self._schedules.items()
+        ]
+        heapq.heapify(self._finishing)
 
     @property
     def admitted_labels(self) -> tuple[str, ...]:
+        """Labels of the admitted schedules not yet retired."""
         return tuple(self._schedules)
 
     def schedule_of(self, label: str) -> ConcurrentSchedule:
+        """The schedule under ``label`` (``KeyError`` once retired)."""
         return self._schedules[label]
 
     # ------------------------------------------------------------------
@@ -218,10 +236,12 @@ class AdmissionController:
         self._uncommit(schedule.consumption())
 
     def _uncommit(self, consumption: ResourceSet) -> None:
-        """Take one schedule's claim off the committed path and re-derive
-        the slack.  Adding the claim back window-locally would be exact
-        only where ``available`` still covers ``committed``; after a
-        revocation the reference decides what the claim frees."""
+        """Take the part of one schedule's claim ahead of ``now`` off the
+        committed path and re-derive the slack.  Adding the claim back
+        window-locally would be exact only where ``available`` still
+        covers ``committed``; after a revocation the reference decides
+        what the claim frees."""
+        consumption = consumption.truncate_before(self._now)
         try:
             self._committed = self._committed - consumption
         except UndefinedOperationError:
@@ -232,8 +252,9 @@ class AdmissionController:
 
     def reserve(self, resources: ResourceSet) -> None:
         """Mark ``resources`` as committed without a schedule — used by
-        resource encapsulations carving out a child's allotment.  The
-        reservation must fit inside the current expiring slack."""
+        resource encapsulations carving out a child's allotment.  Its part
+        ahead of ``now`` must fit inside the current expiring slack."""
+        resources = resources.truncate_before(self._now)
         if not self.expiring_slack.dominates(resources):
             raise TransitionError(
                 "reservation exceeds the expiring slack"
@@ -242,21 +263,36 @@ class AdmissionController:
         self._slack = self._slack - resources
 
     def release(self, resources: ResourceSet) -> None:
-        """Return a previously reserved set to the slack pool.  It must
-        lie inside the committed path (a strict subtraction, so a release
-        never frees what admitted schedules claim); the slack is
-        re-derived."""
-        self._committed = self._committed - resources
+        """Return the part of a previously reserved set ahead of ``now``
+        to the slack pool.  It must lie inside the committed path (a
+        strict subtraction, so a release never frees what admitted
+        schedules claim); the slack is re-derived."""
+        self._committed = self._committed - resources.truncate_before(self._now)
         self._slack = self.reference_slack()
 
     def advance_to(self, t: Time) -> None:
-        """Move the clock forward.  Only ``now`` changes: availability,
-        commitments and the slack keep their past breakpoints, and
-        :meth:`can_admit` clips every newcomer's window to start no
-        earlier than ``now``, so the past never backs a new schedule."""
+        """Move the clock forward and forget the past.
+
+        Every schedule finished by ``t`` retires, and its label becomes
+        unknown.  When one retires, availability, commitments and the
+        slack lose everything before ``t``, which has expired.  A move
+        that retires nothing only sets ``now``; :meth:`can_admit` clips
+        newcomers to start at ``now``, so an uncut past backs nothing."""
         if t < self._now:
             raise TransitionError(f"cannot move time backwards: {t} < {self._now}")
         self._now = t
+        finishing = self._finishing
+        retired = False
+        while finishing and finishing[0][0] <= t:
+            _, label = heapq.heappop(finishing)
+            schedule = self._schedules.get(label)
+            if schedule is not None and schedule.finish_time <= t:
+                del self._schedules[label]
+                retired = True
+        if retired:
+            self._available = self._available.truncate_before(t)
+            self._committed = self._committed.truncate_before(t)
+            self._slack = self._slack.truncate_before(t)
 
     # ------------------------------------------------------------------
     # Admission (Theorem 4)
@@ -316,22 +352,25 @@ class AdmissionController:
         """
         decision = self.can_admit(requirement, exhaustive=exhaustive)
         if decision.admitted and decision.schedule is not None:
-            consumption = decision.schedule.consumption()
+            schedule = decision.schedule
+            consumption = schedule.consumption()
             self._committed = self._committed | consumption
             self._slack = self._slack - consumption
-            self._schedules[_unique_label(decision.label, self._schedules)] = (
-                decision.schedule
-            )
+            key = _unique_label(decision.label, self._schedules)
+            self._schedules[key] = schedule
+            heapq.heappush(self._finishing, (schedule.finish_time, key))
         return decision
 
-    def withdraw(self, label: str, *, now: Time | None = None) -> None:
-        """Computation-leave rule: a computation that has not started may
-        leave; its claimed resources return to the slack pool."""
-        now = self._now if now is None else now
+    def withdraw(self, label: str) -> None:
+        """Computation-leave rule: a computation that has not started by
+        ``now`` may leave; its claimed resources return to the slack pool.
+        Callers advance the controller to the leave's time first."""
         schedule = self._schedules.get(label)
         if schedule is None:
             raise TransitionError(f"no admitted computation labelled {label!r}")
-        started = any(s.requirement.start < now for s in schedule.schedules)
+        started = any(
+            s.requirement.start < self._now for s in schedule.schedules
+        )
         if started:
             raise TransitionError(
                 f"computation {label!r} has already started (t >= s); "

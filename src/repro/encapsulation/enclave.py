@@ -224,9 +224,7 @@ class Enclave:
                 return enclave
         return None
 
-    def migrate(
-        self, label: str, destination: "Enclave", *, now: Time | None = None
-    ) -> AdmissionDecision:
+    def migrate(self, label: str, destination: "Enclave") -> AdmissionDecision:
         """Move a not-yet-started admitted computation to a sibling/other
         enclave: withdraw here (the paper's leave rule, t < s), re-admit
         there.  On rejection the computation is re-admitted locally, so
@@ -243,7 +241,7 @@ class Enclave:
         bundle = ConcurrentRequirement(
             requirements, Interval(window_start, window_end)
         )
-        self._controller.withdraw(label, now=now)
+        self._controller.withdraw(label)
         decision = destination.admit(bundle)
         if not decision.admitted:
             restored = self._controller.admit(bundle)

@@ -708,8 +708,9 @@ class MeshPolicy(AdmissionPolicy):
         if placed is None:
             return
         controller = self._enclaves[placed].controller
+        controller.advance_to(now)
         try:
-            controller.withdraw(label, now=now)
+            controller.withdraw(label)
         except TransitionError:
             pass
 

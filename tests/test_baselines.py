@@ -14,7 +14,8 @@ from repro.baselines import (
 )
 from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
 from repro.intervals import Interval
-from repro.resources import ResourceSet, term
+from repro.resources import ResourceSet, cpu, term
+from repro.system import OpenSystemSimulator, arrival
 
 
 def conc(phases, s, d, label="job"):
@@ -34,6 +35,34 @@ class TestCommonBehaviour:
         policy.observe_resources(pool, 0)
         decision = policy.decide(conc([Demands({cpu1: 1})], 0, 5), now=5)
         assert not decision.admitted
+
+    @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
+    def test_a_closed_component_window_is_refused(self, policy_cls):
+        """An arrival at t=4 whose first part closed at t=3 while its
+        outer window runs to t=20 is refused: accommodating it would
+        give that part no window left."""
+        n0, n1 = cpu("n0"), cpu("n1")
+        late = ConcurrentRequirement(
+            (
+                ComplexRequirement(
+                    [Demands({n0: 1})], Interval(0, 3), label="late[0]"
+                ),
+                ComplexRequirement(
+                    [Demands({n1: 1})], Interval(0, 20), label="late[1]"
+                ),
+            ),
+            Interval(0, 20),
+        )
+        simulator = OpenSystemSimulator(
+            policy_cls(),
+            initial_resources=ResourceSet.of(
+                term(5, n0, 0, 20), term(5, n1, 0, 20)
+            ),
+        )
+        simulator.schedule(arrival(4, late, "late"))
+        report = simulator.run(20)
+        assert report.arrivals == 1
+        assert report.admitted == 0
 
     @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
     def test_names_are_distinct(self, policy_cls):

@@ -164,14 +164,16 @@ def test_slack_is_exact_after_every_controller_mutation(monkeypatch):
 
     for name in (
         "add_resources", "revoke_resources", "forfeit", "admit",
-        "withdraw", "reserve", "release",
+        "withdraw", "reserve", "release", "advance_to",
     ):
         monkeypatch.setattr(AdmissionController, name, checked(name))
     scenario = violating_scenario()
     simulator = simulator_factory(scenario)()
     simulator.schedule(*scenario.events)
     simulator.run(scenario.horizon)
-    assert {"add_resources", "revoke_resources", "admit"} <= set(calls)
+    assert {
+        "add_resources", "revoke_resources", "admit", "advance_to",
+    } <= set(calls)
     assert not drifted, f"slack drifted after {drifted}"
 
 

@@ -134,6 +134,38 @@ class TestClockAndWithdraw:
         with pytest.raises(TransitionError):
             controller.withdraw("ghost")
 
+    def test_a_finished_schedule_retires(self, controller, cpu1):
+        """Once ``now`` reaches a schedule's finish, its label is as
+        unknown as one never admitted, and the past leaves all three
+        sets."""
+        early = controller.admit(creq([Demands({cpu1: 10})], 0, 4, "early"))
+        controller.admit(creq([Demands({cpu1: 10})], 0, 10, "late"))
+        controller.advance_to(early.schedule.finish_time - 1)
+        assert controller.admitted_labels == ("early", "late")
+        controller.advance_to(early.schedule.finish_time)
+        assert controller.admitted_labels == ("late",)
+        with pytest.raises(KeyError):
+            controller.schedule_of("early")
+        for leave in (controller.forfeit, controller.withdraw):
+            with pytest.raises(TransitionError):
+                leave("early")
+        now = controller.now
+        for view in (
+            controller.available, controller.committed,
+            controller.expiring_slack,
+        ):
+            assert view.quantity(cpu1, Interval(0, now)) == 0
+        assert controller.verify_slack()
+
+    def test_forfeit_frees_only_what_lies_ahead(self, controller, cpu1):
+        controller.admit(creq([Demands({cpu1: 30})], 0, 10, "a"))
+        controller.admit(creq([Demands({cpu1: 1})], 0, 2, "b"))
+        controller.advance_to(4)
+        controller.forfeit("a")
+        assert controller.committed.quantity(cpu1, Interval(4, 10)) == 0
+        assert controller.expiring_slack.quantity(cpu1, Interval(4, 10)) == 30
+        assert controller.verify_slack()
+
     def test_duplicate_labels_disambiguated(self, controller, cpu1):
         controller.admit(creq([Demands({cpu1: 10})], 0, 10, "same"))
         controller.admit(creq([Demands({cpu1: 10})], 0, 10, "same"))
@@ -198,5 +230,6 @@ class TestSlackCacheInvariant:
         check()
         controller.admit(creq([Demands({cpu1: 5})], 10, 20, "c"))
         check()
-        controller.withdraw("c", now=0)
+        controller.advance_to(5)
+        controller.withdraw("c")
         check()

@@ -88,6 +88,26 @@ class TestDissolveAndMigrate:
         assert recovered.quantity(cpu1, Interval(0, 50)) == 100
         assert root.slack.quantity(cpu1, Interval(0, 50)) == 300 + 100
 
+    def test_dissolve_after_part_of_the_allotment_expired(
+        self, root, cpu1, cpu2
+    ):
+        """Time has cut the root's past (its own job finished): a spawn
+        claims and a dissolve releases only what lies ahead, and the
+        slack stays ``available - committed``."""
+        root.admit(creq([Demands({cpu2: 10})], 0, 5, "short"))
+        child = root.spawn("a", ResourceSet.of(term(4, cpu1, 0, 50)))
+        child.admit(creq([Demands({cpu1: 100})], 20, 50, "j"))
+        for enclave in root.walk():
+            enclave.controller.advance_to(10)
+        assert root.controller.admitted_labels == ()
+        root.spawn("b", ResourceSet.of(term(1, cpu1, 0, 50)))
+        recovered = root.dissolve("a")
+        assert root.controller.verify_slack()
+        ahead = Interval(10, 50)
+        assert root.slack.quantity(cpu1, ahead) == (
+            5 * 40 + recovered.quantity(cpu1, ahead)
+        )
+
     def test_dissolve_unknown(self, root):
         with pytest.raises(EnclaveError):
             root.dissolve("ghost")

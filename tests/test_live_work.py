@@ -6,9 +6,10 @@ every slice, so the timed rule (:func:`~repro.logic.transitions.step`)
 and the allocation policy walk live work only, and a checkpoint's
 ``state`` section stays the size of the live work however long the run.
 The one fact about a dropped actor that still matters, a part that left
-short of completion, is kept by the owner index of open records.  These
-tests count what the slice loop visits (no timing), bound the bytes of
-the checkpointed state, and pin a long mesh run's fingerprint to a gold
+short of completion, is kept by the owner index of open records.  The
+admission controllers likewise retire finished schedules and forget the
+past.  These tests count what the slice loop visits (no timing), bound
+the bytes of the checkpointed state and of whole deltas, and pin a long mesh run's fingerprint to a gold
 digest, which catches a change that alters a run and its replay in the
 same way.
 """
@@ -171,6 +172,22 @@ class TestLiveWork:
             sizes[checkpoint.step] = len(
                 pickle.dumps(parts["state"], protocol=pickle.HIGHEST_PROTOCOL)
             )
+        first, last = min(sizes), max(sizes)
+        assert first == LONG_PLAN_EVERY
+        assert last >= LONG_PLAN.horizon - 2 * LONG_PLAN_EVERY
+        assert sizes[last] <= 1.5 * sizes[first], sizes
+
+    def test_checkpoint_deltas_stay_the_size_of_live_work(self, visited):
+        """The whole last delta is within 1.5x of the first one: the
+        admission controllers retire finished schedules and cut the past,
+        so neither the state nor the admission section grows with
+        elapsed time."""
+        *_, directory = visited
+        sizes = {}
+        for path in sorted(directory.glob("ckpt-*.json")):
+            checkpoint = SimulatorCheckpoint.load(path)
+            if checkpoint.is_delta:
+                sizes[checkpoint.step] = len(checkpoint.payload)
         first, last = min(sizes), max(sizes)
         assert first == LONG_PLAN_EVERY
         assert last >= LONG_PLAN.horizon - 2 * LONG_PLAN_EVERY

@@ -11,7 +11,9 @@ import pytest
 import repro
 from repro.baselines import RotaAdmission
 from repro.decision import AdmissionController
+from repro.encapsulation import Enclave
 from repro.faults import FaultPlan, PartitionPlan, RecoveryPolicy
+from repro.resources import ResourceSet
 from repro.service import ServiceConfig
 from repro.system import OpenSystemSimulator
 
@@ -73,6 +75,8 @@ OPTION_SURFACE = {
     ),
     OpenSystemSimulator.resume: ("journal_fsync",),
     AdmissionController.__init__: ("now", "align"),
+    AdmissionController.withdraw: (),
+    Enclave.migrate: (),
 }
 
 
@@ -111,6 +115,10 @@ class TestOptionSurface:
         (lambda **kw: OpenSystemSimulator.resume("unused", **kw),
          "checkpoint_dir"),
         (AdmissionController, "slack_check_interval"),
+        (lambda **kw: AdmissionController().withdraw("a", **kw), "now"),
+        (lambda **kw: Enclave.root(ResourceSet.empty()).migrate(
+            "a", Enclave.root(ResourceSet.empty()), **kw
+        ), "now"),
     ])
     def test_removed_options_are_rejected(self, factory, option):
         with pytest.raises(TypeError, match=option):
