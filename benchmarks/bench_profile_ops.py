@@ -17,7 +17,8 @@ experiment measures the rebuilt hot path against the retained
   float (inexact) quantities, where the vectorized numpy kernels carry
   the profile algebra — the headline ``admission`` row — and once with
   integer (exact) quantities, where the exact profiles' Python lists and
-  their window splice carry it (``admission_exact``).  The float
+  their window splice carry it, and searches bisect the lists' float key
+  index before comparing Fractions (``admission_exact``).  The float
   workload uses dyadic rationals (halves over power-of-two durations) so
   every intermediate sum is exact in double precision and the
   zero-divergence gate is meaningful rather than luck.

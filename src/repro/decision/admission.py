@@ -44,6 +44,7 @@ from repro.errors import (
 from repro.intervals.interval import Time, is_finite_time
 from repro.markers import checkpointable
 from repro.observability import get_registry
+from repro.resources.profile import float_key
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
 
@@ -97,11 +98,13 @@ class AdmissionController:
         # reference.
         self._slack = self._available
         self._schedules: Dict[str, ConcurrentSchedule] = {}
-        # ``(finish_time, label)`` per admitted schedule, a min-heap that
-        # :meth:`advance_to` pops to retire finished work without scanning
-        # every schedule.  Derived from ``_schedules``: entries of labels
+        # ``(key, finish_time, label)`` per admitted schedule, a min-heap
+        # that :meth:`advance_to` pops to retire finished work without
+        # scanning every schedule.  ``key`` is the finish time's float
+        # key, so a push compares doubles and only a tie compares the
+        # exact times.  Derived from ``_schedules``: entries of labels
         # that left early are skipped when popped.
-        self._finishing: List[Tuple[Time, str]] = []
+        self._finishing: List[Tuple[float, Time, str]] = []
         self._now = now
         #: Witness breakpoints are rounded up to this grid when set: pass
         #: the executor's ``Delta t`` so committed schedules survive
@@ -170,7 +173,7 @@ class AdmissionController:
         self.__dict__.update(state)
         self._slack = self.reference_slack()
         self._finishing = [
-            (schedule.finish_time, label)
+            (float_key(schedule.finish_time), schedule.finish_time, label)
             for label, schedule in self._schedules.items()
         ]
         heapq.heapify(self._finishing)
@@ -283,8 +286,8 @@ class AdmissionController:
         self._now = t
         finishing = self._finishing
         retired = False
-        while finishing and finishing[0][0] <= t:
-            _, label = heapq.heappop(finishing)
+        while finishing and finishing[0][1] <= t:
+            _, _, label = heapq.heappop(finishing)
             schedule = self._schedules.get(label)
             if schedule is not None and schedule.finish_time <= t:
                 del self._schedules[label]
@@ -358,7 +361,8 @@ class AdmissionController:
             self._slack = self._slack - consumption
             key = _unique_label(decision.label, self._schedules)
             self._schedules[key] = schedule
-            heapq.heappush(self._finishing, (schedule.finish_time, key))
+            finish = schedule.finish_time
+            heapq.heappush(self._finishing, (float_key(finish), finish, key))
         return decision
 
     def withdraw(self, label: str) -> None:

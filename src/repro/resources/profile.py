@@ -37,7 +37,15 @@ share that surface, each with one working form besides the tuples:
   merges only the breakpoints inside the claim's window and splices
   them between the untouched slices of the lists.  Point queries,
   accumulation walks and window integrals bisect to their start and
-  read only the segments they cover.
+  read only the segments they cover.  Once a list of at least
+  :data:`KEY_INDEX_MIN` times holds a ``Fraction``, the profile also
+  keeps a float key index, one correctly rounded double per time (see
+  :func:`float_key`), and an exact key bisects the doubles first: only
+  the times that round onto the key's double are compared as
+  Fractions, so a search makes none whenever no breakpoint shares that
+  double.  The index is derived (never pickled), and a splice or prefix
+  cut converts only the times it adds.  Short and all-int lists, float
+  keys and inexact profiles bisect the times directly.
 * **Inexact** profiles (some float coordinate) batch onto the float64
   kernels in :mod:`repro.resources._vectorized` whenever every
   coordinate is losslessly float64-representable; they reproduce the
@@ -131,6 +139,65 @@ def _normalise(points: Iterable[Tuple[Time, Time]]) -> tuple[Tuple[Time, Time], 
     return tuple(merged)
 
 
+#: Fewest breakpoint times that get a float key index.  A shorter list is
+#: bisected in at most three exact comparisons, which cost less than
+#: converting its Fraction times.
+KEY_INDEX_MIN = 8
+
+
+def float_key(value: Time) -> float:
+    """``float(value)``, saturated to +-inf where it overflows.
+
+    Correctly rounded conversion (``int`` and ``Fraction`` both round to
+    nearest) is monotone: ``float_key(a) < float_key(b)`` implies
+    ``a < b``, so comparing keys orders any two times whose keys differ,
+    and only times with equal keys need an exact comparison."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_keys(times: Sequence[Time]) -> List[float]:
+    """The float key index of exact ``times``: one
+    :func:`float_key` each."""
+    try:
+        return list(map(float, times))
+    except OverflowError:
+        return [float_key(t) for t in times]
+
+
+def _bisect_left_exact(
+    times: Sequence[Time], keys: List[float], key: Time, lo: int = 0
+) -> int:
+    """``bisect_left(times, key, lo)`` for an exact ``key``, with
+    ``keys`` the float key index of ``times``.
+
+    The doubles bound the run ``[lo, hi)`` of times whose key equals
+    ``key``'s: every time before it is smaller than ``key``, every time
+    after it larger.  Only that run is searched exactly, so a key no
+    breakpoint rounds onto costs no exact comparison at all."""
+    try:  # float_key, inlined: one Python frame per search
+        k = float(key)
+    except OverflowError:
+        k = math.inf if key > 0 else -math.inf
+    lo = bisect_left(keys, k, lo)
+    return bisect_left(times, key, lo, bisect_right(keys, k, lo))
+
+
+def _bisect_right_exact(
+    times: Sequence[Time], keys: List[float], key: Time, lo: int = 0
+) -> int:
+    """``bisect_right(times, key, lo)`` for an exact ``key``: see
+    :func:`_bisect_left_exact`."""
+    try:  # float_key, inlined
+        k = float(key)
+    except OverflowError:
+        k = math.inf if key > 0 else -math.inf
+    lo = bisect_left(keys, k, lo)
+    return bisect_right(times, key, lo, bisect_right(keys, k, lo))
+
+
 def _negative(t: Time, ra: Time, rb: Time) -> UndefinedOperationError:
     """The error a subtraction raises where its rate would go negative."""
     return UndefinedOperationError(
@@ -145,10 +212,15 @@ class RateProfile:
     result holds only the parallel lists every profile builds as its
     bisect index (``_times``/``_rl``; exact only), and a float kernel
     result only float64 arrays (``_vt``/``_vr`` with ``_vok`` set;
-    inexact only).  Either builds the tuples on demand.
+    inexact only).  Either builds the tuples on demand.  Beside the
+    lists, an exact profile of at least :data:`KEY_INDEX_MIN` times, one
+    of them a ``Fraction``, keeps ``_keys``, the float key of each time,
+    which the exact searches bisect first (``None`` for shorter or
+    all-int lists and inexact profiles; a prefix cut or splice of an
+    indexed profile carries it on).
     """
 
-    __slots__ = ("_pts", "_times", "_exact", "_vt", "_vr", "_vok", "_rl")
+    __slots__ = ("_pts", "_times", "_exact", "_vt", "_vr", "_vok", "_rl", "_keys")
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
         pts = _normalise(points)
@@ -166,6 +238,7 @@ class RateProfile:
         self._vr = None
         self._vok: Optional[bool] = None
         self._rl: Optional[Sequence[Time]] = None
+        self._keys: Optional[List[float]] = None
 
     @property
     def _points(self) -> tuple[Tuple[Time, Time], ...]:
@@ -210,13 +283,21 @@ class RateProfile:
         return exact
 
     def _ensure_index(self) -> None:
-        """Build the breakpoint times for bisection on first use."""
+        """Build the breakpoint times for bisection on first use, and
+        their float key index when the profile is exact and there are at
+        least :data:`KEY_INDEX_MIN` times, one of them a Fraction."""
         if self._times is not None:
             return
         if self._pts is None:
             self._times = memoryview(self._vt)  # float-vec-built: no copy
             return
-        self._times = [t for t, _ in self._pts]
+        times = self._times = [t for t, _ in self._pts]
+        if (
+            len(times) >= KEY_INDEX_MIN
+            and Fraction in map(type, times)
+            and self._is_exact()
+        ):
+            self._keys = _float_keys(times)
 
     def _vector_index(self):
         """Float64 ``(times, rates)`` arrays for the vectorized kernels,
@@ -270,8 +351,13 @@ class RateProfile:
         other._ensure_index()
         times_a, rates_a, times_b = self._times, self._rates(), other._times
         m = len(times_b)
-        lo = bisect_left(times_a, times_b[0])
-        hi = bisect_right(times_a, times_b[m - 1], lo)
+        keys = self._keys
+        if keys is None:
+            lo = bisect_left(times_a, times_b[0])
+            hi = bisect_right(times_a, times_b[m - 1], lo)
+        else:
+            lo = _bisect_left_exact(times_a, keys, times_b[0])
+            hi = _bisect_right_exact(times_a, keys, times_b[m - 1], lo)
         rate_a = rates_a[lo - 1] if lo else 0
         before = rate_a
         rate_b = 0
@@ -300,30 +386,48 @@ class RateProfile:
         (the rate ahead of it, the int 0 at the front, which also drops
         a leading zero): ``self`` is normalised, and the window's last
         row (the right operand's zero end) carries ``self``'s own rate
-        there, which differs from the suffix's first."""
-        times: list = []
-        rates: list = []
+        there, which differs from the suffix's first.
+
+        Each list is copied once and its window replaced in place, which
+        moves the suffix without a second copy."""
+        window_times: list = []
+        window_rates: list = []
         for t, rate in rows:
             if rate != before:
-                times.append(t)
-                rates.append(rate)
+                window_times.append(t)
+                window_rates.append(rate)
                 before = rate
-        return RateProfile._from_lists(
-            self._times[:lo] + times + self._times[hi:],
-            self._rl[:lo] + rates + self._rl[hi:],
-        )
+        times = self._times[:]
+        times[lo:hi] = window_times
+        rates = self._rl[:]
+        rates[lo:hi] = window_rates
+        keys = self._keys
+        if keys is not None:
+            keys = keys[:]
+            keys[lo:hi] = _float_keys(window_times)
+        elif len(times) >= KEY_INDEX_MIN and Fraction in map(
+            # A long list without an index holds no Fraction: only the
+            # window can bring one.
+            type, window_times if len(self._times) >= KEY_INDEX_MIN else times
+        ):
+            keys = _float_keys(times)
+        return RateProfile._from_lists(times, rates, keys)
 
     @classmethod
-    def _from_lists(cls, times: list, rates: list) -> "RateProfile":
-        """Adopt normalised exact ``times``/``rates`` lists as a profile
-        (splice and prefix-cut results only): no tuples are built, and
-        the lists are the bisect index."""
+    def _from_lists(
+        cls, times: list, rates: list, keys: Optional[List[float]]
+    ) -> "RateProfile":
+        """Adopt normalised exact ``times``/``rates`` lists and their
+        float key index (``None`` where the times need none) as a
+        profile (splice and prefix-cut results only): no tuples are
+        built, and the lists are the bisect index."""
         if not times:
             return _ZERO
         profile = cls.__new__(cls)
         profile._pts = None  # materialized on demand from the lists
         profile._times = times
         profile._rl = rates
+        profile._keys = keys
         profile._exact = True
         profile._vt = profile._vr = None
         profile._vok = None
@@ -346,6 +450,7 @@ class RateProfile:
         profile._vr = rates
         profile._vok = True
         profile._rl = None
+        profile._keys = None
         return profile
 
     def __reduce__(self):
@@ -484,7 +589,11 @@ class RateProfile:
         if self.is_zero:
             return 0
         self._ensure_index()
-        i = bisect_right(self._times, t) - 1
+        keys = self._keys
+        if keys is None or type(t) is float:
+            i = bisect_right(self._times, t) - 1
+        else:
+            i = _bisect_right_exact(self._times, keys, t) - 1
         return self._rates()[i] if i >= 0 else 0
 
     def rates_at(self, ts: Sequence[Time]) -> List[Time]:
@@ -568,10 +677,15 @@ class RateProfile:
         self._ensure_index()
         times = self._times
         rates = self._rates()
-        lo = bisect_right(times, start) - 1
+        keys = self._keys
+        if keys is None or type(start) is float or type(end) is float:
+            lo = bisect_right(times, start) - 1
+            hi = bisect_left(times, end)
+        else:
+            lo = _bisect_right_exact(times, keys, start) - 1
+            hi = _bisect_left_exact(times, keys, end)
         if lo < 0:
             lo = 0
-        hi = bisect_left(times, end)
         total: Time = 0
         for i in range(lo, hi):
             rate = rates[i]
@@ -599,10 +713,15 @@ class RateProfile:
         self._ensure_index()
         times = self._times
         start, end = window.start, window.end
-        if start < times[0]:
+        keys = self._keys
+        if keys is None or type(start) is float or type(end) is float:
+            lo = bisect_right(times, start) - 1
+            hi = bisect_left(times, end)
+        else:
+            lo = _bisect_right_exact(times, keys, start) - 1
+            hi = _bisect_left_exact(times, keys, end)
+        if lo < 0:  # ``start`` lies before the first breakpoint
             return 0
-        lo = bisect_right(times, start) - 1
-        hi = bisect_left(times, end)
         rates = self._rates()
         return min(rates[i] for i in range(lo, hi))
 
@@ -628,7 +747,11 @@ class RateProfile:
         times = self._times
         rates = self._rates()
         remaining = quantity
-        lo = bisect_right(times, start) - 1
+        keys = self._keys
+        if keys is None or type(start) is float:
+            lo = bisect_right(times, start) - 1
+        else:
+            lo = _bisect_right_exact(times, keys, start) - 1
         if lo < 0:
             lo = 0
         for i in range(lo, len(rates)):
@@ -665,7 +788,12 @@ class RateProfile:
         times = self._times
         rates = self._rates()
         remaining = quantity
-        hi = bisect_left(times, end)  # segments hi.. start at or after end
+        keys = self._keys
+        # Segments hi.. start at or after end.
+        if keys is None or type(end) is float:
+            hi = bisect_left(times, end)
+        else:
+            hi = _bisect_left_exact(times, keys, end)
         for i in range(hi - 1, -1, -1):
             rate = rates[i]
             if rate == 0:
@@ -804,13 +932,20 @@ class RateProfile:
             return _ZERO
         self._ensure_index()
         times = self._times
-        points: list[Tuple[Time, Time]] = [(window.start, self.rate_at(window.start))]
-        lo = bisect_right(times, window.start)
-        hi = bisect_left(times, window.end)
+        rates = self._rates()
+        start, end = window.start, window.end
+        keys = self._keys
+        if keys is None or type(start) is float or type(end) is float:
+            lo = bisect_right(times, start)
+            hi = bisect_left(times, end)
+        else:
+            lo = _bisect_right_exact(times, keys, start)
+            hi = _bisect_left_exact(times, keys, end)
+        points: list[Tuple[Time, Time]] = [(start, rates[lo - 1] if lo else 0)]
         # Read the window in place, whatever the form.
-        points.extend(zip(times[lo:hi], self._rates()[lo:hi]))
-        if not math.isinf(window.end):
-            points.append((window.end, 0))
+        points.extend(zip(times[lo:hi], rates[lo:hi]))
+        if not math.isinf(end):
+            points.append((end, 0))
         return RateProfile(points)
 
     def truncate_before(self, t: Time) -> "RateProfile":
@@ -830,14 +965,25 @@ class RateProfile:
             return self.clamp(Interval(t, math.inf))
         self._ensure_index()
         times = self._times
-        lo = bisect_right(times, t)
+        keys = self._keys
+        if keys is None:
+            lo = bisect_right(times, t)
+        else:
+            lo = _bisect_right_exact(times, keys, t)
         if lo == 0:
             return self
         rates = self._rates()
         edge = rates[lo - 1]
         if edge == 0:
-            return RateProfile._from_lists(times[lo:], rates[lo:])
-        return RateProfile._from_lists([t] + times[lo:], [edge] + rates[lo:])
+            return RateProfile._from_lists(
+                times[lo:], rates[lo:], None if keys is None else keys[lo:]
+            )
+        times = [t] + times[lo:]
+        if keys is not None:
+            keys = [float_key(t)] + keys[lo:]
+        elif type(t) is Fraction and len(times) >= KEY_INDEX_MIN:
+            keys = _float_keys(times)
+        return RateProfile._from_lists(times, [edge] + rates[lo:], keys)
 
     def shift(self, delta: Time) -> "RateProfile":
         """The profile translated in time by ``delta``."""

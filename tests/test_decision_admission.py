@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
@@ -9,6 +11,7 @@ from repro.decision import AdmissionController
 from repro.errors import AdmissionConfigError, TransitionError
 from repro.intervals import Interval
 from repro.resources import ResourceSet, cpu, term
+from repro.resources.profile import float_key
 
 
 def creq(phases, s, d, label):
@@ -155,6 +158,28 @@ class TestClockAndWithdraw:
             controller.expiring_slack,
         ):
             assert view.quantity(cpu1, Interval(0, now)) == 0
+        assert controller.verify_slack()
+
+    def test_finish_times_on_one_double_retire_in_exact_order(self, cpu1):
+        """The finish heap orders by each finish time's float key first;
+        two finish times ``10**-30`` apart share that key, and the exact
+        times decide which retires first, not the labels (``"a"``, which
+        finishes second, sorts first) or the admission order."""
+        cpu2 = cpu("n2")
+        controller = AdmissionController(ResourceSet.of(
+            term(1, cpu1, 0, 10), term(1, cpu2, 0, 10)
+        ))
+        first = Fraction(1, 3)
+        second = first + Fraction(1, 10 ** 30)
+        assert float_key(first) == float_key(second)
+        controller.admit(creq([Demands({cpu2: second})], 0, 10, "a"))
+        controller.admit(creq([Demands({cpu1: first})], 0, 10, "b"))
+        assert controller.schedule_of("a").finish_time == second
+        assert controller.schedule_of("b").finish_time == first
+        controller.advance_to(first)
+        assert controller.admitted_labels == ("a",)
+        controller.advance_to(second)
+        assert controller.admitted_labels == ()
         assert controller.verify_slack()
 
     def test_forfeit_frees_only_what_lies_ahead(self, controller, cpu1):

@@ -36,6 +36,7 @@ regression tests below:
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import pickle
@@ -47,6 +48,7 @@ import pytest
 from repro.computation import ComplexRequirement, Demands
 from repro.decision import AdmissionController
 from repro.errors import InvalidTermError, UndefinedOperationError
+from repro.faults import PartitionPlan, report_fingerprint, run_mesh
 from repro.intervals import Interval
 from repro.resources import RateProfile, ResourceSet, cpu, term
 from repro.resources import _vectorized as _vec
@@ -349,12 +351,12 @@ def _exact_arrivals(count, horizon, seed=11):
     return out
 
 
-def _exact_run(arrivals, horizon):
+def _exact_run(arrivals, horizon, capacity=1):
     """Decisions plus a typed digest of the final slack and commitments
     (``time_to_wire`` writes ``Fraction(2, 1)`` as ``"2/1"``, ``2`` as
     ``2``)."""
     controller = AdmissionController(
-        ResourceSet.of(term(1, cpu("l1"), 0, horizon))
+        ResourceSet.of(term(capacity, cpu("l1"), 0, horizon))
     )
     decisions = [controller.admit(req).admitted for req in arrivals]
     digest = [
@@ -806,6 +808,341 @@ def test_truncate_before_is_clamp_in_value_and_type():
     assert _typed(exact.truncate_before(1.5)) == _typed(
         exact.clamp(Interval(1.5, math.inf))
     )
+
+
+# ----------------------------------------------------------------------
+# The key-index family: exact searches bisect a float key index
+# ----------------------------------------------------------------------
+
+_THIRD = Fraction(1, 3)
+_TINY = Fraction(1, 10 ** 30)
+_BELOW = Fraction(1 / 3)  # the double nearest a third, exactly (below it)
+_ABOVE = Fraction(math.nextafter(1 / 3, 1))  # the next double up
+
+#: Times whose float keys collide or sit one ulp apart: a third and its
+#: neighbours ``10**-30`` away (all on one double), the doubles either
+#: side of a third as exact Fractions and the tie halfway between them,
+#: and the integers around ``2**53``, past which ints skip doubles.
+_CLOSE = [
+    0, 1, 2, 3, 7, Fraction(5, 2),
+    _THIRD - _TINY, _THIRD, _THIRD + _TINY,
+    _BELOW, _ABOVE, (_BELOW + _ABOVE) / 2,
+    2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2, Fraction(2 ** 54 + 1, 2),
+]
+
+#: Times beyond float range, whose keys saturate to +-inf.
+_FAR = [
+    -(10 ** 400) - 1, -(10 ** 400), Fraction(-(10 ** 400), 7),
+    Fraction(10 ** 400, 3), 10 ** 400, 10 ** 400 + 1,
+]
+
+
+def _key_times(rng, pool, ints_only=False, fewest=1):
+    """A sorted, duplicate-free draw of at least ``fewest`` values from
+    ``pool``, integral values under either exact type at random."""
+    values = [v for v in pool if not ints_only or type(v) is int]
+    count = rng.randint(min(fewest, len(values)), len(values))
+    drawn = sorted(set(rng.sample(values, count)))
+    if ints_only:
+        return drawn
+    return [_other_type(v) if rng.random() < 0.3 else v for v in drawn]
+
+
+def _key_queries(pool):
+    """Every pool value under both exact types: keys on, between and
+    beyond each drawn time."""
+    return pool + [_other_type(v) for v in pool]
+
+
+@contextlib.contextmanager
+def _index_off():
+    """No profile builds a float key index: every exact search takes the
+    plain bisect of the times."""
+    saved = P._float_keys
+    P._float_keys = lambda times: None
+    try:
+        yield
+    finally:
+        P._float_keys = saved
+
+
+def _oracle_truncate(a, t):
+    """``truncate_before`` by rate_at evaluation at ``t`` and at every
+    later breakpoint (``_oracle_clamp`` to ``(t, inf)``, with no
+    ``Interval``, whose checks a time past float range overflows)."""
+    later = [s for s, _ in a.breakpoints if s > t]
+    return RateProfile((s, P._reference_rate_at(a, s)) for s in [t] + later)
+
+
+def _oracle_latest_accumulation(a, end, quantity):
+    """Latest accumulation by a linear walk back over every breakpoint."""
+    if quantity <= 0:
+        return end
+    remaining = quantity
+    pts = a.breakpoints
+    for i in range(len(pts) - 1, -1, -1):
+        start, rate = pts[i]
+        if rate == 0 or start >= end:
+            continue
+        stop = min(end, pts[i + 1][0] if i + 1 < len(pts) else math.inf)
+        capacity = rate * (stop - start)
+        if capacity >= remaining:
+            return stop - P.exact_div(remaining, rate)
+        remaining -= capacity
+    return None
+
+
+def test_key_index_searches_equal_bisect():
+    """The exact searches return ``bisect_left``/``bisect_right`` of the
+    times for every key and every ``lo``: times one ulp apart or closer,
+    ints past ``2**53``, times and keys past float range, Fraction keys
+    into all-int lists, keys equal to a breakpoint under either type.
+    The index is one ``float_key`` per time, never decreasing."""
+    rng = random.Random(34)
+    keys = _key_queries(_CLOSE + _FAR)
+    for trial in range(300):
+        times = _key_times(rng, _CLOSE + _FAR, ints_only=trial % 4 == 0)
+        index = P._float_keys(times)
+        assert index == [P.float_key(t) for t in times]
+        assert index == sorted(index)
+        for key in keys:
+            lo = rng.randint(0, len(times))
+            for start in (0, lo):
+                assert P._bisect_left_exact(times, index, key, start) == (
+                    bisect.bisect_left(times, key, start)
+                ), (times, key, start)
+                assert P._bisect_right_exact(times, index, key, start) == (
+                    bisect.bisect_right(times, key, start)
+                ), (times, key, start)
+    assert P.float_key(10 ** 400) == math.inf
+    assert P.float_key(Fraction(-(10 ** 400), 7)) == -math.inf
+    assert P.float_key(2 ** 53 + 1) == P.float_key(2 ** 53)
+
+
+def _key_profile(rng, pool, ints_only=False):
+    """Breakpoints on drawn times, a few either side of
+    ``KEY_INDEX_MIN``."""
+    times = _key_times(rng, pool, ints_only, fewest=P.KEY_INDEX_MIN - 2)
+    rates = [
+        rng.choice([0, 1, 2, 5, Fraction(0), Fraction(1, 3), Fraction(3, 1)])
+        for _ in times
+    ]
+    if rng.random() < 0.5:
+        rates[-1] = 0
+    return list(zip(times, rates))
+
+
+def _key_claim(rng, pool):
+    """A claim-shaped right operand (int-0 end) between two pool keys."""
+    lo, hi = sorted(rng.sample(_key_queries(pool), 2))
+    if lo == hi:
+        hi = lo + 1
+    return [(lo, rng.choice([1, Fraction(1, 3)])), (hi, 0)]
+
+
+def _key_cases(rng, pa, pb, pool):
+    """``(name, query, oracle, type_faithful)`` for the searches of ``A``
+    (tuple built) and ``A + B`` (spliced, list form): point queries,
+    prefix cuts and accumulation walks from every pool key, a few
+    windows, and the window splice."""
+    A = lambda: RateProfile(pa)  # noqa: E731 - fresh operands per call
+    B = lambda: RateProfile(pb)  # noqa: E731
+    AB = lambda: A() + B()  # noqa: E731
+    ref_ab = lambda: P._reference_add(A(), B())  # noqa: E731
+    cases = [
+        ("add", AB, ref_ab, True),
+        ("subtract", lambda: A().subtract(B()),
+         lambda: P._reference_subtract(A(), B()), True),
+        ("add-then-subtract", lambda: AB().subtract(B()),
+         lambda: P._reference_subtract(ref_ab(), B()), True),
+    ]
+    far = any(v in _FAR for v in pool)
+    quantity = rng.choice([1, Fraction(2, 3), 7])
+    for key in _key_queries(pool):
+        for name, X, ref in (("", A, A), ("spliced-", AB, ref_ab)):
+            cases += [
+                (name + "rate_at", lambda X=X, k=key: X().rate_at(k),
+                 lambda ref=ref, k=key: P._reference_rate_at(ref(), k), True),
+                (name + "truncate_before",
+                 lambda X=X, k=key: X().truncate_before(k),
+                 lambda ref=ref, k=key: _oracle_truncate(ref(), k), True),
+            ]
+            if far:
+                continue  # the oracles below build Intervals
+            cases += [
+                (name + "earliest_accumulation",
+                 lambda X=X, k=key: X().earliest_accumulation(k, quantity),
+                 lambda ref=ref, k=key: P._reference_earliest_accumulation(
+                     ref(), k, quantity), True),
+                (name + "latest_accumulation",
+                 lambda X=X, k=key: X().latest_accumulation(k, quantity),
+                 lambda ref=ref, k=key: _oracle_latest_accumulation(
+                     ref(), k, quantity), True),
+            ]
+    if not far:
+        for _ in range(6):
+            lo, hi = sorted(rng.sample(_key_queries(pool), 2))
+            if lo == hi:
+                continue
+            w = Interval(lo, hi)
+            for name, X, ref in (("", A, A), ("spliced-", AB, ref_ab)):
+                cases += [
+                    (name + "integral", lambda X=X, w=w: X().integral(w),
+                     lambda ref=ref, w=w: P._reference_integral(ref(), w), True),
+                    # The oracle answers 0 as the int; the fast path hands
+                    # back the stored rate, which may be Fraction(0).
+                    (name + "min_rate", lambda X=X, w=w: X().min_rate(w),
+                     lambda ref=ref, w=w: P._reference_min_rate(ref(), w),
+                     False),
+                    (name + "clamp", lambda X=X, w=w: X().clamp(w),
+                     lambda ref=ref, w=w: _oracle_clamp(ref(), w), True),
+                ]
+    return cases
+
+
+def _assert_index_kept(profile, context):
+    """``profile`` has a float key index, one ``float_key`` per time,
+    wherever it has ``KEY_INDEX_MIN`` times and one is a Fraction (a
+    shorter list may keep the index it was cut from)."""
+    if profile.is_zero:
+        return
+    profile._ensure_index()
+    times = profile._times
+    if profile._keys is None:
+        assert not (
+            len(times) >= P.KEY_INDEX_MIN and Fraction in map(type, times)
+        ), (profile, "no index", context)
+    else:
+        assert profile._keys == list(map(P.float_key, times)), context
+
+
+@pytest.mark.parametrize("pool", ["close", "far"])
+def test_key_index_queries_match_oracles_in_value_and_type(pool):
+    """Every search site answers as the plain bisect does (the index
+    forced off) in value, type and error text, and as the oracle in
+    value, carrying its types where it is type-faithful, on profiles
+    drawn from the adversarial times: tuple-built and spliced, with and
+    without a Fraction time, either side of ``KEY_INDEX_MIN`` (an all-int
+    or a short list builds no index).  Beyond float range only the
+    oracles that build no ``Interval`` apply."""
+    values = _CLOSE if pool == "close" else _CLOSE[:7] + _FAR
+    rng = random.Random(3434)
+    indexed = 0
+    for trial in range(60):
+        pa = _key_profile(rng, values, ints_only=trial % 5 == 0)
+        pb = _key_claim(rng, values)
+        a, spliced = RateProfile(pa), RateProfile(pa) + RateProfile(pb)
+        for profile in (a, spliced):
+            _assert_index_kept(profile, (pa, pb))
+            indexed += profile._keys is not None
+        if all(type(t) is int for t, _ in pa):
+            assert a._keys is None
+        for key in _key_queries(values):
+            # Prefix cuts and splices into them carry the index forward
+            # or build it once a list is long and holds a Fraction.
+            for cut in (a.truncate_before(key), spliced.truncate_before(key)):
+                _assert_index_kept(cut, (pa, pb, key))
+                _assert_index_kept(cut + RateProfile(pb), (pa, pb, key))
+        for name, query, oracle, type_faithful in _key_cases(rng, pa, pb, values):
+            got = _outcome(query)
+            with _index_off():
+                plain = _outcome(query)
+            assert got == plain, (name, pa, pb, got, plain)
+            expected = _outcome(oracle)
+            assert got[:2] == expected[:2], (name, pa, pb, got, expected)
+            if got[0] == "ok" and type_faithful:
+                assert got == expected, (name, pa, pb, got, expected)
+    assert 40 < indexed < 120, indexed  # both sides of the threshold
+
+
+def _shaped_arrivals(seed):
+    """The ``admit-exact`` stream's shape: 240 integer demands of 1-3
+    over 6-13 slices, starting anywhere in a 408-slice horizon."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(240):
+        start = rng.randrange(0, 388)
+        out.append(ComplexRequirement(
+            [Demands({cpu("l1"): rng.randrange(1, 4)})],
+            Interval(start, start + rng.randrange(6, 14)),
+            label=f"job{index}",
+        ))
+    return out
+
+
+def test_admission_digests_identical_with_and_without_key_index(monkeypatch):
+    """The index changes no decision, no breakpoint and no type: exact
+    admission on the ``admit-exact`` shape and on Fraction demands gives
+    the same decisions and typed slack and commitments with every
+    profile's index forced off."""
+    searches = []
+    for name in ("_bisect_left_exact", "_bisect_right_exact"):
+        def counted(*args, _search=getattr(P, name)):
+            searches.append(1)
+            return _search(*args)
+        monkeypatch.setattr(P, name, counted)
+    runs = [
+        (_shaped_arrivals(seed), 408, 60) for seed in (0, 1)
+    ] + [(_exact_arrivals(80, 200), 200, 1)]
+    indexed = [_exact_run(*run) for run in runs]
+    assert searches  # the exact searches really took the index
+    monkeypatch.setattr(P, "_float_keys", lambda times: None)
+    for run, (decisions, digest) in zip(runs, indexed):
+        assert _exact_run(*run) == (decisions, digest)
+        assert any(decisions)
+        assert any("/" in str(c) for row in digest for pt in row for c in pt)
+
+
+def test_mesh_fingerprint_and_checkpoints_identical_without_key_index(
+    tmp_path, monkeypatch
+):
+    """E23's plan (seed 0, horizon 160, checkpoints every 25 slices): the
+    report fingerprint and every checkpoint file's bytes are the same
+    with the index forced off."""
+    plan = PartitionPlan(
+        seed=0, horizon=160, children=3, partition_start=40,
+        partition_duration=24, link_delay=1, link_jitter=2, link_loss=0.1,
+    )
+
+    def run(directory):
+        fingerprint = report_fingerprint(*run_mesh(
+            plan, checkpoint_every=25, checkpoint_dir=directory
+        ))
+        files = {
+            path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()
+        }
+        return fingerprint, files
+
+    indexed = run(tmp_path / "indexed")
+    monkeypatch.setattr(P, "_float_keys", lambda times: None)
+    plain = run(tmp_path / "plain")
+    assert indexed[1]  # the run really checkpointed
+    assert indexed == plain
+
+
+def test_pickled_profiles_are_the_same_bytes_with_or_without_key_index():
+    """The index is derived and never pickled: a spliced exact profile
+    and a prefix cut of it pickle to the same bytes whether or not their
+    index was built, and before and after a query used it."""
+    pa = [(0, 2), (_THIRD, 3), (_THIRD + _TINY, 1)]
+    pa += [(k, k % 3) for k in range(1, P.KEY_INDEX_MIN)]
+    claim = [(Fraction(1, 5), 1), (_THIRD, 0)]
+
+    def build():
+        spliced = RateProfile(pa) + RateProfile(claim)
+        return spliced, spliced.truncate_before(Fraction(1, 4))
+
+    indexed = build()
+    assert all(p._keys is not None for p in indexed)
+    before = [pickle.dumps(p) for p in indexed]
+    for profile in indexed:
+        profile.rate_at(_THIRD)
+    with _index_off():
+        plain = build()
+    assert all(p._keys is None for p in plain)
+    assert [pickle.dumps(p) for p in indexed] == before
+    assert [pickle.dumps(p) for p in plain] == before
 
 
 # ----------------------------------------------------------------------
