@@ -61,6 +61,11 @@ class AdmissionPolicy(abc.ABC):
     def on_leave(self, label: str, now: Time) -> None:
         """An admitted computation withdrew before starting (optional)."""
 
+    def on_settle(self, label: str) -> None:
+        """The record under ``label`` reached its outcome or withdrew
+        (optional): no decision names it again, so a policy indexing its
+        admissions by label may drop the entry."""
+
     def observe_loss(self, lost: ResourceSet, now: Time) -> None:
         """Capacity vanished unannounced at ``now`` (optional).
 

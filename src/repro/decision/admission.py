@@ -7,20 +7,28 @@ during ``(s, d)`` satisfy the new computation's complex requirement.  The
 combined path — existing transitions merged with the new computation's —
 is then itself a valid concurrent path.
 
-:class:`AdmissionController` maintains exactly that committed path:
+:class:`AdmissionController` keeps that committed path as the work
+behind it:
 
 * ``_available``  — all resources the system knows about (``Theta``),
-* ``_committed``  — the union of admitted schedules' claimed consumption.
+* ``_schedules``  — the admitted schedules, whose claims make up the
+  committed path, and ``_reserved``, the resources set aside without a
+  schedule (a child enclave's allotment),
+* ``_slack``      — the *expiring slack* ``available - committed``, the
+  executable analogue of the paper's ``U Theta_expire``: whatever the
+  committed path will not consume would expire, and is therefore free
+  for newcomers.
 
-Resources in the past have expired, so both hold live work only:
+Admission checks the newcomer against the slack only, so prior
+commitments are never disturbed — the controller never re-plans
+admitted work — and a commit subtracts the newcomer's claim from the
+slack and nothing else.  The committed path itself is a view, summed
+from the schedules when something reads it (:attr:`committed`): the
+oracle :meth:`AdmissionController.verify_slack` pins the slack to.
+
+Resources in the past have expired, so the state holds live work only:
 :meth:`AdmissionController.advance_to` retires finished schedules and
 cuts the past off.
-
-The *expiring slack* ``available - committed`` is the executable analogue
-of the paper's ``U Theta_expire``: whatever the committed path will not
-consume would expire, and is therefore free for newcomers.  Admission
-checks the newcomer against the slack only, so prior commitments are never
-disturbed — the controller never re-plans admitted work.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from repro.errors import (
 from repro.intervals.interval import Time, is_finite_time
 from repro.markers import checkpointable
 from repro.observability import get_registry
-from repro.resources.profile import float_key
+from repro.resources.located_type import LocatedType
+from repro.resources.profile import RateProfile, float_key
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
 
@@ -88,7 +97,12 @@ class AdmissionController:
                 f"align must be None or a finite number > 0, got {align!r}"
             )
         self._available = available or ResourceSet.empty()
-        self._committed = ResourceSet.empty()
+        #: Resources committed without a schedule (:meth:`reserve`).
+        self._reserved = ResourceSet.empty()
+        #: Where the last retirement cut the past off (``None`` before
+        #: the first): the committed view is cut there too, so it lines
+        #: up with ``_available`` and ``_slack``.
+        self._cut: Time | None = None
         # Cached ``available - committed``: the one-more-admission query
         # is the hot path and recomputing the relative complement per
         # call is the dominant cost (measured in bench_profile_ops.py's
@@ -98,6 +112,9 @@ class AdmissionController:
         # reference.
         self._slack = self._available
         self._schedules: Dict[str, ConcurrentSchedule] = {}
+        # The committed view, summed on first read after a change to the
+        # committed path (see :attr:`committed`); never pickled.
+        self._view: Optional[ResourceSet] = None
         # ``(key, finish_time, label)`` per admitted schedule, a min-heap
         # that :meth:`advance_to` pops to retire finished work without
         # scanning every schedule.  ``key`` is the finish time's float
@@ -125,8 +142,30 @@ class AdmissionController:
 
     @property
     def committed(self) -> ResourceSet:
-        """Consumption claimed by admitted schedules."""
-        return self._committed
+        """The committed path: the reservations plus the claims of the
+        live schedules, cut where the last retirement cut the past off.
+
+        A view, summed from the schedules on read (one
+        :meth:`RateProfile.sum` per located type, in admission order) and
+        cached until the next change to what is committed: an admission,
+        reservation, release, withdrawal, forfeit or retiring
+        :meth:`advance_to`.  Joins and revocations leave it valid."""
+        view = self._view
+        if view is None:
+            per_type: Dict[LocatedType, List[RateProfile]] = {}
+            claims = [self._reserved] + [
+                schedule.consumption() for schedule in self._schedules.values()
+            ]
+            for claim in claims:
+                for ltype, profile in claim.profiles().items():
+                    per_type.setdefault(ltype, []).append(profile)
+            view = ResourceSet.from_profiles(
+                {ltype: RateProfile.sum(group) for ltype, group in per_type.items()}
+            )
+            if self._cut is not None:
+                view = view.truncate_before(self._cut)
+            self._view = view
+        return view
 
     @property
     def expiring_slack(self) -> ResourceSet:
@@ -138,7 +177,9 @@ class AdmissionController:
         return self._slack
 
     def reference_slack(self) -> ResourceSet:
-        """The slack recomputed from scratch: ``available - committed``.
+        """The slack recomputed from scratch: ``available - committed``,
+        with the committed path summed from the live schedules (see
+        :attr:`committed`), not carried along with the slack.
 
         This is the oracle the incremental cache is pinned to.  The exact
         relative complement applies whenever it is defined; after
@@ -146,10 +187,11 @@ class AdmissionController:
         survives, and the clamped (saturating) difference is the sound
         reading — capacity that no longer exists is not free.
         """
+        committed = self.committed
         try:
-            return self._available - self._committed
+            return self._available - committed
         except UndefinedOperationError:
-            return self._available.saturating_minus(self._committed)
+            return self._available.saturating_minus(committed)
 
     def verify_slack(self) -> bool:
         """Whether the cached slack equals :meth:`reference_slack` — true
@@ -161,12 +203,14 @@ class AdmissionController:
     # Pickling (checkpoint payloads)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Drop the derived state from pickles: the slack is ``available -
-        committed``, so serializing it would duplicate both operands'
-        profiles in every checkpoint, and the finish heap is read off the
-        schedules.  :meth:`__setstate__` re-derives both."""
+        """Drop the derived state from pickles: the committed path is
+        summed from the schedules, the slack is ``available - committed``
+        (serializing either would duplicate the schedules' and the
+        availability's profiles in every checkpoint), and the finish heap
+        is read off the schedules.  :meth:`__setstate__` re-derives
+        them."""
         state = dict(self.__dict__)
-        state["_slack"] = state["_finishing"] = None
+        state["_slack"] = state["_finishing"] = state["_view"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -233,24 +277,17 @@ class AdmissionController:
         the slack is rebuilt from surviving availability, so re-admission
         attempts reason against reality.
         """
-        schedule = self._schedules.pop(label, None)
-        if schedule is None:
+        if self._schedules.pop(label, None) is None:
             raise TransitionError(f"no admitted computation labelled {label!r}")
-        self._uncommit(schedule.consumption())
+        self._recommit()
 
-    def _uncommit(self, consumption: ResourceSet) -> None:
-        """Take the part of one schedule's claim ahead of ``now`` off the
-        committed path and re-derive the slack.  Adding the claim back
-        window-locally would be exact only where ``available`` still
-        covers ``committed``; after a revocation the reference decides
-        what the claim frees."""
-        consumption = consumption.truncate_before(self._now)
-        try:
-            self._committed = self._committed - consumption
-        except UndefinedOperationError:
-            # Numerical dust can leave the committed union fractionally
-            # below one component's claim; clamp instead of failing.
-            self._committed = self._committed.saturating_minus(consumption)
+    def _recommit(self) -> None:
+        """The committed path changed other than by a claim the slack
+        dominates: drop the view and re-derive the slack from it.  Adding
+        a claim back window-locally would be exact only where
+        ``available`` still covers ``committed``; after a revocation the
+        reference decides what the claim frees."""
+        self._view = None
         self._slack = self.reference_slack()
 
     def reserve(self, resources: ResourceSet) -> None:
@@ -262,23 +299,25 @@ class AdmissionController:
             raise TransitionError(
                 "reservation exceeds the expiring slack"
             )
-        self._committed = self._committed | resources
+        self._reserved = self._reserved | resources
         self._slack = self._slack - resources
+        self._view = None
 
     def release(self, resources: ResourceSet) -> None:
         """Return the part of a previously reserved set ahead of ``now``
-        to the slack pool.  It must lie inside the committed path (a
-        strict subtraction, so a release never frees what admitted
-        schedules claim); the slack is re-derived."""
-        self._committed = self._committed - resources.truncate_before(self._now)
-        self._slack = self.reference_slack()
+        to the slack pool.  It must lie inside the reservations (a
+        strict subtraction from them, so a release never frees what
+        admitted schedules claim); the slack is re-derived."""
+        self._reserved = self._reserved - resources.truncate_before(self._now)
+        self._recommit()
 
     def advance_to(self, t: Time) -> None:
         """Move the clock forward and forget the past.
 
         Every schedule finished by ``t`` retires, and its label becomes
-        unknown.  When one retires, availability, commitments and the
-        slack lose everything before ``t``, which has expired.  A move
+        unknown.  When one retires, availability, reservations and the
+        slack lose everything before ``t``, which has expired, and the
+        committed view is cut there from then on.  A move
         that retires nothing only sets ``now``; :meth:`can_admit` clips
         newcomers to start at ``now``, so an uncut past backs nothing."""
         if t < self._now:
@@ -294,8 +333,10 @@ class AdmissionController:
                 retired = True
         if retired:
             self._available = self._available.truncate_before(t)
-            self._committed = self._committed.truncate_before(t)
+            self._reserved = self._reserved.truncate_before(t)
             self._slack = self._slack.truncate_before(t)
+            self._cut = t
+            self._view = None
 
     # ------------------------------------------------------------------
     # Admission (Theorem 4)
@@ -351,14 +392,15 @@ class AdmissionController:
         """Computation-accommodation rule: commit the newcomer's schedule.
 
         On success the newcomer's claimed consumption joins the committed
-        path, so later admissions see only the remaining slack.
+        path, so later admissions see only the remaining slack.  The
+        commit writes the slack only: the schedule is the claim the
+        committed view sums.
         """
         decision = self.can_admit(requirement, exhaustive=exhaustive)
         if decision.admitted and decision.schedule is not None:
             schedule = decision.schedule
-            consumption = schedule.consumption()
-            self._committed = self._committed | consumption
-            self._slack = self._slack - consumption
+            self._slack = self._slack - schedule.consumption()
+            self._view = None
             key = _unique_label(decision.label, self._schedules)
             self._schedules[key] = schedule
             finish = schedule.finish_time
@@ -381,7 +423,7 @@ class AdmissionController:
                 "the paper's leave rule requires t < s"
             )
         del self._schedules[label]
-        self._uncommit(schedule.consumption())
+        self._recommit()
 
 
 def _count_decision(decision: AdmissionDecision, reason_key: str) -> None:

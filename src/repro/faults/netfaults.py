@@ -703,6 +703,12 @@ class MeshPolicy(AdmissionPolicy):
             # Eviction is best-effort by design (see RotaAdmission).
             pass
 
+    def on_settle(self, label: str) -> None:
+        """A settled label is never decided, forfeited or withdrawn
+        again: its placement goes, so the table (and every checkpoint's
+        ``admission`` part) holds open work only."""
+        self._placements.pop(label, None)
+
     def on_leave(self, label: str, now: Time) -> None:
         placed = self._placements.pop(label, None)
         if placed is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional
 
@@ -34,6 +35,8 @@ def is_finite_time(value: object) -> bool:
 
 
 def _check_time(value: object, what: str) -> None:
+    if type(value) is int or type(value) is Fraction:
+        return  # exact: neither NaN nor infinite, whatever its size
     if not isinstance(value, Real):
         raise InvalidIntervalError(f"{what} must be a real number, got {value!r}")
     if isinstance(value, float) and math.isnan(value):
@@ -60,7 +63,7 @@ class Interval:
             raise InvalidIntervalError(
                 f"interval start {self.start!r} must not exceed end {self.end!r}"
             )
-        if math.isinf(self.start) and self.start > 0:
+        if self.start == math.inf:
             raise InvalidIntervalError("interval cannot start at +infinity")
 
     # ------------------------------------------------------------------

@@ -198,6 +198,9 @@ class FrontDoorPolicy(AdmissionPolicy):
     def on_leave(self, label: str, now: Time) -> None:
         self._inner.on_leave(label, now)
 
+    def on_settle(self, label: str) -> None:
+        self._inner.on_settle(label)
+
     def observe_loss(self, lost: ResourceSet, now: Time) -> None:
         self._inner.observe_loss(lost, now)
 

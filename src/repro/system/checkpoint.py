@@ -95,8 +95,9 @@ JOURNAL_FORMAT_VERSION = 1
 #: other version is read.  Since version 3 traces hold start times and
 #: labels, not the transitions (and their states) of versions 1 and 2;
 #: version 4 states hold live actors only, and the simulator's owner
-#: index rides its own ``open`` section.
-CHECKPOINT_FORMAT_VERSION = 4
+#: index rides its own ``open`` section; version 5 admission controllers
+#: carry no committed profile (it is summed from their schedules).
+CHECKPOINT_FORMAT_VERSION = 5
 _CHECKPOINT_MAGIC = "rota-checkpoint"
 #: A full snapshot reseeds the delta chain after this many deltas,
 #: bounding both restore cost and the blast radius of a lost base.

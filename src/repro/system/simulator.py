@@ -1157,11 +1157,12 @@ class OpenSystemSimulator:
 
     def _settle(self, label: str) -> None:
         """A record reached its outcome (or withdrew): it leaves the
-        owner index, and its reservation, which no allocation reads
-        again, is released."""
+        owner index, its reservation, which no allocation reads again, is
+        released, and the admission policy forgets it."""
         self._open.pop(label, None)
         if isinstance(self._allocation, ReservationPolicy):
             self._allocation.release(label)
+        self._admission.on_settle(label)
 
     # ------------------------------------------------------------------
     # Fault handling

@@ -206,14 +206,17 @@ class TestCheckpoint:
             SimulatorCheckpoint.load(path)
 
     @pytest.mark.parametrize(
-        "version, kind", [(1, "full"), (2, "delta"), (3, "full"), (3, "delta")]
+        "version, kind",
+        [(1, "full"), (2, "delta"), (3, "full"), (3, "delta"),
+         (4, "full"), (4, "delta")],
     )
     def test_older_format_versions_rejected(self, version, kind):
         """Envelopes of the formats before this one — version-1 full
         snapshots and version-2 deltas, whose traces pickled whole
-        transitions, and version 3, whose states kept finished actors
-        and had no ``open`` section — are refused with a typed error
-        naming the version."""
+        transitions, version 3, whose states kept finished actors and
+        had no ``open`` section, and version 4, whose admission
+        controllers pickled a committed profile beside their schedules —
+        are refused with a typed error naming the version."""
         checkpoint = make_checkpoint()
         if kind == "delta":
             checkpoint = SimulatorCheckpoint(
@@ -222,11 +225,11 @@ class TestCheckpoint:
                 kind="delta", base_step=2, base_sha256="ab" * 32,
             )
         envelope = json.loads(checkpoint.to_json())
-        assert envelope["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert envelope["format_version"] == CHECKPOINT_FORMAT_VERSION == 5
         envelope["format_version"] = version
         with pytest.raises(
             CheckpointError,
-            match=f"format_version {version} predates supported 4",
+            match=f"format_version {version} predates supported 5",
         ):
             SimulatorCheckpoint.from_json(json.dumps(envelope))
 
@@ -402,7 +405,7 @@ class TestResume:
         assert fingerprint == truth, diff_fingerprints(truth, fingerprint)
 
     def test_directory_of_older_formats_names_the_refusal(self, tmp_path):
-        """A directory written by the previous format (version 3, fulls
+        """A directory written by the previous format (version 4, fulls
         and deltas alike) has nothing to resume, and the error says why:
         the newest file and its version."""
         scenario = chaos_scenario()
@@ -414,14 +417,14 @@ class TestResume:
         paths = sorted(tmp_path.glob("ckpt-*.json"))
         for path in paths:
             envelope = json.loads(path.read_text())
-            envelope["format_version"] = 3
+            envelope["format_version"] = 4
             path.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError) as caught:
             OpenSystemSimulator.resume(tmp_path)
         message = str(caught.value)
         assert "nothing to resume" in message
         assert f"newest {paths[-1].name}:" in message
-        assert "format_version 3 predates supported 4" in message
+        assert "format_version 4 predates supported 5" in message
 
     def test_fresh_run_clears_an_earlier_runs_checkpoints(self, tmp_path):
         """A fresh run in a reused checkpoint directory deletes the earlier

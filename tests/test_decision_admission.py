@@ -8,7 +8,11 @@ import pytest
 
 from repro.computation import ComplexRequirement, ConcurrentRequirement, Demands
 from repro.decision import AdmissionController
-from repro.errors import AdmissionConfigError, TransitionError
+from repro.errors import (
+    AdmissionConfigError,
+    TransitionError,
+    UndefinedOperationError,
+)
 from repro.intervals import Interval
 from repro.resources import ResourceSet, cpu, term
 from repro.resources.profile import float_key
@@ -258,3 +262,158 @@ class TestSlackCacheInvariant:
         controller.advance_to(5)
         controller.withdraw("c")
         check()
+
+
+class TestCommittedView:
+    """The committed path is a view summed from the live schedules and
+    the reservations; admissions write the slack only."""
+
+    KINDS = (
+        "admit", "reserve", "release", "withdraw", "forfeit",
+        "add_resources", "revoke_resources", "advance_to",
+    )
+
+    @staticmethod
+    def _fold(sets):
+        total = ResourceSet.empty()
+        for part in sets:
+            total = total | part
+        return total
+
+    def _trial(self, rng, exact):
+        """One random mutation sequence, checked after every call against
+        the pairwise ``|`` fold of the reservations and the live claims,
+        cut at the last retirement, and against the commit path the view
+        replaced (a second set every commit spliced into), both kept
+        here as oracles."""
+        num = (lambda v: v) if exact else float
+        types = (cpu("n0"), cpu("n1"))
+        controller = AdmissionController(ResourceSet.of(
+            term(num(6), types[0], 0, num(40)), term(num(4), types[1], 0, num(40))
+        ))
+        old = ResourceSet.empty()  # the replaced commit path
+        reserved = ResourceSet.empty()
+        cut = None  # the time of the last retirement
+        reservations = []
+        ran = dict.fromkeys(self.KINDS, 0)
+        for step in range(60):
+            now = controller.now
+            kind = rng.choice(self.KINDS)
+            labels = controller.admitted_labels
+            if kind == "admit":
+                start = max(0, now + rng.choice([-2, 0, 1, 3]))
+                phases = [
+                    Demands({rng.choice(types): num(rng.choice([1, 4, 9, 16]))})
+                    for _ in range(rng.choice([1, 1, 2]))
+                ]
+                window = num(rng.choice([4, 6, 9, 14]))
+                requirement = creq(phases, start, start + window, f"j{step}")
+                decision = controller.admit(requirement)
+                if not decision.admitted:
+                    continue
+                old = old | decision.schedule.consumption()
+            elif kind == "reserve":
+                start = now + rng.choice([0, 1, 2])
+                wanted = ResourceSet.of(term(
+                    num(1), rng.choice(types), start, start + num(rng.choice([2, 5]))
+                ))
+                try:
+                    controller.reserve(wanted)
+                except TransitionError:
+                    continue
+                reservations.append(wanted)
+                reserved = reserved | wanted.truncate_before(now)
+                old = old | wanted.truncate_before(now)
+            elif kind == "release":
+                if not reservations:
+                    continue
+                given = reservations.pop(rng.randrange(len(reservations)))
+                controller.release(given)
+                reserved = reserved - given.truncate_before(now)
+                old = old - given.truncate_before(now)
+            elif kind in ("withdraw", "forfeit"):
+                if not labels:
+                    continue
+                label = rng.choice(labels)
+                claim = controller.schedule_of(label).consumption()
+                try:
+                    getattr(controller, kind)(label)
+                except TransitionError:
+                    assert kind == "withdraw"
+                    continue
+                claim = claim.truncate_before(now)
+                try:
+                    old = old - claim
+                except UndefinedOperationError:
+                    old = old.saturating_minus(claim)
+            elif kind in ("add_resources", "revoke_resources"):
+                view = controller.committed
+                start = now + rng.choice([0, 2, 5])
+                change = ResourceSet.of(term(
+                    num(rng.choice([1, 2])), rng.choice(types),
+                    start, start + num(rng.choice([3, 8])),
+                ))
+                getattr(controller, kind)(change)
+                assert controller.committed is view  # the cache holds
+            else:
+                controller.advance_to(now + num(rng.choice([0, 1, 2, 3])))
+                if set(controller.admitted_labels) != set(labels):
+                    cut = controller.now
+                    reserved = reserved.truncate_before(cut)
+                    old = old.truncate_before(cut)
+            ran[kind] += 1
+            live = [
+                controller.schedule_of(label).consumption()
+                for label in controller.admitted_labels
+            ]
+            fold = self._fold([reserved] + live)
+            if cut is not None:
+                fold = fold.truncate_before(cut)
+            assert controller.committed == fold, (step, kind)
+            now = controller.now
+            assert controller.committed.truncate_before(now) == (
+                old.truncate_before(now)
+            ), (step, kind)
+            assert controller.verify_slack(), (step, kind)
+        return ran
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_view_is_the_fold_of_the_live_claims_after_every_mutation(
+        self, exact
+    ):
+        import random
+
+        rng = random.Random(20261019)
+        ran = dict.fromkeys(self.KINDS, 0)
+        for _ in range(40):
+            for kind, count in self._trial(rng, exact).items():
+                ran[kind] += count
+        assert min(ran.values()) >= 20, ran
+
+    def test_pickled_controller_carries_no_committed_profile(
+        self, controller, cpu1
+    ):
+        import pickle
+
+        controller.admit(creq([Demands({cpu1: 30})], 0, 10, "a"))
+        controller.reserve(ResourceSet.of(term(1, cpu1, 6, 10)))
+        committed = controller.committed  # cached, and still not pickled
+        state = controller.__getstate__()
+        assert "_committed" not in state
+        assert state["_view"] is None and state["_slack"] is None
+        carried = [
+            name for name, value in state.items()
+            if isinstance(value, ResourceSet)
+        ]
+        assert sorted(carried) == ["_available", "_reserved"]
+        clone = pickle.loads(pickle.dumps(controller))
+        assert clone.committed == committed
+        assert clone.expiring_slack == controller.expiring_slack
+        assert clone.verify_slack()
+
+    def test_release_is_strict_on_the_reservations(self, controller, cpu1):
+        """A release frees reserved resources only, never a schedule's
+        claim, even where the committed path covers it."""
+        controller.admit(creq([Demands({cpu1: 30})], 0, 10, "a"))
+        with pytest.raises(UndefinedOperationError):
+            controller.release(ResourceSet.of(term(1, cpu1, 0, 5)))

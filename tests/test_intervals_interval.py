@@ -45,6 +45,16 @@ class TestConstruction:
         with pytest.raises(InvalidIntervalError):
             Interval(math.inf, math.inf)
 
+    def test_int_endpoints_past_float_range(self):
+        """Exact endpoints are never converted to float, so an int past
+        float range is a time like any other."""
+        i = Interval(10**400, 10**401)
+        assert i.duration == 9 * 10**400 and not i.is_empty
+
+    def test_fraction_endpoints_past_float_range(self):
+        i = Interval(Fraction(-10**400, 7), 0)
+        assert i.duration == Fraction(10**400, 7)
+
     def test_fraction_endpoints(self):
         i = Interval(Fraction(1, 3), Fraction(2, 3))
         assert i.duration == Fraction(1, 3)

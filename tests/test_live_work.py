@@ -159,6 +159,13 @@ class TestLiveWork:
         running = [r.label for r in report.records if r.outcome == "running"]
         assert list(seen["open"]) == running
 
+    def test_mesh_placements_hold_open_labels_only(self, visited):
+        """The mesh forgets a label's placement when its record settles:
+        after the run the table names running records only."""
+        seen, report, policy, _ = visited
+        assert report.admitted > 0
+        assert set(policy._placements) <= set(seen["open"])
+
     def test_checkpointed_state_stays_the_size_of_live_work(self, visited):
         """The ``state`` part of the last delta is within 1.5x of the
         first one's: dropped actors never ride a checkpoint again."""

@@ -686,8 +686,9 @@ def test_exact_integral_carries_the_oracles_type():
 
 def test_exact_splice_engages_and_falls_back(monkeypatch):
     """A commit into a wide exact slack edits only the claim's window:
-    both the committed ``+`` and the slack ``-`` splice, and neither
-    sweeps.  A right operand ending in ``Fraction(0)`` (not the int 0)
+    the slack ``-`` splices once (the commit writes the slack only), and
+    nothing sweeps; ``+`` of a narrow claim onto the wide slack splices
+    too.  A right operand ending in ``Fraction(0)`` (not the int 0)
     or holding ``bool`` rates, and a ``bool``-rated left operand, take
     the sweep, whose types the splice could not keep.  List-form
     results pickle, compare and hash like their tuples."""
@@ -706,8 +707,13 @@ def test_exact_splice_engages_and_falls_back(monkeypatch):
             return _method(*args)
         monkeypatch.setattr(RateProfile, name, counted)
     assert controller.admit(arrivals[-1]).admitted
+    assert calls == {"_merged_rates": 0, "_splice": 1}
+    label = controller.admitted_labels[-1]
+    claim = controller.schedule_of(label).consumption().profile(cpu("l1"))
+    widened = controller.expiring_slack.profile(cpu("l1")) + claim
     assert calls == {"_merged_rates": 0, "_splice": 2}
     monkeypatch.undo()
+    assert widened == slack
     assert controller.verify_slack()
 
     wide = RateProfile([(k, 1 + k % 3) for k in range(40)] + [(40, 0)])
@@ -726,6 +732,99 @@ def test_exact_splice_engages_and_falls_back(monkeypatch):
     assert clone == result and hash(clone) == hash(result)
     assert _typed(clone) == _typed(result)
     assert result == RateProfile(result.breakpoints)
+
+
+#: Times that collide across types (``3 == Fraction(3)``) and rates
+#: holding the int 0, ``Fraction(0)`` and integral Fractions.
+_SUM_RATES = (0, 0, 1, 2, 3, Fraction(0), Fraction(1), Fraction(2), Fraction(3, 2))
+
+
+def _sum_time(rng, t):
+    return Fraction(t) if rng.random() < 0.35 else t
+
+
+def _sum_family(rng, taking_turns):
+    """2-12 exact profiles.  ``taking_turns`` draws claims with disjoint
+    positive supports in shuffled order (each ends in the int 0), the
+    shape of an admission controller's live claims on one resource;
+    otherwise the profiles overlap freely."""
+    if not taking_turns:
+        family = []
+        for _ in range(rng.randint(2, 12)):
+            times = sorted(rng.sample(range(14), rng.randint(1, 6)))
+            points = [(_sum_time(rng, t), rng.choice(_SUM_RATES)) for t in times]
+            if rng.random() < 0.5:
+                points.append((_sum_time(rng, times[-1] + 1), 0))
+            family.append(RateProfile(points))
+        return family
+    t, family = 0, []
+    for _ in range(rng.randint(2, 12)):
+        t += rng.choice([0, 0, 1, 2])
+        points = []
+        for _ in range(rng.randint(1, 3)):
+            points.append((_sum_time(rng, t), rng.choice(_SUM_RATES[2:])))
+            t += rng.choice([1, 1, 2])
+        points.append((_sum_time(rng, t), 0))
+        family.append(RateProfile(points))
+    rng.shuffle(family)
+    return family
+
+
+@pytest.mark.parametrize("taking_turns", [False, True], ids=["overlapping", "taking-turns"])
+def test_heap_sum_matches_the_sweep_and_the_fold(taking_turns):
+    """``RateProfile.sum``'s heap merge gives the retained sweep's
+    answer in value and type, and the pairwise ``+`` fold's in value.
+    Where the supports are disjoint (claims taking turns, what the
+    committed view sums) it gives the fold's types too; where they
+    overlap the fold may keep a rate object its normalisation carried
+    forward (``3`` where the sum reads ``Fraction(3)``), so the sweep
+    is the type oracle there."""
+    rng = random.Random(20261019)
+    fold_types = 0
+    for _ in range(TRIALS):
+        family = _sum_family(rng, taking_turns)
+        got = RateProfile.sum(family)
+        assert _typed(got) == _typed(P._reference_sum(family)), family
+        fold = RateProfile.zero()
+        for profile in family:
+            fold = fold + profile
+        assert got == fold, family
+        if _typed(got) == _typed(fold):
+            fold_types += 1
+        else:
+            assert not taking_turns, family
+    if not taking_turns:
+        assert fold_types < TRIALS  # the type-oracle split is real
+
+
+def test_scalar_float_heap_sum_is_the_fold_bit_for_bit():
+    """Without numpy a float ``sum`` takes the heap merge: claims taking
+    turns sum to the ``+`` fold's bits, ``-0.0`` included, and
+    overlapping profiles whose rates round differently in another
+    association order sum to the retained sweep's bits."""
+    rng = random.Random(7)
+    inexact = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16)
+    with _numpy_off():
+        for _ in range(TRIALS // 5):
+            family = [
+                RateProfile([(float(t), r) for t, r in profile.breakpoints])
+                for profile in _sum_family(rng, True)
+            ]
+            family.append(RateProfile([(-1.0, 0.5), (-0.0, 0.0)]))
+            fold = RateProfile.zero()
+            for profile in family:
+                fold = fold + profile
+            assert _bits(RateProfile.sum(family)) == _bits(fold), family
+            overlapping = [
+                RateProfile([
+                    (float(t), rng.choice(inexact) if r else r)
+                    for t, r in profile.breakpoints
+                ])
+                for profile in _sum_family(rng, False)
+            ]
+            assert _bits(RateProfile.sum(overlapping)) == _bits(
+                P._reference_sum(overlapping)
+            ), overlapping
 
 
 def _oracle_clamp(a, window):
@@ -1354,8 +1453,9 @@ def test_float_unions_keep_the_first_zero():
 
 def test_float_window_engages_and_falls_back(monkeypatch):
     """A commit into a wide float slack edits only the claim's window:
-    both the committed ``+`` and the slack ``-`` splice and neither
-    merges the whole arrays.  A claim holding more than
+    the slack ``-`` splices once (the commit writes the slack only) and
+    nothing merges the whole arrays; ``+`` of a narrow claim onto the
+    wide slack splices too.  A claim holding more than
     ``WINDOW_MAX_ROWS`` rows goes to the whole-array merge."""
     if not _vec.HAVE_NUMPY:
         pytest.skip("numpy unavailable; scalar fallback is the only path")
@@ -1374,6 +1474,12 @@ def test_float_window_engages_and_falls_back(monkeypatch):
             return _kernel(*args)
         monkeypatch.setattr(_vec, name, counted)
     assert controller.admit(arrivals[-1]).admitted
+    assert calls == {"merge": 0, "_splice": 1}
+    label = controller.admitted_labels[-1]
+    claim = controller.schedule_of(label).consumption().profile(cpu("l1"))
+    assert _bits(controller.expiring_slack.profile(cpu("l1")) + claim) == (
+        _bits(slack)
+    )
     assert calls == {"merge": 0, "_splice": 2}
     times = slack._vt.tolist()
     wide = slack.clamp(Interval(times[10], times[10 + _vec.WINDOW_MAX_ROWS]))

@@ -268,3 +268,27 @@ class TestNonFiniteArguments:
     def test_scale_rejects_non_finite_factor(self, factor):
         with pytest.raises(InvalidTermError, match="scale factor must be finite"):
             const(2.0, 0, 4).scale(factor)
+
+
+class TestExactTimesPastFloatRange:
+    """Exact breakpoint times beyond float range: no query converts them
+    to float or subtracts them from ``inf``."""
+
+    PROFILE = ((0, 1), (10**400, 2))
+
+    def test_segments(self):
+        segments = list(RateProfile(self.PROFILE).segments())
+        assert segments == [
+            (Interval(0, 10**400), 1), (Interval(10**400, math.inf), 2)
+        ]
+
+    def test_earliest_accumulation_in_the_unbounded_last_segment(self):
+        profile = RateProfile(self.PROFILE)
+        # 10**400 from the first segment, the rest at rate 2 after it.
+        assert profile.earliest_accumulation(0, 10**401) == 55 * 10**399
+        assert type(profile.earliest_accumulation(0, 10**401)) is int
+        assert profile.earliest_accumulation(math.inf, 1) is None
+
+    def test_clamp_to_a_huge_exact_end(self):
+        clamped = RateProfile(self.PROFILE).clamp(Interval(1, 10**401))
+        assert clamped.breakpoints == ((1, 1), (10**400, 2), (10**401, 0))
