@@ -114,11 +114,6 @@ class Program:
         self._mro_cache: Dict[str, Tuple[str, ...]] = {}
 
     # -- navigation ----------------------------------------------------
-    def callees(self, qname: str) -> Iterator[Tuple[str, int, str]]:
-        node = self.functions.get(qname)
-        if node is not None:
-            yield from node.calls
-
     def mro(self, class_qname: str) -> Tuple[str, ...]:
         """Approximate linearization: the class, then its bases depth-
         first left-to-right, deduplicated (C3 without the conflicts —

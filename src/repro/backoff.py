@@ -23,11 +23,11 @@ interleaving, always returns the same value.  (Python's builtin ``hash``
 is process-salted and thus useless here; the digest path is the point.)
 
 Arithmetic stays exact and integral on the hot path: a draw is a raw
-integer on ``[0, 2**64)``, the jitter amplitude is turned into an exact
-``(num, den)`` once per configured value, and the jittered delay is one
-:class:`~fractions.Fraction` built from integers.  Integral grids survive
-where they can and every delay is a deterministic exact number, never a
-platform-dependent float dance.
+integer on ``[0, 2**64)``, each rung of the ladder is turned into exact
+integer terms once per configuration and attempt, and the jittered delay
+is one :class:`~fractions.Fraction` built from integers.  Integral grids
+survive where they can and every delay is a deterministic exact number,
+never a platform-dependent float dance.
 """
 
 from __future__ import annotations
@@ -61,6 +61,42 @@ def _ratio(value) -> Tuple[int, int]:
     if isinstance(value, float):
         return value.as_integer_ratio()
     return int(value.numerator), int(value.denominator)
+
+
+def _capped(base, factor, cap, attempt: int):
+    """The unjittered ladder: ``min(cap, base * factor**attempt)``."""
+    raw = base * (factor ** attempt)
+    if raw >= float(cap):
+        return cap
+    # Keep integral delays integral so event times stay on the grid.
+    return type(base)(raw) if raw == int(raw) else raw
+
+
+@lru_cache(maxsize=256, typed=True)
+def _rung(base, factor, cap, jitter, attempt: int):
+    """``(capped, terms)`` of one ladder rung, computed once per config.
+
+    ``terms`` is ``None`` without jitter; otherwise it is
+    ``(low, scale, den, lo, hi)``: a draw ``u`` gives the jittered delay
+    ``(low + scale * u) / den`` before the clamp to ``lo = base`` and
+    ``hi = cap``, each an exact ``(num, den)``.  The cache is typed:
+    ``1``, ``1.0`` and ``Fraction(1)`` are equal keys whose delays differ
+    in type.
+    """
+    capped = _capped(base, factor, cap, attempt)
+    if not jitter:
+        return capped, None
+    # capped * (1 - s + 2*s*u) with u = draw / 2**64, over integers: the
+    # factor lies in [1 - jitter, 1 + jitter), exactly.
+    s_num, s_den = _spread(jitter)
+    c_num, c_den = _ratio(capped)
+    return capped, (
+        c_num * ((s_den - s_num) << _JITTER_BITS),
+        c_num * 2 * s_num,
+        (c_den * s_den) << _JITTER_BITS,
+        _ratio(base),
+        _ratio(cap),
+    )
 
 
 @dataclass(frozen=True)
@@ -128,35 +164,19 @@ class Backoff:
             raise RecoveryError(
                 f"backoff attempt must be a non-negative int, got {attempt!r}"
             )
-        capped = self._capped(attempt)
-        if not self.jitter:
-            return capped
-        # capped * (1 - s + 2*s*u) with u = draw / 2**64, over integers:
-        # the factor lies in [1 - jitter, 1 + jitter), exactly and
-        # statelessly.
-        s_num, s_den = _spread(self.jitter)
-        c_num, c_den = _ratio(capped)
-        num = c_num * (
-            ((s_den - s_num) << _JITTER_BITS)
-            + 2 * s_num * self._draw(attempt, key)
+        capped, terms = _rung(
+            self.base, self.factor, self.cap, self.jitter, attempt
         )
-        den = (c_den * s_den) << _JITTER_BITS
-        lo_num, lo_den = _ratio(self.base)
-        hi_num, hi_den = _ratio(self.cap)
+        if terms is None:
+            return capped
+        low, scale, den, (lo_num, lo_den), (hi_num, hi_den) = terms
+        num = low + scale * self._draw(attempt, key)
         if num * lo_den < lo_num * den:
             num, den = lo_num, lo_den
         elif num * hi_den > hi_num * den:
             num, den = hi_num, hi_den
         jittered = Fraction(num, den)
         return jittered.numerator if jittered.denominator == 1 else jittered
-
-    def _capped(self, attempt: int):
-        """The unjittered ladder: ``min(cap, base * factor**attempt)``."""
-        raw = self.base * (self.factor ** attempt)
-        if raw >= float(self.cap):
-            return self.cap
-        # Keep integral delays integral so event times stay on the grid.
-        return type(self.base)(raw) if raw == int(raw) else raw
 
     def _draw(self, attempt: int, key: str) -> int:
         """One uniform integer draw on ``[0, 2**64)`` from
@@ -174,7 +194,7 @@ class Backoff:
     def _reference_delay(self, attempt: int, key: str = ""):
         """:meth:`delay` in plain :class:`~fractions.Fraction` arithmetic:
         the oracle the differential tests hold it to, value and type."""
-        capped = self._capped(attempt)
+        capped = _capped(self.base, self.factor, self.cap, attempt)
         if not self.jitter:
             return capped
         spread = Fraction(self.jitter).limit_denominator(10_000)

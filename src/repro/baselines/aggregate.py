@@ -57,5 +57,7 @@ class AggregateAdmission(AdmissionPolicy):
                     False,
                     reason=f"aggregate shortfall of {ltype} within {window}",
                 )
-        self._commitments.append((window, requirement.total_demands))
+        # A copy of its own: the arrival's record holds the cached
+        # aggregate, and one object held twice pickles once.
+        self._commitments.append((window, Demands(requirement.total_demands)))
         return PolicyDecision(True)

@@ -29,11 +29,15 @@ class Demands(Mapping[LocatedType, Time]):
 
     def __init__(self, items: DemandsLike = ()) -> None:
         if isinstance(items, Demands):
-            pairs: Iterable[Tuple[LocatedType, Time]] = items.items()
-        elif isinstance(items, Mapping):
-            pairs = items.items()
-        else:
-            pairs = items
+            # Already validated: copy its map without checking it again.
+            # A copy, not the map itself: two demands sharing one dict
+            # would pickle it once where they meet in one snapshot.
+            self._items: dict[LocatedType, Time] = dict(items._items)
+            self._hash: int | None = None
+            return
+        pairs: Iterable[Tuple[LocatedType, Time]] = (
+            items.items() if isinstance(items, Mapping) else items
+        )
         merged: dict[LocatedType, Time] = {}
         for ltype, quantity in pairs:
             if not isinstance(ltype, LocatedType):
@@ -47,8 +51,8 @@ class Demands(Mapping[LocatedType, Time]):
             if quantity == 0:
                 continue
             merged[ltype] = merged.get(ltype, 0) + quantity
-        self._items: dict[LocatedType, Time] = merged
-        self._hash: int | None = None
+        self._items = merged
+        self._hash = None
 
     # ------------------------------------------------------------------
     # Mapping protocol

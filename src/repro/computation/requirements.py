@@ -66,7 +66,7 @@ class SimpleRequirement:
 class ComplexRequirement:
     """``rho(Gamma, s, d)``: ordered phases within a shared window."""
 
-    __slots__ = ("_phases", "_window", "_label")
+    __slots__ = ("_phases", "_window", "_label", "_total")
 
     def __init__(
         self,
@@ -125,11 +125,15 @@ class ComplexRequirement:
 
     @property
     def total_demands(self) -> Demands:
-        """Order-blind aggregate over all phases."""
-        total = Demands()
-        for phase in self._phases:
-            total = total.merge(phase)
-        return total
+        """Order-blind aggregate over all phases, summed on first read."""
+        try:
+            return self._total
+        except AttributeError:
+            total = Demands()
+            for phase in self._phases:
+                total = total.merge(phase)
+            self._total = total
+            return total
 
     def simple(self, index: int, window: Interval) -> SimpleRequirement:
         """The ``index``-th phase pinned to a concrete subinterval — one
@@ -181,6 +185,14 @@ class ComplexRequirement:
     def __hash__(self) -> int:
         return hash((self._phases, self._window, self._label))
 
+    def __getstate__(self):
+        # The slots' default state without the derived aggregate.
+        return None, {
+            "_phases": self._phases,
+            "_window": self._window,
+            "_label": self._label,
+        }
+
     def __repr__(self) -> str:
         return (
             f"ComplexRequirement({self._label or '?'}: {len(self._phases)} phases, "
@@ -191,7 +203,7 @@ class ComplexRequirement:
 class ConcurrentRequirement:
     """``rho(Lambda, s, d)``: independent actors sharing one window."""
 
-    __slots__ = ("_components", "_window")
+    __slots__ = ("_components", "_window", "_total")
 
     def __init__(
         self, components: Iterable[ComplexRequirement], window: Interval
@@ -228,10 +240,15 @@ class ConcurrentRequirement:
 
     @property
     def total_demands(self) -> Demands:
-        total = Demands()
-        for part in self._components:
-            total = total.merge(part.total_demands)
-        return total
+        """Aggregate over every component, summed on first read."""
+        try:
+            return self._total
+        except AttributeError:
+            total = Demands()
+            for part in self._components:
+                total = total.merge(part.total_demands)
+            self._total = total
+            return total
 
     def __iter__(self) -> Iterator[ComplexRequirement]:
         return iter(self._components)
@@ -246,6 +263,13 @@ class ConcurrentRequirement:
 
     def __hash__(self) -> int:
         return hash((self._components, self._window))
+
+    def __getstate__(self):
+        # The slots' default state without the derived aggregate.
+        return None, {
+            "_components": self._components,
+            "_window": self._window,
+        }
 
     def __repr__(self) -> str:
         return (

@@ -29,10 +29,6 @@ class PhaseAssignment:
     window: Interval
     consumption: Mapping[LocatedType, RateProfile]
 
-    def claimed_quantity(self, ltype: LocatedType) -> Time:
-        profile = self.consumption.get(ltype)
-        return profile.integral(self.window) if profile is not None else 0
-
 
 @dataclass(frozen=True)
 class Schedule:

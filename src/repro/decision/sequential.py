@@ -29,7 +29,6 @@ from repro.computation.requirements import ComplexRequirement
 from repro.decision.schedule import PhaseAssignment, Schedule
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import LocatedType
-from repro.resources.profile import RateProfile
 from repro.resources.resource_set import ResourceSet
 
 
@@ -62,21 +61,6 @@ def earliest_phase_finish(
     if finishes is None:
         return None
     return max(finishes.values(), default=start)
-
-
-def _phase_consumption(
-    available: ResourceSet, demands: Demands, start: Time
-) -> Dict[LocatedType, RateProfile]:
-    """The earliest-finish consumption of one phase: each type is claimed
-    at the full available rate from ``start`` until exactly its amount has
-    been accumulated."""
-    finishes = _phase_plan(available, demands, start)
-    if finishes is None:  # pragma: no cover - caller checks feasibility first
-        raise AssertionError("consumption requested for infeasible phase")
-    return {
-        ltype: available.profile(ltype).clamp(Interval(start, finish))
-        for ltype, finish in finishes.items()
-    }
 
 
 def _align_up(t: Time, align: Time) -> Time:

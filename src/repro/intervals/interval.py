@@ -76,7 +76,14 @@ class Interval:
 
     @property
     def duration(self) -> Time:
-        """Length of the interval (may be ``math.inf``)."""
+        """Length of the interval (may be ``math.inf``).
+
+        An unbounded interval is ``math.inf`` long without computing
+        ``inf - start``, which overflows for an exact start past float
+        range.
+        """
+        if self.end == math.inf:
+            return math.inf
         return self.end - self.start
 
     def contains_point(self, t: Time) -> bool:

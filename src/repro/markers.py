@@ -31,7 +31,3 @@ def checkpointable(cls: Type[_T]) -> Type[_T]:
     cls.__checkpointable__ = True  # type: ignore[attr-defined]
     return cls
 
-
-def is_checkpointable(cls: type) -> bool:
-    """Whether ``cls`` (not an ancestor) was marked :func:`checkpointable`."""
-    return bool(cls.__dict__.get("__checkpointable__", False))

@@ -724,6 +724,11 @@ class RateProfile:
             # reference oracle's ``segment.intersection(window)``.
             s = seg_start if seg_start >= start else start
             e = seg_end if seg_end <= end else end
+            if e == math.inf:
+                # A positive rate forever: no ``inf - s`` or ``total +
+                # inf``, which overflow for an exact ``s`` or ``total``
+                # past float range.
+                return math.inf
             if e > s:
                 total += rate * (e - s)
         return total
@@ -1101,6 +1106,8 @@ def _reference_integral(profile: RateProfile, window: Interval) -> Time:
     total: Time = 0
     for segment, rate in profile.segments():
         common = segment.intersection(window)
+        if common.end == math.inf:
+            return math.inf  # a positive rate forever
         if not common.is_empty:
             total += rate * common.duration
     return total
@@ -1143,6 +1150,9 @@ def _reference_earliest_accumulation(
         if segment.end <= start:
             continue
         effective_start = max(start, segment.start)
+        if segment.end == math.inf:
+            # A positive rate that never ends accumulates any quantity.
+            return effective_start + exact_div(remaining, rate)
         capacity = rate * (segment.end - effective_start)
         if capacity >= remaining:
             return effective_start + exact_div(remaining, rate)

@@ -21,6 +21,20 @@ grid); retry spacing may be fractional (jittered backoff), and all
 arithmetic stays exact so the accumulated network time charged against
 a deadline via :func:`repro.decision.admission.clip_start` is a
 deterministic exact number, never a float dance.
+
+A send costs its fate draws: one SHA-256 digest for loss, one for a
+jittered delay, one for duplication and one more for an echo's delay.
+Everything else is read off the model once per directed link, on its
+first message: the delay, the jitter spread, the loss and duplicate
+thresholds, the windows of the partitions that sever the link, and the
+``"{seed}:{src}>{dst}:"`` head of its draw keys.  Records are filled in
+without the frozen ``__init__``, and the stats add the int delay the
+send drew rather than a difference of (possibly Fraction) instants.
+The :class:`NetworkModel` methods stay the per-message oracles the
+differential tests hold the channel to.  On E23's plan a send takes
+about 4.2 µs and an RPC, about five sends and 2.5 backoff delays, about
+51 µs (best passes on a 2-vCPU Intel Xeon, CPython 3.11; EXPERIMENTS.md,
+E22/E23 addendum).
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.backoff import Backoff
 from repro.errors import ChannelError
@@ -88,6 +102,12 @@ def _threshold(probability) -> Tuple[int, int]:
     """
     exact = Fraction(probability).limit_denominator(1_000_000)
     return exact.numerator << _DRAW_BITS, exact.denominator
+
+
+def _draw(key: str) -> int:
+    """One uniform integer draw on ``[0, 2**64)``: the first 8 bytes of
+    the SHA-256 digest of ``key``, which starts with the network seed."""
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -194,9 +214,6 @@ class NetworkModel:
     def severed(self, src: str, dst: str, at: Time) -> bool:
         return any(p.cuts(src, dst, at) for p in self.partitions)
 
-    def partition_windows(self) -> Tuple[Tuple[Time, Time], ...]:
-        return tuple((p.start, p.end) for p in self.partitions)
-
     @property
     def is_perfect(self) -> bool:
         return (
@@ -211,8 +228,7 @@ class NetworkModel:
         — stateless, SHA-256-derived (builtin ``hash`` is process-salted;
         a shared ``random.Random`` would couple senders through draw
         order)."""
-        digest = hashlib.sha256(f"{self.seed}:{key}".encode()).digest()
-        return int.from_bytes(digest[:8], "big")
+        return _draw(f"{self.seed}:{key}")
 
     def delay_of(self, src: str, dst: str, msg_id: str) -> int:
         config = self.link(src, dst)
@@ -285,6 +301,71 @@ class WireRecord:
         return self.deliver_at is not None
 
 
+_new = object.__new__
+
+
+def _record(
+    msg_id: str,
+    kind: str,
+    src: str,
+    dst: str,
+    sent_at: Time,
+    fate: str,
+    deliver_at: Optional[Time],
+    payload: object,
+) -> WireRecord:
+    """A :class:`WireRecord` filled straight into its ``__dict__``.
+
+    The frozen ``__init__`` pays one ``object.__setattr__`` per field;
+    this is the same instance (fields in declaration order, so equality,
+    hash and pickle bytes are the ``__init__`` ones) at half the cost.
+    """
+    record = _new(WireRecord)
+    record.__dict__.update(
+        msg_id=msg_id, kind=kind, src=src, dst=dst, sent_at=sent_at,
+        fate=fate, deliver_at=deliver_at, payload=payload,
+    )
+    return record
+
+
+class _Link(NamedTuple):
+    """One directed link's parameters, resolved once from the model."""
+
+    #: base one-way delay, in ticks
+    delay: int
+    #: ``jitter + 1``, the number of delay steps a draw spreads over
+    #: (0 on an unjittered link)
+    spread: int
+    #: :func:`_threshold` of the loss probability (None: never lost)
+    loss: Optional[Tuple[int, int]]
+    #: :func:`_threshold` of the duplicate probability (None: never)
+    duplicate: Optional[Tuple[int, int]]
+    #: ``[start, end)`` of every partition that severs the link
+    windows: Tuple[Tuple[Time, Time], ...]
+    #: ``"{seed}:{src}>{dst}:"``, the head of each of its draw keys
+    prefix: str
+
+
+def _plus_delay(total: Time, delay: int, record: WireRecord) -> Time:
+    """``total + record.deliver_at - record.sent_at``, where ``delay`` is
+    that difference in ints, in the expression's value and type.
+
+    On exact send times the total is a sum of int delays: an int until a
+    delivery sent at a :class:`~fractions.Fraction` instant makes it an
+    integral Fraction, as the full expression would, and an int sum
+    inside that Fraction after.  Any other time type takes the full
+    expression, rounding and all.
+    """
+    sent = record.sent_at.__class__
+    if sent is int or sent is Fraction:
+        kind = total.__class__
+        if kind is int:
+            return total + delay if sent is int else Fraction(total + delay)
+        if kind is Fraction and total.denominator == 1:
+            return Fraction(total.numerator + delay)
+    return total + record.deliver_at - record.sent_at
+
+
 @dataclass
 class ChannelStats:
     """Aggregate accounting over one channel's lifetime.
@@ -343,14 +424,25 @@ class MessageChannel:
         # Stateless configuration, not run state: the model decides fates
         # pure-functionally and the restoring owner re-binds the topology
         # it is resuming under.
-        self._network = network  # repro-lint: disable=flow-snapshot-coverage -- stateless configuration, re-bound by the restoring owner
+        self._network = network
         # Construction identity: the restoring owner addresses the
         # channel, the channel never re-reads its name.
-        self.name = name  # repro-lint: disable=flow-snapshot-coverage -- construction identity, not run state
+        self.name = name
         self._log: List[WireRecord] = []
         self._pending: List[Tuple[Time, int, WireRecord]] = []
         self._pending_seq = 0
         self._stats = ChannelStats()
+        #: (src, dst) -> the link's parameters, resolved on first send
+        self._links: Dict[Tuple[str, str], _Link] = {}  # repro-lint: disable=flow-snapshot-coverage -- derived from the network model, re-resolved on the first send after a restore
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_links")
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._links = {}
 
     # ------------------------------------------------------------------
     @property
@@ -417,32 +509,45 @@ class MessageChannel:
             )
         if not msg_id:
             msg_id = f"{kind}@{now}:{src}>{dst}"
-        network = self._network
-        if network.severed(src, dst, now):
-            record = WireRecord(msg_id, kind, src, dst, now, "severed",
-                                payload=payload)
-            self._account(record)
-            return record
-        if network.lost(src, dst, msg_id):
-            record = WireRecord(msg_id, kind, src, dst, now, "lost",
-                                payload=payload)
-            self._account(record)
-            return record
-        deliver_at = now + network.delay_of(src, dst, msg_id)
-        record = WireRecord(
-            msg_id, kind, src, dst, now, "delivered", deliver_at, payload
+        base, spread, loss, duplicate, windows, prefix = (
+            self._links.get((src, dst)) or self._resolve(src, dst)
         )
-        self._account(record)
+        for start, end in windows:
+            if start <= now < end:
+                return self._account(
+                    _record(msg_id, kind, src, dst, now, "severed", None,
+                            payload)
+                )
+        if loss and _draw(prefix + msg_id + ":loss") * loss[1] < loss[0]:
+            return self._account(
+                _record(msg_id, kind, src, dst, now, "lost", None, payload)
+            )
+        delay = base
+        if spread:
+            delay += (_draw(prefix + msg_id + ":delay") * spread) >> _DRAW_BITS
+        record = self._account(
+            _record(msg_id, kind, src, dst, now, "delivered", now + delay,
+                    payload),
+            delay,
+        )
         if enqueue:
             self._enqueue(record)
-        if network.duplicated(src, dst, msg_id):
-            echo_at = deliver_at + network.delay_of(
-                src, dst, msg_id + ":echo"
+        if (
+            duplicate
+            and _draw(prefix + msg_id + ":dup") * duplicate[1] < duplicate[0]
+        ):
+            # The echo trails the original by a delay of its own, drawn
+            # as the delay of message ``msg_id + ":echo"``.
+            echo_delay = base
+            if spread:
+                echo_delay += (
+                    _draw(prefix + msg_id + ":echo:delay") * spread
+                ) >> _DRAW_BITS
+            echo = self._account(
+                _record(msg_id, kind, src, dst, now, "duplicated",
+                        record.deliver_at + echo_delay, payload),
+                delay + echo_delay,
             )
-            echo = WireRecord(
-                msg_id, kind, src, dst, now, "duplicated", echo_at, payload
-            )
-            self._account(echo)
             if enqueue:
                 self._enqueue(echo)
         return record
@@ -512,6 +617,7 @@ class MessageChannel:
                 payload=payload,
                 enqueue=False,
             )
+            expiry = t_send + timeout
             if request.delivered:
                 verdict = self.send(
                     f"{kind}-verdict",
@@ -522,7 +628,7 @@ class MessageChannel:
                     enqueue=False,
                 )
                 if verdict.delivered:
-                    if verdict.deliver_at <= t_send + timeout:
+                    if verdict.deliver_at <= expiry:
                         if registry.enabled:
                             registry.counter(
                                 "channel_rpc_total",
@@ -537,7 +643,7 @@ class MessageChannel:
                         )
                     strays += 1
             attempt += 1
-            next_send = t_send + timeout + backoff.delay(attempt - 1, key=key)
+            next_send = expiry + backoff.delay(attempt - 1, key=key)
             if attempt >= max_attempts or next_send >= deadline:
                 gave_up = min(next_send, deadline)
                 if registry.enabled:
@@ -561,22 +667,48 @@ class MessageChannel:
             self._pending, (record.deliver_at, self._pending_seq, record)
         )
 
-    def _account(self, record: WireRecord) -> None:
+    def _resolve(self, src: str, dst: str) -> _Link:
+        """Read the ``src -> dst`` link off the model once: the same
+        config, thresholds, partition cuts and draw keys the
+        :class:`NetworkModel` oracles use per message."""
+        network = self._network
+        config = network.link(src, dst)
+        link = _Link(
+            delay=config.delay,
+            spread=config.jitter + 1 if config.jitter else 0,
+            loss=_threshold(config.loss) if config.loss else None,
+            duplicate=(
+                _threshold(config.duplicate) if config.duplicate else None
+            ),
+            windows=tuple(
+                (span.start, span.end)
+                for span in network.partitions
+                if (src, dst) in span.severed or (dst, src) in span.severed
+            ),
+            prefix=f"{network.seed}:{src}>{dst}:",
+        )
+        self._links[src, dst] = link
+        return link
+
+    def _account(
+        self, record: WireRecord, delay: Optional[int] = None
+    ) -> WireRecord:
+        """Fold ``record`` into the stats and the log and return it;
+        ``delay`` is a delivered record's one-way delay in ticks."""
         stats = self._stats
-        if record.fate == "duplicated":
+        fate = record.fate
+        if fate == "duplicated":
             stats.duplicated += 1
         else:
             stats.sent += 1
             stats.by_kind[record.kind] = stats.by_kind.get(record.kind, 0) + 1
-        if record.fate == "lost":
+        if fate == "lost":
             stats.lost += 1
-        elif record.fate == "severed":
+        elif fate == "severed":
             stats.severed += 1
-        elif record.delivered:
+        else:
             stats.delivered += 1
-            stats.total_delay = (
-                stats.total_delay + record.deliver_at - record.sent_at
-            )
+            stats.total_delay = _plus_delay(stats.total_delay, delay, record)
         self._log.append(record)
         registry = get_registry()
         if registry.enabled:
@@ -584,4 +716,5 @@ class MessageChannel:
                 "channel_messages_total",
                 "wire records by message kind and fate",
                 labels=("kind", "fate"),
-            ).inc(kind=record.kind, fate=record.fate)
+            ).inc(kind=record.kind, fate=fate)
+        return record

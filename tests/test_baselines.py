@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.baselines import (
@@ -63,6 +65,24 @@ class TestCommonBehaviour:
         report = simulator.run(20)
         assert report.arrivals == 1
         assert report.admitted == 0
+
+    @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
+    def test_no_policy_shares_an_arrival_records_total(
+        self, policy_cls, pool, cpu1
+    ):
+        """A requirement caches its aggregate demand and the arrival's
+        record holds it; a policy that kept the same object would make a
+        full checkpoint pickle it once where it used to pickle two."""
+        simulator = OpenSystemSimulator(policy_cls(), initial_resources=pool)
+        simulator.schedule(arrival(0, conc([Demands({cpu1: 3})], 0, 8), "a"))
+        report = simulator.run(10)
+        (record,) = report.records
+        assert record.admitted
+        held = pickle.dumps((record.total_demands, simulator._admission))
+        alone = pickle.dumps(
+            (Demands(record.total_demands), simulator._admission)
+        )
+        assert held == alone
 
     @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
     def test_names_are_distinct(self, policy_cls):

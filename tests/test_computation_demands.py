@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.computation import Demands, NO_DEMAND
@@ -105,3 +107,17 @@ class TestValueSemantics:
 
     def test_repr_mentions_quantities(self, cpu1):
         assert "{5}" in repr(Demands({cpu1: 5}))
+
+    def test_a_copy_pickles_as_a_fresh_demand(self, cpu1, net12):
+        """Copying skips validation but not the map: a copy pickled
+        beside its original is written in full, as a validated one."""
+        original = Demands({cpu1: 5, net12: 2})
+        hash(original)
+        copied = Demands(original)
+        assert copied._items is not original._items
+        assert copied._hash is None  # computed on its own first hash
+        rebuilt = Demands(dict(original))
+        assert pickle.dumps((original, copied)) == pickle.dumps(
+            (original, rebuilt)
+        )
+        assert copied == original and hash(copied) == hash(original)

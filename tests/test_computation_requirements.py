@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.computation import (
@@ -142,3 +145,42 @@ class TestConcurrentRequirement:
         part = ComplexRequirement([Demands({cpu1: 5})], Interval(2, 8))
         req = ConcurrentRequirement((part,), Interval(0, 10))
         assert req.components[0].window == Interval(2, 8)
+
+
+class TestAggregateCache:
+    """``total_demands`` is summed once per immutable requirement and
+    never rides a pickle: checkpoint bytes do not depend on whether it
+    was read."""
+
+    def _requirement(self, cpu1, cpu2, net12):
+        window = Interval(0, 10)
+        return ConcurrentRequirement(
+            (
+                ComplexRequirement(
+                    [Demands({cpu1: 5}), Demands({net12: 2, cpu1: 1})],
+                    window, label="a",
+                ),
+                ComplexRequirement([Demands({cpu2: 3})], window, label="b"),
+            ),
+            window,
+        )
+
+    def test_summed_once(self, cpu1, cpu2, net12):
+        req = self._requirement(cpu1, cpu2, net12)
+        total = req.total_demands
+        assert total == Demands({cpu1: 6, net12: 2, cpu2: 3})
+        assert req.total_demands is total
+        part = req.components[0]
+        assert part.total_demands is part.total_demands
+        assert part.total_demands == Demands({cpu1: 6, net12: 2})
+
+    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    def test_never_pickled(self, cpu1, cpu2, net12, protocol):
+        cold = pickle.dumps(self._requirement(cpu1, cpu2, net12), protocol)
+        req = self._requirement(cpu1, cpu2, net12)
+        req.total_demands
+        assert pickle.dumps(req, protocol) == cold
+        restored = pickle.loads(cold)
+        assert restored == req
+        assert restored.total_demands == req.total_demands
+        assert copy.deepcopy(req) == req

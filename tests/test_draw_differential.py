@@ -144,3 +144,22 @@ class TestBackoffDraws:
                         backoff.delay(attempt),
                         backoff._reference_delay(attempt),
                     ), (base, jitter, draw, attempt)
+
+    @pytest.mark.parametrize("jitter", [0, 0.25])
+    def test_equal_configs_of_other_types_keep_their_delay_types(self, jitter):
+        """``1``, ``1.0`` and ``Fraction(1)`` are equal, so a ladder cache
+        keyed by value alone would hand one config the other's delays."""
+        configs = [
+            Backoff(base=base, factor=2, cap=cap, jitter=jitter, seed=5)
+            for base, cap in (
+                (1, 16), (1.0, 16.0), (Fraction(1), Fraction(16))
+            )
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        for order in (configs, configs[::-1]):
+            for backoff in order:
+                for attempt in range(6):
+                    assert _same(
+                        backoff.delay(attempt, key="k"),
+                        backoff._reference_delay(attempt, key="k"),
+                    ), (backoff, attempt)

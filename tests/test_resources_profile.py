@@ -10,6 +10,10 @@ import pytest
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals import Interval, IntervalSet
 from repro.resources import RateProfile, profile_from_points
+from repro.resources.profile import (
+    _reference_earliest_accumulation,
+    _reference_integral,
+)
 
 
 def const(rate, start, end):
@@ -292,3 +296,42 @@ class TestExactTimesPastFloatRange:
     def test_clamp_to_a_huge_exact_end(self):
         clamped = RateProfile(self.PROFILE).clamp(Interval(1, 10**401))
         assert clamped.breakpoints == ((1, 1), (10**400, 2), (10**401, 0))
+
+    @pytest.mark.parametrize(
+        "start",
+        [0, 3, Fraction(1, 3), 10**401],
+        ids=["0", "3", "1/3", "1e401"],
+    )
+    def test_positive_unbounded_tail_integrates_to_inf(self, start):
+        profile = RateProfile(self.PROFILE)
+        window = Interval(start, math.inf)
+        for answer in (
+            profile.integral(window), _reference_integral(profile, window)
+        ):
+            assert answer == math.inf and type(answer) is float
+
+    @pytest.mark.parametrize(
+        "start", [0, 3, Fraction(1, 3)], ids=["0", "3", "1/3"]
+    )
+    def test_zero_rate_tail_integrates_exactly(self, start):
+        profile = RateProfile(((0, 1), (10**400, 0)))
+        window = Interval(start, math.inf)
+        expected = 10**400 - start
+        for answer in (
+            profile.integral(window), _reference_integral(profile, window)
+        ):
+            assert answer == expected and type(answer) is type(expected)
+        assert profile.integral(Interval(0, math.inf)) == 10**400
+
+    @pytest.mark.parametrize(
+        "start", [0, 2, 10**400, 10**401], ids=["0", "2", "1e400", "1e401"]
+    )
+    def test_accumulation_oracle_on_the_unbounded_tail(self, start):
+        profile = RateProfile(self.PROFILE)
+        for quantity in (1, 10**400, 10**401):
+            fast = profile.earliest_accumulation(start, quantity)
+            oracle = _reference_earliest_accumulation(profile, start, quantity)
+            assert fast == oracle and type(fast) is type(oracle)
+
+    def test_unbounded_duration_past_float_range(self):
+        assert Interval(10**400, math.inf).duration == math.inf
