@@ -37,6 +37,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.computation.demands import Demands
 from repro.computation.requirements import (
     ComplexRequirement,
     ConcurrentRequirement,
@@ -49,13 +50,20 @@ from repro.errors import (
     TransitionError,
     UndefinedOperationError,
 )
-from repro.intervals.interval import Time, is_finite_time
+from repro.intervals.interval import (
+    Interval,
+    Time,
+    is_finite_time,
+    trusted_interval,
+)
 from repro.markers import checkpointable
 from repro.observability import get_registry
 from repro.resources.located_type import LocatedType
 from repro.resources.profile import RateProfile, float_key
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -455,7 +463,10 @@ def deadline_passed(requirement: ConcurrentRequirement, now: Time) -> bool:
     to decide on, since :func:`clip_start` would leave that component no
     window.  Components may close before the requirement's own deadline,
     so its outer deadline alone does not say."""
-    return any(part.deadline <= now for part in requirement.components)
+    for part in requirement.components:
+        if part.deadline <= now:
+            return True
+    return False
 
 
 def clip_start(
@@ -468,10 +479,46 @@ def clip_start(
     (:mod:`repro.service`) to charge queueing delay before the exact
     Theorem-4 check runs.  The deadline never moves; only the usable
     window shrinks, so a check on the clipped requirement is exactly the
-    check a punctual arrival at ``now`` would get.  Callers first rule
-    out :func:`deadline_passed`."""
-    from repro.intervals.interval import Interval
+    check a punctual arrival at ``now`` would get.
 
+    Callers first rule out :func:`deadline_passed`: with every component
+    deadline after ``now``, each clipped window is non-empty and lies
+    inside ``(now, deadline)``, so the clip is assembled from parts the
+    requirement already validated, with no second validation pass.  It
+    is the object the validating constructors build
+    (:func:`_reference_clip_start`): a fresh :class:`Demands` copy per
+    phase and a fresh :class:`Interval` per window, so no two
+    requirements share a part a checkpoint would pickle once, and
+    ``max()``'s operand on a tie (the component's start over an equal
+    ``now`` of another numeric type).  The cached demand totals carry
+    over; clipping leaves the phases as they are."""
+    components = []
+    for part in requirement.components:
+        start = part.start
+        clipped = _new(ComplexRequirement)
+        clipped._phases = tuple([Demands(phase) for phase in part.phases])
+        clipped._window = trusted_interval(
+            now if now > start else start, part.deadline
+        )
+        clipped._label = part.label
+        total = getattr(part, "_total", None)
+        if total is not None:
+            clipped._total = total
+        components.append(clipped)
+    whole = _new(ConcurrentRequirement)
+    whole._components = tuple(components)
+    whole._window = trusted_interval(now, requirement.deadline)
+    total = getattr(requirement, "_total", None)
+    if total is not None:
+        whole._total = total
+    return whole
+
+
+def _reference_clip_start(
+    requirement: ConcurrentRequirement, now: Time
+) -> ConcurrentRequirement:
+    """:func:`clip_start` through the validating constructors — the
+    oracle the trusted assembly is pinned to."""
     window = Interval(now, requirement.deadline)
     components = tuple(
         ComplexRequirement(

@@ -75,7 +75,7 @@ def supply_shortfall(
         # An unbounded window supplies everything any finite profile
         # holds; the screen cannot refute it.
         return None
-    provided = set(available.located_types)
+    provided = available.provided_types
     for ltype, demanded in requirement_demands(requirement).items():
         if ltype not in provided:
             if require_presence:

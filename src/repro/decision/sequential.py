@@ -64,7 +64,14 @@ def earliest_phase_finish(
 
 
 def _align_up(t: Time, align: Time) -> Time:
-    """Smallest multiple of ``align`` that is >= ``t`` (grid anchored at 0)."""
+    """Smallest multiple of ``align`` that is >= ``t`` (grid anchored at 0).
+
+    Exact operands divide exactly: two ints by floor division (``t /
+    align`` would round through a float and, past 2**53, land on a
+    multiple below ``t``), a ``Fraction`` by its own exact ceiling.  The
+    result is an int for int operands, as before."""
+    if isinstance(t, int) and isinstance(align, int):
+        return -(-t // align) * align
     quotient = t / align
     rounded = math.ceil(quotient)
     # Guard against float fuzz pushing an exact multiple up a full step.

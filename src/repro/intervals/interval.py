@@ -26,6 +26,8 @@ from repro.errors import InvalidIntervalError
 #: Type alias for time values accepted throughout the library.
 Time = Real
 
+_new = object.__new__
+
 
 def is_finite_time(value: object) -> bool:
     """True for a finite real number (``bool`` is a flag, not a time)."""
@@ -176,6 +178,21 @@ class Interval:
 
 #: Canonical empty interval.
 EMPTY = Interval(0, 0)
+
+
+def trusted_interval(start: Time, end: Time) -> Interval:
+    """``Interval(start, end)`` for endpoints the caller has already
+    validated: real, not NaN, ``start <= end`` and ``start`` below
+    ``+inf``.
+
+    The frozen ``__init__`` pays two ``object.__setattr__`` calls and the
+    ``__post_init__`` checks; this fills the same fields straight into a
+    fresh instance's ``__dict__``, in declaration order, so equality,
+    hash and pickle bytes are the ``__init__`` ones.
+    """
+    made = _new(Interval)
+    made.__dict__.update(start=start, end=end)
+    return made
 
 
 def interval(start: Time, end: Time) -> Interval:

@@ -206,6 +206,29 @@ def _negative(t: Time, ra: Time, rb: Time) -> UndefinedOperationError:
     )
 
 
+def _past_float_range(operation: str, **operands: Time) -> UndefinedOperationError:
+    """The error for exact operands a float profile cannot meet.
+
+    A float rate times (or plus) an exact time past float range converts
+    the time to float and overflows; the caller gets this typed error
+    naming the first operand past float range instead of Python's bare
+    ``OverflowError``."""
+    for name, value in operands.items():
+        try:
+            float(value)
+        except OverflowError:
+            bits = abs(int(value)).bit_length()
+            return UndefinedOperationError(
+                f"{operation}: {name} (an exact {type(value).__name__} of "
+                f"{bits} bits) lies past float range, and the profile's "
+                "float rates cannot meet it"
+            )
+    return UndefinedOperationError(
+        f"{operation}: the answer lies past float range for a profile of "
+        "float rates"
+    )
+
+
 class RateProfile:
     """An immutable, piecewise-constant, non-negative function of time.
 
@@ -710,28 +733,33 @@ class RateProfile:
             hi = _bisect_left_exact(times, keys, end)
         if lo < 0:
             lo = 0
-        total: Time = 0
-        for i in range(lo, hi):
-            rate = rates[i]
-            if rate == 0:
-                continue
-            seg_start = times[i]
-            seg_end = times[i + 1] if i + 1 < len(times) else math.inf
-            # Tie-break like ``max``/``min`` (first operand wins) so a
-            # breakpoint coinciding with a window edge under a different
-            # numeric type (``1`` vs ``1.0`` vs ``Fraction(1)``) picks
-            # the same operand — and hence the same rounding — as the
-            # reference oracle's ``segment.intersection(window)``.
-            s = seg_start if seg_start >= start else start
-            e = seg_end if seg_end <= end else end
-            if e == math.inf:
-                # A positive rate forever: no ``inf - s`` or ``total +
-                # inf``, which overflow for an exact ``s`` or ``total``
-                # past float range.
-                return math.inf
-            if e > s:
-                total += rate * (e - s)
-        return total
+        try:
+            total: Time = 0
+            for i in range(lo, hi):
+                rate = rates[i]
+                if rate == 0:
+                    continue
+                seg_start = times[i]
+                seg_end = times[i + 1] if i + 1 < len(times) else math.inf
+                # Tie-break like ``max``/``min`` (first operand wins) so a
+                # breakpoint coinciding with a window edge under a different
+                # numeric type (``1`` vs ``1.0`` vs ``Fraction(1)``) picks
+                # the same operand — and hence the same rounding — as the
+                # reference oracle's ``segment.intersection(window)``.
+                s = seg_start if seg_start >= start else start
+                e = seg_end if seg_end <= end else end
+                if e == math.inf:
+                    # A positive rate forever: no ``inf - s`` or ``total +
+                    # inf``, which overflow for an exact ``s`` or ``total``
+                    # past float range.
+                    return math.inf
+                if e > s:
+                    total += rate * (e - s)
+            return total
+        except OverflowError:
+            raise _past_float_range(
+                "integral", window_start=start, window_end=end
+            ) from None
 
     def min_rate(self, window: Interval) -> Time:
         """Minimum rate over a non-empty window (0 if any gap)."""
@@ -783,27 +811,32 @@ class RateProfile:
             lo = _bisect_right_exact(times, keys, start) - 1
         if lo < 0:
             lo = 0
-        last = len(rates) - 1
-        for i in range(lo, last + 1):
-            rate = rates[i]
-            if rate == 0:
-                continue
-            if i == last:
-                # The last segment never ends, so any positive rate
-                # accumulates what remains (no ``inf - t``, which
-                # overflows for an exact ``t`` past float range).
-                if start == math.inf:
-                    return None
-                return max(start, times[i]) + exact_div(remaining, rate)
-            seg_end = times[i + 1]
-            if seg_end <= start:
-                continue
-            effective_start = max(start, times[i])
-            capacity = rate * (seg_end - effective_start)
-            if capacity >= remaining:
-                return effective_start + exact_div(remaining, rate)
-            remaining -= capacity
-        return None
+        try:
+            last = len(rates) - 1
+            for i in range(lo, last + 1):
+                rate = rates[i]
+                if rate == 0:
+                    continue
+                if i == last:
+                    # The last segment never ends, so any positive rate
+                    # accumulates what remains (no ``inf - t``, which
+                    # overflows for an exact ``t`` past float range).
+                    if start == math.inf:
+                        return None
+                    return max(start, times[i]) + exact_div(remaining, rate)
+                seg_end = times[i + 1]
+                if seg_end <= start:
+                    continue
+                effective_start = max(start, times[i])
+                capacity = rate * (seg_end - effective_start)
+                if capacity >= remaining:
+                    return effective_start + exact_div(remaining, rate)
+                remaining -= capacity
+            return None
+        except OverflowError:
+            raise _past_float_range(
+                "earliest_accumulation", start=start, quantity=quantity
+            ) from None
 
     def latest_accumulation(self, end: Time, quantity: Time) -> Optional[Time]:
         """The latest ``t <= end`` with ``integral((t, end)) >= quantity``.
@@ -830,18 +863,23 @@ class RateProfile:
             hi = bisect_left(times, end)
         else:
             hi = _bisect_left_exact(times, keys, end)
-        for i in range(hi - 1, -1, -1):
-            rate = rates[i]
-            if rate == 0:
-                continue
-            seg_start = times[i]
-            seg_end = times[i + 1] if i + 1 < len(times) else math.inf
-            effective_end = min(end, seg_end)
-            capacity = rate * (effective_end - seg_start)
-            if capacity >= remaining:
-                return effective_end - exact_div(remaining, rate)
-            remaining -= capacity
-        return None
+        try:
+            for i in range(hi - 1, -1, -1):
+                rate = rates[i]
+                if rate == 0:
+                    continue
+                seg_start = times[i]
+                seg_end = times[i + 1] if i + 1 < len(times) else math.inf
+                effective_end = min(end, seg_end)
+                capacity = rate * (effective_end - seg_start)
+                if capacity >= remaining:
+                    return effective_end - exact_div(remaining, rate)
+                remaining -= capacity
+            return None
+        except OverflowError:
+            raise _past_float_range(
+                "latest_accumulation", end=end, quantity=quantity
+            ) from None
 
     # ------------------------------------------------------------------
     # Algebra
@@ -1104,12 +1142,17 @@ def _reference_integral(profile: RateProfile, window: Interval) -> Time:
     if window.is_empty or profile.is_zero:
         return 0
     total: Time = 0
-    for segment, rate in profile.segments():
-        common = segment.intersection(window)
-        if common.end == math.inf:
-            return math.inf  # a positive rate forever
-        if not common.is_empty:
-            total += rate * common.duration
+    try:
+        for segment, rate in profile.segments():
+            common = segment.intersection(window)
+            if common.end == math.inf:
+                return math.inf  # a positive rate forever
+            if not common.is_empty:
+                total += rate * common.duration
+    except OverflowError:
+        raise _past_float_range(
+            "integral", window_start=window.start, window_end=window.end
+        ) from None
     return total
 
 
@@ -1146,17 +1189,22 @@ def _reference_earliest_accumulation(
     if quantity <= 0:
         return start
     remaining = quantity
-    for segment, rate in profile.segments():
-        if segment.end <= start:
-            continue
-        effective_start = max(start, segment.start)
-        if segment.end == math.inf:
-            # A positive rate that never ends accumulates any quantity.
-            return effective_start + exact_div(remaining, rate)
-        capacity = rate * (segment.end - effective_start)
-        if capacity >= remaining:
-            return effective_start + exact_div(remaining, rate)
-        remaining -= capacity
+    try:
+        for segment, rate in profile.segments():
+            if segment.end <= start:
+                continue
+            effective_start = max(start, segment.start)
+            if segment.end == math.inf:
+                # A positive rate that never ends accumulates any quantity.
+                return effective_start + exact_div(remaining, rate)
+            capacity = rate * (segment.end - effective_start)
+            if capacity >= remaining:
+                return effective_start + exact_div(remaining, rate)
+            remaining -= capacity
+    except OverflowError:
+        raise _past_float_range(
+            "earliest_accumulation", start=start, quantity=quantity
+        ) from None
     return None
 
 

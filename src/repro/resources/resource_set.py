@@ -22,7 +22,7 @@ Instances are immutable; no operation changes a set in place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterable, Iterator, KeysView, Mapping
 
 from repro.errors import UndefinedOperationError
 from repro.intervals.interval import Interval, Time
@@ -80,6 +80,13 @@ class ResourceSet:
     def located_types(self) -> tuple[LocatedType, ...]:
         """Located types with any resource in the set (stable order)."""
         return tuple(self._profiles)
+
+    @property
+    def provided_types(self) -> KeysView[LocatedType]:
+        """The located types with any resource in the set, as a read-only
+        view: a membership test without building a collection (the
+        Theorem-1 screen asks one per demanded type)."""
+        return self._profiles.keys()
 
     def profile(self, ltype: LocatedType) -> RateProfile:
         """The aggregated rate profile of one located type."""
@@ -139,10 +146,12 @@ class ResourceSet:
         diminish, so each exact profile loses a prefix
         (:meth:`RateProfile.truncate_before`); a set with nothing before
         ``t`` is returned as it is."""
-        cut = {lt: p.truncate_before(t) for lt, p in self._profiles.items()}
-        if all(cut[lt] is p for lt, p in self._profiles.items()):
-            return self
-        return ResourceSet.from_profiles(cut)
+        cut = {}
+        moved = False
+        for lt, p in self._profiles.items():
+            kept = cut[lt] = p.truncate_before(t)
+            moved = moved or kept is not p
+        return ResourceSet.from_profiles(cut) if moved else self
 
     # ------------------------------------------------------------------
     # Algebra

@@ -43,7 +43,7 @@ from repro.decision.admission import (
 from repro.decision.schedule import ConcurrentSchedule
 from repro.decision.screen import supply_shortfall
 from repro.errors import ServiceError
-from repro.intervals.interval import Interval, Time
+from repro.intervals.interval import Interval, Time, trusted_interval
 from repro.observability import get_registry
 from repro.resources.located_type import Link
 from repro.resources.resource_set import ResourceSet
@@ -140,6 +140,56 @@ class _Deferred:
     screened_at: Time
 
 
+_new = object.__new__
+
+
+def _request(
+    label: str,
+    requirement: ConcurrentRequirement,
+    arrival: Time,
+    enclave: Optional[str],
+    criticality: Optional[str],
+) -> ServiceRequest:
+    """A :class:`ServiceRequest` filled straight into its ``__dict__``
+    from fields the door already holds.
+
+    The frozen ``__init__`` pays one ``object.__setattr__`` per field;
+    this is the same instance (fields in declaration order, so equality,
+    hash and pickle bytes are the ``__init__`` ones) for less."""
+    request = _new(ServiceRequest)
+    request.__dict__.update(
+        label=label, requirement=requirement, arrival=arrival,
+        enclave=enclave, criticality=criticality,
+    )
+    return request
+
+
+def _outcome(
+    label: str,
+    enclave: str,
+    arrival: Time,
+    decided_at: Time,
+    outcome: str,
+    reason: str,
+    wait: Time,
+    schedule: Optional[ConcurrentSchedule],
+    reconciled: bool,
+) -> ServiceOutcome:
+    """A :class:`ServiceOutcome` filled straight into its ``__dict__``,
+    as :func:`_request` fills a request."""
+    record = _new(ServiceOutcome)
+    record.__dict__.update(
+        label=label, enclave=enclave, arrival=arrival,
+        decided_at=decided_at, outcome=outcome, reason=reason, wait=wait,
+        schedule=schedule, reconciled=reconciled,
+    )
+    return record
+
+
+#: the door's derived attributes (:meth:`AdmissionFrontDoor._derive`)
+_DERIVED = ("_dequeue_cost", "_slow_threshold", "_drained_at")
+
+
 class AdmissionFrontDoor:
     """Bounded, shedding, breaker-guarded facade over an exact checker.
 
@@ -195,6 +245,28 @@ class AdmissionFrontDoor:
         #: brownout screen verdicts cross-checked against the exact check
         self.brownout_verified = 0
         self._brownout_counted = 0
+        self._derive()
+
+    # ------------------------------------------------------------------
+    # Derived state (never pickled: policies checkpoint the door)
+    # ------------------------------------------------------------------
+    def _derive(self) -> None:
+        """Values every offer reads, computed once from the config, and
+        the instant of the last lane drain (unknown after a load)."""
+        #: dequeue screen threshold past the start of service
+        self._dequeue_cost = SCREEN_COST + self.config.check_cost
+        self._slow_threshold = self.config.slow_threshold
+        self._drained_at: Optional[Time] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -232,7 +304,7 @@ class AdmissionFrontDoor:
     @property
     def depth(self) -> int:
         """Outstanding checks across all lanes (in virtual time)."""
-        return sum(lane.depth for lane in self._lanes.values())
+        return sum([lane.depth for lane in self._lanes.values()])
 
     @property
     def check_latency(self) -> Time:
@@ -308,7 +380,9 @@ class AdmissionFrontDoor:
         self._advance(t)
         requirement = _as_concurrent(request.requirement)
         enclave = request.enclave or default_enclave(requirement)
-        request = replace(request, enclave=enclave, requirement=requirement)
+        request = _request(
+            request.label, requirement, t, enclave, request.criticality
+        )
         lane = self.lane(enclave)
         breaker = self.breaker(enclave)
 
@@ -323,15 +397,16 @@ class AdmissionFrontDoor:
         # ...and the deadline-aware enqueue screen.
         wait = self._busy_until - t if self._busy_until > t else 0
         if self.config.shed_policy == "deadline":
+            deadline = requirement.deadline
             est_decided = t + wait + self._ewma.value
-            if est_decided >= requirement.deadline:
+            if est_decided >= deadline:
                 return self._finish_outcome(
                     request, t, SHED, SHED_STALE_ENQUEUE, wait=0
                 )
             shortfall = supply_shortfall(
                 self._slack_view(),
                 requirement,
-                window=Interval(est_decided, requirement.deadline),
+                window=trusted_interval(est_decided, deadline),
             )
             if shortfall is not None:
                 return self._finish_outcome(
@@ -339,8 +414,8 @@ class AdmissionFrontDoor:
                 )
 
         # Brownout: low-criticality work gets the screen, not the check.
-        self.brownout.update(t, self.depth, self._ewma.value)
-        self._note_brownout()
+        # ``_advance(t)`` re-evaluated the mode, and no gate since moved
+        # the depth or the estimate.
         if self.brownout.active and self._is_low_criticality(request, wait):
             return self._brownout_offer(request, lane, t, wait)
 
@@ -362,11 +437,12 @@ class AdmissionFrontDoor:
         start_at = t + wait
         # Gate 3: by dequeue time the wait is exact.  A request that went
         # stale in the queue is recognised for the price of a screen.
-        if (
-            self.config.shed_policy == "deadline"
-            and start_at + SCREEN_COST + self.config.check_cost
-            >= requirement.deadline
-        ):
+        if self.config.shed_policy == "deadline" and (
+            # A float clock adds the two costs in turn, rounding each time.
+            start_at + SCREEN_COST + self.config.check_cost
+            if isinstance(start_at, float)
+            else start_at + self._dequeue_cost
+        ) >= requirement.deadline:
             decided_at = self._charge(lane, t, SCREEN_COST)
             return self._finish_outcome(
                 request,
@@ -399,12 +475,13 @@ class AdmissionFrontDoor:
         clipped = clip_start(requirement, decided_at)
         decision = self._checker(clipped, t)
         outcome = ADMITTED if decision.admitted else REJECTED
+        queued = decided_at - t - cost
         return self._finish_outcome(
             request,
             decided_at,
             outcome,
             getattr(decision, "reason", ""),
-            wait=decided_at - t - cost if decided_at - t - cost > 0 else 0,
+            wait=queued if queued > 0 else 0,
             schedule=getattr(decision, "schedule", None),
             reconciled=reconciled,
         )
@@ -459,14 +536,16 @@ class AdmissionFrontDoor:
                 wait=wait,
             )
         self._deferred.append(_Deferred(request, decided_at))
-        outcome = ServiceOutcome(
-            label=request.label,
-            enclave=request.enclave,
-            arrival=request.arrival,
-            decided_at=decided_at,
-            outcome=DEFERRED,
-            reason="brownout: screen passed; awaiting exact check",
-            wait=wait,
+        outcome = _outcome(
+            request.label,
+            request.enclave,
+            request.arrival,
+            decided_at,
+            DEFERRED,
+            "brownout: screen passed; awaiting exact check",
+            wait,
+            None,
+            False,
         )
         self._count(outcome)
         return outcome
@@ -519,9 +598,17 @@ class AdmissionFrontDoor:
     # ------------------------------------------------------------------
     def _advance(self, now: Time) -> None:
         """Virtual time reached ``now``: retire completed checks and
-        re-evaluate brownout (reconciliation stays caller-driven)."""
-        for lane in self._lanes.values():
-            lane.drain(now)
+        re-evaluate brownout (reconciliation stays caller-driven).
+
+        At the instant of the last drain the lanes hold nothing to
+        retire: every check charged since started no earlier than that
+        instant and costs a positive time, so it completes after it.
+        Only the mode is re-evaluated then (``serve()`` reconciles at
+        each offer's own instant)."""
+        if now != self._drained_at:
+            for lane in self._lanes.values():
+                lane.drain(now)
+            self._drained_at = now
         self.brownout.update(now, self.depth, self._ewma.value)
         self._note_brownout()
 
@@ -548,10 +635,11 @@ class AdmissionFrontDoor:
         return remaining >= CRITICALITY_LAXITY * budget
 
     def _note_brownout(self) -> None:
-        fresh = self.brownout.transitions[self._brownout_counted :]
-        self._brownout_counted = len(self.brownout.transitions)
-        if not fresh:
+        transitions = self.brownout.transitions
+        if len(transitions) == self._brownout_counted:
             return
+        fresh = transitions[self._brownout_counted :]
+        self._brownout_counted = len(transitions)
         registry = get_registry()
         if not registry.enabled:
             return
@@ -566,7 +654,7 @@ class AdmissionFrontDoor:
         self, breaker: CircuitBreaker, now: Time, cost: Time
     ) -> None:
         before = len(breaker.transitions)
-        if cost >= self.config.slow_threshold:
+        if cost >= self._slow_threshold:
             breaker.record_failure(now)
         else:
             breaker.record_success(now)
@@ -590,16 +678,16 @@ class AdmissionFrontDoor:
         schedule: Optional[ConcurrentSchedule] = None,
         reconciled: bool = False,
     ) -> ServiceOutcome:
-        result = ServiceOutcome(
-            label=request.label,
-            enclave=request.enclave,
-            arrival=request.arrival,
-            decided_at=decided_at,
-            outcome=outcome,
-            reason=reason,
-            wait=wait,
-            schedule=schedule,
-            reconciled=reconciled,
+        result = _outcome(
+            request.label,
+            request.enclave,
+            request.arrival,
+            decided_at,
+            outcome,
+            reason,
+            wait,
+            schedule,
+            reconciled,
         )
         self.outcomes.append(result)
         self._count(result)

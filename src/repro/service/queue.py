@@ -43,9 +43,23 @@ class LatencyEwma:
         return self._observations
 
     def observe(self, cost: Time) -> Fraction:
-        self._value = self._alpha * Fraction(cost) + (1 - self._alpha) * self._value
+        """Fold one check cost into the estimate.
+
+        A cost equal to the estimate leaves it as it is: ``alpha * v +
+        (1 - alpha) * v == v`` exactly for rationals, so a nominal check
+        against a settled estimate costs a comparison, not two
+        ``Fraction`` products (:func:`_reference_ewma_update` is the
+        update in full)."""
+        if cost != self._value:
+            self._value = self._alpha * Fraction(cost) + (1 - self._alpha) * self._value
         self._observations += 1
         return self._value
+
+
+def _reference_ewma_update(alpha: Fraction, value: Fraction, cost: Time) -> Fraction:
+    """The EWMA update in full, on every observation: the oracle
+    :meth:`LatencyEwma.observe` is pinned to."""
+    return alpha * Fraction(cost) + (1 - alpha) * value
 
 
 class EnclaveLane:

@@ -214,6 +214,28 @@ class TestAlignedAdmission:
             for b in schedule.breakpoints:
                 assert float(b).is_integer()
 
+    def test_aligned_phases_past_2_to_the_53_do_not_overlap(self, cpu1):
+        """A boundary past float range's exact integers aligns exactly, so
+        the commit can subtract the claim (the float route rounded phase
+        0's end down into its own claim, and the commit raised
+        ``UndefinedOperationError: relative complement undefined``)."""
+        base = 2**53
+        controller = AdmissionController(
+            ResourceSet.of(term(1, cpu1, base, base + 20)), align=1
+        )
+        decision = controller.admit(
+            ComplexRequirement(
+                [Demands({cpu1: 4}), Demands({cpu1: 4})],
+                Interval(base + 1, base + 20),
+            )
+        )
+        assert decision.admitted
+        (schedule,) = decision.schedule.schedules
+        assert schedule.breakpoints == (base + 5,)
+        assert schedule.finish_time == base + 9
+        assert type(schedule.finish_time) is int
+        assert controller.verify_slack()
+
     @pytest.mark.parametrize("kwargs", [
         {"align": 0},
         {"align": -1},

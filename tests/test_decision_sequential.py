@@ -14,7 +14,7 @@ from repro.decision import (
     find_schedule,
     sequential_feasible,
 )
-from repro.decision.sequential import is_feasible
+from repro.decision.sequential import _align_up, is_feasible
 from repro.intervals import Interval
 from repro.resources import ResourceSet, cpu, term
 from repro.workloads import oracle_instance
@@ -123,6 +123,52 @@ class TestAlignment:
         schedule = find_schedule(pool, req, align=1)
         assert schedule.breakpoints == (2,)
         assert schedule.finish_time == 3
+
+
+class TestAlignUpPastFloatRange:
+    """Exact boundaries past 2**53 align exactly: ``t / align`` would
+    round through a float and land on a multiple below ``t``."""
+
+    @pytest.mark.parametrize(
+        "t, align, expected",
+        [
+            (2**53 + 1, 1, 2**53 + 1),
+            (10**20 + 3, 2, 10**20 + 4),
+            (10**20 + 4, 2, 10**20 + 4),
+            (-3, 2, -2),
+            (2**60 + 1, 2**59, 2**60 + 2**59),
+        ],
+    )
+    def test_int_operands_stay_exact_ints(self, t, align, expected):
+        aligned = _align_up(t, align)
+        assert aligned == expected and type(aligned) is int
+
+    @pytest.mark.parametrize(
+        "t, align, expected, kind",
+        [
+            (Fraction(7, 2), 1, 4, int),
+            (Fraction(2**53 * 2 + 1, 2), 1, 2**53 + 1, int),
+            (3, Fraction(1, 2), 3, Fraction),
+            (Fraction(7, 3), Fraction(1, 2), Fraction(5, 2), Fraction),
+            (2.5, 1, 3, int),
+            (0.75, 0.25, 0.75, float),
+        ],
+    )
+    def test_other_operands_keep_their_result_types(self, t, align, expected, kind):
+        aligned = _align_up(t, align)
+        assert aligned == expected and type(aligned) is kind
+
+    def test_find_schedule_starts_each_phase_after_the_last_one_finished(self, cpu1):
+        base = 2**53
+        pool = ResourceSet.of(term(1, cpu1, base, base + 20))
+        req = creq(
+            [Demands({cpu1: 4}), Demands({cpu1: 4})], base + 1, base + 20
+        )
+        schedule = find_schedule(pool, req, align=1)
+        # Phase 0 draws 4 units at rate 1 from base + 1: it ends at
+        # base + 5, a grid point (the float route gave base + 4).
+        assert schedule.breakpoints == (base + 5,)
+        assert schedule.finish_time == base + 9
 
 
 class TestEarliestFinishTime:

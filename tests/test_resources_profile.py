@@ -335,3 +335,53 @@ class TestExactTimesPastFloatRange:
 
     def test_unbounded_duration_past_float_range(self):
         assert Interval(10**400, math.inf).duration == math.inf
+
+
+class TestFloatProfilesPastFloatRange:
+    """A float profile cannot meet an exact operand past float range: its
+    queries raise a typed error naming the operand, fast paths and
+    oracles alike, never a bare ``OverflowError``."""
+
+    PROFILE = ((0, 1.5), (7, 0.5))
+
+    @pytest.mark.parametrize(
+        "query, operand",
+        [
+            (lambda p: p.integral(Interval(1, 10**401)), "window_end"),
+            (lambda p: _reference_integral(p, Interval(1, 10**401)), "window_end"),
+            (lambda p: p.earliest_accumulation(0, 10**401), "quantity"),
+            (
+                lambda p: _reference_earliest_accumulation(p, 0, 10**401),
+                "quantity",
+            ),
+            (lambda p: p.earliest_accumulation(10**401, 3), "start"),
+            (
+                lambda p: _reference_earliest_accumulation(p, 10**401, 3),
+                "start",
+            ),
+            (
+                lambda p: p.earliest_accumulation(Fraction(10**401, 3), 3),
+                "start",
+            ),
+            (lambda p: p.latest_accumulation(10**401, 3), "end"),
+        ],
+        ids=[
+            "integral", "integral-oracle", "accumulate-quantity",
+            "accumulate-quantity-oracle", "accumulate-start",
+            "accumulate-start-oracle", "accumulate-fraction-start",
+            "latest-end",
+        ],
+    )
+    def test_typed_error_names_the_operand(self, query, operand):
+        with pytest.raises(UndefinedOperationError, match=operand) as excinfo:
+            query(RateProfile(self.PROFILE))
+        assert "past float range" in str(excinfo.value)
+        assert not isinstance(excinfo.value, OverflowError)
+
+    def test_operands_inside_float_range_still_answer(self):
+        profile = RateProfile(self.PROFILE)
+        window = Interval(1, 10**300)
+        assert profile.integral(window) == _reference_integral(profile, window)
+        # 10.5 by t=7 at rate 1.5, the last 1.5 at rate 0.5.
+        assert profile.earliest_accumulation(0, 12) == 10.0
+        assert _reference_earliest_accumulation(profile, 0, 12) == 10.0
