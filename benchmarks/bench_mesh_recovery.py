@@ -3,7 +3,7 @@
 E16 (``bench_checkpoint_recovery.py``) priced durability for the
 closed-world policies; this experiment prices it for the *networked*
 mesh, where the write-ahead journal additionally pins every wire
-outcome (RPC verdicts, lease grants/renewals/expiries, duplicate drops)
+outcome (RPC verdicts, lease grants/renewals/expiries)
 and every checkpoint carries the channel's in-flight queue, stats, and
 lease clocks in its ``network`` section.
 

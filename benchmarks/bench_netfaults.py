@@ -3,7 +3,7 @@
 The netfaults mesh (:mod:`repro.faults.netfaults`) routes every
 cross-enclave interaction — admission verdicts, leased capacity joins,
 renewals, migration offers — through a seeded message channel that
-delays, loses, duplicates, and partitions.  The claim under test is the
+delays, loses, reorders, and partitions.  The claim under test is the
 paper's promise discipline surviving the network it never modelled:
 
 * **Zero admitted-promise violations, anywhere** — under every cell

@@ -117,16 +117,12 @@ def _hazard(path: str, line: int, message: str) -> Finding:
     )
 
 
-def escape_findings(
-    program: Program,
-    *,
-    scope: Sequence[str] = ESCAPE_SCOPE,
-) -> List[Finding]:
+def escape_findings(program: Program) -> List[Finding]:
     findings: List[Finding] = []
     for path in sorted(program.files):
         source = program.files[path]
         module = source.module
-        if not _in_scope(module, scope):
+        if not _in_scope(module, ESCAPE_SCOPE):
             continue
         assert module is not None
         for name, value, line in _module_assigns(source):

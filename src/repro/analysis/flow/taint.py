@@ -318,11 +318,7 @@ def _findings(
             )
 
 
-def nondeterminism_findings(
-    program: Program,
-    *,
-    sink_modules: Sequence[str] = DETERMINISTIC_MODULES,
-) -> Iterator[Finding]:
+def nondeterminism_findings(program: Program) -> Iterator[Finding]:
     return _findings(
         program,
         {
@@ -331,7 +327,7 @@ def nondeterminism_findings(
         },
         rule="flow-nondeterminism",
         exempt_transit=NONDET_EXEMPT_TRANSIT,
-        sink_modules=sink_modules,
+        sink_modules=DETERMINISTIC_MODULES,
         sink_exempt=(),
         contract=(
             "which the replay-verify contract of deterministic modules "
@@ -344,11 +340,7 @@ def nondeterminism_findings(
     )
 
 
-def exactness_findings(
-    program: Program,
-    *,
-    sink_modules: Sequence[str] = EXACT_MODULES,
-) -> Iterator[Finding]:
+def exactness_findings(program: Program) -> Iterator[Finding]:
     return _findings(
         program,
         {
@@ -357,7 +349,7 @@ def exactness_findings(
         },
         rule="flow-exactness",
         exempt_transit=EXACT_EXEMPT_TRANSIT,
-        sink_modules=sink_modules,
+        sink_modules=EXACT_MODULES,
         sink_exempt=INEXACT_KERNELS,
         contract=(
             "smuggling rounding into the int/Fraction arithmetic the "

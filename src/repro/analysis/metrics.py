@@ -45,13 +45,9 @@ class PolicyScore:
         return self.missed == 0
 
 
-def score(report: SimulationReport, *, offered_total: float | None = None) -> PolicyScore:
+def score(report: SimulationReport) -> PolicyScore:
     """Collapse one simulation report into a score row."""
-    offered = (
-        offered_total
-        if offered_total is not None
-        else sum(report.offered.values())
-    )
+    offered = sum(report.offered.values())
     completed_work = 0.0
     for record in report.records:
         if record.completed:

@@ -8,16 +8,15 @@ that keep "searching for resources before giving up".
 
 :class:`RetryingPolicy` wraps any admission policy with a retry queue: an
 arrival the inner policy rejects is remembered and re-offered every time
-resources join, until its deadline passes (or a retry budget runs out).
+resources join, until its deadline passes or :data:`MAX_RETRIES`
+re-offers have failed.
 Wrapped around ROTA, rejections stop being final verdicts and become
 "not with what I can see today" — admissions arrive late but remain fully
 assured, because every retry goes through the same Theorem 4 check.
 
-:class:`ExponentialBackoff` generalizes the retry cadence: instead of
-re-offering on *every* new frontier, attempts are spaced by a capped
-exponential delay.  The fault-recovery pipeline
-(:mod:`repro.faults.recovery`) reuses the same schedule between
-re-admission offers for promise-violation victims.
+:class:`ExponentialBackoff` spaces attempts by a capped exponential
+delay instead: the fault-recovery pipeline (:mod:`repro.faults.recovery`)
+waits it out between re-admission offers for promise-violation victims.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ from repro.baselines.base import AdmissionPolicy, PolicyDecision, arrival_label
 from repro.computation.requirements import ConcurrentRequirement
 from repro.intervals.interval import Time
 from repro.resources.resource_set import ResourceSet
+
+#: Failed re-offers after which a rejected arrival stops retrying.
+MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -50,24 +52,13 @@ class _Pending:
     label: str
     requirement: ConcurrentRequirement
     attempts: int = 0
-    #: earliest time the next re-offer may happen (backoff gating)
-    eligible_at: Time = 0
 
 
 class RetryingPolicy(AdmissionPolicy):
-    """Wrap an admission policy with a bounded, optionally backed-off
-    retry queue."""
+    """Wrap an admission policy with a bounded retry queue."""
 
-    def __init__(
-        self,
-        inner: AdmissionPolicy,
-        *,
-        max_retries: int = 10,
-        backoff: ExponentialBackoff | None = None,
-    ) -> None:
+    def __init__(self, inner: AdmissionPolicy) -> None:
         self._inner = inner
-        self._max_retries = max_retries
-        self._backoff = backoff
         self._pending: Dict[str, _Pending] = {}
         self.name = f"{inner.name}+retry"
         #: labels admitted on a retry rather than on first offer
@@ -76,10 +67,6 @@ class RetryingPolicy(AdmissionPolicy):
     @property
     def inner(self) -> AdmissionPolicy:
         return self._inner
-
-    @property
-    def pending_labels(self) -> tuple[str, ...]:
-        return tuple(self._pending)
 
     # ------------------------------------------------------------------
     def observe_resources(self, resources: ResourceSet, now: Time) -> None:
@@ -90,15 +77,11 @@ class RetryingPolicy(AdmissionPolicy):
         if not decision.admitted and requirement.deadline > now:
             label = arrival_label(requirement)
             if label in self._pending:
-                # a retry round: count the attempt, push out the next one
+                # a retry round: count the attempt
                 pending = self._pending[label]
                 pending.attempts += 1
-                if pending.attempts >= self._max_retries:
+                if pending.attempts >= MAX_RETRIES:
                     del self._pending[label]
-                elif self._backoff is not None:
-                    pending.eligible_at = now + self._backoff.delay(
-                        pending.attempts
-                    )
             else:
                 self._pending[label] = _Pending(label, requirement)
         elif decision.admitted:
@@ -133,5 +116,4 @@ class RetryingPolicy(AdmissionPolicy):
         return [
             (pending.label, pending.requirement)
             for pending in self._pending.values()
-            if pending.eligible_at <= now
         ]

@@ -468,8 +468,7 @@ def _mesh_lines(report, policy) -> list[str]:
     stats = policy.channel.stats
     return [
         f"  messages: sent={stats.sent} delivered={stats.delivered} "
-        f"lost={stats.lost} severed={stats.severed} "
-        f"duplicated={stats.duplicated}",
+        f"lost={stats.lost} severed={stats.severed}",
         f"  leases: granted={len(policy.leases)} "
         f"expired={len(policy.leases.expired())} "
         f"late_acks={policy.late_acks}",

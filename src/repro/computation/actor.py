@@ -19,7 +19,7 @@ interval already guarantees completion.  Actions demanding multiple types
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.computation.actions import Action, Migrate
 from repro.computation.cost_model import CostModel, DEFAULT_COST_MODEL, Placement
@@ -53,10 +53,6 @@ class Actor:
             if isinstance(action, Migrate):
                 location = action.destination
         return location
-
-    def with_actions(self, *actions: Action) -> "Actor":
-        """A copy with actions appended (builder convenience)."""
-        return Actor(self.name, self.home, self.behaviour + tuple(actions))
 
 
 @dataclass(frozen=True)
@@ -126,18 +122,6 @@ class ActorComputation:
     ) -> "ActorComputation":
         """Build from an actor via the cost model (the usual entry point)."""
         return cls(actor, derive_requirements(actor, placement, cost_model))
-
-    @classmethod
-    def from_phases(cls, actor: Actor, phases: Iterable[Demands]) -> "ActorComputation":
-        """Build directly from explicit phase demands (for tests and
-        workloads that bypass the action layer)."""
-        instance = cls.__new__(cls)
-        instance._actor = actor
-        instance._requirements = ()
-        instance._phases = tuple(
-            Phase(Demands(d), ()) for d in phases if not Demands(d).is_empty
-        )
-        return instance
 
     # ------------------------------------------------------------------
     @property

@@ -121,10 +121,6 @@ class SegmentedRequirement:
         return len(self._segments)
 
     @property
-    def total_worst_case_wait(self) -> Time:
-        return sum((w.max_delay for w in self._waits), 0)
-
-    @property
     def total_demands(self) -> Demands:
         total = Demands()
         for segment in self._segments:
@@ -176,13 +172,13 @@ def request_reply(
     *,
     window: Interval,
     max_delay: Time,
-    min_delay: Time = 0,
     label: str = "",
 ) -> SegmentedRequirement:
-    """The common two-segment shape: do work, await a reply, handle it."""
+    """The common two-segment shape: do work, await a reply (within
+    ``max_delay``, possibly at once), handle it."""
     return SegmentedRequirement(
         [list(request), list(reply_handling)],
-        [Wait(min_delay, max_delay)],
+        [Wait(0, max_delay)],
         window,
         label=label,
     )

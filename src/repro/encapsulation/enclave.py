@@ -168,10 +168,6 @@ class Enclave:
         """What this enclave could still promise."""
         return self._controller.expiring_slack
 
-    @property
-    def is_root(self) -> bool:
-        return self._parent is None
-
     def child(self, name: str) -> "Enclave":
         try:
             return self._children[name]

@@ -163,13 +163,6 @@ class LeaseTable:
                 lapsed.append(lease)
         return lapsed
 
-    def holder_of(self, label: str) -> Optional[Lease]:
-        """The lease an admission label rides on, if any."""
-        for lease in self._leases.values():
-            if label in lease.dependents:
-                return lease
-        return None
-
     # ------------------------------------------------------------------
     def state_snapshot(self) -> Tuple[Lease, ...]:
         """Grant-ordered copies of every lease, isolated from future

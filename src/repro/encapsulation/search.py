@@ -22,7 +22,7 @@ frontier (``benchmarks/bench_search_economy.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.computation.requirements import (
     ComplexRequirement,
@@ -83,7 +83,6 @@ def search_for_admission(
     requirement: ComplexRequirement | ConcurrentRequirement,
     *,
     value: float,
-    probe_cost: Callable[[Enclave], float] = default_probe_cost,
     commit: bool = True,
 ) -> SearchOutcome:
     """Search the hierarchy for an enclave that can admit ``requirement``,
@@ -100,9 +99,7 @@ def search_for_admission(
     spent = 0.0
     probes = 0
     for enclave in _candidate_order(root, requirement):
-        cost = probe_cost(enclave)
-        if cost < 0:
-            raise SearchBudgetError("probe cost must be >= 0")
+        cost = default_probe_cost(enclave)
         if spent + cost > value:
             return SearchOutcome(False, None, spent, probes, gave_up=True)
         spent += cost
@@ -118,15 +115,13 @@ def search_for_admission(
 def value_threshold(
     root: Enclave,
     requirement: ComplexRequirement | ConcurrentRequirement,
-    *,
-    probe_cost: Callable[[Enclave], float] = default_probe_cost,
 ) -> Optional[float]:
     """The minimum computation value at which the search succeeds —
     the break-even point of looking for resources.  None when no enclave
     can admit at any budget."""
     spent = 0.0
     for enclave in _candidate_order(root, requirement):
-        spent += probe_cost(enclave)
+        spent += default_probe_cost(enclave)
         if enclave.can_admit(requirement).admitted:
             return spent
     return None

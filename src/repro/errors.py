@@ -120,3 +120,11 @@ class LeaseError(RotaError, ValueError):
     lease id, renewing or expiring a lease that was never granted, a
     non-positive ttl, ...).  A lease *expiring* because renewals could
     not cross a partition is the modelled behaviour, never this error."""
+
+
+def require_count(error: type, name: str, value: object) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` >= 1 (``bool``
+    included: ``True`` is a flag, not a count).  The one count check the
+    plans and the workload generators share."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")

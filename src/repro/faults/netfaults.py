@@ -5,7 +5,7 @@ Everything before this module assumed the control plane was free:
 admission verdicts, capacity joins, and migration offers moved between
 enclaves instantly and reliably.  Here they become wire messages on a
 :class:`~repro.system.channel.MessageChannel` — delayed, lost,
-duplicated, reordered, and severed by scheduled partitions — and the
+reordered, and severed by scheduled partitions — and the
 temporal-reasoning story extends to the network itself:
 
 * **Network time is deadline time.**  A cross-enclave admission is a
@@ -69,7 +69,12 @@ from repro.computation.requirements import ConcurrentRequirement
 from repro.decision.admission import clip_start, deadline_passed
 from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
-from repro.errors import ChannelError, FaultInjectionError, TransitionError
+from repro.errors import (
+    ChannelError,
+    FaultInjectionError,
+    TransitionError,
+    require_count,
+)
 from repro.faults.chaos import (
     ChaosResult,
     MatrixResult,
@@ -78,7 +83,7 @@ from repro.faults.chaos import (
     replay_verdict,
     report_fingerprint,
 )
-from repro.faults.plan import require_count, require_finite, require_seed
+from repro.faults.plan import require_finite, require_seed
 from repro.faults.recovery import RecoveryPolicy
 from repro.intervals.interval import Interval, Time
 from repro.markers import checkpointable
@@ -106,8 +111,6 @@ from repro.workloads.partition import mesh_names, partitioned_mesh_stream
 
 #: The name of the plan's one partition window (events and spans).
 PARTITION_NAME = "p0"
-#: Links never duplicate a message: the mesh's wire loses and delays.
-LINK_DUPLICATE = 0.0
 #: Virtual ticks an RPC attempt waits for its verdict before retrying.
 RPC_TIMEOUT: Time = 2
 #: Attempts per cross-enclave admission RPC (migration offers get one).
@@ -145,8 +148,8 @@ class PartitionPlan:
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
-        require_count("children", self.children)
-        require_count("horizon", self.horizon)
+        require_count(FaultInjectionError, "children", self.children)
+        require_count(FaultInjectionError, "horizon", self.horizon)
         for name in (
             "partition_start", "partition_duration", "lease_ttl",
             "renew_every", "deadline_slack",
@@ -230,7 +233,6 @@ class PartitionPlan:
             delay=self.link_delay,
             jitter=self.link_jitter,
             loss=self.link_loss,
-            duplicate=LINK_DUPLICATE,
         )
 
     def network(self) -> NetworkModel:
@@ -298,7 +300,7 @@ class MeshPolicy(AdmissionPolicy):
         self._enclaves: Dict[str, Enclave] = {}
         self._leases = LeaseTable()
         self._placements: Dict[str, str] = {}
-        #: wire msg_ids already applied (duplicate deliveries are dropped)
+        #: wire msg_ids already applied
         self._applied: Dict[str, bool] = {}
         #: leases lapsed since the last reconciliation, with expiry time
         self._unreconciled: List[Tuple[Lease, Time]] = []
@@ -334,9 +336,6 @@ class MeshPolicy(AdmissionPolicy):
     @property
     def root(self) -> Optional[Enclave]:
         return self._root
-
-    def placement_of(self, label: str) -> Optional[str]:
-        return self._placements.get(label)
 
     # ------------------------------------------------------------------
     # Durability: the wire is derivable state
@@ -423,8 +422,8 @@ class MeshPolicy(AdmissionPolicy):
 
     def drain_wire_records(self) -> List[Dict[str, object]]:
         """Hand the slice's wire WAL entries to the simulator's journal
-        (lease grants/renewals/expiries, RPC verdicts, duplicate drops —
-        each re-verified, never re-decided, on replay)."""
+        (lease grants/renewals/expiries and RPC verdicts, each
+        re-verified, never re-decided, on replay)."""
         drained, self._wire_wal = self._wire_wal, []
         return drained
 
@@ -741,21 +740,6 @@ class MeshPolicy(AdmissionPolicy):
         self._advance(now)
         plan = self._plan
         for record in self._channel.deliver_due(now):
-            if self._applied.get(record.msg_id):
-                self._wire_wal.append(
-                    {
-                        "type": "wire",
-                        "kind": "dup-drop",
-                        "id": record.msg_id,
-                        "time": time_to_wire(now),
-                    }
-                )
-                yield (
-                    None,
-                    "",
-                    f"duplicate {record.kind} {record.msg_id!r} dropped",
-                )
-                continue
             self._applied[record.msg_id] = True
             if record.kind == "join":
                 node = record.dst
@@ -1010,7 +994,9 @@ def network_digest(policy: MeshPolicy) -> str:
             "delivered": channel["stats"].delivered,
             "lost": channel["stats"].lost,
             "severed": channel["stats"].severed,
-            "duplicated": channel["stats"].duplicated,
+            # Always 0: the wire never duplicates a message.  The key
+            # stays because perfbench/gold.json pins the digest with it.
+            "duplicated": 0,
             "total_delay": wire(channel["stats"].total_delay),
             "by_kind": sorted(channel["stats"].by_kind.items()),
         },

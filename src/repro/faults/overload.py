@@ -33,14 +33,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, require_count
 from repro.faults.chaos import (
     MatrixResult,
     replay_identity,
     replay_verdict,
     report_fingerprint,
 )
-from repro.faults.plan import require_count, require_finite, require_seed
+from repro.faults.plan import require_finite, require_seed
 from repro.service.config import ServiceConfig
 from repro.service.driver import serve
 from repro.service.policy import FrontDoorPolicy
@@ -82,8 +82,8 @@ class OverloadPlan:
                 f"got {self.multipliers!r}"
             )
         for multiplier in self.multipliers:
-            require_count("each multiplier", multiplier)
-        require_count("nodes", self.nodes)
+            require_count(FaultInjectionError, "each multiplier", multiplier)
+        require_count(FaultInjectionError, "nodes", self.nodes)
         for name in (
             "burst_at", "burst_duration", "horizon", "deadline_slack"
         ):

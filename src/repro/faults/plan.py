@@ -43,15 +43,6 @@ from repro.workloads.scenarios import Scenario
 STRAGGLER_FACTOR = Fraction(1, 2)
 
 
-def require_count(name: str, value: object) -> None:
-    """Reject a count field that is not an ``int`` >= 1 (``bool`` included:
-    ``True`` is a flag, not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise FaultInjectionError(
-            f"{name} must be an integer >= 1, got {value!r}"
-        )
-
-
 def require_finite(name: str, value: object) -> None:
     """Reject a numeric plan field that is not a finite real (``bool``
     included, NaN and infinities too: no comparison can bound them)."""

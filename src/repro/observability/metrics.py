@@ -175,9 +175,6 @@ class Gauge(Instrument):
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: Any) -> float:
         return self._values.get(self._key(labels), 0)
 
@@ -267,23 +264,6 @@ class Histogram(Instrument):
     def sum(self, **labels: Any) -> float:
         slot = self._series.get(self._key(labels))
         return slot[1] if slot else 0.0
-
-    def bucket_counts(self, **labels: Any) -> Tuple[int, ...]:
-        """Non-cumulative per-bucket counts; last entry is ``+Inf``."""
-        slot = self._series.get(self._key(labels))
-        if slot is None:
-            return tuple([0] * (len(self.buckets) + 1))
-        return tuple(slot[0])
-
-    def cumulative_counts(self, **labels: Any) -> Tuple[int, ...]:
-        """Prometheus-style cumulative ``le`` counts, ``+Inf`` last."""
-        counts = self.bucket_counts(**labels)
-        out: List[int] = []
-        running = 0
-        for count in counts:
-            running += count
-            out.append(running)
-        return tuple(out)
 
     def _series_snapshot(self) -> List[Dict[str, Any]]:
         rendered = []
@@ -482,9 +462,6 @@ class _NullInstrument:
         return self
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
-        pass
-
-    def dec(self, amount: float = 1, **labels: Any) -> None:
         pass
 
     def set(self, value: float, **labels: Any) -> None:

@@ -52,10 +52,6 @@ class PlanOutcome:
     def slack(self) -> Optional[Time]:
         return self.schedule.slack if self.schedule else None
 
-    @property
-    def total_demand(self) -> Time:
-        return self.requirement.total_demands.total
-
 
 def evaluate_plans(
     available: ResourceSet,

@@ -163,10 +163,6 @@ class ResourceSet:
             merged[ltype] = merged.get(ltype, RateProfile.zero()) + prof
         return ResourceSet.from_profiles(merged)
 
-    def add_term(self, item: ResourceTerm) -> "ResourceSet":
-        """Union with a single term."""
-        return self.union(ResourceSet((item,)))
-
     def dominates(self, other: "ResourceSet") -> bool:
         """Pointwise coverage: every type's rate is >= the other's at all
         times.  This is the domain of the relative complement."""

@@ -74,11 +74,6 @@ class CircuitBreaker:
         self.transitions: list[tuple[Time, str, str]] = []
 
     # ------------------------------------------------------------------
-    @property
-    def retry_at(self) -> Optional[Time]:
-        """When an open breaker next allows a probe (None unless open)."""
-        return self._retry_at
-
     def accepting(self, now: Time) -> bool:
         """Read-only: would a request (or a resource join) get through?
 

@@ -5,10 +5,11 @@ exact check, each charged in deterministic *simulated* time:
 
 1. **Breaker** — arrivals for an open enclave are shed instantly.
 2. **Enqueue screen** — the lane must have a slot, and (under the
-   ``"deadline"`` shed policy) the arrival's remaining slack must be
-   expected to survive the queueing delay estimated from the live
-   check-latency EWMA; arrivals that would provably expire in the queue
-   are shed before consuming any check capacity.
+   ``"deadline"`` shed policy) the arrival's remaining slack, up to its
+   earliest component deadline, must be expected to survive the
+   queueing delay estimated from the live check-latency EWMA; arrivals
+   that would provably expire in the queue are shed before consuming
+   any check capacity.
 3. **Dequeue screen** — when the virtual service clock actually reaches
    the request, the wait is no longer an estimate; requests that went
    stale in the queue are shed for the cost of a screen, not a check.
@@ -397,16 +398,17 @@ class AdmissionFrontDoor:
         # ...and the deadline-aware enqueue screen.
         wait = self._busy_until - t if self._busy_until > t else 0
         if self.config.shed_policy == "deadline":
-            deadline = requirement.deadline
             est_decided = t + wait + self._ewma.value
-            if est_decided >= deadline:
+            if est_decided >= _first_deadline(requirement):
                 return self._finish_outcome(
                     request, t, SHED, SHED_STALE_ENQUEUE, wait=0
                 )
+            # The screen keeps the outer window: it must refute only what
+            # the exact check refuses.
             shortfall = supply_shortfall(
                 self._slack_view(),
                 requirement,
-                window=trusted_interval(est_decided, deadline),
+                window=trusted_interval(est_decided, requirement.deadline),
             )
             if shortfall is not None:
                 return self._finish_outcome(
@@ -442,7 +444,7 @@ class AdmissionFrontDoor:
             start_at + SCREEN_COST + self.config.check_cost
             if isinstance(start_at, float)
             else start_at + self._dequeue_cost
-        ) >= requirement.deadline:
+        ) >= _first_deadline(requirement):
             decided_at = self._charge(lane, t, SCREEN_COST)
             return self._finish_outcome(
                 request,
@@ -573,7 +575,7 @@ class AdmissionFrontDoor:
             lane = self.lane(request.enclave)
             breaker = self.breaker(request.enclave)
             wait = self._busy_until - t if self._busy_until > t else 0
-            if request.requirement.deadline <= t + wait:
+            if _first_deadline(request.requirement) <= t + wait:
                 decided_at = self._charge(lane, t, SCREEN_COST)
                 resolved.append(
                     self._finish_outcome(
@@ -713,6 +715,16 @@ class AdmissionFrontDoor:
             "virtual time arrivals spent queued before their verdict",
             buckets=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0),
         ).observe(float(outcome.wait))
+
+
+def _first_deadline(requirement: ConcurrentRequirement) -> Time:
+    """The earliest component deadline: a decision at or after it comes
+    too late for that component, whatever the outer deadline says."""
+    first = requirement.deadline
+    for part in requirement.components:
+        if part.deadline < first:
+            first = part.deadline
+    return first
 
 
 def _as_concurrent(

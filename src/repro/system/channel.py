@@ -4,16 +4,16 @@ Everything that crosses an enclave boundary — capacity joins, admission
 check requests and verdicts, lease renewals, migration offers — flows
 through a :class:`MessageChannel` as :class:`WireRecord` s.  The channel
 is the modelled *environment* of the paper's open system: links delay,
-lose, duplicate, and reorder messages, and scheduled partitions sever
-them outright, all under a :class:`NetworkModel` whose every draw is a
+lose, and reorder messages, and scheduled partitions sever them
+outright, all under a :class:`NetworkModel` whose every draw is a
 stateless function of ``(seed, link, message id)`` through SHA-256 — the
 same discipline as :class:`repro.backoff.Backoff`.  No shared stream, no
 draw-order coupling: replaying a run, resuming it mid-flight, or
 reordering two independent senders can never change a single fate.
 
-Every draw is a raw integer on ``[0, 2**64)``.  A loss or duplication
-fate compares it by cross-multiplication against the link probability's
-exact ``(num, den)``, computed once per probability value; a jittered
+Every draw is a raw integer on ``[0, 2**64)``.  A loss fate compares
+it by cross-multiplication against the link probability's exact
+``(num, den)``, computed once per probability value; a jittered
 delay is the draw scaled in integers.  No message pays for a
 :class:`~fractions.Fraction`, and every fate equals the one the exact
 rational comparison gives.  Delays are integral (they live on the event
@@ -22,19 +22,19 @@ arithmetic stays exact so the accumulated network time charged against
 a deadline via :func:`repro.decision.admission.clip_start` is a
 deterministic exact number, never a float dance.
 
-A send costs its fate draws: one SHA-256 digest for loss, one for a
-jittered delay, one for duplication and one more for an echo's delay.
-Everything else is read off the model once per directed link, on its
-first message: the delay, the jitter spread, the loss and duplicate
-thresholds, the windows of the partitions that sever the link, and the
-``"{seed}:{src}>{dst}:"`` head of its draw keys.  Records are filled in
-without the frozen ``__init__``, and the stats add the int delay the
+A send costs its fate draws: one SHA-256 digest for loss and one for a
+jittered delay.  Everything else is read off the model once per
+directed link, on its first message: the delay, the jitter spread, the
+loss threshold, the windows of the partitions that sever the link, and
+the ``"{seed}:{src}>{dst}:"`` head of its draw keys.  Records are filled
+in without the frozen ``__init__``, and the stats add the int delay the
 send drew rather than a difference of (possibly Fraction) instants.
-The :class:`NetworkModel` methods stay the per-message oracles the
-differential tests hold the channel to.  On E23's plan a send takes
-about 4.2 µs and an RPC, about five sends and 2.5 backoff delays, about
-51 µs (best passes on a 2-vCPU Intel Xeon, CPython 3.11; EXPERIMENTS.md,
-E22/E23 addendum).
+The :class:`NetworkModel`'s ``_reference_*`` draws, in
+:class:`~fractions.Fraction` arithmetic, and :meth:`PartitionSpan.cuts`
+are the per-message oracles the differential tests hold the channel
+to.  On E23's plan a send takes about 4.2 µs and an RPC, about five
+sends and 2.5 backoff delays, about 51 µs (best passes on a 2-vCPU
+Intel Xeon, CPython 3.11; EXPERIMENTS.md, E22/E23 addendum).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.observability import get_registry
 _DRAW_BITS = 64
 
 #: Message fates a wire record can carry.
-FATES = ("delivered", "lost", "severed", "duplicated")
+FATES = ("delivered", "lost", "severed")
 
 
 def _check_probability(name: str, value) -> None:
@@ -106,7 +106,9 @@ def _threshold(probability) -> Tuple[int, int]:
 
 def _draw(key: str) -> int:
     """One uniform integer draw on ``[0, 2**64)``: the first 8 bytes of
-    the SHA-256 digest of ``key``, which starts with the network seed."""
+    the SHA-256 digest of ``key``, which starts with the network seed
+    (builtin ``hash`` is process-salted; a shared ``random.Random``
+    would couple senders through draw order)."""
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
@@ -120,23 +122,15 @@ class LinkConfig:
     jitter: int = 0
     #: probability a message vanishes in flight
     loss: float = 0.0
-    #: probability a delivered message arrives a second time
-    duplicate: float = 0.0
 
     def __post_init__(self) -> None:
         _check_ticks("link delay", self.delay)
         _check_ticks("link jitter", self.jitter)
         _check_probability("link loss", self.loss)
-        _check_probability("link duplicate", self.duplicate)
 
     @property
     def is_perfect(self) -> bool:
-        return (
-            self.delay == 0
-            and self.jitter == 0
-            and not self.loss
-            and not self.duplicate
-        )
+        return self.delay == 0 and self.jitter == 0 and not self.loss
 
 
 @dataclass(frozen=True)
@@ -211,50 +205,9 @@ class NetworkModel:
                 return config
         return self.default
 
-    def severed(self, src: str, dst: str, at: Time) -> bool:
-        return any(p.cuts(src, dst, at) for p in self.partitions)
-
-    @property
-    def is_perfect(self) -> bool:
-        return (
-            not self.partitions
-            and self.default.is_perfect
-            and all(config.is_perfect for _, config in self.links)
-        )
-
     # ------------------------------------------------------------------
-    def _draw(self, key: str) -> int:
-        """One uniform integer draw on ``[0, 2**64)`` from ``(seed, key)``
-        — stateless, SHA-256-derived (builtin ``hash`` is process-salted;
-        a shared ``random.Random`` would couple senders through draw
-        order)."""
-        return _draw(f"{self.seed}:{key}")
-
-    def delay_of(self, src: str, dst: str, msg_id: str) -> int:
-        config = self.link(src, dst)
-        if not config.jitter:
-            return config.delay
-        # floor(draw / 2**64 * (jitter + 1)): uniform on {0, ..., jitter}
-        spread = self._draw(f"{src}>{dst}:{msg_id}:delay")
-        return config.delay + ((spread * (config.jitter + 1)) >> _DRAW_BITS)
-
-    def lost(self, src: str, dst: str, msg_id: str) -> bool:
-        config = self.link(src, dst)
-        if not config.loss:
-            return False
-        num, den = _threshold(config.loss)
-        return self._draw(f"{src}>{dst}:{msg_id}:loss") * den < num
-
-    def duplicated(self, src: str, dst: str, msg_id: str) -> bool:
-        config = self.link(src, dst)
-        if not config.duplicate:
-            return False
-        num, den = _threshold(config.duplicate)
-        return self._draw(f"{src}>{dst}:{msg_id}:dup") * den < num
-
-    # ------------------------------------------------------------------
-    # Fraction-arithmetic oracles the differential tests hold the integer
-    # draws to, value and type.
+    # Fraction-arithmetic oracles the differential tests hold the
+    # channel's integer draws to, value and type.
     def _reference_delay_of(self, src: str, dst: str, msg_id: str) -> int:
         config = self.link(src, dst)
         if not config.jitter:
@@ -270,16 +223,9 @@ class NetworkModel:
             config.loss
         ).limit_denominator(1_000_000)
 
-    def _reference_duplicated(self, src: str, dst: str, msg_id: str) -> bool:
-        config = self.link(src, dst)
-        if not config.duplicate:
-            return False
-        return self._reference_draw(f"{src}>{dst}:{msg_id}:dup") < Fraction(
-            config.duplicate
-        ).limit_denominator(1_000_000)
-
     def _reference_draw(self, key: str) -> Fraction:
-        return Fraction(self._draw(key), 1 << _DRAW_BITS)
+        """The draw of ``(seed, key)`` as a fraction of ``2**64``."""
+        return Fraction(_draw(f"{self.seed}:{key}"), 1 << _DRAW_BITS)
 
 
 @dataclass(frozen=True)
@@ -338,8 +284,6 @@ class _Link(NamedTuple):
     spread: int
     #: :func:`_threshold` of the loss probability (None: never lost)
     loss: Optional[Tuple[int, int]]
-    #: :func:`_threshold` of the duplicate probability (None: never)
-    duplicate: Optional[Tuple[int, int]]
     #: ``[start, end)`` of every partition that severs the link
     windows: Tuple[Tuple[Time, Time], ...]
     #: ``"{seed}:{src}>{dst}:"``, the head of each of its draw keys
@@ -368,26 +312,16 @@ def _plus_delay(total: Time, delay: int, record: WireRecord) -> Time:
 
 @dataclass
 class ChannelStats:
-    """Aggregate accounting over one channel's lifetime.
-
-    ``by_kind`` counts *logical* messages (it sums to ``sent``); a
-    duplicated copy of an already-counted message shows up only in
-    ``duplicated`` and ``delivered``, never as a second ``by_kind``
-    entry for its kind.
-    """
+    """Aggregate accounting over one channel's lifetime; ``by_kind``
+    counts messages per kind and sums to ``sent``."""
 
     sent: int = 0
     delivered: int = 0
     lost: int = 0
     severed: int = 0
-    duplicated: int = 0
     #: sum of one-way delivery delays, in ticks
     total_delay: Time = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def loss_fraction(self) -> float:
-        return (self.lost + self.severed) / self.sent if self.sent else 0.0
 
 
 @dataclass(frozen=True)
@@ -416,8 +350,7 @@ class MessageChannel:
     stateless) and, for deliveries, enqueues it; ``deliver_due`` hands
     back everything whose arrival instant has passed, in arrival order —
     which differs from send order whenever jitter says so (reordering is
-    emergent, not a separate knob).  Receivers own deduplication: a
-    ``duplicated`` record re-delivers the same ``msg_id``.
+    emergent, not a separate knob).
     """
 
     def __init__(self, network: NetworkModel, *, name: str = "channel") -> None:
@@ -456,10 +389,6 @@ class MessageChannel:
     @property
     def stats(self) -> ChannelStats:
         return self._stats
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -501,7 +430,7 @@ class MessageChannel:
         payload: object = None,
         enqueue: bool = True,
     ) -> WireRecord:
-        """Dispatch one message; returns its (primary) wire record."""
+        """Dispatch one message; returns its wire record."""
         if src == dst:
             raise ChannelError(
                 f"message {msg_id or kind!r} addressed to its own "
@@ -509,7 +438,7 @@ class MessageChannel:
             )
         if not msg_id:
             msg_id = f"{kind}@{now}:{src}>{dst}"
-        base, spread, loss, duplicate, windows, prefix = (
+        base, spread, loss, windows, prefix = (
             self._links.get((src, dst)) or self._resolve(src, dst)
         )
         for start, end in windows:
@@ -532,24 +461,6 @@ class MessageChannel:
         )
         if enqueue:
             self._enqueue(record)
-        if (
-            duplicate
-            and _draw(prefix + msg_id + ":dup") * duplicate[1] < duplicate[0]
-        ):
-            # The echo trails the original by a delay of its own, drawn
-            # as the delay of message ``msg_id + ":echo"``.
-            echo_delay = base
-            if spread:
-                echo_delay += (
-                    _draw(prefix + msg_id + ":echo:delay") * spread
-                ) >> _DRAW_BITS
-            echo = self._account(
-                _record(msg_id, kind, src, dst, now, "duplicated",
-                        record.deliver_at + echo_delay, payload),
-                delay + echo_delay,
-            )
-            if enqueue:
-                self._enqueue(echo)
         return record
 
     def deliver_due(self, now: Time) -> List[WireRecord]:
@@ -574,7 +485,6 @@ class MessageChannel:
         timeout: Time,
         backoff: Backoff,
         max_attempts: int = 8,
-        payload: object = None,
     ) -> RpcOutcome:
         """A request/verdict exchange with timeout, retries, and backoff.
 
@@ -614,7 +524,6 @@ class MessageChannel:
                 dst,
                 t_send,
                 msg_id=f"{key}#{attempt}:req",
-                payload=payload,
                 enqueue=False,
             )
             expiry = t_send + timeout
@@ -677,9 +586,6 @@ class MessageChannel:
             delay=config.delay,
             spread=config.jitter + 1 if config.jitter else 0,
             loss=_threshold(config.loss) if config.loss else None,
-            duplicate=(
-                _threshold(config.duplicate) if config.duplicate else None
-            ),
             windows=tuple(
                 (span.start, span.end)
                 for span in network.partitions
@@ -697,11 +603,8 @@ class MessageChannel:
         ``delay`` is a delivered record's one-way delay in ticks."""
         stats = self._stats
         fate = record.fate
-        if fate == "duplicated":
-            stats.duplicated += 1
-        else:
-            stats.sent += 1
-            stats.by_kind[record.kind] = stats.by_kind.get(record.kind, 0) + 1
+        stats.sent += 1
+        stats.by_kind[record.kind] = stats.by_kind.get(record.kind, 0) + 1
         if fate == "lost":
             stats.lost += 1
         elif fate == "severed":

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_count
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import LocatedType, Link, Node, cpu, network
 from repro.resources.resource_set import ResourceSet
@@ -39,30 +39,11 @@ class Topology:
         prefix: str = "l",
     ) -> "Topology":
         """``node_count`` nodes, every ordered pair linked."""
-        if node_count < 1:
-            raise WorkloadError("a topology needs at least one node")
+        require_count(WorkloadError, "topology node count", node_count)
         nodes = [Node(f"{prefix}{i + 1}") for i in range(node_count)]
         topo = cls({node: cpu_rate for node in nodes}, {})
         for a, b in itertools.permutations(nodes, 2):
             topo.bandwidths[Link(a, b)] = bandwidth
-        return topo
-
-    @classmethod
-    def star(
-        cls,
-        leaf_count: int,
-        *,
-        hub_cpu: Time = 20,
-        leaf_cpu: Time = 10,
-        bandwidth: Time = 10,
-    ) -> "Topology":
-        """A hub node bidirectionally linked to ``leaf_count`` leaves."""
-        hub = Node("hub")
-        leaves = [Node(f"leaf{i + 1}") for i in range(leaf_count)]
-        topo = cls({hub: hub_cpu, **{leaf: leaf_cpu for leaf in leaves}}, {})
-        for leaf in leaves:
-            topo.bandwidths[Link(hub, leaf)] = bandwidth
-            topo.bandwidths[Link(leaf, hub)] = bandwidth
         return topo
 
     # ------------------------------------------------------------------

@@ -59,14 +59,14 @@ class EdfPolicy(AllocationPolicy):
 class ReservationPolicy(AllocationPolicy):
     """Follow committed witness schedules; leftovers go EDF.
 
-    ``reservations`` maps computation labels to the witness schedule the
-    admission controller committed for them.  Computations without a
+    :meth:`reserve` maps a computation label to the witness schedule the
+    admission controller committed for it.  Computations without a
     reservation (e.g. admitted by a baseline policy under comparison)
     fall back to EDF over whatever the reserved ones leave behind.
     """
 
-    def __init__(self, reservations: Mapping[str, ConcurrentSchedule] | None = None):
-        self._reservations: Dict[str, ConcurrentSchedule] = dict(reservations or {})
+    def __init__(self) -> None:
+        self._reservations: Dict[str, ConcurrentSchedule] = {}
 
     def reserve(self, label: str, schedule: ConcurrentSchedule) -> None:
         self._reservations[label] = schedule

@@ -612,7 +612,7 @@ class OpenSystemSimulator:
         # detection and the recovery pipeline exactly like a revocation.
         poll = getattr(self._admission, "poll", None)
         # Channel-aware policies also accumulate wire WAL entries (lease
-        # grants/renewals/expiries, RPC verdicts, duplicate drops) while
+        # grants/renewals/expiries, RPC verdicts) while
         # polling and deciding; draining them through _journal_record
         # once per slice pins them in the journal, so a resumed run
         # re-verifies every wire outcome instead of re-deciding it.

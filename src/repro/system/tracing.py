@@ -199,32 +199,6 @@ class SimulationTrace:
     def steps(self) -> int:
         return len(self.transitions)
 
-    @property
-    def violated_labels(self) -> Tuple[str, ...]:
-        """Labels of every promise-violation victim, in detection order."""
-        return tuple(v.label for v in self.violations)
-
-    def violations_of(
-        self, label: str, *, cause: str | None = None
-    ) -> Tuple[PromiseViolation, ...]:
-        """Violations recorded against ``label`` (empty tuple when the
-        trace recorded none — including on an empty trace).
-
-        ``cause`` restricts to violations triggered (at least in part) by
-        one fault cause; it must name a known cause from
-        :data:`LOSS_CAUSES`, otherwise :class:`ValueError` is raised — an
-        unknown cause would silently return the same empty tuple as "never
-        violated".
-        """
-        if cause is not None:
-            _check_cause(cause)
-        return tuple(
-            v
-            for v in self.violations
-            if v.label == label
-            and (cause is None or cause in v.cause.split("+"))
-        )
-
     def consumed_totals(self) -> Dict[LocatedType, Time]:
         """Total consumption per located type across the trace.
 
@@ -298,19 +272,9 @@ class SimulationTrace:
             if ledger != reference
         ]
 
-    def revoked_totals(self) -> Dict[LocatedType, Time]:
-        return self.lost_totals("revocation")
-
-    def crash_lost_totals(self) -> Dict[LocatedType, Time]:
-        return self.lost_totals("crash")
-
     def shed_totals(self) -> Dict[LocatedType, Time]:
         """Capacity deliberately refused at the admission front door."""
         return self.lost_totals("shed")
-
-    def lease_expired_totals(self) -> Dict[LocatedType, Time]:
-        """Leased capacity conservatively renounced at lease expiry."""
-        return self.lost_totals("lease-expired")
 
     def consumption_by_actor(self) -> Dict[str, Dict[LocatedType, Time]]:
         """Who consumed what, over the whole trace."""

@@ -3,11 +3,9 @@
 from repro.workloads.churn import broken_promises, churn_events, stable_base
 from repro.workloads.generator import (
     OracleInstance,
-    Workload,
     oracle_instance,
     poisson_arrivals,
     random_requirement,
-    uniform_workload,
 )
 from repro.workloads.overload import (
     flash_crowd_requests,
@@ -35,11 +33,9 @@ __all__ = [
     "churn_events",
     "stable_base",
     "OracleInstance",
-    "Workload",
     "oracle_instance",
     "poisson_arrivals",
     "random_requirement",
-    "uniform_workload",
     "event_from_wire",
     "event_to_wire",
     "iter_events",

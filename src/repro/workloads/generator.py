@@ -8,7 +8,7 @@ constrained multi-phase computations arriving over time in an open system
 Two families:
 
 * :func:`random_requirement` / :func:`poisson_arrivals` — general
-  workloads for the policy-comparison benchmarks (integer quantities,
+  arrival streams for the policy-comparison scenarios (integer quantities,
   controlled laxity).
 * :func:`oracle_instance` — tiny *divisible* instances (every demand a
   multiple of the supplying rate, so phase finishes land on the integer
@@ -20,19 +20,25 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.computation.demands import Demands
 from repro.computation.requirements import ComplexRequirement, ConcurrentRequirement
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_count
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import LocatedType
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
-from repro.system.events import ComputationArrivalEvent, arrival
 
 _label_counter = itertools.count(1)
+
+#: Chance that a random phase demands two located types at once.
+MULTI_TYPE_PHASE_PROB = 0.25
+#: Shortest window of a random requirement.
+MIN_DURATION = 4
+#: Largest constant rate of an oracle instance's located types.
+MAX_RATE = 3
 
 
 def random_requirement(
@@ -42,28 +48,30 @@ def random_requirement(
     start: Time,
     max_phases: int = 4,
     max_quantity: int = 20,
-    min_duration: int = 4,
     max_duration: int = 20,
-    multi_type_phase_prob: float = 0.25,
-    label: str | None = None,
 ) -> ComplexRequirement:
-    """One sequential computation with random phases and window."""
+    """One sequential computation with random phases and window: a
+    phase demands two located types with probability
+    :data:`MULTI_TYPE_PHASE_PROB`, the window lasts at least
+    :data:`MIN_DURATION`."""
     if not ltypes:
         raise WorkloadError("need at least one located type")
+    require_count(WorkloadError, "max_phases", max_phases)
+    require_count(WorkloadError, "max_quantity", max_quantity)
     phase_count = rng.randint(1, max_phases)
     phases: List[Demands] = []
     for _ in range(phase_count):
-        if len(ltypes) > 1 and rng.random() < multi_type_phase_prob:
+        if len(ltypes) > 1 and rng.random() < MULTI_TYPE_PHASE_PROB:
             chosen = rng.sample(list(ltypes), 2)
         else:
             chosen = [rng.choice(list(ltypes))]
         phases.append(
             Demands({lt: rng.randint(1, max_quantity) for lt in chosen})
         )
-    duration = rng.randint(min_duration, max_duration)
+    duration = rng.randint(MIN_DURATION, max_duration)
     window = Interval(start, start + duration)
     return ComplexRequirement(
-        phases, window, label=label or f"job{next(_label_counter)}"
+        phases, window, label=f"job{next(_label_counter)}"
     )
 
 
@@ -72,64 +80,18 @@ def poisson_arrivals(
     *,
     rate: float,
     horizon: int,
-    start: int = 0,
 ) -> List[int]:
     """Integer arrival instants of a Poisson process of intensity ``rate``
-    per time unit over ``[start, horizon)``."""
+    per time unit over ``[0, horizon)``."""
     if rate <= 0:
         raise WorkloadError("arrival rate must be positive")
     times: List[int] = []
-    t = float(start)
+    t = 0.0
     while True:
         t += rng.expovariate(rate)
         if t >= horizon:
             return times
         times.append(int(t))
-
-
-@dataclass
-class Workload:
-    """A reproducible event stream plus the resources on offer."""
-
-    resources: ResourceSet
-    arrivals: List[ComputationArrivalEvent] = field(default_factory=list)
-    horizon: int = 100
-
-    @property
-    def events(self) -> tuple[ComputationArrivalEvent, ...]:
-        return tuple(self.arrivals)
-
-
-def uniform_workload(
-    seed: int,
-    ltypes: Sequence[LocatedType],
-    *,
-    horizon: int = 100,
-    arrival_rate: float = 0.3,
-    capacity: int = 10,
-    max_phases: int = 4,
-    max_quantity: int = 20,
-) -> Workload:
-    """Stable resources, Poisson arrivals of random multi-phase jobs."""
-    rng = random.Random(seed)
-    resources = ResourceSet(
-        ResourceTerm(capacity, lt, Interval(0, horizon)) for lt in ltypes
-    )
-    events = [
-        arrival(
-            t,
-            random_requirement(
-                rng,
-                ltypes,
-                start=t,
-                max_phases=max_phases,
-                max_quantity=max_quantity,
-                max_duration=min(24, horizon - t) if horizon - t >= 4 else 4,
-            ),
-        )
-        for t in poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 4)
-    ]
-    return Workload(resources, events, horizon)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +113,6 @@ def oracle_instance(
     max_actors: int = 2,
     max_phases: int = 3,
     horizon: int = 8,
-    max_rate: int = 3,
 ) -> OracleInstance:
     """Random divisible instance: every demand is ``rate x k`` for integer
     ``k``, rates are constant over ``(0, horizon)``, windows are integer.
@@ -159,7 +120,9 @@ def oracle_instance(
     On such instances the quantised brute-force oracle decides exactly the
     same feasibility question as the exact procedures.
     """
-    rates = {lt: rng.randint(1, max_rate) for lt in ltypes}
+    require_count(WorkloadError, "max_actors", max_actors)
+    require_count(WorkloadError, "max_phases", max_phases)
+    rates = {lt: rng.randint(1, MAX_RATE) for lt in ltypes}
     available = ResourceSet(
         ResourceTerm(rate, lt, Interval(0, horizon)) for lt, rate in rates.items()
     )

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.computation.demands import Demands
 from repro.computation.requirements import (
     ComplexRequirement,
     ConcurrentRequirement,
 )
+from repro.errors import WorkloadError, require_count
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import cpu
 from repro.resources.resource_set import ResourceSet
@@ -32,6 +33,14 @@ from repro.resources.term import ResourceTerm
 from repro.service.frontdoor import ServiceRequest
 from repro.system.events import Event, arrival
 from repro.workloads.scenarios import Scenario
+
+#: The stalled-enclave stream: when ``n0``'s checks stall.
+STALL_WINDOW: Tuple[Time, Time] = (5, 45)
+#: Its mid-run joins, to the stalled node and then to a healthy one.
+STALL_JOINS_AT: Tuple[Time, ...] = (25, 40)
+#: Each node's base CPU rate and each request's window length.
+STALL_NODE_RATE: Time = 6
+STALL_DEADLINE_SLACK: Time = 12
 
 
 def _flash_crowd_times(
@@ -74,8 +83,9 @@ def flash_crowd_requirements(
     Returns ``(resources, [(arrival_time, label, requirement), ...])``;
     the service driver and the simulator scenario both build on it.
     """
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be >= 1, got {multiplier!r}")
+    require_count(WorkloadError, "multiplier", multiplier)
+    require_count(WorkloadError, "nodes", nodes)
+    require_count(WorkloadError, "max_quantity", max_quantity)
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(nodes)]
     resources = ResourceSet(
@@ -143,12 +153,7 @@ def stalled_enclave_stream(
     seed: int = 0,
     *,
     nodes: int = 3,
-    stalled_node: int = 0,
-    stall_window: Tuple[Time, Time] = (5, 45),
     horizon: Time = 60,
-    joins_at: Sequence[Time] = (25, 40),
-    node_rate: Time = 6,
-    deadline_slack: Time = 12,
 ) -> Tuple[
     ResourceSet,
     List[ServiceRequest],
@@ -157,17 +162,18 @@ def stalled_enclave_stream(
 ]:
     """A stalled-enclave fault plan's raw material.
 
-    One node's checks stall inside ``stall_window`` (tripping its
+    ``n0``'s checks stall inside :data:`STALL_WINDOW` (tripping its
     breaker); mid-run joins target the stalled node (so breaker-open
     join shedding is exercised) and a healthy one (so recovery is too).
     Returns ``(resources, requests, joins, stalls)``.
     """
+    require_count(WorkloadError, "nodes", nodes)
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(nodes)]
-    sick = names[stalled_node % nodes]
+    sick = names[0]
     resources = ResourceSet(
         [
-            ResourceTerm(node_rate, cpu(name), Interval(0, horizon))
+            ResourceTerm(STALL_NODE_RATE, cpu(name), Interval(0, horizon))
             for name in names
         ]
     )
@@ -177,7 +183,7 @@ def stalled_enclave_stream(
     while t < horizon - 2:
         node = names[rng.randrange(nodes)]
         label = f"se{index}"
-        window = Interval(t, t + deadline_slack)
+        window = Interval(t, t + STALL_DEADLINE_SLACK)
         component = ComplexRequirement(
             [Demands({cpu(node): rng.randint(1, 4)})], window, label=label
         )
@@ -188,9 +194,9 @@ def stalled_enclave_stream(
         )
         index += 1
         t += 1
-    healthy = names[(stalled_node + 1) % nodes]
+    healthy = names[1 % nodes]
     joins: List[Tuple[Time, ResourceSet]] = []
-    for at, name in zip(joins_at, (sick, healthy)):
+    for at, name in zip(STALL_JOINS_AT, (sick, healthy)):
         joins.append(
             (
                 at,
@@ -199,4 +205,4 @@ def stalled_enclave_stream(
                 ),
             )
         )
-    return resources, requests, joins, {sick: [stall_window]}
+    return resources, requests, joins, {sick: [STALL_WINDOW]}

@@ -16,13 +16,14 @@ identity assertions in ``chaos_partition_matrix`` depend on it.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.computation.demands import Demands
 from repro.computation.requirements import (
     ComplexRequirement,
     ConcurrentRequirement,
 )
+from repro.errors import WorkloadError, require_count
 from repro.intervals.interval import Interval, Time
 from repro.resources.located_type import cpu
 from repro.resources.resource_set import ResourceSet
@@ -34,12 +35,13 @@ NODE_RATE: Time = 6
 LEASE_RATE: Time = 2
 #: When the lease-backed joins arrive, one per child round-robin.
 LEASE_JOINS_AT: Tuple[Time, ...] = (6, 10)
+#: Largest CPU quantity one request demands.
+MAX_QUANTITY = 3
 
 
 def mesh_names(children: int) -> Tuple[str, ...]:
     """Node names of a mesh: the door ``n0`` plus ``children`` children."""
-    if children < 1:
-        raise ValueError(f"mesh needs at least one child, got {children!r}")
+    require_count(WorkloadError, "mesh children", children)
     return tuple(f"n{i}" for i in range(children + 1))
 
 
@@ -47,12 +49,8 @@ def partitioned_mesh_stream(
     seed: int = 0,
     *,
     children: int = 2,
-    node_rate: Time = NODE_RATE,
     horizon: Time = 48,
-    lease_joins_at: Sequence[Time] = LEASE_JOINS_AT,
-    lease_rate: Time = LEASE_RATE,
     deadline_slack: Time = 12,
-    max_quantity: int = 3,
 ) -> Tuple[
     ResourceSet,
     List[Tuple[Time, str, ConcurrentRequirement]],
@@ -75,7 +73,7 @@ def partitioned_mesh_stream(
     names = mesh_names(children)
     resources = ResourceSet(
         [
-            ResourceTerm(node_rate, cpu(name), Interval(0, horizon))
+            ResourceTerm(NODE_RATE, cpu(name), Interval(0, horizon))
             for name in names
         ]
     )
@@ -84,7 +82,7 @@ def partitioned_mesh_stream(
     t = 1
     while t < horizon - 2:
         node = names[rng.randrange(len(names))]
-        amount = rng.randint(1, max_quantity)
+        amount = rng.randint(1, MAX_QUANTITY)
         label = f"pm{index}"
         window = Interval(t, t + deadline_slack)
         component = ComplexRequirement(
@@ -96,13 +94,13 @@ def partitioned_mesh_stream(
         index += 1
         t += 1
     joins: List[Tuple[Time, ResourceSet]] = []
-    for i, at in enumerate(lease_joins_at):
+    for i, at in enumerate(LEASE_JOINS_AT):
         child = names[1 + i % children]
         joins.append(
             (
                 at,
                 ResourceSet(
-                    [ResourceTerm(lease_rate, cpu(child), Interval(at, horizon))]
+                    [ResourceTerm(LEASE_RATE, cpu(child), Interval(at, horizon))]
                 ),
             )
         )

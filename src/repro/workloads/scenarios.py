@@ -34,6 +34,14 @@ from repro.system.node import Topology
 from repro.workloads.churn import churn_events, stable_base
 from repro.workloads.generator import poisson_arrivals, random_requirement
 
+#: Poisson arrival intensity of the volunteer scenario's jobs.
+VOLUNTEER_ARRIVAL_RATE = 0.3
+#: The pipeline scenario's horizon, arrival intensity, and the factor
+#: its windows stretch each job's bare duration by.
+PIPELINE_HORIZON = 100
+PIPELINE_ARRIVAL_RATE = 0.35
+PIPELINE_TIGHTNESS = 1.3
+
 
 @dataclass
 class Scenario:
@@ -71,7 +79,6 @@ def volunteer_scenario(
     nodes: int = 6,
     horizon: int = 150,
     session_rate: float = 0.25,
-    arrival_rate: float = 0.3,
 ) -> Scenario:
     """Thin stable backbone + churning volunteer peers."""
     rng = random.Random(seed)
@@ -90,27 +97,25 @@ def volunteer_scenario(
     ltypes = [lt for lt, _ in topology.located_types()]
     events.extend(
         arrival(t, random_requirement(rng, ltypes, start=t, max_quantity=16))
-        for t in poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 8)
+        for t in poisson_arrivals(
+            rng, rate=VOLUNTEER_ARRIVAL_RATE, horizon=horizon - 8
+        )
     )
     return Scenario("volunteer", base, events, horizon)
 
 
-def pipeline_scenario(
-    seed: int = 13,
-    *,
-    horizon: int = 100,
-    arrival_rate: float = 0.35,
-    tightness: float = 1.3,
-) -> Scenario:
+def pipeline_scenario(seed: int = 13) -> Scenario:
     """CPU -> network -> CPU pipelines where ordering is everything.
 
     Resources are shaped adversarially for order-blind checks: the two
     nodes' CPU is plentiful *early*, the link capacity *late*.  A job
     needs CPU(src) first, then the link, then CPU(dst) — so aggregate
     totals look fine even when the job's third phase has no CPU left
-    inside its feasible tail.  ``tightness`` scales windows: below ~1.0
-    most jobs are infeasible, far above it everything fits.
+    inside its feasible tail.  :data:`PIPELINE_TIGHTNESS` scales
+    windows: below ~1.0 most jobs are infeasible, far above it
+    everything fits.
     """
+    horizon = PIPELINE_HORIZON
     rng = random.Random(seed)
     src_cpu, dst_cpu = cpu("src"), cpu("dst")
     link = network("src", "dst")
@@ -130,11 +135,11 @@ def pipeline_scenario(
     )
     events: List[Event] = []
     for index, t in enumerate(
-        poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 10)
+        poisson_arrivals(rng, rate=PIPELINE_ARRIVAL_RATE, horizon=horizon - 10)
     ):
         work = rng.randint(4, 12)
         base_duration = work * 2
-        duration = max(6, int(base_duration * tightness))
+        duration = max(6, int(base_duration * PIPELINE_TIGHTNESS))
         window = Interval(t, min(horizon, t + duration))
         requirement = ComplexRequirement(
             [

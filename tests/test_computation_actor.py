@@ -47,10 +47,6 @@ class TestActor:
         with pytest.raises(InvalidComputationError):
             Actor("a1", "l1")
 
-    def test_with_actions_builder(self, l1):
-        actor = Actor("a1", l1).with_actions(Ready(), Ready())
-        assert len(actor.behaviour) == 2
-
     def test_final_location_tracks_migrations(self, travelling_actor, l2):
         assert travelling_actor.final_location == l2
 
@@ -101,12 +97,6 @@ class TestPhaseGrouping:
         assert totals[cpu(l1)] == 8 + 5 + 3
         assert totals[network(l1, l2)] == 4 + 6
         assert totals[cpu(l2)] == 3 + 1
-
-    def test_from_phases_bypass(self, l1):
-        gamma = ActorComputation.from_phases(
-            Actor("a", l1, (Ready(),)), [Demands({cpu(l1): 5}), Demands()]
-        )
-        assert gamma.phase_count == 1  # empty phases dropped
 
     def test_iteration_and_len(self, travelling_actor, placement):
         gamma = ActorComputation.derive(travelling_actor, placement)

@@ -81,7 +81,7 @@ class TestTopologyDetails:
         assert all(lt.is_communication for lt in pool.located_types)
 
     def test_located_types_cover_links_and_nodes(self):
-        topology = Topology.star(2)
+        topology = Topology.full_mesh(2)
         kinds = {lt.kind for lt, _ in topology.located_types()}
         assert kinds == {"cpu", "network"}
 

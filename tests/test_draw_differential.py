@@ -1,9 +1,11 @@
 """Integer fate and jitter draws against their ``Fraction`` oracles.
 
-:class:`~repro.system.channel.NetworkModel` and
-:class:`~repro.backoff.Backoff` draw a raw integer on ``[0, 2**64)`` and
-compare or scale it in integers.  Their ``_reference_*`` methods keep the
-same formulas in :class:`~fractions.Fraction` arithmetic.  Every case
+:meth:`MessageChannel.send <repro.system.channel.MessageChannel.send>`
+and :class:`~repro.backoff.Backoff` draw a raw integer on
+``[0, 2**64)`` and compare or scale it in integers.  The
+``_reference_*`` methods of :class:`~repro.system.channel.NetworkModel`
+and :class:`~repro.backoff.Backoff` keep the same formulas in
+:class:`~fractions.Fraction` arithmetic.  Every case
 below must agree in value *and* type: an ``int`` delay stays an ``int``,
 a ``Fraction`` stays a ``Fraction``, and a fate is the same ``bool``.
 
@@ -14,6 +16,7 @@ cross-multiplication would show first.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,7 +24,8 @@ from fractions import Fraction
 import pytest
 
 from repro.backoff import Backoff
-from repro.system.channel import LinkConfig, NetworkModel
+from repro.system import channel as wire
+from repro.system.channel import LinkConfig, MessageChannel, NetworkModel
 
 #: 1e-7 reads as 0 at the channel's 10**6 denominator limit; 0.9999999
 #: reads as 1.
@@ -47,13 +51,22 @@ def _edge_draws(probability):
     )
 
 
+def _sent(model, src, dst, msg_id):
+    """The record a fresh channel on ``model`` writes for one message
+    sent at 0."""
+    return MessageChannel(model).send("m", src, dst, 0, msg_id=msg_id)
+
+
 def _fates(model, src, dst, msg_id):
+    """``(channel, oracle)`` pairs: the loss fate, and the delay, drawn
+    on a lossless twin of the model so that every message has one."""
+    lossless = dataclasses.replace(
+        model, default=dataclasses.replace(model.default, loss=0)
+    )
     return (
-        (model.lost(src, dst, msg_id),
+        (_sent(model, src, dst, msg_id).fate == "lost",
          model._reference_lost(src, dst, msg_id)),
-        (model.duplicated(src, dst, msg_id),
-         model._reference_duplicated(src, dst, msg_id)),
-        (model.delay_of(src, dst, msg_id),
+        (_sent(lossless, src, dst, msg_id).deliver_at,
          model._reference_delay_of(src, dst, msg_id)),
     )
 
@@ -66,8 +79,7 @@ class TestChannelDraws:
             model = NetworkModel(
                 seed=rng.randrange(1 << 32),
                 default=LinkConfig(
-                    delay=rng.randrange(4), jitter=jitter,
-                    loss=probability, duplicate=probability,
+                    delay=rng.randrange(4), jitter=jitter, loss=probability,
                 ),
             )
             for i in range(64):
@@ -79,15 +91,10 @@ class TestChannelDraws:
     def test_threshold_edges_match(self, probability, monkeypatch):
         for jitter in JITTERS:
             model = NetworkModel(
-                default=LinkConfig(
-                    delay=1, jitter=jitter,
-                    loss=probability, duplicate=probability,
-                ),
+                default=LinkConfig(delay=1, jitter=jitter, loss=probability),
             )
             for draw in _edge_draws(probability):
-                monkeypatch.setattr(
-                    NetworkModel, "_draw", lambda self, key, d=draw: d
-                )
+                monkeypatch.setattr(wire, "_draw", lambda key, d=draw: d)
                 for new, old in _fates(model, "a", "b", "m"):
                     assert _same(new, old), (probability, jitter, draw)
 
@@ -102,11 +109,9 @@ class TestChannelDraws:
                 for k in steps for off in (-1, 0)
             }
             for draw in sorted(edges):
-                monkeypatch.setattr(
-                    NetworkModel, "_draw", lambda self, key, d=draw: d
-                )
+                monkeypatch.setattr(wire, "_draw", lambda key, d=draw: d)
                 assert _same(
-                    model.delay_of("a", "b", "m"),
+                    _sent(model, "a", "b", "m").deliver_at,
                     model._reference_delay_of("a", "b", "m"),
                 ), (jitter, draw)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.baselines import OptimisticAdmission, RotaAdmission
+from repro.baselines import OptimisticAdmission
 from repro.computation import ComplexRequirement, Demands, SimpleRequirement
 from repro.decision import AdmissionController, find_schedule
 from repro.errors import SimulationError, TransitionError
@@ -121,15 +121,6 @@ class TestMidRunAbuse:
         target = satisfy(SimpleRequirement(Demands({cpu1: 4}), Interval(2, 6)))
         assert exists_on_some_path(state, 6, target, at=0) is not None
 
-    def test_score_with_offered_total_override(self, cpu1):
-        from repro.analysis import score
-
-        pool = ResourceSet.of(term(2, cpu1, 0, 10))
-        simulator = OpenSystemSimulator(RotaAdmission(), initial_resources=pool)
-        simulator.schedule(arrival(0, creq([Demands({cpu1: 8})], 0, 10, "a")))
-        row = score(simulator.run(10), offered_total=100)
-        assert row.goodput == pytest.approx(1 / 100)
-
 
 class TestProfileCorners:
     def test_profile_of_single_point_is_zero(self):
@@ -150,9 +141,3 @@ class TestProfileCorners:
 
     def test_restrict_empty_resource_set(self, cpu1):
         assert ResourceSet.empty().restrict(Interval(0, 5)).is_empty
-
-    def test_workload_events_property(self, cpu1, cpu2):
-        from repro.workloads import uniform_workload
-
-        workload = uniform_workload(3, [cpu1, cpu2])
-        assert workload.events == tuple(workload.arrivals)

@@ -160,5 +160,6 @@ class TestNavigation:
             root.child("ghost")
 
     def test_is_root(self, root, cpu1):
-        assert root.is_root
-        assert not root.spawn("a", ResourceSet.of(term(1, cpu1, 0, 10))).is_root
+        assert root.parent is None
+        child = root.spawn("a", ResourceSet.of(term(1, cpu1, 0, 10)))
+        assert child.parent is root

@@ -268,7 +268,7 @@ class TestRecoveryOutcomes:
         assert record.violated_at == 4
         assert record.outcome == "missed"
         assert not record.abandoned
-        assert report.trace.violated_labels == ("honest",)
+        assert [v.label for v in report.trace.violations] == ["honest"]
 
     def test_straggler_slows_but_need_not_kill(self, cpu1):
         pool = ResourceSet.of(term(4, cpu1, 0, 10))

@@ -49,7 +49,6 @@ class TestConstruction:
     def test_total_demands(self, cpu1):
         seg = two_segment(cpu1, max_delay=5)
         assert seg.total_demands == Demands({cpu1: 20})
-        assert seg.total_worst_case_wait == 5
 
     def test_flattened_drops_waits(self, cpu1):
         seg = two_segment(cpu1, max_delay=5)

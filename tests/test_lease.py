@@ -132,13 +132,6 @@ class TestLeaseTable:
         assert table.expire_due(4) == []
         assert not lease.expired
 
-    def test_holder_of_finds_the_backing_lease(self):
-        table = LeaseTable()
-        lease = table.grant(make_lease())
-        lease.attach("job")
-        assert table.holder_of("job") is lease
-        assert table.holder_of("free") is None
-
     def test_state_snapshot_roundtrip_preserves_clocks(self):
         """The checkpoint's network section carries the table through a
         crash: grant/renewal clocks, expiry marks, and dependents all

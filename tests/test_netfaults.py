@@ -104,11 +104,15 @@ class TestPartitionPlan:
         (span,) = network.partitions
         assert (span.start, span.end) == (18, 28)
         assert span.severed == (("n0", "n1"),)
-        assert network.severed("n0", "n1", 20)
-        assert not network.severed("n0", "n2", 20)
+        assert span.cuts("n0", "n1", 20)
+        assert not span.cuts("n0", "n2", 20)
 
     def test_benign_network_is_perfect(self):
-        assert PartitionPlan(partition_duration=0).network().is_perfect
+        plan = PartitionPlan(partition_duration=0)
+        assert plan.is_benign
+        network = plan.network()
+        assert network.partitions == ()
+        assert network.default.is_perfect and network.links == ()
 
 
 # ----------------------------------------------------------------------

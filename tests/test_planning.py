@@ -68,7 +68,9 @@ class TestEvaluateAndChoose:
             "lean": ComplexRequirement([Demands({cpu(busy): 5})], window, "lean"),
             "fat": ComplexRequirement([Demands({cpu(quiet): 60})], window, "fat"),
         }
-        frugal = choose_plan(pool, plans, objective=lambda o: o.total_demand)
+        frugal = choose_plan(
+            pool, plans, objective=lambda o: o.requirement.total_demands.total
+        )
         assert frugal.name == "lean"
 
 

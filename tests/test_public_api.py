@@ -9,13 +9,32 @@ import inspect
 import pytest
 
 import repro
-from repro.baselines import RotaAdmission
+from repro.analysis import score
+from repro.analysis.flow.escape import escape_findings
+from repro.analysis.flow.taint import exactness_findings, nondeterminism_findings
+from repro.baselines import RetryingPolicy, RotaAdmission
+from repro.computation.interaction import request_reply
 from repro.decision import AdmissionController
-from repro.encapsulation import Enclave
+from repro.encapsulation import (
+    Enclave,
+    EnclaveAdmission,
+    search_for_admission,
+    value_threshold,
+)
 from repro.faults import FaultPlan, PartitionPlan, RecoveryPolicy
 from repro.resources import ResourceSet
 from repro.service import ServiceConfig
-from repro.system import OpenSystemSimulator
+from repro.system import OpenSystemSimulator, ReservationPolicy
+from repro.system.channel import LinkConfig, MessageChannel
+from repro.workloads import (
+    oracle_instance,
+    partitioned_mesh_stream,
+    pipeline_scenario,
+    poisson_arrivals,
+    random_requirement,
+    stalled_enclave_stream,
+    volunteer_scenario,
+)
 
 
 class TestSurface:
@@ -77,6 +96,27 @@ OPTION_SURFACE = {
     AdmissionController.__init__: ("now", "align"),
     AdmissionController.withdraw: (),
     Enclave.migrate: (),
+    LinkConfig: ("delay", "jitter", "loss"),
+    MessageChannel.rpc: (
+        "key", "deadline", "timeout", "backoff", "max_attempts",
+    ),
+    partitioned_mesh_stream: ("children", "horizon", "deadline_slack"),
+    stalled_enclave_stream: ("nodes", "horizon"),
+    random_requirement: ("start", "max_phases", "max_quantity", "max_duration"),
+    poisson_arrivals: ("rate", "horizon"),
+    oracle_instance: ("max_actors", "max_phases", "horizon"),
+    volunteer_scenario: ("nodes", "horizon", "session_rate"),
+    pipeline_scenario: (),
+    EnclaveAdmission.__init__: (),
+    search_for_admission: ("value", "commit"),
+    value_threshold: (),
+    score: (),
+    ReservationPolicy.__init__: (),
+    RetryingPolicy.__init__: (),
+    request_reply: ("window", "max_delay", "label"),
+    escape_findings: (),
+    nondeterminism_findings: (),
+    exactness_findings: (),
 }
 
 
@@ -119,6 +159,34 @@ class TestOptionSurface:
         (lambda **kw: Enclave.root(ResourceSet.empty()).migrate(
             "a", Enclave.root(ResourceSet.empty()), **kw
         ), "now"),
+        (LinkConfig, "duplicate"),
+        (lambda **kw: MessageChannel.rpc(None, **kw), "payload"),
+        *[(partitioned_mesh_stream, option) for option in (
+            "node_rate", "lease_joins_at", "lease_rate", "max_quantity",
+        )],
+        *[(stalled_enclave_stream, option) for option in (
+            "stalled_node", "stall_window", "joins_at", "node_rate",
+            "deadline_slack",
+        )],
+        *[(lambda **kw: random_requirement(None, (), **kw), option)
+          for option in ("min_duration", "multi_type_phase_prob", "label")],
+        (lambda **kw: poisson_arrivals(None, **kw), "start"),
+        (lambda **kw: oracle_instance(None, (), **kw), "max_rate"),
+        (volunteer_scenario, "arrival_rate"),
+        *[(pipeline_scenario, option) for option in (
+            "horizon", "arrival_rate", "tightness",
+        )],
+        (lambda **kw: EnclaveAdmission(None, **kw), "router"),
+        (lambda **kw: search_for_admission(None, None, **kw), "probe_cost"),
+        (lambda **kw: value_threshold(None, None, **kw), "probe_cost"),
+        (lambda **kw: score(None, **kw), "offered_total"),
+        (ReservationPolicy, "reservations"),
+        *[(lambda **kw: RetryingPolicy(None, **kw), option)
+          for option in ("max_retries", "backoff")],
+        (lambda **kw: request_reply((), (), **kw), "min_delay"),
+        (lambda **kw: escape_findings(None, **kw), "scope"),
+        (lambda **kw: nondeterminism_findings(None, **kw), "sink_modules"),
+        (lambda **kw: exactness_findings(None, **kw), "sink_modules"),
     ])
     def test_removed_options_are_rejected(self, factory, option):
         with pytest.raises(TypeError, match=option):

@@ -144,5 +144,5 @@ class TestOpenSystemUse:
         assert (joined - claimed) == base
 
     def test_add_term(self, cpu1):
-        s = ResourceSet.empty().add_term(term(5, cpu1, 0, 3))
+        s = ResourceSet.empty() | ResourceSet.of(term(5, cpu1, 0, 3))
         assert not s.is_empty

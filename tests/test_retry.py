@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import OptimisticAdmission, RetryingPolicy, RotaAdmission
+from repro.baselines.retry import MAX_RETRIES
 from repro.computation import ComplexRequirement, Demands
 from repro.intervals import Interval
 from repro.resources import ResourceSet, term
@@ -23,7 +24,7 @@ class TestRetryingPolicyUnit:
 
         bundle = ConcurrentRequirement((requirement,), requirement.window)
         assert not policy.decide(bundle, 0).admitted
-        assert policy.pending_labels == ("j",)
+        assert [label for label, _ in policy.retry_candidates(0)] == ["j"]
 
     def test_expired_candidates_dropped(self, cpu1):
         policy = RetryingPolicy(RotaAdmission())
@@ -34,19 +35,20 @@ class TestRetryingPolicyUnit:
         policy.decide(bundle, 0)
         assert policy.retry_candidates(4) != []
         assert policy.retry_candidates(5) == []
-        assert policy.pending_labels == ()
+        assert policy.retry_candidates(4) == []  # dropped for good
 
     def test_retry_budget(self, cpu1):
-        policy = RetryingPolicy(RotaAdmission(), max_retries=2)
+        policy = RetryingPolicy(RotaAdmission())
         from repro.computation import ConcurrentRequirement
 
         requirement = creq([Demands({cpu1: 10})], 0, 100, "j")
         bundle = ConcurrentRequirement((requirement,), requirement.window)
         policy.decide(bundle, 0)          # initial rejection -> queued
-        policy.decide(bundle, 1)          # retry 1
-        assert policy.pending_labels == ("j",)
-        policy.decide(bundle, 2)          # retry 2 -> budget exhausted
-        assert policy.pending_labels == ()
+        for retry in range(1, MAX_RETRIES):
+            policy.decide(bundle, retry)
+        assert [label for label, _ in policy.retry_candidates(0)] == ["j"]
+        policy.decide(bundle, MAX_RETRIES)  # budget exhausted
+        assert policy.retry_candidates(0) == []
 
     def test_name_decorated(self):
         assert RetryingPolicy(RotaAdmission()).name == "rota+retry"
@@ -121,4 +123,4 @@ class TestRetryInSimulation:
         report = simulator.run(20)
         record = report.record_of("greedy")
         assert not record.admitted           # deadline passed before capacity
-        assert policy.pending_labels == ()   # queue drained
+        assert policy.retry_candidates(20) == []  # queue drained

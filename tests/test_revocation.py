@@ -120,7 +120,7 @@ class TestRevocationEdgeCases:
                 time=5, resources=ResourceSet.of(term(2, cpu1, 5, 10))
             ),
         )
-        assert report.trace.revoked_totals() == {cpu1: 10}  # 2/s over (5,10)
+        assert report.trace.lost_totals("revocation") == {cpu1: 10}  # 2/s over (5,10)
         # consumed + expired + lost still balances exactly
         assert report.trace.conservation_gaps(report.offered) == []
 
@@ -147,7 +147,7 @@ class TestRevocationEdgeCases:
             ResourceRevocationEvent(time=2, resources=revoked),
             ResourceRevocationEvent(time=3, resources=revoked),
         )
-        assert report.trace.revoked_totals() == {cpu1: 32}  # 4/s over (2,10)
+        assert report.trace.lost_totals("revocation") == {cpu1: 32}  # 4/s over (2,10)
         assert report.trace.conservation_gaps(report.offered) == []
 
 

@@ -173,6 +173,13 @@ def make_breaker(**kwargs):
     return CircuitBreaker("n0", **defaults)
 
 
+def reopens_at(breaker, at) -> bool:
+    """Whether the open breaker accepts again exactly from ``at`` on, as
+    its read-only :meth:`~CircuitBreaker.accepting` answers."""
+    just_before = at - Fraction(1, 1 << 20)
+    return not breaker.accepting(just_before) and breaker.accepting(at)
+
+
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
         breaker = make_breaker()
@@ -180,7 +187,7 @@ class TestCircuitBreaker:
         assert breaker.state == BreakerState.CLOSED
         breaker.record_failure(2)
         assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 2 + 4
+        assert reopens_at(breaker, 2 + 4)
         assert breaker.transitions == [(2, "closed", "open")]
 
     def test_success_resets_the_failure_streak(self):
@@ -209,16 +216,16 @@ class TestCircuitBreaker:
         assert breaker.state == BreakerState.HALF_OPEN
         breaker.record_success(6)
         assert breaker.state == BreakerState.CLOSED
-        assert breaker.retry_at is None
+        assert breaker.accepting(6)
 
     def test_failed_probe_reopens_with_longer_backoff(self):
         breaker = make_breaker(failures=1)
         breaker.record_failure(0)       # open, attempt 0: retry at 0 + 4
-        assert breaker.retry_at == 4
+        assert reopens_at(breaker, 4)
         breaker.allow(4)                # half-open probe
         breaker.record_failure(5)       # probe failed
         assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 5 + 8  # attempt 1: base * factor
+        assert reopens_at(breaker, 5 + 8)  # attempt 1: base * factor
 
     def test_closing_resets_the_backoff_ladder(self):
         breaker = make_breaker(failures=1, probes=1)
@@ -226,7 +233,7 @@ class TestCircuitBreaker:
         breaker.allow(4)
         breaker.record_success(5)       # closed again
         breaker.record_failure(6)       # re-trip
-        assert breaker.retry_at == 6 + 4  # attempt counter was reset
+        assert reopens_at(breaker, 6 + 4)  # attempt counter was reset
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +308,34 @@ class TestFrontDoorGates:
         assert (shed.outcome, shed.reason) == (SHED, SHED_STALE_ENQUEUE)
         assert shed.decided_at == 1  # shed instantly, no capacity consumed
 
+    def test_early_component_deadline_shed_on_enqueue(self, monkeypatch):
+        """Staleness is priced against the earliest component deadline:
+        an arrival whose first component closes before the projected
+        decision is shed at once, with no check charged, no EWMA sample
+        and no breaker verdict for a check that never runs."""
+        successes = []
+        monkeypatch.setattr(
+            CircuitBreaker, "record_success",
+            lambda self, now: successes.append(now),
+        )
+        door = make_door(resources=ResourceSet.of(term(1, cpu("n0"), 0, 20)))
+        early = ComplexRequirement(
+            [Demands({cpu("n0"): 1})], Interval(1, Fraction(6, 5)), label="a"
+        )
+        late = ComplexRequirement(
+            [Demands({cpu("n0"): 1})], Interval(1, 9), label="b"
+        )
+        latency = door.check_latency
+        shed = door.offer(ServiceRequest(
+            "x", ConcurrentRequirement((early, late), Interval(1, 9)), 1
+        ))
+        assert (shed.outcome, shed.reason) == (SHED, SHED_STALE_ENQUEUE)
+        assert shed.decided_at == 1
+        assert door.depth == 0
+        assert door.check_latency == latency
+        assert door._ewma.observations == 0
+        assert successes == []
+
     def test_screen_shortfall_shed_on_enqueue(self):
         resources = pool() | ResourceSet.of(term(1, cpu("n1"), 0, 10))
         door = make_door(resources=resources)
@@ -348,7 +383,7 @@ class TestFrontDoorBreaker:
         assert first.outcome == ADMITTED  # slow, but admitted
         breaker = door.breaker("n0")
         assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 9 + 4  # opened at decided_at = 1 + 8
+        assert reopens_at(breaker, 9 + 4)  # opened at decided_at = 1 + 8
         shed = door.offer(ServiceRequest("b", requirement("n0", 1, 10, 60), 10))
         assert (shed.outcome, shed.reason) == (SHED, SHED_BREAKER_OPEN)
 
@@ -359,7 +394,7 @@ class TestFrontDoorBreaker:
         door.offer(ServiceRequest("b", requirement("n0", 1, 13, 80), 13))
         breaker = door.breaker("n0")
         assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 21 + 8
+        assert reopens_at(breaker, 21 + 8)
         # The stall has cleared by 29; two fast probes close the breaker.
         door.offer(ServiceRequest("c", requirement("n0", 1, 29, 90), 29))
         door.offer(ServiceRequest("d", requirement("n0", 1, 30, 90), 30))
@@ -418,7 +453,7 @@ class TestFrontDoorBreaker:
         )
         assert first.outcome == ADMITTED
         assert breaker.state == BreakerState.OPEN
-        assert breaker.retry_at == 13  # opened at decided_at = 1 + 8
+        assert reopens_at(breaker, 13)  # opened at decided_at = 1 + 8
         assert door.check_latency >= 1
         # 2. Still open: walled off at gate 1.
         walled = door.offer(
@@ -597,7 +632,8 @@ class TestServeDriver:
     def test_a_closed_component_window_is_shed_at_the_check(self):
         """A request whose component window closed before its check
         (t=3 here, the request arrives at t=4) is shed as stale, not
-        clipped to an empty window."""
+        clipped to an empty window: at the door already, since the
+        enqueue projection prices the earliest component deadline."""
         late = ConcurrentRequirement(
             (
                 ComplexRequirement(
@@ -614,7 +650,7 @@ class TestServeDriver:
         )
         report = serve([ServiceRequest("r", late, 4)], resources=resources)
         (outcome,) = report.outcomes
-        assert (outcome.outcome, outcome.reason) == (SHED, SHED_STALE_DEQUEUE)
+        assert (outcome.outcome, outcome.reason) == (SHED, SHED_STALE_ENQUEUE)
 
 
 # ----------------------------------------------------------------------

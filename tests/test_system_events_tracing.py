@@ -100,11 +100,10 @@ class TestTrace:
 class TestTraceFaultErgonomics:
     def test_empty_trace_tolerates_fault_queries(self):
         trace = SimulationTrace()
-        assert trace.violated_labels == ()
-        assert trace.violations_of("ghost") == ()
+        assert trace.violations == []
         assert trace.lost_totals() == {}
-        assert trace.revoked_totals() == {}
-        assert trace.crash_lost_totals() == {}
+        assert trace.lost_totals("revocation") == {}
+        assert trace.lost_totals("crash") == {}
         assert trace.conservation_gaps({}) == []
         assert list(trace.timeline()) == []
 
@@ -117,8 +116,8 @@ class TestTraceFaultErgonomics:
         trace = SimulationTrace()
         trace.record_loss(2, "revocation", cpu1, 5)
         trace.record_loss(4, "crash", cpu1, 3)
-        assert trace.revoked_totals() == {cpu1: 5}
-        assert trace.crash_lost_totals() == {cpu1: 3}
+        assert trace.lost_totals("revocation") == {cpu1: 5}
+        assert trace.lost_totals("crash") == {cpu1: 3}
         assert trace.lost_totals() == {cpu1: 8}
 
     def test_lost_totals_rejects_unknown_cause(self, cpu1):
@@ -131,30 +130,14 @@ class TestTraceFaultErgonomics:
         with pytest.raises(ValueError, match="unknown loss cause"):
             trace.lost_totals("crashes")
 
-    def test_violations_of_filters_by_cause(self):
-        trace = SimulationTrace()
-        compound = PromiseViolation(
-            time=4, label="job", cause="crash+revocation", deadline=10,
-            remaining_total=6,
-        )
-        trace.record_violation(compound)
-        assert trace.violations_of("job", cause="crash") == (compound,)
-        assert trace.violations_of("job", cause="revocation") == (compound,)
-        assert trace.violations_of("job", cause="degradation") == ()
-        with pytest.raises(ValueError, match="unknown loss cause"):
-            trace.violations_of("job", cause="gremlins")
-        with pytest.raises(ValueError):
-            SimulationTrace().violations_of("job", cause="gremlins")
-
     def test_violations_accessors(self):
         trace = SimulationTrace()
         violation = PromiseViolation(
             time=4, label="job", cause="crash", deadline=10, remaining_total=6
         )
         trace.record_violation(violation)
-        assert trace.violated_labels == ("job",)
-        assert trace.violations_of("job") == (violation,)
-        assert trace.violations_of("other") == ()
+        assert trace.violations == [violation]
+        assert [v.label for v in trace.violations] == ["job"]
         assert any("promise violated" in msg for _, msg in trace.timeline())
 
     def test_conservation_gaps_report_losses(self, cpu1):

@@ -27,17 +27,6 @@ class TestFullMesh:
             Topology.full_mesh(0)
 
 
-class TestStar:
-    def test_shape(self):
-        topo = Topology.star(3)
-        assert len(topo.nodes) == 4
-        assert len(topo.links) == 6  # bidirectional hub-leaf pairs
-
-    def test_hub_rate(self):
-        topo = Topology.star(2, hub_cpu=42)
-        assert topo.cpu_rates[Node("hub")] == 42
-
-
 class TestResources:
     def test_mint_full_window(self):
         topo = Topology.full_mesh(2, cpu_rate=5, bandwidth=2)

@@ -60,7 +60,8 @@ class TestReservationPolicy:
         pool = ResourceSet.of(term(2, cpu1, 0, 10))
         req = creq([Demands({cpu1: 6})], 0, 10, "a")
         schedule = find_schedule(pool, req, align=1)
-        policy = ReservationPolicy({"a": ConcurrentSchedule((schedule,))})
+        policy = ReservationPolicy()
+        policy.reserve("a", ConcurrentSchedule((schedule,)))
         state = accommodate(initial_state(pool, 0), req)
         allocations = policy.allocate(state, 1)
         assert allocations["a"] == Demands({cpu1: 2})
@@ -72,7 +73,8 @@ class TestReservationPolicy:
         reserved_schedule = find_schedule(
             ResourceSet.of(term(2, cpu1, 0, 10)), reserved_req, align=1
         )
-        policy = ReservationPolicy({"vip": ConcurrentSchedule((reserved_schedule,))})
+        policy = ReservationPolicy()
+        policy.reserve("vip", ConcurrentSchedule((reserved_schedule,)))
         state = initial_state(pool, 0)
         state = accommodate(state, reserved_req)
         state = accommodate(state, creq([Demands({cpu1: 9})], 0, 10, "walkin"))

@@ -74,7 +74,7 @@ class TestLedgerMatchesReSum:
     def test_every_slice_of_a_partition_matrix_cell(self, per_slice_audit):
         report, policy = run_mesh(DEGRADED_CELL)
         assert policy.leases.expired(), "cell must exercise lease expiry"
-        assert report.trace.lease_expired_totals()
+        assert report.trace.lost_totals("lease-expired")
         # One check per slice, each after that slice's transition.
         assert per_slice_audit == list(range(1, report.trace.steps + 1))
 
@@ -210,4 +210,4 @@ class TestLedgerAcrossRestore:
         assert trace.ledger_drift()  # bypassed record_loss(): stale
         trace.rebuild_ledger()
         assert trace.ledger_drift() == []
-        assert trace.revoked_totals() == {ltype: 2}
+        assert trace.lost_totals("revocation") == {ltype: 2}

@@ -4,10 +4,11 @@
 once (delay, jitter, thresholds, the partition windows that cut it, the
 draw-key prefix) and folds each record's integer delay into its stats.
 Here every record, RPC outcome and stats field is re-derived message by
-message from :meth:`NetworkModel.severed`, ``lost``, ``delay_of`` and
-``duplicated``, with backoff from :meth:`Backoff._reference_delay` and
-the delay total as the running ``total + deliver_at - sent_at``, and the
-two must agree in value *and* in ``type()``.
+message from :meth:`PartitionSpan.cuts` and the model's ``Fraction``
+draws :meth:`NetworkModel._reference_lost` and ``_reference_delay_of``,
+with backoff from :meth:`Backoff._reference_delay` and the delay total
+as the running ``total + deliver_at - sent_at``, and the two must agree
+in value *and* in ``type()``.
 
 Send times mix ints with ``Fraction`` instants whose denominator is
 ``2**64``, as jittered backoff produces: an int total stays an int until
@@ -37,7 +38,6 @@ from repro.system.channel import (
 
 ENDPOINTS = ("a", "b", "c", "d")
 LOSSES = (0, 0.1, 0.3, Fraction(1, 3), 1)
-DUPLICATES = (0, 0.2, 0.5, 1)
 SEEDS = range(8)
 
 
@@ -57,7 +57,6 @@ def _config(rng: random.Random) -> LinkConfig:
         delay=rng.randrange(4),
         jitter=rng.randrange(4),
         loss=rng.choice(LOSSES),
-        duplicate=rng.choice(DUPLICATES),
     )
 
 
@@ -95,21 +94,16 @@ def _endpoints(rng: random.Random):
 # The oracle: the wire re-derived from the model, one message at a time
 # ----------------------------------------------------------------------
 def oracle_send(model, kind, src, dst, now, msg_id, payload=None):
-    """The records one send writes, primary first."""
-    if model.severed(src, dst, now):
+    """The records one send writes (one: a send has one fate)."""
+    if any(span.cuts(src, dst, now) for span in model.partitions):
         return [WireRecord(msg_id, kind, src, dst, now, "severed",
                            payload=payload)]
-    if model.lost(src, dst, msg_id):
+    if model._reference_lost(src, dst, msg_id):
         return [WireRecord(msg_id, kind, src, dst, now, "lost",
                            payload=payload)]
-    deliver_at = now + model.delay_of(src, dst, msg_id)
-    records = [WireRecord(msg_id, kind, src, dst, now, "delivered",
-                          deliver_at, payload)]
-    if model.duplicated(src, dst, msg_id):
-        echo_at = deliver_at + model.delay_of(src, dst, msg_id + ":echo")
-        records.append(WireRecord(msg_id, kind, src, dst, now, "duplicated",
-                                  echo_at, payload))
-    return records
+    deliver_at = now + model._reference_delay_of(src, dst, msg_id)
+    return [WireRecord(msg_id, kind, src, dst, now, "delivered",
+                       deliver_at, payload)]
 
 
 def oracle_rpc(model, backoff, kind, src, dst, now, *, key, deadline,
@@ -151,11 +145,8 @@ def oracle_rpc(model, backoff, kind, src, dst, now, *, key, deadline,
 def oracle_stats(records) -> ChannelStats:
     stats = ChannelStats()
     for record in records:
-        if record.fate == "duplicated":
-            stats.duplicated += 1
-        else:
-            stats.sent += 1
-            stats.by_kind[record.kind] = stats.by_kind.get(record.kind, 0) + 1
+        stats.sent += 1
+        stats.by_kind[record.kind] = stats.by_kind.get(record.kind, 0) + 1
         if record.fate == "lost":
             stats.lost += 1
         elif record.fate == "severed":
@@ -233,7 +224,7 @@ def test_rpcs_match_the_oracles(seed):
         expected += records
         _assert_same_stats(channel.stats, oracle_stats(expected), (seed, i))
     _assert_same_records(channel.log, expected, seed)
-    assert channel.in_flight == 0  # rpc legs resolve closed-form
+    assert channel.deliver_due(10**9) == []  # rpc legs resolve closed-form
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -282,19 +273,6 @@ class TestTotalDelayType:
         channel.send("m", "c", "b", Fraction(1, 3), msg_id="gone")
         assert [r.fate for r in channel.log] == ["delivered", "severed", "lost"]
         assert _same(channel.stats.total_delay, 1)
-
-    def test_an_echo_counts_its_whole_delay(self):
-        model = NetworkModel(
-            seed=3, default=LinkConfig(delay=1, jitter=3, duplicate=1)
-        )
-        channel = MessageChannel(model)
-        channel.send("m", "a", "b", Fraction(1, 1 << 64), msg_id="d")
-        primary, echo = channel.log
-        expected = oracle_stats([primary, echo]).total_delay
-        assert _same(channel.stats.total_delay, expected)
-        assert expected == echo.deliver_at - echo.sent_at + (
-            primary.deliver_at - primary.sent_at
-        )
 
     def test_float_send_times_take_the_full_expression(self):
         channel = MessageChannel(NetworkModel(default=LinkConfig(delay=1)))

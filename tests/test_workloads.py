@@ -13,12 +13,15 @@ from repro.system import Topology
 from repro.workloads import (
     churn_events,
     cloud_scenario,
+    flash_crowd_requirements,
+    mesh_names,
     oracle_instance,
+    partitioned_mesh_stream,
     pipeline_scenario,
     poisson_arrivals,
     random_requirement,
     stable_base,
-    uniform_workload,
+    stalled_enclave_stream,
     volunteer_scenario,
 )
 
@@ -44,16 +47,37 @@ class TestGenerators:
         with pytest.raises(WorkloadError):
             poisson_arrivals(rng, rate=0, horizon=50)
 
-    def test_uniform_workload_reproducible(self, cpu1, cpu2):
-        a = uniform_workload(42, [cpu1, cpu2])
-        b = uniform_workload(42, [cpu1, cpu2])
-        assert len(a.arrivals) == len(b.arrivals)
-        assert [e.time for e in a.arrivals] == [e.time for e in b.arrivals]
 
-    def test_uniform_workload_different_seeds_differ(self, cpu1, cpu2):
-        a = uniform_workload(1, [cpu1, cpu2])
-        b = uniform_workload(2, [cpu1, cpu2])
-        assert [e.time for e in a.arrivals] != [e.time for e in b.arrivals]
+#: Generator calls with a count that is not an int >= 1 (bools included).
+BAD_COUNTS = {
+    "stalled-nodes-0": lambda: stalled_enclave_stream(0, nodes=0),
+    "stalled-nodes-negative": lambda: stalled_enclave_stream(0, nodes=-1),
+    "stalled-nodes-bool": lambda: stalled_enclave_stream(0, nodes=True),
+    "flash-nodes-0": lambda: flash_crowd_requirements(0, nodes=0),
+    "flash-multiplier-0": lambda: flash_crowd_requirements(0, multiplier=0),
+    "flash-multiplier-float": lambda: flash_crowd_requirements(
+        0, multiplier=2.5
+    ),
+    "flash-max-quantity-0": lambda: flash_crowd_requirements(
+        0, max_quantity=0
+    ),
+    "mesh-children-float": lambda: partitioned_mesh_stream(0, children=1.5),
+    "mesh-children-0": lambda: partitioned_mesh_stream(0, children=0),
+    "mesh-names-0": lambda: mesh_names(0),
+    "requirement-max-phases-0": lambda: random_requirement(
+        random.Random(0), [cpu("l1")], start=0, max_phases=0
+    ),
+    "oracle-max-actors-0": lambda: oracle_instance(
+        random.Random(0), [cpu("l1")], max_actors=0
+    ),
+    "topology-nodes-bool": lambda: Topology.full_mesh(True),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_counts_raise_the_typed_workload_error(call):
+    with pytest.raises(WorkloadError, match="must be an integer >= 1"):
+        call()
 
 
 class TestOracleInstances:
