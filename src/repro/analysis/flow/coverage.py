@@ -31,7 +31,7 @@ exactly.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow.callgraph import ClassNode, Program
 from repro.analysis.lint.engine import Finding

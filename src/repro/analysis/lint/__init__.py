@@ -41,7 +41,6 @@ from repro.analysis.lint.layering import (
     SAME_LAYER_IMPORTS_OK,
     allowed_imports,
     import_violation,
-    layer_of,
 )
 from repro.analysis.lint.reporters import (
     FINDING_FIELDS,
@@ -80,7 +79,6 @@ __all__ = [
     "SAME_LAYER_IMPORTS_OK",
     "allowed_imports",
     "import_violation",
-    "layer_of",
     "FINDING_FIELDS",
     "JSON_SCHEMA_VERSION",
     "render_json",

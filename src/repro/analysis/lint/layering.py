@@ -41,7 +41,7 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("calculus", ("decision", "serialization")),
     ("semantics", ("logic",)),
     ("policies", ("baselines",)),
-    ("strategies", ("planning", "encapsulation")),
+    ("strategies", ("encapsulation",)),
     # The admission front door wraps decisions and policies; the
     # runtime (simulator, fault plans, workloads) drives it — service
     # may depend on decision/observability, never the reverse, and
@@ -78,11 +78,6 @@ for _index, (_layer, _packages) in enumerate(LAYERS):
     for _package in _packages:
         _LAYER_INDEX[_package] = _index
         _LAYER_NAME[_package] = _layer
-
-
-def layer_of(package: str) -> Optional[str]:
-    """Layer name for a top-level package, ``None`` if undeclared."""
-    return _LAYER_NAME.get(package)
 
 
 def allowed_imports(package: str) -> Optional[FrozenSet[str]]:

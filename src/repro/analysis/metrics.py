@@ -18,7 +18,6 @@ Metrics used across the synthetic evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.system.simulator import ComputationRecord, SimulationReport
 
@@ -38,11 +37,6 @@ class PolicyScore:
     miss_rate: float
     goodput: float
     utilization: float
-
-    @property
-    def sound(self) -> bool:
-        """No admitted computation missed its deadline."""
-        return self.missed == 0
 
 
 def score(report: SimulationReport) -> PolicyScore:
@@ -110,24 +104,3 @@ def confusion(
         else:
             both_reject += 1
     return Confusion(both_admit, only_policy, only_reference, both_reject)
-
-
-def completed_demand(report: SimulationReport) -> Dict[str, float]:
-    """Exact consumed quantity per completed arrival, from the trace."""
-    per_actor = report.trace.consumption_by_actor()
-    out: Dict[str, float] = {}
-    for record in report.records:
-        if not record.completed:
-            continue
-        total = 0.0
-        for actor, amounts in per_actor.items():
-            owner = actor.split("[")[0]
-            if owner == record.label:
-                total += sum(amounts.values())
-        out[record.label] = total
-    return out
-
-
-def goodput_quantity(report: SimulationReport) -> float:
-    """Total consumed quantity that belonged to on-time computations."""
-    return sum(completed_demand(report).values())

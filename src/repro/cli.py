@@ -308,6 +308,17 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _flag_error(args: argparse.Namespace, *checks) -> bool:
+    """Print the first flag-combination error of ``checks``, in order;
+    True when there was one (a usage error: exit 2)."""
+    for check in checks:
+        error = check(args)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return True
+    return False
+
+
 def _check_metrics_flags(args: argparse.Namespace) -> str | None:
     """Flag-interaction validation shared by scenario and replay."""
     if args.metrics_format is not None and args.metrics_out is None:
@@ -597,16 +608,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     from repro.faults import MeshPolicy, run_mesh
 
-    for check in (
+    if _flag_error(
+        args,
         _check_resume_flags,
         _check_metrics_flags,
         _check_front_door_flags,
         _check_network_flags,
     ):
-        error = check(args)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        return 2
     title = f"scenario={args.name}"
     with _metrics_session(args):
         if args.resume:
@@ -806,17 +815,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.errors import RotaError
 
-    metrics_error = _check_metrics_flags(args)
-    if metrics_error is not None:
-        print(f"error: {metrics_error}", file=sys.stderr)
-        return 2
-    door_error = _check_front_door_flags(args)
-    if door_error is not None:
-        print(f"error: {door_error}", file=sys.stderr)
-        return 2
-    network_error = _check_network_flags(args)
-    if network_error is not None:
-        print(f"error: {network_error}", file=sys.stderr)
+    if _flag_error(
+        args, _check_metrics_flags, _check_front_door_flags, _check_network_flags
+    ):
         return 2
     service_config = _service_config(args) if args.front_door else None
     try:

@@ -23,15 +23,12 @@ from repro.computation.actor import (
 from repro.computation.computation import (
     Computation,
     concurrent,
-    from_phase_demands,
     sequential,
 )
 from repro.computation.cost_model import (
-    CallableCostModel,
     CostModel,
     DEFAULT_COST_MODEL,
     Placement,
-    ScaledCostModel,
     StandardCostModel,
 )
 from repro.computation.demands import NO_DEMAND, Demands
@@ -51,13 +48,10 @@ __all__ = [
     "derive_requirements",
     "Computation",
     "concurrent",
-    "from_phase_demands",
     "sequential",
-    "CallableCostModel",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Placement",
-    "ScaledCostModel",
     "StandardCostModel",
     "NO_DEMAND",
     "Demands",

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.computation.actor import Actor, ActorComputation
 from repro.computation.cost_model import CostModel, DEFAULT_COST_MODEL, Placement
-from repro.computation.demands import Demands
 from repro.computation.requirements import (
     ComplexRequirement,
     ConcurrentRequirement,
@@ -131,20 +130,3 @@ def concurrent(
 ) -> Computation:
     """Multi-actor computation ``(Lambda, s, d)``."""
     return Computation(tuple(actors), Interval(start, deadline), name or _default_name())
-
-
-def from_phase_demands(
-    phases_per_actor: Iterable[Sequence[Demands]],
-    start: Time,
-    deadline: Time,
-    name: str | None = None,
-) -> ConcurrentRequirement:
-    """Build a concurrent requirement straight from phase demand lists,
-    bypassing the action layer (workload-generator entry point)."""
-    window = Interval(start, deadline)
-    components = []
-    for index, phases in enumerate(phases_per_actor):
-        components.append(
-            ComplexRequirement(phases, window, label=f"{name or 'lambda'}[{index}]")
-        )
-    return ConcurrentRequirement(tuple(components), window)

@@ -28,8 +28,8 @@ models therefore receive the sender's current location and a
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from repro.computation.actions import Action, Create, Evaluate, Migrate, Ready, Send
 from repro.computation.demands import Demands
@@ -58,9 +58,6 @@ class Placement:
 
     def place(self, actor_name: str, location: Node) -> None:
         self._locations[actor_name] = location
-
-    def knows(self, actor_name: str) -> bool:
-        return actor_name in self._locations
 
     def copy(self) -> "Placement":
         return Placement(self._locations)
@@ -131,39 +128,6 @@ class StandardCostModel(CostModel):
                 }
             )
         raise InvalidComputationError(f"unknown action {action!r}")
-
-
-@dataclass(frozen=True)
-class CallableCostModel(CostModel):
-    """Adapts a plain function ``(action, location, placement) -> Demands``."""
-
-    fn: Callable[[Action, Node, Placement], Demands]
-
-    def requirements(
-        self, action: Action, location: Node, placement: Placement
-    ) -> Demands:
-        return Demands(self.fn(action, location, placement))
-
-
-@dataclass(frozen=True)
-class ScaledCostModel(CostModel):
-    """Wraps another model, multiplying every amount by ``factor``.
-
-    Useful for modelling heterogeneous hardware or estimate inflation
-    ("estimates could be used and revised as necessary").
-    """
-
-    inner: CostModel
-    factor: Time = 1
-
-    def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise InvalidComputationError("cost scale factor must be positive")
-
-    def requirements(
-        self, action: Action, location: Node, placement: Placement
-    ) -> Demands:
-        return self.inner.requirements(action, location, placement).scale(self.factor)
 
 
 #: Default model used across examples and tests.

@@ -43,8 +43,7 @@ from repro.computation.requirements import (
     ConcurrentRequirement,
 )
 from repro.decision.concurrent import find_concurrent_schedule
-from repro.decision.schedule import ConcurrentSchedule, Schedule
-from repro.decision.sequential import find_schedule
+from repro.decision.schedule import ConcurrentSchedule
 from repro.errors import (
     AdmissionConfigError,
     TransitionError,

@@ -5,7 +5,6 @@ Hierarchical enclaves, each reasoning only over its own resource slice.
 
 from repro.encapsulation.enclave import Enclave, EnclaveError
 from repro.encapsulation.lease import Lease, LeaseTable
-from repro.encapsulation.policy import EnclaveAdmission
 from repro.encapsulation.search import (
     SearchBudgetError,
     SearchOutcome,
@@ -17,7 +16,6 @@ from repro.encapsulation.search import (
 __all__ = [
     "Enclave",
     "EnclaveError",
-    "EnclaveAdmission",
     "Lease",
     "LeaseTable",
     "SearchBudgetError",

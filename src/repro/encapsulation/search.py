@@ -46,10 +46,6 @@ class SearchOutcome:
     probes: int
     gave_up: bool  # True when the budget stopped the search early
 
-    @property
-    def profitable(self) -> bool:
-        return self.admitted and not self.gave_up
-
 
 def default_probe_cost(enclave: Enclave) -> float:
     """Reasoning cost model: one unit per resource type the enclave's

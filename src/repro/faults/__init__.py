@@ -31,7 +31,7 @@ from repro.faults.chaos import (
     replay_identity,
     report_fingerprint,
 )
-from repro.faults.detection import Victim, find_victims, residual_requirement
+from repro.faults.detection import find_victims, residual_requirement
 from repro.faults.netfaults import (
     MeshPolicy,
     NetfaultPoint,
@@ -85,5 +85,4 @@ __all__ = [
     "PromiseViolation",
     "RecoveryPolicy",
     "ResourceLoss",
-    "Victim",
 ]

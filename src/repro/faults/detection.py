@@ -18,7 +18,6 @@ they either finish or are scored as honest misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.computation.demands import Demands
@@ -29,18 +28,6 @@ from repro.computation.requirements import (
 from repro.errors import RecoveryError
 from repro.intervals.interval import Interval, Time
 from repro.logic.state import ActorProgress, SystemState
-
-
-@dataclass(frozen=True)
-class Victim:
-    """One computation whose promise died, with everything recovery needs."""
-
-    label: str
-    #: residual work as a fresh requirement over ``(now, deadline)``
-    residual: ConcurrentRequirement
-    deadline: Time
-    #: order-blind total demand still outstanding at detection time
-    remaining_total: Time
 
 
 def components_of(

@@ -34,7 +34,6 @@ from repro.intervals.algebra import (
     converse_set,
 )
 from repro.intervals.solver import (
-    is_consistent,
     realise,
     solve,
     solve_and_realise,
@@ -65,7 +64,6 @@ __all__ = [
     "compose_sets",
     "composition_table",
     "converse_set",
-    "is_consistent",
     "realise",
     "solve",
     "solve_and_realise",

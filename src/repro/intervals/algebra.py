@@ -92,14 +92,11 @@ class IntervalNetwork:
     requirement-phase names); edges carry disjunctive Allen relations.
     Unspecified edges default to :data:`FULL` (no information).
 
-    The network answers two questions relevant to ROTA reasoning:
-
-    * :meth:`propagate` — Allen's path-consistency algorithm, tightening
-      every edge through composition; detects many inconsistencies.
-    * :meth:`is_path_consistent` — whether propagation leaves every edge
-      non-empty.  (Path consistency is necessary but not sufficient for
-      global consistency in the full algebra; for the pointisable fragment
-      produced by concrete resource windows it is exact.)
+    :meth:`propagate` runs Allen's path-consistency algorithm, tightening
+    every edge through composition, and reports whether every edge stays
+    non-empty.  (Path consistency is necessary but not sufficient for
+    global consistency in the full algebra; for the pointisable fragment
+    produced by concrete resource windows it is exact.)
     """
 
     def __init__(self) -> None:
@@ -179,12 +176,6 @@ class IntervalNetwork:
                         return False
                     self._enqueue(queue, pending, k, j)
         return True
-
-    def is_path_consistent(self) -> bool:
-        """Propagate and report consistency (non-destructive answer; the
-        network keeps the tightened edges, which is usually what callers
-        want)."""
-        return self.propagate()
 
     # ------------------------------------------------------------------
     def _get(self, i: int, j: int) -> RelationSet:

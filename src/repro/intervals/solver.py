@@ -90,12 +90,6 @@ def solve(network: IntervalNetwork) -> Optional[Dict[Tuple[object, object], Rela
     return labelling
 
 
-def is_consistent(network: IntervalNetwork) -> bool:
-    """Complete consistency: some concrete interval assignment satisfies
-    every constraint."""
-    return solve(network) is not None
-
-
 # ----------------------------------------------------------------------
 # Model building
 # ----------------------------------------------------------------------

@@ -44,9 +44,6 @@ class Formula:
     def __or__(self, other: "Formula") -> "Or":
         return Or(self, other)
 
-    def implies(self, other: "Formula") -> "Or":
-        return Or(Not(self), other)
-
 
 @dataclass(frozen=True)
 class TrueFormula(Formula):

@@ -395,12 +395,6 @@ class MetricsRegistry:
             "spans": [root.to_dict() for root in self._span_roots],
         }
 
-    def reset(self) -> None:
-        """Drop every instrument, series, and span (tests, fresh runs)."""
-        self._instruments.clear()
-        self._span_roots.clear()
-        self._span_stack.clear()
-
 
 class PhaseTimer:
     """A reusable timed-region context manager bound to one registry and

@@ -19,7 +19,6 @@ from repro.resources.profile import (
     EPSILON,
     RateProfile,
     is_exact,
-    profile_from_points,
 )
 from repro.resources.resource_set import ResourceSet, resources
 from repro.resources.term import ResourceTerm, term
@@ -36,7 +35,6 @@ __all__ = [
     "EPSILON",
     "RateProfile",
     "is_exact",
-    "profile_from_points",
     "ResourceSet",
     "resources",
     "ResourceTerm",

@@ -83,7 +83,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals.interval import Interval, Time
-from repro.intervals.intervalset import IntervalSet
 from repro.resources import _vectorized as _vec
 
 #: Tolerance used when float arithmetic is involved.  Exact numeric types
@@ -682,11 +681,6 @@ class RateProfile:
             yield Interval(t0, end), rate
 
     @property
-    def support(self) -> IntervalSet:
-        """Where the rate is positive."""
-        return IntervalSet(window for window, _ in self.segments())
-
-    @property
     def horizon(self) -> Time:
         """Last breakpoint time (0 for the zero profile).  Past the
         horizon the rate is constant (usually zero)."""
@@ -1110,11 +1104,6 @@ class RateProfile:
 
 
 _ZERO = RateProfile(())
-
-
-def profile_from_points(points: Sequence[Tuple[Time, Time]]) -> RateProfile:
-    """Public helper: build a profile from raw breakpoints."""
-    return RateProfile(points)
 
 
 # ----------------------------------------------------------------------

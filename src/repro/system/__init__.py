@@ -42,7 +42,6 @@ from repro.system.node import Topology
 from repro.system.scheduler import (
     AllocationPolicy,
     EdfPolicy,
-    FcfsPolicy,
     ReservationPolicy,
 )
 from repro.system.simulator import (
@@ -84,7 +83,6 @@ __all__ = [
     "Topology",
     "AllocationPolicy",
     "EdfPolicy",
-    "FcfsPolicy",
     "ReservationPolicy",
     "CheckpointStore",
     "DeltaSnapshotter",

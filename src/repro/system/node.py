@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Tuple
 
 from repro.errors import WorkloadError, require_count
 from repro.intervals.interval import Interval, Time
-from repro.resources.located_type import LocatedType, Link, Node, cpu, network
+from repro.resources.located_type import LocatedType, Link, Node, cpu
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
 

@@ -3,8 +3,6 @@
 At every ``dt`` slice the simulator must choose a concrete allocation —
 one branch of the ROTA evolution tree.  Policies implement that choice:
 
-* :class:`FcfsPolicy` — admission order drains capacity first (the
-  canonical branch of :func:`repro.logic.transitions.greedy_allocations`).
 * :class:`EdfPolicy` — earliest-deadline-first: classic for deadline
   workloads; used as the default executor for baseline-admitted work.
 * :class:`ReservationPolicy` — follows the witness schedules that ROTA
@@ -40,13 +38,6 @@ class AllocationPolicy(abc.ABC):
 
 def _deadline_first(progress: ActorProgress) -> tuple:
     return (progress.deadline, progress.label)
-
-
-class FcfsPolicy(AllocationPolicy):
-    """First come, first served (admission order)."""
-
-    def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
-        return greedy_allocations(state, dt)
 
 
 class EdfPolicy(AllocationPolicy):

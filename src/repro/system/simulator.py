@@ -47,7 +47,6 @@ from repro.system.checkpoint import (
     CheckpointStore,
     DeltaSnapshotter,
     Journal,
-    SimulatorCheckpoint,
     check_journal_header,
     journal_header,
     require_path,

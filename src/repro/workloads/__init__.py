@@ -10,14 +10,12 @@ from repro.workloads.generator import (
 from repro.workloads.overload import (
     flash_crowd_requests,
     flash_crowd_requirements,
-    flash_crowd_scenario,
     stalled_enclave_stream,
 )
 from repro.workloads.partition import mesh_names, partitioned_mesh_stream
 from repro.workloads.persistence import (
     event_from_wire,
     event_to_wire,
-    iter_events,
     load_events,
     save_events,
 )
@@ -38,14 +36,12 @@ __all__ = [
     "random_requirement",
     "event_from_wire",
     "event_to_wire",
-    "iter_events",
     "load_events",
     "save_events",
     "Scenario",
     "cloud_scenario",
     "flash_crowd_requests",
     "flash_crowd_requirements",
-    "flash_crowd_scenario",
     "mesh_names",
     "partitioned_mesh_stream",
     "pipeline_scenario",

@@ -31,8 +31,6 @@ from repro.resources.located_type import cpu
 from repro.resources.resource_set import ResourceSet
 from repro.resources.term import ResourceTerm
 from repro.service.frontdoor import ServiceRequest
-from repro.system.events import Event, arrival
-from repro.workloads.scenarios import Scenario
 
 #: The stalled-enclave stream: when ``n0``'s checks stall.
 STALL_WINDOW: Tuple[Time, Time] = (5, 45)
@@ -127,26 +125,6 @@ def flash_crowd_requests(
         ServiceRequest(label, requirement, at)
         for at, label, requirement in stream
     ]
-
-
-def flash_crowd_scenario(
-    seed: int = 0,
-    *,
-    multiplier: int = 10,
-    horizon: Time = 60,
-    **kwargs,
-) -> Scenario:
-    """Flash crowd as a simulator :class:`Scenario` (the policy path)."""
-    resources, stream = flash_crowd_requirements(
-        seed, multiplier=multiplier, horizon=horizon, **kwargs
-    )
-    events: List[Event] = [
-        arrival(at, requirement, label=label)
-        for at, label, requirement in stream
-    ]
-    return Scenario(
-        f"flash-crowd-x{multiplier}", resources, events, horizon
-    )
 
 
 def stalled_enclave_stream(

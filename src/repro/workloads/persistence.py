@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Mapping, Union
+from typing import IO, Iterable, List, Mapping, Union
 
 from repro.serialization import (
     SerializationError,
@@ -232,12 +232,3 @@ def load_events(source: PathLike | IO[str]) -> List[Event]:
         return read(source)  # type: ignore[arg-type]
     with open(source) as handle:  # type: ignore[arg-type]
         return read(handle)
-
-
-def iter_events(source: PathLike) -> Iterator[Event]:
-    """Streaming variant of :func:`load_events` for very long traces."""
-    with open(source) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
-                yield _parse_line(line, line_number)

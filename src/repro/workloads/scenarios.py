@@ -24,12 +24,7 @@ from repro.computation.requirements import ComplexRequirement
 from repro.intervals.interval import Interval
 from repro.resources.located_type import cpu, network
 from repro.resources.resource_set import ResourceSet
-from repro.system.events import (
-    ComputationArrivalEvent,
-    Event,
-    ResourceJoinEvent,
-    arrival,
-)
+from repro.system.events import Event, arrival
 from repro.system.node import Topology
 from repro.workloads.churn import churn_events, stable_base
 from repro.workloads.generator import poisson_arrivals, random_requirement

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    completed_demand,
-    confusion,
-    goodput_quantity,
-    policy_table,
-    render_table,
-    score,
-)
+from repro.analysis import confusion, policy_table, render_table, score
 from repro.baselines import OptimisticAdmission, RotaAdmission
 from repro.computation import ComplexRequirement, Demands
 from repro.intervals import Interval
@@ -47,13 +40,11 @@ class TestScore:
         assert s.admitted == 2
         assert s.missed == 0
         assert s.precision == 1.0
-        assert s.sound
 
     def test_optimistic_score(self, reports):
         s = score(reports["optimistic"])
         assert s.admitted == 3
         assert s.missed >= 1
-        assert not s.sound
         assert s.miss_rate > 0
 
     def test_admission_rate(self, reports):
@@ -73,15 +64,29 @@ class TestConfusion:
         assert c.total == 3
 
 
+def completed_demand(report):
+    """Consumed quantity per completed arrival, summed from the trace."""
+    per_actor = report.trace.consumption_by_actor()
+    return {
+        record.label: sum(
+            sum(amounts.values())
+            for actor, amounts in per_actor.items()
+            if actor.split("[")[0] == record.label
+        )
+        for record in report.records
+        if record.completed
+    }
+
+
 class TestDemandAccounting:
     def test_completed_demand(self, reports, cpu1):
         demand = completed_demand(reports["rota"])
         assert demand == {"a": 40, "c": 20}
 
     def test_goodput_quantity(self, reports):
-        assert goodput_quantity(reports["rota"]) == 60
+        assert sum(completed_demand(reports["rota"]).values()) == 60
         # optimistic wastes work on the missed job
-        assert goodput_quantity(reports["optimistic"]) < 80
+        assert sum(completed_demand(reports["optimistic"]).values()) < 80
 
 
 class TestRendering:
@@ -101,33 +106,8 @@ class TestRendering:
         assert "precision" in table
 
 
+
 class TestCsvExport:
-    def test_scores_to_csv_text_and_file(self, reports, tmp_path):
-        from repro.analysis import SCORE_FIELDS, score, scores_to_csv
-
-        rows = [score(r) for r in reports.values()]
-        path = tmp_path / "scores.csv"
-        text = scores_to_csv(rows, path)
-        assert text.splitlines()[0] == ",".join(SCORE_FIELDS)
-        assert path.read_text() == text
-        assert len(text.splitlines()) == 1 + len(rows)
-
-    def test_sweep_to_csv(self, cpu1):
-        from repro.analysis import run_sweep, sweep_to_csv
-        from repro.baselines import OptimisticAdmission, RotaAdmission
-        from repro.workloads import cloud_scenario
-
-        sweep = run_sweep(
-            "rate",
-            [0.1, 0.2],
-            lambda rate: cloud_scenario(seed=2, arrival_rate=rate, horizon=60),
-            [RotaAdmission, OptimisticAdmission],
-        )
-        text = sweep_to_csv(sweep, "missed")
-        lines = text.splitlines()
-        assert lines[0] == "rate,optimistic,rota"
-        assert len(lines) == 3
-
     def test_sweep_series_accessors(self):
         from repro.analysis import run_sweep
         from repro.baselines import RotaAdmission

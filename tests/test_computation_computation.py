@@ -11,7 +11,6 @@ from repro.computation import (
     Evaluate,
     Ready,
     concurrent,
-    from_phase_demands,
     sequential,
 )
 from repro.errors import InvalidComputationError
@@ -87,14 +86,3 @@ class TestRequirementDerivation:
         placement = comp.default_placement()
         assert placement.locate("a") == l1
         assert placement.locate("b") == l2
-
-    def test_from_phase_demands(self, cpu1, cpu2):
-        rho = from_phase_demands(
-            [[Demands({cpu1: 5})], [Demands({cpu2: 2}), Demands({cpu1: 1})]],
-            0,
-            10,
-            name="bulk",
-        )
-        assert len(rho) == 2
-        assert rho.components[1].phase_count == 2
-        assert rho.components[0].label == "bulk[0]"

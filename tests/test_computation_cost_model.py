@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.computation import (
-    CallableCostModel,
     Create,
     DEFAULT_COST_MODEL,
     Demands,
@@ -13,7 +12,6 @@ from repro.computation import (
     Migrate,
     Placement,
     Ready,
-    ScaledCostModel,
     Send,
     StandardCostModel,
 )
@@ -35,7 +33,8 @@ class TestPlacement:
             placement.locate("ghost")
 
     def test_place_and_knows(self, placement, l1):
-        assert not placement.knows("a3")
+        with pytest.raises(InvalidComputationError):
+            placement.locate("a3")
         placement.place("a3", l1)
         assert placement.locate("a3") == l1
 
@@ -94,17 +93,3 @@ class TestStandardCostModel:
     def test_custom_amounts(self, placement, l1):
         model = StandardCostModel(evaluate_cpu=2)
         assert model.requirements(Evaluate("e"), l1, placement)[cpu(l1)] == 2
-
-
-class TestWrappers:
-    def test_scaled(self, placement, l1):
-        model = ScaledCostModel(StandardCostModel(), factor=3)
-        assert model.requirements(Evaluate("e"), l1, placement)[cpu(l1)] == 24
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(InvalidComputationError):
-            ScaledCostModel(StandardCostModel(), factor=0)
-
-    def test_callable(self, placement, l1):
-        model = CallableCostModel(lambda action, loc, pl: {cpu(loc): 1})
-        assert model.requirements(Ready(), l1, placement) == Demands({cpu(l1): 1})

@@ -15,17 +15,31 @@ from repro.encapsulation import Enclave
 from repro.intervals import Interval
 from repro.logic import (
     accommodate,
+    greedy_allocations,
     greedy_path,
     initial_state,
     models,
     satisfy,
 )
 from repro.resources import RateProfile, ResourceSet, cpu, term
-from repro.system import EdfPolicy, FcfsPolicy, OpenSystemSimulator, Topology, arrival
+from repro.system import (
+    AllocationPolicy,
+    EdfPolicy,
+    OpenSystemSimulator,
+    Topology,
+    arrival,
+)
 
 
 def creq(phases, s, d, label="g"):
     return ComplexRequirement(phases, Interval(s, d), label=label)
+
+
+class FcfsPolicy(AllocationPolicy):
+    """First come, first served: the canonical admission-order branch."""
+
+    def allocate(self, state, dt):
+        return greedy_allocations(state, dt)
 
 
 class TestSchedulerPolicyDifferences:

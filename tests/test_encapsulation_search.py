@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import RotaAdmission
 from repro.computation import ComplexRequirement, Demands
 from repro.encapsulation import (
     Enclave,
-    EnclaveAdmission,
     SearchBudgetError,
     default_probe_cost,
     search_for_admission,
@@ -16,7 +14,6 @@ from repro.encapsulation import (
 )
 from repro.intervals import Interval
 from repro.resources import ResourceSet, cpu, term
-from repro.system import OpenSystemSimulator, ReservationPolicy, arrival
 
 
 def creq(phases, s, d, label):
@@ -97,70 +94,3 @@ class TestValueThreshold:
     def test_none_when_impossible(self, hierarchy, cpu2):
         impossible = creq([Demands({cpu2: 10_000})], 0, 100, "big")
         assert value_threshold(hierarchy, impossible) is None
-
-
-class TestEnclavePolicyInSimulation:
-    def test_zero_misses_and_placements(self, cpu1, cpu2, monkeypatch):
-        # The root starts empty: the simulator's initial-resource
-        # observation is what feeds it (resources join at the top).
-        root = Enclave.root(ResourceSet.empty(), align=1)
-        policy = EnclaveAdmission(root)
-        simulator = OpenSystemSimulator(
-            policy,
-            initial_resources=ResourceSet.of(
-                term(4, cpu1, 0, 40), term(4, cpu2, 0, 40)
-            ),
-            allocation_policy=ReservationPolicy(),
-        )
-        # Carve the teams out of what just joined; the root keeps nothing,
-        # so placements must land in the matching team.
-        root.spawn("teamA", ResourceSet.of(term(4, cpu1, 0, 40)))
-        root.spawn("teamB", ResourceSet.of(term(4, cpu2, 0, 40)))
-        simulator.schedule(
-            arrival(0, creq([Demands({cpu1: 40})], 0, 40, "a-job")),
-            arrival(0, creq([Demands({cpu2: 40})], 0, 40, "b-job")),
-            arrival(1, creq([Demands({cpu1: 10_000})], 1, 40, "monster")),
-        )
-        admit = Enclave.admit
-        placements = {}
-
-        def spy(enclave, requirement, **kwargs):
-            decision = admit(enclave, requirement, **kwargs)
-            if decision.admitted:
-                placements[requirement.components[0].label] = enclave.name
-            return decision
-
-        monkeypatch.setattr(Enclave, "admit", spy)
-        report = simulator.run(40)
-        assert report.missed == 0
-        assert report.record_of("a-job").completed
-        assert report.record_of("b-job").completed
-        assert not report.record_of("monster").admitted
-        assert placements == {"a-job": "teamA", "b-job": "teamB"}
-
-    def test_comparable_to_flat_rota(self, cpu1):
-        """On a single-enclave hierarchy the policy behaves like flat
-        ROTA admission."""
-        events = [
-            arrival(0, creq([Demands({cpu1: 20})], 0, 10, "x")),
-            arrival(0, creq([Demands({cpu1: 20})], 0, 10, "y")),
-            arrival(0, creq([Demands({cpu1: 1})], 0, 10, "z")),
-        ]
-        outcomes = {}
-        for name, policy in (
-            ("flat", RotaAdmission()),
-            ("enclave", EnclaveAdmission(
-                Enclave.root(ResourceSet.empty(), align=1)
-            )),
-        ):
-            simulator = OpenSystemSimulator(
-                policy,
-                initial_resources=ResourceSet.of(term(4, cpu1, 0, 10)),
-                allocation_policy=ReservationPolicy(),
-            )
-            simulator.schedule(*events)
-            report = simulator.run(10)
-            outcomes[name] = sorted(
-                (r.label, r.admitted) for r in report.records
-            )
-        assert outcomes["flat"] == outcomes["enclave"]

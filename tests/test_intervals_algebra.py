@@ -71,7 +71,7 @@ class TestIntervalNetwork:
         network = IntervalNetwork.from_concrete(
             {"a": Interval(0, 2), "b": Interval(1, 5), "c": Interval(6, 9)}
         )
-        assert network.is_path_consistent()
+        assert network.propagate()
 
     def test_concrete_network_rejects_empty_interval(self):
         with pytest.raises(InvalidIntervalError):

@@ -18,7 +18,6 @@ from repro.analysis.lint import (
     allowed_imports,
     get_rules,
     import_violation,
-    layer_of,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -386,8 +385,9 @@ class TestLayeringMap:
         top_modules = sorted(
             p.stem for p in SRC_REPRO.glob("*.py") if p.stem != "__init__"
         )
+        declared = {m for _layer, members in LAYERS for m in members}
         for name in packages + top_modules:
-            assert layer_of(name) is not None, f"repro.{name} missing from LAYERS"
+            assert name in declared, f"repro.{name} missing from LAYERS"
 
     def test_declared_packages_without_stale_entries(self):
         declared = {m for _layer, members in LAYERS for m in members}

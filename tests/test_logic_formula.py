@@ -63,11 +63,6 @@ class TestOperatorSugar:
         assert isinstance(both, And)
         assert isinstance(either, Or)
 
-    def test_implies(self, atom):
-        imp = atom.implies(TRUE)
-        assert isinstance(imp, Or)
-        assert isinstance(imp.left, Not)
-
     def test_value_semantics(self, atom, cpu1):
         other = satisfy(SimpleRequirement(Demands({cpu1: 5}), Interval(0, 10)))
         assert atom == other

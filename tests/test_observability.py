@@ -262,14 +262,6 @@ class TestRegistry:
         series = snapshot["metrics"][0]["series"]
         assert [s["labels"]["k"] for s in series] == ["a", "b"]
 
-    def test_reset_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        with registry.span("s"):
-            pass
-        registry.reset()
-        assert registry.snapshot() == {"metrics": [], "spans": []}
-
 
 # ----------------------------------------------------------------------
 # Spans: nesting, exception unwinding, phase timers

@@ -17,7 +17,6 @@ from repro.computation.interaction import request_reply
 from repro.decision import AdmissionController
 from repro.encapsulation import (
     Enclave,
-    EnclaveAdmission,
     search_for_admission,
     value_threshold,
 )
@@ -107,7 +106,6 @@ OPTION_SURFACE = {
     oracle_instance: ("max_actors", "max_phases", "horizon"),
     volunteer_scenario: ("nodes", "horizon", "session_rate"),
     pipeline_scenario: (),
-    EnclaveAdmission.__init__: (),
     search_for_admission: ("value", "commit"),
     value_threshold: (),
     score: (),
@@ -176,7 +174,6 @@ class TestOptionSurface:
         *[(pipeline_scenario, option) for option in (
             "horizon", "arrival_rate", "tightness",
         )],
-        (lambda **kw: EnclaveAdmission(None, **kw), "router"),
         (lambda **kw: search_for_admission(None, None, **kw), "probe_cost"),
         (lambda **kw: value_threshold(None, None, **kw), "probe_cost"),
         (lambda **kw: score(None, **kw), "offered_total"),

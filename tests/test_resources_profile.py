@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import InvalidTermError, UndefinedOperationError
-from repro.intervals import Interval, IntervalSet
-from repro.resources import RateProfile, profile_from_points
+from repro.intervals import Interval
+from repro.resources import RateProfile
 from repro.resources.profile import (
     _reference_earliest_accumulation,
     _reference_integral,
@@ -52,7 +52,7 @@ class TestConstruction:
         """A NaN time used to sort anywhere and read as an empty profile
         (``integral`` answered 0)."""
         with pytest.raises(InvalidTermError, match="NaN"):
-            profile_from_points([(0, 1), (math.nan, 0)])
+            RateProfile([(0, 1), (math.nan, 0)])
 
     def test_from_segments_overlap_adds(self):
         p = RateProfile.from_segments(
@@ -83,10 +83,6 @@ class TestQueries:
             (Interval(0, 3), 2),
             (Interval(5, 9), 7),
         ]
-
-    def test_support(self):
-        p = RateProfile([(0, 2), (3, 0), (5, 7), (9, 0)])
-        assert p.support == IntervalSet([Interval(0, 3), Interval(5, 9)])
 
     def test_peak_rate(self):
         p = RateProfile([(0, 2), (3, 9), (5, 0)])

@@ -8,9 +8,9 @@ from repro.computation import ComplexRequirement, Demands
 from repro.decision import find_schedule
 from repro.decision.schedule import ConcurrentSchedule
 from repro.intervals import Interval
-from repro.logic import accommodate, initial_state
+from repro.logic import accommodate, greedy_allocations, initial_state
 from repro.resources import ResourceSet, term
-from repro.system import EdfPolicy, FcfsPolicy, ReservationPolicy
+from repro.system import EdfPolicy, ReservationPolicy
 
 
 def creq(phases, s, d, label):
@@ -29,7 +29,7 @@ def contended_state(cpu1):
 
 class TestPriorityPolicies:
     def test_fcfs_order(self, contended_state, cpu1):
-        allocations = FcfsPolicy().allocate(contended_state, 1)
+        allocations = greedy_allocations(contended_state, 1)
         assert allocations["loose"] == Demands({cpu1: 2})
         assert "tight" not in allocations
 
