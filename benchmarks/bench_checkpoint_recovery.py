@@ -8,8 +8,10 @@ journal and periodic checkpoints of :mod:`repro.system.checkpoint`.
 Two questions, answered on the E14 fault-recovery workload:
 
 * **Overhead** — how much slower is the identical simulation when every
-  applied event and admission decision is journaled before taking effect
-  (and, separately, when periodic snapshots are written too)?  The
+  applied event and admission decision is journaled before taking effect,
+  when periodic snapshots are written without a journal, and when both
+  are?  The four legs alternate within each repeat and an overhead is
+  the median of the per-repeat ratios to the plain leg.  The
   acceptance bars are journaling overhead <= 25% and checkpointing
   overhead <= 150% of the plain runtime (the incremental delta
   checkpoints of :class:`~repro.system.checkpoint.DeltaSnapshotter`
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -91,44 +94,53 @@ def make_run(*, quick: bool = False):
     return scenario_run(scenario, functools.partial(make_simulator, scenario))
 
 
-def _timed_run(run, repeats: int, **durability):
-    """Best-of-``repeats`` wall time of ``run(**durability)`` and the
-    last run's ``(report, policy)``.  ``run()`` starts each repeat
-    fresh: it truncates the journal and clears the checkpoints."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        outcome = run(**durability)
-        best = min(best, time.perf_counter() - started)
-    return best, outcome
-
-
 def bench_overhead(
     run, workdir: Path, *, repeats: int = 3, checkpoint_every: int = 5
 ) -> Dict[str, float]:
-    """Plain vs journaled vs journaled+checkpointed wall time of one
-    ``run(**durability) -> (report, policy)``."""
-    plain_s, plain = _timed_run(run, repeats)
-    truth = report_fingerprint(*plain)
+    """Wall time of one ``run(**durability) -> (report, policy)`` plain,
+    journaled, checkpointed without a journal, and journaled and
+    checkpointed.
 
+    Each repeat runs the four legs back to back, so every durable leg is
+    set against a plain run made seconds before it; an overhead is the
+    median of those per-repeat ratios, and a leg's time the median of
+    its repeats.  ``run()`` starts each leg fresh: it truncates the
+    journal and clears the checkpoints.  One untimed plain run first
+    pays the warm-up."""
     jdir = workdir / "journal-only"
-    jdir.mkdir(parents=True, exist_ok=True)
-    journal_s, journaled = _timed_run(
-        run, repeats, journal=jdir / "journal.jsonl"
-    )
-    gaps = diff_fingerprints(truth, report_fingerprint(*journaled))
-    assert not gaps, f"journaling altered the run: {gaps}"
-
+    odir = workdir / "checkpoint-only"
     cdir = workdir / "checkpointed"
-    cdir.mkdir(parents=True, exist_ok=True)
-    checkpoint_s, checkpointed = _timed_run(
-        run, repeats,
-        journal=cdir / "journal.jsonl",
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=cdir,
-    )
-    gaps = diff_fingerprints(truth, report_fingerprint(*checkpointed))
-    assert not gaps, f"checkpointing altered the run: {gaps}"
+    for directory in (jdir, odir, cdir):
+        directory.mkdir(parents=True, exist_ok=True)
+    legs = {
+        "plain": {},
+        "journaled": {"journal": jdir / "journal.jsonl"},
+        "checkpoint_only": {
+            "checkpoint_every": checkpoint_every, "checkpoint_dir": odir,
+        },
+        "checkpointed": {
+            "journal": cdir / "journal.jsonl",
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_dir": cdir,
+        },
+    }
+    run()
+    times: Dict[str, List[float]] = {name: [] for name in legs}
+    outcomes = {}
+    for _ in range(repeats):
+        for name, durability in legs.items():
+            started = time.perf_counter()
+            outcomes[name] = run(**durability)
+            times[name].append(time.perf_counter() - started)
+    truth = report_fingerprint(*outcomes["plain"])
+    for name in ("journaled", "checkpoint_only", "checkpointed"):
+        gaps = diff_fingerprints(truth, report_fingerprint(*outcomes[name]))
+        assert not gaps, f"{name} durability altered the run: {gaps}"
+
+    def overhead(name: str) -> float:
+        return statistics.median(
+            leg / plain - 1 for leg, plain in zip(times[name], times["plain"])
+        )
 
     records, _ = Journal.scan(jdir / "journal.jsonl")
     kinds = [
@@ -136,16 +148,19 @@ def bench_overhead(
         for path in sorted(cdir.glob("ckpt-*.json"))
     ]
     return {
-        "plain_s": plain_s,
-        "journaled_s": journal_s,
-        "checkpointed_s": checkpoint_s,
+        "plain_s": statistics.median(times["plain"]),
+        "journaled_s": statistics.median(times["journaled"]),
+        "checkpoint_only_s": statistics.median(times["checkpoint_only"]),
+        "checkpointed_s": statistics.median(times["checkpointed"]),
+        "repeats": repeats,
         "journal_records": len(records),
         "wire_records": sum(r.get("type") == "wire" for r in records),
         "checkpoint_every": checkpoint_every,
         "checkpoints_full": kinds.count("full"),
         "checkpoints_delta": kinds.count("delta"),
-        "journal_overhead_frac": (journal_s - plain_s) / plain_s,
-        "checkpoint_overhead_frac": (checkpoint_s - plain_s) / plain_s,
+        "journal_overhead_frac": overhead("journaled"),
+        "checkpoint_only_overhead_frac": overhead("checkpoint_only"),
+        "checkpoint_overhead_frac": overhead("checkpointed"),
     }
 
 
@@ -214,7 +229,7 @@ def bench_recovery(
 def run_suite(workdir: Path, *, quick: bool = False) -> Dict[str, object]:
     run = make_run(quick=quick)
     overhead = bench_overhead(
-        run, workdir / "overhead", repeats=2 if quick else 3
+        run, workdir / "overhead", repeats=5 if quick else 7
     )
     recovery = bench_recovery(run, workdir / "recovery")
     results = {
@@ -245,6 +260,8 @@ def render(title: str, results: Dict[str, object]) -> str:
         f"({overhead['journal_overhead_frac'] * 100:+.1f}%, "
         f"{overhead['wire_records']}/{overhead['journal_records']} "
         "wire/WAL records)",
+        f"  ckpt only      {overhead['checkpoint_only_s']:.4f}s "
+        f"({overhead['checkpoint_only_overhead_frac'] * 100:+.1f}%)",
         f"  checkpointed   {overhead['checkpointed_s']:.4f}s "
         f"({overhead['checkpoint_overhead_frac'] * 100:+.1f}%, "
         f"{overhead['checkpoints_full']} full / "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.system.simulator import ComputationRecord, SimulationReport
+from repro.system.simulator import SimulationReport
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,11 @@ class PolicyScore:
 def score(report: SimulationReport) -> PolicyScore:
     """Collapse one simulation report into a score row."""
     offered = sum(report.offered.values())
-    completed_work = 0.0
-    for record in report.records:
-        if record.completed:
-            completed_work += _work_of(record)
+    completed_work = sum(
+        record.total_demands.total
+        for record in report.records
+        if record.completed
+    )
     return PolicyScore(
         policy=report.policy_name,
         arrivals=report.arrivals,
@@ -56,17 +57,9 @@ def score(report: SimulationReport) -> PolicyScore:
         precision=report.admission_precision,
         admission_rate=report.admitted / report.arrivals if report.arrivals else 1.0,
         miss_rate=report.missed / report.admitted if report.admitted else 0.0,
-        goodput=completed_work / offered if offered else 0.0,
+        goodput=float(completed_work / offered) if offered else 0.0,
         utilization=report.utilization,
     )
-
-
-def _work_of(record: ComputationRecord) -> float:
-    # Work is approximated by consumed share; the simulator does not keep
-    # the original requirement on the record, so completed work is tallied
-    # from the trace by callers needing exact figures.  Here each
-    # completed computation counts its window-normalised unit.
-    return 1.0
 
 
 @dataclass(frozen=True)

@@ -449,9 +449,10 @@ class MeshPolicy(AdmissionPolicy):
     # Helpers
     # ------------------------------------------------------------------
     def _advance(self, now: Time) -> None:
-        if self._root is None:
-            return
-        for enclave in self._root.walk():
+        # ``_enclaves`` is the door's root and then each child in spawn
+        # order: the tree is one level deep and spawned only at priming,
+        # so this is walk() order without the recursive generator.
+        for enclave in self._enclaves.values():
             enclave.controller.advance_to(now)
 
     @staticmethod

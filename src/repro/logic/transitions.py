@@ -118,9 +118,9 @@ def step(
         )
 
     # Validate against the slice's availability and compute expiry.
+    capacities = state.theta.capacities(slice_window)
     expired: list[Tuple[LocatedType, Time]] = []
-    for ltype in state.theta.located_types:
-        capacity = state.theta.quantity(ltype, slice_window)
+    for ltype, capacity in capacities.items():
         used = consumed_per_type.get(ltype, 0)
         if used > capacity:
             raise TransitionError(
@@ -131,7 +131,7 @@ def step(
         if leftover > 0:
             expired.append((ltype, leftover))
     for ltype, used in consumed_per_type.items():
-        if ltype not in state.theta.located_types and used > 0:
+        if ltype not in capacities and used > 0:
             raise TransitionError(f"no {ltype} available at all")
 
     next_state = SystemState(
@@ -157,11 +157,7 @@ def greedy_allocations(
     availability in turn, in admission order or sorted by ``key``.  The
     admission-order branch is the canonical one of deterministic
     stepping; the simulator's priority policies pass their own order."""
-    slice_window = Interval(state.t, state.t + dt)
-    capacity: Dict[LocatedType, Time] = {
-        lt: state.theta.quantity(lt, slice_window)
-        for lt in state.theta.located_types
-    }
+    capacity = dict(state.theta.capacities(Interval(state.t, state.t + dt)))
     active = [p for p in state.rho if p.active_at(state.t)]
     if key is not None:
         active.sort(key=key)

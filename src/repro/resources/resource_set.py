@@ -22,6 +22,7 @@ Instances are immutable; no operation changes a set in place.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, KeysView, Mapping
 
 from repro.errors import UndefinedOperationError
@@ -34,7 +35,9 @@ from repro.resources.term import ResourceTerm
 class ResourceSet:
     """An immutable set of resource terms in canonical (simplified) form."""
 
-    __slots__ = ("_profiles",)
+    #: ``_capacities`` holds the last :meth:`capacities` window and its
+    #: map; it is unset until the first read and never pickled.
+    __slots__ = ("_profiles", "_capacities")
 
     def __init__(self, terms: Iterable[ResourceTerm] = ()) -> None:
         # Group segments per located type and aggregate each group with a
@@ -121,6 +124,30 @@ class ResourceSet:
     def quantity(self, ltype: LocatedType, window: Interval) -> Time:
         """Total quantity of ``ltype`` available during ``window``."""
         return self.profile(ltype).integral(window)
+
+    def capacities(self, window: Interval) -> Mapping[LocatedType, Time]:
+        """``{lt: self.quantity(lt, window)}`` over :attr:`located_types`,
+        read-only, built once per window.
+
+        The slice loop's allocation policy and ``step`` both read the
+        slice's capacity; the map of the last window read is kept.  Its
+        key holds the endpoints' types as well as their values:
+        ``Interval(1, 2) == Interval(1.0, 2.0)``, but an integral's type
+        follows the window's.
+        """
+        start, end = window.start, window.end
+        key = (start, end, start.__class__, end.__class__)
+        try:
+            cached_key, cached = self._capacities
+            if cached_key == key:
+                return cached
+        except AttributeError:
+            pass
+        cached = MappingProxyType(
+            {lt: p.integral(window) for lt, p in self._profiles.items()}
+        )
+        self._capacities = (key, cached)
+        return cached
 
     def rate_at(self, ltype: LocatedType, t: Time) -> Time:
         """Instantaneous rate of ``ltype`` at time ``t``."""
@@ -216,6 +243,11 @@ class ResourceSet:
     # ------------------------------------------------------------------
     # Dunder plumbing
     # ------------------------------------------------------------------
+    def __getstate__(self) -> tuple:
+        # The default slots state minus the capacity cache, so a set
+        # pickles to the same bytes whether or not a map was read.
+        return None, {"_profiles": self._profiles}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceSet):
             return NotImplemented

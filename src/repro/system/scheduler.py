@@ -67,10 +67,7 @@ class ReservationPolicy(AllocationPolicy):
 
     def allocate(self, state: SystemState, dt: Time) -> Mapping[str, Demands]:
         window = Interval(state.t, state.t + dt)
-        capacity: Dict[LocatedType, Time] = {
-            lt: state.theta.quantity(lt, window)
-            for lt in state.theta.located_types
-        }
+        capacity = dict(state.theta.capacities(window))
         allocations: Dict[str, Demands] = {}
         reserved_active: list[ActorProgress] = []
         unreserved_active: list[ActorProgress] = []

@@ -309,12 +309,12 @@ class SimulationTrace:
         consumed = self._consumed
         expired = self._expired
         lost = self._lost
-        gaps: List[str] = []
+        gaps: List[Tuple[str, str]] = []
         # Key discovery includes loss-only types: a located type that
         # shows up *only* in loss records (never offered, consumed, or
         # expired) is itself an accounting anomaly and must surface.
-        keys = set(offered) | set(consumed) | set(expired) | set(lost)
-        for ltype in sorted(keys, key=str):
+        keys = offered.keys() | consumed.keys() | expired.keys() | lost.keys()
+        for ltype in keys:
             accounted = (
                 consumed.get(ltype, 0)
                 + expired.get(ltype, 0)
@@ -337,13 +337,16 @@ class SimulationTrace:
                     # the full identity reads
                     # offered = c + e + lost + shed + lease-expired
                     legs += "+lease-expired"
-                gaps.append(
+                gaps.append((
+                    str(ltype),
                     f"conservation: {ltype} offered {total} but "
                     f"accounted ({legs}"
                     f"{'+remaining' if remaining is not None else ''}) "
-                    f"= {accounted}"
-                )
-        return gaps
+                    f"= {accounted}",
+                ))
+        # Types are sorted by name only to word the gaps in a stable order.
+        gaps.sort(key=lambda gap: gap[0])
+        return [message for _, message in gaps]
 
     def timeline(self) -> Iterator[Tuple[Time, str]]:
         """Merged, time-ordered view of notes and slice summaries."""

@@ -88,6 +88,16 @@ class TestDemandAccounting:
         # optimistic wastes work on the missed job
         assert sum(completed_demand(reports["optimistic"]).values()) < 80
 
+    def test_goodput_is_completed_demand_over_offered(self, reports):
+        """Goodput sums the completed arrivals' demanded quantity: 40 and
+        20 of 80 offered units read 0.75, not the 2/80 a count gives."""
+        assert score(reports["rota"]).goodput == 0.75
+        for report in reports.values():
+            offered = sum(report.offered.values())
+            assert score(report).goodput == pytest.approx(
+                sum(completed_demand(report).values()) / offered
+            )
+
 
 class TestRendering:
     def test_render_table_aligns(self):

@@ -13,7 +13,9 @@ in value *and* in ``type()``.
 Send times mix ints with ``Fraction`` instants whose denominator is
 ``2**64``, as jittered backoff produces: an int total stays an int until
 a delivery sent at a Fraction instant is accounted, and is a Fraction
-after.
+after.  The RPC attempt clock is also held to the oracle over
+small-denominator Fractions and floats in every argument, and on a
+give-up tied with the deadline.
 """
 
 from __future__ import annotations
@@ -225,6 +227,71 @@ def test_rpcs_match_the_oracles(seed):
         _assert_same_stats(channel.stats, oracle_stats(expected), (seed, i))
     _assert_same_records(channel.log, expected, seed)
     assert channel.deliver_due(10**9) == []  # rpc legs resolve closed-form
+
+
+#: Backoffs whose waits are jittered Fractions, a float ladder (base 0.5)
+#: and an int ladder, so an RPC's waits mix with its other time types.
+BACKOFFS = (
+    Backoff(base=1, factor=2.0, cap=4, jitter=0.25, seed=5),
+    Backoff(base=0.5, factor=2.0, cap=4),
+    Backoff(base=1, factor=2, cap=8),
+)
+
+
+def _mixed_time(rng: random.Random, limit: int = 40):
+    """An int, a 2**-64 Fraction, a small-denominator Fraction or a float."""
+    pick = rng.randrange(4)
+    if pick == 2:
+        return Fraction(rng.randrange(limit * 6), 6)
+    if pick == 3:
+        return rng.randrange(limit * 4) / 4 + 0.1
+    return _time(rng, limit)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rpc_clocks_over_mixed_time_types_match_the_oracle(seed):
+    """The attempt clock against ``t_send + timeout + wait`` and
+    ``min(next_send, deadline)`` over every mix of int, Fraction and
+    float sends, timeouts, deadlines and waits."""
+    model = _model(seed)
+    rng = random.Random(f"rpc-clock:{seed}")
+    channel = MessageChannel(model)
+    expected = []
+    for i in range(150):
+        src, dst = _endpoints(rng)
+        now = _mixed_time(rng)
+        backoff = rng.choice(BACKOFFS)
+        arguments = dict(
+            key=f"job{i}:m{i}",
+            deadline=now + _mixed_time(rng, 20) + rng.choice((0, 1, 2)),
+            timeout=rng.choice((1, 2, Fraction(5, 2), 1.5, Fraction(7, 3))),
+            max_attempts=rng.randrange(1, 7),
+        )
+        outcome = channel.rpc("admit", src, dst, now, backoff=backoff,
+                              **arguments)
+        oracle, records = oracle_rpc(model, backoff, "admit", src, dst, now,
+                                     **arguments)
+        _assert_same_fields(outcome, oracle, (seed, i))
+        expected += records
+        _assert_same_stats(channel.stats, oracle_stats(expected), (seed, i))
+    _assert_same_records(channel.log, expected, seed)
+
+
+@pytest.mark.parametrize("deadline", (2, Fraction(2), Fraction(5, 2), 1.5))
+def test_a_give_up_tied_with_the_deadline_keeps_the_send_time(deadline):
+    """``min(next_send, deadline)`` keeps its first operand on a tie: a
+    lost request at 0, a 3/2 timeout and a 1/2 wait give up at
+    ``Fraction(2)``, not at an int deadline of 2."""
+    model = NetworkModel(default=LinkConfig(loss=1))
+    backoff = Backoff(base=Fraction(1, 2), factor=2, cap=4)
+    arguments = dict(key="tie", deadline=deadline, timeout=Fraction(3, 2),
+                     max_attempts=3)
+    outcome = MessageChannel(model).rpc("admit", "a", "b", 0,
+                                        backoff=backoff, **arguments)
+    oracle, _ = oracle_rpc(model, backoff, "admit", "a", "b", 0, **arguments)
+    _assert_same_fields(outcome, oracle, deadline)
+    if deadline == 2:
+        assert _same(outcome.gave_up_at, Fraction(2))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
